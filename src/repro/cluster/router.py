@@ -45,6 +45,7 @@ from repro.cluster.health import MediaHealthMonitor
 from repro.cluster.rebalance import MigrationState, Rebalancer
 from repro.cluster.shard import ShardGroup
 from repro.errors import ClusterError, ResilienceError, ShardUnavailableError
+from repro.obs.registry import NULL_REGISTRY
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.faults import NO_FAULTS, ShardMediaStorm
 from repro.ssd.ncq import DeviceSession
@@ -109,6 +110,10 @@ class ShardRouter:
         self.retired: Dict[str, ShardGroup] = {}
         self._migration: Optional[MigrationState] = None
         self.migration_epoch = 0
+        # Registry live?  False with telemetry off: the per-KV-call
+        # paths then skip their metric updates instead of calling null
+        # instruments (rare events — kills, failovers — just call them).
+        self._obs = self.telemetry.metrics is not NULL_REGISTRY
         metrics = self.telemetry.metrics.scope("cluster")
         self._metrics = metrics
         self._m_ops = metrics.counter("ops")
@@ -207,7 +212,9 @@ class ShardRouter:
         new primary.  A second failure means the shard is genuinely
         unavailable."""
         self.stats.ops += 1
-        self._m_ops.inc()
+        obs = self._obs
+        if obs:
+            self._m_ops.inc()
         self._ensure_primary(group)
         start_us = self._session.now_us if self._session is not None \
             else self.clock.now_us
@@ -221,20 +228,22 @@ class ShardRouter:
                     f"breaker: {exc}") from exc
             self.controller.promote(group)
             result = fn()
-        waits = group.backpressure_waits - before
-        if waits:
-            self._m_backpressure.inc(waits)
-        end_us = self._session.now_us if self._session is not None \
-            else self.clock.now_us
-        self._m_latency[group.name].record(max(0, end_us - start_us))
+        if obs:
+            waits = group.backpressure_waits - before
+            if waits:
+                self._m_backpressure.inc(waits)
+            end_us = self._session.now_us if self._session is not None \
+                else self.clock.now_us
+            self._m_latency[group.name].record(max(0, end_us - start_us))
         return result
 
     def _ack(self, group: ShardGroup, record=None) -> None:
         """Post-ack bookkeeping: read-your-writes watermark, media
         health scoring, and the crashcheck kill/storm hook."""
         self.stats.acked_writes += 1
-        self._m_acked.inc()
-        self._m_lag[group.name].set(group.repl_lag)
+        if self._obs:
+            self._m_acked.inc()
+            self._m_lag[group.name].set(group.repl_lag)
         if record is not None:
             session = self._session
             client = session.client if session is not None else None
@@ -292,14 +301,17 @@ class ShardRouter:
         before_falls = pair.replica_read_fallbacks
         value = self._shard_op(
             pair, lambda: pair.get(key, session=session, min_seq=min_seq))
+        obs = self._obs
         if pair.replica_reads != before_reads:
             self.stats.replica_reads += 1
-            self._m_replica_reads.inc()
+            if obs:
+                self._m_replica_reads.inc()
         if pair.replica_read_fallbacks != before_falls:
             self.stats.replica_read_fallbacks += 1
             self._m_replica_fallbacks.inc()
         self.stats.reads += 1
-        self._m_reads.inc()
+        if obs:
+            self._m_reads.inc()
         return value
 
     def share(self, dst_key, src_key):
@@ -327,7 +339,8 @@ class ShardRouter:
             src_pair, lambda: src_pair.get(src_key, session=session,
                                            min_seq=min_seq))
         self.stats.cross_shard_copies += 1
-        self._m_copies.inc()
+        if self._obs:
+            self._m_copies.inc()
         record = self._shard_op(
             dst_pair, lambda: dst_pair.put(dst_key, value,
                                            session=self._session))
@@ -486,11 +499,13 @@ class ShardRouter:
                         remaining -= got
                 start = (start + 1) % count
             self._pump_cursor = start
+        obs = self._obs
         for group in pairs:
             lag = group.repl_lag
-            self._m_lag[group.name].set(lag)
-            self._m_replica_lag.record(lag)
-            if lag == 0:
+            if obs:
+                self._m_lag[group.name].set(lag)
+                self._m_replica_lag.record(lag)
+            if lag == 0 and self._pending_convergence:
                 started = self._pending_convergence.pop(group.name, None)
                 if started is not None:
                     duration = max(0, self.clock.now_us - started)
@@ -499,7 +514,8 @@ class ShardRouter:
                     self._m_convergence.record(duration)
         if applied:
             self.stats.repl_applied += applied
-            self._m_repl_applied.inc(applied)
+            if obs:
+                self._m_repl_applied.inc(applied)
         return applied
 
     def drain(self) -> None:

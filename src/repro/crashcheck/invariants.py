@@ -88,8 +88,8 @@ def media_accounting(name: str, ssd) -> List[str]:
     ftl = ssd.ftl
     violations: List[str] = []
     grown = ftl.grown_bad_blocks
-    free = set(ftl._free_blocks)
-    spares = set(ftl._spare_blocks)
+    free = set(ftl.free_blocks())
+    spares = set(ftl.spare_blocks())
     for block in sorted(grown & free):
         violations.append(
             f"{name}: media-accounting: grown-bad block {block} is back "
@@ -98,11 +98,8 @@ def media_accounting(name: str, ssd) -> List[str]:
         violations.append(
             f"{name}: media-accounting: grown-bad block {block} is held "
             f"as a spare")
-    actives = [("gc", ftl._active_gc)]
-    actives.extend((f"host(ch{channel})", block)
-                   for channel, block in sorted(ftl._active_host.items()))
-    for role, active in actives:
-        if active is not None and active in grown:
+    for role, active in sorted(ftl.active_blocks().items()):
+        if active in grown:
             violations.append(
                 f"{name}: media-accounting: grown-bad block {active} is "
                 f"the active {role} block")

@@ -105,7 +105,7 @@ class FlashGeometry:
         return (ppn // self.pages_per_block) % self.channel_count
 
     def check_ppn(self, ppn: int) -> None:
-        if not 0 <= ppn < self.total_pages:
+        if not 0 <= ppn < self.block_count * self.pages_per_block:
             raise ValueError(f"PPN out of range [0, {self.total_pages}): {ppn}")
 
     def check_block(self, block: int) -> None:

@@ -91,9 +91,6 @@ class NandArray:
         self.failed_programs = 0
         self.failed_erases = 0
 
-    def _count_channel_op(self, block: int) -> None:
-        self.channel_ops[block % self.geometry.channel_count] += 1
-
     # ------------------------------------------------------------------ ops
 
     def program(self, ppn: int, data: Any, spare: Any = None) -> None:
@@ -154,7 +151,7 @@ class NandArray:
                 f"PPN {ppn} failed during program; payload unreadable")
         media = self.faults.media
         if media.active:
-            block = self.geometry.block_of(ppn)
+            block = ppn // self._pages_per_block
             try:
                 corrupt = media.on_read(ppn, self.erase_counts[block])
             except UncorrectableReadError:
@@ -189,9 +186,8 @@ class NandArray:
             except EraseFailError:
                 self.failed_erases += 1
                 raise
-        start = self.geometry.first_ppn(block)
-        for ppn in range(start, start + self.geometry.pages_per_block):
-            page = self._pages[ppn]
+        start = block * self._pages_per_block
+        for page in self._pages[start:start + self._pages_per_block]:
             page.state = PageState.ERASED
             page.data = None
             page.spare = None
@@ -199,7 +195,7 @@ class NandArray:
         self._next_program_offset[block] = 0
         self.erase_counts[block] += 1
         self.total_erases += 1
-        self._count_channel_op(block)
+        self.channel_ops[block % self._channel_count] += 1
 
     # -------------------------------------------------------------- queries
 

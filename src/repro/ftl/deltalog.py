@@ -55,7 +55,7 @@ from repro.errors import (
 )
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
-from repro.obs import NULL_TELEMETRY, hot_timer
+from repro.obs import NULL_REGISTRY, NULL_TELEMETRY, hot_timer
 from repro.sim.faults import NO_FAULTS, FaultPlan
 
 #: Spare-area tag marking a mapping page (vs a data page).
@@ -143,7 +143,8 @@ class MapLog:
 
     def __init__(self, nand: NandArray, geometry: FlashGeometry,
                  map_blocks: Sequence[int], records_per_page: int,
-                 faults: FaultPlan = NO_FAULTS, telemetry=None) -> None:
+                 faults: FaultPlan = NO_FAULTS, telemetry=None,
+                 ledger: Optional[List[int]] = None) -> None:
         if not map_blocks:
             raise ValueError("need at least one map block")
         self._nand = nand
@@ -153,10 +154,15 @@ class MapLog:
         self._records_per_page = records_per_page
         self._faults = faults
         self._cursor = 0          # index into self._blocks
+        # The log's own write pointer per map block, read from the media
+        # once here (a log built over a used array resumes where the
+        # pages end) and kept current at every program and erase.
+        self._used = {block: nand.programmed_pages_in_block(block)
+                      for block in self._blocks}
         self._page_writes = 0
-        # Channels of mapping-page programs since the last take_work()
-        # drain — the FTL merges these into its charged-work ledger.
-        self._work: List[int] = []
+        # Channels of mapping-page programs, appended to the owning
+        # FTL's ledger (which drains it once per device command).
+        self._work: List[int] = ledger if ledger is not None else []
         self._checkpoints = 0
         self._snapshot_provider: Optional[Callable[[], List[DeltaRecord]]] = None
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -164,6 +170,9 @@ class MapLog:
         self._m_page_writes = metrics.counter("ftl.maplog.page_writes")
         self._m_checkpoints = metrics.counter("ftl.maplog.checkpoints")
         self._m_records = metrics.histogram("ftl.maplog.records_per_commit")
+        # Registry live?  False with telemetry off: the per-commit
+        # metric updates are then skipped, not sent to null instruments.
+        self._obs = metrics is not NULL_REGISTRY
         self._pt_apply = hot_timer(getattr(self.telemetry, "profiler", None),
                                    "ftl.deltalog")
 
@@ -178,7 +187,7 @@ class MapLog:
         """After recovery, resume appending after the last programmed page."""
         self._cursor = 0
         for index, block in enumerate(self._blocks):
-            if self._nand.programmed_pages_in_block(block) > 0:
+            if self._used[block] > 0:
                 self._cursor = index
         # If the cursor block is full, advance handled lazily by _target().
 
@@ -219,18 +228,6 @@ class MapLog:
     def checkpoints(self) -> int:
         return self._checkpoints
 
-    def take_work(self) -> List[int]:
-        """Drain the channels of mapping pages programmed since the
-        last drain.
-
-        When the ledger is empty the *live* (empty) list is returned
-        without allocating a replacement — most commands program no
-        mapping pages, and the caller only reads the result."""
-        work = self._work
-        if work:
-            self._work = []
-        return work
-
     def _note_work(self, ppn: int) -> None:
         self._work.append(
             (ppn // self._geometry.pages_per_block)
@@ -255,7 +252,9 @@ class MapLog:
                 f"delta batch of {len(records)} records exceeds the mapping "
                 f"page capacity of {self._records_per_page} — the batch "
                 "would not commit atomically (Section 4.2.2)")
-        self._faults.checkpoint("maplog.before_commit")
+        faults = self._faults
+        if not faults.passive:
+            faults.checkpoint("maplog.before_commit")
         pt_apply = self._pt_apply
         t0 = perf_counter_ns() if pt_apply is not None else 0
         payload = _seal(tuple(records))
@@ -270,11 +269,13 @@ class MapLog:
             break
         self._page_writes += 1
         self._note_work(ppn)
-        self._m_page_writes.inc()
-        self._m_records.record(len(records))
+        if self._obs:
+            self._m_page_writes.inc()
+            self._m_records.record(len(records))
         if pt_apply is not None:
             pt_apply.add(perf_counter_ns() - t0)
-        self._faults.checkpoint("maplog.after_commit")
+        if not faults.passive:
+            faults.checkpoint("maplog.after_commit")
 
     def append(self, records: Sequence[DeltaRecord]) -> None:
         """Persist records that do not need single-page atomicity (trim
@@ -285,11 +286,14 @@ class MapLog:
     # ------------------------------------------------------------ internal
 
     def _next_map_ppn(self) -> int:
-        """PPN of the next free mapping page, checkpointing when needed."""
+        """PPN of the next free mapping page, checkpointing when needed.
+        The page counts as used from here on: a failed program consumes
+        its slot too."""
         for _ in range(2):
             block = self._blocks[self._cursor]
-            used = self._nand.programmed_pages_in_block(block)
+            used = self._used[block]
             if used < self._geometry.pages_per_block:
+                self._used[block] = used + 1
                 return self._geometry.first_ppn(block) + used
             if self._cursor + 1 < len(self._blocks):
                 self._cursor += 1
@@ -315,11 +319,17 @@ class MapLog:
         """
         if self._snapshot_provider is None:
             raise FtlError("map log full and no snapshot provider registered")
-        with self.telemetry.tracer.span("ftl.maplog.checkpoint") as span:
+        tracer = self.telemetry.tracer
+        if not tracer.enabled:
+            self._do_checkpoint(None)
+            return
+        with tracer.span("ftl.maplog.checkpoint") as span:
             self._do_checkpoint(span)
 
     def _do_checkpoint(self, span) -> None:
-        self._faults.checkpoint("maplog.checkpoint_start")
+        faults = self._faults
+        if not faults.passive:
+            faults.checkpoint("maplog.checkpoint_start")
         pages_per_block = self._geometry.pages_per_block
         page_capacity = self._records_per_page
         # Erase the whole rotation first, retiring any block whose erase
@@ -332,6 +342,7 @@ class MapLog:
             except EraseFailError:
                 self.retire_map_block(block)
             else:
+                self._used[block] = 0
                 usable.append(block)
         self._blocks = usable
         if not self._blocks:
@@ -339,7 +350,8 @@ class MapLog:
                 "every map block has grown bad; the mapping log cannot "
                 "persist further deltas")
         live = self._badblk_records() + list(self._snapshot_provider())
-        span.set(live_records=len(live))
+        if span is not None:
+            span.set(live_records=len(live))
         needed_pages = -(-len(live) // page_capacity) if live else 0
         needed_blocks = -(-needed_pages // pages_per_block) if needed_pages else 0
         if needed_blocks >= len(self._blocks):
@@ -361,6 +373,7 @@ class MapLog:
             chunk = tuple(live[cursor:cursor + page_capacity])
             ppn = self._geometry.first_ppn(self._blocks[block_index]) + offset
             offset += 1
+            self._used[self._blocks[block_index]] = offset
             try:
                 self._nand.program(ppn, _seal(chunk), spare=(MAP_PAGE_TAG,))
             except ProgramFailError:
@@ -370,8 +383,10 @@ class MapLog:
             cursor += page_capacity
         self._cursor = min(block_index, len(self._blocks) - 1)
         self._checkpoints += 1
-        self._m_checkpoints.inc()
-        self._faults.checkpoint("maplog.checkpoint_end")
+        if self._obs:
+            self._m_checkpoints.inc()
+        if not faults.passive:
+            faults.checkpoint("maplog.checkpoint_end")
 
     # ------------------------------------------------------------ recovery
 

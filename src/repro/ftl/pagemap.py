@@ -37,6 +37,7 @@ Media faults degrade the device gracefully instead of killing it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count as count_from
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -51,6 +52,7 @@ from repro.errors import (
     UnmappedPageError,
 )
 from repro.flash.nand import NandArray
+from repro.ftl.blocks import BlockTable
 from repro.ftl.config import FtlConfig
 from repro.ftl.deltalog import (
     KIND_AWRITE,
@@ -70,7 +72,7 @@ from repro.ftl.share_ext import (
     observe_batch,
     validate_batch,
 )
-from repro.obs import NULL_TELEMETRY, hot_timer
+from repro.obs import NULL_REGISTRY, NULL_TELEMETRY, hot_timer
 from repro.sim.faults import NO_FAULTS, FaultPlan
 
 
@@ -145,13 +147,18 @@ class PageMappingFtl:
         self._fwd_table = self.fwd.table
         self.rev = ReverseMap(self.config.share_table_entries)
         self._records_per_page = self.config.deltas_per_page(geometry.page_size)
+        self.map_work: List[int] = []
         self.maplog = MapLog(nand, geometry, self._map_blocks,
                              self._records_per_page, faults,
-                             telemetry=self.telemetry)
+                             telemetry=self.telemetry, ledger=self.map_work)
         self.maplog.set_snapshot_provider(self._snapshot_records)
         self.stats = FtlStats()
         # Telemetry handles (shared no-ops when telemetry is disabled).
         metrics = self.telemetry.metrics
+        # Registry live?  False with telemetry off: the GC/allocation
+        # paths then skip their metric updates instead of calling the
+        # null instruments (same idea as the ``hot_timer`` handles).
+        self._obs = metrics is not NULL_REGISTRY
         self._m_gc_events = metrics.counter("ftl.gc.events")
         self._m_copybacks = metrics.counter("ftl.gc.copyback_pages")
         self._m_erases = metrics.counter("ftl.gc.block_erases")
@@ -180,32 +187,38 @@ class PageMappingFtl:
         self._pt_gc = (profiler.timer("ftl.gc")
                        if profiler is not None
                        and getattr(profiler, "enabled", False) else None)
-        self._valid_count: Dict[int, int] = {b: 0 for b in self._data_blocks}
-        self._free_blocks: List[int] = list(self._data_blocks)
-        # Bad-block management: spare blocks held back from the free pool
-        # as replacements, and the persisted grown-bad set (block -> the
-        # seq of its badblk record).
+        # Block state, owned here (repro.ftl.blocks): the hot path never
+        # asks the media or the geometry what the firmware itself just
+        # decided.  The write-pointer and valid-count lists are indexed
+        # by block number (data blocks are 0..n-1) and bumped in place.
+        # Bad-block management rides along: spare blocks held back from
+        # the free pool as replacements, and the persisted grown-bad set
+        # (block -> the seq of its badblk record).
+        self._pages_per_block = geometry.pages_per_block
+        self._channel_count = geometry.channel_count
         if self.config.spare_block_count >= len(self._data_blocks) - 4:
             raise ValueError("spare_block_count leaves too few data blocks")
-        self._spare_blocks: List[int] = [
-            self._free_blocks.pop()
-            for __ in range(self.config.spare_block_count)]
+        self._blocks = BlockTable(
+            len(self._data_blocks), geometry.pages_per_block,
+            geometry.channel_count, self.config.spare_block_count)
+        self._write_ptr = self._blocks.write_ptr
+        self._valid_count = self._blocks.valid
         self._grown_bad: Dict[int, int] = {}
-        self._m_spare_pool.set(len(self._spare_blocks))
-        self._m_free_blocks.set(len(self._free_blocks))
+        self._publish_pools()
         # Channel-striped host allocation: one active block per channel,
         # filled round-robin so sequential writes spread across channels.
         # At channel_count == 1 this degenerates to the single active
         # block + FIFO free-list behaviour of the serial model.
-        self._active_host: Dict[int, Optional[int]] = {
-            ch: None for ch in range(geometry.channel_count)}
+        self._active_host: List[Optional[int]] = [None] * self._channel_count
         self._host_cursor = 0
         self._active_gc: Optional[int] = None
         # Charged-work ledger: (kind, channel) entries appended at the
         # exact sites where the latency-formula counters increment, so
         # the device can place each command's internal work on the right
-        # channel.  Drained by the device per command via take_work().
-        self._work: List[Tuple[str, int]] = []
+        # channel; ``map_work`` is the map log's half (channels of its
+        # page programs).  Public so the device can see, without a call,
+        # whether anything is pending; drained only via take_work().
+        self.work: List[Tuple[str, int]] = []
         self._seq = 1
         self._share_backed: Dict[int, Tuple[int, int]] = {}
         self._trim_tombstones: Dict[int, int] = {}
@@ -218,6 +231,10 @@ class PageMappingFtl:
         self._shadow_owner: Dict[int, Tuple[int, int]] = {}
         self._in_gc = False
         self._publish_l2p_gauges()
+
+    def _publish_pools(self) -> None:
+        self._m_spare_pool.set(len(self._blocks.spares))
+        self._m_free_blocks.set(self._blocks.free_count)
 
     def _publish_l2p_gauges(self) -> None:
         """Refresh the ``ftl.l2p.*`` gauges from the strategy's O(1)
@@ -246,7 +263,23 @@ class PageMappingFtl:
 
     @property
     def free_block_count(self) -> int:
-        return len(self._free_blocks)
+        return self._blocks.free_count
+
+    def free_blocks(self) -> List[int]:
+        """The free pool, oldest first."""
+        return self._blocks.free_blocks()
+
+    def spare_blocks(self) -> List[int]:
+        """Erased blocks held back as grown-bad replacements."""
+        return list(self._blocks.spares)
+
+    def active_blocks(self) -> Dict[str, int]:
+        """The open blocks by slot: ``gc`` and ``host(ch<N>)``."""
+        slots = {f"host(ch{channel})": block
+                 for channel, block in enumerate(self._active_host)}
+        slots["gc"] = self._active_gc
+        return {slot: block for slot, block in slots.items()
+                if block is not None}
 
     @property
     def map_page_writes(self) -> int:
@@ -255,9 +288,8 @@ class PageMappingFtl:
     # --------------------------------------------------- charged-work ledger
 
     def _note_work(self, kind: str, ppn: int) -> None:
-        self._work.append(
-            (kind, (ppn // self.geometry.pages_per_block)
-             % self.geometry.channel_count))
+        self.work.append(
+            (kind, ppn // self._pages_per_block % self._channel_count))
 
     def take_work(self) -> List[Tuple[str, int]]:
         """Drain the ``(kind, channel)`` ledger of charged work since the
@@ -269,15 +301,16 @@ class PageMappingFtl:
         When both ledgers are empty (the common no-internal-work
         command) the *live* empty list is returned without allocating a
         replacement; callers only read the result."""
-        work = self._work
+        work = self.work
         if work:
-            self._work = []
-        map_channels = self.maplog.take_work()
+            self.work = []
+        map_channels = self.map_work
         if map_channels:
             if not work:
                 # Never extend the live (still-installed) empty ledger.
                 work = []
-            work.extend(("map_write", ch) for ch in map_channels)
+            work.extend([("map_write", ch) for ch in map_channels])
+            del map_channels[:]
         return work
 
     def _check_lpn_range(self, lpn: int, count: int = 1) -> None:
@@ -320,33 +353,40 @@ class PageMappingFtl:
 
     def write(self, lpn: int, data: Any) -> None:
         """Program ``data`` for ``lpn`` out of place and remap."""
-        with self.faults.operation("ftl.write", (lpn,)):
-            self._check_lpn_range(lpn)
-            self._ensure_free_space()
-            seq = self._next_seq()
-            self.faults.checkpoint("ftl.before_program")
-            ppn = self._program_data(data, ((lpn, seq),), for_gc=False)
-            self._note_work("host_program", ppn)
-            self.faults.checkpoint("ftl.after_program")
-            self._remap_after_program(lpn, ppn)
-            self.stats.host_page_writes += 1
+        if self.faults.passive:   # no journal, no fuses: a straight line
+            self._write(lpn, data, None)
+        else:
+            with self.faults.operation("ftl.write", (lpn,)):
+                self._write(lpn, data, self.faults)
 
-    def _remap_after_program(self, lpn: int, ppn: int) -> None:
+    def _write(self, lpn: int, data: Any, fuses: Optional[FaultPlan]) -> None:
+        self._check_lpn_range(lpn)
+        self._ensure_free_space()
+        seq = self._next_seq()
+        if fuses is not None:
+            fuses.checkpoint("ftl.before_program")
+        ppn = self._program_data(data, ((lpn, seq),), for_gc=False)
+        self._note_work("host_program", ppn)
+        if fuses is not None:
+            fuses.checkpoint("ftl.after_program")
         pt_l2p = self._pt_l2p
         t0 = perf_counter_ns() if pt_l2p is not None else 0
         old = self.fwd.update(lpn, ppn)
         self.rev.set_primary(ppn, lpn)
-        self._valid_count[self.geometry.block_of(ppn)] += 1
+        self._valid_count[ppn // self._pages_per_block] += 1
         if old is not None and old != ppn:
             self._drop_ref(old, lpn)
-        self._share_backed.pop(lpn, None)
-        self._trim_tombstones.pop(lpn, None)
+        if lpn in self._share_backed:
+            del self._share_backed[lpn]
+        if lpn in self._trim_tombstones:
+            del self._trim_tombstones[lpn]
         if pt_l2p is not None:
             pt_l2p.add(perf_counter_ns() - t0)
+        self.stats.host_page_writes += 1
 
     def _drop_ref(self, ppn: int, lpn: int) -> None:
         if self.rev.drop_ref(ppn, lpn):
-            self._valid_count[self.geometry.block_of(ppn)] -= 1
+            self._valid_count[ppn // self._pages_per_block] -= 1
 
     # ------------------------------------------------------- media handling
 
@@ -394,9 +434,9 @@ class PageMappingFtl:
             new_ppn = self._program_data(data, stamps, for_gc=False)
         except (MediaError, OutOfSpaceError):
             return
-        self.rev.move_page(ppn, new_ppn, refs[0])
-        self._valid_count[self.geometry.block_of(ppn)] -= 1
-        self._valid_count[self.geometry.block_of(new_ppn)] += 1
+        self.rev.move_page(ppn, new_ppn, refs)
+        self._valid_count[ppn // self._pages_per_block] -= 1
+        self._valid_count[new_ppn // self._pages_per_block] += 1
         for lpn in refs:
             self.fwd.update(lpn, new_ppn)
             self._share_backed.pop(lpn, None)
@@ -412,16 +452,16 @@ class PageMappingFtl:
         ``config.program_retry_limit`` blocks before surfacing the typed
         error."""
         last_error: Optional[ProgramFailError] = None
-        inflight = frozenset(lpn for lpn, __ in spare)
         for __ in range(self.config.program_retry_limit):
-            ppn = self._alloc_page(for_gc=for_gc)
+            ppn = self._alloc_page(for_gc)
             try:
                 self.nand.program(ppn, data, spare=spare)
             except ProgramFailError as exc:
                 last_error = exc
                 self.stats.program_fails += 1
                 self._m_program_fails.inc()
-                self._retire_block(self.geometry.block_of(ppn), inflight)
+                self._retire_block(ppn // self._pages_per_block,
+                                   frozenset(lpn for lpn, __ in spare))
                 continue
             return ppn
         raise ProgramFailError(
@@ -442,22 +482,20 @@ class PageMappingFtl:
         in-flight write at recovery and resurrect stale data."""
         if block in self._grown_bad:
             return
-        for channel, active in self._active_host.items():
-            if active == block:
-                self._active_host[channel] = None
+        # Only an open or a closed block ever retires (a program failed
+        # on it, or it was a GC victim): vacate its slot if it holds one.
         if block == self._active_gc:
             self._active_gc = None
-        if block in self._free_blocks:
-            self._free_blocks.remove(block)
+        elif self._active_host[block % self._channel_count] == block:
+            self._active_host[block % self._channel_count] = None
         seq = self._next_seq()
         self._grown_bad[block] = seq
         self.stats.grown_bad_blocks = len(self._grown_bad)
         self._m_grown_bad.inc()
-        # Release a spare first: the evacuation below may need the space.
-        if self._spare_blocks:
-            self._free_blocks.append(self._spare_blocks.pop())
-        self._m_spare_pool.set(len(self._spare_blocks))
-        self._m_free_blocks.set(len(self._free_blocks))
+        # A spare is released first: the evacuation below may need the
+        # space.
+        self._blocks.retire(block)
+        self._publish_pools()
         self._evacuate_for_retirement(block, inflight)
         self.maplog.append_atomic(
             [DeltaRecord(KIND_BADBLK, block, None, None, seq)])
@@ -470,10 +508,8 @@ class PageMappingFtl:
         an unreadable page stays pinned in the retired block (its payload
         is gone; the typed error is all the host can get), and a page that
         cannot be re-programmed keeps its old mapping too."""
-        geometry = self.geometry
-        start = geometry.first_ppn(block)
-        for offset in range(self.nand.programmed_pages_in_block(block)):
-            ppn = start + offset
+        start = block * self._pages_per_block
+        for ppn in range(start, start + self._write_ptr[block]):
             if ppn in self._shadow_owner:
                 try:
                     self._move_shadow_page(ppn)
@@ -494,9 +530,9 @@ class PageMappingFtl:
                 new_ppn = self._program_data(data, stamps, for_gc=True)
             except (MediaError, OutOfSpaceError):
                 continue
-            self.rev.move_page(ppn, new_ppn, refs[0])
+            self.rev.move_page(ppn, new_ppn, refs)
             self._valid_count[block] -= 1
-            self._valid_count[geometry.block_of(new_ppn)] += 1
+            self._valid_count[new_ppn // self._pages_per_block] += 1
             stamped = {lpn for lpn, __ in stamps}
             fwd_update = self.fwd.update
             for lpn in refs:
@@ -514,7 +550,7 @@ class PageMappingFtl:
 
     @property
     def spare_pool_level(self) -> int:
-        return len(self._spare_blocks)
+        return len(self._blocks.spares)
 
     def media_report(self) -> Dict[str, int]:
         """The ``media.*`` degradation counters as one snapshot."""
@@ -526,7 +562,7 @@ class PageMappingFtl:
             "erase_fails": self.stats.erase_fails,
             "grown_bad_blocks": len(self._grown_bad),
             "corrupt_map_pages": self.stats.corrupt_map_pages,
-            "spare_pool": len(self._spare_blocks),
+            "spare_pool": len(self._blocks.spares),
         }
 
     # ---------------------------------------------------------------- X-FTL
@@ -559,10 +595,10 @@ class PageMappingFtl:
         if old_shadow_ppn is not None:
             # Restaged within the txn: the earlier shadow copy dies.
             self._shadow_owner.pop(old_shadow_ppn, None)
-            self._valid_count[self.geometry.block_of(old_shadow_ppn)] -= 1
+            self._valid_count[old_shadow_ppn // self._pages_per_block] -= 1
         shadow[lpn] = ppn
         self._shadow_owner[ppn] = (txn_id, lpn)
-        self._valid_count[self.geometry.block_of(ppn)] += 1
+        self._valid_count[ppn // self._pages_per_block] += 1
         self.stats.host_page_writes += 1
 
     def commit_txn(self, txn_id: int) -> None:
@@ -599,7 +635,7 @@ class PageMappingFtl:
             raise FtlError(f"unknown transaction: {txn_id}")
         for __, ppn in shadow.items():
             self._shadow_owner.pop(ppn, None)
-            self._valid_count[self.geometry.block_of(ppn)] -= 1
+            self._valid_count[ppn // self._pages_per_block] -= 1
 
     def txn_read(self, txn_id: int, lpn: int) -> Any:
         """Writer's view: the shadow copy when staged, else committed."""
@@ -650,7 +686,7 @@ class PageMappingFtl:
                 self._note_work("host_program", ppn)
                 old = self.fwd.update(lpn, ppn)
                 self.rev.set_primary(ppn, lpn)
-                self._valid_count[self.geometry.block_of(ppn)] += 1
+                self._valid_count[ppn // self._pages_per_block] += 1
                 if old is not None and old != ppn:
                     self._drop_ref(old, lpn)
                 staged.append((lpn, old))
@@ -672,9 +708,12 @@ class PageMappingFtl:
     def trim(self, lpn: int, count: int = 1) -> None:
         """Invalidate ``count`` LPNs starting at ``lpn`` (the TRIM command
         the paper contrasts SHARE with)."""
-        with self.faults.operation("ftl.trim",
-                                   tuple(range(lpn, lpn + max(count, 1)))):
+        if self.faults.passive:
             self._trim(lpn, count)
+        else:
+            with self.faults.operation(
+                    "ftl.trim", tuple(range(lpn, lpn + max(count, 1)))):
+                self._trim(lpn, count)
 
     def _trim(self, lpn: int, count: int) -> None:
         self._check_lpn_range(lpn, count)
@@ -696,8 +735,11 @@ class PageMappingFtl:
     def flush(self) -> None:
         """Persist pending mapping changes (trim deltas).  Host writes and
         SHAREs are already durable when their call returns."""
-        with self.faults.operation("ftl.flush"):
+        if self.faults.passive:
             self._flush_pending_trims()
+        else:
+            with self.faults.operation("ftl.flush"):
+                self._flush_pending_trims()
         if self.telemetry.enabled:
             self._publish_l2p_gauges()
 
@@ -721,9 +763,12 @@ class PageMappingFtl:
         program.  A power failure before that program leaves every
         destination at its old mapping; after it, at the new mapping.
         """
-        with self.faults.operation(
-                "ftl.share", tuple(pair.dst_lpn for pair in pairs)):
+        if self.faults.passive:
             self._share_batch(pairs)
+        else:
+            with self.faults.operation(
+                    "ftl.share", tuple(pair.dst_lpn for pair in pairs)):
+                self._share_batch(pairs)
 
     def _share_batch(self, pairs: Sequence[SharePair]) -> None:
         validate_batch(pairs, self._logical_pages, self.max_share_batch)
@@ -764,9 +809,10 @@ class PageMappingFtl:
                 self.stats.share_log_spills += 1
                 # Zero-cost ledger note: lets the device derive the
                 # per-command spill delta from the work ledger alone.
-                self._work.append(("log_spill", 0))
-                self._m_share_log_spills.inc()
-                self._m_share_spill_hwm.set(rev.spilled_peak)
+                self.work.append(("log_spill", 0))
+                if self._obs:
+                    self._m_share_log_spills.inc()
+                    self._m_share_spill_hwm.set(rev.spilled_peak)
             fwd.remap(dst_lpn, src_ppn)
             if old_ppn is not None and old_ppn != src_ppn:
                 self._drop_ref(old_ppn, dst_lpn)
@@ -796,7 +842,7 @@ class PageMappingFtl:
         new_ppn = self._program_data(data, ((lpn, seq),), for_gc=False)
         self.fwd.update(lpn, new_ppn)
         self.rev.set_primary(new_ppn, lpn)
-        self._valid_count[self.geometry.block_of(new_ppn)] += 1
+        self._valid_count[new_ppn // self._pages_per_block] += 1
         self._drop_ref(ppn, lpn)
         self._share_backed.pop(lpn, None)
         self.stats.share_spills += 1
@@ -816,53 +862,56 @@ class PageMappingFtl:
 
         Host allocation rotates one page at a time over the channels so
         sequential writes spread across all of them; a channel whose
-        active block is full takes the first free block *of that
+        active block is full opens the oldest free block *of that
         channel*.  When a channel has no free block left the rotation
         skips it — allocation only fails when every channel is dry.  At
         ``channel_count == 1`` this is exactly the serial model's single
-        active block with FIFO free-list replacement."""
-        geometry = self.geometry
+        active block with FIFO free-list replacement.
+
+        The page counts as programmed from here on (a failed program
+        consumes its slot too), so the caller must program it."""
+        write_ptr = self._write_ptr
+        full = self._pages_per_block
         if for_gc:
-            active = self._active_gc
-            if active is not None:
-                used = self.nand.programmed_pages_in_block(active)
-                if used < geometry.pages_per_block:
-                    return geometry.first_ppn(active) + used
-            if not self._free_blocks:
+            block = self._active_gc
+            if block is None or write_ptr[block] == full:
+                block = self._active_gc = self._open_block(None, block)
+        else:
+            active = self._active_host
+            channels = self._channel_count
+            for __ in range(channels):
+                channel = self._host_cursor
+                self._host_cursor = (channel + 1) % channels
+                block = active[channel]
+                if block is None or write_ptr[block] == full:
+                    block = self._open_block(channel, block)
+                    if block is None:
+                        continue
+                    active[channel] = block
+                break
+            else:
                 raise OutOfSpaceError("no free blocks available for allocation")
-            block = self._free_blocks.pop(0)
-            self._m_free_blocks.set(len(self._free_blocks))
-            self._active_gc = block
-            return geometry.first_ppn(block)
-        channels = geometry.channel_count
-        for __ in range(channels):
-            channel = self._host_cursor
-            self._host_cursor = (self._host_cursor + 1) % channels
-            active = self._active_host.get(channel)
-            if active is not None:
-                used = self.nand.programmed_pages_in_block(active)
-                if used < geometry.pages_per_block:
-                    return geometry.first_ppn(active) + used
-            block = next((b for b in self._free_blocks
-                          if b % channels == channel), None)
-            if block is None:
-                continue
-            self._free_blocks.remove(block)
-            self._m_free_blocks.set(len(self._free_blocks))
-            self._active_host[channel] = block
-            return geometry.first_ppn(block)
-        raise OutOfSpaceError("no free blocks available for allocation")
+        offset = write_ptr[block]
+        write_ptr[block] = offset + 1
+        return block * full + offset
+
+    def _open_block(self, channel: Optional[int],
+                    displaced: Optional[int]) -> Optional[int]:
+        block = self._blocks.open(channel, displaced)
+        if self._obs:
+            self._m_free_blocks.set(self._blocks.free_count)
+        return block
 
     def _ensure_free_space(self) -> None:
         """Greedy GC trigger: collect victims while the free pool is at or
         below the low-water mark."""
         if self._in_gc:
             return
-        while len(self._free_blocks) <= self.config.gc_low_water:
-            made_progress = self._collect_victim()
-            if not made_progress:
+        blocks = self._blocks
+        while blocks.free_count <= self.config.gc_low_water:
+            if not self._collect_victim():
                 break
-            if len(self._free_blocks) >= self.config.gc_high_water:
+            if blocks.free_count >= self.config.gc_high_water:
                 break
 
     # ------------------------------------------------------------------ GC
@@ -881,29 +930,18 @@ class PageMappingFtl:
                 f"min_invalid_fraction must be in (0, 1]: "
                 f"{min_invalid_fraction}")
         reclaimed = 0
-        pages_per_block = self.geometry.pages_per_block
         for __ in range(max_blocks):
-            candidates = self._gc_candidates()
-            if not candidates:
+            victim = self._blocks.pick_victim()
+            if victim is None:
                 break
-            victim = min(candidates, key=lambda b: (self._valid_count[b], b))
-            programmed = self.nand.programmed_pages_in_block(victim)
+            programmed = self._write_ptr[victim]
             invalid = programmed - self._valid_count[victim]
-            if programmed < pages_per_block or \
+            if programmed < self._pages_per_block or \
                     invalid < programmed * min_invalid_fraction:
                 break
             self._reclaim_block(victim, is_gc_event=True)
             reclaimed += 1
         return reclaimed
-
-    def _gc_candidates(self) -> List[int]:
-        active = set(self._active_host.values())
-        active.add(self._active_gc)
-        free = set(self._free_blocks)
-        return [b for b in self._data_blocks
-                if b not in active and b not in free
-                and b not in self._grown_bad
-                and self.nand.programmed_pages_in_block(b) > 0]
 
     def _collect_victim(self) -> bool:
         """Collect the block with the fewest valid pages.  Returns False
@@ -915,26 +953,21 @@ class PageMappingFtl:
         greedy GC) is evacuated first so it rejoins the hot rotation —
         classic static wear leveling, spreading the lifespan benefit
         Section 5.3.1 attributes to SHARE across all blocks."""
-        candidates = self._gc_candidates()
-        if not candidates:
-            return False
-        if self.config.wear_leveling and len(candidates) > 1:
-            erase_counts = self.nand.erase_counts
-            coldest = min(candidates, key=lambda b: (erase_counts[b], b))
-            spread = max(erase_counts[b] for b in candidates) \
-                - erase_counts[coldest]
-            if spread >= self.config.wear_delta_threshold:
-                self._reclaim_block(coldest, is_gc_event=False)
-                self.stats.wear_level_moves += 1
-                self._work.append(("wear_move", 0))   # zero-cost note
+        coldest = self._blocks.pick_coldest(
+            self.nand.erase_counts, self.config.wear_delta_threshold) \
+            if self.config.wear_leveling else None
+        if coldest is not None:
+            self._reclaim_block(coldest, is_gc_event=False)
+            self.stats.wear_level_moves += 1
+            self.work.append(("wear_move", 0))   # zero-cost note
+            if self._obs:
                 self._m_wear_moves.inc()
-                candidates = self._gc_candidates()
-                if not candidates:
-                    return True
-        victim = min(candidates, key=lambda b: (self._valid_count[b], b))
-        programmed = self.nand.programmed_pages_in_block(victim)
+        victim = self._blocks.pick_victim()
+        if victim is None:
+            return coldest is not None
+        programmed = self._write_ptr[victim]
         if self._valid_count[victim] >= programmed and \
-                programmed >= self.geometry.pages_per_block:
+                programmed >= self._pages_per_block:
             raise OutOfSpaceError(
                 "all candidate blocks are fully valid — logical space "
                 "overcommitted; write less or raise over-provisioning")
@@ -943,41 +976,42 @@ class PageMappingFtl:
 
     def _reclaim_block(self, block: int, is_gc_event: bool) -> None:
         """Evacuate valid pages, erase, and return ``block`` to the free
-        pool.  The whole pass runs inside an ``ftl.gc`` span, so the
-        copyback/erase work is attributed to whichever host command (and
-        engine operation above it) triggered the collection.  With a
-        profiler attached the pass is also charged to the ``ftl.gc``
-        wall-clock phase (re-entrant: a reclaim cascading into another
-        reclaim is timed once)."""
+        pool.  With the tracer on the whole pass runs inside an
+        ``ftl.gc`` span, so the copyback/erase work is attributed to
+        whichever host command (and engine operation above it) triggered
+        the collection; with a profiler attached it is also charged to
+        the ``ftl.gc`` wall-clock phase (re-entrant: a reclaim cascading
+        into another reclaim is timed once).  With neither, the pass is
+        a plain call."""
         pt_gc = self._pt_gc
-        if pt_gc is None:
-            self._do_reclaim_block(block, is_gc_event)
+        tracer = self.telemetry.tracer
+        if pt_gc is None and not tracer.enabled:
+            self._do_reclaim_block(block, is_gc_event, None)
             return
-        with pt_gc:
-            self._do_reclaim_block(block, is_gc_event)
+        with tracer.span("ftl.gc", block=block,
+                         wear_leveling=not is_gc_event) as span:
+            if pt_gc is None:
+                self._do_reclaim_block(block, is_gc_event, span)
+            else:
+                with pt_gc:
+                    self._do_reclaim_block(block, is_gc_event, span)
 
-    def _do_reclaim_block(self, block: int, is_gc_event: bool) -> None:
+    def _do_reclaim_block(self, block: int, is_gc_event: bool,
+                          span: Any) -> None:
         copybacks_before = self.stats.copyback_pages
-        with self.telemetry.tracer.span(
-                "ftl.gc", block=block,
-                wear_leveling=not is_gc_event) as span:
-            self._in_gc = True
-            try:
-                self._evacuate(block)
-            except UncorrectableReadError:
-                # A victim page died mid-evacuation: stop, retire the
-                # block without erasing it.  Pages already moved are fine;
-                # the dead page's mapping stays pinned here so host reads
-                # surface the typed error, never wrong data.
-                self._in_gc = False
-                self._retire_block(block)
-                span.set(retired=True,
-                         copyback_pages=self.stats.copyback_pages
-                         - copybacks_before)
-                self._m_free_blocks.set(len(self._free_blocks))
-                return
-            finally:
-                self._in_gc = False
+        retired = False
+        self._in_gc = True
+        try:
+            self._evacuate(block)
+        except UncorrectableReadError:
+            # A victim page died mid-evacuation: stop, retire the block
+            # without erasing it.  Pages already moved are fine; the dead
+            # page's mapping stays pinned here so host reads surface the
+            # typed error, never wrong data.
+            retired = True
+        finally:
+            self._in_gc = False
+        if not retired:
             try:
                 self.nand.erase(block)
             except EraseFailError:
@@ -985,68 +1019,82 @@ class PageMappingFtl:
                 # (evacuation succeeded), so retirement is bookkeeping.
                 self.stats.erase_fails += 1
                 self._m_erase_fails.inc()
-                self._retire_block(block)
-                span.set(retired=True,
-                         copyback_pages=self.stats.copyback_pages
-                         - copybacks_before)
-                self._m_free_blocks.set(len(self._free_blocks))
-                return
+                retired = True
+        if retired:
+            self._retire_block(block)
+        else:
             self.stats.block_erases += 1
-            self._note_work("erase", self.geometry.first_ppn(block))
-            self._m_erases.inc()
+            self.work.append(("erase", block % self._channel_count))
             if is_gc_event:
                 self.stats.gc_events += 1
-                self._work.append(("gc_event", 0))   # zero-cost note
-                self._m_gc_events.inc()
-            self._valid_count[block] = 0
-            for channel, active in self._active_host.items():
-                if active == block:
-                    self._active_host[channel] = None
-            if block == self._active_gc:
-                self._active_gc = None
-            self._free_blocks.append(block)
+                self.work.append(("gc_event", 0))   # zero-cost note
+            self._blocks.erased(block)   # CLOSED -> FREE
+        if self._obs:
+            self._m_free_blocks.set(self._blocks.free_count)
+            self._m_share_spill_hwm.set(self.rev.spilled_peak)
+            if not retired:
+                self._m_erases.inc()
+                if is_gc_event:
+                    self._m_gc_events.inc()
+        if span is not None:
+            if retired:
+                span.set(retired=True)
             span.set(copyback_pages=self.stats.copyback_pages
                      - copybacks_before)
-            self._m_free_blocks.set(len(self._free_blocks))
 
     def _evacuate(self, victim: int) -> None:
-        geometry = self.geometry
-        start = geometry.first_ppn(victim)
-        for offset in range(self.nand.programmed_pages_in_block(victim)):
-            ppn = start + offset
-            if ppn in self._shadow_owner:
+        """Copy every live page of ``victim`` out, in PPN order.  The
+        reverse map names the live pages in one call; everything a page
+        move needs is a local by the time the loop starts."""
+        full = self._pages_per_block
+        channels = self._channel_count
+        start = victim * full
+        live = self.rev.live_pages(start, start + self._write_ptr[victim])
+        shadow = self._shadow_owner
+        if shadow:   # uncommitted X-FTL pages move in PPN order with the rest
+            live = sorted(live + [(ppn, None, False)
+                                  for ppn in range(start, start + full)
+                                  if ppn in shadow])
+        stats = self.stats
+        work = self.work
+        valid = self._valid_count
+        pending = self._pending_atomic
+        share_backed = self._share_backed
+        fwd_update = self.fwd.update
+        move_page = self.rev.move_page
+        obs = self._obs
+        for ppn, refs, spilled in live:
+            if refs is None:
                 self._move_shadow_page(ppn)
                 continue
-            if not self.rev.is_valid(ppn):
-                continue
-            if self.rev.spilled_refs_of(ppn):
+            if spilled:
                 # Firmware must re-read the mapping log to learn the
                 # overflowed reverse mappings of this page.
-                self.stats.spill_lookups += 1
-                self._note_work("spill_lookup", ppn)
-                self._m_spill_lookups.inc()
-            refs = sorted(self.rev.refs(ppn))
+                stats.spill_lookups += 1
+                work.append(("spill_lookup", victim % channels))
+                if obs:
+                    self._m_spill_lookups.inc()
             data = self._read_page(ppn)
             # Pages of an in-flight atomic write stay unstamped so a crash
             # before their commit record keeps them invisible to recovery.
-            stamps = tuple((lpn, self._next_seq()) for lpn in refs
-                           if lpn not in self._pending_atomic)
+            stamped = ([lpn for lpn in refs if lpn not in pending]
+                       if pending else refs)
+            stamps = tuple(zip(stamped, count_from(self._seq)))
+            self._seq += len(stamps)
             new_ppn = self._program_data(data, stamps, for_gc=True)
-            self.rev.move_page(ppn, new_ppn, refs[0])
-            self._m_share_spill_hwm.set(self.rev.spilled_peak)
-            self._valid_count[victim] -= 1
-            self._valid_count[geometry.block_of(new_ppn)] += 1
-            stamped = {lpn for lpn, __ in stamps}
-            fwd_update = self.fwd.update
+            move_page(ppn, new_ppn, refs)
+            valid[victim] -= 1
+            valid[new_ppn // full] += 1
             for lpn in refs:
                 fwd_update(lpn, new_ppn)
-                if lpn in stamped:
-                    # The copy's spare stamps the LPN, so the mapping is
-                    # recoverable from OOB again; drop the log backing.
-                    self._share_backed.pop(lpn, None)
-            self.stats.copyback_pages += 1
-            self._note_work("copyback", new_ppn)
-            self._m_copybacks.inc()
+                # The copy's spare stamps the LPN, so the mapping is
+                # recoverable from OOB again; drop the log backing.
+                if lpn in share_backed and lpn not in pending:
+                    del share_backed[lpn]
+            stats.copyback_pages += 1
+            work.append(("copyback", new_ppn // full % channels))
+            if obs:
+                self._m_copybacks.inc()
 
     def _move_shadow_page(self, ppn: int) -> None:
         """GC move of an uncommitted X-FTL shadow page: the copy stays
@@ -1058,11 +1106,12 @@ class PageMappingFtl:
         self._shadow_owner.pop(ppn)
         self._txn_shadow[txn_id][lpn] = new_ppn
         self._shadow_owner[new_ppn] = (txn_id, lpn)
-        self._valid_count[self.geometry.block_of(ppn)] -= 1
-        self._valid_count[self.geometry.block_of(new_ppn)] += 1
+        self._valid_count[ppn // self._pages_per_block] -= 1
+        self._valid_count[new_ppn // self._pages_per_block] += 1
         self.stats.copyback_pages += 1
         self._note_work("copyback", new_ppn)
-        self._m_copybacks.inc()
+        if self._obs:
+            self._m_copybacks.inc()
 
     # ------------------------------------------------------------ snapshot
 
@@ -1162,7 +1211,7 @@ class PageMappingFtl:
                 rev_entries.append((ppn, lpn, lpn == primary))
         self.rev.rebuild(rev_entries)
         for ppn, lpns in by_ppn.items():
-            self._valid_count[self.geometry.block_of(ppn)] += 1
+            self._valid_count[ppn // self._pages_per_block] += 1
         # Re-establish bad-block state from the persisted badblk records:
         # retired data blocks never rejoin the free pool or the actives,
         # retired map blocks leave the log rotation before appends resume.
@@ -1172,46 +1221,41 @@ class PageMappingFtl:
             else:
                 self._grown_bad[block] = seq
         self.stats.grown_bad_blocks = len(self._grown_bad)
-        self._free_blocks = [
-            block for block in self._data_blocks
-            if block not in self._grown_bad
-            and self.nand.programmed_pages_in_block(block) == 0]
-        partial = [block for block in self._data_blocks
-                   if block not in self._grown_bad
-                   and 0 < self.nand.programmed_pages_in_block(block)
-                   < self.geometry.pages_per_block]
+        # Rebuild the block state from the one thing that survived: the
+        # media's programmed-page counts.  One spare is consumed per
+        # grown-bad block, so reserve whatever entitlement remains.
+        partial = self._blocks.rebuild(
+            [self.nand.programmed_pages_in_block(block)
+             for block in self._data_blocks], self._grown_bad,
+            max(0, self.config.spare_block_count - len(self._grown_bad)))
         # Reinstate partially-programmed blocks as actives: each joins
         # its channel's host slot when that slot is empty, the first
         # leftover becomes the GC active (at one channel this is exactly
         # the serial model's partial[0]/partial[1] assignment).  Further
-        # partial blocks stay parked until GC reclaims them.
-        channels = self.geometry.channel_count
-        self._active_host = {ch: None for ch in range(channels)}
+        # partial blocks stay parked (CLOSED) until GC reclaims them.
+        channels = self._channel_count
+        self._active_host = [None] * channels
         self._host_cursor = 0
         self._active_gc = None
         for block in partial:
-            channel = block % channels
-            if self._active_host[channel] is None:
-                self._active_host[channel] = block
+            if self._active_host[block % channels] is None:
+                self._active_host[block % channels] = block
             elif self._active_gc is None:
                 self._active_gc = block
-        # Rebuild the spare pool: one spare is consumed per grown-bad
-        # block, so reserve whatever entitlement remains.
-        self._spare_blocks = []
-        spare_target = max(0, self.config.spare_block_count
-                           - len(self._grown_bad))
-        while len(self._spare_blocks) < spare_target and self._free_blocks:
-            self._spare_blocks.append(self._free_blocks.pop())
-        self._m_spare_pool.set(len(self._spare_blocks))
-        self._m_free_blocks.set(len(self._free_blocks))
+            else:
+                continue
+            self._blocks.reopen(block)
+        self._publish_pools()
         self._seq = state.max_seq + 1
         self._publish_l2p_gauges()
 
     # --------------------------------------------------------------- debug
 
     def check_invariants(self) -> None:
-        """Expensive consistency check used by tests: the reverse map must
-        mirror the forward map exactly and valid counts must agree."""
+        """Expensive consistency check used by tests, ``perfbench``'s
+        verify step and the crashcheck sweeps: the reverse map must
+        mirror the forward map exactly, valid counts must agree, and the
+        block bookkeeping must agree with the media and with itself."""
         expected_refs: Dict[int, set] = {}
         for lpn, ppn in self.fwd.mapped_lpns():
             expected_refs.setdefault(ppn, set()).add(lpn)
@@ -1222,9 +1266,13 @@ class PageMappingFtl:
                     f"{self.rev.refs(ppn)} != {lpns}")
         valid_by_block: Dict[int, int] = {b: 0 for b in self._data_blocks}
         for ppn in expected_refs:
-            valid_by_block[self.geometry.block_of(ppn)] += 1
+            valid_by_block[ppn // self._pages_per_block] += 1
         for block in self._data_blocks:
             if self._valid_count[block] != valid_by_block[block]:
                 raise AssertionError(
                     f"valid count mismatch at block {block}: "
                     f"{self._valid_count[block]} != {valid_by_block[block]}")
+        self._blocks.check(
+            [self.nand.programmed_pages_in_block(block)
+             for block in self._data_blocks],
+            self.active_blocks().values(), self._grown_bad)

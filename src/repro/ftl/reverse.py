@@ -101,12 +101,23 @@ class ReverseMap:
     def primary_of(self, ppn: int) -> Optional[int]:
         return self._primary.get(ppn)
 
+    def live_pages(self, start: int, stop: int
+                   ) -> List[Tuple[int, List[int], bool]]:
+        """GC's one question about a victim block, answered in one call:
+        ``(ppn, sorted referencing LPNs, has spilled refs)`` for every
+        valid page in ``[start, stop)``, in PPN order."""
+        refs = self._refs
+        spilled = self._spilled
+        return [(ppn, sorted(refs[ppn]), ppn in spilled)
+                for ppn in range(start, stop) if ppn in refs]
+
     # ------------------------------------------------------------- updates
 
     def set_primary(self, ppn: int, lpn: int) -> None:
         """Record the spare-area stamp created when ``ppn`` was programmed
         for ``lpn``.  Clears any stale state from the page's previous life."""
-        self._forget_page(ppn)
+        if ppn in self._refs or ppn in self._primary:
+            self._forget_page(ppn)
         self._primary[ppn] = lpn
         self._refs[ppn] = {lpn}
 
@@ -136,15 +147,19 @@ class ReverseMap:
         a flash-log read to learn them)."""
         return set(self._spilled.get(ppn, ()))
 
-    def _drop_spilled(self, ppn: int, lpn: int) -> bool:
+    def _drop_extra(self, ppn: int, lpn: int) -> None:
+        """Forget the share-table (or overflow) entry of one non-primary
+        reference; a primary reference holds neither, so callers skip it."""
+        key = (ppn, lpn)
+        if key in self._extras:
+            del self._extras[key]
+            return
         bucket = self._spilled.get(ppn)
-        if bucket is None or lpn not in bucket:
-            return False
-        bucket.discard(lpn)
-        if not bucket:
-            del self._spilled[ppn]
-        self._spilled_count -= 1
-        return True
+        if bucket is not None and lpn in bucket:
+            bucket.discard(lpn)
+            if not bucket:
+                del self._spilled[ppn]
+            self._spilled_count -= 1
 
     def drop_ref(self, ppn: int, lpn: int) -> bool:
         """Remove ``lpn``'s reference to ``ppn`` (forward map moved away).
@@ -155,23 +170,20 @@ class ReverseMap:
         if refs is None or lpn not in refs:
             return False
         refs.discard(lpn)
-        if (ppn, lpn) in self._extras:
-            del self._extras[(ppn, lpn)]
-        else:
-            self._drop_spilled(ppn, lpn)
-        if not refs:
-            del self._refs[ppn]
-            self._primary.pop(ppn, None)
-            return True
-        # If the primary reference left, promote an extra to primary: the
-        # spare stamp is stale but the DRAM table now owns the page, and GC
-        # will restamp it on the next copyback.
-        if self._primary.get(ppn) == lpn:
+        if self._primary.get(ppn) != lpn:
+            self._drop_extra(ppn, lpn)
+        elif refs:
+            # The primary reference left: promote an extra to primary.
+            # The spare stamp is stale but the DRAM table now owns the
+            # page, and GC will restamp it on the next copyback.
             promoted = next(iter(refs))
             self._primary[ppn] = promoted
-            self._extras.pop((ppn, promoted), None)
-            self._drop_spilled(ppn, promoted)
-        return False
+            self._drop_extra(ppn, promoted)
+        if refs:
+            return False
+        del self._refs[ppn]
+        self._primary.pop(ppn, None)
+        return True
 
     def oldest_extra(self) -> Optional[Tuple[int, int]]:
         """The (ppn, lpn) share entry that would be reconciled on overflow."""
@@ -179,25 +191,33 @@ class ReverseMap:
             return None
         return next(iter(self._extras))
 
-    def move_page(self, old_ppn: int, new_ppn: int, new_primary: int) -> List[int]:
+    def move_page(self, old_ppn: int, new_ppn: int,
+                  refs: List[int]) -> None:
         """GC moved a valid page; transfer all references to ``new_ppn``.
 
-        ``new_primary`` becomes the spare-stamped owner of the copy; other
-        referencing LPNs become extra entries at the new location (their
-        count in the table is unchanged).  Returns the full list of LPNs
-        that now reference ``new_ppn``.
+        ``refs`` is the page's sorted reference list, which the caller
+        already holds (from :meth:`live_pages` or ``sorted(refs(ppn))``).
+        ``refs[0]`` becomes the spare-stamped owner of the copy; the
+        others become extra entries at the new location (their count in
+        the table is unchanged).
         """
-        refs = sorted(self._refs.get(old_ppn, ()))
-        if new_primary not in refs:
+        current = self._refs.get(old_ppn)
+        if current is None or current != set(refs):
             raise ValueError(
-                f"new primary {new_primary} does not reference PPN {old_ppn}")
-        for lpn in refs:
-            self._extras.pop((old_ppn, lpn), None)
-            self._drop_spilled(old_ppn, lpn)
-        self._refs.pop(old_ppn, None)
-        self._primary.pop(old_ppn, None)
+                f"{refs} are not the references of PPN {old_ppn}")
+        del self._refs[old_ppn]
+        old_primary = self._primary.pop(old_ppn, None)
+        new_primary = refs[0]
         self._primary[new_ppn] = new_primary
+        # A fresh set built from the sorted list, not the old object: a
+        # later promotion takes ``next(iter(...))`` of it, so its
+        # iteration order is part of the device's behaviour.
         self._refs[new_ppn] = set(refs)
+        if current == {old_primary}:
+            return   # an unshared page: no table entries to move
+        for lpn in refs:
+            if lpn != old_primary:
+                self._drop_extra(old_ppn, lpn)
         for lpn in refs:
             if lpn != new_primary:
                 if len(self._extras) < self._capacity:
@@ -205,15 +225,13 @@ class ReverseMap:
                 else:
                     self._spilled.setdefault(new_ppn, set()).add(lpn)
                     self._note_spill()
-        return refs
 
     def _forget_page(self, ppn: int) -> None:
         refs = self._refs.pop(ppn, None)
-        if refs:
-            for lpn in refs:
-                self._extras.pop((ppn, lpn), None)
-                self._drop_spilled(ppn, lpn)
-        self._primary.pop(ppn, None)
+        primary = self._primary.pop(ppn, None)
+        for lpn in refs or ():
+            if lpn != primary:
+                self._drop_extra(ppn, lpn)
 
     # ------------------------------------------------------------ recovery
 

@@ -21,30 +21,29 @@ class SimClock:
     The clock only moves forward via :meth:`advance`; components never read
     wall-clock time.  A single clock instance is shared by the whole
     simulated stack (host CPU model, SSD, log device).
+
+    ``now_us`` — current virtual time in microseconds — is a plain
+    attribute, not a property: the device reads it on every command and
+    completion.  Only the clock's own methods write it.
     """
 
-    __slots__ = ("_now_us", "_reset_hooks")
+    __slots__ = ("now_us", "_reset_hooks")
 
     def __init__(self, start_us: int = 0) -> None:
         if start_us < 0:
             raise ValueError(f"clock cannot start at negative time: {start_us}")
-        self._now_us = int(start_us)
+        self.now_us = int(start_us)
         self._reset_hooks = []
-
-    @property
-    def now_us(self) -> int:
-        """Current virtual time in microseconds."""
-        return self._now_us
 
     @property
     def now_ms(self) -> float:
         """Current virtual time in milliseconds."""
-        return self._now_us / US_PER_MS
+        return self.now_us / US_PER_MS
 
     @property
     def now_seconds(self) -> float:
         """Current virtual time in seconds."""
-        return self._now_us / US_PER_SECOND
+        return self.now_us / US_PER_SECOND
 
     def advance(self, delta_us: float) -> int:
         """Move time forward by ``delta_us`` microseconds.
@@ -54,8 +53,8 @@ class SimClock:
         """
         if delta_us < 0:
             raise ValueError(f"cannot advance clock backwards: {delta_us}")
-        self._now_us += int(round(delta_us))
-        return self._now_us
+        self.now_us += int(round(delta_us))
+        return self.now_us
 
     def advance_to(self, time_us: int) -> int:
         """Move time forward to ``time_us`` if it lies in the future.
@@ -67,13 +66,13 @@ class SimClock:
         current time.
         """
         time_us = int(time_us)
-        if time_us > self._now_us:
-            self._now_us = time_us
-        return self._now_us
+        if time_us > self.now_us:
+            self.now_us = time_us
+        return self.now_us
 
     def elapsed_since(self, start_us: int) -> int:
         """Microseconds elapsed since a previously sampled timestamp."""
-        return self._now_us - start_us
+        return self.now_us - start_us
 
     def on_reset(self, hook) -> None:
         """Register a callback invoked whenever the clock is rewound.
@@ -88,9 +87,9 @@ class SimClock:
     def reset(self) -> None:
         """Rewind to time zero.  Only the benchmark harness should use this,
         between independent experiment runs."""
-        self._now_us = 0
+        self.now_us = 0
         for hook in self._reset_hooks:
             hook()
 
     def __repr__(self) -> str:
-        return f"SimClock(now_us={self._now_us})"
+        return f"SimClock(now_us={self.now_us})"

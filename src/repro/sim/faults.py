@@ -285,8 +285,10 @@ class MediaFaultSet:
     """The armed media faults of one :class:`FaultPlan`.
 
     The NAND array calls :meth:`on_read` / :meth:`on_program` /
-    :meth:`on_erase` only while :attr:`active` is true, so the disarmed
-    common case costs a single attribute check per chip operation.  The
+    :meth:`on_erase` only while :attr:`active` is true.  ``active`` is a
+    plain attribute recomputed wherever the armed set changes (arm,
+    disarm, a one-shot fault consumed), so the disarmed common case
+    costs one attribute load per chip operation and no call.  The
     set counts operations per kind (from the moment counting is enabled
     by arming or :meth:`enable_counting`) so sweeps can enumerate every
     operation of a deterministic run and target each one in turn.
@@ -296,12 +298,17 @@ class MediaFaultSet:
         self._faults: List[MediaFault] = []
         self._decay: Optional[ReadDecay] = None
         self._counting = False
+        self.active = False
         self.op_counts: Dict[str, int] = {"read": 0, "program": 0,
                                           "erase": 0}
 
-    @property
-    def active(self) -> bool:
-        return bool(self._faults) or self._decay is not None or self._counting
+    def _refresh(self) -> None:
+        self.active = (bool(self._faults) or self._decay is not None
+                       or self._counting)
+
+    def _consume(self, fault) -> None:
+        self._faults.remove(fault)
+        self._refresh()
 
     def arm(self, fault) -> None:
         """Arm a media fault (or a :class:`ReadDecay` model)."""
@@ -310,19 +317,22 @@ class MediaFaultSet:
                 raise ValueError("a ReadDecay model is already armed "
                                  "(disarm first to replace it)")
             self._decay = fault
-            return
-        if not isinstance(fault, MediaFault):
+        elif not isinstance(fault, MediaFault):
             raise TypeError(f"not a media fault: {fault!r}")
-        self._faults.append(fault)
+        else:
+            self._faults.append(fault)
+        self._refresh()
 
     def disarm(self) -> None:
         """Drop every armed media fault and decay model."""
         self._faults = []
         self._decay = None
+        self._refresh()
 
     def enable_counting(self) -> None:
         """Count chip operations even with no fault armed (enumeration)."""
         self._counting = True
+        self.active = True
 
     def armed(self) -> List:
         out: List = list(self._faults)
@@ -354,7 +364,7 @@ class MediaFaultSet:
             assert isinstance(fault, ReadFault)
             if fault.retries_to_clear is not None:
                 if fault._failed_attempts >= fault.retries_to_clear:
-                    self._faults.remove(fault)   # cleared by retry
+                    self._consume(fault)   # cleared by retry
                     continue
                 fault._failed_attempts += 1
             raise UncorrectableReadError(
@@ -382,7 +392,7 @@ class MediaFaultSet:
             if fault.op != "program" or not fault.matches(count, ppn):
                 continue
             fault.fired = True
-            self._faults.remove(fault)   # one-shot
+            self._consume(fault)   # one-shot
             raise ProgramFailError(
                 f"injected program failure at PPN {ppn}")
 
@@ -529,8 +539,9 @@ class CommandFaultSet:
 
     The SSD facade calls :meth:`on_command` at the submission and
     completion of every host-visible command, but only while
-    :attr:`active` is true — the disarmed common case costs one
-    attribute check per command.  Commands are counted per kind (from
+    :attr:`active` is true — a plain attribute recomputed wherever the
+    armed set changes, so the disarmed common case costs one attribute
+    load per command and no call.  Commands are counted per kind (from
     arming or :meth:`enable_counting`) so sweeps can enumerate every
     SHARE site of a deterministic run and target each one in turn.
     """
@@ -538,23 +549,30 @@ class CommandFaultSet:
     def __init__(self) -> None:
         self._faults: List[CommandFault] = []
         self._counting = False
+        self.active = False
         self.op_counts: Dict[str, int] = {kind: 0 for kind in COMMAND_KINDS}
 
-    @property
-    def active(self) -> bool:
-        return bool(self._faults) or self._counting
+    def _refresh(self) -> None:
+        self.active = bool(self._faults) or self._counting
+
+    def _consume(self, fault) -> None:
+        self._faults.remove(fault)
+        self._refresh()
 
     def arm(self, fault: CommandFault) -> None:
         if not isinstance(fault, CommandFault):
             raise TypeError(f"not a command fault: {fault!r}")
         self._faults.append(fault)
+        self.active = True
 
     def disarm(self) -> None:
         self._faults = []
+        self._refresh()
 
     def enable_counting(self) -> None:
         """Count commands even with no fault armed (enumeration runs)."""
         self._counting = True
+        self.active = True
 
     def armed(self) -> List[CommandFault]:
         return list(self._faults)
@@ -586,11 +604,11 @@ class CommandFaultSet:
             if isinstance(fault, LatencySpike):
                 delay_us += fault.delay_us
                 if not fault.sticky:
-                    self._faults.remove(fault)
+                    self._consume(fault)
                 continue
             if isinstance(fault, DeviceBusy):
                 if fault._rejected >= fault.clears_after:
-                    self._faults.remove(fault)   # backpressure drained
+                    self._consume(fault)   # backpressure drained
                     continue
                 fault._rejected += 1
                 raise DeviceBusyError(
@@ -606,7 +624,7 @@ class CommandFaultSet:
                     f"(sticky from #{fault.nth})")
             assert isinstance(fault, CommandTimeout)
             if not fault.sticky:
-                self._faults.remove(fault)
+                self._consume(fault)
             raise CommandTimeoutError(
                 f"injected {kind} timeout on command #{count} at "
                 f"{phase} ({'applied' if phase == 'complete' else 'not applied'})")
@@ -693,8 +711,9 @@ class ClusterFaultSet:
     """The armed cluster-tier faults of one :class:`FaultPlan`.
 
     The shard router calls :meth:`on_ack` after every acknowledged
-    write, but only while :attr:`active` is true — the disarmed common
-    case costs one attribute check per ack.  Acks are counted (from
+    write, but only while :attr:`active` (a plain attribute, kept by
+    arm/disarm) is true — the disarmed common case costs one attribute
+    load per ack.  Acks are counted (from
     arming or :meth:`enable_counting`) so crashcheck sweeps can
     enumerate every ack boundary of a deterministic run and target each
     one in turn.
@@ -703,23 +722,23 @@ class ClusterFaultSet:
     def __init__(self) -> None:
         self._faults: List = []
         self._counting = False
+        self.active = False
         self.acked_writes = 0
-
-    @property
-    def active(self) -> bool:
-        return bool(self._faults) or self._counting
 
     def arm(self, fault) -> None:
         if not isinstance(fault, CLUSTER_FAULT_TYPES):
             raise TypeError(f"not a cluster fault: {fault!r}")
         self._faults.append(fault)
+        self.active = True
 
     def disarm(self) -> None:
         self._faults = []
+        self.active = self._counting
 
     def enable_counting(self) -> None:
         """Count acks even with no fault armed (enumeration runs)."""
         self._counting = True
+        self.active = True
 
     def armed(self) -> List:
         return list(self._faults)
@@ -758,6 +777,11 @@ class FaultPlan:
     the same (point, nth-from-now) twice raises instead of silently
     replacing the earlier fuse.
     """
+
+    #: False on every real plan.  True only on :data:`NO_FAULTS`, whose
+    #: checkpoints, operation scopes and ack journal do nothing — hot
+    #: paths test this plain class attribute and skip calling them.
+    passive = False
 
     def __init__(self) -> None:
         # point -> sorted absolute hit counts at which to fire.
@@ -1006,6 +1030,8 @@ class _PassiveFaultPlan(FaultPlan):
     Anything that wants injection or the journal must construct its own
     :class:`FaultPlan`; arming this shared singleton would silently
     couple unrelated components, so :meth:`arm` refuses."""
+
+    passive = True
 
     def arm(self, fault) -> None:
         raise RuntimeError(

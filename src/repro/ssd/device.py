@@ -40,7 +40,7 @@ from repro.flash.nand import NandArray
 from repro.flash.timing import MLC_TIMING, ChannelSet, FlashTiming
 from repro.ftl.config import FtlConfig
 from repro.ftl.pagemap import PageMappingFtl
-from repro.ftl.share_ext import SharePair
+from repro.ftl.share_ext import SharePair, expand_range
 from repro.obs import NULL_TELEMETRY, hot_timer
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
@@ -97,6 +97,7 @@ class Ssd:
         self.name = name
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.telemetry.bind_clock(clock)
+        self._tracer = self.telemetry.tracer
         self.nand = NandArray(self.config.geometry, faults=faults)
         self.ftl = PageMappingFtl(self.nand, self.config.ftl, faults,
                                   telemetry=self.telemetry)
@@ -144,12 +145,22 @@ class Ssd:
             "map_write": timing.program_us,
             "spill": timing.read_us + timing.program_us,
             "spill_lookup": timing.read_us,
+            "gc_event": 0.0, "log_spill": 0.0, "wear_move": 0.0,
         }
+        self._work_whole_us = {kind: int(round(cost))
+                               for kind, cost in self._work_cost.items()}
         # Host command base latencies, resolved once for the read/write
-        # fast paths (same values as the host_read/host_program entries).
+        # fast paths (same values as the host_read/host_program entries),
+        # and beside each the whole-microsecond total of a command that
+        # triggered no internal work — constants, so rounded once here.
         self._read_latency_us = self._work_cost["host_read"]
         self._program_latency_us = self._work_cost["host_program"]
         self._overhead_us = timing.command_overhead_us
+        self._read_whole_us = int(round(self._read_latency_us
+                                        + self._overhead_us))
+        self._program_whole_us = int(round(self._program_latency_us
+                                           + self._overhead_us))
+        self._overhead_whole_us = int(round(self._overhead_us))
         self._measure_start_us = clock.now_us
         clock.on_reset(self._on_clock_reset)
         # Telemetry handles, resolved once (no-op singletons when the
@@ -246,8 +257,9 @@ class Ssd:
         """Complete every in-flight command, advancing the clock to the
         device's completion horizon."""
         while self._inflight:
-            horizon = max(item[0] for item in self._inflight)
-            self.events.run_until(horizon)
+            # Tuples order by completion time first (and never reach the
+            # ticket: cmd_seq is unique), so this is one C-level pass.
+            self.events.run_until(max(self._inflight)[0])
 
     # ------------------------------------------------------------ commands
 
@@ -256,15 +268,13 @@ class Ssd:
         """Command-fault gate at the host→device boundary.
 
         Consulted at submission (before any media work) and completion
-        (after the work, modelling a lost completion).  Latency-spike
-        delays are charged to the issuing session's cursor (or the
-        clock, when synchronous); error faults raise typed
-        :class:`DeviceError` subclasses the host resilience layer
-        handles.  Disarmed cost: one attribute check."""
-        commands = self.faults.commands
-        if not commands.active:
-            return
-        delay_us = commands.on_command(kind, lpns, phase)
+        (after the work, modelling a lost completion), and only while
+        ``faults.commands.active`` — callers test that plain attribute,
+        so a disarmed gate costs no call.  Latency-spike delays are
+        charged to the issuing session's cursor (or the clock, when
+        synchronous); error faults raise typed :class:`DeviceError`
+        subclasses the host resilience layer handles."""
+        delay_us = self.faults.commands.on_command(kind, lpns, phase)
         if delay_us:
             self.stats.busy_us += delay_us
             if self._session is not None:
@@ -272,82 +282,93 @@ class Ssd:
             else:
                 self.clock.advance(delay_us)
 
+    def _command(self, body, kind: str, op_kind: str,
+                 lpns: Tuple[int, ...], *args) -> None:
+        """Run one journalled command: the submission fault gate, then
+        ``body(op_kind, op, *args)``, then the synchronous wait.
+
+        The passive case — :data:`NO_FAULTS` and the tracer off, which is
+        every benchmark run — is a straight line: no scope objects, no
+        journal, ``body(None, None, *args)``.  A real fault plan brings
+        back the deferred ack scope (the wait runs after it exits, so
+        the ack is registered before it is delivered); an enabled tracer
+        brings back the ``device.<kind>`` span."""
+        faults = self.faults
+        if faults.commands.active:
+            self._gate(kind, lpns)
+        ftl = self.ftl
+        if ftl.work or ftl.map_work:
+            ftl.take_work()   # discard stale work from direct FTL use
+        tracer = self._tracer
+        if faults.passive and not tracer.enabled:
+            ticket = body(None, None, *args)
+        else:
+            with faults.operation(op_kind, lpns, deferred=True) as op, \
+                    tracer.span("device." + kind):
+                ticket = body(op_kind, op, *args)
+        if self._session is None:
+            self.events.run_until(ticket.completion_us)
+
     def read(self, lpn: int) -> Any:
         """Read one page (through the controller DRAM cache if enabled)."""
         if self.faults.commands.active:
             self._gate("read", (lpn,))
-        tracer = self.telemetry.tracer
+        tracer = self._tracer
         if tracer.enabled:
             with tracer.span("device.read"):
-                return self._read_cmd(lpn)
-        return self._read_cmd(lpn)
+                return self._read(lpn)
+        return self._read(lpn)
 
-    def _read_cmd(self, lpn: int) -> Any:
-        self.ftl.take_work()   # discard stale work from direct FTL use
+    def _read(self, lpn: int) -> Any:
+        ftl = self.ftl
+        if ftl.work or ftl.map_work:
+            ftl.take_work()   # discard stale work from direct FTL use
         cached = self.cache.lookup(lpn)
         if cached is not None:
-            self.stats.host_read_pages += 1
             data = cached[0]
-            ticket = self._issue("read", lpn, 1,
-                                 0.0)   # DRAM-speed hit
+            self.stats.host_read_pages += 1
+            ticket = self._issue("read", lpn, 1, 0.0,   # DRAM-speed hit
+                                 self._overhead_whole_us)
         else:
-            data = self.ftl.read(lpn)
+            data = ftl.read(lpn)
             self.cache.insert(lpn, data)
             self.stats.host_read_pages += 1
-            ticket = self._issue("read", lpn, 1,
-                                 self._read_latency_us)
+            ticket = self._issue("read", lpn, 1, self._read_latency_us,
+                                 self._read_whole_us)
         if self._session is None:
             self.events.run_until(ticket.completion_us)
         return data
 
     def write(self, lpn: int, data: Any) -> None:
         """Write one page (out-of-place inside the device)."""
-        if self.faults.commands.active:
-            self._gate("write", (lpn,))
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            with self.faults.operation("device.write", (lpn,),
-                                       deferred=True) as op, \
-                    tracer.span("device.write"):
-                ticket = self._write_cmd(lpn, data, op)
-        else:
-            with self.faults.operation("device.write", (lpn,),
-                                       deferred=True) as op:
-                ticket = self._write_cmd(lpn, data, op)
-        if self._session is None:
-            self.events.run_until(ticket.completion_us)
+        self._command(self._write, "write", "device.write", (lpn,),
+                      lpn, data)
 
-    def _write_cmd(self, lpn: int, data: Any, op: Any) -> "CommandTicket":
-        self.ftl.take_work()   # discard stale work from direct FTL use
+    def _write(self, op_kind, op, lpn: int, data: Any) -> CommandTicket:
         self.ftl.write(lpn, data)
         self.cache.insert(lpn, data)
         self.stats.host_write_pages += 1
-        return self._issue(
-            "write", lpn, 1,
-            self._program_latency_us,
-            op_kind="device.write", op_record=op)
+        return self._issue("write", lpn, 1, self._program_latency_us,
+                           self._program_whole_us,
+                           op_kind=op_kind, op_record=op)
 
     def write_multi(self, lpn: int, pages: Sequence[Any]) -> None:
         """Write consecutive pages in one host command (one command
         overhead, per-page programs)."""
         if not pages:
             raise DeviceError("write_multi with no pages")
-        if self.faults.commands.active:
-            self._gate("write", tuple(range(lpn, lpn + len(pages))))
-        with self.faults.operation("device.write_multi",
-                                   tuple(range(lpn, lpn + len(pages))),
-                                   deferred=True) as op, \
-                self.telemetry.tracer.span("device.write"):
-            self.ftl.take_work()   # discard stale work from direct FTL use
-            for index, page in enumerate(pages):
-                self.ftl.write(lpn + index, page)
-                self.cache.insert(lpn + index, page)
-            self.stats.host_write_pages += len(pages)
-            ticket = self._issue(
-                "write", lpn, len(pages),
-                len(pages) * self.timing.program_latency(self.page_size),
-                op_kind="device.write_multi", op_record=op)
-        self._wait(ticket)
+        self._command(self._write_multi, "write", "device.write_multi",
+                      tuple(range(lpn, lpn + len(pages))), lpn, pages)
+
+    def _write_multi(self, op_kind, op, lpn: int,
+                     pages: Sequence[Any]) -> CommandTicket:
+        for index, page in enumerate(pages):
+            self.ftl.write(lpn + index, page)
+            self.cache.insert(lpn + index, page)
+        self.stats.host_write_pages += len(pages)
+        return self._issue("write", lpn, len(pages),
+                           len(pages) * self._program_latency_us,
+                           op_kind=op_kind, op_record=op)
 
     def write_atomic(self, items: Sequence) -> None:
         """Atomic multi-page write (the Section 6.1 baseline command:
@@ -359,7 +380,7 @@ class Ssd:
             self._gate("awrite", lpns)
         with self.faults.operation("device.awrite", lpns,
                                    deferred=True) as op, \
-                self.telemetry.tracer.span("device.write", atomic=True):
+                self._tracer.span("device.write", atomic=True):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.write_atomic(items)
             for item_lpn, data in items:
@@ -369,7 +390,7 @@ class Ssd:
                 self.stats.extra.get("atomic_write_commands", 0) + 1)
             ticket = self._issue(
                 "write", items[0][0], len(items),
-                len(items) * self.timing.program_latency(self.page_size),
+                len(items) * self._program_latency_us,
                 op_kind="device.awrite", op_record=op,
                 gate_kind="awrite", gate_lpns=lpns)
         self._wait(ticket)
@@ -382,13 +403,11 @@ class Ssd:
 
     def write_txn(self, txn_id: int, lpn: int, data: Any) -> None:
         """Stage one in-place page write under a transaction."""
-        with self.telemetry.tracer.span("device.write", txn=txn_id):
+        with self._tracer.span("device.write", txn=txn_id):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.write_txn(txn_id, lpn, data)
             self.stats.host_write_pages += 1
-            ticket = self._issue(
-                "write", lpn, 1,
-                self.timing.program_latency(self.page_size))
+            ticket = self._issue("write", lpn, 1, self._program_latency_us)
         self._wait(ticket)
 
     def commit_txn(self, txn_id: int) -> None:
@@ -396,7 +415,7 @@ class Ssd:
         with self.faults.operation(
                 "device.xcommit", tuple(self.ftl._txn_shadow.get(txn_id, ())),
                 deferred=True) as op, \
-                self.telemetry.tracer.span("device.flush", txn=txn_id):
+                self._tracer.span("device.flush", txn=txn_id):
             self.ftl.take_work()   # discard stale work from direct FTL use
             staged_lpns = list(self.ftl._txn_shadow.get(txn_id, ()))
             self.ftl.commit_txn(txn_id)
@@ -408,7 +427,7 @@ class Ssd:
 
     def abort_txn(self, txn_id: int) -> None:
         """Discard a transaction's staged pages."""
-        with self.telemetry.tracer.span("device.trim", txn=txn_id):
+        with self._tracer.span("device.trim", txn=txn_id):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.abort_txn(txn_id)
             ticket = self._issue("trim", 0, 0, 0.0)
@@ -416,20 +435,16 @@ class Ssd:
 
     def trim(self, lpn: int, count: int = 1) -> None:
         """Invalidate a logical range."""
-        if self.faults.commands.active:
-            self._gate("trim", tuple(range(lpn, lpn + max(count, 1))))
-        with self.faults.operation("device.trim",
-                                   tuple(range(lpn, lpn + max(count, 1))),
-                                   deferred=True) as op, \
-                self.telemetry.tracer.span("device.trim"):
-            self.ftl.take_work()   # discard stale work from direct FTL use
-            self.ftl.trim(lpn, count)
-            self.cache.invalidate(lpn, count)
-            self.stats.trim_commands += 1
-            ticket = self._issue("trim", lpn, count,
-                                 count * self.timing.map_update_us,
-                                 op_kind="device.trim", op_record=op)
-        self._wait(ticket)
+        self._command(self._trim, "trim", "device.trim",
+                      tuple(range(lpn, lpn + max(count, 1))), lpn, count)
+
+    def _trim(self, op_kind, op, lpn: int, count: int) -> CommandTicket:
+        self.ftl.trim(lpn, count)
+        self.cache.invalidate(lpn, count)
+        self.stats.trim_commands += 1
+        return self._issue("trim", lpn, count,
+                           count * self.timing.map_update_us,
+                           op_kind=op_kind, op_record=op)
 
     def idle_gc(self, max_blocks: int = 1,
                 min_invalid_fraction: float = 0.5) -> int:
@@ -437,7 +452,7 @@ class Ssd:
         reclaim work is charged like any other command, but it happens
         when no foreground request is waiting — trading idle time for
         smaller foreground stalls."""
-        with self.telemetry.tracer.span("device.idle_gc"):
+        with self._tracer.span("device.idle_gc"):
             self.ftl.take_work()   # discard stale work from direct FTL use
             reclaimed = self.ftl.idle_gc(max_blocks, min_invalid_fraction)
             ticket = self._issue("trim", 0, reclaimed, 0.0)
@@ -448,113 +463,83 @@ class Ssd:
         """Barrier: persist pending mapping changes.  Data-page writes are
         durable at command completion already (no volatile write cache is
         modelled), matching the paper's O_DIRECT setup."""
-        if self.faults.commands.active:
-            self._gate("flush", ())
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            with self.faults.operation("device.flush", deferred=True) as op, \
-                    tracer.span("device.flush"):
-                ticket = self._flush_cmd(op)
-        else:
-            with self.faults.operation("device.flush", deferred=True) as op:
-                ticket = self._flush_cmd(op)
-        if self._session is None:
-            self.events.run_until(ticket.completion_us)
+        self._command(self._flush, "flush", "device.flush", ())
 
-    def _flush_cmd(self, op: Any) -> "CommandTicket":
-        self.ftl.take_work()   # discard stale work from direct FTL use
+    def _flush(self, op_kind, op) -> CommandTicket:
         self.ftl.flush()
         self.stats.flush_commands += 1
-        return self._issue("flush", 0, 0, 0.0,
-                           op_kind="device.flush", op_record=op)
+        return self._issue("flush", 0, 0, 0.0, self._overhead_whole_us,
+                           op_kind=op_kind, op_record=op)
 
     def share(self, dst_lpn: int, src_lpn: int, length: int = 1) -> None:
         """Vendor-unique SHARE command (ranged form).
 
         SHARE is a mapping-only command: it occupies no NAND channel,
         only the firmware/DRAM phase — the heart of the paper's claim
-        that remapping replaces page writes."""
+        that remapping replaces page writes.  A malformed range is the
+        caller's error and raises before anything is submitted."""
         if not self.config.share_enabled:
             raise ShareError("device does not support the SHARE command")
         lpns = tuple(range(dst_lpn, dst_lpn + length))
-        if self.faults.commands.active:
-            self._gate("share", lpns)
-        with self.faults.operation("device.share", lpns,
-                                   deferred=True) as op, \
-                self.telemetry.tracer.span("device.share"):
-            self.ftl.take_work()   # discard stale work from direct FTL use
-            self.ftl.share(dst_lpn, src_lpn, length)
-            self.cache.invalidate(dst_lpn, length)
-            self.stats.share_commands += 1
-            self.stats.share_pairs += length
-            ticket = self._issue("share", dst_lpn, length,
-                                 length * self.timing.map_update_us,
-                                 op_kind="device.share", op_record=op,
-                                 gate_kind="share", gate_lpns=lpns)
-        self._wait(ticket)
+        self._command(self._share, "share", "device.share", lpns,
+                      expand_range(dst_lpn, src_lpn, length), lpns)
 
     def share_batch(self, pairs: Sequence[SharePair]) -> None:
         """Vendor-unique SHARE command (batched pair form)."""
         if not self.config.share_enabled:
             raise ShareError("device does not support the SHARE command")
-        lpns = tuple(pair.dst_lpn for pair in pairs)
-        if self.faults.commands.active:
-            self._gate("share", lpns)
-        with self.faults.operation("device.share", lpns,
-                                   deferred=True) as op, \
-                self.telemetry.tracer.span("device.share"):
-            self.ftl.take_work()   # discard stale work from direct FTL use
-            self.ftl.share_batch(pairs)
-            for pair in pairs:
-                self.cache.invalidate(pair.dst_lpn)
-            self.stats.share_commands += 1
-            self.stats.share_pairs += len(pairs)
-            ticket = self._issue(
-                "share", pairs[0].dst_lpn, len(pairs),
-                len(pairs) * self.timing.map_update_us,
-                op_kind="device.share", op_record=op,
-                gate_kind="share", gate_lpns=lpns)
-        self._wait(ticket)
+        lpns = tuple([pair.dst_lpn for pair in pairs])
+        self._command(self._share, "share", "device.share", lpns,
+                      pairs, lpns)
+
+    def _share(self, op_kind, op, pairs: Sequence[SharePair],
+               lpns: Tuple[int, ...]) -> CommandTicket:
+        self.ftl.share_batch(pairs)
+        for lpn in lpns:
+            self.cache.invalidate(lpn)
+        self.stats.share_commands += 1
+        self.stats.share_pairs += len(lpns)
+        return self._issue("share", lpns[0], len(lpns),
+                           len(lpns) * self.timing.map_update_us,
+                           op_kind=op_kind, op_record=op,
+                           gate_kind="share", gate_lpns=lpns)
 
     # ----------------------------------------------------------- internals
 
-    def _work_cost_us(self, kind: str) -> float:
-        """Media time of one work-ledger entry (used for *placement* of
-        busy time onto channels; the authoritative command total is the
-        analytic formula in :meth:`_issue`)."""
-        return self._work_cost.get(kind, 0.0)
-
     def _price_media(self, latency_us: float,
-                     work: Sequence[Tuple[str, int]]) -> Tuple[int, Dict[int, int]]:
+                     work: Sequence[Tuple[str, int]],
+                     whole_us: Optional[int] = None
+                     ) -> Tuple[int, Dict[int, int]]:
         """Split one command's total latency into a front DRAM/firmware
-        part and integer per-channel media occupancies.
+        part and integer per-channel media occupancies.  The media time
+        of a ledger entry only decides *placement*; the authoritative
+        command total is the analytic formula in :meth:`_issue`.
 
         Conservation rule: the pieces always sum to
         ``int(round(latency_us))`` — the same rounding the serial model
-        applied per command — so the work ledger only decides *where*
+        applied per command (``whole_us``, when the caller already holds
+        it) — so the work ledger only decides *where*
         busy time lands, never how much there is.  At one channel the
         split is exact and the completion time equals the serial model's.
         """
-        total_int = int(round(latency_us))
+        total_int = whole_us if whole_us is not None \
+            else int(round(latency_us))
         if not work:
             return total_int, {}
-        work_cost = self._work_cost
         if len(work) == 1:
-            # One ledger entry (a lone mapping-page program is the most
-            # common internal work): skip the per-channel dict entirely.
+            # One ledger entry (the host's own page, or a lone
+            # mapping-page program): skip the per-channel dict entirely.
             kind, channel = work[0]
-            cost = work_cost.get(kind, 0.0)
-            if cost <= 0.0:
-                return total_int, {}
-            dur = int(round(cost))
+            dur = self._work_whole_us[kind]
             if dur > total_int:
                 dur = total_int
             if dur <= 0:
                 return total_int, {}
             return total_int - dur, {channel: dur}
+        work_cost = self._work_cost
         per_channel: Dict[int, float] = {}
         for kind, channel in work:
-            cost = work_cost.get(kind, 0.0)
+            cost = work_cost[kind]
             if cost > 0.0:
                 if channel in per_channel:
                     per_channel[channel] += cost
@@ -592,7 +577,7 @@ class Ssd:
         return dram_us, pieces
 
     def _issue(self, kind: str, lpn: int, count: int,
-               base_latency_us: float,
+               base_latency_us: float, whole_us: Optional[int] = None,
                op_kind: Optional[str] = None, op_record: Any = None,
                gate_kind: Optional[str] = None,
                gate_lpns: Optional[Tuple[int, ...]] = None) -> CommandTicket:
@@ -606,16 +591,24 @@ class Ssd:
         like ``gc_event``, at zero media cost), so counting entries
         reproduces the old before/after counter diff exactly — and the
         common no-internal-work command skips the accounting entirely.
-        The caller drains stale ledger entries (direct FTL use between
-        commands: aging, recovery) before mutating the FTL."""
+        The ledger is taken here, once per command; the caller drains
+        stale entries (direct FTL use between commands: aging, recovery)
+        before mutating the FTL.  ``whole_us`` is the caller's
+        precomputed ``int(round(base + overhead))``; it stands unless
+        the command turns out to carry priced internal work."""
         pt_issue = self._pt_issue
         t0 = perf_counter_ns() if pt_issue is not None else 0
         stats = self.stats
         work = self.ftl.take_work()
         gc_events = 0
         copybacks = 0
+        # NOTE: base + overhead, then the internal-work terms in this
+        # order, is the authoritative command latency the serial oracle
+        # reproduces; adding the terms only when one is non-zero yields
+        # the same float (x + 0.0*c == x for these non-negative
+        # latencies).
+        latency = base_latency_us + self._overhead_us
         if work:
-            timing = self.timing
             erases = map_writes = spills = 0
             log_spills = spill_lookups = wear_moves = 0
             for work_kind, __ in work:
@@ -635,18 +628,15 @@ class Ssd:
                     log_spills += 1
                 elif work_kind == "wear_move":
                     wear_moves += 1
-            # NOTE: this expression (terms and their order) is the
-            # authoritative command latency the serial oracle reproduces
-            # — the no-work branch below is its exact value when every
-            # delta is zero (x + 0.0*c == x for these non-negative
-            # latencies).
-            latency = (base_latency_us
-                       + timing.command_overhead_us
-                       + copybacks * timing.copyback_us
-                       + erases * timing.erase_us
-                       + map_writes * timing.program_us
-                       + spills * (timing.read_us + timing.program_us)
-                       + spill_lookups * timing.read_us)
+            if copybacks or erases or map_writes or spills or spill_lookups:
+                timing = self.timing
+                latency = (latency
+                           + copybacks * timing.copyback_us
+                           + erases * timing.erase_us
+                           + map_writes * timing.program_us
+                           + spills * (timing.read_us + timing.program_us)
+                           + spill_lookups * timing.read_us)
+                whole_us = None
             stats.copyback_pages += copybacks
             stats.block_erases += erases
             stats.map_page_writes += map_writes
@@ -655,10 +645,10 @@ class Ssd:
             stats.spill_lookups += spill_lookups
             stats.gc_events += gc_events
             stats.wear_level_moves += wear_moves
-            dram_us, pieces = self._price_media(latency, work)
+            dram_us, pieces = self._price_media(latency, work, whole_us)
         else:
-            latency = base_latency_us + self._overhead_us
-            dram_us = int(round(latency))
+            dram_us = whole_us if whole_us is not None \
+                else int(round(latency))
             pieces = None
         stats.busy_us += latency
 
@@ -779,7 +769,7 @@ class Ssd:
                     self._m_chan_util[channel].set(util)
             telemetry.maybe_snapshot(now)
         trace = self.trace
-        if trace is not None and trace.capacity:
+        if trace.capacity:
             trace.record_fields(
                 now, ticket.kind, ticket.lpn, ticket.count,
                 ticket.latency_us, ticket.gc_events, ticket.copyback_pages,
@@ -788,7 +778,7 @@ class Ssd:
             pt_emit.add(perf_counter_ns() - t1)
         if pt_complete is not None:
             pt_complete.add(perf_counter_ns() - t0)
-        if ticket.gate_kind is not None:
+        if ticket.gate_kind is not None and self.faults.commands.active:
             try:
                 self._gate(ticket.gate_kind, ticket.gate_lpns, "complete")
             except DeviceError:

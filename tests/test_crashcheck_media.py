@@ -151,7 +151,7 @@ def test_media_accounting_flags_bad_bookkeeping():
     assert bad, "the injected program failure must retire a block"
     assert media_accounting("ftl", ssd) == []
     # Tamper: resurrect the retired block into the free pool.
-    ftl._free_blocks.append(bad[0])
+    ftl._blocks.release(bad[0])
     violations = media_accounting("ftl", ssd)
     assert any("free pool" in v for v in violations)
 

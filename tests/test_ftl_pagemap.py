@@ -329,11 +329,10 @@ class TestChannelStriping:
         ftl = self.make_striped(channels)
         for lpn in range(channels):
             ftl.write(lpn, ("v", lpn))
-        actives = {ch: block for ch, block in ftl._active_host.items()
-                   if block is not None}
+        actives = ftl.active_blocks()
         assert len(actives) == channels
-        for channel, block in actives.items():
-            assert block % channels == channel
+        for channel in range(channels):
+            assert actives[f"host(ch{channel})"] % channels == channel
 
     def test_single_channel_degenerates_to_serial_allocation(self):
         striped = self.make_striped(1)

@@ -83,18 +83,21 @@ def test_oldest_extra_none_when_empty(rev):
 def test_move_page_transfers_refs(rev):
     rev.set_primary(10, 1)
     rev.add_extra(10, 2)
-    refs = rev.move_page(10, 20, new_primary=1)
-    assert sorted(refs) == [1, 2]
+    assert rev.live_pages(8, 12) == [(10, [1, 2], False)]
+    rev.move_page(10, 20, [1, 2])
     assert rev.refs(10) == set()
     assert rev.refs(20) == {1, 2}
     assert rev.primary_of(20) == 1
     assert rev.extra_entries == 1  # LPN 2 still occupies a share entry
 
 
-def test_move_page_bad_primary_rejected(rev):
+def test_move_page_stale_refs_rejected(rev):
     rev.set_primary(10, 1)
     with pytest.raises(ValueError):
-        rev.move_page(10, 20, new_primary=9)
+        rev.move_page(10, 20, [9])
+    with pytest.raises(ValueError):
+        rev.move_page(11, 20, [1])
+    assert rev.refs(10) == {1}
 
 
 def test_set_primary_clears_previous_life(rev):
@@ -188,8 +191,8 @@ class TestSpillChurn:
         assert rev.spilled_peak == 1
         # GC moves the spilled page; the table is still full of PPN 10's
         # entries, so the moved extra lands in overflow at its new home.
-        refs = rev.move_page(20, 21, new_primary=50)
-        assert refs == [50, 51]
+        assert rev.live_pages(20, 21) == [(20, [50, 51], True)]
+        rev.move_page(20, 21, [50, 51])
         assert rev.is_spilled(21, 51)
         assert rev.spilled_entries == 1
         assert rev.spilled_peak == 1

@@ -250,7 +250,7 @@ class TestFtlDegradation:
         ssd.power_cycle()
         assert ssd.ftl.grown_bad_blocks == bad
         assert ssd.ftl.spare_pool_level == 0
-        assert not bad & set(ssd.ftl._free_blocks)
+        assert not bad & set(ssd.ftl.free_blocks())
         assert ssd.read(5) == "rewritten"
         for lpn in range(10):
             if lpn != 5:
