@@ -23,26 +23,25 @@ class File:
         self.fs = fs
         self.path = path
         self._blocks: List[int] = []
+        #: Current size in blocks (``len(self._blocks)``, kept as a plain
+        #: attribute: engines compare against it on every append).
+        self.block_count = 0
         self._metadata_dirty = False
         self._unlinked = False
 
     # ---------------------------------------------------------- geometry
 
     @property
-    def block_count(self) -> int:
-        """Current size in blocks."""
-        return len(self._blocks)
-
-    @property
     def size_bytes(self) -> int:
-        return len(self._blocks) * self.fs.block_size
+        return self.block_count * self.fs.block_size
 
     def block_lpn(self, index: int) -> int:
         """Device LPN backing file block ``index``."""
-        self._check_open()
-        if not 0 <= index < len(self._blocks):
+        if self._unlinked or not 0 <= index < self.block_count:
+            self._check_open()
             raise FileSystemError(
-                f"block index {index} outside file of {len(self._blocks)} blocks")
+                f"block index {index} outside file of {self.block_count} "
+                "blocks")
         return self._blocks[index]
 
     def _check_open(self) -> None:
@@ -60,13 +59,15 @@ class File:
         if grow <= 0:
             return
         self._blocks.extend(self.fs.allocate_blocks(grow))
+        self.block_count += grow
         self._metadata_dirty = True
 
     def append_block(self, data: Any) -> int:
         """Append one block; returns its file block index."""
         self._check_open()
-        index = len(self._blocks)
+        index = self.block_count
         self._blocks.extend(self.fs.allocate_blocks(1))
+        self.block_count = index + 1
         self.fs.ssd.write(self._blocks[index], data)
         self._metadata_dirty = True
         return index
@@ -74,12 +75,15 @@ class File:
     def pwrite_block(self, index: int, data: Any) -> None:
         """Write one existing block in place (from the file's view; the
         device still writes out of place internally)."""
+        if self._unlinked or not 0 <= index < self.block_count:
+            self.block_lpn(index)       # raises the unlinked / range error
+        lpn = self._blocks[index]
         tracer = self.fs.telemetry.tracer
         if tracer.enabled:
             with tracer.span("host.pwrite", path=self.path, blocks=1):
-                self.fs.ssd.write(self.block_lpn(index), data)
+                self.fs.ssd.write(lpn, data)
         else:
-            self.fs.ssd.write(self.block_lpn(index), data)
+            self.fs.ssd.write(lpn, data)
 
     def pwrite_blocks(self, index: int, pages: Sequence[Any]) -> None:
         """Write consecutive blocks with one device command per contiguous
@@ -108,7 +112,9 @@ class File:
 
     def pread_block(self, index: int) -> Any:
         """Read one block."""
-        return self.fs.ssd.read(self.block_lpn(index))
+        if self._unlinked or not 0 <= index < self.block_count:
+            self.block_lpn(index)       # raises the unlinked / range error
+        return self.fs.ssd.read(self._blocks[index])
 
     def truncate_blocks(self, block_count: int) -> None:
         """Shrink the file, trimming and recycling the dropped blocks."""
@@ -119,6 +125,7 @@ class File:
             return
         dropped = self._blocks[block_count:]
         self._blocks = self._blocks[:block_count]
+        self.block_count = block_count
         for lpn in dropped:
             self.fs.ssd.trim(lpn)
         self.fs.release_blocks(dropped)

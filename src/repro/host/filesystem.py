@@ -110,6 +110,7 @@ class HostFs:
                 self.ssd.trim(start, count)
             self.release_blocks(handle._blocks)
             handle._blocks = []
+            handle.block_count = 0
             handle._unlinked = True
             self._commit_metadata()
 

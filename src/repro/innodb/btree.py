@@ -12,7 +12,7 @@ shrinks the database meaningfully.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import EngineError
@@ -21,14 +21,9 @@ from repro.innodb.page import Page
 LEAF = "leaf"
 INTERNAL = "internal"
 
-
-def _leaf_payload(keys: List[Any], rows: List[Any],
-                  next_leaf: Optional[int]) -> tuple:
-    return (LEAF, tuple(keys), tuple(rows), next_leaf)
-
-
-def _internal_payload(keys: List[Any], children: List[int]) -> tuple:
-    return (INTERNAL, tuple(keys), tuple(children))
+#: Slots in a tree's reusable descent-path buffer.  Every internal node
+#: has at least two children, so no tree that fits a device gets close.
+MAX_DEPTH = 64
 
 
 class BTree:
@@ -37,13 +32,15 @@ class BTree:
     The tree talks to storage through three callbacks supplied by the
     engine: ``fetch(page_id) -> Page``, ``write(page) -> None`` (installs
     the new image dirty in the pool), and ``allocate() -> page_id``.
+    ``lsn_source`` is any object whose ``next_lsn`` attribute is the LSN
+    to stamp on a page written now (the engine passes its redo log).
     """
 
     def __init__(self, name: str,
                  fetch: Callable[[int], Page],
                  write: Callable[[Page], None],
                  allocate: Callable[[], int],
-                 next_lsn: Callable[[], int],
+                 lsn_source: Any,
                  leaf_capacity: int = 32,
                  internal_fanout: int = 64,
                  root_page_id: Optional[int] = None) -> None:
@@ -55,13 +52,15 @@ class BTree:
         self._fetch = fetch
         self._write = write
         self._allocate = allocate
-        self._next_lsn = next_lsn
+        self._lsn_source = lsn_source
         self.leaf_capacity = leaf_capacity
         self.internal_fanout = internal_fanout
+        # Internal page ids of the last descent, root first; only a
+        # split reads it (the first ``depth`` slots).
+        self._path: List[int] = [0] * MAX_DEPTH
         if root_page_id is None:
             root_page_id = self._allocate()
-            self._write(Page(root_page_id, self._next_lsn(),
-                             _leaf_payload([], [], None)))
+            self._store(root_page_id, (LEAF, (), (), None))
         self.root_page_id = root_page_id
         self.entry_count = 0
 
@@ -74,19 +73,21 @@ class BTree:
         return page.payload
 
     def _store(self, page_id: int, payload: tuple) -> None:
-        self._write(Page(page_id, self._next_lsn(), payload))
+        self._write(Page(page_id, self._lsn_source.next_lsn, payload))
 
-    def _descend(self, key: Any) -> Tuple[int, tuple, List[int]]:
+    def _descend(self, key: Any) -> Tuple[int, tuple, int]:
         """Leaf holding ``key``'s position: its page id, its (already
-        fetched) payload, and the internal path (root first).
+        fetched) payload, and the number of internal levels above it,
+        whose page ids are now in ``self._path`` (root first).
 
-        Every node access in the tree funnels through here, so the walk
-        is written flat: the fetched leaf payload is returned rather
-        than refetched by the caller — at steady state that drops one
-        pool hit (dict probe + LRU move) per get/put/delete."""
+        Every keyed access funnels through here, so the walk is written
+        flat — one fetch and one bisect per level, nothing else: the
+        fetched leaf payload is returned rather than refetched by the
+        caller, and the path goes into the tree's one buffer by index
+        because only a split ever reads it."""
         fetch = self._fetch
-        bisect_right = bisect.bisect_right
-        path: List[int] = []
+        path = self._path
+        depth = 0
         page_id = self.root_page_id
         while True:
             page = fetch(page_id)
@@ -95,8 +96,9 @@ class BTree:
                     f"torn page {page_id} read through B+tree")
             node = page.payload
             if node[0] != INTERNAL:
-                return page_id, node, path
-            path.append(page_id)
+                return page_id, node, depth
+            path[depth] = page_id
+            depth += 1
             page_id = node[2][bisect_right(node[1], key)]
 
     # -------------------------------------------------------------- lookup
@@ -105,33 +107,43 @@ class BTree:
         """Row stored under ``key``, or None."""
         __, node, __ = self._descend(key)
         keys = node[1]
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            return node[2][index]
+        # Keys are unique, so a stored key sits just left of where
+        # bisect_right lands.
+        index = bisect_right(keys, key)
+        if index and keys[index - 1] == key:
+            return node[2][index - 1]
         return None
 
     def contains(self, key: Any) -> bool:
         return self.get(key) is not None
 
     def range(self, low: Any, high: Any, limit: Optional[int] = None
-              ) -> Iterator[Tuple[Any, Any]]:
-        """Yield (key, row) for low <= key <= high in key order."""
-        leaf_id, node, __ = self._descend(low)
-        yielded = 0
+              ) -> List[Tuple[Any, Any]]:
+        """The (key, row) pairs with low <= key <= high in key order, at
+        most ``limit`` of them.
+
+        One slice per leaf.  The next leaf is fetched only when this
+        one ran out with every key from ``low`` on still <= ``high`` and
+        the limit not yet met — a limit met on a leaf's last key stops
+        here — because each fetch is a buffer-pool touch."""
+        if limit is not None and limit < 1:
+            raise ValueError(f"limit must be >= 1: {limit}")
+        __, node, __ = self._descend(low)
+        found: List[Tuple[Any, Any]] = []
         while True:
             __, keys, rows, next_leaf = node
-            start = bisect.bisect_left(keys, low)
-            for index in range(start, len(keys)):
-                if keys[index] > high:
-                    return
-                yield keys[index], rows[index]
-                yielded += 1
-                if limit is not None and yielded >= limit:
-                    return
-            if next_leaf is None:
-                return
-            leaf_id = next_leaf
-            node = self._node(leaf_id)
+            start = bisect_left(keys, low)
+            stop = bisect_right(keys, high, start)
+            if limit is not None and stop - start >= limit:
+                stop = start + limit
+                found += zip(keys[start:stop], rows[start:stop])
+                return found
+            found += zip(keys[start:stop], rows[start:stop])
+            if stop < len(keys) or next_leaf is None:
+                return found
+            if limit is not None:
+                limit -= stop - start
+            node = self._node(next_leaf)
 
     # -------------------------------------------------------------- insert
 
@@ -144,58 +156,57 @@ class BTree:
         """Insert or overwrite in one descent; returns ``(was_new,
         previous_row)``.  The transaction layer uses the previous row as
         its undo record, replacing a separate :meth:`get` per write."""
-        leaf_id, node, path = self._descend(key)
+        leaf_id, node, depth = self._descend(key)
         __, keys, rows, next_leaf = node
-        keys = list(keys)
-        rows = list(rows)
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            old_row = rows[index]
-            rows[index] = row
-            self._store(leaf_id, _leaf_payload(keys, rows, next_leaf))
-            return False, old_row
-        keys.insert(index, key)
-        rows.insert(index, row)
-        self.entry_count += 1
-        if len(keys) <= self.leaf_capacity:
-            self._store(leaf_id, _leaf_payload(keys, rows, next_leaf))
-            return True, None
-        self._split_leaf(leaf_id, keys, rows, next_leaf, path)
-        return True, None
+        index = bisect_right(keys, key)
+        if index and keys[index - 1] == key:
+            was_new = False
+            old_row = rows[index - 1]
+            rows = rows[:index - 1] + (row,) + rows[index:]
+        else:
+            was_new = True
+            old_row = None
+            keys = keys[:index] + (key,) + keys[index:]
+            rows = rows[:index] + (row,) + rows[index:]
+            self.entry_count += 1
+            if len(keys) > self.leaf_capacity:
+                self._split_leaf(leaf_id, keys, rows, next_leaf,
+                                 self._path[:depth])
+                return True, None
+        self._write(Page(leaf_id, self._lsn_source.next_lsn,
+                         (LEAF, keys, rows, next_leaf)))
+        return was_new, old_row
 
-    def _split_leaf(self, leaf_id: int, keys: List[Any], rows: List[Any],
+    def _split_leaf(self, leaf_id: int, keys: tuple, rows: tuple,
                     next_leaf: Optional[int], path: List[int]) -> None:
         mid = len(keys) // 2
         right_id = self._allocate()
-        self._store(right_id, _leaf_payload(keys[mid:], rows[mid:], next_leaf))
-        self._store(leaf_id, _leaf_payload(keys[:mid], rows[:mid], right_id))
+        self._store(right_id, (LEAF, keys[mid:], rows[mid:], next_leaf))
+        self._store(leaf_id, (LEAF, keys[:mid], rows[:mid], right_id))
         self._insert_into_parent(path, leaf_id, keys[mid], right_id)
 
     def _insert_into_parent(self, path: List[int], left_id: int,
                             separator: Any, right_id: int) -> None:
         if not path:
             new_root = self._allocate()
-            self._store(new_root, _internal_payload([separator],
-                                                    [left_id, right_id]))
+            self._store(new_root,
+                        (INTERNAL, (separator,), (left_id, right_id)))
             self.root_page_id = new_root
             return
         parent_id = path[-1]
         __, keys, children = self._node(parent_id)
-        keys = list(keys)
-        children = list(children)
-        index = bisect.bisect_right(keys, separator)
-        keys.insert(index, separator)
-        children.insert(index + 1, right_id)
+        index = bisect_right(keys, separator)
+        keys = keys[:index] + (separator,) + keys[index:]
+        children = children[:index + 1] + (right_id,) + children[index + 1:]
         if len(children) <= self.internal_fanout:
-            self._store(parent_id, _internal_payload(keys, children))
+            self._store(parent_id, (INTERNAL, keys, children))
             return
         mid = len(keys) // 2
         push_up = keys[mid]
         right_internal = self._allocate()
         self._store(right_internal,
-                    _internal_payload(keys[mid + 1:], children[mid + 1:]))
-        self._store(parent_id,
-                    _internal_payload(keys[:mid], children[:mid + 1]))
+                    (INTERNAL, keys[mid + 1:], children[mid + 1:]))
+        self._store(parent_id, (INTERNAL, keys[:mid], children[:mid + 1]))
         self._insert_into_parent(path[:-1], parent_id, push_up, right_internal)
 
     # -------------------------------------------------------------- delete
@@ -211,17 +222,14 @@ class BTree:
         The existed flag disambiguates a stored ``None`` row."""
         leaf_id, node, __ = self._descend(key)
         __, keys, rows, next_leaf = node
-        index = bisect.bisect_left(keys, key)
-        if index >= len(keys) or keys[index] != key:
+        index = bisect_right(keys, key) - 1
+        if index < 0 or keys[index] != key:
             return None, False
-        old_row = rows[index]
-        keys = list(keys)
-        rows = list(rows)
-        del keys[index]
-        del rows[index]
         self.entry_count -= 1
-        self._store(leaf_id, _leaf_payload(keys, rows, next_leaf))
-        return old_row, True
+        self._write(Page(leaf_id, self._lsn_source.next_lsn,
+                         (LEAF, keys[:index] + keys[index + 1:],
+                          rows[:index] + rows[index + 1:], next_leaf)))
+        return rows[index], True
 
     # --------------------------------------------------------------- debug
 
@@ -235,16 +243,14 @@ class BTree:
         return depth
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
-        """Full scan in key order."""
-        page_id = self.root_page_id
-        node = self._node(page_id)
+        """Full scan in key order: one fetch per page on the leftmost
+        descent, then one per leaf."""
+        node = self._node(self.root_page_id)
         while node[0] == INTERNAL:
-            page_id = node[2][0]
-            node = self._node(page_id)
-        while page_id is not None:
-            __, keys, rows, next_leaf = self._node(page_id)
-            for key, row in zip(keys, rows):
-                yield key, row
-            page_id = next_leaf
-            if page_id is not None:
-                node = self._node(page_id)
+            node = self._node(node[2][0])
+        while True:
+            __, keys, rows, next_leaf = node
+            yield from zip(keys, rows)
+            if next_leaf is None:
+                return
+            node = self._node(next_leaf)

@@ -7,10 +7,13 @@ pipeline (the callback the engine installs).  The paper's
 each flush batch contains exactly the dirty pages chosen from the LRU tail,
 never their neighbours.
 
-``dirty_count`` is maintained incrementally at every dirty-bit
-transition rather than recomputed by scanning the frames: the engine's
-adaptive-flushing check reads it once per transaction commit, which made
-the O(pool) scan the single hottest line of the whole benchmark stack.
+The order of touches (hit -> move to MRU), evictions and flush batches
+decides which device commands the engine issues, and those decide every
+virtual-time result, so ``fetch`` and ``put`` may shed calls around a
+touch but never the touch (``tests/test_innodb_pool_oracle.py`` holds
+them to the previous implementation).  ``dirty_count`` is a plain
+attribute maintained at every dirty-bit transition: the engine's
+adaptive-flushing check reads it once per transaction commit.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ class BufferPool:
 
     ``fetch`` is the only read path; ``put`` installs or updates a page
     and marks it dirty.  When the pool is full, the least-recently-used
-    frames are evicted; dirty victims are handed to ``flush_callback`` in
-    batches so the engine can push them through the mode-specific flush
-    pipeline before they are dropped.
+    frame is evicted; a dirty victim is first handed to ``flush_callback``
+    together with the other cold dirty pages so the engine can push the
+    batch through the mode-specific flush pipeline.
     """
 
     def __init__(self, capacity_pages: int,
@@ -60,7 +63,7 @@ class BufferPool:
         self._read_page = read_page
         self._flush = flush_callback
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()
-        self._dirty = 0
+        self.dirty_count = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -70,102 +73,99 @@ class BufferPool:
     def __len__(self) -> int:
         return len(self._frames)
 
-    @property
-    def dirty_count(self) -> int:
-        return self._dirty
-
     def contains(self, page_id: int) -> bool:
         return page_id in self._frames
 
     def fetch(self, page_id: int) -> Page:
         """Return the page, reading it from storage on a miss."""
-        frame = self._frames.get(page_id)
-        if frame is not None:
-            self._frames.move_to_end(page_id)
+        frames = self._frames
+        try:
+            frame = frames[page_id]
+        except KeyError:
+            pass
+        else:
+            frames.move_to_end(page_id)
             self.hits += 1
             return frame.page
         self.misses += 1
+        # Storage first, room second: the device sees the read before
+        # any flush the eviction triggers.
         page = self._read_page(page_id)
-        if page.page_id != page_id:
+        if page.__class__ is not Page or page.page_id != page_id:
             raise EngineError(
-                f"storage returned page {page.page_id} for id {page_id}")
-        self._install(page_id, Frame(page))
+                f"storage returned {page!r} for page id {page_id}")
+        self._admit(page, False)
         return page
 
     def put(self, page: Page) -> None:
         """Install a (new or modified) page and mark it dirty."""
-        frame = self._frames.get(page.page_id)
-        if frame is not None:
-            frame.page = page
-            if not frame.dirty:
-                frame.dirty = True
-                self._dirty += 1
-            self._frames.move_to_end(page.page_id)
+        frames = self._frames
+        page_id = page.page_id
+        try:
+            frame = frames[page_id]
+        except KeyError:
+            self._admit(page, True)
+            self.dirty_count += 1
             return
-        self._install(page.page_id, Frame(page, dirty=True))
-        self._dirty += 1
-
-    def _install(self, page_id: int, frame: Frame) -> None:
-        self._make_room()
-        self._frames[page_id] = frame
+        frame.page = page
+        if not frame.dirty:
+            frame.dirty = True
+            self.dirty_count += 1
+        frames.move_to_end(page_id)
 
     # ------------------------------------------------------------ eviction
 
-    def _make_room(self) -> None:
-        while len(self._frames) >= self.capacity_pages:
-            self._evict_tail()
+    def _admit(self, page: Page, dirty: bool) -> None:
+        """Install a page that is not resident, at the MRU end.
 
-    def _evict_tail(self) -> None:
-        """Drop the LRU victim; if it is dirty, flush a batch of dirty
-        pages from the cold end first so the write happens in
-        doublewrite-sized groups (as InnoDB's page cleaner does)."""
-        victim_id = next(iter(self._frames))
-        victim = self._frames[victim_id]
-        if victim.dirty:
-            self._flush_cold_batch()
-        dropped = self._frames.pop(victim_id, None)
-        if dropped is not None and dropped.dirty:
-            # The flush batch is bounded, so the victim itself may still
-            # be dirty when the pool drops it.
-            self._dirty -= 1
-        self.evictions += 1
-
-    def _flush_cold_batch(self) -> None:
-        batch: List[Page] = []
-        for page_id, frame in self._frames.items():
-            if frame.dirty:
-                batch.append(frame.page)
-                if len(batch) >= self.flush_batch_pages:
-                    break
-        if not batch:
+        A full pool first drops its LRU victim and reuses the frame.  A
+        dirty victim goes out with the cold dirty batch, so the write
+        happens in doublewrite-sized groups (as InnoDB's page cleaner
+        does); the batch starts at the first dirty frame, which is the
+        victim, so a victim still dirty afterwards means the flush
+        callback lost it."""
+        frames = self._frames
+        if len(frames) < self.capacity_pages:
+            frames[page.page_id] = Frame(page, dirty)
             return
-        self._flush(batch)
-        for page in batch:
-            frame = self._frames.get(page.page_id)
-            if frame is not None and frame.page is page and frame.dirty:
-                frame.dirty = False
-                self._dirty -= 1
+        for victim_id in frames:        # peek the LRU head
+            break
+        frame = frames[victim_id]
+        if frame.dirty:
+            self.flush_some()
+            if frame.dirty:
+                raise EngineError(
+                    f"dirty page dropped unflushed: {victim_id}")
+        frames.popitem(last=False)
+        self.evictions += 1
+        frame.page = page
+        frame.dirty = dirty
+        frames[page.page_id] = frame
 
     # ------------------------------------------------------------ flushing
 
     def flush_some(self, max_pages: Optional[int] = None) -> int:
-        """Adaptive-flushing entry point: flush up to ``max_pages`` dirty
-        pages from the cold end; returns how many were flushed."""
-        limit = max_pages if max_pages is not None else self.flush_batch_pages
+        """Flush up to ``max_pages`` (default: one flush batch) dirty
+        pages from the cold end; returns how many were flushed.  The
+        adaptive-flushing entry point, and what an eviction runs when
+        its victim is dirty."""
+        frames = self._frames
+        room = max_pages if max_pages is not None else self.flush_batch_pages
         batch: List[Page] = []
-        for page_id, frame in self._frames.items():
+        for frame in frames.values():
             if frame.dirty:
                 batch.append(frame.page)
-                if len(batch) >= limit:
+                room -= 1
+                if room <= 0:
                     break
         if not batch:
             return 0
         self._flush(batch)
         for page in batch:
-            frame = self._frames.get(page.page_id)
+            frame = frames.get(page.page_id)
             if frame is not None and frame.page is page and frame.dirty:
                 frame.dirty = False
-                self._dirty -= 1
+                self.dirty_count -= 1
         return len(batch)
 
     def flush_all(self) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import EngineError
 from repro.host.filesystem import FsConfig, HostFs
@@ -27,6 +27,7 @@ from repro.innodb.buffer_pool import BufferPool
 from repro.innodb.doublewrite import DoublewriteBuffer
 from repro.innodb.page import Page
 from repro.innodb.redo import RedoLog
+from repro.obs.registry import NULL_REGISTRY
 from repro.sim.faults import NO_FAULTS, FaultPlan
 from repro.ssd.device import Ssd
 
@@ -70,6 +71,14 @@ class InnoDBConfig:
                 f"{self.dirty_flush_threshold}")
 
 
+class _Tables(dict):
+    """The table catalog; indexing an unknown name raises the engine's
+    error, so the per-operation lookup is a plain subscript."""
+
+    def __missing__(self, name: str) -> BTree:
+        raise EngineError(f"no such table: {name}")
+
+
 class InnoDBEngine:
     """MySQL/InnoDB stand-in with pluggable page-flush mode."""
 
@@ -83,6 +92,12 @@ class InnoDBEngine:
         self.data_ssd = data_ssd
         self.log_ssd = log_ssd
         self.telemetry = data_ssd.telemetry
+        self._tracer = self.telemetry.tracer
+        # No fault plan and no live metric registry: a commit then has
+        # no checkpoint to hit and no counter to feed, and runs bare
+        # unless the tracer is on (Transaction.__exit__).
+        self._quiet = (faults.passive
+                       and self.telemetry.metrics is NULL_REGISTRY)
         metrics = self.telemetry.metrics.scope("innodb")
         self._m_transactions = metrics.counter("transactions")
         self._m_flush_batches = metrics.counter("flush_batches")
@@ -97,7 +112,7 @@ class InnoDBEngine:
         self.redo = RedoLog(log_ssd)
         self.pool = BufferPool(
             capacity_pages=self.config.buffer_pool_pages,
-            read_page=self._read_page_from_disk,
+            read_page=self.tablespace.pread_block,
             flush_callback=self._flush_batch,
             flush_batch_pages=self.config.flush_batch_pages)
         self._next_page_id = 1 + self.config.dwb_pages
@@ -105,7 +120,7 @@ class InnoDBEngine:
         # every commit).
         self._flush_trigger = (self.config.buffer_pool_pages
                                * self.config.dirty_flush_threshold)
-        self.tables: Dict[str, BTree] = {}
+        self.tables = _Tables()
         self._in_transaction = False
         self.transactions = 0
         self.flush_batches = 0
@@ -116,16 +131,6 @@ class InnoDBEngine:
         return (self.data_ssd, self.log_ssd)
 
     # ----------------------------------------------------------- page I/O
-
-    def _read_page_from_disk(self, page_id: int) -> Page:
-        page = self.tablespace.pread_block(page_id)
-        if not isinstance(page, Page):
-            raise EngineError(
-                f"block {page_id} does not hold a page image: {page!r}")
-        return page
-
-    def _write_page(self, page: Page) -> None:
-        self.pool.put(page)
 
     def _allocate_page(self) -> int:
         page_id = self._next_page_id
@@ -163,58 +168,43 @@ class InnoDBEngine:
             raise EngineError(f"table exists: {name}")
         tree = BTree(name,
                      fetch=self.pool.fetch,
-                     write=self._write_page,
+                     write=self.pool.put,
                      allocate=self._allocate_page,
-                     next_lsn=lambda: self.redo.next_lsn,
+                     lsn_source=self.redo,
                      leaf_capacity=self.config.leaf_capacity,
                      internal_fanout=self.config.internal_fanout)
         self.tables[name] = tree
         return tree
 
     def table(self, name: str) -> BTree:
-        tree = self.tables.get(name)
-        if tree is None:
-            raise EngineError(f"no such table: {name}")
-        return tree
+        return self.tables[name]
 
     # ------------------------------------------------------- transactions
 
-    def transaction(self) -> "_TransactionScope":
-        """One transaction: logical ops are applied to the trees and
-        logged; commit group-commits the redo log, then adaptive flushing
-        may push one dirty batch.
+    def transaction(self) -> "Transaction":
+        """One transaction, used as ``with engine.transaction() as txn``:
+        logical ops are applied to the trees and logged; commit
+        group-commits the redo log, then adaptive flushing may push one
+        dirty batch.
 
         An exception inside the block aborts the transaction: the undo
         records collected per operation are applied in reverse (InnoDB's
         rollback), and the buffered redo records are discarded before
         they ever reach the log device.
-
-        Returns a plain class-based context manager (the benchmark loop
-        enters one per operation; ``@contextmanager`` generator overhead
-        is measurable at that rate).
         """
-        return _TransactionScope(self)
+        return Transaction(self)
 
     def _commit_transaction(self) -> None:
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            with tracer.span("innodb.txn_commit"):
-                self.redo.commit()
-                self.faults.checkpoint("innodb.txn_durable")
-                self.transactions += 1
-                self._m_transactions.inc()
-                self._adaptive_flush()
-            return
-        self.redo.commit()
-        self.faults.checkpoint("innodb.txn_durable")
-        self.transactions += 1
-        self._m_transactions.inc()   # no-op singleton when telemetry is off
-        self._adaptive_flush()
-
-    def _adaptive_flush(self) -> None:
-        pool = self.pool
-        if pool.dirty_count > self._flush_trigger:
-            pool.flush_some(self.config.flush_batch_pages)
+        """Commit with a fault plan or telemetry attached; the bare
+        commit in :meth:`Transaction.__exit__` is this minus the
+        checkpoint, the span and the metric."""
+        with self._tracer.span("innodb.txn_commit"):
+            self.redo.commit()
+            self.faults.checkpoint("innodb.txn_durable")
+            self.transactions += 1
+            self._m_transactions.inc()
+            if self.pool.dirty_count > self._flush_trigger:
+                self.pool.flush_some(self.config.flush_batch_pages)
 
     # ---------------------------------------------------------- lifecycle
 
@@ -240,42 +230,68 @@ class InnoDBEngine:
 
 
 class Transaction:
-    """Handle exposing logical operations inside a transaction scope.
+    """One transaction scope and the logical operations inside it.
 
-    Reads go straight to the trees; writes are applied to the trees (the
-    buffer pool holds the dirty pages) *and* appended to the redo log so
-    recovery can replay them.  Each write also records its logical
-    inverse so an abort can roll the trees back (InnoDB's undo).
-    Durability of the logical operations comes from the log commit; the
-    flush pipeline only controls how page images reach their home
-    locations.
+    ``with engine.transaction() as txn`` opens the scope on
+    construction and commits (or, on an exception, rolls back) when the
+    block exits.  Reads go straight to the trees; writes are applied to
+    the trees (the buffer pool holds the dirty pages) *and* appended to
+    the redo log so recovery can replay them.  Each write also records
+    its logical inverse so an abort can roll the trees back (InnoDB's
+    undo).  Durability of the logical operations comes from the log
+    commit; the flush pipeline only controls how page images reach their
+    home locations.
     """
 
+    __slots__ = ("_engine", "_undo", "_first_lsn")
+
     def __init__(self, engine: InnoDBEngine) -> None:
+        if engine._in_transaction:
+            raise EngineError("nested transactions are not supported")
+        engine._in_transaction = True
         self._engine = engine
         self._undo: List = []
-        self._redo_mark = len(engine.redo._pending)
+        self._first_lsn = engine.redo.next_lsn
+
+    def __enter__(self) -> "Transaction":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        engine = self._engine
+        if exc_type is not None:
+            self._rollback()
+            engine._in_transaction = False
+            return
+        engine._in_transaction = False
+        if engine._quiet and not engine._tracer.enabled:
+            engine.redo.commit()
+            engine.transactions += 1
+            pool = engine.pool
+            if pool.dirty_count > engine._flush_trigger:
+                pool.flush_some(engine.config.flush_batch_pages)
+        else:
+            engine._commit_transaction()
 
     # Reads -----------------------------------------------------------------
 
     def get(self, table: str, key: Any) -> Optional[Any]:
-        return self._engine.table(table).get(key)
+        return self._engine.tables[table].get(key)
 
     def range(self, table: str, low: Any, high: Any,
               limit: Optional[int] = None) -> List:
-        return list(self._engine.table(table).range(low, high, limit))
+        return self._engine.tables[table].range(low, high, limit)
 
     # Writes ----------------------------------------------------------------
 
     def put(self, table: str, key: Any, row: Any) -> bool:
-        tree = self._engine.table(table)
+        tree = self._engine.tables[table]
         self._engine.redo.append(("put", table, key, row))
         was_new, old_row = tree.upsert(key, row)
         self._undo.append((table, key, old_row))
         return was_new
 
     def delete(self, table: str, key: Any) -> bool:
-        tree = self._engine.table(table)
+        tree = self._engine.tables[table]
         self._engine.redo.append(("delete", table, key))
         old_row, existed = tree.pop(key)
         self._undo.append((table, key, old_row))
@@ -285,37 +301,15 @@ class Transaction:
 
     def _rollback(self) -> None:
         """Apply undo records newest-first and drop the un-committed redo
-        tail (it never reached the log device)."""
+        tail (it never reached the log device): every record appended
+        since the scope opened took exactly one LSN."""
         for table, key, old_row in reversed(self._undo):
-            tree = self._engine.table(table)
+            tree = self._engine.tables[table]
             if old_row is None:
                 tree.delete(key)
             else:
                 tree.put(key, old_row)
         self._undo.clear()
-        del self._engine.redo._pending[self._redo_mark:]
-
-
-class _TransactionScope:
-    """Context manager for one :meth:`InnoDBEngine.transaction` scope."""
-
-    __slots__ = ("_engine", "_txn")
-
-    def __init__(self, engine: "InnoDBEngine") -> None:
-        if engine._in_transaction:
-            raise EngineError("nested transactions are not supported")
-        engine._in_transaction = True
-        self._engine = engine
-        self._txn = Transaction(engine)
-
-    def __enter__(self) -> "Transaction":
-        return self._txn
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        engine = self._engine
-        if exc_type is not None:
-            self._txn._rollback()
-            engine._in_transaction = False
-            return
-        engine._in_transaction = False
-        engine._commit_transaction()
+        redo = self._engine.redo
+        del redo._pending[len(redo._pending)
+                          - (redo.next_lsn - self._first_lsn):]

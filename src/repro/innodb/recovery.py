@@ -139,7 +139,7 @@ def _replay_redo(engine: InnoDBEngine, report: RecoveryReport,
     # Recovery must not re-log the replayed work: the records are already
     # durable.  Move the in-memory LSN past the replayed tail and the log
     # cursor past the durable log pages so new commits append, not clobber.
-    engine.redo._next_lsn = (records[-1][0] + 1) if records else 1
+    engine.redo.next_lsn = (records[-1][0] + 1) if records else 1
     cursor = 0
     while (cursor < log_ssd.logical_pages
            and log_ssd.ftl.is_mapped(cursor)):

@@ -32,15 +32,13 @@ class RedoLog:
         # circularly; it must not consume the whole device or the log
         # device's own GC has no headroom.
         self.region_pages = region_pages or max(1, device.logical_pages // 2)
-        self._next_lsn = 1
+        #: LSN the next appended record takes (plain attribute: the
+        #: B+tree stamps it on every page image it builds).
+        self.next_lsn = 1
         self._pending: List[Tuple[int, Any]] = []
         self._cursor_lpn = 0
         self._committed_through = 0
         self.commits = 0
-
-    @property
-    def next_lsn(self) -> int:
-        return self._next_lsn
 
     @property
     def last_committed_lsn(self) -> int:
@@ -48,8 +46,8 @@ class RedoLog:
 
     def append(self, record: Any) -> int:
         """Buffer a record; returns its LSN.  Not durable until commit."""
-        lsn = self._next_lsn
-        self._next_lsn += 1
+        lsn = self.next_lsn
+        self.next_lsn = lsn + 1
         self._pending.append((lsn, record))
         return lsn
 
@@ -59,21 +57,15 @@ class RedoLog:
         Returns the highest durable LSN.
         """
         pending = self._pending
-        if len(pending) <= self.records_per_page:
-            # Common case (one group commit fits one log page): a single
-            # write, no slice/del churn.
-            if pending:
-                self.device.write(self._cursor_lpn, tuple(pending))
-                pending.clear()
-                self._cursor_lpn = (self._cursor_lpn + 1) % self.region_pages
-        else:
-            while pending:
-                chunk = pending[:self.records_per_page]
-                del pending[:self.records_per_page]
-                self.device.write(self._cursor_lpn, tuple(chunk))
-                self._cursor_lpn = (self._cursor_lpn + 1) % self.region_pages
+        # A read-only transaction logged nothing: no write, but the
+        # flush below still goes out (it costs a device command slot).
+        while pending:
+            self.device.write(self._cursor_lpn,
+                              tuple(pending[:self.records_per_page]))
+            del pending[:self.records_per_page]
+            self._cursor_lpn = (self._cursor_lpn + 1) % self.region_pages
         self.device.flush()
-        self._committed_through = self._next_lsn - 1
+        self._committed_through = self.next_lsn - 1
         self.commits += 1
         return self._committed_through
 

@@ -33,7 +33,9 @@ class SqliteLikeDb:
                  _pager: Optional[Pager] = None) -> None:
         self.pager = _pager if _pager is not None else Pager(
             fs, path, mode, page_count, faults=faults)
-        self._lsn = 0
+        # The tree stamps this on the page images it builds; the pager
+        # stores bare payloads, so it is never read back.
+        self.next_lsn = 0
         self._in_txn = False
         header = self.pager.read_page(HEADER_PAGE)
         if header is None:
@@ -54,7 +56,7 @@ class SqliteLikeDb:
                      fetch=self._fetch,
                      write=self._write,
                      allocate=self._allocate,
-                     next_lsn=self._next_lsn,
+                     lsn_source=self,
                      leaf_capacity=leaf_capacity,
                      internal_fanout=internal_fanout,
                      root_page_id=root)
@@ -77,10 +79,6 @@ class SqliteLikeDb:
         if page_id >= self.pager.page_count:
             raise EngineError("database file is full")
         return page_id
-
-    def _next_lsn(self) -> int:
-        self._lsn += 1
-        return self._lsn
 
     def _ensure_txn_for_bootstrap(self) -> None:
         # The tree constructor writes its empty root before the first

@@ -92,6 +92,7 @@ class LinkBenchDriver:
         self._id_chooser = ZipfianGenerator(
             config.node_count, theta=config.zipf_theta,
             rng=make_rng(config.seed + 1))
+        self._pick_id = self._id_chooser.next
         self._next_node_id = config.node_count
         self._ops: List[str] = [name for name, __ in DEFAULT_MIX]
         self._weights: List[float] = [weight for __, weight in DEFAULT_MIX]
@@ -231,12 +232,6 @@ class LinkBenchDriver:
                                op_counts=op_counts)
 
     # ------------------------------------------------------------- op impl
-
-    def _pick_id(self) -> int:
-        return self._id_chooser.next()
-
-    def _execute(self, op: str, index: int) -> None:
-        self._handlers[op](index)
 
     def _op_get_node(self, index: int) -> None:
         with self.engine.transaction() as txn:

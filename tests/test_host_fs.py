@@ -46,8 +46,11 @@ class TestDirectory:
         f.append_block("x")
         fs.unlink("/db")
         assert not fs.exists("/db")
-        with pytest.raises(FileSystemError):
+        assert f.block_count == 0
+        with pytest.raises(FileSystemError, match="unlinked"):
             f.pread_block(0)
+        with pytest.raises(FileSystemError, match="unlinked"):
+            f.pwrite_block(0, "y")
 
     def test_unlink_missing_rejected(self, fs):
         with pytest.raises(FileNotFound):

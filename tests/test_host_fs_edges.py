@@ -75,6 +75,19 @@ def test_truncate_then_regrow(fs):
     assert not fs.ssd.ftl.is_mapped(f.block_lpn(2))
 
 
+def test_single_block_io_rejects_indices_outside_the_file(fs):
+    f = fs.create("/f")
+    for i in range(3):
+        f.append_block(("b", i))
+    # -1 must not wrap round to the last block.
+    for index in (-1, 3, 99):
+        with pytest.raises(FileSystemError, match=f"block index {index} "):
+            f.pread_block(index)
+        with pytest.raises(FileSystemError, match=f"block index {index} "):
+            f.pwrite_block(index, "z")
+    assert [f.pread_block(i) for i in range(3)] == [("b", i) for i in range(3)]
+
+
 def test_truncate_negative_rejected(fs):
     f = fs.create("/f")
     with pytest.raises(ValueError):

@@ -1,17 +1,21 @@
-"""Deterministic cost gate for the device-side hot path.
+"""Deterministic cost gates for the passive hot paths.
 
-Counts calls (Python and C, as ``perfbench``'s count pass does) over a
-few thousand seeded commands on a small GC-bound device with telemetry
-off and no fault plan — the passive configuration every benchmark runs.
-Call counts repeat exactly for a given interpreter, so a regression here
-is a diff, not a judgement call (ROADMAP item 1(b)), and it shows in
-seconds instead of a ``perfbench`` run.
+Counts calls (Python and C, as ``perfbench``'s count pass does) with
+telemetry off and no fault plan — the passive configuration every
+benchmark runs.  Call counts repeat exactly for a given interpreter, so
+a regression here is a diff, not a judgement call (ROADMAP item 1(b)),
+and it shows in seconds instead of a ``perfbench`` run.
 
-Three assertions: calls per command stay under a committed budget; not
-one call lands in ``repro/obs`` (telemetry off must mean *skipped*, not
-"sent to a null object"); and no ``property`` of the fault plan, the
-clock or the trace rings is evaluated (those are plain attributes,
-resolved once).
+The device cell runs a few thousand seeded commands on a small GC-bound
+device.  Three assertions: calls per command stay under a committed
+budget; not one call lands in ``repro/obs`` (telemetry off must mean
+*skipped*, not "sent to a null object"); and no ``property`` of the
+fault plan, the clock or the trace rings is evaluated (those are plain
+attributes, resolved once).
+
+The engine cell runs seeded LinkBench transactions on a small InnoDB
+SHARE stack and holds the probe / miss / commit path to the same three
+rules, plus: no fault checkpoint per transaction.
 """
 
 import cProfile
@@ -22,11 +26,16 @@ import repro
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
+from repro.host import file as host_file
+from repro.innodb import buffer_pool as innodb_buffer_pool
+from repro.innodb import redo as innodb_redo
 from repro.sim import clock as sim_clock
 from repro.sim import faults as sim_faults
 from repro.sim.clock import SimClock
 from repro.ssd import trace as ssd_trace
 from repro.ssd.device import Ssd, SsdConfig
+
+from conftest import small_linkbench_stack
 
 #: Calls per command the mix below may cost.  Measured 55.1 on CPython
 #: 3.11 when committed (the same mix cost 98.7 on the commit before the
@@ -121,6 +130,95 @@ def test_passive_hot_path_stays_inside_its_call_budget():
     assert not into_obs, f"telemetry is off, yet repro/obs ran: {into_obs}"
 
     getters = property_getters(sim_faults, sim_clock, ssd_trace)
+    hops = {getters[entry.code]: entry.callcount for entry in stats
+            if entry.code in getters}
+    assert not hops, f"property evaluated on the hot path: {hops}"
+
+
+# ------------------------------------------------------------ engine cell
+
+#: Calls per LinkBench transaction booked to ``repro/innodb``,
+#: ``repro/host`` and ``repro/workloads`` (their own functions plus the
+#: builtins those call).  Measured 34.2 on CPython 3.11 when
+#: committed; the same run cost 64.2 on the commit before the engine
+#: hot path was flattened.  Raise it only with a reason in the commit
+#: message.
+CALLS_PER_TRANSACTION_BUDGET = 37.0
+
+TRANSACTIONS = 3000
+ENGINE_LAYERS = tuple(os.path.join(SRC_ROOT, package) + os.sep
+                      for package in ("innodb", "host", "workloads"))
+
+#: Where the probe / miss / commit path lives.  The flush pipeline
+#: (``_flush_batch`` -> doublewrite -> share ioctl -> fs journal) runs
+#: once per 64-page batch, not per transaction, and still talks to the
+#: null telemetry objects and ``NO_FAULTS.checkpoint``; these must not.
+TRANSACTION_PATH = ("btree.py", "buffer_pool.py", "engine.py", "redo.py",
+                    "file.py", "linkbench.py")
+
+
+def profile_linkbench():
+    """(stats, engine counter deltas) of ``TRANSACTIONS`` profiled
+    transactions from 16 clients, after load and a warm-up, on a stack
+    whose pool holds about a fifth of the database."""
+    stack, driver = small_linkbench_stack(seed=15)
+    driver.load()
+    driver.run(1000, concurrency=16)
+    engine = stack.engine
+    before = (engine.pool.misses, engine.flush_batches)
+    profile = cProfile.Profile(builtins=True)
+    profile.enable()
+    try:
+        driver.run(TRANSACTIONS, concurrency=16)
+    finally:
+        profile.disable()
+    return profile.getstats(), (engine.pool.misses - before[0],
+                                engine.flush_batches - before[1])
+
+
+def defined_under(code, roots):
+    return getattr(code, "co_filename", "").startswith(roots)
+
+
+def short_name(code):
+    return f"{os.path.basename(code.co_filename)}:{code.co_name}"
+
+
+def test_engine_hot_path_stays_inside_its_call_budget():
+    stats, (misses, batches) = profile_linkbench()
+    assert misses > TRANSACTIONS // 4 and batches > 10, "pool not churning"
+
+    booked = 0
+    for entry in stats:
+        if defined_under(entry.code, ENGINE_LAYERS):
+            booked += entry.callcount + sum(
+                sub.callcount for sub in entry.calls or ()
+                if isinstance(sub.code, str))
+    per_transaction = booked / TRANSACTIONS
+    assert per_transaction <= CALLS_PER_TRANSACTION_BUDGET, (
+        f"{per_transaction:.1f} engine-side calls per transaction, budget "
+        f"{CALLS_PER_TRANSACTION_BUDGET}")
+
+    obs_root = os.path.join(SRC_ROOT, "obs") + os.sep
+    faults_file = sim_faults.__file__
+    unwanted = {}
+    for entry in stats:
+        if (not defined_under(entry.code, ENGINE_LAYERS)
+                or os.path.basename(entry.code.co_filename)
+                not in TRANSACTION_PATH
+                or entry.code.co_name == "_flush_batch"):
+            continue
+        for sub in entry.calls or ():
+            code = sub.code
+            if defined_under(code, obs_root) or (
+                    defined_under(code, faults_file)
+                    and code.co_name == "checkpoint"):
+                unwanted[f"{short_name(entry.code)} -> {short_name(code)}"] \
+                    = sub.callcount
+    assert not unwanted, (
+        f"telemetry is off and no fault plan is armed, yet: {unwanted}")
+
+    getters = property_getters(innodb_buffer_pool, innodb_redo, host_file)
     hops = {getters[entry.code]: entry.callcount for entry in stats
             if entry.code in getters}
     assert not hops, f"property evaluated on the hot path: {hops}"

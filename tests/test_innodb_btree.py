@@ -12,9 +12,9 @@ class TreeHarness:
     def __init__(self, leaf_capacity=4, internal_fanout=4):
         self.pages = {}
         self.next_id = 0
-        self.lsn = 0
+        self.next_lsn = 1
         self.tree = BTree("t", fetch=self.fetch, write=self.write,
-                          allocate=self.allocate, next_lsn=self.next_lsn,
+                          allocate=self.allocate, lsn_source=self,
                           leaf_capacity=leaf_capacity,
                           internal_fanout=internal_fanout)
 
@@ -27,10 +27,6 @@ class TreeHarness:
     def allocate(self):
         self.next_id += 1
         return self.next_id - 1
-
-    def next_lsn(self):
-        self.lsn += 1
-        return self.lsn
 
 
 @pytest.fixture
@@ -105,6 +101,20 @@ def test_range_empty_window(harness):
     assert list(harness.tree.range(2, 99)) == []
 
 
+def test_items_fetches_each_page_once(harness):
+    for key in range(60):
+        harness.tree.put(key, key)
+    depth = harness.tree.depth()
+    leaves = sum(1 for page in harness.pages.values()
+                 if page.payload[0] == "leaf")
+    fetched = []
+    harness.tree._fetch = lambda page_id: (fetched.append(page_id),
+                                           harness.pages[page_id])[1]
+    assert [key for key, __ in harness.tree.items()] == list(range(60))
+    # The leftmost descent (one page per level), then every other leaf.
+    assert len(fetched) == len(set(fetched)) == depth - 1 + leaves
+
+
 def test_tuple_keys(harness):
     harness.tree.put((1, 0, 5), "link-a")
     harness.tree.put((1, 0, 9), "link-b")
@@ -117,9 +127,9 @@ def test_tuple_keys(harness):
 def test_validation():
     h = TreeHarness()
     with pytest.raises(ValueError):
-        BTree("x", h.fetch, h.write, h.allocate, h.next_lsn, leaf_capacity=1)
+        BTree("x", h.fetch, h.write, h.allocate, h, leaf_capacity=1)
     with pytest.raises(ValueError):
-        BTree("x", h.fetch, h.write, h.allocate, h.next_lsn,
+        BTree("x", h.fetch, h.write, h.allocate, h,
               internal_fanout=2)
 
 

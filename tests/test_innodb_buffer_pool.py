@@ -72,6 +72,20 @@ def test_dirty_eviction_flushes_batch(harness):
     assert len(harness.flushed_batches[0]) <= pool.flush_batch_pages
 
 
+def test_dirty_victim_lost_by_the_flush_callback_is_an_error(harness):
+    """A callback that empties the batch it was handed leaves the
+    victim dirty; dropping it would lose the page silently."""
+    pool = BufferPool(capacity_pages=8, read_page=harness.read,
+                      flush_callback=lambda batch: batch.clear(),
+                      flush_batch_pages=4)
+    for page_id in range(8):
+        pool.put(Page(page_id, 1, ("d", page_id)))
+    with pytest.raises(EngineError, match="dirty page dropped unflushed"):
+        pool.fetch(20)
+    assert pool.contains(0) and pool.dirty_count == 8
+    assert pool.evictions == 0
+
+
 def test_flushed_pages_become_clean(harness):
     pool = harness.pool
     pool.put(Page(1, 1, "a"))

@@ -26,7 +26,7 @@ class _MemPages:
     def __init__(self):
         self.pages = {}
         self.next_id = 0
-        self.lsn = 0
+        self.next_lsn = 1
 
     def fetch(self, page_id):
         return self.pages[page_id]
@@ -38,10 +38,6 @@ class _MemPages:
         self.next_id += 1
         return self.next_id - 1
 
-    def next_lsn(self):
-        self.lsn += 1
-        return self.lsn
-
 
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -50,7 +46,7 @@ class _MemPages:
 def test_innodb_btree_matches_dict(ops, leaf_capacity, fanout):
     store = _MemPages()
     tree = BTree("t", store.fetch, store.write, store.allocate,
-                 store.next_lsn, leaf_capacity=leaf_capacity,
+                 store, leaf_capacity=leaf_capacity,
                  internal_fanout=fanout)
     model = {}
     for kind, key, value in ops:
