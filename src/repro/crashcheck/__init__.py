@@ -4,85 +4,62 @@ The paper's durability arguments (Sections 4.2.2 and 4.3) are stated per
 mechanism: the SHARE batch commits through a single mapping-page program,
 the doublewrite buffer repairs torn pages, the couchstore header is the
 commit point.  This package checks the *composition*: it enumerates every
-fault point a workload actually reaches (one traced run), then re-runs
-the workload once per occurrence with a power failure injected exactly
-there, recovers from the persisted media, and verifies a set of pluggable
+place a workload actually reaches where something can go wrong, then
+re-runs the workload once per place with the fault injected exactly
+there, recovers from the persisted media, and verifies a set of named
 invariants — mapping-table agreement, recovery idempotence, bounded
-physical sharing, and each engine's read-your-acknowledged-writes
-contract.
+physical sharing, bad-block accounting, each engine's
+read-your-acknowledged-writes contract, and the cluster tier's
+no-lost-acked-write, read-your-writes and replica convergence.
 
-A second sweep dimension covers media faults rather than power: every
-read / program / erase operation the workload issues is targeted in turn
-with a transient read error, a program failure, an erase failure, or a
-sticky dead page, and the same invariant set (plus bad-block accounting)
-must hold on the degraded device (see :mod:`repro.crashcheck.mediafaults`).
+There is one loop and six families of fault (power cuts, media faults,
+host-boundary command faults, shard kills, shard media storms, seeded
+cluster chaos); ``docs/crash-consistency.md`` has the table.
 
-Entry points:
-
-* :func:`repro.crashcheck.explorer.enumerate_occurrences` — one traced run.
-* :func:`repro.crashcheck.explorer.explore` — the full power sweep.
-* :func:`repro.crashcheck.mediafaults.explore_media` — the media sweep.
-* :func:`repro.crashcheck.cluster.explore_cluster` — the sharded-tier
-  kill sweep (``no_lost_acked_write`` at every ack boundary).
-* ``python -m repro.tools.crashexplore`` — the CLI (``--media-faults``
-  selects the media sweep, ``--cluster`` the shard-kill sweep).
+* :mod:`repro.crashcheck.sweep` — the engine: :class:`Site`,
+  :class:`SiteResult`, :class:`SweepReport`, :func:`run_site`,
+  :func:`sweep` and the capping rule :func:`sample_sites`.
+* :mod:`repro.crashcheck.families` — the six :class:`Family` rows,
+  :data:`FAMILIES` by name.
+* :mod:`repro.crashcheck.workloads` / :mod:`repro.crashcheck.cluster` —
+  the harnesses.
+* :mod:`repro.crashcheck.invariants` — the checks.
+* ``python -m repro.tools.crashexplore --family F`` — the CLI.
 """
 
-from repro.crashcheck.cluster import (ClusterChaosReport, ClusterChaosResult,
-                                      ClusterChaosHarness, ClusterHarness,
-                                      ClusterMediaReport, ClusterMediaResult,
-                                      ClusterOccurrence, ClusterReport,
-                                      ClusterResult, enumerate_acked_writes,
-                                      explore_cluster, explore_cluster_chaos,
-                                      explore_cluster_media,
-                                      explore_cluster_media_occurrence,
-                                      explore_cluster_occurrence,
-                                      media_cluster_harness, run_chaos_seed)
-from repro.crashcheck.explorer import (ExplorationReport, Occurrence,
-                                       PointResult, enumerate_occurrences,
-                                       explore, explore_occurrence)
+from repro.crashcheck.cluster import (ClusterChaosHarness, ClusterHarness,
+                                      media_cluster_harness)
+from repro.crashcheck.families import (CLUSTER_CHAOS, CLUSTER_KILL,
+                                       CLUSTER_MEDIA, COMMAND, FAMILIES,
+                                       MEDIA, POWER, seed_sites)
 from repro.crashcheck.invariants import check_media, media_accounting
-from repro.crashcheck.mediafaults import (ALL_MODES, GENERIC_MODES,
-                                          MediaOccurrence, MediaReport,
-                                          MediaResult, enumerate_media_ops,
-                                          explore_media,
-                                          explore_media_occurrence)
+from repro.crashcheck.sweep import (Family, Site, SiteResult, SweepReport,
+                                    run_site, sample_evenly, sample_sites,
+                                    sweep)
 from repro.crashcheck.workloads import WORKLOADS, DeviceState
 
 __all__ = [
-    "ExplorationReport",
-    "Occurrence",
-    "PointResult",
-    "enumerate_occurrences",
-    "explore",
-    "explore_occurrence",
+    "Family",
+    "Site",
+    "SiteResult",
+    "SweepReport",
+    "run_site",
+    "sweep",
+    "sample_evenly",
+    "sample_sites",
+    "FAMILIES",
+    "POWER",
+    "MEDIA",
+    "COMMAND",
+    "CLUSTER_KILL",
+    "CLUSTER_MEDIA",
+    "CLUSTER_CHAOS",
+    "seed_sites",
     "check_media",
     "media_accounting",
-    "ALL_MODES",
-    "GENERIC_MODES",
-    "MediaOccurrence",
-    "MediaReport",
-    "MediaResult",
-    "enumerate_media_ops",
-    "explore_media",
-    "explore_media_occurrence",
     "WORKLOADS",
     "DeviceState",
     "ClusterHarness",
-    "ClusterOccurrence",
-    "ClusterReport",
-    "ClusterResult",
-    "enumerate_acked_writes",
-    "explore_cluster",
-    "explore_cluster_occurrence",
-    "media_cluster_harness",
-    "ClusterMediaReport",
-    "ClusterMediaResult",
-    "explore_cluster_media",
-    "explore_cluster_media_occurrence",
     "ClusterChaosHarness",
-    "ClusterChaosReport",
-    "ClusterChaosResult",
-    "run_chaos_seed",
-    "explore_cluster_chaos",
+    "media_cluster_harness",
 ]

@@ -1,9 +1,10 @@
-"""Media-level crash invariants, checked on every recovered device.
+"""The named invariants: media-level ones checked on every recovered
+device, and the cluster tier's two.
 
 Each check returns a list of violation strings (empty = clean) so the
-explorer can aggregate them into one verdict per fault point.  They are
-deliberately independent of any engine: they hold for *any* workload on
-a correct FTL, no matter where power failed.
+sweep engine can aggregate them into one verdict per site.  The media
+invariants are deliberately independent of any engine: they hold for
+*any* workload on a correct FTL, no matter where power failed.
 
 * **mapping agreement** — the forward and reverse mapping tables must
   mirror each other and per-block valid counts must match (the FTL's own
@@ -24,13 +25,21 @@ typed :class:`MediaError` (the page is dead); the replay check therefore
 compares read *outcomes* — the value, or the exact error type — so "both
 recoveries surface the same typed error" passes and "one recovery reads
 data the other cannot" fails.
+
+The cluster tier's invariants take the router, not a device:
+
+* **no lost acked write** — every key the router ever acknowledged reads
+  back through the router as its last acknowledged value.
+* **replica convergence** — once quiesced, every live replica's
+  watermark equals its group's log tip and every directory entry reads
+  back identically on the primary and each replica.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.errors import MediaError
+from repro.errors import MediaError, ReproError
 from repro.ftl.pagemap import PageMappingFtl
 
 
@@ -136,4 +145,69 @@ def check_media(name: str, ssd, max_refs: int = 2) -> List[str]:
     violations += replay_idempotence(name, ssd)
     violations += bounded_refs(name, ssd, max_refs)
     violations += media_accounting(name, ssd)
+    return violations
+
+
+# ------------------------------------------------------------- cluster tier
+
+
+def no_lost_acked_write(router, durable: Dict) -> List[str]:
+    """Every key in ``durable`` (key -> last acknowledged value, ``None``
+    after an acked delete) must read back through the router as that
+    value."""
+    violations: List[str] = []
+    for key in sorted(durable, key=repr):
+        expected = durable[key]
+        try:
+            actual = router.get(key)
+        except ReproError as exc:
+            violations.append(
+                f"no_lost_acked_write: key {key!r} unreadable after "
+                f"recovery: {type(exc).__name__}: {exc}")
+            continue
+        if repr(actual) != repr(expected):
+            violations.append(
+                f"no_lost_acked_write: key {key!r} reads {actual!r}, "
+                f"acked value was {expected!r}")
+    return violations
+
+
+def replica_convergence(router) -> List[str]:
+    """Every live replica at the tip, every key byte-identical."""
+    violations: List[str] = []
+    for group in router.pairs.values():
+        tip = group.log.tip
+        live = group.live_replicas()
+        for rep in live:
+            if rep.applier.watermark != tip:
+                violations.append(
+                    f"replica_convergence: shard {group.name!r} replica "
+                    f"{rep.ssd.name!r} watermark "
+                    f"{rep.applier.watermark} != tip {tip}")
+        for key in sorted(group.directory, key=repr):
+            lpn = group.directory[key]
+            try:
+                expected = group.primary.read(lpn)
+            except ReproError as exc:
+                violations.append(
+                    f"replica_convergence: shard {group.name!r} key "
+                    f"{key!r} unreadable on primary: "
+                    f"{type(exc).__name__}: {exc}")
+                continue
+            for rep in live:
+                if rep.applier.watermark != tip:
+                    continue  # already reported above
+                try:
+                    actual = rep.ssd.read(lpn)
+                except ReproError as exc:
+                    violations.append(
+                        f"replica_convergence: shard {group.name!r} key "
+                        f"{key!r} unreadable on {rep.ssd.name!r}: "
+                        f"{type(exc).__name__}: {exc}")
+                    continue
+                if repr(actual) != repr(expected):
+                    violations.append(
+                        f"replica_convergence: shard {group.name!r} key "
+                        f"{key!r}: primary {expected!r} vs "
+                        f"{rep.ssd.name!r} {actual!r}")
     return violations

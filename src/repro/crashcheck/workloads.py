@@ -10,12 +10,13 @@ enumeration run and every injection run must reach the same checkpoints
 in the same order, so harnesses take no input other than the fault plan
 and seed their own RNGs.
 
-The harness protocol the explorer relies on:
+The harness protocol the sweep engine (:mod:`repro.crashcheck.sweep`)
+relies on:
 
 * ``Harness(faults)`` — full setup (devices, files, schemas).  Setup may
-  hit fault points; the explorer only enumerates points reached by
-  ``run()``.
-* ``run()`` — the workload.  May raise :class:`PowerFailure`.
+  hit fault points; a sweep only enumerates what ``run()`` reaches.
+* ``run()`` — the workload.  May raise :class:`PowerFailure`, or a typed
+  :class:`DeviceError` on a degraded device.
 * ``recover()`` — discard volatile state, recover every device from its
   persisted media, and return the ``DeviceState`` list for media-level
   invariant checks.  Must not raise; engine recovery failures are
@@ -23,9 +24,13 @@ The harness protocol the explorer relies on:
 * ``check_engine()`` — engine-level invariant violations as strings.
 * ``guards()`` (optional) — the :class:`~repro.host.resilience.ShareGuard`
   instances the harness's engines route SHARE through.  Harnesses that
-  expose it can be swept by the chaos explorer
-  (:mod:`repro.crashcheck.chaosfaults`), which reads the guards' local
-  stats to prove retries and fallbacks actually ran.
+  expose it can be swept by the command family, which reads the guards'
+  local stats (correct even under ``NULL_TELEMETRY``) to prove retries
+  and fallbacks actually ran.
+* ``check_degraded()`` (optional) — the engine contract on a device whose
+  media fault is *still armed* after recovery.  Harnesses that expose it
+  can run the media family's ``uncorrectable`` mode; the others assume
+  readable media.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from typing import Dict, List, NamedTuple, Optional
 
 from repro.couchstore.compaction import abandon_partial, compact
 from repro.couchstore.engine import CommitMode, CouchConfig, CouchStore
-from repro.errors import DeviceError, PowerFailure, ReproError, ShareError
+from repro.errors import (DeviceError, MediaError, PowerFailure, ReproError,
+                          ShareError)
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
@@ -257,6 +263,32 @@ class FtlBasicHarness:
                     violations.append(
                         f"ftl: LPN {lpn} reads {ftl.read(lpn)!r}, expected "
                         f"{expected!r} or {pending!r}")
+        return violations
+
+    def check_degraded(self) -> List[str]:
+        """The contract while a dead page stays dead: every acked LPN
+        outside the interrupted operation must read its exact value or
+        raise a typed :class:`MediaError` — never wrong data."""
+        violations: List[str] = []
+        ftl = self.ssd.ftl
+        unacked = self.faults.unacked_op()
+        ambiguous = set(unacked.lpns) if unacked is not None else set()
+        for lpn, expected in sorted(self.durable.items()):
+            if lpn in ambiguous:
+                continue
+            if not ftl.is_mapped(lpn):
+                violations.append(
+                    f"ftl: acked LPN {lpn} lost under media fault "
+                    f"(expected {expected!r})")
+                continue
+            try:
+                value = ftl.read(lpn)
+            except MediaError:
+                continue   # a typed error IS the contract for a dead page
+            if value != expected:
+                violations.append(
+                    f"ftl: acked LPN {lpn} silently corrupted under media "
+                    f"fault: reads {value!r}, expected {expected!r}")
         return violations
 
 
@@ -873,9 +905,11 @@ class PostgresHarness:
             "postgres", self.recovered, self.durable, self.inflight)
 
 
+#: The device-level harnesses, the acceptance workload first (it is the
+#: default of every family that sweeps them).
 WORKLOADS = {
     harness.name: harness
-    for harness in (FtlBasicHarness, QueuedFtlHarness, CouchHarness,
-                    LinkbenchHarness, SqliteHarness, DataJournalHarness,
+    for harness in (LinkbenchHarness, FtlBasicHarness, QueuedFtlHarness,
+                    CouchHarness, SqliteHarness, DataJournalHarness,
                     PostgresHarness)
 }

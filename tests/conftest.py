@@ -1,5 +1,7 @@
 """Shared fixtures: small, fast device stacks for unit tests."""
 
+import json
+
 import pytest
 
 from repro.flash.geometry import FlashGeometry
@@ -31,6 +33,56 @@ def small_linkbench_stack(seed):
     driver = LinkBenchDriver(stack.engine, stack.clock,
                              LinkBenchConfig(node_count=600, seed=seed))
     return stack, driver
+
+
+def check_capped_sweep(family_name, workload, cap, modes=None):
+    """Run one capped sweep of any family into a memory sink, assert the
+    one record schema every family shares, and return ``(report, site
+    records, summary record)`` for the caller's family-specific checks."""
+    from repro.crashcheck import FAMILIES, Site, sweep
+    from repro.obs.sinks import MemorySink
+    family = FAMILIES[family_name]
+    sink = MemorySink()
+    report = sweep(family, family.harnesses[workload], workload,
+                   modes=modes, cap=cap, sink=sink)
+    assert report.ok, (report.failures, report.sweep_violations)
+    assert len(report.results) == min(cap, len(report.sites))
+    *rows, summary = sink.records
+    assert len(rows) == len(report.results)
+    for row, result in zip(rows, report.results):
+        assert row["type"] == "crashcheck"
+        assert row["family"] == family_name
+        assert row["workload"] == workload
+        assert {*Site._fields, "fired", "crashed", "aborted", "ok",
+                "violations", *result.extras} <= set(row)
+        assert row["ok"] is True
+        assert row["violations"] == []
+        json.dumps(row)   # must be serialisable as-is
+    assert summary["type"] == "crashcheck-summary"
+    assert summary["family"] == family_name
+    assert summary["workload"] == workload
+    assert summary["l2p"] == "flat"
+    assert summary["modes"] == list(report.modes)
+    assert summary["sites"] == len(report.sites)
+    assert summary["explored"] == len(rows)
+    assert summary["violations"] == 0
+    assert summary["ok"] is True
+    assert {label for label, __ in family.columns} <= set(summary)
+    json.dumps(summary)
+    return report, rows, summary
+
+
+def check_cli_sweep(argv, tmp_path):
+    """Drive ``crashexplore`` in-process, expect exit 0, and return the
+    JSONL report's records (the last one is the summary)."""
+    from repro.tools.crashexplore import main
+    out = tmp_path / "report.jsonl"
+    assert main([*argv, "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {record["type"] for record in records[:-1]} <= {"crashcheck"}
+    assert records[-1]["type"] == "crashcheck-summary"
+    assert records[-1]["ok"] is True
+    return records
 
 
 @pytest.fixture

@@ -1,58 +1,80 @@
-"""Tests for the cluster kill sweep: enumeration counts real ack
-boundaries, a capped sweep fires a failover at every explored boundary
-with zero ``no_lost_acked_write`` violations, and the harness's oracle
-actually catches a lost write when one is manufactured.  Plus the PR 9
-dimensions: the media-storm sweep (NAND faults instead of kills at ack
-boundaries, proactive promotions expected), the seeded chaos scheduler
-(randomized kills + storms + busy faults + a mid-rebalance kill, three
-invariants checked), and the CLI entry points for both."""
+"""Tests for the three cluster families: enumeration counts real ack
+boundaries, a capped kill sweep fires a failover at every explored
+boundary with zero ``no_lost_acked_write`` violations, and the harness's
+oracle actually catches a lost write when one is manufactured.  Plus the
+media-storm sweep (NAND faults instead of kills at ack boundaries,
+proactive promotions expected across the sweep), the seeded chaos
+scheduler (randomized kills + storms + busy faults + a mid-rebalance
+kill, three invariants checked), and the CLI entry points for both."""
 
-import json
+import functools
 
-from repro.crashcheck import (ClusterHarness, ClusterOccurrence,
-                              enumerate_acked_writes, explore_cluster,
-                              explore_cluster_media,
-                              explore_cluster_occurrence, run_chaos_seed)
-from repro.obs.sinks import MemorySink
+from conftest import check_capped_sweep, check_cli_sweep
+from repro.crashcheck import (CLUSTER_CHAOS, CLUSTER_KILL, CLUSTER_MEDIA,
+                              ClusterChaosHarness, ClusterHarness, Site,
+                              SiteResult, SweepReport, run_site, seed_sites)
+from repro.crashcheck.invariants import replica_convergence
 from repro.sim.faults import FaultPlan
-from repro.tools.crashexplore import main as crashexplore_main
 
 SWEEP_POINTS = 8
 CHAOS_TEST_STEPS = 80
 
 
+def run_chaos_seed(seed):
+    """One short schedule through the engine."""
+    factory = functools.partial(ClusterChaosHarness, steps=CHAOS_TEST_STEPS)
+    return run_site(CLUSTER_CHAOS, factory, seed_sites(seed)[-1])
+
+
 def test_enumeration_counts_acked_writes():
-    acked = enumerate_acked_writes()
-    assert acked > 50    # the 150-step mix is write-heavy
+    sites, counts = CLUSTER_KILL.enumerate(ClusterHarness, CLUSTER_KILL.modes)
+    assert counts["acked_writes"] > 50    # the 150-step mix is write-heavy
+    assert [site.nth for site in sites] == \
+        list(range(1, counts["acked_writes"] + 1))
     # Deterministic workload: a second enumeration agrees.
-    assert enumerate_acked_writes() == acked
+    assert CLUSTER_KILL.enumerate(ClusterHarness, CLUSTER_KILL.modes) \
+        == (sites, counts)
 
 
 def test_capped_sweep_is_clean():
-    sink = MemorySink()
-    report = explore_cluster(max_points=SWEEP_POINTS, sink=sink)
-    assert report.ok, report.failures
-    assert len(report.results) == SWEEP_POINTS
+    report, rows, summary = check_capped_sweep("cluster-kill",
+                                               "cluster-small", SWEEP_POINTS)
     assert all(result.fired for result in report.results)
-    assert all(result.failovers >= 1 for result in report.results)
-    rows = [r for r in sink.records if r["type"] == "clustercheck"]
-    assert len(rows) == SWEEP_POINTS
-    summary = sink.records[-1]
-    assert summary["type"] == "clustercheck-summary"
-    assert summary["violations"] == 0
-    assert summary["acked_writes"] == report.acked_writes
+    assert all(result.extras["failovers"] >= 1 for result in report.results)
+    assert all(row["victim"] is not None for row in rows)
+    assert summary["acked_writes"] == len(report.sites)
+    assert summary["failovers"] >= SWEEP_POINTS
 
 
 def test_single_occurrence_detail():
-    result = explore_cluster_occurrence(ClusterHarness,
-                                        ClusterOccurrence(nth=5))
+    result = run_site(CLUSTER_KILL, ClusterHarness,
+                      Site("cluster-kill", "kill", 5, "ack"))
     assert result.fired
-    assert result.victim is not None
+    assert result.extras["victim"] is not None
     assert result.ok, result.violations
     record = result.as_record("cluster-small")
-    assert record["type"] == "clustercheck"
+    assert record["type"] == "crashcheck"
+    assert record["family"] == "cluster-kill"
     assert record["nth"] == 5
     assert record["ok"] is True
+
+
+def test_a_kill_that_promotes_nobody_is_a_violation():
+    class NoFailover(ClusterHarness):
+        """The kill fires on the plan but the router never hears of it."""
+
+        def __init__(self, faults):
+            super().__init__(FaultPlan())
+            self.swept = faults
+
+        def run(self):
+            super().run()
+            self.swept.cluster.on_ack("shard0")
+
+    result = run_site(CLUSTER_KILL, NoFailover,
+                      Site("cluster-kill", "kill", 1, "ack"))
+    assert result.fired and result.extras["failovers"] == 0
+    assert any("no promotion was recorded" in v for v in result.violations)
 
 
 def test_oracle_catches_a_lost_write():
@@ -73,79 +95,96 @@ def test_oracle_catches_a_lost_write():
 
 
 def test_media_sweep_trips_proactive_promotions():
-    sink = MemorySink()
-    report = explore_cluster_media(max_points=6, sink=sink)
-    assert report.ok, report.failures
-    assert len(report.results) == 6
+    report, rows, summary = check_capped_sweep("cluster-media",
+                                               "cluster-media", 6)
     assert all(result.fired for result in report.results)
     # The whole point of the dimension: storms promote *proactively*,
     # without a single kill, at least somewhere in the sweep.
-    assert report.proactive_promotions >= 1
-    rows = [r for r in sink.records if r["type"] == "clustermedia"]
-    assert len(rows) == 6
-    summary = sink.records[-1]
-    assert summary["type"] == "clustermedia-summary"
-    assert summary["violations"] == 0
+    assert summary["proactive_promotions"] >= 1
+    assert summary["sweep_violations"] == []
+    # ... and a sweep where none did fails as a whole, site by site clean.
+    quiet = [SiteResult(res.site, True, False, None, (),
+                        dict(res.extras, proactive_promotions=0))
+             for res in report.results]
+    silent = SweepReport(CLUSTER_MEDIA, "cluster-media", "flat",
+                         report.modes, {}, report.sites, tuple(quiet))
+    assert silent.failures == []
+    assert not silent.ok
+    assert "proactive promotion" in silent.summary()["sweep_violations"][0]
+    assert silent.summary()["violations"] == 1
 
 
 # ------------------------------------------------------ chaos scheduler
 
 
 def test_chaos_seed_is_clean_and_deterministic():
-    first = run_chaos_seed(1, steps=CHAOS_TEST_STEPS)
+    first = run_chaos_seed(1)
     assert first.violations == (), first.violations
-    assert first.acked_writes > 0
-    assert first.ryw_checks > 0
-    second = run_chaos_seed(1, steps=CHAOS_TEST_STEPS)
+    assert first.extras["acked_writes"] > 0
+    assert first.extras["ryw_checks"] > 0
+    second = run_chaos_seed(1)
     # Same seed, same universe: every counter agrees.
     assert second == first
 
 
 def test_chaos_seeds_differ():
-    a = run_chaos_seed(1, steps=CHAOS_TEST_STEPS)
-    b = run_chaos_seed(2, steps=CHAOS_TEST_STEPS)
+    a = run_chaos_seed(1)
+    b = run_chaos_seed(2)
     assert a.violations == b.violations == ()
-    assert (a.kills, a.storms, a.busy_faults, a.acked_writes) \
-        != (b.kills, b.storms, b.busy_faults, b.acked_writes)
+    counters = ("kills", "storms", "busy_faults", "acked_writes")
+    assert [a.extras[key] for key in counters] \
+        != [b.extras[key] for key in counters]
 
 
 def test_chaos_record_shape():
-    result = run_chaos_seed(3, steps=CHAOS_TEST_STEPS)
+    result = run_chaos_seed(3)
     record = result.as_record("cluster-chaos")
-    assert record["type"] == "clusterchaos"
+    assert record["type"] == "crashcheck"
+    assert record["family"] == "cluster-chaos"
     assert record["seed"] == 3
+    assert record["steps"] == CHAOS_TEST_STEPS
     assert record["ok"] is True
+
+
+def test_chaos_reports_a_diverged_replica():
+    """The convergence check itself: a replica whose copy differs from
+    the primary's must be named once the schedule quiesces."""
+    harness = ClusterChaosHarness(1, steps=CHAOS_TEST_STEPS)
+    harness.run()
+    assert harness.violations == []
+    group = next(g for g in harness.router.pairs.values()
+                 if g.directory and g.live_replicas())
+    key, lpn = sorted(group.directory.items(), key=repr)[0]
+    group.live_replicas()[0].ssd.write(lpn, "diverged")
+    violations = replica_convergence(harness.router)
+    assert any("replica_convergence" in v and repr(key) in v
+               for v in violations)
 
 
 # ----------------------------------------------------------------- CLI
 
 
 def test_cli_cluster_media_smoke(tmp_path, capsys):
-    out = tmp_path / "media.jsonl"
-    rc = crashexplore_main(["--cluster-media", "--max-points", "6",
-                            "--out", str(out), "--quiet"])
-    assert rc == 0
-    captured = capsys.readouterr().out
-    assert "proactive" in captured
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
-    assert rows[-1]["type"] == "clustermedia-summary"
-    assert rows[-1]["ok"] is True
+    records = check_cli_sweep(["--family", "cluster-media",
+                               "--max-points", "6", "--quiet"], tmp_path)
+    assert "proactive promotions" in capsys.readouterr().out
+    assert records[-1]["proactive_promotions"] >= 1
 
 
-def test_cli_cluster_chaos_smoke(tmp_path, capsys):
-    out = tmp_path / "chaos.jsonl"
-    rc = crashexplore_main(["--cluster-chaos", "--seeds", "1",
-                            "--out", str(out), "--quiet"])
-    assert rc == 0
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
-    summary = rows[-1]
-    assert summary["type"] == "clusterchaos-summary"
-    assert summary["ok"] is True
-    assert summary["seeds"] == 1
+def test_cli_cluster_chaos_smoke(tmp_path):
+    records = check_cli_sweep(["--family", "cluster-chaos", "--seeds", "1",
+                               "--quiet"], tmp_path)
+    summary = records[-1]
+    assert summary["sites"] == summary["explored"] == 1
+    assert records[0]["seed"] == 1
     assert summary["violations"] == 0
 
 
 def test_cli_rejects_combined_cluster_dimensions(tmp_path):
-    rc = crashexplore_main(["--cluster-media", "--cluster-chaos",
+    # One family per run, and each cluster family sweeps only its own
+    # harness: asking one for another's is a usage error.
+    from repro.tools.crashexplore import main as crashexplore_main
+    rc = crashexplore_main(["--family", "cluster-media",
+                            "--workload", "cluster-chaos",
                             "--out", str(tmp_path / "x.jsonl")])
     assert rc == 2

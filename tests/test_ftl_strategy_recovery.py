@@ -4,17 +4,15 @@ Every backing must rebuild the *same* logical mapping from the same
 media: after a power cut at any delta-log fault point of the ftl-basic
 harness, recovering the NAND under each strategy's config must agree —
 entry for entry — with a recovery under the flat default.  The sweep
-reuses the crash explorer's deterministic enumerate-then-inject
-machinery, so the sampled power-cut sites land exactly where the map
-log commits and checkpoints.
+reuses the power family's deterministic enumeration, so the sampled
+power-cut sites land exactly where the map log commits and checkpoints.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.crashcheck.explorer import (Occurrence, enumerate_occurrences,
-                                       sample_evenly)
+from repro.crashcheck import POWER, Site, sample_evenly
 from repro.crashcheck.workloads import FtlBasicHarness
 from repro.errors import PowerFailure
 from repro.ftl.mapping import STRATEGY_NAMES
@@ -30,12 +28,13 @@ def _maplog_occurrences():
     """The delta-log fault sites of one deterministic ftl-basic run:
     every checkpoint rotation point plus an even sample of the
     per-batch commit points."""
-    occurrences = enumerate_occurrences(FtlBasicHarness)
-    maplog = [occ for occ in occurrences if occ.point.startswith("maplog.")]
+    occurrences, __ = POWER.enumerate(FtlBasicHarness, POWER.modes)
+    maplog = [occ for occ in occurrences
+              if occ.power_point.startswith("maplog.")]
     assert maplog, "ftl-basic reached no maplog fault points"
     rotations = [occ for occ in maplog
-                 if occ.point in ("maplog.checkpoint_start",
-                                  "maplog.checkpoint_end")]
+                 if occ.power_point in ("maplog.checkpoint_start",
+                                        "maplog.checkpoint_end")]
     commits = [occ for occ in maplog if occ not in rotations]
     sampled = rotations + sample_evenly(
         commits, max(1, SAMPLE_BUDGET - len(rotations)))
@@ -46,12 +45,12 @@ def _maplog_occurrences():
 _SITES = _maplog_occurrences()
 
 
-def _crash_at(site: Occurrence) -> FtlBasicHarness:
+def _crash_at(site: Site) -> FtlBasicHarness:
     """Run ftl-basic (under whatever ``REPRO_L2P`` resolves to) until the
     injected power cut."""
     faults = FaultPlan()
     harness = FtlBasicHarness(faults)
-    faults.arm(PowerFailAfter(site.point, site.nth))
+    faults.arm(PowerFailAfter(site.power_point, site.power_nth))
     with pytest.raises(PowerFailure):
         harness.run()
     faults.disarm()
@@ -61,7 +60,8 @@ def _crash_at(site: Occurrence) -> FtlBasicHarness:
 @pytest.mark.parametrize("strategy",
                          [s for s in STRATEGY_NAMES if s != "flat"])
 @pytest.mark.parametrize("site", _SITES,
-                         ids=[f"{occ.point}#{occ.nth}" for occ in _SITES])
+                         ids=[f"{occ.power_point}#{occ.power_nth}"
+                              for occ in _SITES])
 def test_recovery_parity_with_flat(strategy, site):
     # The workload itself runs under the flat default (the op sequence,
     # and therefore the persisted media, is identical either way — the

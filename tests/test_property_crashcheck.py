@@ -1,4 +1,4 @@
-"""Satellite property test: the explorer over the mixed workload.
+"""Satellite property test: the power family over the mixed workload.
 
 ``linkbench-small`` runs InnoDB (SHARE flush mode) and a couchstore on
 SHARE-capable devices sized so tight that garbage collection runs *during*
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crashcheck.explorer import enumerate_occurrences, explore_occurrence
+from repro.crashcheck import POWER, run_site
 from repro.crashcheck.workloads import WORKLOADS
 from repro.sim.faults import FaultPlan
 
@@ -27,14 +27,14 @@ _CACHE = {}
 def occurrences():
     """Enumerate once per test session (the run is deterministic)."""
     if "occ" not in _CACHE:
-        _CACHE["occ"] = enumerate_occurrences(FACTORY)
+        _CACHE["occ"] = POWER.enumerate(FACTORY, POWER.modes)[0]
     return _CACHE["occ"]
 
 
 def test_enumeration_reaches_all_layers():
     occ = occurrences()
     assert len(occ) >= 100, f"only {len(occ)} fault-point occurrences"
-    points = {o.point for o in occ}
+    points = {o.power_point for o in occ}
     # Couchstore commit AND compaction fault points must be reachable.
     assert "couch.commit_begin" in points
     assert "couch.before_header" in points
@@ -61,11 +61,10 @@ def test_stratified_sweep_zero_violations():
     # phase of the run (txns, commits, compaction, checkpoints).
     sample = list(occ[::23]) + [occ[-1]]
     for site in sample:
-        result = explore_occurrence(FACTORY, site)
+        result = run_site(POWER, FACTORY, site)
         assert result.crashed, f"armed fault at {site} never fired"
         assert result.ok, (
-            f"invariant violations at {site.point} #{site.nth}: "
-            f"{result.violations}")
+            f"invariant violations at {site}: {result.violations}")
 
 
 @settings(max_examples=15, deadline=None,
@@ -74,8 +73,7 @@ def test_stratified_sweep_zero_violations():
 def test_random_sites_hold_invariants(data):
     occ = occurrences()
     index = data.draw(st.integers(0, len(occ) - 1), label="occurrence index")
-    result = explore_occurrence(FACTORY, occ[index])
+    result = run_site(POWER, FACTORY, occ[index])
     assert result.crashed
     assert result.ok, (
-        f"invariant violations at {result.point} #{result.nth}: "
-        f"{result.violations}")
+        f"invariant violations at {result.site}: {result.violations}")
