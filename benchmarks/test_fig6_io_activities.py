@@ -57,17 +57,34 @@ def test_fig6_reduction_cascade(benchmark, scale):
     assert mean(cb_red) > mean(gc_red) * 0.9
 
 
-def test_fig6_telemetry_artifact(benchmark, scale):
+def test_fig6_telemetry_artifact(benchmark, scale, tmp_path):
     """End-to-end telemetry: an instrumented LinkBench run writes a JSONL
     artifact under results/ from which the report CLI reproduces the
-    Figure-6 activity breakdown with per-span GC attribution."""
+    Figure-6 activity breakdown with per-span GC attribution, and the
+    Chrome-trace sample ``results/trace.json`` (committed at tiny scale)."""
+    import json
+
+    from repro.obs import validate_chrome_trace
     from repro.tools import report
 
-    out = Path(__file__).resolve().parent.parent / "results" \
-        / "fig6_telemetry.jsonl"
+    results = Path(__file__).resolve().parent.parent / "results"
+    out = results / "fig6_telemetry.jsonl"
+    trace_out = results / "trace.json"
     cell = run_once(benchmark, lambda: linkbench_telemetry(
-        scale, jsonl_path=str(out)))
+        scale, jsonl_path=str(out), trace_path=str(trace_out)))
     assert out.exists()
+
+    # The timeline is schema-valid and has all three kinds of lane.
+    trace = validate_chrome_trace(json.loads(trace_out.read_text()))
+    lanes = {event.get("cat") for event in trace["traceEvents"]}
+    assert {"span", "command", "channel"} <= lanes
+    # Everything in it is on the virtual clock: a rerun reproduces the
+    # file byte for byte.
+    again = tmp_path / "trace.json"
+    linkbench_telemetry(scale, jsonl_path=str(tmp_path / "again.jsonl"),
+                        trace_path=str(again))
+    assert again.read_bytes() == trace_out.read_bytes()
+
     records = report.load(str(out))
     spans = [r for r in records if r.get("type") == "span"]
     snapshots = [r for r in records if r.get("type") == "metrics"]

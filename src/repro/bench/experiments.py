@@ -56,6 +56,11 @@ def _estimate_db_pages(nodes: int, leaf_capacity: int) -> int:
 #: The paper ran 16 concurrent LinkBench client threads.
 LINKBENCH_CLIENTS = 16
 
+#: Bounds on the exported Chrome trace (a committable, loadable sample):
+#: device ring entries kept, and finished spans taken from the run's tail.
+TRACE_CAPACITY = 1024
+TRACE_SPAN_LIMIT = 2048
+
 
 def run_linkbench_cell(mode: FlushMode, page_size: int,
                        paper_buffer_mib: int, params: ScaleParams,
@@ -69,19 +74,25 @@ def run_linkbench_cell(mode: FlushMode, page_size: int,
 
     With ``telemetry`` the whole stack is instrumented: spans and metric
     snapshots go to the telemetry's sink, warm-up is excluded via
-    pause/resume, and the measured run's per-operation latencies land in
-    ``linkbench.op.<op>.latency_ms`` histograms.
+    pause/resume, the measured run's per-operation latencies land in
+    ``linkbench.op.<op>.latency_ms`` histograms, and the last
+    ``TRACE_CAPACITY`` commands and channel-busy intervals of each device
+    come back as ``cell["device_traces"]`` — the ``devices`` argument of
+    :func:`repro.obs.chrome_trace`.
 
     ``force_fallback`` latches the SHARE circuit breaker open before the
     run, so every flush is served by the classic two-phase fallback —
     the degraded-mode cost the resilience benchmarks measure."""
+    trace_capacity = TRACE_CAPACITY if telemetry is not None else 0
     leaf_capacity = max(8, 32 * (page_size // 4096))
     db_pages = _estimate_db_pages(params.linkbench_nodes, leaf_capacity)
     buffer_pages = buffer_pages_for(paper_buffer_mib, db_pages, page_size)
     stack = build_innodb_stack(mode, page_size, buffer_pages, db_pages,
                                telemetry=telemetry,
                                queue_depth=queue_depth,
-                               channel_count=channel_count)
+                               channel_count=channel_count,
+                               trace_capacity=trace_capacity,
+                               interval_capacity=trace_capacity)
     if force_fallback:
         stack.engine.dwb.resilience.breaker.force_open()
     tel = stack.data_ssd.telemetry
@@ -127,6 +138,9 @@ def run_linkbench_cell(mode: FlushMode, page_size: int,
     }
     if collect_latencies:
         cell["latency_table"] = result.latencies.table()
+    if telemetry is not None:
+        cell["device_traces"] = [(ssd.name, ssd.trace, ssd.intervals)
+                                 for ssd in (stack.data_ssd, stack.log_ssd)]
     return cell
 
 
@@ -135,15 +149,20 @@ def linkbench_telemetry(scale: Scale = Scale.QUICK,
                         jsonl_path: str = "results/linkbench_telemetry.jsonl",
                         snapshot_interval_us: int = 1_000_000,
                         queue_depth: int = 1,
-                        channel_count: Optional[int] = None) -> Dict:
+                        channel_count: Optional[int] = None,
+                        trace_path: Optional[str] = None) -> Dict:
     """One fully instrumented LinkBench cell: runs (mode, 4 KiB, 50 MB)
     with a JSONL sink and returns the cell dict plus the artifact path.
 
     Render the artifact with ``python -m repro.tools.report <path>``.
+    ``trace_path`` also exports the run's tail as a Chrome trace (host
+    spans, device commands, channel lanes) — what produces the committed
+    ``results/trace.json``.
     """
     import os
 
-    from repro.obs import JsonlSink, Telemetry
+    from repro.obs import (JsonlSink, Telemetry, chrome_trace,
+                           export_chrome_trace, read_jsonl)
 
     directory = os.path.dirname(jsonl_path)
     if directory:
@@ -159,6 +178,14 @@ def linkbench_telemetry(scale: Scale = Scale.QUICK,
     finally:
         telemetry.close()
     cell["jsonl_path"] = jsonl_path
+    devices = cell.pop("device_traces")
+    if trace_path is not None:
+        # Tail of the span stream only: spans close children-first, so a
+        # suffix never contains a child whose parent record is missing.
+        spans = [r for r in read_jsonl(jsonl_path) if r["type"] == "span"]
+        export_chrome_trace(trace_path, chrome_trace(
+            span_records=spans[-TRACE_SPAN_LIMIT:], devices=devices))
+        cell["trace_path"] = trace_path
     return cell
 
 

@@ -131,7 +131,6 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
                        share_table_entries: int = 250,
                        age_device: bool = True,
                        trace_capacity: int = 0,
-                       trace_keep: str = "oldest",
                        telemetry=None,
                        queue_depth: int = 1,
                        channel_count: Optional[int] = None,
@@ -155,14 +154,12 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
     higher depths each device gets its own queue and commands from
     different clients pipeline.
 
-    ``interval_capacity`` enables per-channel busy-interval capture on
-    the data device (for the Chrome-trace exporter).  When the telemetry
-    carries a :class:`~repro.obs.profiling.PhaseProfiler` the shared
-    event scheduler charges its dispatch loop to it too.
+    ``trace_capacity`` / ``interval_capacity`` bound the data device's
+    command trace and per-channel busy-interval capture (both rings keep
+    the newest entries: the Chrome-trace exporter wants the run's tail).
     """
     clock = SimClock()
-    events = EventScheduler(
-        clock, profiler=getattr(telemetry, "profiler", None))
+    events = EventScheduler(clock)
     shared_ncq = NativeCommandQueue(1) if queue_depth == 1 else None
     geometry = innodb_device_geometry(page_size, db_pages_estimate)
     if channel_count is not None:
@@ -173,7 +170,7 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
         ftl=FtlConfig(share_table_entries=share_table_entries,
                       map_block_count=_map_blocks_for(geometry.block_count),
                       l2p_strategy=_l2p(l2p_strategy)),
-        trace_capacity=trace_capacity, trace_keep=trace_keep,
+        trace_capacity=trace_capacity, trace_keep="newest",
         queue_depth=queue_depth, plane_ways=plane_ways,
         interval_capacity=interval_capacity),
         telemetry=telemetry, name="data", events=events, ncq=shared_ncq)
@@ -248,8 +245,6 @@ def build_couch_stack(mode: CommitMode, record_count: int,
                       queue_depth: int = 1,
                       channel_count: Optional[int] = None,
                       plane_ways: int = 1,
-                      trace_capacity: int = 0,
-                      interval_capacity: int = 0,
                       l2p_strategy: Optional[str] = None) -> CouchStack:
     """Assemble the device + filesystem + couchstore for one cell.
 
@@ -274,9 +269,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
         ftl=FtlConfig(share_table_entries=share_table_entries,
                       map_block_count=_map_blocks_for(geometry.block_count),
                       l2p_strategy=_l2p(l2p_strategy)),
-        queue_depth=queue_depth, plane_ways=plane_ways,
-        trace_capacity=trace_capacity,
-        interval_capacity=interval_capacity),
+        queue_depth=queue_depth, plane_ways=plane_ways),
         telemetry=telemetry, name="data")
     if age_device:
         ssd.age(fill_fraction=0.5, rewrite_fraction=0.3)
@@ -364,8 +357,7 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
     if replicas < 0:
         raise ValueError(f"replicas must be >= 0: {replicas}")
     clock = SimClock()
-    events = EventScheduler(
-        clock, profiler=getattr(telemetry, "profiler", None))
+    events = EventScheduler(clock)
     # Hash imbalance headroom (~1.5x the even split) and overwrite
     # churn headroom so GC is active but the shard never fills.
     per_shard_keys = max(256, (keys_estimate * 3) // (2 * shards))

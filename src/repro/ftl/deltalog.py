@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from time import perf_counter_ns
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -55,7 +54,7 @@ from repro.errors import (
 )
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
-from repro.obs import NULL_REGISTRY, NULL_TELEMETRY, hot_timer
+from repro.obs import NULL_REGISTRY, NULL_TELEMETRY
 from repro.sim.faults import NO_FAULTS, FaultPlan
 
 #: Spare-area tag marking a mapping page (vs a data page).
@@ -173,8 +172,6 @@ class MapLog:
         # Registry live?  False with telemetry off: the per-commit
         # metric updates are then skipped, not sent to null instruments.
         self._obs = metrics is not NULL_REGISTRY
-        self._pt_apply = hot_timer(getattr(self.telemetry, "profiler", None),
-                                   "ftl.deltalog")
 
     # --------------------------------------------------------------- setup
 
@@ -255,8 +252,6 @@ class MapLog:
         faults = self._faults
         if not faults.passive:
             faults.checkpoint("maplog.before_commit")
-        pt_apply = self._pt_apply
-        t0 = perf_counter_ns() if pt_apply is not None else 0
         payload = _seal(tuple(records))
         for attempt in range(_PROGRAM_ATTEMPTS):
             ppn = self._next_map_ppn()
@@ -272,8 +267,6 @@ class MapLog:
         if self._obs:
             self._m_page_writes.inc()
             self._m_records.record(len(records))
-        if pt_apply is not None:
-            pt_apply.add(perf_counter_ns() - t0)
         if not faults.passive:
             faults.checkpoint("maplog.after_commit")
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count as count_from
-from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -72,7 +71,7 @@ from repro.ftl.share_ext import (
     observe_batch,
     validate_batch,
 )
-from repro.obs import NULL_REGISTRY, NULL_TELEMETRY, hot_timer
+from repro.obs import NULL_REGISTRY, NULL_TELEMETRY
 from repro.sim.faults import NO_FAULTS, FaultPlan
 
 
@@ -157,7 +156,7 @@ class PageMappingFtl:
         metrics = self.telemetry.metrics
         # Registry live?  False with telemetry off: the GC/allocation
         # paths then skip their metric updates instead of calling the
-        # null instruments (same idea as the ``hot_timer`` handles).
+        # null instruments.
         self._obs = metrics is not NULL_REGISTRY
         self._m_gc_events = metrics.counter("ftl.gc.events")
         self._m_copybacks = metrics.counter("ftl.gc.copyback_pages")
@@ -179,14 +178,8 @@ class PageMappingFtl:
         self._m_l2p_footprint = metrics.gauge("ftl.l2p.footprint_bytes")
         self._m_l2p_runs = metrics.gauge("ftl.l2p.runs")
         self._m_l2p_splits = metrics.gauge("ftl.l2p.remap_splits")
-        # Sampled-mode gate and wall-clock phase timers (None unless a
-        # profiler is attached — one load + branch on the hot path).
+        # Sampled-mode gate (None when telemetry has no sampler).
         self._sampler = getattr(self.telemetry, "sampler", None)
-        profiler = getattr(self.telemetry, "profiler", None)
-        self._pt_l2p = hot_timer(profiler, "ftl.l2p")
-        self._pt_gc = (profiler.timer("ftl.gc")
-                       if profiler is not None
-                       and getattr(profiler, "enabled", False) else None)
         # Block state, owned here (repro.ftl.blocks): the hot path never
         # asks the media or the geometry what the firmware itself just
         # decided.  The write-pointer and valid-count lists are indexed
@@ -334,13 +327,7 @@ class PageMappingFtl:
         # flat backing (the fast lane — one None-compare of indirection),
         # ask the strategy on the compact backings.
         table = self._fwd_table
-        pt_l2p = self._pt_l2p
-        if pt_l2p is not None:
-            t0 = perf_counter_ns()
-            ppn = table[lpn] if table is not None else self.fwd.get(lpn)
-            pt_l2p.add(perf_counter_ns() - t0)
-        else:
-            ppn = table[lpn] if table is not None else self.fwd.get(lpn)
+        ppn = table[lpn] if table is not None else self.fwd.get(lpn)
         if ppn == UNMAPPED:
             raise UnmappedPageError(f"LPN {lpn} is unmapped")
         self.stats.host_page_reads += 1
@@ -369,8 +356,6 @@ class PageMappingFtl:
         self._note_work("host_program", ppn)
         if fuses is not None:
             fuses.checkpoint("ftl.after_program")
-        pt_l2p = self._pt_l2p
-        t0 = perf_counter_ns() if pt_l2p is not None else 0
         old = self.fwd.update(lpn, ppn)
         self.rev.set_primary(ppn, lpn)
         self._valid_count[ppn // self._pages_per_block] += 1
@@ -380,8 +365,6 @@ class PageMappingFtl:
             del self._share_backed[lpn]
         if lpn in self._trim_tombstones:
             del self._trim_tombstones[lpn]
-        if pt_l2p is not None:
-            pt_l2p.add(perf_counter_ns() - t0)
         self.stats.host_page_writes += 1
 
     def _drop_ref(self, ppn: int, lpn: int) -> None:
@@ -979,22 +962,14 @@ class PageMappingFtl:
         pool.  With the tracer on the whole pass runs inside an
         ``ftl.gc`` span, so the copyback/erase work is attributed to
         whichever host command (and engine operation above it) triggered
-        the collection; with a profiler attached it is also charged to
-        the ``ftl.gc`` wall-clock phase (re-entrant: a reclaim cascading
-        into another reclaim is timed once).  With neither, the pass is
-        a plain call."""
-        pt_gc = self._pt_gc
+        the collection; with it off the pass is a plain call."""
         tracer = self.telemetry.tracer
-        if pt_gc is None and not tracer.enabled:
+        if not tracer.enabled:
             self._do_reclaim_block(block, is_gc_event, None)
             return
         with tracer.span("ftl.gc", block=block,
                          wear_leveling=not is_gc_event) as span:
-            if pt_gc is None:
-                self._do_reclaim_block(block, is_gc_event, span)
-            else:
-                with pt_gc:
-                    self._do_reclaim_block(block, is_gc_event, span)
+            self._do_reclaim_block(block, is_gc_event, span)
 
     def _do_reclaim_block(self, block: int, is_gc_event: bool,
                           span: Any) -> None:

@@ -14,24 +14,18 @@ Three pieces, one facade:
 Enable telemetry by building a :class:`Telemetry` and passing it to the
 stack builders (or directly to :class:`repro.ssd.device.Ssd` and the
 engines).  Components default to :data:`NULL_TELEMETRY`, whose
-instruments and spans are shared no-ops, so the instrumentation is free
-when disabled.  Render an artifact with ``python -m repro.tools.report``.
-See ``docs/observability.md`` for the metric catalog, span hierarchy,
-and JSONL schema.
+instruments and spans are shared no-ops, and the device hot path skips
+them outright; what each ``REPRO_OBS`` tier costs per device command is
+an exact call count held by ``tests/test_hot_path_budget.py``.  Render
+an artifact with ``python -m repro.tools.report``, or a timeline with
+:func:`chrome_trace`.  See ``docs/observability.md`` for the metric
+catalog, span hierarchy, and JSONL schema.
 """
 
 from repro.obs.chrometrace import (
     chrome_trace,
     export_chrome_trace,
     validate_chrome_trace,
-)
-from repro.obs.profiling import (
-    NULL_PROFILER,
-    NullProfiler,
-    PhaseProfiler,
-    PhaseTimer,
-    hot_timer,
-    run_with_cprofile,
 )
 from repro.obs.registry import (
     DEFAULT_MAX_SAMPLES,
@@ -74,19 +68,15 @@ __all__ = [
     "MetricsRegistry",
     "MetricsScope",
     "NEVER_SAMPLER",
-    "NULL_PROFILER",
     "NULL_REGISTRY",
     "NULL_SINK",
     "NULL_SPAN",
     "NULL_TELEMETRY",
     "NULL_TRACER",
-    "NullProfiler",
     "NullRegistry",
     "NullSink",
     "NullTracer",
     "OBS_MODES",
-    "PhaseProfiler",
-    "PhaseTimer",
     "Sampler",
     "Span",
     "TeeSink",
@@ -94,10 +84,8 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "export_chrome_trace",
-    "hot_timer",
     "obs_mode",
     "obs_sample_every",
     "read_jsonl",
-    "run_with_cprofile",
     "validate_chrome_trace",
 ]

@@ -19,7 +19,8 @@ format reference is the "Trace Event Format" document; only ``"X"``
 (complete) and ``"M"`` (metadata) events are emitted, the safest common
 subset.
 
-Typical use (what ``repro.tools.benchspeed`` does)::
+Typical use (``repro.bench.experiments.linkbench_telemetry`` does this
+from its JSONL artifact to produce ``results/trace.json``)::
 
     sink = MemorySink()
     telemetry = Telemetry(sink=sink)

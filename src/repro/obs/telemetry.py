@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
-from repro.obs.profiling import NULL_PROFILER
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sinks import NULL_SINK, NullSink
 from repro.obs.tracing import NULL_TRACER, Tracer
@@ -127,18 +126,12 @@ class Telemetry:
     * ``"off"`` — the registry is swapped for the shared null registry
       and the tracer is disabled, so even components that don't guard
       their metric handles record nothing; :meth:`resume` stays off.
-
-    ``profiler`` optionally attaches a
-    :class:`~repro.obs.profiling.PhaseProfiler`; instrumented layers
-    resolve wall-clock timers from ``telemetry.profiler`` at
-    construction time.
     """
 
     def __init__(self, sink: Optional[Any] = None,
                  snapshot_interval_us: int = 0,
                  mode: Optional[str] = None,
-                 sample_every: Optional[int] = None,
-                 profiler: Optional[Any] = None) -> None:
+                 sample_every: Optional[int] = None) -> None:
         if snapshot_interval_us < 0:
             raise ValueError(
                 f"snapshot interval must be >= 0: {snapshot_interval_us}")
@@ -148,7 +141,6 @@ class Telemetry:
             raise ValueError(f"mode must be one of {OBS_MODES}, got {mode!r}")
         self.mode = mode
         self.sink = sink if sink is not None else NullSink()
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         if mode == "sampled":
             if sample_every is None:
                 sample_every = obs_sample_every()
@@ -243,7 +235,6 @@ class _NullTelemetry:
     sink = NULL_SINK
     sampler = NEVER_SAMPLER
     sample_every = 0
-    profiler = NULL_PROFILER
     snapshot_interval_us = 0
 
     def bind_clock(self, clock: SimClock) -> None:

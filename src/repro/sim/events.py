@@ -21,9 +21,8 @@ Cancellation is lazy (tombstone flag, skipped on pop), so
 ``power_cycle`` can drop a device's in-flight completions in O(1) per
 event.
 
-Hot-path design (the ``sim.dispatch`` phase of the profiler): fired and
-cancelled-popped :class:`Event` objects are recycled through a bounded
-freelist, and :meth:`run_until` — the device's per-command drain loop —
+Hot-path design: fired and cancelled-popped :class:`Event` objects are
+recycled through a bounded freelist, and :meth:`run_until` — the device's per-command drain loop —
 pops, fires and recycles inline instead of paying a :meth:`step` call
 per event.  The recycling contract: an ``Event`` reference returned by
 :meth:`at`/:meth:`after` is valid until the event fires or is
@@ -35,8 +34,7 @@ Every in-repo holder (the device's single drain event) does.
 from __future__ import annotations
 
 import heapq
-from time import perf_counter_ns
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.sim.clock import SimClock
 
@@ -81,24 +79,15 @@ class EventScheduler:
     benchmark stacks register the data and log SSD on one scheduler), so
     completions across devices fire in global completion order — the
     property the fault journal's ack boundary relies on.
-
-    ``profiler`` is duck-typed (anything with ``enabled`` and
-    ``timer(name)``, i.e. a :class:`repro.obs.profiling.PhaseProfiler`)
-    rather than imported, keeping :mod:`repro.sim` free of an obs
-    dependency.  When enabled, every fired callback is charged to the
-    ``sim.dispatch`` wall-clock phase.
     """
 
-    def __init__(self, clock: SimClock, profiler: Optional[Any] = None) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self.clock = clock
         self._heap: List[Event] = []
         self._free: List[Event] = []
         self._seq = 0
         self._cancelled = 0
         self.fired = 0
-        self._pt_dispatch = (profiler.timer("sim.dispatch")
-                             if profiler is not None
-                             and getattr(profiler, "enabled", False) else None)
 
     # ------------------------------------------------------------ schedule
 
@@ -192,13 +181,7 @@ class EventScheduler:
         self.clock.advance_to(event.time_us)
         self.fired += 1
         fn, event.fn = event.fn, None
-        pt = self._pt_dispatch
-        if pt is not None:
-            t0 = perf_counter_ns()
-            fn()
-            pt.add(perf_counter_ns() - t0)
-        else:
-            fn()
+        fn()
         return event
 
     def run_until(self, time_us: int) -> int:
@@ -224,7 +207,6 @@ class EventScheduler:
         heappop = heapq.heappop
         advance_to = self.clock.advance_to
         free = self._free
-        pt = self._pt_dispatch
         while heap:
             event = heap[0]
             if event.cancelled:
@@ -244,12 +226,7 @@ class EventScheduler:
             event.fn = None
             if len(free) < _FREELIST_MAX:
                 free.append(event)
-            if pt is not None:
-                t0 = perf_counter_ns()
-                fn()
-                pt.add(perf_counter_ns() - t0)
-            else:
-                fn()
+            fn()
         return fired
 
     def run_until_idle(self, stall_limit: int = DEFAULT_STALL_LIMIT) -> int:

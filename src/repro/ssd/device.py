@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DeviceError, ShareError
@@ -41,7 +40,7 @@ from repro.flash.timing import MLC_TIMING, ChannelSet, FlashTiming
 from repro.ftl.config import FtlConfig
 from repro.ftl.pagemap import PageMappingFtl
 from repro.ftl.share_ext import SharePair, expand_range
-from repro.obs import NULL_TELEMETRY, hot_timer
+from repro.obs import NULL_TELEMETRY
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
 from repro.sim.faults import NO_FAULTS, FaultPlan
@@ -110,8 +109,8 @@ class Ssd:
         self.cache = DramReadCache(self.config.dram_cache_pages)
         # Event-driven execution core.  Devices of one stack (data + log
         # SSD) share a scheduler so completions fire in global order.
-        self.events = events if events is not None else EventScheduler(
-            clock, profiler=getattr(self.telemetry, "profiler", None))
+        self.events = events if events is not None \
+            else EventScheduler(clock)
         self.channels = ChannelSet(self.config.geometry.channel_count,
                                    ways=self.config.plane_ways)
         # A stack may pass one shared NCQ to several devices: at depth 1
@@ -188,12 +187,6 @@ class Ssd:
         # Sampled-mode gate for per-completion histogram/gauge recording
         # (always-hit in full mode, never-hit when telemetry is off).
         self._sampler = getattr(self.telemetry, "sampler", None)
-        # Wall-clock phase timers (None when no profiler is attached, so
-        # the hot path pays one load + branch).
-        profiler = getattr(self.telemetry, "profiler", None)
-        self._pt_issue = hot_timer(profiler, "ncq.admit")
-        self._pt_complete = hot_timer(profiler, "device.complete")
-        self._pt_emit = hot_timer(profiler, "obs.emit")
 
     # ---------------------------------------------------------- properties
 
@@ -596,8 +589,6 @@ class Ssd:
         before mutating the FTL.  ``whole_us`` is the caller's
         precomputed ``int(round(base + overhead))``; it stands unless
         the command turns out to carry priced internal work."""
-        pt_issue = self._pt_issue
-        t0 = perf_counter_ns() if pt_issue is not None else 0
         stats = self.stats
         work = self.ftl.take_work()
         gc_events = 0
@@ -676,8 +667,6 @@ class Ssd:
                 if end > completion:
                     completion = end
         self.ncq.commit(completion)
-        if pt_issue is not None:
-            pt_issue.add(perf_counter_ns() - t0)
 
         ticket = CommandTicket(
             kind, lpn, count, latency, service_us, arrival, completion,
@@ -749,12 +738,8 @@ class Ssd:
         exact, but histogram/gauge recording (and the per-channel
         utilisation sweep) pass the 1-in-N sampler gate, which is where
         sampled mode saves its per-op wall-clock time."""
-        pt_complete = self._pt_complete
-        t0 = perf_counter_ns() if pt_complete is not None else 0
         now = self.clock.now_us
         telemetry = self.telemetry
-        pt_emit = self._pt_emit
-        t1 = perf_counter_ns() if pt_emit is not None else 0
         if telemetry.enabled:
             self._m_commands[ticket.kind].inc()
             self._m_pages[ticket.kind].inc(ticket.count)
@@ -774,10 +759,6 @@ class Ssd:
                 now, ticket.kind, ticket.lpn, ticket.count,
                 ticket.latency_us, ticket.gc_events, ticket.copyback_pages,
                 ticket.arrival_us, ticket.wait_us)
-        if pt_emit is not None:
-            pt_emit.add(perf_counter_ns() - t1)
-        if pt_complete is not None:
-            pt_complete.add(perf_counter_ns() - t0)
         if ticket.gate_kind is not None and self.faults.commands.active:
             try:
                 self._gate(ticket.gate_kind, ticket.gate_lpns, "complete")

@@ -26,8 +26,7 @@ Two retention modes handle long soak runs:
 Storage is a flat list of field tuples, written by the allocation-free
 :meth:`IoTrace.record_fields` hot path; :class:`TraceEvent` objects are
 materialised lazily on read.  That keeps per-command trace cost at one
-tuple pack + one list store, which is what lets the device afford a
-live trace under the benchspeed wall-clock gate.
+tuple pack + one list store.
 
 :class:`IntervalTrace` is the channel-side companion: bounded capture of
 ``(channel, busy_start_us, busy_end_us)`` intervals, feeding the

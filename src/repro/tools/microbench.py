@@ -40,8 +40,8 @@ class MicrobenchResult:
 
     ``elapsed_seconds``/``iops`` are *virtual* (modeled device time);
     ``wall_seconds``/``sim_ops_per_s`` measure the simulator itself —
-    the wall-clock cost of producing those virtual seconds, which is
-    what the ``BENCH_*.json`` regression gate tracks.
+    the wall-clock cost of producing those virtual seconds (a quick
+    local reading; ``perfbench`` is the measuring stick).
     """
 
     pattern: str
@@ -62,8 +62,7 @@ class MicrobenchResult:
         return self.operations / self.wall_seconds
 
     def to_bench_record(self) -> Dict[str, Any]:
-        """The ``BENCH_*.json`` micro-entry schema (see
-        ``repro.tools.benchspeed``)."""
+        """The ``--json`` record of one run."""
         return {
             "name": f"micro.{self.pattern}",
             "operations": self.operations,
@@ -157,8 +156,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--blocks", type=int, default=256)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the results as BENCH-schema JSON "
-                             "records (one list under 'micro')")
+                        help="also write the results as JSON records "
+                             "(one list under 'micro')")
     args = parser.parse_args(argv)
     patterns = PATTERNS if args.pattern == "all" else (args.pattern,)
     results = []

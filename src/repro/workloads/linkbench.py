@@ -139,15 +139,9 @@ class LinkBenchDriver:
 
     # ----------------------------------------------------------------- run
 
-    def run(self, transactions: int, concurrency: int = 1,
-            sampler=None) -> LinkBenchResult:
+    def run(self, transactions: int,
+            concurrency: int = 1) -> LinkBenchResult:
         """Execute ``transactions`` operations, timing each one.
-
-        ``sampler`` (an :class:`repro.obs.Sampler`, optional) gates the
-        per-operation latency recording for low-overhead runs: with a
-        1-in-N sampler only every Nth latency lands in the recorder,
-        while ``op_counts`` and the throughput numbers stay exact.
-        ``None`` (the default) records every operation, as before.
 
         With ``concurrency`` > 1 (the paper used 16 client threads), the
         stream is issued by that many closed-loop clients through the
@@ -204,8 +198,7 @@ class LinkBenchDriver:
                     for device in devices:
                         device._session = session
                     handlers[op](index)
-                    if sampler is None or sampler.hit():
-                        record(op, (session.now_us - arrival) / 1000.0)
+                    record(op, (session.now_us - arrival) / 1000.0)
                     op_counts[op] = counts_get(op, 0) + 1
                     now = session.now_us
                     for scheduler in schedulers:
@@ -222,8 +215,7 @@ class LinkBenchDriver:
                                       random_() * total_weight, 0, hi)]
                 op_start = clock.now_us
                 handlers[op](index)
-                if sampler is None or sampler.hit():
-                    record(op, (clock.now_us - op_start) / 1000.0)
+                record(op, (clock.now_us - op_start) / 1000.0)
                 op_counts[op] = counts_get(op, 0) + 1
         elapsed = (self.clock.now_us - start_us) / 1e6
         return LinkBenchResult(transactions=transactions,
@@ -384,8 +376,8 @@ class ClusterLinkBenchDriver:
 
     # ----------------------------------------------------------------- run
 
-    def run(self, operations: int, concurrency: int = 1,
-            sampler=None) -> LinkBenchResult:
+    def run(self, operations: int,
+            concurrency: int = 1) -> LinkBenchResult:
         """Execute ``operations`` KV transactions, timing each one."""
         from bisect import bisect_right
         from repro.ssd.ncq import DeviceSession
@@ -416,8 +408,7 @@ class ClusterLinkBenchDriver:
                 arrival = session.now_us
                 router.use_session(session)
                 handlers[op](index)
-                if sampler is None or sampler.hit():
-                    record(op, (session.now_us - arrival) / 1000.0)
+                record(op, (session.now_us - arrival) / 1000.0)
                 op_counts[op] = counts_get(op, 0) + 1
                 now = session.now_us
                 for scheduler in schedulers:

@@ -141,7 +141,7 @@ class YcsbDriver:
     def run(self, workload: YcsbWorkload, operations: int,
             batch_size: int, auto_compact: bool = False,
             record_timeline: bool = False,
-            concurrency: int = 1, sampler=None) -> YcsbResult:
+            concurrency: int = 1) -> YcsbResult:
         """Execute the workload; one "operation" is one YCSB op (a
         read-modify-write counts as one op, as YCSB reports it).
 
@@ -159,10 +159,6 @@ class YcsbDriver:
         compactions are shared barriers: the device drains and they run
         synchronously, stalling every client — matching the store's
         single-writer commit model.
-
-        ``sampler`` (an :class:`repro.obs.Sampler`, optional) gates the
-        per-operation latency recording: 1-in-N latencies land in the
-        histogram while the read/write/throughput counts stay exact.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
@@ -203,8 +199,7 @@ class YcsbDriver:
                 pending = 0
                 if auto_compact and self.store.needs_compaction():
                     compactions.append(self._compact_inline())
-            if sampler is None or sampler.hit():
-                latency.record((op_end - op_start) / 1000.0)
+            latency.record((op_end - op_start) / 1000.0)
             if timeline is not None:
                 timeline.append(op_end)
         if sessions is not None:

@@ -6,6 +6,9 @@ harness, recovering the NAND under each strategy's config must agree —
 entry for entry — with a recovery under the flat default.  The sweep
 reuses the power family's deterministic enumeration, so the sampled
 power-cut sites land exactly where the map log commits and checkpoints.
+
+The last test is the fault-free side of the same claim: on an engine
+stack with GC active, nothing above the FTL can tell the backings apart.
 """
 
 import dataclasses
@@ -18,6 +21,8 @@ from repro.errors import PowerFailure
 from repro.ftl.mapping import STRATEGY_NAMES
 from repro.ftl.pagemap import PageMappingFtl
 from repro.sim.faults import FaultPlan, PowerFailAfter
+
+from conftest import small_linkbench_stack
 
 #: Per-strategy cap on injected power cuts (checkpoint boundaries are
 #: always kept; commit points are sampled evenly up to this budget).
@@ -102,3 +107,34 @@ def test_crash_while_running_under_strategy(strategy, monkeypatch):
     assert recovered.fwd.name == strategy
     assert recovered.fwd.snapshot() == flat.fwd.snapshot()
     recovered.check_invariants()
+
+
+def _observe_linkbench(strategy):
+    """Everything visible above the FTL after a small GC-bound LinkBench
+    run on an InnoDB SHARE stack whose devices use ``strategy``."""
+    stack, driver = small_linkbench_stack(seed=3, db_pages_estimate=120,
+                                          l2p_strategy=strategy)
+    assert stack.data_ssd.ftl.fwd.name == strategy
+    assert stack.log_ssd.ftl.fwd.name == strategy
+    driver.load()
+    driver.run(4000, concurrency=16)
+    return {
+        "clock_us": stack.clock.now_us,
+        "data": stack.data_ssd.stats.snapshot(),
+        "log": stack.log_ssd.stats.snapshot(),
+        "rows": {name: list(tree.items())
+                 for name, tree in stack.engine.tables.items()},
+    }
+
+
+def test_l2p_backing_is_invisible_above_the_ftl():
+    # The backing changes only the DRAM representation of the map: on an
+    # engine stack with GC active, the virtual clock, both devices'
+    # counters and every row must not depend on it.
+    flat = _observe_linkbench("flat")
+    assert flat["data"]["gc_events"] > 0
+    assert flat["data"]["share_pairs"] > 0
+    assert sum(len(rows) for rows in flat["rows"].values()) > 600
+    for strategy in STRATEGY_NAMES:
+        if strategy != "flat":
+            assert _observe_linkbench(strategy) == flat, strategy

@@ -11,7 +11,10 @@ device.  Three assertions: calls per command stay under a committed
 budget; not one call lands in ``repro/obs`` (telemetry off must mean
 *skipped*, not "sent to a null object"); and no ``property`` of the
 fault plan, the clock or the trace rings is evaluated (those are plain
-attributes, resolved once).
+attributes, resolved once).  The same mix then prices each telemetry
+tier: ``Telemetry(mode="off")`` costs exactly the passive count, and
+``sampled`` / ``full`` stay under committed ceilings — the cost of
+looking as a count, not a wall-clock reading.
 
 The engine cell runs seeded LinkBench transactions on a small InnoDB
 SHARE stack and holds the probe / miss / commit path to the same three
@@ -29,6 +32,7 @@ from repro.ftl.config import FtlConfig
 from repro.host import file as host_file
 from repro.innodb import buffer_pool as innodb_buffer_pool
 from repro.innodb import redo as innodb_redo
+from repro.obs import Telemetry
 from repro.sim import clock as sim_clock
 from repro.sim import faults as sim_faults
 from repro.sim.clock import SimClock
@@ -43,18 +47,26 @@ from conftest import small_linkbench_stack
 #: Raise it only with a reason in the commit message.
 CALLS_PER_COMMAND_BUDGET = 60.0
 
+#: Calls per command the same mix may cost with live telemetry (default
+#: sink, no snapshots).  Measured on CPython 3.11 when committed, against
+#: 55.09 passive: sampled 73.07 (+32.6 %; 13.1 of them in functions
+#: defined under ``repro/obs``), full 112.10 (+103.5 %; 30.7 under
+#: ``repro/obs``).  The ceilings are the measured values + ~5 %.
+TIER_CALLS_PER_COMMAND_CEILING = {"sampled": 77.0, "full": 118.0}
+
 COMMANDS = 4000
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+OBS_ROOT = os.path.join(SRC_ROOT, "obs") + os.sep
 
 
-def make_device():
+def make_device(telemetry=None):
     geometry = FlashGeometry(page_size=4096, pages_per_block=32,
                              block_count=64, overprovision_ratio=0.125,
                              channel_count=4)
     return Ssd(SimClock(), SsdConfig(
         geometry=geometry, timing=FAST_TIMING,
         ftl=FtlConfig(map_block_count=4, share_table_entries=32),
-        dram_cache_pages=64, queue_depth=4))
+        dram_cache_pages=64, queue_depth=4), telemetry=telemetry)
 
 
 def plan_commands(ssd, rng, count):
@@ -81,8 +93,8 @@ def run_commands(ssd, plan, live):
             live.discard(lpn)
 
 
-def profile_commands():
-    ssd = make_device()
+def profile_commands(telemetry=None):
+    ssd = make_device(telemetry)
     rng = random.Random(15)
     live = set()
     # Fill, then reach GC steady state, before anything is counted.
@@ -113,26 +125,52 @@ def property_getters(*modules):
     return getters
 
 
+def calls_per_command(stats):
+    """Everything but the driver loop itself (its few set calls ride
+    along)."""
+    return sum(entry.callcount for entry in stats
+               if entry.code is not run_commands.__code__) / COMMANDS
+
+
+def calls_into_obs(stats):
+    return {f"{os.path.basename(entry.code.co_filename)}:"
+            f"{entry.code.co_name}": entry.callcount
+            for entry in stats
+            if getattr(entry.code, "co_filename", "").startswith(OBS_ROOT)}
+
+
 def test_passive_hot_path_stays_inside_its_call_budget():
     stats = profile_commands()
-    # Everything but the driver loop itself (its few set calls ride along).
-    per_command = sum(entry.callcount for entry in stats
-                      if entry.code is not run_commands.__code__) / COMMANDS
+    per_command = calls_per_command(stats)
     assert per_command <= CALLS_PER_COMMAND_BUDGET, (
         f"{per_command:.1f} calls per command, budget "
         f"{CALLS_PER_COMMAND_BUDGET}")
 
-    obs_root = os.path.join(SRC_ROOT, "obs") + os.sep
-    into_obs = {f"{os.path.basename(entry.code.co_filename)}:"
-                f"{entry.code.co_name}": entry.callcount
-                for entry in stats
-                if getattr(entry.code, "co_filename", "").startswith(obs_root)}
+    into_obs = calls_into_obs(stats)
     assert not into_obs, f"telemetry is off, yet repro/obs ran: {into_obs}"
 
     getters = property_getters(sim_faults, sim_clock, ssd_trace)
     hops = {getters[entry.code]: entry.callcount for entry in stats
             if entry.code in getters}
     assert not hops, f"property evaluated on the hot path: {hops}"
+
+
+def test_each_telemetry_tier_costs_a_counted_number_of_calls():
+    passive = calls_per_command(profile_commands())
+
+    # "off" is the passive path, not a path that talks to null objects.
+    stats = profile_commands(Telemetry(mode="off"))
+    assert calls_per_command(stats) == passive
+    into_obs = calls_into_obs(stats)
+    assert not into_obs, f'mode="off", yet repro/obs ran: {into_obs}'
+
+    for mode, ceiling in TIER_CALLS_PER_COMMAND_CEILING.items():
+        stats = profile_commands(Telemetry(mode=mode))
+        per_command = calls_per_command(stats)
+        assert calls_into_obs(stats), f"{mode} telemetry recorded nothing"
+        assert passive < per_command <= ceiling, (
+            f"{mode}: {per_command:.2f} calls per command "
+            f"(passive {passive:.2f}), ceiling {ceiling}")
 
 
 # ------------------------------------------------------------ engine cell
@@ -199,7 +237,6 @@ def test_engine_hot_path_stays_inside_its_call_budget():
         f"{per_transaction:.1f} engine-side calls per transaction, budget "
         f"{CALLS_PER_TRANSACTION_BUDGET}")
 
-    obs_root = os.path.join(SRC_ROOT, "obs") + os.sep
     faults_file = sim_faults.__file__
     unwanted = {}
     for entry in stats:
@@ -210,7 +247,7 @@ def test_engine_hot_path_stays_inside_its_call_budget():
             continue
         for sub in entry.calls or ():
             code = sub.code
-            if defined_under(code, obs_root) or (
+            if defined_under(code, OBS_ROOT) or (
                     defined_under(code, faults_file)
                     and code.co_name == "checkpoint"):
                 unwanted[f"{short_name(entry.code)} -> {short_name(code)}"] \
