@@ -20,8 +20,7 @@ from repro.cluster.replication import (REPL_SHARE, REPL_TRIM, REPL_WRITE,
                                        LogApplier, ReplicationLog,
                                        ReplRecord)
 from repro.cluster.router import ClusterStats, ShardRouter
-from repro.cluster.shard import (GroupStats, PairStats, Replica, ShardGroup,
-                                 ShardPair)
+from repro.cluster.shard import GroupStats, PairStats, Replica, ShardGroup
 
 __all__ = [
     "HashRing",
@@ -33,7 +32,6 @@ __all__ = [
     "REPL_SHARE",
     "REPL_TRIM",
     "ShardGroup",
-    "ShardPair",
     "Replica",
     "PairStats",
     "GroupStats",

@@ -28,9 +28,6 @@ deleted key's stale payload for a fresh key that re-used its LPN.
 Backpressure: before each command the group bounds the target device's
 in-flight queue at ``queue_limit`` tickets, blocking (advancing virtual
 time to the next completion) until a slot frees up.
-
-:class:`ShardPair` survives as the two-device special case — same
-constructor shape as PR 8, now a thin subclass of :class:`ShardGroup`.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from repro.errors import (ClusterError, DeviceError, MediaError,
 from repro.host.resilience import CircuitBreaker, RetryPolicy, ShareGuard
 from repro.ssd.ncq import DeviceSession
 
-__all__ = ["ShardGroup", "ShardPair", "Replica", "PairStats", "GroupStats"]
+__all__ = ["ShardGroup", "Replica", "PairStats", "GroupStats"]
 
 #: Session id reserved for the first replica's apply loop (never a
 #: client); further replicas count down from here.
@@ -165,31 +162,6 @@ class ShardGroup:
         seq 1 is idempotent on its media (writes of the same payloads,
         remaps of the same pairs) and closes any post-kill gap."""
         return self._add_replica(device)
-
-    # ------------------------------------------------ pair-era adapters
-
-    @property
-    def replica(self):
-        """First replica's device (the PR 8 one-replica view)."""
-        return self.replicas[0].ssd if self.replicas else None
-
-    @replica.setter
-    def replica(self, device) -> None:
-        if device is None:
-            self.replicas = []
-        elif self.replicas:
-            self.replicas[0].ssd = device
-        else:
-            self._add_replica(device)
-
-    @property
-    def applier(self) -> Optional[LogApplier]:
-        """First replica's applier (the PR 8 one-replica view)."""
-        return self.replicas[0].applier if self.replicas else None
-
-    @property
-    def repl_session(self) -> Optional[DeviceSession]:
-        return self.replicas[0].session if self.replicas else None
 
     # ---------------------------------------------------------- metadata
 
@@ -487,17 +459,3 @@ class ShardGroup:
                 if remaining <= 0:
                     break
         return applied
-
-
-class ShardPair(ShardGroup):
-    """Primary + one replica: the PR 8 construction shape, unchanged."""
-
-    def __init__(self, name: str, primary, replica,
-                 policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 queue_limit: Optional[int] = 8,
-                 write_quorum: int = 1) -> None:
-        replicas = () if replica is None else (replica,)
-        super().__init__(name, primary, replicas, policy=policy,
-                         breaker=breaker, queue_limit=queue_limit,
-                         write_quorum=write_quorum)

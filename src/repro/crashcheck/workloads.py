@@ -263,6 +263,16 @@ class FtlBasicHarness:
                     violations.append(
                         f"ftl: LPN {lpn} reads {ftl.read(lpn)!r}, expected "
                         f"{expected!r} or {pending!r}")
+        # The group rule: the pages of an interrupted multi-page write
+        # (write_atomic) are old-or-new *together*, never a mix.
+        written = [lpn for lpn, pending in sorted(self.inflight.items())
+                   if lpn in ambiguous and pending is not TRIMMED]
+        took_new = [lpn for lpn in written if ftl.is_mapped(lpn)
+                    and ftl.read(lpn) == self.inflight[lpn]]
+        if took_new and len(took_new) < len(written):
+            violations.append(
+                f"ftl: interrupted write of LPNs {written} is torn — only "
+                f"{took_new} read the new value")
         return violations
 
     def check_degraded(self) -> List[str]:

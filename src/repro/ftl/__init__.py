@@ -15,7 +15,6 @@ SHARE extension adds:
 
 from repro.ftl.config import FtlConfig
 from repro.ftl.deltalog import DeltaRecord, MapLog
-from repro.ftl.mapping import ForwardMap
 from repro.ftl.pagemap import FtlStats, PageMappingFtl
 from repro.ftl.reverse import ReverseMap
 from repro.ftl.share_ext import MAX_BATCH_UNLIMITED, SharePair, expand_range, validate_batch
@@ -24,7 +23,6 @@ __all__ = [
     "FtlConfig",
     "DeltaRecord",
     "MapLog",
-    "ForwardMap",
     "FtlStats",
     "PageMappingFtl",
     "ReverseMap",

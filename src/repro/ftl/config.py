@@ -31,10 +31,9 @@ class FtlConfig:
         and collects victims until the pool reaches ``gc_high_water``.
     read_retries:
         How many extra read attempts firmware makes after an uncorrectable
-        read before surfacing the error to the host.
-    scrub_after_retry:
-        Relocate (scrub) a page that needed read-retry to a fresh PPN, so
-        a decaying page is healed before it dies outright.
+        read before surfacing the error to the host.  A page that needed
+        one is scrubbed — relocated to a fresh PPN — before it decays
+        further.
     spare_block_count:
         Data blocks reserved as replacements for grown bad blocks.  The
         default of 0 keeps usable capacity identical to a fault-free
@@ -62,7 +61,6 @@ class FtlConfig:
     wear_leveling: bool = True
     wear_delta_threshold: int = 16
     read_retries: int = 2
-    scrub_after_retry: bool = True
     spare_block_count: int = 0
     program_retry_limit: int = 4
     l2p_strategy: str = "flat"

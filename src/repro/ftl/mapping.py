@@ -51,7 +51,7 @@ layouts would cost in device DRAM, which is the paper-relevant number.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 UNMAPPED = -1
 
@@ -72,8 +72,8 @@ class MappingStrategy:
     Bounds-checked host-facing methods (:meth:`lookup`, :meth:`update`,
     :meth:`clear`, :meth:`is_mapped`) raise ``ValueError`` outside
     ``[0, logical_pages)``; the pre-validated hot-path methods
-    (:meth:`get`, :meth:`get_many`, :meth:`resolve_pairs`,
-    :meth:`remap`) skip the check — callers validated the range once.
+    (:meth:`get`, :meth:`resolve_pairs`, :meth:`remap`) skip the check —
+    callers validated the range once.
 
     ``remap`` is semantically :meth:`update` but tells the backing the
     new PPN aliases an existing physical page (a SHARE): backings that
@@ -102,7 +102,7 @@ class MappingStrategy:
         """Number of LPNs currently holding a mapping."""
         raise NotImplementedError
 
-    def check_lpn(self, lpn: int) -> None:
+    def _check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.logical_pages:
             raise ValueError(
                 f"LPN out of range [0, {self.logical_pages}): {lpn}")
@@ -113,11 +113,6 @@ class MappingStrategy:
         """Raw lookup: the PPN or the ``UNMAPPED`` sentinel.  The caller
         has already bounds-checked ``lpn``."""
         raise NotImplementedError
-
-    def get_many(self, lpns: Sequence[int]) -> List[int]:
-        """Bulk :meth:`get` (pre-validated)."""
-        get = self.get
-        return [get(lpn) for lpn in lpns]
 
     def resolve_pairs(self, pairs) -> List[Tuple[int, int, int]]:
         """Bulk SHARE resolve: ``(dst_lpn, old_dst_raw, src_raw)`` per
@@ -137,12 +132,12 @@ class MappingStrategy:
 
     def lookup(self, lpn: int) -> Optional[int]:
         """Current PPN of ``lpn``, or None when unmapped."""
-        self.check_lpn(lpn)
+        self._check_lpn(lpn)
         ppn = self.get(lpn)
         return None if ppn == UNMAPPED else ppn
 
     def is_mapped(self, lpn: int) -> bool:
-        self.check_lpn(lpn)
+        self._check_lpn(lpn)
         return self.get(lpn) != UNMAPPED
 
     def update(self, lpn: int, ppn: int) -> Optional[int]:
@@ -212,17 +207,8 @@ class FlatListMap(MappingStrategy):
     def mapped_count(self) -> int:
         return self._mapped_count
 
-    def check_lpn(self, lpn: int) -> None:
-        if not 0 <= lpn < len(self.table):
-            raise ValueError(
-                f"LPN out of range [0, {len(self.table)}): {lpn}")
-
     def get(self, lpn: int) -> int:
         return self.table[lpn]
-
-    def get_many(self, lpns: Sequence[int]) -> List[int]:
-        table = self.table
-        return [table[lpn] for lpn in lpns]
 
     def resolve_pairs(self, pairs) -> List[Tuple[int, int, int]]:
         table = self.table
@@ -347,7 +333,7 @@ class GroupMap(MappingStrategy):
         return old, fresh
 
     def update(self, lpn: int, ppn: int) -> Optional[int]:
-        self.check_lpn(lpn)
+        self._check_lpn(lpn)
         if ppn < 0:
             raise ValueError(f"PPN must be non-negative: {ppn}")
         return self._set(lpn, ppn)[0]
@@ -361,7 +347,7 @@ class GroupMap(MappingStrategy):
         return old
 
     def clear(self, lpn: int) -> Optional[int]:
-        self.check_lpn(lpn)
+        self._check_lpn(lpn)
         index = lpn // self._group_pages
         group = self._groups[index]
         if group is None:
@@ -529,7 +515,7 @@ class RunLengthMap(MappingStrategy):
         return merged
 
     def update(self, lpn: int, ppn: int) -> Optional[int]:
-        self.check_lpn(lpn)
+        self._check_lpn(lpn)
         if ppn < 0:
             raise ValueError(f"PPN must be non-negative: {ppn}")
         if self.get(lpn) == ppn:
@@ -557,7 +543,7 @@ class RunLengthMap(MappingStrategy):
         return old
 
     def clear(self, lpn: int) -> Optional[int]:
-        self.check_lpn(lpn)
+        self._check_lpn(lpn)
         old, _added = self._carve(lpn)
         return old
 
@@ -664,7 +650,7 @@ class DeltaCompressedMap(MappingStrategy):
         return old, created
 
     def update(self, lpn: int, ppn: int) -> Optional[int]:
-        self.check_lpn(lpn)
+        self._check_lpn(lpn)
         if ppn < 0:
             raise ValueError(f"PPN must be non-negative: {ppn}")
         return self._set(lpn, ppn)[0]
@@ -678,7 +664,7 @@ class DeltaCompressedMap(MappingStrategy):
         return old
 
     def clear(self, lpn: int) -> Optional[int]:
-        self.check_lpn(lpn)
+        self._check_lpn(lpn)
         if not self._mapped[lpn]:
             return None
         old = self.get(lpn)
@@ -748,7 +734,3 @@ def resolve_l2p_strategy(default: str = "flat") -> str:
             f"REPRO_L2P must be one of {', '.join(STRATEGY_NAMES)}, "
             f"got {raw!r}")
     return raw
-
-
-#: Backward-compatible alias: the pre-strategy-layer class name.
-ForwardMap = FlatListMap

@@ -216,7 +216,6 @@ class PageMappingFtl:
         self._share_backed: Dict[int, Tuple[int, int]] = {}
         self._trim_tombstones: Dict[int, int] = {}
         self._pending_trims: List[DeltaRecord] = []
-        self._pending_atomic: set = set()
         # X-FTL shadow state: per-transaction staged pages, and a reverse
         # view so GC can move (without stamping) pages that belong to an
         # uncommitted transaction.
@@ -395,7 +394,7 @@ class PageMappingFtl:
                 self.stats.read_retries += 1
                 self._m_read_retries.inc()
                 continue
-            if attempt and scrub_ok and self.config.scrub_after_retry:
+            if attempt and scrub_ok:
                 self._scrub(ppn, data)
             return data
 
@@ -404,14 +403,11 @@ class PageMappingFtl:
 
         Copy-safe for shared pages: the fresh copy is stamped with *every*
         referencing LPN, so all of them survive recovery.  Skipped when the
-        page cannot be moved safely right now (mid-GC, shadow page, LPNs of
-        an in-flight atomic write, or no space) — the next retried read
-        gets another chance."""
+        page cannot be moved safely right now (mid-GC, shadow page, or no
+        space) — the next retried read gets another chance."""
         if self._in_gc or ppn in self._shadow_owner or not self.rev.is_valid(ppn):
             return
         refs = sorted(self.rev.refs(ppn))
-        if any(lpn in self._pending_atomic for lpn in refs):
-            return
         stamps = tuple((lpn, self._next_seq()) for lpn in refs)
         try:
             new_ppn = self._program_data(data, stamps, for_gc=False)
@@ -479,52 +475,9 @@ class PageMappingFtl:
         # space.
         self._blocks.retire(block)
         self._publish_pools()
-        self._evacuate_for_retirement(block, inflight)
+        self._evacuate(block, inflight, tolerant=True)
         self.maplog.append_atomic(
             [DeltaRecord(KIND_BADBLK, block, None, None, seq)])
-
-    def _evacuate_for_retirement(self, block: int,
-                                 inflight: frozenset = frozenset()) -> None:
-        """Move every live page out of a block being retired, best effort.
-
-        Unlike GC evacuation this tolerates further media errors per page:
-        an unreadable page stays pinned in the retired block (its payload
-        is gone; the typed error is all the host can get), and a page that
-        cannot be re-programmed keeps its old mapping too."""
-        start = block * self._pages_per_block
-        for ppn in range(start, start + self._write_ptr[block]):
-            if ppn in self._shadow_owner:
-                try:
-                    self._move_shadow_page(ppn)
-                except (MediaError, OutOfSpaceError):
-                    pass   # shadow copy lost; its txn fails at read time
-                continue
-            if not self.rev.is_valid(ppn):
-                continue
-            refs = sorted(self.rev.refs(ppn))
-            try:
-                data = self._read_page(ppn)
-            except UncorrectableReadError:
-                continue
-            stamps = tuple((lpn, self._next_seq()) for lpn in refs
-                           if lpn not in self._pending_atomic
-                           and lpn not in inflight)
-            try:
-                new_ppn = self._program_data(data, stamps, for_gc=True)
-            except (MediaError, OutOfSpaceError):
-                continue
-            self.rev.move_page(ppn, new_ppn, refs)
-            self._valid_count[block] -= 1
-            self._valid_count[new_ppn // self._pages_per_block] += 1
-            stamped = {lpn for lpn, __ in stamps}
-            fwd_update = self.fwd.update
-            for lpn in refs:
-                fwd_update(lpn, new_ppn)
-                if lpn in stamped:
-                    self._share_backed.pop(lpn, None)
-            self.stats.copyback_pages += 1
-            self._note_work("copyback", new_ppn)
-            self._m_copybacks.inc()
 
     @property
     def grown_bad_blocks(self) -> Set[int]:
@@ -584,14 +537,17 @@ class PageMappingFtl:
         self._valid_count[ppn // self._pages_per_block] += 1
         self.stats.host_page_writes += 1
 
+    def txn_lpns(self, txn_id: int) -> Tuple[int, ...]:
+        """The LPNs staged under ``txn_id`` so far (none when unknown)."""
+        return tuple(self._txn_shadow.get(txn_id, ()))
+
     def commit_txn(self, txn_id: int) -> None:
         """Atomically publish every page of the transaction: one
         mapping-page program is the commit point, as in SHARE."""
-        with self.faults.operation(
-                "ftl.xcommit", tuple(self._txn_shadow.get(txn_id, ()))):
-            self._commit_txn(txn_id)
+        with self.faults.operation("ftl.xcommit", self.txn_lpns(txn_id)):
+            self._commit_txn(txn_id, KIND_XCOMMIT)
 
-    def _commit_txn(self, txn_id: int) -> None:
+    def _commit_txn(self, txn_id: int, kind: str) -> None:
         shadow = self._txn_shadow.pop(txn_id, None)
         if shadow is None:
             raise FtlError(f"unknown transaction: {txn_id}")
@@ -608,7 +564,7 @@ class PageMappingFtl:
                 self._drop_ref(old, lpn)
             self._share_backed[lpn] = (ppn, seq)
             self._trim_tombstones.pop(lpn, None)
-            deltas.append(DeltaRecord(KIND_XCOMMIT, lpn, old, ppn, seq))
+            deltas.append(DeltaRecord(kind, lpn, old, ppn, seq))
         self.maplog.append_atomic(deltas)
 
     def abort_txn(self, txn_id: int) -> None:
@@ -635,13 +591,15 @@ class PageMappingFtl:
     def write_atomic(self, items: Sequence[Tuple[int, Any]]) -> None:
         """Atomic multi-page write — the Section 6.1 baseline command.
 
-        Programs every page *without* a spare-area stamp, then commits all
-        the new mappings with one mapping-page program (the commit
-        record).  A crash before the commit leaves every LPN at its old
-        mapping, because the unstamped pages are invisible to recovery;
-        after it, at the new mapping.  Unlike SHARE the page set is fixed
-        at write time, and compaction-style remapping is impossible —
-        exactly the flexibility gap the paper describes.
+        A one-shot X-FTL transaction: every page is staged as an
+        unstamped shadow page, then one mapping-page program (the commit
+        record, kind ``awrite``) publishes all the new mappings.  The
+        forward map does not move before that record, so GC or a program
+        failure inside the command can never strand an old version: a
+        crash or a typed error before the commit leaves every LPN at its
+        old mapping, a crash after it at the new one.  Unlike SHARE the
+        page set is fixed at write time, and compaction-style remapping
+        is impossible — exactly the flexibility gap the paper describes.
         """
         with self.faults.operation("ftl.awrite",
                                    tuple(lpn for lpn, __ in items)):
@@ -659,32 +617,15 @@ class PageMappingFtl:
             raise FtlError("duplicate LPN in atomic write")
         for lpn in lpns:
             self._check_lpn_range(lpn)
-        self._pending_atomic.update(lpns)
-        staged: List[Tuple[int, Optional[int]]] = []
+        txn_id = self.begin_txn()
         try:
             for lpn, data in items:
-                self._ensure_free_space()
                 self.faults.checkpoint("ftl.awrite_program")
-                ppn = self._program_data(data, (), for_gc=False)
-                self._note_work("host_program", ppn)
-                old = self.fwd.update(lpn, ppn)
-                self.rev.set_primary(ppn, lpn)
-                self._valid_count[ppn // self._pages_per_block] += 1
-                if old is not None and old != ppn:
-                    self._drop_ref(old, lpn)
-                staged.append((lpn, old))
-                self.stats.host_page_writes += 1
-            self._flush_pending_trims()
-            deltas = []
-            for lpn, old in staged:
-                seq = self._next_seq()
-                new_ppn = self.fwd.lookup(lpn)
-                self._share_backed[lpn] = (new_ppn, seq)
-                self._trim_tombstones.pop(lpn, None)
-                deltas.append(DeltaRecord(KIND_AWRITE, lpn, old, new_ppn, seq))
-            self.maplog.append_atomic(deltas)
-        finally:
-            self._pending_atomic.difference_update(lpns)
+                self.write_txn(txn_id, lpn, data)
+        except Exception:
+            self.abort_txn(txn_id)
+            raise
+        self._commit_txn(txn_id, KIND_AWRITE)
 
     # ---------------------------------------------------------------- trim
 
@@ -1017,10 +958,19 @@ class PageMappingFtl:
             span.set(copyback_pages=self.stats.copyback_pages
                      - copybacks_before)
 
-    def _evacuate(self, victim: int) -> None:
-        """Copy every live page of ``victim`` out, in PPN order.  The
+    def _evacuate(self, victim: int, inflight: frozenset = frozenset(),
+                  tolerant: bool = False) -> None:
+        """Copy every live page of ``victim`` out, in PPN order — the one
+        page-move loop, for GC and for block retirement alike.  The
         reverse map names the live pages in one call; everything a page
-        move needs is a local by the time the loop starts."""
+        move needs is a local by the time the loop starts.
+
+        GC runs it strict: a media error ends the pass and the caller
+        retires the victim.  Retirement runs it ``tolerant``: a page that
+        cannot be read or re-programmed (shadow pages included) stays
+        pinned in the retiring block, and spill lookups are not billed.
+        ``inflight`` LPNs (see :meth:`_retire_block`) move with their
+        page but are not re-stamped."""
         full = self._pages_per_block
         channels = self._channel_count
         start = victim * full
@@ -1033,30 +983,32 @@ class PageMappingFtl:
         stats = self.stats
         work = self.work
         valid = self._valid_count
-        pending = self._pending_atomic
         share_backed = self._share_backed
         fwd_update = self.fwd.update
         move_page = self.rev.move_page
         obs = self._obs
         for ppn, refs, spilled in live:
-            if refs is None:
-                self._move_shadow_page(ppn)
-                continue
-            if spilled:
-                # Firmware must re-read the mapping log to learn the
-                # overflowed reverse mappings of this page.
-                stats.spill_lookups += 1
-                work.append(("spill_lookup", victim % channels))
-                if obs:
-                    self._m_spill_lookups.inc()
-            data = self._read_page(ppn)
-            # Pages of an in-flight atomic write stay unstamped so a crash
-            # before their commit record keeps them invisible to recovery.
-            stamped = ([lpn for lpn in refs if lpn not in pending]
-                       if pending else refs)
-            stamps = tuple(zip(stamped, count_from(self._seq)))
-            self._seq += len(stamps)
-            new_ppn = self._program_data(data, stamps, for_gc=True)
+            try:
+                if refs is None:
+                    self._move_shadow_page(ppn)
+                    continue
+                if spilled and not tolerant:
+                    # Firmware must re-read the mapping log to learn the
+                    # overflowed reverse mappings of this page.
+                    stats.spill_lookups += 1
+                    work.append(("spill_lookup", victim % channels))
+                    if obs:
+                        self._m_spill_lookups.inc()
+                data = self._read_page(ppn)
+                stamped = ([lpn for lpn in refs if lpn not in inflight]
+                           if inflight else refs)
+                stamps = tuple(zip(stamped, count_from(self._seq)))
+                self._seq += len(stamps)
+                new_ppn = self._program_data(data, stamps, for_gc=True)
+            except (MediaError, OutOfSpaceError):
+                if not tolerant:
+                    raise
+                continue   # payload or space is gone; the mapping stays pinned
             move_page(ppn, new_ppn, refs)
             valid[victim] -= 1
             valid[new_ppn // full] += 1
@@ -1064,7 +1016,7 @@ class PageMappingFtl:
                 fwd_update(lpn, new_ppn)
                 # The copy's spare stamps the LPN, so the mapping is
                 # recoverable from OOB again; drop the log backing.
-                if lpn in share_backed and lpn not in pending:
+                if lpn in share_backed and lpn not in inflight:
                     del share_backed[lpn]
             stats.copyback_pages += 1
             work.append(("copyback", new_ppn // full % channels))

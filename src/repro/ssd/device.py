@@ -405,12 +405,11 @@ class Ssd:
 
     def commit_txn(self, txn_id: int) -> None:
         """Atomically publish a transaction's staged pages."""
-        with self.faults.operation(
-                "device.xcommit", tuple(self.ftl._txn_shadow.get(txn_id, ())),
-                deferred=True) as op, \
+        staged_lpns = self.ftl.txn_lpns(txn_id)
+        with self.faults.operation("device.xcommit", staged_lpns,
+                                   deferred=True) as op, \
                 self._tracer.span("device.flush", txn=txn_id):
             self.ftl.take_work()   # discard stale work from direct FTL use
-            staged_lpns = list(self.ftl._txn_shadow.get(txn_id, ()))
             self.ftl.commit_txn(txn_id)
             for lpn in staged_lpns:
                 self.cache.invalidate(lpn)

@@ -153,9 +153,9 @@ class LinkBenchDriver:
         Table 1).  At the default device configuration (queue depth 1,
         one channel, a queue shared across the stack) admission fully
         serialises commands, and the recorded responses equal the old
-        analytic :class:`~repro.sim.queueing.ClosedLoopQueue` replay
-        exactly — ``tests/test_sim_queueing.py`` holds the two models
-        to each other.  Deeper queues and more channels let commands
+        analytic ``ClosedLoopQueue`` replay exactly —
+        ``tests/test_sim_queueing.py`` defines that model and holds the
+        two to each other.  Deeper queues and more channels let commands
         overlap, which only this path can express.
         """
         from bisect import bisect_right

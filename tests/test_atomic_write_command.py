@@ -1,13 +1,19 @@
 """Tests for the atomic-write baseline command (Section 6.1) and the
 reflink-style file copy built on SHARE (Section 1)."""
 
+import dataclasses
+import random
+
 import pytest
 
-from repro.errors import DeviceError, FtlError, PowerFailure
+from repro.errors import (DeviceError, FtlError, PowerFailure,
+                          ProgramFailError)
+from repro.ftl.config import FtlConfig
+from repro.ftl.mapping import STRATEGY_NAMES
 from repro.host.filesystem import FsConfig, HostFs
 from repro.host.ioctl import atomic_write_ioctl
 from repro.innodb.engine import FlushMode
-from repro.sim.faults import FaultPlan, PowerFailAfter
+from repro.sim.faults import FaultPlan, PowerFailAfter, ProgramFault
 from repro.ssd.device import Ssd
 
 from conftest import small_ssd_config
@@ -105,6 +111,87 @@ class TestWriteAtomicCommand:
         assert commands == 1
         assert f.pread_block(0) == "a"
         assert f.pread_block(2) == "c"
+
+
+class TestAtomicityUnderGcAndMediaFaults:
+    """The batch is all-or-nothing even when GC or a program failure
+    runs inside the command — the forward map must not move before the
+    commit record."""
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_power_cut_mid_batch_under_gc_loses_nothing(self, clock,
+                                                        strategy):
+        # 85 % full, so every 48-page batch allocates through GC; cut
+        # the power early, mid-way, late and on the last page program.
+        faults = FaultPlan()
+        config = small_ssd_config()
+        config = dataclasses.replace(config, ftl=dataclasses.replace(
+            config.ftl, l2p_strategy=strategy))
+        ssd = Ssd(clock, config, faults=faults)
+        span = int(ssd.logical_pages * 0.85)
+        acked = {}
+        for lpn in range(span):
+            ssd.write(lpn, ("fill", lpn))
+            acked[lpn] = ("fill", lpn)
+        rng = random.Random(0xA70)
+        for round_no in range(40):
+            for nth in (5, 20, 40, 47):
+                items = [(lpn, ("cut", round_no, nth, lpn))
+                         for lpn in rng.sample(range(span), 48)]
+                faults.arm(PowerFailAfter("ftl.awrite_program", nth))
+                with pytest.raises(PowerFailure):
+                    ssd.write_atomic(items)
+                ssd.power_cycle()
+                ftl = ssd.ftl
+                lost = [lpn for lpn, value in acked.items()
+                        if not ftl.is_mapped(lpn) or ftl.read(lpn) != value]
+                assert not lost, (
+                    f"round {round_no}, cut at page program {nth}: "
+                    f"acked LPNs {lost[:8]} did not survive")
+            items = [(lpn, ("ok", round_no, lpn))
+                     for lpn in rng.sample(range(span), 48)]
+            ssd.write_atomic(items)
+            acked.update(items)
+        ssd.ftl.check_invariants()
+
+    def test_failed_batch_leaves_the_live_device_all_old(self, clock):
+        # A page of the batch fails to program on two consecutive blocks
+        # (the retry limit), so the command raises the typed error with
+        # earlier pages of the batch already on flash.
+        config = dataclasses.replace(
+            small_ssd_config(),
+            ftl=FtlConfig(map_block_count=4, spare_block_count=2,
+                          program_retry_limit=2))
+        batch = [(lpn, ("new", lpn)) for lpn in range(6)]
+
+        def device():
+            faults = FaultPlan()
+            ssd = Ssd(clock, config, faults=faults)
+            for lpn in range(10):
+                ssd.write(lpn, ("old", lpn))
+            # The third page of the batch fails its first program.
+            faults.arm_media(
+                ProgramFault(nth=faults.media.op_counts["program"] + 3))
+            return ssd, faults
+
+        # A twin run with only that fault armed shows where the retry
+        # lands; failing that PPN as well exhausts the retry limit.
+        twin, __ = device()
+        twin.write_atomic(batch)
+        retry_ppn = twin.ftl.fwd.lookup(batch[2][0])
+
+        ssd, faults = device()
+        faults.arm_media(ProgramFault(ppn=retry_ppn))
+        with pytest.raises(ProgramFailError):
+            ssd.write_atomic(batch)
+        assert ssd.ftl.stats.program_fails == 2
+        assert [ssd.read(lpn) for lpn in range(10)] == \
+            [("old", lpn) for lpn in range(10)]
+        ssd.ftl.check_invariants()
+        ssd.power_cycle()
+        assert [ssd.read(lpn) for lpn in range(10)] == \
+            [("old", lpn) for lpn in range(10)]
+        ssd.ftl.check_invariants()
 
 
 class TestInnoDbAtomicWriteMode:

@@ -4,7 +4,7 @@ plus the GuardStats open-episode accounting the promotion closes out."""
 
 import pytest
 
-from repro.cluster import FailoverController, ShardPair, ShardRouter
+from repro.cluster import FailoverController, ShardGroup, ShardRouter
 from repro.errors import ShardUnavailableError
 from repro.host.resilience import BREAKER_CLOSED, BREAKER_OPEN
 from repro.sim.clock import SimClock
@@ -38,12 +38,12 @@ class TestKillAndPromote:
     def test_next_op_promotes_and_serves(self, clock):
         router, __ = loaded_router(clock)
         pair = router.pair_for(("node", 0))
-        old_primary, old_replica = pair.primary, pair.replica
+        old_primary, old_replica = pair.primary, pair.replicas[0].ssd
         router.kill_shard(pair.name)
         assert router.get(("node", 0)) == ("v", 0)
         assert router.stats.failovers == 1
         assert pair.primary is old_replica
-        assert pair.replica is old_primary
+        assert pair.replicas[0].ssd is old_primary
         assert pair.guard.breaker.state == BREAKER_CLOSED
 
     def test_no_lost_acked_writes_with_lag(self, clock):
@@ -81,9 +81,9 @@ class TestKillAndPromote:
         log_tip = pair.log.tip
         router.kill_shard(pair.name)
         router.ensure_healthy()
-        assert pair.applier.watermark == 0
+        assert pair.replicas[0].applier.watermark == 0
         applied = router.pump_replication()
-        assert applied == log_tip == pair.applier.watermark
+        assert applied == log_tip == pair.replicas[0].applier.watermark
         assert pair.repl_lag == 0
 
     def test_writes_continue_through_failover(self, clock):
@@ -124,9 +124,7 @@ class TestFailoverController:
     def test_promote_without_replica_refused(self, clock):
         events = EventScheduler(clock)
         primary = Ssd(clock, small_ssd_config(), name="p", events=events)
-        replica = Ssd(clock, small_ssd_config(), name="r", events=events)
-        pair = ShardPair("solo", primary, replica)
-        pair.replica = None
+        pair = ShardGroup("solo", primary)
         controller = FailoverController(clock)
         with pytest.raises(ShardUnavailableError):
             controller.promote(pair)

@@ -4,7 +4,7 @@ cross-shard copy degradation, deletes, and replication pumping."""
 
 import pytest
 
-from repro.cluster import HashRing, ShardPair, ShardRouter, fnv1a64
+from repro.cluster import HashRing, ShardGroup, ShardRouter, fnv1a64
 from repro.errors import ClusterError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
@@ -21,8 +21,8 @@ def make_cluster(clock, shards=3, **pair_kwargs):
                       events=events)
         replica = Ssd(clock, small_ssd_config(), name=f"s{index}r",
                       events=events)
-        pairs.append(ShardPair(f"shard{index}", primary, replica,
-                               **pair_kwargs))
+        pairs.append(ShardGroup(f"shard{index}", primary, [replica],
+                                **pair_kwargs))
     return ShardRouter(pairs, clock), pairs
 
 
@@ -158,7 +158,7 @@ class TestShardRouter:
         # Replicas now hold every payload at the primary's LPNs.
         for pair in pairs:
             for key, lpn in pair.directory.items():
-                assert pair.replica.read(lpn) == pair.primary.read(lpn)
+                assert pair.replicas[0].ssd.read(lpn) == pair.primary.read(lpn)
 
     def test_pump_limit_bounds_the_batch(self, clock):
         router, __ = make_cluster(clock, shards=1)

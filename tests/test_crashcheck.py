@@ -15,6 +15,8 @@ from conftest import check_capped_sweep, check_cli_sweep
 from repro.crashcheck import (FAMILIES, POWER, Site, SiteResult, SweepReport,
                               run_site, sample_evenly, sample_sites)
 from repro.crashcheck.workloads import WORKLOADS
+from repro.errors import PowerFailure
+from repro.sim.faults import FaultPlan, PowerFailAfter
 from repro.tools.crashexplore import main as crashexplore_main
 
 _CACHE = {}
@@ -58,6 +60,22 @@ def test_explore_occurrence_verdict_shape():
     assert result.extras["recovery_trace_len"] >= \
         len(result.extras["recovery_trace"])
     assert str(site) == f"power-cut @ {site.power_point}#1"
+
+
+def test_ftl_basic_holds_an_interrupted_atomic_write_to_the_group_rule():
+    faults = FaultPlan()
+    harness = WORKLOADS["ftl-basic"](faults)
+    faults.arm(PowerFailAfter("ftl.awrite_program", 2))
+    with pytest.raises(PowerFailure):
+        harness.run()
+    harness.recover()
+    assert len(harness.inflight) == 3
+    assert harness.check_engine() == []          # all three read old
+    # Tear the batch by hand: one page new, two old.  Each LPN alone is
+    # still "old or new"; only the group rule can object.
+    lpn, value = sorted(harness.inflight.items())[0]
+    harness.ssd.ftl.write(lpn, value)
+    assert any("torn" in violation for violation in harness.check_engine())
 
 
 def test_explore_emits_jsonl_records():

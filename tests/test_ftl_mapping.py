@@ -13,7 +13,6 @@ import pytest
 from repro.ftl.mapping import (
     DeltaCompressedMap,
     FlatListMap,
-    ForwardMap,
     GroupMap,
     RunLengthMap,
     STRATEGY_NAMES,
@@ -89,12 +88,6 @@ def test_zero_size_rejected(fwd):
         type(fwd)(0)
 
 
-def test_get_many_matches_get(fwd):
-    fwd.update(2, 20)
-    fwd.update(7, 70)
-    assert fwd.get_many([2, 3, 7]) == [20, UNMAPPED, 70]
-
-
 def test_remap_matches_update_semantics(fwd):
     fwd.update(3, 100)
     assert fwd.remap(5, 100) is None      # share into unmapped dst
@@ -134,14 +127,7 @@ def test_randomized_agreement_with_dict(fwd):
     assert fwd.mapped_count == len(ref)
 
 
-# --------------------------------------------------------- factory / alias
-
-
-def test_forwardmap_alias_is_flat():
-    assert ForwardMap is FlatListMap
-    fwd = ForwardMap(8)
-    assert fwd.name == "flat"
-    assert fwd.table is not None and len(fwd.table) == 8
+# ----------------------------------------------------------------- factory
 
 
 def test_create_strategy_rejects_unknown():
@@ -163,7 +149,8 @@ def test_only_flat_exposes_raw_table():
     for name in STRATEGY_NAMES:
         strategy = create_strategy(name, 16)
         if name == "flat":
-            assert strategy.table is not None
+            assert isinstance(strategy, FlatListMap)
+            assert strategy.table is not None and len(strategy.table) == 16
         else:
             assert strategy.table is None
 

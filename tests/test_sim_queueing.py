@@ -1,8 +1,84 @@
-"""Unit tests for the closed-loop queueing model."""
+"""The closed-loop queueing model, and the device held to it.
+
+The analytic model lives here, beside its only user: it is the serial
+oracle of the event-driven device, not part of the simulator.
+
+The paper's LinkBench experiments ran 16 concurrent client threads
+against one OpenSSD.  Executing operations serially on a virtual clock
+yields the right *throughput* (the device is the bottleneck either way)
+but understates *latency*: a real client's response time includes the
+queueing delay behind the other clients' in-flight operations — the
+paper explicitly credits part of SHARE's read-latency win to "read
+requests blocked by preceding writes".
+
+:class:`ClosedLoopQueue` replays a serially-measured service-time stream
+through a closed FIFO single-server queue with N clients and zero think
+time.  Operations keep their measured service times; what changes is the
+*response* time each client observes (wait + service).  This is exact
+for a FIFO device serving one command at a time, which is how the
+simulated SSD behaves at one channel and queue depth 1.
+"""
+
+from dataclasses import dataclass
+from typing import List
 
 import pytest
 
-from repro.sim.queueing import ClosedLoopQueue
+
+@dataclass(frozen=True)
+class QueuedCompletion:
+    """One operation's timing after queueing."""
+
+    client: int
+    arrival_us: float
+    start_us: float
+    completion_us: float
+
+    @property
+    def response_us(self) -> float:
+        return self.completion_us - self.arrival_us
+
+    @property
+    def wait_us(self) -> float:
+        return self.start_us - self.arrival_us
+
+
+class ClosedLoopQueue:
+    """N closed-loop clients sharing one FIFO server.
+
+    Each client issues its next operation the moment its previous one
+    completes; the server (the device) processes one operation at a time
+    in submission order.
+    """
+
+    def __init__(self, clients: int) -> None:
+        if clients < 1:
+            raise ValueError(f"need at least one client: {clients}")
+        self.clients = clients
+        self._client_free: List[float] = [0.0] * clients
+        self._server_free = 0.0
+        self._next_client = 0
+        self.completions = 0
+
+    def submit(self, service_us: float) -> QueuedCompletion:
+        """Submit the next operation (round-robin over clients) with the
+        serially-measured ``service_us``; returns its queued timing."""
+        if service_us < 0:
+            raise ValueError(f"negative service time: {service_us}")
+        client = self._next_client
+        self._next_client = (self._next_client + 1) % self.clients
+        arrival = self._client_free[client]
+        start = max(arrival, self._server_free)
+        completion = start + service_us
+        self._server_free = completion
+        self._client_free[client] = completion
+        self.completions += 1
+        return QueuedCompletion(client, arrival, start, completion)
+
+    @property
+    def makespan_us(self) -> float:
+        """Total virtual time to drain everything submitted so far."""
+        return self._server_free
 
 
 def test_single_client_has_no_wait():
