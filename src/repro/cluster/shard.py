@@ -222,12 +222,8 @@ class ShardGroup:
 
     def _backpressure(self, ssd) -> None:
         limit = self.queue_limit
-        if limit is None:
-            return
-        inflight = ssd._inflight
-        while len(inflight) >= limit:
-            self.backpressure_waits += 1
-            ssd.events.run_until(inflight[0][0])
+        if limit is not None and ssd.inflight >= limit:
+            self.backpressure_waits += ssd.drain(leave=limit - 1)
 
     def _guarded(self, label: str, ssd, session, fn):
         """Run a device op through the guard with a session attached."""

@@ -18,13 +18,16 @@ US_PER_MS = 1_000
 class SimClock:
     """Monotonic virtual clock with microsecond resolution.
 
-    The clock only moves forward via :meth:`advance`; components never read
+    The clock only moves forward — via :meth:`advance`, or when the
+    completion queue (:class:`~repro.sim.events.EventScheduler`) moves it
+    up to a device completion it delivers; components never read
     wall-clock time.  A single clock instance is shared by the whole
     simulated stack (host CPU model, SSD, log device).
 
     ``now_us`` — current virtual time in microseconds — is a plain
     attribute, not a property: the device reads it on every command and
-    completion.  Only the clock's own methods write it.
+    completion.  Only the clock's own methods and the completion queue
+    write it.
     """
 
     __slots__ = ("now_us", "_reset_hooks")
@@ -54,20 +57,6 @@ class SimClock:
         if delta_us < 0:
             raise ValueError(f"cannot advance clock backwards: {delta_us}")
         self.now_us += int(round(delta_us))
-        return self.now_us
-
-    def advance_to(self, time_us: int) -> int:
-        """Move time forward to ``time_us`` if it lies in the future.
-
-        Used by the event scheduler when delivering a completion whose
-        timestamp may already have been overtaken (out-of-order
-        completions under multi-channel parallelism): the clock clamps
-        instead of moving backwards.  Returns the (possibly unchanged)
-        current time.
-        """
-        time_us = int(time_us)
-        if time_us > self.now_us:
-            self.now_us = time_us
         return self.now_us
 
     def elapsed_since(self, start_us: int) -> int:

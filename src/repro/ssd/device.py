@@ -9,11 +9,13 @@ the :class:`DeviceStats` counters Figure 6 reports.
 Timing is event-driven.  Each command is *submitted*: it is admitted
 through a bounded :class:`NativeCommandQueue`, spends a DRAM/firmware
 phase, occupies the NAND channels its pages live on (per-channel busy
-resources, so work on different channels overlaps), and *completes* at a
-scheduled :class:`~repro.sim.events.EventScheduler` event which delivers
-telemetry, the I/O trace record, completion-phase command faults and the
-deferred ack-boundary journal entry — in global completion order across
-every device sharing the scheduler.
+resources, so work on different channels overlaps), and its ticket is
+pushed into the stack's :class:`~repro.sim.events.EventScheduler`
+completion queue.  It *completes* when the queue delivers the ticket
+back (:meth:`Ssd._on_complete`): telemetry, the I/O trace record,
+completion-phase command faults and the deferred ack-boundary journal
+entry — in global ``(completion, submission)`` order across every device
+sharing the scheduler.
 
 With no session attached (the default), each command method submits and
 immediately waits for its own completion, which at ``queue_depth=1`` and
@@ -30,8 +32,7 @@ Samsung PM853T log device of the experimental setup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import DeviceError, ShareError
 from repro.flash.geometry import FlashGeometry
@@ -107,8 +108,8 @@ class Ssd:
         self.intervals = IntervalTrace(self.config.interval_capacity)
         from repro.ssd.cache import DramReadCache
         self.cache = DramReadCache(self.config.dram_cache_pages)
-        # Event-driven execution core.  Devices of one stack (data + log
-        # SSD) share a scheduler so completions fire in global order.
+        # The completion queue.  Devices of one stack (data + log SSD)
+        # share a scheduler so completions fire in global order.
         self.events = events if events is not None \
             else EventScheduler(clock)
         self.channels = ChannelSet(self.config.geometry.channel_count,
@@ -120,18 +121,9 @@ class Ssd:
         self.ncq = ncq if ncq is not None \
             else NativeCommandQueue(self.config.queue_depth)
         self._session: Optional[DeviceSession] = None
-        # In-flight commands as a min-heap of (completion_us, cmd_seq,
-        # ticket).  One scheduler event per *timestamp frame* (the
-        # earliest pending completion) drains every due ticket in
-        # (completion_us, cmd_seq) order — a burst of N same-time
-        # completions costs one heap pop and one dispatched callback in
-        # the scheduler instead of N scheduled closures.  ``cmd_seq``
-        # is the per-device submission order, so same-timestamp
-        # completions fire in the order the host issued them.
-        self._inflight: List[Tuple[int, int, CommandTicket]] = []
-        self._cmd_seq = 0
-        self._drain_event = None
-        self._drain_label = f"{name}.drain"
+        #: Commands submitted and not yet completed (their tickets sit
+        #: in ``events``).
+        self.inflight = 0
         # Media cost per work-ledger kind, resolved once (replaces a
         # per-entry if-chain on the pricing path).
         timing = self.timing
@@ -224,18 +216,6 @@ class Ssd:
         """Return to synchronous (submit-and-wait) issue."""
         self._session = None
 
-    _SUBMITTABLE = ("read", "write", "write_multi", "write_atomic", "trim",
-                    "flush", "share", "share_batch", "idle_gc")
-
-    def submit(self, kind: str, *args, **kwargs):
-        """Submit one command by kind.  With a session attached this
-        queues the command and returns immediately; without one it
-        degenerates to the synchronous call."""
-        if kind not in self._SUBMITTABLE:
-            raise DeviceError(f"unknown command kind {kind!r} "
-                              f"(choose from {', '.join(self._SUBMITTABLE)})")
-        return getattr(self, kind)(*args, **kwargs)
-
     def poll(self, now_us: Optional[int] = None) -> int:
         """Fire every completion due at or before ``now_us`` (default:
         the session cursor, else the clock); returns how many commands
@@ -244,15 +224,19 @@ class Ssd:
             now_us = (self._session.now_us if self._session is not None
                       else self.clock.now_us)
         self.events.run_until(now_us)
-        return len(self._inflight)
+        return self.inflight
 
-    def drain(self) -> None:
-        """Complete every in-flight command, advancing the clock to the
-        device's completion horizon."""
-        while self._inflight:
-            # Tuples order by completion time first (and never reach the
-            # ticket: cmd_seq is unique), so this is one C-level pass.
-            self.events.run_until(max(self._inflight)[0])
+    def drain(self, leave: int = 0) -> int:
+        """Complete in-flight commands, earliest first, until at most
+        ``leave`` remain (default: all of them, which advances the clock
+        to the device's completion horizon).  Returns how many of the
+        device's own completion timestamps it waited for."""
+        excess = self.inflight - leave
+        if excess <= 0:
+            return 0
+        due = self.events.due(self)
+        self.events.run_until(due[excess - 1])
+        return len(set(due[:excess]))
 
     # ------------------------------------------------------------ commands
 
@@ -576,7 +560,7 @@ class Ssd:
         """Price the command (base latency plus the internal work — GC
         copybacks, erases, mapping-page programs, spills — it
         triggered), admit it through the NCQ, occupy its channels, and
-        queue its completion for the device drain event.
+        push its ticket into the completion queue.
 
         Per-command work deltas come from the FTL's work ledger: every
         internal-work counter increment leaves a ledger entry (some,
@@ -670,18 +654,8 @@ class Ssd:
         ticket = CommandTicket(
             kind, lpn, count, latency, service_us, arrival, completion,
             gc_events, copybacks, op_kind, op_record, gate_kind, gate_lpns)
-        self._cmd_seq += 1
-        heappush(self._inflight, (completion, self._cmd_seq, ticket))
-        # One drain event covers every queued completion: (re)schedule
-        # only when this command completes before the current head.
-        drain = self._drain_event
-        if drain is None:
-            self._drain_event = self.events.at(
-                completion, self._drain_due, label=self._drain_label)
-        elif completion < drain.time_us:
-            self.events.cancel(drain)
-            self._drain_event = self.events.at(
-                completion, self._drain_due, label=self._drain_label)
+        self.inflight += 1
+        self.events.push(completion, self, ticket)
 
         if telemetry.enabled:
             telemetry.tracer.current.set(
@@ -701,42 +675,17 @@ class Ssd:
         if self._session is None:
             self.events.run_until(ticket.completion_us)
 
-    def _drain_due(self) -> None:
-        """The device's single completion event: pop and complete every
-        ticket due at the current timestamp frame, then re-arm at the
-        next pending completion.
-
-        A completion callback may raise (completion-phase command
-        faults, journal-delivered power failures) — the ``finally``
-        re-arm keeps the remaining queued completions reachable in that
-        case, exactly as they were when each held its own event."""
-        self._drain_event = None
-        inflight = self._inflight
-        try:
-            now = self.clock.now_us
-            while inflight and inflight[0][0] <= now:
-                ticket = heappop(inflight)[2]
-                self._on_complete(ticket)
-        finally:
-            # power_cycle/_on_clock_reset may have run re-entrantly:
-            # re-read the (possibly replaced) heap and only re-arm when
-            # nothing else armed it meanwhile.
-            inflight = self._inflight
-            if inflight and self._drain_event is None:
-                self._drain_event = self.events.at(
-                    inflight[0][0], self._drain_due,
-                    label=self._drain_label)
-
     def _on_complete(self, ticket: CommandTicket) -> None:
-        """Complete one ticket (already popped from the in-flight heap):
-        deliver telemetry, the trace record, the completion-phase fault
-        gate and the deferred ack — in the order the device finishes
-        work, not the order the host submitted it.
+        """Complete one ticket (the completion queue popped it and moved
+        the clock up to it): deliver telemetry, the trace record, the
+        completion-phase fault gate and the deferred ack — in the order
+        the device finishes work, not the order the host submitted it.
 
         Delivery cost is tiered by telemetry mode: counters are always
         exact, but histogram/gauge recording (and the per-channel
         utilisation sweep) pass the 1-in-N sampler gate, which is where
         sampled mode saves its per-op wall-clock time."""
+        self.inflight -= 1
         now = self.clock.now_us
         telemetry = self.telemetry
         if telemetry.enabled:
@@ -785,7 +734,7 @@ class Ssd:
         elapsed = self.clock.now_us - self._measure_start_us
         return {
             "queue_depth": self.ncq.depth,
-            "inflight": len(self._inflight),
+            "inflight": self.inflight,
             "channel_count": self.channels.channel_count,
             "channel_busy_us": list(self.channels.busy_us),
             "channel_utilization": self.channels.utilization(elapsed),
@@ -794,12 +743,10 @@ class Ssd:
     def _on_clock_reset(self) -> None:
         """The harness rewound the clock between experiment runs: every
         absolute timestamp the device caches (queue completion times,
-        channel busy horizons, pending completion events) belongs to a
+        channel busy horizons, queued completions) belongs to a
         timeline that no longer exists.  Drop them all."""
-        if self._drain_event is not None:
-            self.events.cancel(self._drain_event)
-            self._drain_event = None
-        self._inflight.clear()
+        self.events.discard(self)
+        self.inflight = 0
         self.ncq.reset()
         self.channels.reset()
         self._measure_start_us = 0
@@ -807,18 +754,16 @@ class Ssd:
     # ------------------------------------------------------------ recovery
 
     def power_cycle(self) -> None:
-        """Simulate power loss + reboot: cancel every in-flight
-        completion (those commands never acknowledge — their records
-        become unacked in the fault journal), drop all volatile state
-        and run the FTL recovery scan over the surviving media."""
-        if self._drain_event is not None:
-            self.events.cancel(self._drain_event)
-            self._drain_event = None
-        for __, __, ticket in self._inflight:
+        """Simulate power loss + reboot: take every in-flight ticket
+        back from the completion queue (those commands never acknowledge
+        — their records become unacked in the fault journal, in the
+        order they would have completed), drop all volatile state and
+        run the FTL recovery scan over the surviving media."""
+        for ticket in self.events.discard(self):
             if ticket.op_kind is not None:
                 self.faults.abandon_operation(ticket.op_kind,
                                               ticket.op_record)
-        self._inflight.clear()
+        self.inflight = 0
         self.ncq.reset()
         self.channels.reset()
         self.ftl = PageMappingFtl.recover(self.nand, self.config.ftl,

@@ -29,8 +29,8 @@ from typing import Any, List, Optional, Tuple
 class CommandTicket:
     """One in-flight device command: timing plus completion bookkeeping.
 
-    Everything the completion event needs is captured at submission so
-    the event callback is self-contained: the priced latency (float, for
+    Everything completion needs is captured at submission so
+    ``Ssd._on_complete`` is self-contained: the priced latency (float, for
     the latency histograms), its integer service time, arrival and
     completion instants, and the deferred ack-journal record.
     """

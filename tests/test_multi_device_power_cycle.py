@@ -1,7 +1,7 @@
 """Satellite: multiple devices on one EventScheduler must fail
-independently — ``power_cycle()`` on one device cancels only its own
-drain event and in-flight tickets, leaving its neighbours' pending
-completions to fire on schedule (the property the sharded tier's
+independently — ``power_cycle()`` on one device discards only its own
+in-flight tickets, leaving its neighbours' queued completions to fire
+on schedule (the property the sharded tier's
 single-shard kills depend on)."""
 
 from repro.sim.clock import SimClock
@@ -34,22 +34,22 @@ def test_power_cycle_cancels_only_own_inflight(clock):
     session_b = DeviceSession(client=1, now_us=clock.now_us)
     queue_writes(first, session_a, 4)
     queue_writes(second, session_b, 4)
-    assert first._inflight and second._inflight
+    assert first.inflight and second.inflight
 
     first.power_cycle()
 
     # The victim's queue is gone; the neighbour's is untouched.
-    assert not first._inflight
-    assert len(second._inflight) == 4
+    assert not first.inflight
+    assert second.inflight == 4
     second.drain()
-    assert not second._inflight
+    assert not second.inflight
     for n in range(4):
         assert second.read(n) == ("second", n)
 
 
 def test_neighbour_completions_survive_the_cycle(clock):
     """Drain after the kill must complete exactly the survivor's work:
-    the dead device's cancelled tickets never fire."""
+    the dead device's discarded tickets never fire."""
     events, first, second = make_two(clock)
     session_a = DeviceSession(client=0, now_us=clock.now_us)
     session_b = DeviceSession(client=1, now_us=clock.now_us)
@@ -60,7 +60,7 @@ def test_neighbour_completions_survive_the_cycle(clock):
     first.drain()      # no-op: nothing in flight on the dead device
     second.drain()
     assert second.stats.host_write_pages == pages_queued == 3
-    assert not second._inflight
+    assert not second.inflight
 
 
 def test_dead_device_recovers_while_neighbour_runs(clock):
@@ -72,7 +72,7 @@ def test_dead_device_recovers_while_neighbour_runs(clock):
 
     first.power_cycle()    # recovery runs with second's work in flight
 
-    assert len(second._inflight) == 4
+    assert second.inflight == 4
     for n in range(6):
         assert first.read(n) == ("first", n)    # recovered from media
     second.drain()

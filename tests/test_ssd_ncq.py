@@ -11,14 +11,15 @@ from repro.ssd.device import Ssd, SsdConfig
 from repro.ssd.ncq import DeviceSession, NativeCommandQueue, issuing
 
 
-def build(queue_depth=1, channel_count=1, plane_ways=1, block_count=32):
+def build(queue_depth=1, channel_count=1, plane_ways=1, block_count=32,
+          **ssd_kwargs):
     clock = SimClock()
     ssd = Ssd(clock, SsdConfig(
         geometry=FlashGeometry(page_size=4096, pages_per_block=16,
                                block_count=block_count,
                                channel_count=channel_count),
         timing=FAST_TIMING, ftl=FtlConfig(map_block_count=4),
-        queue_depth=queue_depth, plane_ways=plane_ways))
+        queue_depth=queue_depth, plane_ways=plane_ways), **ssd_kwargs)
     return clock, ssd
 
 
@@ -78,13 +79,6 @@ class TestSessions:
             ssd.attach_session(DeviceSession(1, 0))
         ssd.detach_session()
 
-    def test_submit_dispatches_by_kind(self):
-        clock, ssd = build()
-        ssd.submit("write", 3, "payload")
-        assert ssd.submit("read", 3) == "payload"
-        with pytest.raises(DeviceError):
-            ssd.submit("mkfs")
-
     def test_poll_reports_inflight(self):
         clock, ssd = build(queue_depth=4)
         session = DeviceSession(0, 0)
@@ -94,6 +88,23 @@ class TestSessions:
         assert ssd.poll(0) >= 0
         ssd.drain()
         assert ssd.poll() == 0
+
+    def test_drain_can_leave_commands_in_flight(self):
+        clock, ssd = build(queue_depth=4)
+        session = DeviceSession(0, 0)
+        with issuing(session, ssd):
+            ssd.trim(1)
+            session.now_us = 0
+            ssd.trim(2)                 # completes with the first
+            for lpn in range(3):
+                ssd.write(lpn, ("v", lpn))
+        # One wait frees both TRIMs: they share a completion timestamp.
+        assert ssd.drain(leave=3) == 1
+        assert ssd.inflight == 3
+        assert ssd.drain(leave=3) == 0
+        assert ssd.drain() == 3
+        assert ssd.inflight == 0
+        assert clock.now_us == session.now_us
 
     def test_two_clients_overlap_only_with_depth(self):
         # At depth 1 two clients' commands serialise; at depth 2 they
@@ -140,12 +151,37 @@ class TestDeferredAcks:
         with issuing(session, ssd):
             for lpn in range(5):
                 ssd.write(lpn, ("v", lpn))
-        inflight = len(ssd._inflight)
+        inflight = ssd.inflight
         assert inflight > 0
         ssd.power_cycle()
         unacked = plan.unacked_ops()
         assert len(unacked) == inflight
         assert all(record.status == "unacked" for record in unacked)
+
+    def test_power_cycle_strands_ops_in_completion_order(self):
+        # Eight clients at QD 8 over four channels: the channel-free
+        # TRIMs finish ahead of the page programs submitted before them,
+        # and two programs on one channel finish one after the other.
+        # The stranded set comes back in (completion, submission) order.
+        from repro.sim.faults import FaultPlan
+
+        plan = FaultPlan()
+        clock, ssd = build(queue_depth=8, channel_count=4, faults=plan)
+        submitted = []
+        for client in range(8):
+            session = DeviceSession(client, 0)
+            with issuing(session, ssd):
+                if client in (2, 5):
+                    ssd.trim(40 + client)
+                    lpns = (40 + client,)
+                else:
+                    ssd.write(client, ("v", client))
+                    lpns = (client,)
+            submitted.append((session.now_us, client, lpns))
+        in_completion_order = [lpns for __, __, lpns in sorted(submitted)]
+        assert in_completion_order != [lpns for __, __, lpns in submitted]
+        ssd.power_cycle()
+        assert [op.lpns for op in plan.unacked_ops()] == in_completion_order
 
 
 class TestChannelOverlap:
