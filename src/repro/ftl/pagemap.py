@@ -144,7 +144,8 @@ class PageMappingFtl:
         # Hot-path fast lane: the raw LPN-indexed list on the flat
         # backing, None otherwise (strategies answer through get()).
         self._fwd_table = self.fwd.table
-        self.rev = ReverseMap(self.config.share_table_entries)
+        self.rev = ReverseMap(self.config.share_table_entries,
+                              geometry.total_pages)
         self._records_per_page = self.config.deltas_per_page(geometry.page_size)
         self.map_work: List[int] = []
         self.maplog = MapLog(nand, geometry, self._map_blocks,
@@ -1181,8 +1182,10 @@ class PageMappingFtl:
     def check_invariants(self) -> None:
         """Expensive consistency check used by tests, ``perfbench``'s
         verify step and the crashcheck sweeps: the reverse map must
-        mirror the forward map exactly, valid counts must agree, and the
-        block bookkeeping must agree with the media and with itself."""
+        mirror the forward map exactly and agree with its own share table,
+        valid counts must agree, and the block bookkeeping must agree with
+        the media and with itself."""
+        self.rev.check()
         expected_refs: Dict[int, set] = {}
         for lpn, ppn in self.fwd.mapped_lpns():
             expected_refs.setdefault(ppn, set()).add(lpn)

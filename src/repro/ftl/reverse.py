@@ -9,11 +9,26 @@ reverse-mapping table holding the extra references, sized to a small fixed
 budget (250 entries for 4 KiB pages, 500 for 8 KiB) traded against the I/O
 cache.
 
-This module tracks, per physical page, the full set of referencing LPNs:
+This module keeps the same split.  Every valid physical page has
 
-* the *primary* reference — whichever LPN was stamped in the spare area at
-  program time (free: it lives on the media),
+* a *primary* reference — whichever LPN was stamped in the spare area at
+  program time (free: it lives on the media; here one slot of a flat
+  PPN-indexed list), and possibly
 * *extra* references created by SHARE — these consume share-table capacity.
+
+A page that has never been shared costs nothing beyond its primary slot.
+The set of *all* its referencing LPNs is created, as ``{primary, extra}``,
+when the page gets its first extra reference, and is then kept for the
+rest of that page's life — until its last reference leaves, it is
+reprogrammed, or GC moves it (the copy gets a fresh set built from the
+sorted references, or none if only one is left) — even if it shrinks back
+to one LPN.  That lifetime is behaviour, not housekeeping: when a primary
+leaves, the extra promoted in its place is ``next(iter(set))``, a set's
+iteration order depends on every insert and discard it has seen, and which
+extra is promoted decides which share-table slot frees, hence later
+spills, spill lookups and virtual time.  Seeding the set with the primary
+first and never rebuilding it mid-life gives it exactly the history of a
+set kept since program time.
 
 When the share table is full, the FTL reconciles the oldest extra entry by
 materialising a private copy of the page for that LPN (a real page program,
@@ -34,15 +49,21 @@ class ReverseMap:
 
     The structure maintains the invariant that ``refs(ppn)`` equals the set
     of LPNs whose forward mapping currently points at ``ppn``; the FTL calls
-    :meth:`add_ref` / :meth:`drop_ref` around every forward-map change.
+    :meth:`set_primary` / :meth:`add_extra` / :meth:`drop_ref` /
+    :meth:`move_page` around every forward-map change.  PPNs index a list
+    of ``total_pages`` slots; LPNs are non-negative.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, total_pages: int) -> None:
         if capacity < 1:
             raise ValueError(f"share table capacity must be >= 1: {capacity}")
         self._capacity = capacity
+        self._total_pages = total_pages
+        # The spare-stamped owner of each physical page, -1 = none.
+        self._primary: List[int] = [-1] * total_pages
+        # Full reference sets, only for pages that have had an extra
+        # reference in their current life (see the module docstring).
         self._refs: Dict[int, Set[int]] = {}
-        self._primary: Dict[int, int] = {}
         # Extra (share) entries in insertion order for FIFO reconciliation:
         # key (ppn, lpn) -> None.
         self._extras: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
@@ -89,17 +110,28 @@ class ReverseMap:
 
     def refs(self, ppn: int) -> Set[int]:
         """LPNs currently referencing ``ppn`` (possibly empty)."""
-        return set(self._refs.get(ppn, ()))
+        if ppn in self._refs:
+            return set(self._refs[ppn])
+        lpn = self.primary_of(ppn)
+        return set() if lpn is None else {lpn}
 
     def ref_count(self, ppn: int) -> int:
-        return len(self._refs.get(ppn, ()))
+        if ppn in self._refs:
+            return len(self._refs[ppn])
+        return 0 if self.primary_of(ppn) is None else 1
 
     def is_valid(self, ppn: int) -> bool:
         """A physical page is valid while any LPN references it."""
-        return bool(self._refs.get(ppn))
+        return ppn in self._refs or self.primary_of(ppn) is not None
 
     def primary_of(self, ppn: int) -> Optional[int]:
-        return self._primary.get(ppn)
+        if 0 <= ppn < self._total_pages and self._primary[ppn] >= 0:
+            return self._primary[ppn]
+        return None
+
+    def shared_pages(self) -> int:
+        """Physical pages with more than one live reference."""
+        return sum(1 for refs in self._refs.values() if len(refs) > 1)
 
     def live_pages(self, start: int, stop: int
                    ) -> List[Tuple[int, List[int], bool]]:
@@ -108,18 +140,19 @@ class ReverseMap:
         valid page in ``[start, stop)``, in PPN order."""
         refs = self._refs
         spilled = self._spilled
-        return [(ppn, sorted(refs[ppn]), ppn in spilled)
-                for ppn in range(start, stop) if ppn in refs]
+        return [(ppn, sorted(refs[ppn]), ppn in spilled) if ppn in refs
+                else (ppn, [lpn], False)
+                for ppn, lpn in enumerate(self._primary[start:stop], start)
+                if lpn >= 0 or ppn in refs]
 
     # ------------------------------------------------------------- updates
 
     def set_primary(self, ppn: int, lpn: int) -> None:
         """Record the spare-area stamp created when ``ppn`` was programmed
         for ``lpn``.  Clears any stale state from the page's previous life."""
-        if ppn in self._refs or ppn in self._primary:
+        if self._primary[ppn] >= 0 or ppn in self._refs:
             self._forget_page(ppn)
         self._primary[ppn] = lpn
-        self._refs[ppn] = {lpn}
 
     def add_extra(self, ppn: int, lpn: int) -> bool:
         """Add a SHARE-created reference.
@@ -128,10 +161,16 @@ class ReverseMap:
         spilled to the flash-log-backed overflow (the caller accounts the
         spill cost; correctness is unaffected either way).
         """
-        refs = self._refs.setdefault(ppn, set())
-        if lpn in refs:
-            return (ppn, lpn) in self._extras
-        refs.add(lpn)
+        if ppn in self._refs:
+            refs = self._refs[ppn]
+            if lpn in refs:
+                return (ppn, lpn) in self._extras
+            refs.add(lpn)
+        else:
+            primary = self._primary[ppn]
+            if lpn == primary:
+                return False
+            self._refs[ppn] = {primary, lpn} if primary >= 0 else {lpn}
         if len(self._extras) < self._capacity:
             self._extras[(ppn, lpn)] = None
             return True
@@ -166,23 +205,30 @@ class ReverseMap:
 
         Returns True when the page became invalid (no references left).
         """
-        refs = self._refs.get(ppn)
-        if refs is None or lpn not in refs:
+        primary = self._primary
+        if ppn not in self._refs:
+            # Never shared in this life: the primary is the only reference.
+            if primary[ppn] != lpn:
+                return False
+            primary[ppn] = -1
+            return True
+        refs = self._refs[ppn]
+        if lpn not in refs:
             return False
         refs.discard(lpn)
-        if self._primary.get(ppn) != lpn:
+        if primary[ppn] != lpn:
             self._drop_extra(ppn, lpn)
         elif refs:
             # The primary reference left: promote an extra to primary.
             # The spare stamp is stale but the DRAM table now owns the
             # page, and GC will restamp it on the next copyback.
             promoted = next(iter(refs))
-            self._primary[ppn] = promoted
+            primary[ppn] = promoted
             self._drop_extra(ppn, promoted)
         if refs:
             return False
         del self._refs[ppn]
-        self._primary.pop(ppn, None)
+        primary[ppn] = -1
         return True
 
     def oldest_extra(self) -> Optional[Tuple[int, int]]:
@@ -201,20 +247,29 @@ class ReverseMap:
         others become extra entries at the new location (their count in
         the table is unchanged).
         """
-        current = self._refs.get(old_ppn)
-        if current is None or current != set(refs):
+        primary = self._primary
+        if old_ppn not in self._refs:
+            # Never shared: only the primary slot moves.  (The list
+            # comparison comes first so the common case pays no call.)
+            owner = (primary[old_ppn] if 0 <= old_ppn < self._total_pages
+                     else -1)
+            if owner < 0 or (refs != [owner] and set(refs) != {owner}):
+                raise ValueError(
+                    f"{refs} are not the references of PPN {old_ppn}")
+            primary[old_ppn] = -1
+            primary[new_ppn] = owner
+            return
+        if self._refs[old_ppn] != set(refs):
             raise ValueError(
                 f"{refs} are not the references of PPN {old_ppn}")
         del self._refs[old_ppn]
-        old_primary = self._primary.pop(old_ppn, None)
+        old_primary = primary[old_ppn]
         new_primary = refs[0]
-        self._primary[new_ppn] = new_primary
-        # A fresh set built from the sorted list, not the old object: a
-        # later promotion takes ``next(iter(...))`` of it, so its
-        # iteration order is part of the device's behaviour.
-        self._refs[new_ppn] = set(refs)
-        if current == {old_primary}:
-            return   # an unshared page: no table entries to move
+        primary[old_ppn] = -1
+        primary[new_ppn] = new_primary
+        if len(refs) > 1:
+            # Fresh from the sorted list, never the old object.
+            self._refs[new_ppn] = set(refs)
         for lpn in refs:
             if lpn != old_primary:
                 self._drop_extra(old_ppn, lpn)
@@ -228,7 +283,8 @@ class ReverseMap:
 
     def _forget_page(self, ppn: int) -> None:
         refs = self._refs.pop(ppn, None)
-        primary = self._primary.pop(ppn, None)
+        primary = self._primary[ppn]
+        self._primary[ppn] = -1
         for lpn in refs or ():
             if lpn != primary:
                 self._drop_extra(ppn, lpn)
@@ -237,19 +293,59 @@ class ReverseMap:
 
     def rebuild(self, entries: Iterable[Tuple[int, int, bool]]) -> None:
         """Reload from recovery: ``entries`` yields (ppn, lpn, is_primary)."""
-        self._refs.clear()
-        self._primary.clear()
+        self._primary = primary = [-1] * self._total_pages
         self._extras.clear()
         self._spilled.clear()
         self._spilled_count = 0
         self._spilled_peak = 0
+        # Every page's set is built in entry order, as if it had existed
+        # since program time; only then are the never-shared ones dropped.
+        refs_by_ppn: Dict[int, Set[int]] = {}
         for ppn, lpn, is_primary in entries:
-            refs = self._refs.setdefault(ppn, set())
-            refs.add(lpn)
+            refs_by_ppn.setdefault(ppn, set()).add(lpn)
             if is_primary:
-                self._primary[ppn] = lpn
+                primary[ppn] = lpn
             elif len(self._extras) < self._capacity:
                 self._extras[(ppn, lpn)] = None
             else:
                 self._spilled.setdefault(ppn, set()).add(lpn)
                 self._note_spill()
+        self._refs = {ppn: refs for ppn, refs in refs_by_ppn.items()
+                      if refs != {primary[ppn]}}
+
+    # --------------------------------------------------------------- debug
+
+    def check(self) -> None:
+        """The bounded-refs invariant: the kept sets, the primary slots,
+        the DRAM share table and the spill buckets describe the same
+        references, and the table is within its budget.  Raises
+        :class:`AssertionError` on the first disagreement."""
+        if len(self._extras) > self._capacity:
+            raise AssertionError(
+                f"share table over budget: {len(self._extras)} entries, "
+                f"capacity {self._capacity}")
+        in_dram: Dict[int, Set[int]] = {}
+        for ppn, lpn in self._extras:
+            in_dram.setdefault(ppn, set()).add(lpn)
+        spilled_total = sum(len(bucket) for bucket in self._spilled.values())
+        if spilled_total != self._spilled_count:
+            raise AssertionError(
+                f"spilled_entries {self._spilled_count} != {spilled_total} "
+                f"entries in the spill buckets")
+        for ppn in in_dram.keys() | self._spilled.keys():
+            if ppn not in self._refs:
+                raise AssertionError(
+                    f"PPN {ppn} has share-table or spill entries but no "
+                    f"reference set")
+        for ppn, refs in self._refs.items():
+            primary = self._primary[ppn]
+            if primary not in refs:
+                raise AssertionError(
+                    f"reference set {sorted(refs)} of PPN {ppn} does not "
+                    f"contain its primary ({primary}; -1 = invalid page)")
+            dram = in_dram.get(ppn, set())
+            spilled = self._spilled.get(ppn, set())
+            if dram & spilled or refs - {primary} != dram | spilled:
+                raise AssertionError(
+                    f"PPN {ppn}: extras {sorted(refs - {primary})} != "
+                    f"table {sorted(dram)} + spilled {sorted(spilled)}")

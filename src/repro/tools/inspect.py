@@ -69,8 +69,7 @@ def gather_report(ssd: Ssd) -> Dict[str, object]:
     histogram: Dict[int, int] = {}
     for count in erase_counts:
         histogram[count] = histogram.get(count, 0) + 1
-    shared_pages = sum(1 for ppn in list(ftl.rev._refs)
-                       if ftl.rev.ref_count(ppn) > 1)
+    shared_pages = ftl.rev.shared_pages()
     return {
         "logical_pages": ftl.logical_pages,
         "mapped_lpns": ftl.fwd.mapped_count,

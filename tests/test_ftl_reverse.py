@@ -7,7 +7,7 @@ from repro.ftl.reverse import ReverseMap
 
 @pytest.fixture
 def rev():
-    return ReverseMap(capacity=4)
+    return ReverseMap(capacity=4, total_pages=64)
 
 
 def test_primary_reference_free(rev):
@@ -118,7 +118,7 @@ def test_rebuild(rev):
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        ReverseMap(0)
+        ReverseMap(0, total_pages=64)
 
 
 class TestSpillChurn:

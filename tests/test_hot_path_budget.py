@@ -41,20 +41,21 @@ from repro.ssd.device import Ssd, SsdConfig
 
 from conftest import small_linkbench_stack
 
-#: Calls per command the mix below may cost.  Measured 48.15 on CPython
-#: 3.11 when committed (55.09 on the commit before, when a completion
-#: went through a per-device in-flight heap and a scheduled drain event
-#: as well as the scheduler's heap; 98.7 before the FTL owned its block
-#: state); the slack covers interpreter versions.
+#: Calls per command the mix below may cost.  Measured 45.49 on CPython
+#: 3.11 when committed (48.15 on the commit before, when the reverse map
+#: kept a set and two dict entries per physical page; 55.09 when a
+#: completion went through a per-device in-flight heap and a scheduled
+#: drain event as well as the scheduler's heap; 98.7 before the FTL owned
+#: its block state); the slack covers interpreter versions.
 #: Raise it only with a reason in the commit message.
-CALLS_PER_COMMAND_BUDGET = 53.0
+CALLS_PER_COMMAND_BUDGET = 50.0
 
 #: Calls per command the same mix may cost with live telemetry (default
 #: sink, no snapshots).  Measured on CPython 3.11 when committed, against
-#: 48.15 passive: sampled 66.12 (+37.3 %; 12.1 of them in functions
-#: defined under ``repro/obs``), full 105.15 (+118.4 %; 30.7 under
+#: 45.49 passive: sampled 63.47 (+39.5 %; 12.1 of them in functions
+#: defined under ``repro/obs``), full 102.49 (+125.3 %; 30.7 under
 #: ``repro/obs``).  The ceilings are the measured values + ~5 %.
-TIER_CALLS_PER_COMMAND_CEILING = {"sampled": 70.0, "full": 111.0}
+TIER_CALLS_PER_COMMAND_CEILING = {"sampled": 67.0, "full": 108.0}
 
 COMMANDS = 4000
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep

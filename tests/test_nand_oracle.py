@@ -1,61 +1,38 @@
-"""NAND array: the persistent media under the FTL.
+"""The array-backed NAND against the object-per-page NAND it replaced.
 
-The array enforces the three chip-level rules the paper's design hinges on:
-
-1. a programmed page cannot be overwritten (*no-overwrite*),
-2. a block must be erased before any of its pages are reprogrammed,
-3. pages inside a block are programmed in ascending order (MLC rule).
-
-Page payloads are opaque Python objects ("page images") plus a spare-area
-record written alongside the data; the FTL uses the spare area to stamp the
-owning LPN / metadata tag, exactly as real firmware stamps out-of-band
-bytes.  The array is the *only* state that survives an injected power
-failure — everything above it (mapping tables in DRAM, buffer pools) is
-volatile and rebuilt during recovery.
-
-When a :class:`~repro.sim.faults.FaultPlan` with armed media faults is
-attached, chip operations can fail the way real NAND fails:
-
-* ``read`` raises :class:`UncorrectableReadError` (transient or sticky) or
-  returns a :data:`~repro.sim.faults.CORRUPT_PAYLOAD`-wrapped payload;
-* ``program`` raises :class:`ProgramFailError` and leaves the page
-  *failed* — it consumed its program slot (the in-order rule still holds)
-  but holds no readable data;
-* ``erase`` raises :class:`EraseFailError` and leaves the block's contents
-  untouched.
-
-The spare area is modelled as separately protected (real firmware guards
-OOB bytes with their own ECC), so ``read_spare`` and ``scan_block`` never
-consult read faults — recovery's OOB scan stays deterministic even on a
-degraded device.
+``NandArray`` used to hold one ``_Page`` dataclass instance per physical
+page; it now holds a ``bytearray`` of state bytes and two PPN-indexed
+lists.  The previous class lives on here, verbatim, as the reference:
+hypothesis drives both with the same chip operations and the same armed
+media faults and compares every return value, raised exception type,
+counter and per-page answer after every step.
 """
 
-from __future__ import annotations
-
-from enum import Enum
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (EraseFailError, ProgramError, ProgramFailError,
                           ReadError, UncorrectableReadError)
 from repro.flash.geometry import FlashGeometry
-from repro.sim.faults import CORRUPT_PAYLOAD, NO_FAULTS, FaultPlan
+from repro.flash.nand import NandArray, PageState
+from repro.sim.faults import (CORRUPT_PAYLOAD, NO_FAULTS, CorruptRead,
+                              EraseFault, FaultPlan, ProgramFault, ReadFault)
 
 
-class PageState(Enum):
-    """Lifecycle of one physical page."""
+# ------------------------------------------------------ reference array
 
-    ERASED = "erased"
-    PROGRAMMED = "programmed"
-
-
-# Per-page state bytes.  A *failed* page is PROGRAMMED to the chip (it
-# consumed its program slot) but holds no payload and no spare.
-_ERASED = 0
-_PROGRAMMED = 1
-_FAILED = 2
+@dataclass
+class _Page:
+    state: PageState = PageState.ERASED
+    data: Any = None
+    spare: Any = None
+    failed: bool = False   # program failure consumed the page; no payload
 
 
-class NandArray:
+class RefNandArray:
     """The raw flash media.
 
     The array tracks per-block erase counts (device wear, which the paper's
@@ -63,12 +40,6 @@ class NandArray:
     counts.  It charges **no** time itself — latency accounting lives in the
     SSD facade so GC-internal copybacks can be priced differently from
     host-visible transfers.
-
-    Per-page state is three PPN-indexed arrays — a ``bytearray`` of state
-    bytes and two lists holding payload and spare — not an object per
-    page: a simulated device costs 17 bytes of host memory per physical
-    page before anything is programmed, and an erase is three slice
-    assignments.
     """
 
     def __init__(self, geometry: FlashGeometry,
@@ -81,12 +52,7 @@ class NandArray:
         self._total_pages = geometry.total_pages
         self._pages_per_block = geometry.pages_per_block
         self._channel_count = geometry.channel_count
-        self._state = bytearray(geometry.total_pages)
-        self._data: List[Any] = [None] * geometry.total_pages
-        self._spare: List[Any] = [None] * geometry.total_pages
-        # What ``erase`` assigns over a block's slice of each array.
-        self._erased_state = bytes(geometry.pages_per_block)
-        self._erased_payload: List[Any] = [None] * geometry.pages_per_block
+        self._pages: List[_Page] = [_Page() for _ in range(geometry.total_pages)]
         self._next_program_offset: List[int] = [0] * geometry.block_count
         self.erase_counts: List[int] = [0] * geometry.block_count
         self.total_programs = 0
@@ -112,7 +78,8 @@ class NandArray:
         OOB scan skips it."""
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)   # raises with the range message
-        if self._state[ppn] != _ERASED:
+        page = self._pages[ppn]
+        if page.state is not PageState.ERASED:
             raise ProgramError(f"PPN {ppn} already programmed; erase block first")
         block = ppn // self._pages_per_block
         offset = ppn - block * self._pages_per_block
@@ -126,15 +93,19 @@ class NandArray:
             try:
                 media.on_program(ppn)
             except ProgramFailError:
-                self._state[ppn] = _FAILED   # payload and spare stay None
+                page.state = PageState.PROGRAMMED
+                page.data = None
+                page.spare = None
+                page.failed = True
                 self._next_program_offset[block] = offset + 1
                 self.total_programs += 1
                 self.channel_ops[block % self._channel_count] += 1
                 self.failed_programs += 1
                 raise
-        self._state[ppn] = _PROGRAMMED
-        self._data[ppn] = data
-        self._spare[ppn] = spare
+        page.state = PageState.PROGRAMMED
+        page.data = data
+        page.spare = spare
+        page.failed = False
         self._next_program_offset[block] = offset + 1
         self.total_programs += 1
         self.channel_ops[block % self._channel_count] += 1
@@ -143,13 +114,13 @@ class NandArray:
         """Read the data payload of a programmed page."""
         if not 0 <= ppn < self._total_pages:
             self.geometry.check_ppn(ppn)   # raises with the range message
-        state = self._state[ppn]
-        if state == _ERASED:
+        page = self._pages[ppn]
+        if page.state is not PageState.PROGRAMMED:
             raise ReadError(f"PPN {ppn} is erased; nothing to read")
         self.total_reads += 1
         self.channel_ops[(ppn // self._pages_per_block)
                          % self._channel_count] += 1
-        if state == _FAILED:
+        if page.failed:
             self.failed_reads += 1
             raise UncorrectableReadError(
                 f"PPN {ppn} failed during program; payload unreadable")
@@ -163,7 +134,7 @@ class NandArray:
                 raise
             if corrupt:
                 return (CORRUPT_PAYLOAD, ppn)
-        return self._data[ppn]
+        return page.data
 
     def read_spare(self, ppn: int) -> Any:
         """Read only the spare-area record (cheap OOB scan during recovery).
@@ -171,9 +142,10 @@ class NandArray:
         The spare area is modelled as separately protected, so this never
         consults read faults; a *failed* page still has no spare to give."""
         self.geometry.check_ppn(ppn)
-        if self._state[ppn] == _ERASED:
+        page = self._pages[ppn]
+        if page.state is not PageState.PROGRAMMED:
             raise ReadError(f"PPN {ppn} is erased; no spare data")
-        return self._spare[ppn]
+        return page.spare
 
     def erase(self, block: int) -> None:
         """Erase a whole block, returning every page in it to ERASED.
@@ -190,10 +162,11 @@ class NandArray:
                 self.failed_erases += 1
                 raise
         start = block * self._pages_per_block
-        stop = start + self._pages_per_block
-        self._state[start:stop] = self._erased_state
-        self._data[start:stop] = self._erased_payload
-        self._spare[start:stop] = self._erased_payload
+        for page in self._pages[start:start + self._pages_per_block]:
+            page.state = PageState.ERASED
+            page.data = None
+            page.spare = None
+            page.failed = False
         self._next_program_offset[block] = 0
         self.erase_counts[block] += 1
         self.total_erases += 1
@@ -203,19 +176,19 @@ class NandArray:
 
     def state_of(self, ppn: int) -> PageState:
         self.geometry.check_ppn(ppn)
-        return (PageState.ERASED if self._state[ppn] == _ERASED
-                else PageState.PROGRAMMED)
+        return self._pages[ppn].state
 
     def is_programmed(self, ppn: int) -> bool:
         """True when the page holds *readable* programmed data (a page that
         failed during program is not usable and reports False)."""
         self.geometry.check_ppn(ppn)
-        return self._state[ppn] == _PROGRAMMED
+        page = self._pages[ppn]
+        return page.state is PageState.PROGRAMMED and not page.failed
 
     def is_failed(self, ppn: int) -> bool:
         """True when the page consumed its program slot but failed."""
         self.geometry.check_ppn(ppn)
-        return self._state[ppn] == _FAILED
+        return self._pages[ppn].failed
 
     def programmed_pages_in_block(self, block: int) -> int:
         """How many pages of ``block`` have been programmed since its last
@@ -229,12 +202,14 @@ class NandArray:
         failed during program are skipped (they hold no spare stamp)."""
         self.geometry.check_block(block)
         start = self.geometry.first_ppn(block)
-        state = self._state
-        spare = self._spare
-        return [(ppn, spare[ppn])
-                for ppn in range(start,
-                                 start + self._next_program_offset[block])
-                if state[ppn] != _FAILED]
+        out: List[Tuple[int, Any]] = []
+        for offset in range(self._next_program_offset[block]):
+            ppn = start + offset
+            page = self._pages[ppn]
+            if page.failed:
+                continue
+            out.append((ppn, page.spare))
+        return out
 
     @property
     def max_erase_count(self) -> int:
@@ -254,3 +229,113 @@ class NandArray:
             "mean": sum(counts) / len(counts),
             "max": max(counts),
         }
+
+
+# ----------------------------------------------------------- comparison
+
+GEOMETRY = FlashGeometry(page_size=512, pages_per_block=4, block_count=6,
+                         channel_count=2)
+PAGES = GEOMETRY.total_pages
+BLOCKS = GEOMETRY.block_count
+
+FAULTS = {"program_fault": ProgramFault, "read_fault": ReadFault,
+          "corrupt_read": CorruptRead, "erase_fault": EraseFault}
+
+
+def observe(nand):
+    """Every counter and every per-page answer."""
+    return {
+        "state_of": [nand.state_of(ppn) for ppn in range(PAGES)],
+        "is_programmed": [nand.is_programmed(ppn) for ppn in range(PAGES)],
+        "is_failed": [nand.is_failed(ppn) for ppn in range(PAGES)],
+        "scan_block": [nand.scan_block(block) for block in range(BLOCKS)],
+        "programmed_pages_in_block": [nand.programmed_pages_in_block(block)
+                                      for block in range(BLOCKS)],
+        "next_program_offset": list(nand._next_program_offset),
+        "erase_counts": list(nand.erase_counts),
+        "channel_ops": list(nand.channel_ops),
+        "counters": (nand.total_programs, nand.total_reads,
+                     nand.total_erases, nand.failed_programs,
+                     nand.failed_reads, nand.failed_erases),
+        "wear": (nand.max_erase_count, nand.total_erase_count,
+                 nand.wear_summary()),
+    }
+
+
+def apply(nand, name, *args):
+    """Run one operation: ("ok", return value) or ("raised", type)."""
+    try:
+        if name == "program_next":
+            # The in-order program the FTL issues.
+            block, data = args
+            ppn = (block * GEOMETRY.pages_per_block
+                   + nand.programmed_pages_in_block(block))
+            name, args = "program", (ppn, data, ((data, ppn),))
+        elif name in FAULTS:
+            nand.faults.arm_media(FAULTS[name](**args[0]))
+            return "ok", None
+        return "ok", getattr(nand, name)(*args)
+    except Exception as exc:   # the type is what is compared
+        return "raised", type(exc)
+
+
+def run_both(ops):
+    ref = RefNandArray(GEOMETRY, FaultPlan())
+    new = NandArray(GEOMETRY, FaultPlan())
+    for op in ops:
+        outcome = apply(ref, *op)
+        assert apply(new, *op) == outcome, op
+        assert observe(new) == observe(ref), op
+    return new
+
+
+# Out-of-range addresses are in the draw: the range checks are behaviour.
+ppns = st.integers(-1, PAGES)
+blocks = st.integers(-1, BLOCKS)
+payloads = st.integers(0, 999)
+
+operations = st.one_of(
+    st.tuples(st.just("program_next"), st.integers(0, BLOCKS - 1), payloads),
+    st.tuples(st.just("program_next"), st.integers(0, BLOCKS - 1), payloads),
+    st.tuples(st.just("program"), ppns, payloads, payloads),
+    st.tuples(st.just("read"), ppns),
+    st.tuples(st.just("read"), ppns),
+    st.tuples(st.just("read_spare"), ppns),
+    st.tuples(st.just("erase"), blocks),
+    st.tuples(st.just("scan_block"), blocks),
+    st.tuples(st.just("state_of"), ppns),
+    st.tuples(st.just("is_programmed"), ppns),
+    st.tuples(st.just("is_failed"), ppns),
+    st.tuples(st.just("program_fault"), st.one_of(
+        st.fixed_dictionaries({"nth": st.integers(1, 3)}),
+        st.fixed_dictionaries({"ppn": st.integers(0, PAGES - 1)}))),
+    st.tuples(st.just("read_fault"), st.fixed_dictionaries(
+        {"ppn": st.integers(0, PAGES - 1),
+         "retries_to_clear": st.one_of(st.none(), st.integers(1, 2))})),
+    st.tuples(st.just("corrupt_read"), st.fixed_dictionaries(
+        {"ppn": st.integers(0, PAGES - 1)})),
+    st.tuples(st.just("erase_fault"), st.fixed_dictionaries(
+        {"block": st.integers(0, BLOCKS - 1)})),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(operations, min_size=1, max_size=80))
+def test_matches_reference_after_every_step(ops):
+    run_both(ops)
+
+
+def test_failed_page_is_consumed_unreadable_and_cleared_by_erase():
+    new = run_both([
+        ("program_next", 1, 7),
+        ("program_fault", {"nth": 1}),
+        ("program_next", 1, 8),          # fails, consumes offset 1
+        ("program_next", 1, 9),
+        ("read", 5), ("read_spare", 5), ("scan_block", 1),
+        ("program", 5, 1, 1),            # no overwrite of a failed page
+        ("erase", 1),
+        ("program_next", 1, 10),
+    ])
+    assert new.state_of(5) is PageState.ERASED
+    assert new.scan_block(1) == [(4, ((10, 4),))]
+    assert new.failed_programs == 1 and new.failed_reads == 1
