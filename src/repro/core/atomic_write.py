@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.errors import ShareError
-from repro.ftl.share_ext import SharePair
 from repro.ssd.device import Ssd
 
 
@@ -110,7 +109,7 @@ class AtomicWriter:
                 f"{len(self._staged)} staged pages exceed the atomic SHARE "
                 f"limit of {self._ssd.max_share_batch}")
         self._ssd.flush()
-        pairs = [SharePair(dst, src) for dst, src in sorted(self._staged.items())]
+        pairs = sorted(self._staged.items())
         self._ssd.share_batch(pairs)
         count = len(pairs)
         self._staged = {}

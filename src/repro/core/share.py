@@ -8,10 +8,11 @@ state changes), and submits in atomic chunks.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import ShareError
-from repro.ftl.share_ext import SharePair, expand_range
+from repro.ftl.share_ext import (MAX_BATCH_UNLIMITED, SharePair,
+                                 expand_range, validate_batch)
 from repro.ssd.device import Ssd
 
 __all__ = ["SharePair", "expand_range", "ShareBatchBuilder"]
@@ -29,21 +30,22 @@ class ShareBatchBuilder:
         if not ssd.supports_share:
             raise ShareError("device does not support the SHARE command")
         self._ssd = ssd
-        self._pairs: List[SharePair] = []
+        self._pairs: List[Tuple[int, int]] = []
         self._dst_seen = set()
 
     def add(self, dst_lpn: int, src_lpn: int) -> "ShareBatchBuilder":
-        """Queue one remap; validates duplicates eagerly."""
-        pair = SharePair(dst_lpn, src_lpn)
+        """Queue one remap; validates the pair and duplicates eagerly."""
+        validate_batch([(dst_lpn, src_lpn)], self._ssd.logical_pages,
+                       MAX_BATCH_UNLIMITED)
         if dst_lpn in self._dst_seen:
             raise ShareError(f"destination LPN queued twice: {dst_lpn}")
         self._dst_seen.add(dst_lpn)
-        self._pairs.append(pair)
+        self._pairs.append((dst_lpn, src_lpn))
         return self
 
     def add_range(self, dst_lpn: int, src_lpn: int, length: int) -> "ShareBatchBuilder":
-        for pair in expand_range(dst_lpn, src_lpn, length):
-            self.add(pair.dst_lpn, pair.src_lpn)
+        for dst, src in expand_range(dst_lpn, src_lpn, length):
+            self.add(dst, src)
         return self
 
     def __len__(self) -> int:
@@ -53,11 +55,7 @@ class ShareBatchBuilder:
         """Issue the queued pairs; returns the number of device commands."""
         if not self._pairs:
             raise ShareError("nothing queued to share")
-        limit = self._ssd.max_share_batch
-        commands = 0
-        for start in range(0, len(self._pairs), limit):
-            self._ssd.share_batch(self._pairs[start:start + limit])
-            commands += 1
+        commands = self._ssd.in_batches(self._ssd.share_batch, self._pairs)
         self._pairs = []
         self._dst_seen = set()
         return commands

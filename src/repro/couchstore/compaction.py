@@ -26,7 +26,7 @@ from typing import List, Tuple
 
 from repro.couchstore.engine import CommitMode, CouchStore
 from repro.couchstore.layout import doc_key, header_record
-from repro.errors import ResilienceError
+from repro.errors import IoctlError, ResilienceError
 from repro.sim.clock import SimClock
 
 
@@ -182,18 +182,18 @@ def _compact_share(store: CouchStore, clock: SimClock, suffix: str
     share_commands = 0
     if ranges:
         # The destination file blocks come from new_file; sources from the
-        # old file, both resolved to LPNs by _share_across.
+        # old file, both resolved to LPNs by the share ioctl.
         faults.checkpoint("couch.compact_share")
         try:
-            share_commands = store.resilience.call(
-                "couch.compact_share",
-                lambda: _share_across(new_file, store, ranges))
-        except ResilienceError:
-            # SHARE unavailable: abandon the zero-copy attempt and run the
-            # original copy compaction.  The partial new file holds only
-            # fallocated (never-written) blocks, so deleting it is the
-            # same cleanup a crash would need — and the crash checkpoints
-            # around it prove that window safe too.
+            share_commands = store.resilience.share_file_ranges(
+                new_file, store.file, ranges)
+        except (ResilienceError, IoctlError):
+            # SHARE unavailable (the guard gave up, or the ioctl found a
+            # device without the command): abandon the zero-copy attempt
+            # and run the original copy compaction.  The partial new file
+            # holds only fallocated (never-written) blocks, so deleting it
+            # is the same cleanup a crash would need — and the crash
+            # checkpoints around it prove that window safe too.
             faults.checkpoint("couch.compact_fallback")
             store.resilience.record_fallback()
             store.fs.unlink(tmp_path)
@@ -217,22 +217,3 @@ def _compact_share(store: CouchStore, clock: SimClock, suffix: str
     result = _measure_end(store, clock, start, "share", docs_moved, nodes,
                           share_commands)
     return new_store, result
-
-
-def _share_across(new_file, store: CouchStore,
-                  ranges: List[Tuple[int, int, int]]) -> int:
-    """share(dst=new file blocks, src=old file blocks) in device batches."""
-    pairs = []
-    for dst_block, src_block, length in ranges:
-        for offset in range(length):
-            pairs.append((new_file.block_lpn(dst_block + offset),
-                          store.file.block_lpn(src_block + offset)))
-    from repro.ftl.share_ext import SharePair
-    ssd = store.fs.ssd
-    limit = ssd.max_share_batch
-    commands = 0
-    for start_index in range(0, len(pairs), limit):
-        chunk = pairs[start_index:start_index + limit]
-        ssd.share_batch([SharePair(dst, src) for dst, src in chunk])
-        commands += 1
-    return commands

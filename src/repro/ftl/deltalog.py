@@ -19,8 +19,9 @@ sequence number — the newest assertion per LPN wins.
 
 Media faults make the log defend itself:
 
-* every mapping page is sealed with a CRC32 over its records, so a page
-  returned corrupted (or torn by a failed program) is *detected* during
+* every mapping page is sealed with a CRC32 over a canonical encoding of
+  its records' fields (see :func:`_checksum`), so a page returned
+  corrupted (or torn by a failed program) is *detected* during
   :meth:`MapLog.scan` and skipped rather than replayed — recovery already
   always merges the log with the full OOB scan by sequence number, so a
   lost log page degrades to the stamps' view instead of silently replaying
@@ -38,13 +39,20 @@ the merged view through :class:`repro.ftl.mapping.MappingStrategy.update`,
 so the same media rebuilds identically under the flat, grouped,
 run-length, or delta-compressed backing (pinned by the parity tests in
 ``tests/test_ftl_strategy_recovery.py``).
+
+A record is plain data: any 5-tuple in :class:`DeltaRecord` field order
+(the SHARE and TRIM paths build bare tuples; :meth:`MapLog.scan` hands
+back :class:`DeltaRecord`).  Its rules — known kind, non-negative LPN,
+PPNs and seq, a trim has no new PPN, a badblk no PPNs — are enforced once
+per mapping page, by :func:`_seal`, before the page is programmed (and
+again by :func:`_unseal`, which re-seals what it read).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from array import array
+from typing import Callable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     EraseFailError,
@@ -60,8 +68,9 @@ from repro.sim.faults import NO_FAULTS, FaultPlan
 #: Spare-area tag marking a mapping page (vs a data page).
 MAP_PAGE_TAG = "map"
 
-#: Magic leading every sealed mapping-page payload.
-MAP_MAGIC = "maplog-v2"
+#: Magic leading every sealed mapping-page payload (v3: the checksum
+#: covers the packed fields, not the records' debug string).
+MAP_MAGIC = "maplog-v3"
 
 KIND_SHARE = "share"
 KIND_TRIM = "trim"
@@ -75,16 +84,16 @@ KIND_XCOMMIT = "xcommit"
 #: PPN fields are None.  Data-block records are emitted by the FTL at
 #: retirement time; map-block records are emitted by the log itself.
 KIND_BADBLK = "badblk"
-_KINDS = frozenset({KIND_SHARE, KIND_TRIM, KIND_SNAP, KIND_AWRITE,
-                    KIND_XCOMMIT, KIND_BADBLK})
+#: Every known kind, and its integer in the sealed encoding.
+_KIND_CODES = {KIND_SHARE: 0, KIND_TRIM: 1, KIND_SNAP: 2, KIND_AWRITE: 3,
+               KIND_XCOMMIT: 4, KIND_BADBLK: 5}
 
 #: How many fresh mapping pages one append tries when programs keep
 #: failing before surfacing the error.
 _PROGRAM_ATTEMPTS = 4
 
 
-@dataclass(frozen=True)
-class DeltaRecord:
+class DeltaRecord(NamedTuple):
     """One mapping-change assertion.
 
     ``new_ppn`` is None for trims.  ``seq`` totally orders this assertion
@@ -98,38 +107,57 @@ class DeltaRecord:
     new_ppn: Optional[int]
     seq: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown delta kind: {self.kind!r}")
-        if self.lpn < 0:
-            raise ValueError(f"negative LPN: {self.lpn}")
-        if self.seq < 0:
-            raise ValueError(f"negative seq: {self.seq}")
-        if self.kind == KIND_TRIM and self.new_ppn is not None:
+
+def _checksum(records: Tuple[tuple, ...]) -> int:
+    """CRC32 over the canonical encoding of a mapping page: five signed
+    64-bit integers per record — kind code, LPN, old PPN, new PPN, seq,
+    None as -1 — packed in one pass (native byte order: the simulated
+    medium never leaves the process)."""
+    codes = _KIND_CODES
+    return zlib.crc32(array("q", [
+        field for kind, lpn, old_ppn, new_ppn, seq in records
+        for field in (codes[kind], lpn,
+                      -1 if old_ppn is None else old_ppn,
+                      -1 if new_ppn is None else new_ppn, seq)]).tobytes())
+
+
+def _seal(records: Tuple[tuple, ...]):
+    """Wrap a mapping page's records with a checksum so corruption is
+    detected; ``ValueError`` (nothing is programmed) if one breaks a rule."""
+    for kind, lpn, old_ppn, new_ppn, seq in records:
+        if kind not in _KIND_CODES:
+            raise ValueError(f"unknown delta kind: {kind!r}")
+        if lpn < 0:
+            raise ValueError(f"negative LPN: {lpn}")
+        if seq < 0:
+            raise ValueError(f"negative seq: {seq}")
+        if kind == KIND_TRIM and new_ppn is not None:
             raise ValueError("trim records must have new_ppn=None")
-        if self.kind == KIND_BADBLK and (self.old_ppn is not None
-                                         or self.new_ppn is not None):
+        if kind == KIND_BADBLK and (old_ppn is not None
+                                    or new_ppn is not None):
             raise ValueError("badblk records carry no PPNs")
-
-
-def _seal(records: Tuple[DeltaRecord, ...]):
-    """Wrap a mapping page's records with a CRC so corruption is detected."""
-    crc = zlib.crc32(repr(records).encode("utf-8")) & 0xFFFFFFFF
-    return (MAP_MAGIC, records, crc)
+        # None is encoded as -1, so a real PPN may not be negative.
+        if ((old_ppn is not None and old_ppn < 0)
+                or (new_ppn is not None and new_ppn < 0)):
+            raise ValueError(f"negative PPN: {old_ppn}, {new_ppn}")
+    return (MAP_MAGIC, records, _checksum(records))
 
 
 def _unseal(payload) -> Optional[List[DeltaRecord]]:
     """Records from a sealed mapping page, or None when the page is
-    corrupt (bad magic, torn shape, or checksum mismatch)."""
+    corrupt: bad magic, torn shape, or records that :func:`_seal` would
+    not seal to this very payload (a record that is not five encodable
+    fields or breaks a rule, or a checksum mismatch)."""
     if (not isinstance(payload, tuple) or len(payload) != 3
-            or payload[0] != MAP_MAGIC):
+            or not isinstance(payload[1], tuple)):
         return None
-    _, records, crc = payload
-    if not isinstance(records, tuple):
+    records = payload[1]
+    try:
+        if _seal(records) != payload:
+            return None
+    except (TypeError, ValueError, OverflowError):
         return None
-    if zlib.crc32(repr(records).encode("utf-8")) & 0xFFFFFFFF != crc:
-        return None
-    return list(records)
+    return [DeltaRecord._make(record) for record in records]
 
 
 class MapLog:

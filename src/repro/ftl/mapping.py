@@ -36,9 +36,12 @@ Hot-path contract (preserved from the single-strategy era): the
 strategy's ``table`` attribute is the raw LPN-indexed list when the
 backing is flat, and ``None`` otherwise.  The pagemap's pre-validated
 per-page loops check ``table`` once and either index it directly or
-fall back to the strategy's :meth:`~MappingStrategy.get` /
-:meth:`~MappingStrategy.resolve_pairs` bulk API — one pointer compare
-is all the indirection costs on the default path.  Direct writers must
+fall back to the strategy's :meth:`~MappingStrategy.get` — one pointer
+compare is all the indirection costs on the default path.  SHARE and TRIM
+do not reach around: they make one :meth:`~MappingStrategy.resolve_pairs`
+/ :meth:`~MappingStrategy.remap_pairs` /
+:meth:`~MappingStrategy.clear_range` call per command (flat indexes its
+list, the compact backings loop inside).  Direct writers must
 maintain the ``UNMAPPED`` sentinel discipline and use
 :meth:`~MappingStrategy.update` / :meth:`~MappingStrategy.clear`
 whenever the mapped count could change.
@@ -72,8 +75,9 @@ class MappingStrategy:
     Bounds-checked host-facing methods (:meth:`lookup`, :meth:`update`,
     :meth:`clear`, :meth:`is_mapped`) raise ``ValueError`` outside
     ``[0, logical_pages)``; the pre-validated hot-path methods
-    (:meth:`get`, :meth:`resolve_pairs`, :meth:`remap`) skip the check —
-    callers validated the range once.
+    (:meth:`get`, :meth:`remap`, and the per-command :meth:`resolve_pairs`,
+    :meth:`remap_pairs`, :meth:`clear_range`) skip the check — callers
+    validated the range once.
 
     ``remap`` is semantically :meth:`update` but tells the backing the
     new PPN aliases an existing physical page (a SHARE): backings that
@@ -119,14 +123,26 @@ class MappingStrategy:
         pair, raw ``UNMAPPED`` sentinels included.  The batch was
         validated (bounds, duplicates, chains) before this call."""
         get = self.get
-        return [(pair.dst_lpn, get(pair.dst_lpn), get(pair.src_lpn))
-                for pair in pairs]
+        return [(dst_lpn, get(dst_lpn), get(src_lpn))
+                for dst_lpn, src_lpn in pairs]
 
     def remap(self, lpn: int, ppn: int) -> Optional[int]:
         """SHARE-flavoured :meth:`update` (pre-validated): same mapping
         semantics, but continuity breaks it causes are charged to
         ``remap_splits``."""
         return self.update(lpn, ppn)
+
+    def remap_pairs(self, resolved) -> None:
+        """Bulk SHARE apply: :meth:`remap` each ``dst_lpn`` of ``resolved``
+        (from :meth:`resolve_pairs`) onto its source's PPN, in order."""
+        for dst_lpn, __, src_ppn in resolved:
+            self.remap(dst_lpn, src_ppn)
+
+    def clear_range(self, lpn: int, count: int) -> List[Tuple[int, int]]:
+        """Bulk TRIM: drop every mapping in ``[lpn, lpn + count)``; returns
+        ``(lpn, old_ppn)`` for each LPN that held one, ascending."""
+        return [(current, old) for current in range(lpn, lpn + count)
+                if (old := self.clear(current)) is not None]
 
     # -- bounds-checked host API ------------------------------------------
 
@@ -212,8 +228,25 @@ class FlatListMap(MappingStrategy):
 
     def resolve_pairs(self, pairs) -> List[Tuple[int, int, int]]:
         table = self.table
-        return [(pair.dst_lpn, table[pair.dst_lpn], table[pair.src_lpn])
-                for pair in pairs]
+        return [(dst_lpn, table[dst_lpn], table[src_lpn])
+                for dst_lpn, src_lpn in pairs]
+
+    def remap_pairs(self, resolved) -> None:
+        table = self.table
+        for dst_lpn, __, src_ppn in resolved:
+            if table[dst_lpn] == UNMAPPED:
+                self._mapped_count += 1
+            table[dst_lpn] = src_ppn
+
+    def clear_range(self, lpn: int, count: int) -> List[Tuple[int, int]]:
+        table = self.table
+        stop = lpn + count
+        cleared = [(current, ppn)
+                   for current, ppn in enumerate(table[lpn:stop], lpn)
+                   if ppn != UNMAPPED]
+        table[lpn:stop] = [UNMAPPED] * count
+        self._mapped_count -= len(cleared)
+        return cleared
 
     def lookup(self, lpn: int) -> Optional[int]:
         if not 0 <= lpn < len(self.table):

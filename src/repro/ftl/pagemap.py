@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count as count_from
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -65,12 +66,7 @@ from repro.ftl.deltalog import (
 )
 from repro.ftl.mapping import UNMAPPED, create_strategy
 from repro.ftl.reverse import ReverseMap
-from repro.ftl.share_ext import (
-    SharePair,
-    expand_range,
-    observe_batch,
-    validate_batch,
-)
+from repro.ftl.share_ext import expand_range, observe_batch, validate_batch
 from repro.obs import NULL_REGISTRY, NULL_TELEMETRY
 from repro.sim.faults import NO_FAULTS, FaultPlan
 
@@ -359,17 +355,13 @@ class PageMappingFtl:
         old = self.fwd.update(lpn, ppn)
         self.rev.set_primary(ppn, lpn)
         self._valid_count[ppn // self._pages_per_block] += 1
-        if old is not None and old != ppn:
-            self._drop_ref(old, lpn)
+        if old is not None and old != ppn and self.rev.drop_ref(old, lpn):
+            self._valid_count[old // self._pages_per_block] -= 1
         if lpn in self._share_backed:
             del self._share_backed[lpn]
         if lpn in self._trim_tombstones:
             del self._trim_tombstones[lpn]
         self.stats.host_page_writes += 1
-
-    def _drop_ref(self, ppn: int, lpn: int) -> None:
-        if self.rev.drop_ref(ppn, lpn):
-            self._valid_count[ppn // self._pages_per_block] -= 1
 
     # ------------------------------------------------------- media handling
 
@@ -561,8 +553,8 @@ class PageMappingFtl:
             old = self.fwd.update(lpn, ppn)
             self._shadow_owner.pop(ppn, None)
             self.rev.set_primary(ppn, lpn)
-            if old is not None and old != ppn:
-                self._drop_ref(old, lpn)
+            if old is not None and old != ppn and self.rev.drop_ref(old, lpn):
+                self._valid_count[old // self._pages_per_block] -= 1
             self._share_backed[lpn] = (ppn, seq)
             self._trim_tombstones.pop(lpn, None)
             deltas.append(DeltaRecord(kind, lpn, old, ppn, seq))
@@ -643,17 +635,25 @@ class PageMappingFtl:
     def _trim(self, lpn: int, count: int) -> None:
         self._check_lpn_range(lpn, count)
         self.stats.trim_commands += 1
-        for current in range(lpn, lpn + count):
-            old = self.fwd.clear(current)
-            if old is None:
-                continue
-            self._drop_ref(old, current)
-            seq = self._next_seq()
-            self._trim_tombstones[current] = seq
-            self._share_backed.pop(current, None)
-            self._pending_trims.append(
-                DeltaRecord(KIND_TRIM, current, old, None, seq))
-            self.stats.trim_pages += 1
+        cleared = self.fwd.clear_range(lpn, count)
+        if cleared:
+            drop_ref = self.rev.drop_ref
+            valid = self._valid_count
+            full = self._pages_per_block
+            tombstones = self._trim_tombstones
+            share_backed = self._share_backed
+            pending = self._pending_trims
+            seq = self._seq     # one per LPN that held a mapping, ascending
+            for current, old in cleared:
+                if drop_ref(old, current):
+                    valid[old // full] -= 1
+                tombstones[current] = seq
+                if current in share_backed:
+                    del share_backed[current]
+                pending.append((KIND_TRIM, current, old, None, seq))
+                seq += 1
+            self._seq = seq
+            self.stats.trim_pages += len(cleared)
         if len(self._pending_trims) >= self._records_per_page:
             self._flush_pending_trims()
 
@@ -680,7 +680,7 @@ class PageMappingFtl:
         """The paper's ``share(LPN1, LPN2, length)`` command."""
         self.share_batch(expand_range(dst_lpn, src_lpn, length))
 
-    def share_batch(self, pairs: Sequence[SharePair]) -> None:
+    def share_batch(self, pairs: Sequence[Tuple[int, int]]) -> None:
         """Atomically remap a batch of (destination, source) LPN pairs.
 
         Applies Section 4.2.2's protocol: update the DRAM mapping entries,
@@ -692,58 +692,67 @@ class PageMappingFtl:
             self._share_batch(pairs)
         else:
             with self.faults.operation(
-                    "ftl.share", tuple(pair.dst_lpn for pair in pairs)):
+                    "ftl.share", tuple([pair[0] for pair in pairs])):
                 self._share_batch(pairs)
 
-    def _share_batch(self, pairs: Sequence[SharePair]) -> None:
-        validate_batch(pairs, self._logical_pages, self.max_share_batch)
+    def _share_batch(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        validate_batch(pairs, self._logical_pages, self._records_per_page)
         # validate_batch bounds-checked every LPN: resolve both sides of
-        # each pair through the strategy's bulk API (this loop is the
-        # paper's "mapping-only" cost and the simulator's SHARE hot
-        # path; on the flat backing resolve_pairs indexes the raw list).
+        # each pair through the strategy's bulk API.  This is the paper's
+        # "mapping-only" cost and the simulator's SHARE hot path: the one
+        # per-pair loop below calls nothing but the reverse map.
         fwd = self.fwd
-        resolved: List[Tuple[int, Optional[int], int]] = []
-        for pair, (dst_lpn, old_ppn, src_ppn) in zip(
-                pairs, fwd.resolve_pairs(pairs)):
+        resolved = fwd.resolve_pairs(pairs)
+        for (__, src_lpn), (__, __, src_ppn) in zip(pairs, resolved):
             if src_ppn == UNMAPPED:
                 raise ShareError(
-                    f"source LPN {pair.src_lpn} is unmapped; nothing to share")
-            resolved.append((dst_lpn,
-                             None if old_ppn == UNMAPPED else old_ppn,
-                             src_ppn))
+                    f"source LPN {src_lpn} is unmapped; nothing to share")
+        rev = self.rev
         if self.config.share_overflow_policy == "copy":
             # Reserve DRAM share-table capacity up front; reconciliation
             # materialises a private copy (a real page program) per entry.
+            copies_before = self.stats.share_spills
             for _ in range(len(resolved)):
-                if self.rev.is_full:
+                if rev.is_full:
                     self._reconcile_oldest_share()
+            if self.stats.share_spills != copies_before:
+                # The LPN that got its own copy may be one of this batch's.
+                resolved = fwd.resolve_pairs(pairs)
         # Persist any pending trims first so the atomic batch page carries
         # only this command's deltas.
         self._flush_pending_trims()
-        deltas: List[DeltaRecord] = []
-        rev = self.rev
+        add_extra = rev.add_extra
+        drop_ref = rev.drop_ref
+        valid = self._valid_count
+        full = self._pages_per_block
         share_backed = self._share_backed
-        trim_tombstones = self._trim_tombstones
+        tombstones = self._trim_tombstones
         splits_before = fwd.remap_splits
+        spills_before = rev.spill_adds
+        deltas = []
+        seq = self._seq         # one per pair, in pair order
         for dst_lpn, old_ppn, src_ppn in resolved:
-            seq = self._next_seq()
-            fit_in_dram = rev.add_extra(src_ppn, dst_lpn)
-            if not fit_in_dram:
-                # 'log' policy: the entry is resolvable from the mapping
-                # log this very batch persists; only GC pays a lookup.
-                self.stats.share_log_spills += 1
-                # Zero-cost ledger note: lets the device derive the
-                # per-command spill delta from the work ledger alone.
-                self.work.append(("log_spill", 0))
-                if self._obs:
-                    self._m_share_log_spills.inc()
-                    self._m_share_spill_hwm.set(rev.spilled_peak)
-            fwd.remap(dst_lpn, src_ppn)
-            if old_ppn is not None and old_ppn != src_ppn:
-                self._drop_ref(old_ppn, dst_lpn)
+            # With the DRAM table full the entry spills ('log' policy):
+            # resolvable from the mapping log this very batch persists;
+            # only GC pays a lookup.
+            add_extra(src_ppn, dst_lpn)
+            if old_ppn == UNMAPPED:
+                old_ppn = None
+            elif old_ppn != src_ppn and drop_ref(old_ppn, dst_lpn):
+                valid[old_ppn // full] -= 1
             share_backed[dst_lpn] = (src_ppn, seq)
-            trim_tombstones.pop(dst_lpn, None)
-            deltas.append(DeltaRecord(KIND_SHARE, dst_lpn, old_ppn, src_ppn, seq))
+            if dst_lpn in tombstones:
+                del tombstones[dst_lpn]
+            deltas.append((KIND_SHARE, dst_lpn, old_ppn, src_ppn, seq))
+            seq += 1
+        self._seq = seq
+        fwd.remap_pairs(resolved)
+        spills = rev.spill_adds - spills_before
+        if spills:
+            self.stats.share_log_spills += spills
+            if self._obs:
+                self._m_share_log_spills.inc(spills)
+                self._m_share_spill_hwm.set(rev.spilled_peak)
         self.maplog.append_atomic(deltas)
         self.stats.share_commands += 1
         self.stats.share_pairs += len(pairs)
@@ -768,7 +777,8 @@ class PageMappingFtl:
         self.fwd.update(lpn, new_ppn)
         self.rev.set_primary(new_ppn, lpn)
         self._valid_count[new_ppn // self._pages_per_block] += 1
-        self._drop_ref(ppn, lpn)
+        if self.rev.drop_ref(ppn, lpn):
+            self._valid_count[ppn // self._pages_per_block] -= 1
         self._share_backed.pop(lpn, None)
         self.stats.share_spills += 1
         self._note_work("spill", new_ppn)
@@ -1049,13 +1059,13 @@ class PageMappingFtl:
         ``badblk`` records for grown-bad data blocks ride in every
         snapshot — retirement must survive the log compaction that erases
         the original record."""
-        records = [DeltaRecord(KIND_BADBLK, block, None, None, seq)
+        records = [(KIND_BADBLK, block, None, None, seq)
                    for block, seq in sorted(self._grown_bad.items())]
-        records.extend(DeltaRecord(KIND_SNAP, lpn, None, ppn, seq)
-                       for lpn, (ppn, seq) in self._share_backed.items())
-        records.extend(DeltaRecord(KIND_SNAP, lpn, None, None, seq)
-                       for lpn, seq in self._trim_tombstones.items())
-        records.sort(key=lambda record: record.seq)
+        records += [(KIND_SNAP, lpn, None, ppn, seq)
+                    for lpn, (ppn, seq) in self._share_backed.items()]
+        records += [(KIND_SNAP, lpn, None, None, seq)
+                    for lpn, seq in self._trim_tombstones.items()]
+        records.sort(key=itemgetter(4))     # by seq
         return records
 
     # ------------------------------------------------------------ recovery

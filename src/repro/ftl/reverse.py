@@ -74,11 +74,9 @@ class ReverseMap:
         self._spilled: Dict[int, Set[int]] = {}
         self._spilled_count = 0
         self._spilled_peak = 0
-
-    def _note_spill(self) -> None:
-        self._spilled_count += 1
-        if self._spilled_count > self._spilled_peak:
-            self._spilled_peak = self._spilled_count
+        #: References :meth:`add_extra` ever put in the overflow (never
+        #: decremented): its growth over a SHARE is the command's log spills.
+        self.spill_adds = 0
 
     # ---------------------------------------------------------------- refs
 
@@ -158,8 +156,9 @@ class ReverseMap:
         """Add a SHARE-created reference.
 
         Returns True when the entry fit the DRAM table, False when it
-        spilled to the flash-log-backed overflow (the caller accounts the
-        spill cost; correctness is unaffected either way).
+        spilled to the flash-log-backed overflow (counted in
+        :attr:`spill_adds`; correctness is unaffected either way) or
+        ``lpn`` already referenced the page and nothing changed.
         """
         if ppn in self._refs:
             refs = self._refs[ppn]
@@ -174,8 +173,15 @@ class ReverseMap:
         if len(self._extras) < self._capacity:
             self._extras[(ppn, lpn)] = None
             return True
-        self._spilled.setdefault(ppn, set()).add(lpn)
-        self._note_spill()
+        spilled = self._spilled
+        if ppn in spilled:
+            spilled[ppn].add(lpn)
+        else:
+            spilled[ppn] = {lpn}
+        self.spill_adds += 1
+        self._spilled_count = count = self._spilled_count + 1
+        if count > self._spilled_peak:
+            self._spilled_peak = count
         return False
 
     def is_spilled(self, ppn: int, lpn: int) -> bool:
@@ -216,15 +222,27 @@ class ReverseMap:
         if lpn not in refs:
             return False
         refs.discard(lpn)
-        if primary[ppn] != lpn:
-            self._drop_extra(ppn, lpn)
-        elif refs:
+        if primary[ppn] == lpn:
+            if not refs:
+                del self._refs[ppn]
+                primary[ppn] = -1
+                return True
             # The primary reference left: promote an extra to primary.
             # The spare stamp is stale but the DRAM table now owns the
             # page, and GC will restamp it on the next copyback.
-            promoted = next(iter(refs))
-            primary[ppn] = promoted
-            self._drop_extra(ppn, promoted)
+            lpn = primary[ppn] = next(iter(refs))
+        # Forget the entry of the extra that left or was promoted
+        # (:meth:`_drop_extra`, inline: this runs per remapped pair).
+        key = (ppn, lpn)
+        if key in self._extras:
+            del self._extras[key]
+        elif ppn in self._spilled:
+            bucket = self._spilled[ppn]
+            if lpn in bucket:
+                bucket.discard(lpn)
+                if not bucket:
+                    del self._spilled[ppn]
+                self._spilled_count -= 1
         if refs:
             return False
         del self._refs[ppn]
@@ -278,8 +296,10 @@ class ReverseMap:
                 if len(self._extras) < self._capacity:
                     self._extras[(new_ppn, lpn)] = None
                 else:
+                    # As many entries were just dropped as are placed, the
+                    # table fills first: the count cannot pass its peak.
                     self._spilled.setdefault(new_ppn, set()).add(lpn)
-                    self._note_spill()
+                    self._spilled_count += 1
 
     def _forget_page(self, ppn: int) -> None:
         refs = self._refs.pop(ppn, None)
@@ -297,7 +317,6 @@ class ReverseMap:
         self._extras.clear()
         self._spilled.clear()
         self._spilled_count = 0
-        self._spilled_peak = 0
         # Every page's set is built in entry order, as if it had existed
         # since program time; only then are the never-shared ones dropped.
         refs_by_ppn: Dict[int, Set[int]] = {}
@@ -309,7 +328,8 @@ class ReverseMap:
                 self._extras[(ppn, lpn)] = None
             else:
                 self._spilled.setdefault(ppn, set()).add(lpn)
-                self._note_spill()
+                self._spilled_count += 1
+        self._spilled_peak = self._spilled_count
         self._refs = {ppn: refs for ppn, refs in refs_by_ppn.items()
                       if refs != {primary[ppn]}}
 

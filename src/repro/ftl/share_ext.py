@@ -5,12 +5,17 @@ after the command it maps to the physical page currently backing LPN2, the
 *source*.  ``length`` expands the command over consecutive LPNs and must
 not make the two ranges overlap.  A batch of pairs commits atomically as
 long as its delta records fit one mapping page (Section 4.2.2).
+
+A pair is plain data: any ``(dst_lpn, src_lpn)`` 2-tuple, of which
+:class:`SharePair` is the named form.  Its rules are enforced by
+:func:`validate_batch`, which every batch passes exactly once, inside the
+FTL, before any state changes (the ranged form's overlap rule by
+:func:`expand_range`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence, Tuple
 
 from repro.errors import ShareError
 
@@ -18,25 +23,16 @@ from repro.errors import ShareError
 MAX_BATCH_UNLIMITED = -1
 
 
-@dataclass(frozen=True)
-class SharePair:
+class SharePair(NamedTuple):
     """One remap: ``dst_lpn`` will point at the physical page of
     ``src_lpn``."""
 
     dst_lpn: int
     src_lpn: int
 
-    def __post_init__(self) -> None:
-        if self.dst_lpn < 0:
-            raise ShareError(f"negative destination LPN: {self.dst_lpn}")
-        if self.src_lpn < 0:
-            raise ShareError(f"negative source LPN: {self.src_lpn}")
-        if self.dst_lpn == self.src_lpn:
-            raise ShareError(
-                f"destination and source LPN are identical: {self.dst_lpn}")
 
-
-def expand_range(dst_lpn: int, src_lpn: int, length: int) -> List[SharePair]:
+def expand_range(dst_lpn: int, src_lpn: int,
+                 length: int) -> List[Tuple[int, int]]:
     """Expand ``share(dst, src, length)`` into per-page pairs.
 
     Enforces the paper's rule: "the range between LPN1 and LPN1+length
@@ -50,21 +46,25 @@ def expand_range(dst_lpn: int, src_lpn: int, length: int) -> List[SharePair]:
         raise ShareError(
             f"ranges overlap: dst [{dst_lpn}, {dst_end}) vs "
             f"src [{src_lpn}, {src_end})")
-    return [SharePair(dst_lpn + i, src_lpn + i) for i in range(length)]
+    return list(zip(range(dst_lpn, dst_end), range(src_lpn, src_end)))
 
 
-def validate_batch(pairs: Sequence[SharePair], logical_pages: int,
+def validate_batch(pairs: Sequence[Tuple[int, int]], logical_pages: int,
                    max_batch: int) -> None:
     """Reject malformed batches before any state changes.
 
     Rules:
-    * non-empty, within the logical address space,
+    * non-empty, every LPN non-negative and within the logical address
+      space, no pair remapping an LPN onto itself,
     * no duplicate destination (two remaps of one LPN in one atomic batch
       are ambiguous),
     * no destination that is also a source (the batch applies as a snapshot
       of the pre-command mapping, so chaining inside one batch is
       ill-defined and rejected, mirroring the ranged-overlap rule),
     * at most ``max_batch`` pairs so the delta fits one mapping page.
+
+    A well-formed batch passes on a few set operations over the whole
+    batch; a malformed one is walked pair by pair to name the offender.
     """
     if not pairs:
         raise ShareError("empty SHARE batch")
@@ -72,25 +72,34 @@ def validate_batch(pairs: Sequence[SharePair], logical_pages: int,
         raise ShareError(
             f"SHARE batch of {len(pairs)} pairs exceeds the atomic limit of "
             f"{max_batch} (one mapping page of deltas)")
-    destinations = set()
-    sources = set()
-    for pair in pairs:
-        for lpn in (pair.dst_lpn, pair.src_lpn):
+    destinations, sources = map(set, zip(*pairs))
+    lpns = destinations | sources
+    if (len(destinations) == len(pairs)
+            and destinations.isdisjoint(sources)   # hence dst != src too
+            and min(lpns) >= 0 and max(lpns) < logical_pages):
+        return
+    seen = set()
+    for dst_lpn, src_lpn in pairs:
+        if dst_lpn < 0:
+            raise ShareError(f"negative destination LPN: {dst_lpn}")
+        if src_lpn < 0:
+            raise ShareError(f"negative source LPN: {src_lpn}")
+        if dst_lpn == src_lpn:
+            raise ShareError(
+                f"destination and source LPN are identical: {dst_lpn}")
+        for lpn in (dst_lpn, src_lpn):
             if lpn >= logical_pages:
                 raise ShareError(
                     f"LPN {lpn} outside logical space [0, {logical_pages})")
-        if pair.dst_lpn in destinations:
-            raise ShareError(f"duplicate destination LPN in batch: {pair.dst_lpn}")
-        destinations.add(pair.dst_lpn)
-        sources.add(pair.src_lpn)
-    chained = destinations & sources
-    if chained:
-        raise ShareError(
-            f"LPNs appear as both destination and source in one batch: "
-            f"{sorted(chained)[:8]}")
+        if dst_lpn in seen:
+            raise ShareError(f"duplicate destination LPN in batch: {dst_lpn}")
+        seen.add(dst_lpn)
+    raise ShareError(
+        f"LPNs appear as both destination and source in one batch: "
+        f"{sorted(destinations & sources)[:8]}")
 
 
-def observe_batch(metrics, pairs: Sequence[SharePair],
+def observe_batch(metrics, pairs: Sequence[Tuple[int, int]],
                   remap_splits: int = 0) -> None:
     """Record the shape of one committed SHARE batch.
 
@@ -110,12 +119,12 @@ def observe_batch(metrics, pairs: Sequence[SharePair],
     metrics.counter("ftl.share.pairs").inc(len(pairs))
     metrics.histogram("ftl.share.batch_pairs").record(len(pairs))
     runs = 0
-    prev: SharePair = None  # type: ignore[assignment]
-    for pair in pairs:
-        if (prev is None or pair.dst_lpn != prev.dst_lpn + 1
-                or pair.src_lpn != prev.src_lpn + 1):
+    next_dst = next_src = None
+    for dst_lpn, src_lpn in pairs:
+        if dst_lpn != next_dst or src_lpn != next_src:
             runs += 1
-        prev = pair
+        next_dst = dst_lpn + 1
+        next_src = src_lpn + 1
     metrics.histogram("ftl.share.contiguous_runs").record(runs)
     if remap_splits:
         metrics.counter("ftl.share.remap_splits").inc(remap_splits)

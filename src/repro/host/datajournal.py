@@ -109,8 +109,7 @@ class DataJournalingFs:
         start = self._cursor
         with self.faults.operation(
                 "datajournal.commit",
-                tuple(self.journal.block_lpn(start + i)
-                      for i in range(needed))):
+                tuple(self.journal.block_lpns(start, needed))):
             self.faults.checkpoint("datajournal.commit_begin")
             # Journal data blocks hold the RAW page images — that is what
             # makes the SHARE checkpoint possible: remapping a home block

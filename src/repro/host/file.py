@@ -2,8 +2,8 @@
 
 All offsets are in filesystem blocks (= device pages), mirroring the
 O_DIRECT page I/O the paper's databases perform.  A file is an ordered list
-of device LPNs; ``block_lpn`` exposes the mapping so the share ioctl can
-translate file offsets to device addresses.
+of device LPNs; ``block_lpn`` / ``block_lpns`` expose the mapping so the
+share ioctl can translate file offsets to device addresses.
 """
 
 from __future__ import annotations
@@ -37,12 +37,19 @@ class File:
 
     def block_lpn(self, index: int) -> int:
         """Device LPN backing file block ``index``."""
-        if self._unlinked or not 0 <= index < self.block_count:
+        return self.block_lpns(index, 1)[0]
+
+    def block_lpns(self, index: int, count: int) -> List[int]:
+        """Device LPNs backing the ``count`` file blocks from ``index``:
+        one range check, one slice."""
+        if (self._unlinked or index < 0 or count < 0
+                or index + count > self.block_count):
             self._check_open()
+            bad = index if index < 0 else max(index, self.block_count)
             raise FileSystemError(
-                f"block index {index} outside file of {self.block_count} "
+                f"block index {bad} outside file of {self.block_count} "
                 "blocks")
-        return self._blocks[index]
+        return self._blocks[index:index + count]
 
     def _check_open(self) -> None:
         if self._unlinked:
@@ -91,7 +98,7 @@ class File:
         self._check_open()
         if not pages:
             return
-        lpns = [self.block_lpn(index + i) for i in range(len(pages))]
+        lpns = self.block_lpns(index, len(pages))
         tracer = self.fs.telemetry.tracer
         if tracer.enabled:
             with tracer.span("host.pwrite", path=self.path,

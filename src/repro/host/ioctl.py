@@ -1,14 +1,15 @@
 """The share ioctl: file-level entry point of the SHARE command.
 
 Applications address file blocks; the filesystem resolves them to device
-LPNs and forwards batches of :class:`SharePair` to the device, exactly the
-ioctl plumbing of Section 4 ("a user-level library that implements a
-protocol for the new commands via the ioctl system call").
+LPNs and forwards batches of ``(dst_lpn, src_lpn)`` pairs to the device,
+exactly the ioctl plumbing of Section 4 ("a user-level library that
+implements a protocol for the new commands via the ioctl system call").
 
-Batches larger than the device's atomic limit are split: each sub-batch is
-atomic on its own, and the helpers return the number of device commands so
-callers can reason about (and the stats can count) the round trips that
-Section 3.2's batching argument is about.
+Batches larger than the device's atomic limit are split (in one place,
+``Ssd.in_batches``): each sub-batch is atomic on its own, and the helpers
+return the number of device commands so callers can reason about (and the
+stats can count) the round trips that Section 3.2's batching argument is
+about.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.errors import IoctlError
-from repro.ftl.share_ext import SharePair
 from repro.host.file import File
 
 
@@ -27,14 +27,8 @@ def share_ioctl(dst_file: File, dst_block: int, src_file: File,
 
     Returns the number of SHARE commands issued to the device.
     """
-    if length < 1:
-        raise IoctlError(f"length must be >= 1: {length}")
-    if dst_file.fs is not src_file.fs:
-        raise IoctlError("share across filesystems is impossible")
-    pairs = [(dst_file.block_lpn(dst_block + i),
-              src_file.block_lpn(src_block + i))
-             for i in range(length)]
-    return _issue(dst_file, pairs)
+    return share_file_ranges(dst_file, src_file,
+                             [(dst_block, src_block, length)])
 
 
 def share_file_ranges(dst_file: File, src_file: File,
@@ -45,16 +39,29 @@ def share_file_ranges(dst_file: File, src_file: File,
     document of the old file into the new file with as few round trips as
     possible.  Returns the number of device commands issued.
     """
-    pairs: List[Tuple[int, int]] = []
+    if dst_file.fs is not src_file.fs:
+        raise IoctlError("share across filesystems is impossible")
+    dst_lpns: List[int] = []
+    src_lpns: List[int] = []
     for dst_block, src_block, length in ranges:
         if length < 1:
             raise IoctlError(f"length must be >= 1: {length}")
-        pairs.extend((dst_file.block_lpn(dst_block + i),
-                      src_file.block_lpn(src_block + i))
-                     for i in range(length))
-    if not pairs:
+        dst_lpns += dst_file.block_lpns(dst_block, length)
+        src_lpns += src_file.block_lpns(src_block, length)
+    if not dst_lpns:
         raise IoctlError("no ranges to share")
-    return _issue(dst_file, pairs)
+    ssd = dst_file.fs.ssd
+    if not ssd.supports_share:
+        raise IoctlError("device does not support the SHARE command")
+    pairs = list(zip(dst_lpns, src_lpns))
+    telemetry = ssd.telemetry
+    if not telemetry.enabled:       # passive, as in Ssd._command: no span
+        return ssd.in_batches(ssd.share_batch, pairs)
+    with telemetry.tracer.span("host.share_ioctl", pairs=len(pairs)) as span:
+        commands = ssd.in_batches(ssd.share_batch, pairs)
+        span.set(commands=commands)
+        telemetry.metrics.counter("host.ioctl.share_commands").inc(commands)
+    return commands
 
 
 def atomic_write_ioctl(file: File, items: Sequence[Tuple[int, object]]) -> int:
@@ -64,30 +71,10 @@ def atomic_write_ioctl(file: File, items: Sequence[Tuple[int, object]]) -> int:
     if not items:
         raise IoctlError("no pages to write atomically")
     ssd = file.fs.ssd
-    limit = ssd.max_share_batch
     resolved = [(file.block_lpn(block), data) for block, data in items]
-    commands = 0
     with ssd.telemetry.tracer.span("host.atomic_write_ioctl",
                                    pages=len(resolved)) as span:
-        for start in range(0, len(resolved), limit):
-            ssd.write_atomic(resolved[start:start + limit])
-            commands += 1
+        commands = ssd.in_batches(ssd.write_atomic, resolved)
         span.set(commands=commands)
     return commands
 
-
-def _issue(any_file: File, lpn_pairs: Sequence[Tuple[int, int]]) -> int:
-    ssd = any_file.fs.ssd
-    if not ssd.supports_share:
-        raise IoctlError("device does not support the SHARE command")
-    limit = ssd.max_share_batch
-    commands = 0
-    with ssd.telemetry.tracer.span("host.share_ioctl",
-                                   pairs=len(lpn_pairs)) as span:
-        for start in range(0, len(lpn_pairs), limit):
-            chunk = lpn_pairs[start:start + limit]
-            ssd.share_batch([SharePair(dst, src) for dst, src in chunk])
-            commands += 1
-        span.set(commands=commands)
-        ssd.telemetry.metrics.counter("host.ioctl.share_commands").inc(commands)
-    return commands

@@ -60,15 +60,11 @@ class DramReadCache:
         while len(self._entries) > self.capacity_pages:
             self._entries.popitem(last=False)
 
-    def invalidate(self, lpn: int, count: int = 1) -> None:
-        """Drop entries for a logical range (on write/trim/share)."""
-        if not self.enabled:
-            return
-        if count == 1:
-            self._entries.pop(lpn, None)
-            return
-        for current in range(lpn, lpn + count):
-            self._entries.pop(current, None)
+    def invalidate(self, lpns) -> None:
+        """Drop the entries of every LPN in ``lpns`` (on trim/share)."""
+        entries = self._entries
+        for lpn in lpns:
+            entries.pop(lpn, None)
 
     def clear(self) -> None:
         self._entries.clear()

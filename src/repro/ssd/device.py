@@ -40,7 +40,7 @@ from repro.flash.nand import NandArray
 from repro.flash.timing import MLC_TIMING, ChannelSet, FlashTiming
 from repro.ftl.config import FtlConfig
 from repro.ftl.pagemap import PageMappingFtl
-from repro.ftl.share_ext import SharePair, expand_range
+from repro.ftl.share_ext import expand_range
 from repro.obs import NULL_TELEMETRY
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
@@ -136,7 +136,7 @@ class Ssd:
             "map_write": timing.program_us,
             "spill": timing.read_us + timing.program_us,
             "spill_lookup": timing.read_us,
-            "gc_event": 0.0, "log_spill": 0.0, "wear_move": 0.0,
+            "gc_event": 0.0, "wear_move": 0.0,
         }
         self._work_whole_us = {kind: int(round(cost))
                                for kind, cost in self._work_cost.items()}
@@ -197,6 +197,15 @@ class Ssd:
     @property
     def max_share_batch(self) -> int:
         return self.ftl.max_share_batch
+
+    def in_batches(self, command, items: Sequence) -> int:
+        """``command(batch)`` for each slice of ``items`` that fits one
+        mapping page (:attr:`max_share_batch`), each atomic on its own —
+        the one place a batch is split.  Returns the number of commands."""
+        limit = self.ftl.max_share_batch
+        for start in range(0, len(items), limit):
+            command(items[start:start + limit])
+        return -(-len(items) // limit)
 
     @property
     def supports_share(self) -> bool:
@@ -395,8 +404,7 @@ class Ssd:
                 self._tracer.span("device.flush", txn=txn_id):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.commit_txn(txn_id)
-            for lpn in staged_lpns:
-                self.cache.invalidate(lpn)
+            self.cache.invalidate(staged_lpns)
             ticket = self._issue("flush", 0, 0, 0.0,
                                  op_kind="device.xcommit", op_record=op)
         self._wait(ticket)
@@ -411,12 +419,15 @@ class Ssd:
 
     def trim(self, lpn: int, count: int = 1) -> None:
         """Invalidate a logical range."""
-        self._command(self._trim, "trim", "device.trim",
-                      tuple(range(lpn, lpn + max(count, 1))), lpn, count)
+        lpns = tuple(range(lpn, lpn + max(count, 1)))
+        self._command(self._trim, "trim", "device.trim", lpns, lpn, count,
+                      lpns)
 
-    def _trim(self, op_kind, op, lpn: int, count: int) -> CommandTicket:
+    def _trim(self, op_kind, op, lpn: int, count: int,
+              lpns: Tuple[int, ...]) -> CommandTicket:
         self.ftl.trim(lpn, count)
-        self.cache.invalidate(lpn, count)
+        if self.cache.enabled:
+            self.cache.invalidate(lpns)
         self.stats.trim_commands += 1
         return self._issue("trim", lpn, count,
                            count * self.timing.map_update_us,
@@ -460,21 +471,28 @@ class Ssd:
         self._command(self._share, "share", "device.share", lpns,
                       expand_range(dst_lpn, src_lpn, length), lpns)
 
-    def share_batch(self, pairs: Sequence[SharePair]) -> None:
-        """Vendor-unique SHARE command (batched pair form)."""
+    def share_batch(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Vendor-unique SHARE command (batched form): ``(dst_lpn,
+        src_lpn)`` tuples, which the firmware checks as one batch."""
         if not self.config.share_enabled:
             raise ShareError("device does not support the SHARE command")
-        lpns = tuple([pair.dst_lpn for pair in pairs])
+        lpns = tuple([pair[0] for pair in pairs])
         self._command(self._share, "share", "device.share", lpns,
                       pairs, lpns)
 
-    def _share(self, op_kind, op, pairs: Sequence[SharePair],
+    def _share(self, op_kind, op, pairs: Sequence[Tuple[int, int]],
                lpns: Tuple[int, ...]) -> CommandTicket:
+        # Log spills are bookkeeping, not media work: they reach the
+        # device stats as one count per command, not as ledger entries.
+        ftl_stats = self.ftl.stats
+        log_spills = ftl_stats.share_log_spills
         self.ftl.share_batch(pairs)
-        for lpn in lpns:
-            self.cache.invalidate(lpn)
-        self.stats.share_commands += 1
-        self.stats.share_pairs += len(lpns)
+        if self.cache.enabled:
+            self.cache.invalidate(lpns)
+        stats = self.stats
+        stats.share_log_spills += ftl_stats.share_log_spills - log_spills
+        stats.share_commands += 1
+        stats.share_pairs += len(lpns)
         return self._issue("share", lpns[0], len(lpns),
                            len(lpns) * self.timing.map_update_us,
                            op_kind=op_kind, op_record=op,
@@ -584,7 +602,7 @@ class Ssd:
         latency = base_latency_us + self._overhead_us
         if work:
             erases = map_writes = spills = 0
-            log_spills = spill_lookups = wear_moves = 0
+            spill_lookups = wear_moves = 0
             for work_kind, __ in work:
                 if work_kind == "map_write":
                     map_writes += 1
@@ -598,8 +616,6 @@ class Ssd:
                     spills += 1
                 elif work_kind == "spill_lookup":
                     spill_lookups += 1
-                elif work_kind == "log_spill":
-                    log_spills += 1
                 elif work_kind == "wear_move":
                     wear_moves += 1
             if copybacks or erases or map_writes or spills or spill_lookups:
@@ -615,7 +631,6 @@ class Ssd:
             stats.block_erases += erases
             stats.map_page_writes += map_writes
             stats.share_spill_pages += spills
-            stats.share_log_spills += log_spills
             stats.spill_lookups += spill_lookups
             stats.gc_events += gc_events
             stats.wear_level_moves += wear_moves

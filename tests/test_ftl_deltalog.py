@@ -6,12 +6,18 @@ from repro.errors import FtlError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
 from repro.ftl.deltalog import (
+    KIND_BADBLK,
     KIND_SHARE,
     KIND_SNAP,
     KIND_TRIM,
+    MAP_MAGIC,
+    MAP_PAGE_TAG,
     DeltaRecord,
     MapLog,
+    _seal,
+    _unseal,
 )
+from repro.sim.faults import CORRUPT_PAYLOAD
 
 
 @pytest.fixture
@@ -28,23 +34,136 @@ def record(lpn, seq, kind=KIND_SHARE, new_ppn=0):
 
 
 class TestDeltaRecord:
+    """A record is plain data; its rules are enforced where a mapping
+    page is sealed: ``append_atomic`` refuses to program the page."""
+
     def test_valid(self):
         rec = DeltaRecord(KIND_SHARE, 1, 2, 3, 4)
         assert rec.new_ppn == 3
+        assert rec == (KIND_SHARE, 1, 2, 3, 4)
 
-    def test_trim_must_have_no_new_ppn(self):
-        with pytest.raises(ValueError):
-            DeltaRecord(KIND_TRIM, 1, 2, 3, 4)
+    @staticmethod
+    def refused(env, bad, match):
+        nand, geo, blocks, log = env
+        with pytest.raises(ValueError, match=match):
+            log.append_atomic([record(1, 1), bad])
+        assert log.page_writes == 0
+        assert not nand.is_programmed(geo.first_ppn(blocks[0]))
+        assert MapLog.scan(nand, geo, blocks) == ([], 0)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            DeltaRecord("bogus", 1, None, None, 1)
+    def test_trim_must_have_no_new_ppn(self, env):
+        self.refused(env, DeltaRecord(KIND_TRIM, 1, 2, 3, 4),
+                     "trim records must have new_ppn=None")
 
-    def test_negative_fields_rejected(self):
-        with pytest.raises(ValueError):
-            DeltaRecord(KIND_SHARE, -1, None, 0, 1)
-        with pytest.raises(ValueError):
-            DeltaRecord(KIND_SHARE, 1, None, 0, -1)
+    def test_unknown_kind_rejected(self, env):
+        self.refused(env, DeltaRecord("bogus", 1, None, None, 1),
+                     "unknown delta kind: 'bogus'")
+
+    def test_negative_fields_rejected(self, env):
+        self.refused(env, DeltaRecord(KIND_SHARE, -1, None, 0, 1),
+                     "negative LPN: -1")
+        self.refused(env, (KIND_SHARE, 1, None, 0, -1), "negative seq: -1")
+
+    def test_badblk_carries_no_ppns(self, env):
+        self.refused(env, DeltaRecord(KIND_BADBLK, 3, None, 7, 0),
+                     "badblk records carry no PPNs")
+
+    def test_negative_ppn_rejected(self, env):
+        # The seal encodes None as -1: a real PPN of -1 would seal alike.
+        self.refused(env, DeltaRecord(KIND_SHARE, 1, None, -1, 1),
+                     "negative PPN")
+        self.refused(env, DeltaRecord(KIND_TRIM, 1, -1, None, 1),
+                     "negative PPN")
+
+
+class TestSeal:
+    """The seal is a checksum of the record fields: any change to any of
+    them — or to the page's shape — makes ``_unseal`` answer None, and
+    ``MapLog.scan`` counts the page in ``bad_pages`` instead of replaying
+    it."""
+
+    RECORDS = (
+        DeltaRecord(KIND_SHARE, 7, None, 40, 11),
+        DeltaRecord(KIND_SHARE, 8, 3, 41, 12),
+        DeltaRecord(KIND_TRIM, 9, 5, None, 13),
+        DeltaRecord(KIND_BADBLK, 2, None, None, 14),
+        DeltaRecord(KIND_SNAP, 10, None, 42, 15),
+    )
+
+    @staticmethod
+    def scan_of(payload):
+        """``MapLog.scan`` of a map region whose first page holds
+        ``payload`` and whose second holds one good record."""
+        geo = FlashGeometry.small()
+        nand = NandArray(geo)
+        blocks = [geo.block_count - 2, geo.block_count - 1]
+        first = geo.first_ppn(blocks[0])
+        nand.program(first, payload, spare=(MAP_PAGE_TAG,))
+        nand.program(first + 1, _seal((record(99, 1),)),
+                     spare=(MAP_PAGE_TAG,))
+        return MapLog.scan(nand, geo, blocks)
+
+    def refused(self, payload):
+        assert _unseal(payload) is None
+        records, bad_pages = self.scan_of(payload)
+        assert [r.lpn for r in records] == [99]
+        assert bad_pages == 1
+
+    def test_round_trip_yields_delta_records(self):
+        bare = tuple(tuple(rec) for rec in self.RECORDS)
+        payload = _seal(bare)
+        assert payload == _seal(self.RECORDS)    # named or bare: same page
+        assert payload[0] == MAP_MAGIC == "maplog-v3"
+        decoded = _unseal(payload)
+        assert decoded == list(self.RECORDS)
+        assert all(isinstance(rec, DeltaRecord) for rec in decoded)
+        records, bad_pages = self.scan_of(payload)
+        assert [r.lpn for r in records] == [7, 8, 9, 2, 10, 99]
+        assert bad_pages == 0
+
+    def test_any_flipped_field_is_detected(self):
+        magic, records, crc = _seal(self.RECORDS)
+        other_kind = {KIND_SHARE: KIND_SNAP, KIND_TRIM: KIND_SHARE,
+                      KIND_BADBLK: KIND_TRIM, KIND_SNAP: KIND_SHARE}
+        flips = 0
+        for index, rec in enumerate(records):
+            for field, value in enumerate(rec):
+                if field == 0:
+                    changed = [other_kind[value], "bogus", None, ["share"]]
+                elif value is None:
+                    changed = [0, 5, -1]    # -1 is None's own encoding
+                else:
+                    changed = [value + 1, value ^ 64, None, -1, "7", 2 ** 70]
+                for new_value in changed:
+                    forged = list(rec)
+                    forged[field] = new_value
+                    page = (records[:index] + (tuple(forged),)
+                            + records[index + 1:])
+                    self.refused((magic, page, crc))
+                    flips += 1
+        assert flips > 80
+
+    def test_crc_and_magic_are_checked(self):
+        magic, records, crc = _seal(self.RECORDS)
+        self.refused((magic, records, crc ^ 1))
+        self.refused(("maplog-v2", records, crc))
+
+    def test_torn_shapes_are_detected(self):
+        magic, records, crc = _seal(self.RECORDS)
+        self.refused((magic, records[:-1], crc))            # record lost
+        self.refused((magic, records + records[:1], crc))   # record doubled
+        self.refused((magic, records[::-1], crc))           # reordered
+        self.refused((magic, (records[0][:4],) + records[1:], crc))
+        self.refused((magic, (records[0] + (0,),) + records[1:], crc))
+        self.refused((magic, (7,) + records[1:], crc))
+        self.refused((magic, list(records), crc))           # not a tuple
+        self.refused((magic, records))
+        self.refused((magic, records, crc, 0))
+        self.refused(None)
+        self.refused("garbage")
+
+    def test_corrupt_payload_is_detected(self):
+        self.refused((CORRUPT_PAYLOAD, 1234))
 
 
 class TestMapLog:

@@ -14,6 +14,8 @@ from repro.ftl.share_ext import (
     expand_range,
     validate_batch,
 )
+from repro.sim.clock import SimClock
+from repro.ssd.device import Ssd
 
 
 def _make_ftl(l2p_strategy: str = "flat") -> PageMappingFtl:
@@ -40,21 +42,47 @@ def strategy_ftl(request):
     return _make_ftl(request.param)
 
 
+def untouched_device_refuses(pairs, match):
+    """``Ssd.share_batch`` raises ``match`` and the device is as it was:
+    no command billed, no time passed, no mapping or log page written."""
+    ssd = Ssd(SimClock())
+    for lpn in range(8):
+        ssd.write(lpn, ("v", lpn))
+    before = (ssd.stats.snapshot(), ssd.clock.now_us, ssd.ftl.fwd.snapshot(),
+              ssd.ftl.stats.as_dict(), ssd.ftl.map_page_writes, ssd.ftl._seq)
+    with pytest.raises(ShareError, match=match):
+        ssd.share_batch(pairs)
+    assert before == (ssd.stats.snapshot(), ssd.clock.now_us,
+                      ssd.ftl.fwd.snapshot(), ssd.ftl.stats.as_dict(),
+                      ssd.ftl.map_page_writes, ssd.ftl._seq)
+    ssd.ftl.check_invariants()
+
+
 class TestSharePair:
+    """A pair is plain data; its rules are enforced once per batch, by
+    ``validate_batch``, before the device changes anything."""
+
     def test_valid_pair(self):
         pair = SharePair(10, 20)
         assert pair.dst_lpn == 10
         assert pair.src_lpn == 20
+        assert pair == (10, 20)
 
     def test_identical_lpns_rejected(self):
-        with pytest.raises(ShareError):
-            SharePair(5, 5)
+        message = "destination and source LPN are identical: 5"
+        with pytest.raises(ShareError, match=message):
+            validate_batch([SharePair(1, 2), SharePair(5, 5)], 100, 16)
+        untouched_device_refuses([(1, 2), (5, 5)], message)
 
     def test_negative_rejected(self):
-        with pytest.raises(ShareError):
-            SharePair(-1, 5)
-        with pytest.raises(ShareError):
-            SharePair(5, -1)
+        with pytest.raises(ShareError, match="negative destination LPN: -1"):
+            validate_batch([SharePair(1, 2), SharePair(-1, 5)], 100, 16)
+        with pytest.raises(ShareError, match="negative source LPN: -1"):
+            validate_batch([SharePair(1, 2), SharePair(5, -1)], 100, 16)
+        untouched_device_refuses([(1, 2), (-1, 5)],
+                                 "negative destination LPN: -1")
+        untouched_device_refuses([(1, 2), (5, -1)],
+                                 "negative source LPN: -1")
 
 
 class TestExpandRange:

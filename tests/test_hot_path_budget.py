@@ -16,6 +16,9 @@ tier: ``Telemetry(mode="off")`` costs exactly the passive count, and
 ``sampled`` / ``full`` stay under committed ceilings — the cost of
 looking as a count, not a wall-clock reading.
 
+The SHARE cell prices one remapped pair of a couch-style commit through
+the host ioctl (a count per pair, and again nothing in ``repro/obs``).
+
 The engine cell runs seeded LinkBench transactions on a small InnoDB
 SHARE stack and holds the probe / miss / commit path to the same three
 rules, plus: no fault checkpoint per transaction.
@@ -41,21 +44,22 @@ from repro.ssd.device import Ssd, SsdConfig
 
 from conftest import small_linkbench_stack
 
-#: Calls per command the mix below may cost.  Measured 45.49 on CPython
-#: 3.11 when committed (48.15 on the commit before, when the reverse map
-#: kept a set and two dict entries per physical page; 55.09 when a
-#: completion went through a per-device in-flight heap and a scheduled
-#: drain event as well as the scheduler's heap; 98.7 before the FTL owned
-#: its block state); the slack covers interpreter versions.
+#: Calls per command the mix below may cost.  Measured 42.06 on CPython
+#: 3.11 when committed (45.49 on the commit before, when SHARE and TRIM
+#: did their bookkeeping pair by pair; 48.15 when the reverse map kept a
+#: set and two dict entries per physical page; 55.09 when a completion
+#: went through a per-device in-flight heap and a scheduled drain event
+#: as well as the scheduler's heap; 98.7 before the FTL owned its block
+#: state); the slack covers interpreter versions.
 #: Raise it only with a reason in the commit message.
-CALLS_PER_COMMAND_BUDGET = 50.0
+CALLS_PER_COMMAND_BUDGET = 46.0
 
 #: Calls per command the same mix may cost with live telemetry (default
 #: sink, no snapshots).  Measured on CPython 3.11 when committed, against
-#: 45.49 passive: sampled 63.47 (+39.5 %; 12.1 of them in functions
-#: defined under ``repro/obs``), full 102.49 (+125.3 %; 30.7 under
+#: 42.06 passive: sampled 60.03 (+42.7 %; 13.1 of them in functions
+#: defined under ``repro/obs``), full 99.06 (+135.5 %; 30.7 under
 #: ``repro/obs``).  The ceilings are the measured values + ~5 %.
-TIER_CALLS_PER_COMMAND_CEILING = {"sampled": 67.0, "full": 108.0}
+TIER_CALLS_PER_COMMAND_CEILING = {"sampled": 63.0, "full": 104.0}
 
 COMMANDS = 4000
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -174,6 +178,70 @@ def test_each_telemetry_tier_costs_a_counted_number_of_calls():
         assert passive < per_command <= ceiling, (
             f"{mode}: {per_command:.2f} calls per command "
             f"(passive {passive:.2f}), ceiling {ceiling}")
+
+
+# ------------------------------------------------------------- SHARE cell
+
+#: Calls per remapped pair of a 32-pair ``share_file_ranges`` commit —
+#: ``ShareGuard`` -> share ioctl -> ``Ssd.share_batch`` -> FTL -> map log,
+#: everything the command costs, builtins included.  Measured 9.44 on
+#: CPython 3.11 when committed (36.81 on the commit before, which
+#: validated, numbered, wrapped and checksummed every pair on its own);
+#: the ceiling is the measured value + 5 %.
+CALLS_PER_SHARE_PAIR_CEILING = 10.0
+
+SHARE_COMMITS = 60
+SHARE_PAIRS = 32
+
+
+def profile_share_commits():
+    """Stats of ``SHARE_COMMITS`` couch-style commits on one small file:
+    each appends ``SHARE_PAIRS`` new document versions (not profiled),
+    then remaps the documents' home blocks onto them in one
+    ``share_file_ranges`` call (profiled).  The share table is far
+    smaller than the live set, so most pairs spill, and after the first
+    round every destination leaves a page it shared — the steady state of
+    ``ycsb-f-share``."""
+    from repro.host.filesystem import HostFs
+    from repro.host.resilience import ShareGuard
+    geometry = FlashGeometry(page_size=4096, pages_per_block=64,
+                             block_count=96, overprovision_ratio=0.125)
+    ssd = Ssd(SimClock(), SsdConfig(
+        geometry=geometry, timing=FAST_TIMING,
+        ftl=FtlConfig(map_block_count=8, share_table_entries=32)))
+    guard = ShareGuard(ssd)
+    file = HostFs(ssd).create("docs")
+    homes = 4 * SHARE_PAIRS
+    for block in range(homes):
+        file.append_block(("doc", block, 0))
+    rng = random.Random(22)
+    profile = cProfile.Profile(builtins=True)
+    for version in range(1, SHARE_COMMITS + 1):
+        docs = rng.sample(range(homes), SHARE_PAIRS)
+        ranges = [(doc, file.append_block(("doc", doc, version)), 1)
+                  for doc in docs]
+        profile.enable()
+        try:
+            commands = guard.share_file_ranges(file, file, ranges)
+        finally:
+            profile.disable()
+        assert commands == 1
+        if file.block_count > homes + 8 * SHARE_PAIRS:
+            file.truncate_blocks(homes)     # drop the stale staged copies
+    assert ssd.ftl.stats.share_log_spills > SHARE_COMMITS * SHARE_PAIRS // 2
+    ssd.ftl.check_invariants()
+    return profile.getstats()
+
+
+def test_share_path_costs_a_mapping_update_per_pair():
+    stats = profile_share_commits()
+    per_pair = (sum(entry.callcount for entry in stats)
+                / (SHARE_COMMITS * SHARE_PAIRS))
+    assert per_pair <= CALLS_PER_SHARE_PAIR_CEILING, (
+        f"{per_pair:.2f} calls per remapped pair, ceiling "
+        f"{CALLS_PER_SHARE_PAIR_CEILING}")
+    into_obs = calls_into_obs(stats)
+    assert not into_obs, f"telemetry is off, yet repro/obs ran: {into_obs}"
 
 
 # ------------------------------------------------------------ engine cell

@@ -4,6 +4,8 @@ never had to worry about — every engine completing its workload with a
 permanently failed SHARE command, served entirely by its classic
 two-phase fallback."""
 
+import dataclasses
+
 import pytest
 
 from repro.couchstore.compaction import compact
@@ -283,6 +285,30 @@ def test_couch_commit_and_compaction_complete_on_share_outage(clock):
     assert guard is store.resilience        # guard survives compaction
     assert guard.stats.fallbacks > 0
     assert ssd.stats.share_pairs == 0
+
+
+def test_couch_compaction_falls_back_on_a_device_without_share(clock):
+    """The ioctl refuses a SHARE-less device with IoctlError (a
+    filesystem error the guard does not translate); the compaction must
+    still degrade to the copy path, not abort with the new file half
+    built."""
+    ssd = Ssd(clock, dataclasses.replace(small_ssd_config(),
+                                         share_enabled=False))
+    fs = HostFs(ssd, FsConfig(journal_blocks=8))
+    store = CouchStore(fs, "/db", CommitMode.SHARE,
+                       CouchConfig(leaf_capacity=4, internal_fanout=8,
+                                   prealloc_blocks=64))
+    for key in range(40):           # inserts only: no SHARE at commit
+        store.set(key, ("v0", key))
+    store.commit()
+    files_before = set(fs.list_files())
+    new_store, result = compact(store, clock)
+    assert result.mode == "copy"
+    assert set(fs.list_files()) == files_before   # abandoned file unlinked
+    for key in range(40):
+        assert new_store.get(key) == ("v0", key)
+    assert new_store.resilience.stats.fallbacks == 1
+    assert ssd.stats.share_commands == 0
 
 
 def test_sqlite_completes_on_share_outage():

@@ -45,7 +45,7 @@ class TestCacheUnit:
         cache = DramReadCache(8)
         for lpn in range(4):
             cache.insert(lpn, lpn)
-        cache.invalidate(1, count=2)
+        cache.invalidate(range(1, 3))
         assert cache.lookup(0) == (0,)
         assert cache.lookup(1) is None
         assert cache.lookup(2) is None
