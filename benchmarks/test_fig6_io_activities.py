@@ -108,7 +108,7 @@ def test_fig6_telemetry_artifact(benchmark, scale, tmp_path):
     # Every GC event attributes through the span tree to a host-level
     # root operation (nothing orphaned at ftl.gc itself).
     attribution = report.gc_attribution(records)
-    if metrics.get("ftl.gc.events", 0):
+    if table["GC events"]:       # summed over device.<name>.ftl.gc.events
         assert attribution
         assert "ftl.gc" not in attribution
-        assert sum(attribution.values()) == metrics["ftl.gc.events"]
+        assert sum(attribution.values()) == table["GC events"]

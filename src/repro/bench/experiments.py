@@ -112,11 +112,11 @@ def run_linkbench_cell(mode: FlushMode, page_size: int,
                         concurrency=concurrency)
     stats = stack.data_ssd.stats
     if telemetry is not None:
-        for op in result.latencies.op_names():
-            hist = telemetry.metrics.histogram(
-                f"linkbench.op.{op}.latency_ms")
-            for sample in result.latencies.histogram(op)._samples:
-                hist.record(sample)
+        if telemetry.enabled:
+            for op in result.latencies.op_names():
+                hist = telemetry.histogram(f"linkbench.op.{op}.latency_ms")
+                for sample in result.latencies.histogram(op)._samples:
+                    hist.record(sample)
         telemetry.snapshot(stack.clock.now_us)
     cell = {
         "mode": mode.value,

@@ -189,9 +189,9 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
     log_ssd = Ssd(clock, SsdConfig(geometry=log_geometry,
                                    timing=SATA_SSD_TIMING,
                                    share_enabled=False,
-                                   # Same L2P backing as the data device:
-                                   # the shared ftl.l2p.* gauges stay
-                                   # coherent across the stack.
+                                   # ``l2p_strategy`` selects the stack's
+                                   # backing, not one device's (each
+                                   # reports its own ftl.l2p.* gauges).
                                    ftl=FtlConfig(
                                        l2p_strategy=_l2p(l2p_strategy)),
                                    queue_depth=queue_depth,

@@ -147,7 +147,6 @@ class Rebalancer:
                     dst, lambda: dst.share(key, src_key))
                 self.shared += 1
                 router.stats.shared_migrations += 1
-                router._m_shared_migrations.inc()
         if record is None:
             record = router._shard_op(dst, lambda: dst.put(key, value))
         router._ack(dst, record)
@@ -158,5 +157,4 @@ class Rebalancer:
             router._ack(src, retired)
         self.moved += 1
         router.stats.migrated_keys += 1
-        router._m_migrated.inc()
         return True

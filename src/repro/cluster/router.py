@@ -29,14 +29,15 @@ histograms (p99 per shard), ``repl_lag.<shard>`` and ``epoch.<shard>``
 gauges, a ``replica_lag`` distribution sampled at every pump, failover
 count/duration plus a ``convergence_us`` histogram (promotion to
 fully-caught-up group), replica-read and media-health counters,
-backpressure waits, replayed records.  Because crash harnesses run with
-``NULL_TELEMETRY``, the router also keeps a plain :class:`ClusterStats`
-the sweeps read directly (same pattern as ``GuardStats``).
+backpressure waits, replayed records.  The counters are the router's
+plain :class:`ClusterStats` — what the crash sweeps read directly under
+``NULL_TELEMETRY`` and what the telemetry rows read at snapshot time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.failover import FailoverController, FailoverEvent
@@ -45,8 +46,7 @@ from repro.cluster.health import MediaHealthMonitor
 from repro.cluster.rebalance import MigrationState, Rebalancer
 from repro.cluster.shard import ShardGroup
 from repro.errors import ClusterError, ResilienceError, ShardUnavailableError
-from repro.obs.registry import NULL_REGISTRY
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs import COUNTER, GAUGE, NULL_TELEMETRY
 from repro.sim.faults import NO_FAULTS, ShardMediaStorm
 from repro.ssd.ncq import DeviceSession
 
@@ -55,8 +55,8 @@ __all__ = ["ShardRouter", "ClusterStats"]
 
 @dataclass
 class ClusterStats:
-    """Local counters the router accumulates (readable even when
-    telemetry is the NULL singleton, as in crash harnesses)."""
+    """The counters the router accumulates (:data:`ROUTER_ROWS` reports
+    them as ``cluster.*``)."""
 
     ops: int = 0
     acked_writes: int = 0
@@ -78,6 +78,32 @@ class ClusterStats:
     rebalances: int = 0
     convergences: int = 0
     convergence_us: int = 0
+
+
+def _backpressure_waits(router: "ShardRouter") -> int:
+    return sum(group.backpressure_waits
+               for group in (*router.pairs.values(),
+                             *router.retired.values()))
+
+
+def group_rows(shard: str) -> tuple:
+    """The ``cluster.*`` gauges a shard group adds when it joins the
+    ring, read off the group."""
+    return ((f"repl_lag.{shard}", GAUGE, attrgetter("repl_lag")),
+            (f"epoch.{shard}", GAUGE, attrgetter("log.epoch")))
+
+
+#: ``cluster.*`` telemetry rows, read off the router's
+#: :class:`ClusterStats`.
+ROUTER_ROWS = tuple(
+    (name, COUNTER, attrgetter("stats." + name)) for name in (
+        "ops", "acked_writes", "reads", "failovers", "failover_duration_us",
+        "replayed_records", "repl_applied", "cross_shard_copies",
+        "replica_reads", "replica_read_fallbacks", "media_trips",
+        "media_storms", "proactive_promotions", "migrated_keys",
+        "shared_migrations", "rebalances")) + (
+    ("shard_kills", COUNTER, attrgetter("stats.kills")),
+    ("backpressure_waits", COUNTER, _backpressure_waits))
 
 
 class ShardRouter:
@@ -110,35 +136,11 @@ class ShardRouter:
         self.retired: Dict[str, ShardGroup] = {}
         self._migration: Optional[MigrationState] = None
         self.migration_epoch = 0
-        # Registry live?  False with telemetry off: the per-KV-call
-        # paths then skip their metric updates instead of calling null
-        # instruments (rare events — kills, failovers — just call them).
-        self._obs = self.telemetry.metrics is not NULL_REGISTRY
-        metrics = self.telemetry.metrics.scope("cluster")
-        self._metrics = metrics
-        self._m_ops = metrics.counter("ops")
-        self._m_acked = metrics.counter("acked_writes")
-        self._m_reads = metrics.counter("reads")
-        self._m_kills = metrics.counter("shard_kills")
-        self._m_failovers = metrics.counter("failovers")
-        self._m_failover_us = metrics.counter("failover_duration_us")
-        self._m_replayed = metrics.counter("replayed_records")
-        self._m_repl_applied = metrics.counter("repl_applied")
-        self._m_backpressure = metrics.counter("backpressure_waits")
-        self._m_copies = metrics.counter("cross_shard_copies")
-        self._m_replica_reads = metrics.counter("replica_reads")
-        self._m_replica_fallbacks = metrics.counter("replica_read_fallbacks")
-        self._m_media_trips = metrics.counter("media_trips")
-        self._m_storms = metrics.counter("media_storms")
-        self._m_proactive = metrics.counter("proactive_promotions")
-        self._m_migrated = metrics.counter("migrated_keys")
-        self._m_shared_migrations = metrics.counter("shared_migrations")
-        self._m_rebalances = metrics.counter("rebalances")
-        self._m_replica_lag = metrics.histogram("replica_lag")
-        self._m_convergence = metrics.histogram("convergence_us")
+        telemetry = self.telemetry
+        telemetry.collect("cluster", ROUTER_ROWS, self)
+        self._m_replica_lag = telemetry.histogram("cluster.replica_lag")
+        self._m_convergence = telemetry.histogram("cluster.convergence_us")
         self._m_latency: Dict[str, object] = {}
-        self._m_lag: Dict[str, object] = {}
-        self._m_epoch: Dict[str, object] = {}
         self.controller = FailoverController(clock,
                                              on_promoted=self._on_promoted)
         for pair in pairs:
@@ -147,12 +149,11 @@ class ShardRouter:
     def _register_group(self, group: ShardGroup) -> None:
         """Metrics + breaker listener for one group (init or ring add)."""
         self.pairs[group.name] = group
-        metrics = self._metrics
         if group.name not in self._m_latency:
-            self._m_latency[group.name] = metrics.histogram(
-                f"latency_us.{group.name}")
-            self._m_lag[group.name] = metrics.gauge(f"repl_lag.{group.name}")
-            self._m_epoch[group.name] = metrics.gauge(f"epoch.{group.name}")
+            self._m_latency[group.name] = self.telemetry.histogram(
+                f"cluster.latency_us.{group.name}")
+            self.telemetry.collect("cluster", group_rows(group.name),
+                                   group)
         self.controller.attach(group)
 
     # --------------------------------------------------------- sessions
@@ -184,14 +185,9 @@ class ShardRouter:
         self.stats.failover_duration_us += event.duration_us
         self.stats.replayed_records += event.replayed
         self.stats.last_failover_us = event.at_us
-        self._m_failovers.inc()
-        self._m_failover_us.inc(event.duration_us)
-        self._m_replayed.inc(event.replayed)
-        self._m_epoch[event.shard].set(event.epoch)
         self._pending_convergence[event.shard] = event.at_us
         if event.proactive:
             self.stats.proactive_promotions += 1
-            self._m_proactive.inc()
         if event.old_primary in self.health.tripped:
             # The demoted device is media-sick: keep replication off it
             # so applies stop burning its remaining spares.
@@ -212,13 +208,9 @@ class ShardRouter:
         new primary.  A second failure means the shard is genuinely
         unavailable."""
         self.stats.ops += 1
-        obs = self._obs
-        if obs:
-            self._m_ops.inc()
         self._ensure_primary(group)
         start_us = self._session.now_us if self._session is not None \
             else self.clock.now_us
-        before = group.backpressure_waits
         try:
             result = fn()
         except ResilienceError as exc:
@@ -228,10 +220,7 @@ class ShardRouter:
                     f"breaker: {exc}") from exc
             self.controller.promote(group)
             result = fn()
-        if obs:
-            waits = group.backpressure_waits - before
-            if waits:
-                self._m_backpressure.inc(waits)
+        if self.telemetry.enabled:
             end_us = self._session.now_us if self._session is not None \
                 else self.clock.now_us
             self._m_latency[group.name].record(max(0, end_us - start_us))
@@ -241,16 +230,12 @@ class ShardRouter:
         """Post-ack bookkeeping: read-your-writes watermark, media
         health scoring, and the crashcheck kill/storm hook."""
         self.stats.acked_writes += 1
-        if self._obs:
-            self._m_acked.inc()
-            self._m_lag[group.name].set(group.repl_lag)
         if record is not None:
             session = self._session
             client = session.client if session is not None else None
             self._client_seq[(client, group.name)] = record.seq
         if self.health.observe(group):
             self.stats.media_trips += 1
-            self._m_media_trips.inc()
         faults = self.faults
         if faults.cluster.active:
             fault = faults.cluster.on_ack(group.name)
@@ -266,7 +251,6 @@ class ShardRouter:
         group = self._group(fault.victim)
         fault.inject(group.primary)
         self.stats.media_storms += 1
-        self._m_storms.inc()
 
     # ---------------------------------------------------- read routing
 
@@ -301,17 +285,11 @@ class ShardRouter:
         before_falls = pair.replica_read_fallbacks
         value = self._shard_op(
             pair, lambda: pair.get(key, session=session, min_seq=min_seq))
-        obs = self._obs
         if pair.replica_reads != before_reads:
             self.stats.replica_reads += 1
-            if obs:
-                self._m_replica_reads.inc()
         if pair.replica_read_fallbacks != before_falls:
             self.stats.replica_read_fallbacks += 1
-            self._m_replica_fallbacks.inc()
         self.stats.reads += 1
-        if obs:
-            self._m_reads.inc()
         return value
 
     def share(self, dst_key, src_key):
@@ -339,8 +317,6 @@ class ShardRouter:
             src_pair, lambda: src_pair.get(src_key, session=session,
                                            min_seq=min_seq))
         self.stats.cross_shard_copies += 1
-        if self._obs:
-            self._m_copies.inc()
         record = self._shard_op(
             dst_pair, lambda: dst_pair.put(dst_key, value,
                                            session=self._session))
@@ -400,7 +376,6 @@ class ShardRouter:
         state.rebalancer = rebalancer
         self._migration = state
         self.stats.rebalances += 1
-        self._m_rebalances.inc()
         return rebalancer
 
     def _settle_migration(self, key):
@@ -451,7 +426,6 @@ class ShardRouter:
         group.primary.power_cycle()
         group.primary_down = True
         self.stats.kills += 1
-        self._m_kills.inc()
         # force_open -> BREAKER_OPEN transition -> controller listener
         # marks needs_promotion; promotion happens at an op boundary.
         group.guard.breaker.force_open()
@@ -499,11 +473,10 @@ class ShardRouter:
                         remaining -= got
                 start = (start + 1) % count
             self._pump_cursor = start
-        obs = self._obs
+        enabled = self.telemetry.enabled
         for group in pairs:
             lag = group.repl_lag
-            if obs:
-                self._m_lag[group.name].set(lag)
+            if enabled:
                 self._m_replica_lag.record(lag)
             if lag == 0 and self._pending_convergence:
                 started = self._pending_convergence.pop(group.name, None)
@@ -511,11 +484,9 @@ class ShardRouter:
                     duration = max(0, self.clock.now_us - started)
                     self.stats.convergences += 1
                     self.stats.convergence_us += duration
-                    self._m_convergence.record(duration)
-        if applied:
-            self.stats.repl_applied += applied
-            if obs:
-                self._m_repl_applied.inc(applied)
+                    if enabled:
+                        self._m_convergence.record(duration)
+        self.stats.repl_applied += applied
         return applied
 
     def drain(self) -> None:

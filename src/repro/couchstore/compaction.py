@@ -62,12 +62,12 @@ def compact(store: CouchStore, clock: SimClock,
         span.set(docs_moved=result.docs_moved,
                  share_commands=result.share_commands,
                  index_nodes_written=result.index_nodes_written)
-    metrics = telemetry.metrics.scope("couch.compaction")
-    metrics.counter("runs").inc()
-    metrics.counter("pages_moved").inc(
-        result.docs_moved * store.config.doc_blocks)
-    metrics.counter("share_commands").inc(result.share_commands)
-    metrics.counter("index_nodes_written").inc(result.index_nodes_written)
+    stats = new_store.stats     # the database's, inherited from ``store``
+    stats.compactions += 1
+    stats.compaction_pages_moved += (result.docs_moved
+                                     * store.config.doc_blocks)
+    stats.compaction_share_commands += result.share_commands
+    stats.compaction_index_nodes += result.index_nodes_written
     return new_store, result
 
 
@@ -116,7 +116,8 @@ def _compact_copy(store: CouchStore, clock: SimClock, suffix: str
     new_store = CouchStore(store.fs, tmp_path, store.mode, store.config,
                            _update_seq=store.update_seq,
                            _doc_count=store.doc_count, _stale_blocks=0,
-                           _resilience=store.resilience)
+                           _resilience=store.resilience,
+                           _stats=store.stats)
     faults.checkpoint("couch.compact_begin")
     new_file = new_store.file
     entries: List[Tuple] = []
@@ -139,7 +140,6 @@ def _compact_copy(store: CouchStore, clock: SimClock, suffix: str
     faults.checkpoint("couch.compact_switch")
     _swap_in(store, new_store, tmp_path)
     faults.checkpoint("couch.compact_end")
-    new_store.stats.compactions = store.stats.compactions + 1
     result = _measure_end(store, clock, start, "copy", docs_moved, nodes, 0)
     return new_store, result
 
@@ -152,7 +152,8 @@ def _compact_share(store: CouchStore, clock: SimClock, suffix: str
     new_store = CouchStore(store.fs, tmp_path, store.mode, store.config,
                            _update_seq=store.update_seq,
                            _doc_count=store.doc_count, _stale_blocks=0,
-                           _resilience=store.resilience)
+                           _resilience=store.resilience,
+                           _stats=store.stats)
     faults.checkpoint("couch.compact_begin")
     new_file = new_store.file
     pointers = store.doc_pointers()
@@ -211,9 +212,6 @@ def _compact_share(store: CouchStore, clock: SimClock, suffix: str
     faults.checkpoint("couch.compact_switch")
     _swap_in(store, new_store, tmp_path)
     faults.checkpoint("couch.compact_end")
-    new_store.stats.compactions = store.stats.compactions + 1
-    new_store.stats.share_commands = share_commands
-    new_store.stats.share_pairs = docs_moved
     result = _measure_end(store, clock, start, "share", docs_moved, nodes,
                           share_commands)
     return new_store, result

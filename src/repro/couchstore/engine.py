@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EngineError, ResilienceError
@@ -36,6 +37,7 @@ from repro.couchstore.tree import AppendTree
 from repro.host.file import File
 from repro.host.filesystem import HostFs
 from repro.host.resilience import ShareGuard
+from repro.obs import COUNTER
 
 
 class CommitMode(Enum):
@@ -73,7 +75,11 @@ class CouchConfig:
 
 @dataclass
 class CouchStats:
-    """Engine-level write accounting (documents vs index vs headers)."""
+    """Engine-level write accounting (documents vs index vs headers)
+    over a database's whole life: the store a compaction builds inherits
+    the object, as it inherits the resilience guard.  ``share_*`` count
+    commit-time remaps; a compaction's own volume is ``compaction_*``.
+    ``index_nodes_written`` follows the current file's tree."""
 
     doc_blocks_written: int = 0
     index_nodes_written: int = 0
@@ -82,6 +88,22 @@ class CouchStats:
     share_pairs: int = 0
     share_commands: int = 0
     compactions: int = 0
+    compaction_pages_moved: int = 0
+    compaction_share_commands: int = 0
+    compaction_index_nodes: int = 0
+
+
+#: ``couch.*`` telemetry rows, read off a database's :class:`CouchStats`.
+COUCH_ROWS = tuple(
+    (name, COUNTER, attrgetter(field)) for name, field in (
+        ("commits", "commits"),
+        ("share_pairs", "share_pairs"),
+        ("doc_blocks_written", "doc_blocks_written"),
+        ("headers_written", "headers_written"),
+        ("compaction.runs", "compactions"),
+        ("compaction.pages_moved", "compaction_pages_moved"),
+        ("compaction.share_commands", "compaction_share_commands"),
+        ("compaction.index_nodes_written", "compaction_index_nodes")))
 
 
 class CouchStore:
@@ -95,7 +117,8 @@ class CouchStore:
                  _doc_count: int = 0,
                  _stale_blocks: int = 0,
                  _append_cursor: Optional[int] = None,
-                 _resilience: Optional[ShareGuard] = None) -> None:
+                 _resilience: Optional[ShareGuard] = None,
+                 _stats: Optional[CouchStats] = None) -> None:
         self.fs = fs
         self.path = path
         self.mode = mode
@@ -111,8 +134,11 @@ class CouchStore:
         self.update_seq = _update_seq
         self.doc_count = _doc_count
         self.stale_blocks = _stale_blocks
-        self.stats = CouchStats()
         self.telemetry = fs.telemetry
+        if _stats is None:
+            _stats = CouchStats()
+            self.telemetry.collect("couch", COUCH_ROWS, _stats)
+        self.stats = _stats
         # Fault instrumentation rides the device's plan: the commit and
         # compaction paths checkpoint so crash-consistency sweeps can cut
         # power at every engine-level step.
@@ -120,11 +146,6 @@ class CouchStore:
         # The resilience guard survives compaction (the new store inherits
         # it) so breaker state and fallback counts span the store's life.
         self.resilience = _resilience or ShareGuard(fs.ssd, engine="couch")
-        metrics = self.telemetry.metrics.scope("couch")
-        self._m_commits = metrics.counter("commits")
-        self._m_share_pairs = metrics.counter("share_pairs")
-        self._m_doc_blocks = metrics.counter("doc_blocks_written")
-        self._m_headers = metrics.counter("headers_written")
         self._last_obsoleted = 0
         self._live_snapshots = 0
         # Pending (uncommitted) state.
@@ -182,7 +203,6 @@ class CouchStore:
         for __ in range(self.config.doc_blocks - 1):
             self._append(("doc-cont", key, self.update_seq))
         self.stats.doc_blocks_written += self.config.doc_blocks
-        self._m_doc_blocks.inc(self.config.doc_blocks)
         old_pointer = self._current_pointer(key)
         if old_pointer is None:
             if self._pending_docs.get(key, "absent") is None:
@@ -268,8 +288,6 @@ class CouchStore:
                     self.stats.share_commands += commands
                     self.stats.share_pairs += (len(ranges)
                                                * self.config.doc_blocks)
-                    self._m_share_pairs.inc(len(ranges)
-                                            * self.config.doc_blocks)
                     self.faults.checkpoint("couch.after_share")
             if self._pending_tree:
                 self.tree.apply_batch(dict(self._pending_tree))
@@ -286,7 +304,6 @@ class CouchStore:
         self._pending_shares.clear()
         self._pending_stale = 0
         self.stats.commits += 1
-        self._m_commits.inc()
 
     def _tree_obsoleted_delta(self) -> int:
         delta = self.tree.nodes_obsoleted - self._last_obsoleted
@@ -298,7 +315,6 @@ class CouchStore:
             self.tree.root_block, self.update_seq, self.doc_count,
             self.stale_blocks))
         self.stats.headers_written += 1
-        self._m_headers.inc()
         self.stats.index_nodes_written = self.tree.nodes_written
 
     # ----------------------------------------------------------- triggers

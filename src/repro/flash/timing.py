@@ -143,6 +143,7 @@ class ChannelSet:
         self.busy_us = [0] * self.channel_count
 
     def reset(self) -> None:
-        """Forget all state (power cycle)."""
+        """Free every channel (power cycle): the busy-until horizons go;
+        the utilisation accumulators belong to the measured interval,
+        which a power cycle does not end."""
         self._free_us = [0] * (self.channel_count * self.ways)
-        self.busy_us = [0] * self.channel_count

@@ -62,7 +62,7 @@ from repro.errors import (
 )
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
-from repro.obs import NULL_REGISTRY, NULL_TELEMETRY
+from repro.obs import NULL_TELEMETRY
 from repro.sim.faults import NO_FAULTS, FaultPlan
 
 #: Spare-area tag marking a mapping page (vs a data page).
@@ -186,20 +186,16 @@ class MapLog:
         # pages end) and kept current at every program and erase.
         self._used = {block: nand.programmed_pages_in_block(block)
                       for block in self._blocks}
-        self._page_writes = 0
+        #: Mapping pages programmed so far (internal write traffic).
+        self.page_writes = 0
         # Channels of mapping-page programs, appended to the owning
         # FTL's ledger (which drains it once per device command).
         self._work: List[int] = ledger if ledger is not None else []
-        self._checkpoints = 0
+        self.checkpoints = 0
         self._snapshot_provider: Optional[Callable[[], List[DeltaRecord]]] = None
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        metrics = self.telemetry.metrics
-        self._m_page_writes = metrics.counter("ftl.maplog.page_writes")
-        self._m_checkpoints = metrics.counter("ftl.maplog.checkpoints")
-        self._m_records = metrics.histogram("ftl.maplog.records_per_commit")
-        # Registry live?  False with telemetry off: the per-commit
-        # metric updates are then skipped, not sent to null instruments.
-        self._obs = metrics is not NULL_REGISTRY
+        self._m_records = self.telemetry.histogram(
+            "ftl.maplog.records_per_commit")
 
     # --------------------------------------------------------------- setup
 
@@ -244,15 +240,6 @@ class MapLog:
     def records_per_page(self) -> int:
         return self._records_per_page
 
-    @property
-    def page_writes(self) -> int:
-        """Mapping pages programmed so far (internal write traffic)."""
-        return self._page_writes
-
-    @property
-    def checkpoints(self) -> int:
-        return self._checkpoints
-
     def _note_work(self, ppn: int) -> None:
         self._work.append(
             (ppn // self._geometry.pages_per_block)
@@ -290,10 +277,9 @@ class MapLog:
                     raise
                 continue
             break
-        self._page_writes += 1
+        self.page_writes += 1
         self._note_work(ppn)
-        if self._obs:
-            self._m_page_writes.inc()
+        if self.telemetry.enabled:
             self._m_records.record(len(records))
         if not faults.passive:
             faults.checkpoint("maplog.after_commit")
@@ -399,13 +385,11 @@ class MapLog:
                 self._nand.program(ppn, _seal(chunk), spare=(MAP_PAGE_TAG,))
             except ProgramFailError:
                 continue   # the failed page consumed its slot; use the next
-            self._page_writes += 1
+            self.page_writes += 1
             self._note_work(ppn)
             cursor += page_capacity
         self._cursor = min(block_index, len(self._blocks) - 1)
-        self._checkpoints += 1
-        if self._obs:
-            self._m_checkpoints.inc()
+        self.checkpoints += 1
         if not faults.passive:
             faults.checkpoint("maplog.checkpoint_end")
 

@@ -191,7 +191,7 @@ class MappingStrategy:
         """How many internal fragments the layout holds right now —
         1 for the flat array, allocated groups for the group map, runs
         for the run-length map, exception entries for the delta map.
-        Exported as the ``ftl.l2p.runs`` gauge."""
+        Exported as the device's ``ftl.l2p.runs`` gauge."""
         raise NotImplementedError
 
 

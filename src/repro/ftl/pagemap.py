@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count as count_from
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -67,7 +67,7 @@ from repro.ftl.deltalog import (
 from repro.ftl.mapping import UNMAPPED, create_strategy
 from repro.ftl.reverse import ReverseMap
 from repro.ftl.share_ext import expand_range, observe_batch, validate_batch
-from repro.obs import NULL_REGISTRY, NULL_TELEMETRY
+from repro.obs import COUNTER, GAUGE, NULL_TELEMETRY
 from repro.sim.faults import NO_FAULTS, FaultPlan
 
 
@@ -93,11 +93,36 @@ class FtlStats:
     uncorrectable_reads: int = 0   # reads that failed even after retries
     program_fails: int = 0
     erase_fails: int = 0
-    grown_bad_blocks: int = 0
     corrupt_map_pages: int = 0     # mapping-log pages skipped at recovery
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
+
+
+#: Levels and counts only the firmware knows, as ``(name, kind,
+#: extractor over the FTL)`` rows.  The owning device registers them as
+#: ``device.<name>.ftl.*`` and reads them through its *current* FTL, so
+#: they survive a power cycle (counters with a ``DeviceStats`` field are
+#: the device's rows, not these).
+FTL_ROWS = (
+    ("free_blocks", GAUGE, attrgetter("free_block_count")),
+    ("share.spill_hwm", GAUGE, attrgetter("rev.spilled_peak")),
+    ("maplog.checkpoints", COUNTER, attrgetter("maplog.checkpoints")),
+    ("l2p.footprint_bytes", GAUGE, lambda ftl: ftl.fwd.footprint_bytes()),
+    ("l2p.runs", GAUGE, lambda ftl: ftl.fwd.fragment_count()),
+    ("l2p.remap_splits", GAUGE, attrgetter("fwd.remap_splits")),
+)
+
+#: The ``media.*`` degradation figures as telemetry rows: each reads its
+#: key of :meth:`PageMappingFtl.media_report`, the one place they are
+#: gathered.  The grown-bad count and the spare pool are levels.
+MEDIA_ROWS = tuple(
+    (name, kind, lambda ftl, name=name: ftl.media_report()[name])
+    for name, kind in (
+        ("read_retries", COUNTER), ("read_relocations", COUNTER),
+        ("uncorrectable_reads", COUNTER), ("program_fails", COUNTER),
+        ("erase_fails", COUNTER), ("grown_bad_blocks", GAUGE),
+        ("corrupt_map_pages", COUNTER), ("spare_pool", GAUGE)))
 
 
 @dataclass
@@ -149,32 +174,13 @@ class PageMappingFtl:
                              telemetry=self.telemetry, ledger=self.map_work)
         self.maplog.set_snapshot_provider(self._snapshot_records)
         self.stats = FtlStats()
-        # Telemetry handles (shared no-ops when telemetry is disabled).
-        metrics = self.telemetry.metrics
-        # Registry live?  False with telemetry off: the GC/allocation
-        # paths then skip their metric updates instead of calling the
-        # null instruments.
-        self._obs = metrics is not NULL_REGISTRY
-        self._m_gc_events = metrics.counter("ftl.gc.events")
-        self._m_copybacks = metrics.counter("ftl.gc.copyback_pages")
-        self._m_erases = metrics.counter("ftl.gc.block_erases")
-        self._m_spill_lookups = metrics.counter("ftl.gc.spill_lookups")
-        self._m_wear_moves = metrics.counter("ftl.wear.level_moves")
-        self._m_share_spills = metrics.counter("ftl.share.spills")
-        self._m_share_log_spills = metrics.counter("ftl.share.log_spills")
-        self._m_share_spill_hwm = metrics.gauge("ftl.share.spill_hwm")
-        self._m_free_blocks = metrics.gauge("ftl.free_blocks")
-        self._m_read_retries = metrics.counter("media.read_retries")
-        self._m_relocations = metrics.counter("media.read_relocations")
-        self._m_uncorrectable = metrics.counter("media.uncorrectable_reads")
-        self._m_program_fails = metrics.counter("media.program_fails")
-        self._m_erase_fails = metrics.counter("media.erase_fails")
-        self._m_grown_bad = metrics.counter("media.grown_bad_blocks")
-        self._m_corrupt_map = metrics.counter("media.corrupt_map_pages")
-        self._m_spare_pool = metrics.gauge("media.spare_pool")
-        self._m_l2p_footprint = metrics.gauge("ftl.l2p.footprint_bytes")
-        self._m_l2p_runs = metrics.gauge("ftl.l2p.runs")
-        self._m_l2p_splits = metrics.gauge("ftl.l2p.remap_splits")
+        # SHARE batch-shape histograms (None when telemetry is off).
+        # Counters and gauges are not pushed: FTL_ROWS / MEDIA_ROWS are
+        # read off this object when the owning device is snapshotted.
+        self._m_batch_pairs = self.telemetry.histogram(
+            "ftl.share.batch_pairs")
+        self._m_contiguous_runs = self.telemetry.histogram(
+            "ftl.share.contiguous_runs")
         # Sampled-mode gate (None when telemetry has no sampler).
         self._sampler = getattr(self.telemetry, "sampler", None)
         # Block state, owned here (repro.ftl.blocks): the hot path never
@@ -194,7 +200,6 @@ class PageMappingFtl:
         self._write_ptr = self._blocks.write_ptr
         self._valid_count = self._blocks.valid
         self._grown_bad: Dict[int, int] = {}
-        self._publish_pools()
         # Channel-striped host allocation: one active block per channel,
         # filled round-robin so sequential writes spread across channels.
         # At channel_count == 1 this degenerates to the single active
@@ -219,20 +224,6 @@ class PageMappingFtl:
         self._txn_shadow: Dict[int, Dict[int, int]] = {}
         self._shadow_owner: Dict[int, Tuple[int, int]] = {}
         self._in_gc = False
-        self._publish_l2p_gauges()
-
-    def _publish_pools(self) -> None:
-        self._m_spare_pool.set(len(self._blocks.spares))
-        self._m_free_blocks.set(self._blocks.free_count)
-
-    def _publish_l2p_gauges(self) -> None:
-        """Refresh the ``ftl.l2p.*`` gauges from the strategy's O(1)
-        accounting.  Called off the per-page hot path: at init, after a
-        SHARE batch (telemetry-gated), at flush, and after recovery."""
-        fwd = self.fwd
-        self._m_l2p_footprint.set(fwd.footprint_bytes())
-        self._m_l2p_runs.set(fwd.fragment_count())
-        self._m_l2p_splits.set(fwd.remap_splits)
 
     # ------------------------------------------------------------ geometry
 
@@ -381,11 +372,9 @@ class PageMappingFtl:
             except UncorrectableReadError:
                 if attempt >= retries:
                     self.stats.uncorrectable_reads += 1
-                    self._m_uncorrectable.inc()
                     raise
                 attempt += 1
                 self.stats.read_retries += 1
-                self._m_read_retries.inc()
                 continue
             if attempt and scrub_ok:
                 self._scrub(ppn, data)
@@ -413,7 +402,6 @@ class PageMappingFtl:
             self.fwd.update(lpn, new_ppn)
             self._share_backed.pop(lpn, None)
         self.stats.read_relocations += 1
-        self._m_relocations.inc()
 
     def _program_data(self, data: Any, spare, for_gc: bool) -> int:
         """Program a data page, surviving program failures.
@@ -431,7 +419,6 @@ class PageMappingFtl:
             except ProgramFailError as exc:
                 last_error = exc
                 self.stats.program_fails += 1
-                self._m_program_fails.inc()
                 self._retire_block(ppn // self._pages_per_block,
                                    frozenset(lpn for lpn, __ in spare))
                 continue
@@ -462,12 +449,9 @@ class PageMappingFtl:
             self._active_host[block % self._channel_count] = None
         seq = self._next_seq()
         self._grown_bad[block] = seq
-        self.stats.grown_bad_blocks = len(self._grown_bad)
-        self._m_grown_bad.inc()
         # A spare is released first: the evacuation below may need the
         # space.
         self._blocks.retire(block)
-        self._publish_pools()
         self._evacuate(block, inflight, tolerant=True)
         self.maplog.append_atomic(
             [DeltaRecord(KIND_BADBLK, block, None, None, seq)])
@@ -482,7 +466,7 @@ class PageMappingFtl:
         return len(self._blocks.spares)
 
     def media_report(self) -> Dict[str, int]:
-        """The ``media.*`` degradation counters as one snapshot."""
+        """The ``media.*`` degradation figures as one snapshot."""
         return {
             "read_retries": self.stats.read_retries,
             "read_relocations": self.stats.read_relocations,
@@ -665,8 +649,6 @@ class PageMappingFtl:
         else:
             with self.faults.operation("ftl.flush"):
                 self._flush_pending_trims()
-        if self.telemetry.enabled:
-            self._publish_l2p_gauges()
 
     def _flush_pending_trims(self) -> None:
         if not self._pending_trims:
@@ -727,7 +709,6 @@ class PageMappingFtl:
         full = self._pages_per_block
         share_backed = self._share_backed
         tombstones = self._trim_tombstones
-        splits_before = fwd.remap_splits
         spills_before = rev.spill_adds
         deltas = []
         seq = self._seq         # one per pair, in pair order
@@ -750,18 +731,14 @@ class PageMappingFtl:
         spills = rev.spill_adds - spills_before
         if spills:
             self.stats.share_log_spills += spills
-            if self._obs:
-                self._m_share_log_spills.inc(spills)
-                self._m_share_spill_hwm.set(rev.spilled_peak)
         self.maplog.append_atomic(deltas)
         self.stats.share_commands += 1
         self.stats.share_pairs += len(pairs)
         if self.telemetry.enabled:
             sampler = self._sampler
             if sampler is None or sampler.hit():
-                observe_batch(self.telemetry.metrics, pairs,
-                              remap_splits=fwd.remap_splits - splits_before)
-                self._publish_l2p_gauges()
+                observe_batch(self._m_batch_pairs, self._m_contiguous_runs,
+                              pairs)
 
     def _reconcile_oldest_share(self) -> None:
         """Share table full: materialise a private copy for the oldest
@@ -782,7 +759,6 @@ class PageMappingFtl:
         self._share_backed.pop(lpn, None)
         self.stats.share_spills += 1
         self._note_work("spill", new_ppn)
-        self._m_share_spills.inc()
 
     # ------------------------------------------------------------- allocate
 
@@ -810,7 +786,7 @@ class PageMappingFtl:
         if for_gc:
             block = self._active_gc
             if block is None or write_ptr[block] == full:
-                block = self._active_gc = self._open_block(None, block)
+                block = self._active_gc = self._blocks.open(None, block)
         else:
             active = self._active_host
             channels = self._channel_count
@@ -819,7 +795,7 @@ class PageMappingFtl:
                 self._host_cursor = (channel + 1) % channels
                 block = active[channel]
                 if block is None or write_ptr[block] == full:
-                    block = self._open_block(channel, block)
+                    block = self._blocks.open(channel, block)
                     if block is None:
                         continue
                     active[channel] = block
@@ -829,13 +805,6 @@ class PageMappingFtl:
         offset = write_ptr[block]
         write_ptr[block] = offset + 1
         return block * full + offset
-
-    def _open_block(self, channel: Optional[int],
-                    displaced: Optional[int]) -> Optional[int]:
-        block = self._blocks.open(channel, displaced)
-        if self._obs:
-            self._m_free_blocks.set(self._blocks.free_count)
-        return block
 
     def _ensure_free_space(self) -> None:
         """Greedy GC trigger: collect victims while the free pool is at or
@@ -895,8 +864,6 @@ class PageMappingFtl:
             self._reclaim_block(coldest, is_gc_event=False)
             self.stats.wear_level_moves += 1
             self.work.append(("wear_move", 0))   # zero-cost note
-            if self._obs:
-                self._m_wear_moves.inc()
         victim = self._blocks.pick_victim()
         if victim is None:
             return coldest is not None
@@ -945,7 +912,6 @@ class PageMappingFtl:
                 # The block has grown bad; every live page is already out
                 # (evacuation succeeded), so retirement is bookkeeping.
                 self.stats.erase_fails += 1
-                self._m_erase_fails.inc()
                 retired = True
         if retired:
             self._retire_block(block)
@@ -956,13 +922,6 @@ class PageMappingFtl:
                 self.stats.gc_events += 1
                 self.work.append(("gc_event", 0))   # zero-cost note
             self._blocks.erased(block)   # CLOSED -> FREE
-        if self._obs:
-            self._m_free_blocks.set(self._blocks.free_count)
-            self._m_share_spill_hwm.set(self.rev.spilled_peak)
-            if not retired:
-                self._m_erases.inc()
-                if is_gc_event:
-                    self._m_gc_events.inc()
         if span is not None:
             if retired:
                 span.set(retired=True)
@@ -997,7 +956,6 @@ class PageMappingFtl:
         share_backed = self._share_backed
         fwd_update = self.fwd.update
         move_page = self.rev.move_page
-        obs = self._obs
         for ppn, refs, spilled in live:
             try:
                 if refs is None:
@@ -1008,8 +966,6 @@ class PageMappingFtl:
                     # overflowed reverse mappings of this page.
                     stats.spill_lookups += 1
                     work.append(("spill_lookup", victim % channels))
-                    if obs:
-                        self._m_spill_lookups.inc()
                 data = self._read_page(ppn)
                 stamped = ([lpn for lpn in refs if lpn not in inflight]
                            if inflight else refs)
@@ -1031,8 +987,6 @@ class PageMappingFtl:
                     del share_backed[lpn]
             stats.copyback_pages += 1
             work.append(("copyback", new_ppn // full % channels))
-            if obs:
-                self._m_copybacks.inc()
 
     def _move_shadow_page(self, ppn: int) -> None:
         """GC move of an uncommitted X-FTL shadow page: the copy stays
@@ -1048,8 +1002,6 @@ class PageMappingFtl:
         self._valid_count[new_ppn // self._pages_per_block] += 1
         self.stats.copyback_pages += 1
         self._note_work("copyback", new_ppn)
-        if self._obs:
-            self._m_copybacks.inc()
 
     # ------------------------------------------------------------ snapshot
 
@@ -1072,15 +1024,24 @@ class PageMappingFtl:
 
     @classmethod
     def recover(cls, nand: NandArray, config: Optional[FtlConfig] = None,
-                faults: FaultPlan = NO_FAULTS,
-                telemetry=None) -> "PageMappingFtl":
+                faults: FaultPlan = NO_FAULTS, telemetry=None,
+                predecessor: Optional["PageMappingFtl"] = None
+                ) -> "PageMappingFtl":
         """Rebuild the full mapping state from the media after a crash.
 
         The newest assertion per LPN wins, where assertions come from data
         pages' spare stamps (normal writes and GC copies) and the mapping
         log (SHARE, TRIM, checkpoint snapshots).
+
+        ``predecessor`` is the FTL instance the power cut killed: its
+        cumulative counters (:class:`FtlStats`, the map log's checkpoint
+        count) carry over, as a drive's SMART log outlives a power
+        cycle — so a counter read across the cycle never runs backwards.
         """
         ftl = cls(nand, config, faults, telemetry=telemetry)
+        if predecessor is not None:
+            ftl.stats = predecessor.stats
+            ftl.maplog.checkpoints = predecessor.maplog.checkpoints
         state = ftl._scan_media()
         ftl._apply_recovered(state)
         ftl.maplog.bind_to_end_of_log()
@@ -1109,7 +1070,6 @@ class PageMappingFtl:
             # the OOB scan above already covers stamped mappings, so the
             # loss degrades to the stamps' view of the affected LPNs.
             self.stats.corrupt_map_pages += bad_pages
-            self._m_corrupt_map.inc(bad_pages)
         for record in records:
             if record.kind == KIND_BADBLK:
                 # lpn carries the retired block number, not a mapping.
@@ -1158,7 +1118,6 @@ class PageMappingFtl:
                 self.maplog.retire_map_block(block)
             else:
                 self._grown_bad[block] = seq
-        self.stats.grown_bad_blocks = len(self._grown_bad)
         # Rebuild the block state from the one thing that survived: the
         # media's programmed-page counts.  One spare is consumed per
         # grown-bad block, so reserve whatever entitlement remains.
@@ -1183,9 +1142,7 @@ class PageMappingFtl:
             else:
                 continue
             self._blocks.reopen(block)
-        self._publish_pools()
         self._seq = state.max_seq + 1
-        self._publish_l2p_gauges()
 
     # --------------------------------------------------------------- debug
 

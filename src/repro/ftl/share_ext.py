@@ -99,25 +99,25 @@ def validate_batch(pairs: Sequence[Tuple[int, int]], logical_pages: int,
         f"{sorted(destinations & sources)[:8]}")
 
 
-def observe_batch(metrics, pairs: Sequence[Tuple[int, int]],
-                  remap_splits: int = 0) -> None:
-    """Record the shape of one committed SHARE batch.
+def observe_batch(batch_pairs, contiguous_runs,
+                  pairs: Sequence[Tuple[int, int]]) -> None:
+    """Record the shape of one committed SHARE batch into the FTL's two
+    histogram handles.
 
     Batch size drives how often the delta log spills past a single mapping
     page, and contiguity shows whether callers exploit the ranged form of
-    the command — both feed the ``ftl.share.*`` namespace:
+    the command:
 
-    * ``ftl.share.pairs`` — total pairs committed,
     * ``ftl.share.batch_pairs`` — per-batch size distribution,
     * ``ftl.share.contiguous_runs`` — per-batch count of maximal runs of
-      consecutive ``(dst, src)`` pairs (1 == fully ranged batch),
-    * ``ftl.share.remap_splits`` — L2P continuity breaks this batch caused
-      in the forward-map backing (run splits, fresh group allocations,
-      delta exceptions — always 0 on the flat strategy), the structural
-      fragmentation cost SHARE imposes on compact mappings.
+      consecutive ``(dst, src)`` pairs (1 == fully ranged batch).
+
+    (How many pairs were committed, and how many L2P continuity breaks
+    they caused, are not recorded here: the device reports them from
+    ``DeviceStats.share_pairs`` and the mapping strategy's own
+    ``remap_splits``.)
     """
-    metrics.counter("ftl.share.pairs").inc(len(pairs))
-    metrics.histogram("ftl.share.batch_pairs").record(len(pairs))
+    batch_pairs.record(len(pairs))
     runs = 0
     next_dst = next_src = None
     for dst_lpn, src_lpn in pairs:
@@ -125,6 +125,4 @@ def observe_batch(metrics, pairs: Sequence[Tuple[int, int]],
             runs += 1
         next_dst = dst_lpn + 1
         next_src = src_lpn + 1
-    metrics.histogram("ftl.share.contiguous_runs").record(runs)
-    if remap_splits:
-        metrics.counter("ftl.share.remap_splits").inc(remap_splits)
+    contiguous_runs.record(runs)

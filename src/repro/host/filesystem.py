@@ -22,10 +22,12 @@ crash the filesystem structure, only the device and the database engines
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.errors import FileExists, FileNotFound, NoSpace
 from repro.host.file import File
+from repro.obs import COUNTER
 from repro.ssd.device import Ssd
 
 
@@ -48,6 +50,14 @@ class FsConfig:
             raise ValueError("need at least one metadata page per commit")
 
 
+#: ``host.*`` telemetry rows, read off the filesystem's own counters.
+HOST_ROWS = (
+    ("metadata_commits", COUNTER, attrgetter("metadata_commits")),
+    ("fsync_calls", COUNTER, attrgetter("fsync_calls")),
+    ("ioctl.share_commands", COUNTER, attrgetter("share_ioctl_commands")),
+)
+
+
 class HostFs:
     """A minimal but honest filesystem facade.
 
@@ -61,9 +71,7 @@ class HostFs:
         if self.config.journal_blocks >= ssd.logical_pages // 4:
             raise ValueError("journal area would consume too much of the device")
         self.telemetry = ssd.telemetry
-        metrics = self.telemetry.metrics
-        self._m_meta_commits = metrics.counter("host.metadata_commits")
-        self._m_fsyncs = metrics.counter("host.fsync_calls")
+        self.telemetry.collect("host", HOST_ROWS, self)
         self.block_size = ssd.page_size
         self._journal_base = 0
         self._journal_cursor = 0
@@ -73,6 +81,9 @@ class HostFs:
         self._alloc_cursor = self.config.journal_blocks
         self._recycled: List[int] = []
         self.metadata_commits = 0
+        self.fsync_calls = 0
+        #: SHARE commands the share ioctl issued for this filesystem's files.
+        self.share_ioctl_commands = 0
 
     # ------------------------------------------------------------ files
 
@@ -215,7 +226,6 @@ class HostFs:
                 self.ssd.write(lpn, ("fsmeta", self.metadata_commits))
             self.ssd.flush()
         self.metadata_commits += 1
-        self._m_meta_commits.inc()
 
     def fsync_file(self, handle: File) -> None:
         """Durability point for one file: device flush plus a metadata
@@ -227,7 +237,7 @@ class HostFs:
             if handle._metadata_dirty:
                 self._commit_metadata()
                 handle._metadata_dirty = False
-        self._m_fsyncs.inc()
+        self.fsync_calls += 1
 
 
 def _runs(blocks: List[int]) -> List[tuple]:

@@ -56,11 +56,13 @@ def share_file_ranges(dst_file: File, src_file: File,
     pairs = list(zip(dst_lpns, src_lpns))
     telemetry = ssd.telemetry
     if not telemetry.enabled:       # passive, as in Ssd._command: no span
-        return ssd.in_batches(ssd.share_batch, pairs)
-    with telemetry.tracer.span("host.share_ioctl", pairs=len(pairs)) as span:
         commands = ssd.in_batches(ssd.share_batch, pairs)
-        span.set(commands=commands)
-        telemetry.metrics.counter("host.ioctl.share_commands").inc(commands)
+    else:
+        with telemetry.tracer.span("host.share_ioctl",
+                                   pairs=len(pairs)) as span:
+            commands = ssd.in_batches(ssd.share_batch, pairs)
+            span.set(commands=commands)
+    dst_file.fs.share_ioctl_commands += commands
     return commands
 
 

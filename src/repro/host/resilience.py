@@ -40,6 +40,7 @@ guard also keeps a local :class:`GuardStats` the sweeps read directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import (CircuitOpenError, CommandTimeoutError,
@@ -47,6 +48,7 @@ from repro.errors import (CircuitOpenError, CommandTimeoutError,
                           ResilienceError, RetriesExhaustedError)
 from repro.host import ioctl as _ioctl
 from repro.host.file import File
+from repro.obs import COUNTER, GAUGE
 from repro.sim.rng import make_rng
 
 __all__ = [
@@ -203,9 +205,9 @@ class CircuitBreaker:
         """Unlatch and close the breaker.
 
         Always announces CLOSED through ``on_transition``, even when the
-        breaker was already closed — a promoted or recovered shard must
-        re-emit its state gauge, not report a stale value — and clears
-        half-open probe accounting so a later trip starts clean."""
+        breaker was already closed — the listeners of a promoted or
+        recovered shard must hear it is healthy — and clears half-open
+        probe accounting so a later trip starts clean."""
         self._latched = False
         self._consecutive_failures = 0
         self._probes_left = 0
@@ -238,6 +240,24 @@ class GuardStats:
     open_duration_us: int = 0
 
 
+def guard_rows(engine: str) -> tuple:
+    """``resilience.*`` telemetry rows of one guard: the shared names sum
+    over the stack's guards, ``fallbacks.<engine>`` and
+    ``breaker_state.<engine>`` (0 closed / 1 half-open / 2 open) are its
+    own."""
+    return (
+        ("retries", COUNTER, attrgetter("stats.retries")),
+        ("command_failures", COUNTER, attrgetter("stats.failures")),
+        ("breaker_trips", COUNTER, attrgetter("breaker.trips")),
+        ("breaker_fast_fails", COUNTER, attrgetter("stats.fast_fails")),
+        ("deadline_exceeded", COUNTER,
+         attrgetter("stats.deadline_exceeded")),
+        (f"fallbacks.{engine}", COUNTER, attrgetter("stats.fallbacks")),
+        (f"breaker_state.{engine}", GAUGE,
+         lambda guard: _STATE_GAUGE[guard.breaker.state]),
+    )
+
+
 class ShareGuard:
     """Resilient facade over the SHARE/atomic-write ioctl helpers.
 
@@ -258,29 +278,19 @@ class ShareGuard:
         self.policy = policy or RetryPolicy()
         self._rng = make_rng(self.policy.seed)
         self.stats = GuardStats()
-        metrics = ssd.telemetry.metrics.scope("resilience")
-        self._m_retries = metrics.counter("retries")
-        self._m_failures = metrics.counter("command_failures")
-        self._m_trips = metrics.counter("breaker_trips")
-        self._m_fast_fails = metrics.counter("breaker_fast_fails")
-        self._m_deadline = metrics.counter("deadline_exceeded")
-        self._m_fallbacks = metrics.counter(f"fallbacks.{engine}")
-        self._m_state = metrics.gauge(f"breaker_state.{engine}")
         if breaker is None:
             breaker = CircuitBreaker(ssd.clock)
         self.breaker = breaker
+        ssd.telemetry.collect("resilience", guard_rows(engine), self)
         self._open_since: Optional[int] = None
         previous = breaker.on_transition
         def _observe(state: str, _prev=previous) -> None:
-            self._m_state.set(_STATE_GAUGE[state])
-            if state == BREAKER_OPEN:
-                self._m_trips.inc()
-                if self._open_since is None:
-                    # Episode start; half-open flaps back to open do not
-                    # restart the clock, so open_duration_us measures
-                    # trip-to-recovery, i.e. failover latency.
-                    self._open_since = self.clock.now_us
-                    self.stats.last_open_us = self._open_since
+            if state == BREAKER_OPEN and self._open_since is None:
+                # Episode start; half-open flaps back to open do not
+                # restart the clock, so open_duration_us measures
+                # trip-to-recovery, i.e. failover latency.
+                self._open_since = self.clock.now_us
+                self.stats.last_open_us = self._open_since
             elif state == BREAKER_CLOSED and self._open_since is not None:
                 self.stats.open_duration_us += (self.clock.now_us
                                                 - self._open_since)
@@ -288,7 +298,6 @@ class ShareGuard:
             if _prev is not None:
                 _prev(state)
         breaker.on_transition = _observe
-        self._m_state.set(_STATE_GAUGE[breaker.state])
 
     # ------------------------------------------------------------- core
 
@@ -303,7 +312,6 @@ class ShareGuard:
         self.stats.calls += 1
         if not self.breaker.allow():
             self.stats.fast_fails += 1
-            self._m_fast_fails.inc()
             raise CircuitOpenError(
                 f"{label}: circuit breaker is {self.breaker.state} "
                 f"for engine {self.engine!r}")
@@ -319,7 +327,6 @@ class ShareGuard:
                 raise
             except RETRYABLE_ERRORS as exc:
                 self.stats.failures += 1
-                self._m_failures.inc()
                 self.breaker.record_failure()
                 if not self.breaker.allow():
                     raise RetriesExhaustedError(
@@ -338,18 +345,15 @@ class ShareGuard:
                 if (policy.deadline_us is not None
                         and elapsed + backoff > policy.deadline_us):
                     self.stats.deadline_exceeded += 1
-                    self._m_deadline.inc()
                     raise RetriesExhaustedError(
                         f"{label}: deadline {policy.deadline_us}us exceeded "
                         f"after {attempt} attempt(s): {exc}",
                         attempts=attempt, elapsed_us=elapsed) from exc
                 self.stats.retries += 1
                 self.stats.backoff_us += backoff
-                self._m_retries.inc()
                 self.clock.advance(backoff)
             except DeviceError as exc:
                 self.stats.failures += 1
-                self._m_failures.inc()
                 self.breaker.record_failure()
                 raise RetriesExhaustedError(
                     f"{label}: non-retryable device error: {exc}",
@@ -362,7 +366,6 @@ class ShareGuard:
     def record_fallback(self) -> None:
         """Count one degradation to the engine's classic two-phase path."""
         self.stats.fallbacks += 1
-        self._m_fallbacks.inc()
 
     def add_listener(self, listener: Callable[[str], None]) -> None:
         """Chain another breaker-state observer after the guard's own.

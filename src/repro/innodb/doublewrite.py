@@ -16,13 +16,20 @@ the tablespace atomically per page.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.errors import EngineError, PowerFailure, ResilienceError
 from repro.host.file import File
 from repro.host.resilience import ShareGuard
 from repro.innodb.page import Page, torn_copy
+from repro.obs import COUNTER
 from repro.sim.faults import NO_FAULTS, FaultPlan
+
+
+#: ``innodb.dwb.*`` telemetry rows, read off the buffer's own counters.
+DWB_ROWS = tuple((name, COUNTER, attrgetter(name)) for name in (
+    "batches_staged", "pages_staged", "home_page_writes", "share_batches"))
 
 
 class DoublewriteBuffer:
@@ -47,12 +54,11 @@ class DoublewriteBuffer:
                                                    engine="innodb")
         self._cursor = 0
         self.batches_staged = 0
+        self.pages_staged = 0
+        self.home_page_writes = 0
+        self.share_batches = 0
         self.telemetry = tablespace.fs.telemetry
-        metrics = self.telemetry.metrics.scope("innodb.dwb")
-        self._m_batches = metrics.counter("batches_staged")
-        self._m_staged_pages = metrics.counter("pages_staged")
-        self._m_home_writes = metrics.counter("home_page_writes")
-        self._m_share_batches = metrics.counter("share_batches")
+        self.telemetry.collect("innodb.dwb", DWB_ROWS, self)
 
     def _stage(self, pages: List[Page]) -> List[int]:
         """Write the batch into the doublewrite area and fsync; returns
@@ -72,8 +78,7 @@ class DoublewriteBuffer:
         blocks = list(range(start, start + len(pages)))
         self._cursor += len(pages)
         self.batches_staged += 1
-        self._m_batches.inc()
-        self._m_staged_pages.inc(len(pages))
+        self.pages_staged += len(pages)
         return blocks
 
     def staged_blocks(self) -> List[int]:
@@ -122,7 +127,7 @@ class DoublewriteBuffer:
                 self._home_write_with_torn_window(page)
             self.tablespace.fsync()
             return
-        self._m_share_batches.inc()
+        self.share_batches += 1
 
     # ------------------------------------------------------------ internals
 
@@ -135,4 +140,4 @@ class DoublewriteBuffer:
             self.tablespace.pwrite_block(page.page_id, torn_copy(page))
             raise
         self.tablespace.pwrite_block(page.page_id, page)
-        self._m_home_writes.inc()
+        self.home_page_writes += 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Any, List, Optional
 
 from repro.errors import EngineError
@@ -27,7 +28,7 @@ from repro.innodb.buffer_pool import BufferPool
 from repro.innodb.doublewrite import DoublewriteBuffer
 from repro.innodb.page import Page
 from repro.innodb.redo import RedoLog
-from repro.obs.registry import NULL_REGISTRY
+from repro.obs import COUNTER
 from repro.sim.faults import NO_FAULTS, FaultPlan
 from repro.ssd.device import Ssd
 
@@ -79,6 +80,13 @@ class _Tables(dict):
         raise EngineError(f"no such table: {name}")
 
 
+#: ``innodb.*`` telemetry rows, read off the engine's own counters.
+ENGINE_ROWS = (
+    ("transactions", COUNTER, attrgetter("transactions")),
+    ("flush_batches", COUNTER, attrgetter("flush_batches")),
+)
+
+
 class InnoDBEngine:
     """MySQL/InnoDB stand-in with pluggable page-flush mode."""
 
@@ -93,15 +101,9 @@ class InnoDBEngine:
         self.log_ssd = log_ssd
         self.telemetry = data_ssd.telemetry
         self._tracer = self.telemetry.tracer
-        # No fault plan and no live metric registry: a commit then has
-        # no checkpoint to hit and no counter to feed, and runs bare
-        # unless the tracer is on (Transaction.__exit__).
-        self._quiet = (faults.passive
-                       and self.telemetry.metrics is NULL_REGISTRY)
-        metrics = self.telemetry.metrics.scope("innodb")
-        self._m_transactions = metrics.counter("transactions")
-        self._m_flush_batches = metrics.counter("flush_batches")
-        self._m_flush_pages = metrics.histogram("flush_batch_pages")
+        self.telemetry.collect("innodb", ENGINE_ROWS, self)
+        self._m_flush_pages = self.telemetry.histogram(
+            "innodb.flush_batch_pages")
         self.fs = HostFs(data_ssd, fs_config or FsConfig())
         self.tablespace = self.fs.create("/ibdata")
         self.tablespace.fallocate(1 + self.config.dwb_pages
@@ -158,8 +160,8 @@ class InnoDBEngine:
             else:
                 self.dwb.flush_share(pages)
         self.flush_batches += 1
-        self._m_flush_batches.inc()
-        self._m_flush_pages.record(len(pages))
+        if self.telemetry.enabled:
+            self._m_flush_pages.record(len(pages))
 
     # ------------------------------------------------------------- tables
 
@@ -195,14 +197,13 @@ class InnoDBEngine:
         return Transaction(self)
 
     def _commit_transaction(self) -> None:
-        """Commit with a fault plan or telemetry attached; the bare
+        """Commit with a fault plan or the tracer attached; the bare
         commit in :meth:`Transaction.__exit__` is this minus the
-        checkpoint, the span and the metric."""
+        checkpoint and the span."""
         with self._tracer.span("innodb.txn_commit"):
             self.redo.commit()
             self.faults.checkpoint("innodb.txn_durable")
             self.transactions += 1
-            self._m_transactions.inc()
             if self.pool.dirty_count > self._flush_trigger:
                 self.pool.flush_some(self.config.flush_batch_pages)
 
@@ -263,7 +264,7 @@ class Transaction:
             engine._in_transaction = False
             return
         engine._in_transaction = False
-        if engine._quiet and not engine._tracer.enabled:
+        if engine.faults.passive and not engine._tracer.enabled:
             engine.redo.commit()
             engine.transactions += 1
             pool = engine.pool

@@ -2,9 +2,11 @@
 
 Three pieces, one facade:
 
-* :class:`MetricsRegistry` — counters / gauges / bounded histograms under
-  hierarchical dotted names (``ftl.gc.copyback_pages``,
-  ``innodb.dwb.share_batches``, ``couch.compaction.pages_moved``),
+* :class:`MetricsRegistry` — bounded histograms components push into,
+  and collector rows (counters / gauges) read at snapshot time from the
+  stats their components already keep, under hierarchical dotted names
+  (``device.data.ftl.gc.copyback_pages``, ``innodb.dwb.share_batches``,
+  ``couch.compaction.pages_moved``),
 * :class:`Tracer` — nestable spans on the virtual clock, attributing one
   host operation through engine -> host file -> device command -> FTL ->
   GC/copyback work,
@@ -13,9 +15,9 @@ Three pieces, one facade:
 
 Enable telemetry by building a :class:`Telemetry` and passing it to the
 stack builders (or directly to :class:`repro.ssd.device.Ssd` and the
-engines).  Components default to :data:`NULL_TELEMETRY`, whose
-instruments and spans are shared no-ops, and the device hot path skips
-them outright; what each ``REPRO_OBS`` tier costs per device command is
+engines).  Components default to :data:`NULL_TELEMETRY`, which
+registers nothing, and the hot paths skip it outright; what each
+``REPRO_OBS`` tier costs per device command is
 an exact call count held by ``tests/test_hot_path_budget.py``.  Render
 an artifact with ``python -m repro.tools.report``, or a timeline with
 :func:`chrome_trace`.  See ``docs/observability.md`` for the metric
@@ -28,14 +30,11 @@ from repro.obs.chrometrace import (
     validate_chrome_trace,
 )
 from repro.obs.registry import (
+    COUNTER,
     DEFAULT_MAX_SAMPLES,
+    GAUGE,
     BoundedHistogram,
-    CounterMetric,
-    GaugeMetric,
     MetricsRegistry,
-    MetricsScope,
-    NULL_REGISTRY,
-    NullRegistry,
 )
 from repro.obs.sinks import (
     JsonlSink,
@@ -59,21 +58,18 @@ from repro.obs.tracing import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "BoundedHistogram",
-    "CounterMetric",
+    "COUNTER",
     "DEFAULT_MAX_SAMPLES",
     "DEFAULT_SAMPLE_EVERY",
-    "GaugeMetric",
+    "GAUGE",
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
-    "MetricsScope",
     "NEVER_SAMPLER",
-    "NULL_REGISTRY",
     "NULL_SINK",
     "NULL_SPAN",
     "NULL_TELEMETRY",
     "NULL_TRACER",
-    "NullRegistry",
     "NullSink",
     "NullTracer",
     "OBS_MODES",

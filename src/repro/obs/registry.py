@@ -1,20 +1,28 @@
-"""Hierarchical metrics registry: counters, gauges, bounded histograms.
+"""The metrics registry: pushed histograms and pulled collector rows.
 
-Every subsystem registers its instruments under dotted names
-(``ftl.gc.copyback_pages``, ``innodb.dwb.share_batches``, ...) so one
-:meth:`MetricsRegistry.snapshot` call yields the whole stack's state as a
-flat, JSON-serialisable mapping.  Instruments are cached by name: looking
-one up twice returns the same object, so hot paths resolve their handles
-once at construction time and pay a single attribute call per event.
+A stack's numbers come in two shapes.  A **histogram** needs every
+event's value, so it is pushed: a component resolves its handle once
+(``telemetry.histogram(name)``) and calls ``record`` behind the
+``telemetry.enabled`` guard.  A **counter** or a **gauge** is a number
+its component already keeps — a ``*Stats`` field the hot path bumps, a
+free-block count, a breaker state — so it is never pushed: the
+component declares one table of ``(metric name, kind, extractor)`` rows
+over itself, registers it once under its scope
+(:meth:`MetricsRegistry.collect`), and the registry reads the rows only
+in :meth:`MetricsRegistry.snapshot` — the way a drive exposes its
+counters as a log page read on demand.  A counter or gauge therefore
+costs nothing per command in any telemetry tier and cannot drift from
+the stat it reports: it *is* that stat.
 
-The null registry (:data:`NULL_REGISTRY`) hands out a shared no-op
-instrument, which is how disabled telemetry costs ~nothing: the device
-still calls ``self._m_writes.inc()``, but the call body is ``pass``.
+:meth:`MetricsRegistry.reset` starts a measurement interval: histograms
+empty, and each counter row remembers its current value as a baseline
+that later snapshots subtract — no component zeroes anything for the
+registry's sake.  Gauges are levels and are read as they are.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Tuple, Union
 
 from repro.sim.stats import distribution_summary, percentile
 
@@ -30,40 +38,6 @@ def _check_name(name: str) -> str:
     if name.startswith(".") or name.endswith(".") or ".." in name:
         raise ValueError(f"malformed dotted metric name: {name!r}")
     return name
-
-
-class CounterMetric:
-    """Monotonically increasing value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increments must be non-negative: {amount}")
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-
-class GaugeMetric:
-    """Last-write-wins value (queue depths, free-block counts, ratios)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: Union[int, float]) -> None:
-        self.value = value
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class BoundedHistogram:
@@ -165,138 +139,110 @@ class BoundedHistogram:
         self._max = float("-inf")
 
 
-class MetricsRegistry:
-    """The stack-wide instrument namespace.
+#: Row kinds.  A counter accumulates and is reported as the delta since
+#: the last :meth:`MetricsRegistry.reset`; a gauge is a level, reported
+#: as it stands.
+COUNTER = "counter"
+GAUGE = "gauge"
 
-    ``counter``/``gauge``/``histogram`` create-or-return by dotted name;
-    re-registering a name as a different kind is an error (two subsystems
-    fighting over one name is always a bug).  :meth:`scope` returns a
-    prefixed view so a component can register relative names.
-    """
+#: One collector row: ``(metric name, COUNTER | GAUGE, extractor)``; the
+#: extractor takes the owner the table was registered with.
+Row = Tuple[str, str, Callable[[Any], Union[int, float]]]
+
+
+def _clash(name: str, have: str, want: str) -> ValueError:
+    return ValueError(
+        f"metric {name!r} already registered as a {have}, requested {want}")
+
+
+class _Collected:
+    """One registered row: every owner that reports under the name, and
+    (counters) the value the current interval started from."""
+
+    __slots__ = ("kind", "extract", "owners", "baseline")
+
+    def __init__(self, kind: str, extract: Callable, owner: Any) -> None:
+        self.kind = kind
+        self.extract = extract
+        self.owners = [owner]
+        self.baseline = 0
+
+
+class MetricsRegistry:
+    """The stack-wide metric namespace: histograms by name, collector
+    rows by ``<scope>.<name>``.  A name has one kind for good —
+    claiming it as another is an error (two subsystems fighting over
+    one name is always a bug)."""
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, object] = {}
-
-    def _get(self, name: str, kind: type, *args) -> object:
-        name = _check_name(name)
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = kind(name, *args)
-            self._instruments[name] = instrument
-            return instrument
-        if not isinstance(instrument, kind):
-            raise ValueError(
-                f"metric {name!r} already registered as "
-                f"{type(instrument).__name__}, requested {kind.__name__}")
-        return instrument
-
-    def counter(self, name: str) -> CounterMetric:
-        return self._get(name, CounterMetric)
-
-    def gauge(self, name: str) -> GaugeMetric:
-        return self._get(name, GaugeMetric)
+        self._histograms: Dict[str, BoundedHistogram] = {}
+        self._rows: Dict[str, _Collected] = {}
 
     def histogram(self, name: str,
                   max_samples: int = DEFAULT_MAX_SAMPLES) -> BoundedHistogram:
-        return self._get(name, BoundedHistogram, max_samples)
+        """Create-or-return by dotted name (handles stay valid across
+        :meth:`reset`)."""
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            row = self._rows.get(_check_name(name))
+            if row is not None:
+                raise _clash(name, row.kind, "histogram")
+            histogram = self._histograms[name] = BoundedHistogram(
+                name, max_samples)
+        return histogram
 
-    def scope(self, prefix: str) -> "MetricsScope":
-        return MetricsScope(self, _check_name(prefix))
+    def collect(self, scope: str, rows: Iterable[Row], owner: Any) -> None:
+        """Register ``owner`` under every row of its component's table.
 
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
-
-    def snapshot(self) -> Dict[str, SnapshotValue]:
-        """Flat dotted-name -> value (counters/gauges) or summary dict
-        (histograms).  JSON-serialisable as-is."""
-        out: Dict[str, SnapshotValue] = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            if isinstance(instrument, BoundedHistogram):
-                out[name] = instrument.summary()
+        A second owner under the same names *joins* them — a recovered
+        engine beside the one that crashed, nine filesystems of one
+        cluster: a counter reads the sum over its owners, a gauge the
+        newest owner's level (the extractor is the first registration's:
+        joiners bring the same table).  Registering the same owner
+        twice, or a name under another kind, raises."""
+        for name, kind, extract in rows:
+            name = _check_name(f"{scope}.{name}")
+            if kind not in (COUNTER, GAUGE):
+                raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
+            row = self._rows.get(name)
+            if row is None:
+                if name in self._histograms:
+                    raise _clash(name, "histogram", kind)
+                self._rows[name] = _Collected(kind, extract, owner)
+            elif row.kind != kind:
+                raise _clash(name, row.kind, kind)
+            elif any(owner is known for known in row.owners):
+                raise ValueError(
+                    f"metric {name!r}: {owner!r} is already registered")
             else:
-                out[name] = instrument.value  # type: ignore[union-attr]
-        return out
+                row.owners.append(owner)
 
-    def reset(self) -> None:
-        """Zero every instrument (registrations survive; handles held by
-        components stay valid).  Used at measurement-interval boundaries,
-        mirroring ``Ssd.reset_measurement``."""
-        for instrument in self._instruments.values():
-            instrument.reset()  # type: ignore[union-attr]
-
-
-class MetricsScope:
-    """A registry view that prefixes every name with ``<prefix>.``."""
-
-    __slots__ = ("_registry", "_prefix")
-
-    def __init__(self, registry: MetricsRegistry, prefix: str) -> None:
-        self._registry = registry
-        self._prefix = prefix
-
-    def counter(self, name: str) -> CounterMetric:
-        return self._registry.counter(f"{self._prefix}.{name}")
-
-    def gauge(self, name: str) -> GaugeMetric:
-        return self._registry.gauge(f"{self._prefix}.{name}")
-
-    def histogram(self, name: str,
-                  max_samples: int = DEFAULT_MAX_SAMPLES) -> BoundedHistogram:
-        return self._registry.histogram(f"{self._prefix}.{name}", max_samples)
-
-    def scope(self, prefix: str) -> "MetricsScope":
-        return MetricsScope(self._registry, f"{self._prefix}.{prefix}")
-
-
-class _NullInstrument:
-    """Accepts every instrument method as a no-op (shared singleton)."""
-
-    __slots__ = ()
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        pass
-
-    def set(self, value: Union[int, float]) -> None:
-        pass
-
-    def record(self, value: float) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """Registry stand-in for disabled telemetry: every lookup returns the
-    shared no-op instrument and snapshots are empty."""
-
-    __slots__ = ()
-
-    def counter(self, name: str) -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def histogram(self, name: str,
-                  max_samples: int = DEFAULT_MAX_SAMPLES) -> _NullInstrument:
-        return NULL_INSTRUMENT
-
-    def scope(self, prefix: str) -> "NullRegistry":
-        return self
-
-    def names(self) -> List[str]:
-        return []
+    def _read(self, name: str, row: _Collected) -> Union[int, float]:
+        try:
+            if row.kind == GAUGE:
+                return row.extract(row.owners[-1])
+            return sum([row.extract(owner) for owner in row.owners])
+        except Exception as exc:
+            raise RuntimeError(
+                f"collector row {name!r} failed: {exc!r}") from exc
 
     def snapshot(self) -> Dict[str, SnapshotValue]:
-        return {}
+        """Flat dotted-name -> value (collector rows, read now) or
+        summary dict (histograms), sorted.  JSON-serialisable as-is."""
+        out: Dict[str, SnapshotValue] = {
+            name: histogram.summary()
+            for name, histogram in self._histograms.items()}
+        for name, row in self._rows.items():
+            out[name] = self._read(name, row) - row.baseline
+        return dict(sorted(out.items()))
 
     def reset(self) -> None:
-        pass
-
-
-NULL_REGISTRY = NullRegistry()
+        """Start a measurement interval (registrations and histogram
+        handles survive): histograms empty, counter rows baseline at
+        their current value.  The registry half of
+        ``Ssd.reset_measurement``."""
+        for histogram in self._histograms.values():
+            histogram.reset()
+        for name, row in self._rows.items():
+            if row.kind == COUNTER:
+                row.baseline = self._read(name, row)

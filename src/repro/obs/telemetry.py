@@ -3,8 +3,9 @@
 One :class:`Telemetry` object is shared by every layer of a simulated
 stack (device, FTL, filesystem, engines, benchmark driver).  It bundles
 
-* a :class:`~repro.obs.registry.MetricsRegistry` components register
-  instruments into,
+* a :class:`~repro.obs.registry.MetricsRegistry` holding the stack's
+  histograms and the collector rows components register over their own
+  stats (:meth:`Telemetry.histogram`, :meth:`Telemetry.collect`),
 * a :class:`~repro.obs.tracing.Tracer` whose span stack threads
   attribution across layers, and
 * a sink receiving finished spans and periodic metric snapshots.
@@ -15,17 +16,19 @@ clock via :meth:`bind_clock` and calls :meth:`maybe_snapshot` as virtual
 time passes, which is what drives the periodic snapshotter.
 
 ``NULL_TELEMETRY`` is the always-disabled singleton every component
-defaults to.  Its registry hands out shared no-op instruments and its
-tracer returns a shared no-op span, so instrumented hot paths cost one
-or two trivially-inlined method calls when telemetry is off.
+defaults to.  It registers nothing and hands out ``None`` for a
+histogram handle: every ``record`` site sits behind ``telemetry.enabled``
+(False forever here), so a stack built without telemetry makes no call
+into this package per operation — and a site that forgot its guard fails
+on the ``None`` instead of silently paying for a null object.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional
 
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import BoundedHistogram, MetricsRegistry, Row
 from repro.obs.sinks import NULL_SINK, NullSink
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.sim.clock import SimClock
@@ -119,13 +122,14 @@ class Telemetry:
 
     * ``"full"`` — every event recorded, every span traced (the
       behaviour of earlier PRs, bit-identical).
-    * ``"sampled"`` — per-op histogram/gauge recordings pass a 1-in-N
+    * ``"sampled"`` — per-op histogram recordings pass a 1-in-N
       :class:`Sampler` gate and only 1-in-N root spans (with their whole
-      subtree) are traced; counters stay exact.  N defaults to
-      ``REPRO_OBS_SAMPLE`` (64).
-    * ``"off"`` — the registry is swapped for the shared null registry
-      and the tracer is disabled, so even components that don't guard
-      their metric handles record nothing; :meth:`resume` stays off.
+      subtree) are traced; counters and gauges are exact in every mode,
+      because they are read from their owners at snapshot time, not
+      recorded per event.  N defaults to ``REPRO_OBS_SAMPLE`` (64).
+    * ``"off"`` — nothing registers (:meth:`collect` is a no-op,
+      :meth:`histogram` returns ``None``), the tracer is disabled and
+      :meth:`resume` stays off, so snapshots are empty.
     """
 
     def __init__(self, sink: Optional[Any] = None,
@@ -141,25 +145,23 @@ class Telemetry:
             raise ValueError(f"mode must be one of {OBS_MODES}, got {mode!r}")
         self.mode = mode
         self.sink = sink if sink is not None else NullSink()
+        self.metrics = MetricsRegistry()
         if mode == "sampled":
             if sample_every is None:
                 sample_every = obs_sample_every()
             self.sample_every = sample_every
             self.sampler: Any = Sampler(sample_every)
-            self.metrics: Any = MetricsRegistry()
             self.tracer: Any = Tracer(self.sink, sample_every=sample_every)
             self.enabled = True
         elif mode == "off":
             self.sample_every = 0
             self.sampler = NEVER_SAMPLER
-            self.metrics = NULL_REGISTRY
             self.tracer = Tracer(self.sink)
             self.tracer.enabled = False
             self.enabled = False
         else:  # full
             self.sample_every = 1
             self.sampler = Sampler(1)
-            self.metrics = MetricsRegistry()
             self.tracer = Tracer(self.sink)
             self.enabled = True
         self.snapshot_interval_us = snapshot_interval_us
@@ -174,10 +176,25 @@ class Telemetry:
         self._clock = clock
         self.tracer.bind_clock(clock)
 
+    def collect(self, scope: str, rows: Iterable[Row], owner: Any) -> None:
+        """Register a component's collector table over ``owner`` (see
+        :meth:`MetricsRegistry.collect`); nothing registers when off."""
+        if self.mode != "off":
+            self.metrics.collect(scope, rows, owner)
+
+    def histogram(self, name: str) -> Optional[BoundedHistogram]:
+        """A histogram handle, resolved once by the recording component
+        — ``None`` when off, where ``enabled`` never lets a site use it."""
+        if self.mode == "off":
+            return None
+        return self.metrics.histogram(name)
+
     def pause(self) -> None:
-        """Stop emitting spans and snapshots (load/warm-up phases).
-        Metric instruments keep counting; call ``metrics.reset()`` at the
-        measurement boundary to zero them."""
+        """Stop emitting spans, periodic snapshots and histogram samples
+        (load/warm-up phases).  Counters and gauges are their owners'
+        own numbers and keep moving in every layer; call
+        :meth:`reset_measurement` at the measurement boundary to start
+        the interval they are reported over."""
         self.enabled = False
         self.tracer.enabled = False
 
@@ -188,8 +205,9 @@ class Telemetry:
         self.tracer.enabled = True
 
     def reset_measurement(self) -> None:
-        """Zero metrics and restart the snapshot cadence — the telemetry
-        side of ``Ssd.reset_measurement``."""
+        """Start a metrics interval (histograms empty, counters baseline)
+        and restart the snapshot cadence — the telemetry side of
+        ``Ssd.reset_measurement``."""
         self.metrics.reset()
         self._last_snapshot_us = self._clock.now_us if self._clock else 0
 
@@ -230,7 +248,6 @@ class _NullTelemetry:
     __slots__ = ()
     enabled = False
     mode = "off"
-    metrics = NULL_REGISTRY
     tracer = NULL_TRACER
     sink = NULL_SINK
     sampler = NEVER_SAMPLER
@@ -239,6 +256,12 @@ class _NullTelemetry:
 
     def bind_clock(self, clock: SimClock) -> None:
         pass
+
+    def collect(self, scope: str, rows: Iterable[Row], owner: Any) -> None:
+        pass
+
+    def histogram(self, name: str) -> None:
+        return None
 
     def pause(self) -> None:
         pass

@@ -32,6 +32,7 @@ Samsung PM853T log device of the experimental setup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import DeviceError, ShareError
@@ -39,9 +40,9 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
 from repro.flash.timing import MLC_TIMING, ChannelSet, FlashTiming
 from repro.ftl.config import FtlConfig
-from repro.ftl.pagemap import PageMappingFtl
+from repro.ftl.pagemap import FTL_ROWS, MEDIA_ROWS, PageMappingFtl
 from repro.ftl.share_ext import expand_range
-from repro.obs import NULL_TELEMETRY
+from repro.obs import COUNTER, GAUGE, NULL_TELEMETRY
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
 from repro.sim.faults import NO_FAULTS, FaultPlan
@@ -81,6 +82,58 @@ class SsdConfig:
     queue_depth: int = 1
     plane_ways: int = 1
     interval_capacity: int = 0
+
+
+def _stat(field: str):
+    # Through the device each time: reset_measurement swaps the object.
+    return attrgetter("stats." + field)
+
+
+def _through_ftl(prefix: str, rows) -> tuple:
+    """``rows`` over the FTL as rows over the device that owns it — read
+    through ``ssd.ftl`` at snapshot time, because the device outlives
+    every FTL instance a power cycle rebuilds."""
+    return tuple((f"{prefix}.{name}", kind,
+                  lambda ssd, extract=extract: extract(ssd.ftl))
+                 for name, kind, extract in rows)
+
+
+#: What a device reports under ``device.<name>.*``: ``(metric name,
+#: kind, extractor over the Ssd)``.  Every counter is a
+#: :class:`DeviceStats` field (Figure 6's numbers, billed per command
+#: from the work ledger) or one of the firmware's own.
+DEVICE_ROWS = (
+    # One page per read command: there is no multi-page read.
+    ("read_commands", COUNTER, _stat("host_read_pages")),
+    ("write_commands", COUNTER, _stat("write_commands")),
+    ("trim_commands", COUNTER, _stat("trim_commands")),
+    ("share_commands", COUNTER, _stat("share_commands")),
+    ("flush_commands", COUNTER, _stat("flush_commands")),
+    ("host_read_pages", COUNTER, _stat("host_read_pages")),
+    ("host_write_pages", COUNTER, _stat("host_write_pages")),
+    ("trim_pages", COUNTER, _stat("trim_pages")),
+    ("share_pairs", COUNTER, _stat("share_pairs")),
+    ("busy_us", COUNTER, _stat("busy_us")),
+    ("queue.depth", GAUGE, attrgetter("ncq.inflight")),
+    ("ftl.gc.events", COUNTER, _stat("gc_events")),
+    ("ftl.gc.copyback_pages", COUNTER, _stat("copyback_pages")),
+    ("ftl.gc.block_erases", COUNTER, _stat("block_erases")),
+    ("ftl.gc.spill_lookups", COUNTER, _stat("spill_lookups")),
+    ("ftl.wear.level_moves", COUNTER, _stat("wear_level_moves")),
+    ("ftl.share.pairs", COUNTER, _stat("share_pairs")),
+    ("ftl.share.spills", COUNTER, _stat("share_spill_pages")),
+    ("ftl.share.log_spills", COUNTER, _stat("share_log_spills")),
+    ("ftl.maplog.page_writes", COUNTER, _stat("map_page_writes")),
+) + _through_ftl("ftl", FTL_ROWS) + _through_ftl("media", MEDIA_ROWS)
+
+
+def channel_rows(channel: int) -> tuple:
+    """One channel's busy time and utilisation over the measured
+    interval (the figures :meth:`Ssd.queue_report` returns)."""
+    return ((f"chan.{channel}.busy_us", COUNTER,
+             lambda ssd: ssd.channels.busy_us[channel]),
+            (f"chan.{channel}.util", GAUGE,
+             lambda ssd: ssd.queue_report()["channel_utilization"][channel]))
 
 
 class Ssd:
@@ -154,29 +207,20 @@ class Ssd:
         self._overhead_whole_us = int(round(self._overhead_us))
         self._measure_start_us = clock.now_us
         clock.on_reset(self._on_clock_reset)
-        # Telemetry handles, resolved once (no-op singletons when the
-        # telemetry is NULL_TELEMETRY, so the hot path stays free).
-        metrics = self.telemetry.metrics.scope(f"device.{name}")
-        self._m_commands = {kind: metrics.counter(f"{kind}_commands")
-                            for kind in ("read", "write", "trim", "share",
-                                         "flush")}
-        self._m_pages = {"read": metrics.counter("host_read_pages"),
-                         "write": metrics.counter("host_write_pages"),
-                         "trim": metrics.counter("trim_pages"),
-                         "share": metrics.counter("share_pairs"),
-                         "flush": metrics.counter("flush_pages")}
-        self._m_latency = {kind: metrics.histogram(f"latency_us.{kind}")
-                           for kind in ("read", "write", "trim", "share",
-                                        "flush")}
-        self._m_busy_us = metrics.counter("busy_us")
-        self._m_queue_wait = metrics.histogram("queue.wait_us")
-        self._m_queue_depth = metrics.gauge("queue.depth")
-        channel_count = self.config.geometry.channel_count
-        self._m_chan_busy = [metrics.counter(f"chan.{ch}.busy_us")
-                             for ch in range(channel_count)]
-        self._m_chan_util = [metrics.gauge(f"chan.{ch}.util")
-                             for ch in range(channel_count)]
-        # Sampled-mode gate for per-completion histogram/gauge recording
+        # Counters and gauges are read from this device at snapshot time
+        # (DEVICE_ROWS); only the histograms are pushed, through handles
+        # resolved once (None when telemetry is off: every record site
+        # sits behind ``telemetry.enabled``).
+        telemetry = self.telemetry
+        scope = f"device.{name}"
+        telemetry.collect(scope, DEVICE_ROWS, self)
+        for channel in range(self.config.geometry.channel_count):
+            telemetry.collect(scope, channel_rows(channel), self)
+        self._m_latency = {
+            kind: telemetry.histogram(f"{scope}.latency_us.{kind}")
+            for kind in ("read", "write", "trim", "share", "flush")}
+        self._m_queue_wait = telemetry.histogram(f"{scope}.queue.wait_us")
+        # Sampled-mode gate for per-completion histogram recording
         # (always-hit in full mode, never-hit when telemetry is off).
         self._sampler = getattr(self.telemetry, "sampler", None)
 
@@ -333,7 +377,9 @@ class Ssd:
     def _write(self, op_kind, op, lpn: int, data: Any) -> CommandTicket:
         self.ftl.write(lpn, data)
         self.cache.insert(lpn, data)
-        self.stats.host_write_pages += 1
+        stats = self.stats
+        stats.host_write_pages += 1
+        stats.write_commands += 1
         return self._issue("write", lpn, 1, self._program_latency_us,
                            self._program_whole_us,
                            op_kind=op_kind, op_record=op)
@@ -352,6 +398,7 @@ class Ssd:
             self.ftl.write(lpn + index, page)
             self.cache.insert(lpn + index, page)
         self.stats.host_write_pages += len(pages)
+        self.stats.write_commands += 1
         return self._issue("write", lpn, len(pages),
                            len(pages) * self._program_latency_us,
                            op_kind=op_kind, op_record=op)
@@ -372,6 +419,7 @@ class Ssd:
             for item_lpn, data in items:
                 self.cache.insert(item_lpn, data)
             self.stats.host_write_pages += len(items)
+            self.stats.write_commands += 1
             self.stats.extra["atomic_write_commands"] = (
                 self.stats.extra.get("atomic_write_commands", 0) + 1)
             ticket = self._issue(
@@ -393,6 +441,7 @@ class Ssd:
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.write_txn(txn_id, lpn, data)
             self.stats.host_write_pages += 1
+            self.stats.write_commands += 1
             ticket = self._issue("write", lpn, 1, self._program_latency_us)
         self._wait(ticket)
 
@@ -429,6 +478,7 @@ class Ssd:
         if self.cache.enabled:
             self.cache.invalidate(lpns)
         self.stats.trim_commands += 1
+        self.stats.trim_pages += count
         return self._issue("trim", lpn, count,
                            count * self.timing.map_update_us,
                            op_kind=op_kind, op_record=op)
@@ -650,16 +700,12 @@ class Ssd:
         admit = self.ncq.admit(arrival)
         dram_end = admit + dram_us
         completion = dram_end
-        telemetry = self.telemetry
         if pieces:
             intervals = self.intervals
-            emit = telemetry.enabled
             for channel, duration in pieces.items():
                 service_us += duration
                 start, end = self.channels.acquire(channel, dram_end,
                                                    duration)
-                if emit:
-                    self._m_chan_busy[channel].inc(duration)
                 if intervals.capacity:
                     intervals.record(channel, start, end)
                 if end > completion:
@@ -672,11 +718,11 @@ class Ssd:
         self.inflight += 1
         self.events.push(completion, self, ticket)
 
+        telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.tracer.current.set(
                 kind=kind, lpn=lpn, count=count, latency_us=latency,
                 gc_events=gc_events, copyback_pages=copybacks)
-            self._m_queue_depth.set(self.ncq.inflight)
 
         if session is not None:
             session.now_us = completion
@@ -696,25 +742,18 @@ class Ssd:
         completion-phase fault gate and the deferred ack — in the order
         the device finishes work, not the order the host submitted it.
 
-        Delivery cost is tiered by telemetry mode: counters are always
-        exact, but histogram/gauge recording (and the per-channel
-        utilisation sweep) pass the 1-in-N sampler gate, which is where
-        sampled mode saves its per-op wall-clock time."""
+        Delivery cost is tiered by telemetry mode: the latency and
+        queue-wait histograms pass the 1-in-N sampler gate, which is
+        where sampled mode saves its per-op time.  Counters and gauges
+        are not delivered at all — DEVICE_ROWS reads them on demand."""
         self.inflight -= 1
         now = self.clock.now_us
         telemetry = self.telemetry
         if telemetry.enabled:
-            self._m_commands[ticket.kind].inc()
-            self._m_pages[ticket.kind].inc(ticket.count)
-            self._m_busy_us.inc(ticket.latency_us)
             sampler = self._sampler
             if sampler is None or sampler.hit():
                 self._m_latency[ticket.kind].record(ticket.latency_us)
                 self._m_queue_wait.record(ticket.wait_us)
-                elapsed = now - self._measure_start_us
-                for channel, util in enumerate(
-                        self.channels.utilization(elapsed)):
-                    self._m_chan_util[channel].set(util)
             telemetry.maybe_snapshot(now)
         trace = self.trace
         if trace.capacity:
@@ -764,6 +803,7 @@ class Ssd:
         self.inflight = 0
         self.ncq.reset()
         self.channels.reset()
+        self.channels.reset_accounting()
         self._measure_start_us = 0
 
     # ------------------------------------------------------------ recovery
@@ -783,7 +823,8 @@ class Ssd:
         self.channels.reset()
         self.ftl = PageMappingFtl.recover(self.nand, self.config.ftl,
                                           self.faults,
-                                          telemetry=self.telemetry)
+                                          telemetry=self.telemetry,
+                                          predecessor=self.ftl)
         self.ftl.take_work()   # recovery-scan work is not billed
         self.cache.clear()
 

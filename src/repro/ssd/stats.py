@@ -39,6 +39,11 @@ class DeviceStats:
     spill_lookups: int = 0
     wear_level_moves: int = 0
     busy_us: float = 0.0
+    # Counts only the telemetry rows report (``device.<name>.
+    # write_commands`` / ``trim_pages``).  Not in :meth:`snapshot`,
+    # whose key set the recorded golden runs pin.
+    write_commands: int = 0
+    trim_pages: int = 0
     extra: Dict[str, int] = field(default_factory=dict)
 
     @property

@@ -41,16 +41,14 @@ from repro.bench.report import format_table
 from repro.obs.sinks import read_jsonl
 
 #: Final-snapshot counters that make up the Figure-6-style breakdown,
-#: as (label, dotted-name-suffix-or-name) pairs.  Device counters are
-#: summed across device scopes (``device.<name>.<suffix>``).
-ACTIVITY_DEVICE_COUNTERS = (
+#: as (label, dotted-name-suffix) pairs, each summed across the device
+#: scopes it appears under (``device.<name>.<suffix>``).
+ACTIVITY_COUNTERS = (
     ("host writes (pages)", "host_write_pages"),
     ("host reads (pages)", "host_read_pages"),
     ("flushes", "flush_commands"),
     ("share pairs", "share_pairs"),
     ("trims", "trim_commands"),
-)
-ACTIVITY_FTL_COUNTERS = (
     ("GC events", "ftl.gc.events"),
     ("GC copybacks (pages)", "ftl.gc.copyback_pages"),
     ("block erases", "ftl.gc.block_erases"),
@@ -73,25 +71,22 @@ def last_metrics(records: Sequence[Dict]) -> Dict:
     return out
 
 
-def _sum_device_counter(metrics: Dict, suffix: str) -> float:
-    total = 0.0
-    for name, value in metrics.items():
-        if name.startswith("device.") and name.endswith(f".{suffix}"):
-            total += value
-    return total
+def _sum_scoped(metrics: Dict, suffix: str) -> Optional[float]:
+    """Sum of every scalar named ``suffix`` under a device scope
+    (``device.<name>.<suffix>``) or bare, as artifacts from before the
+    firmware rows were scoped have it; None when there is no such name."""
+    values = [value for name, value in metrics.items()
+              if (name == suffix or (name.startswith("device.")
+                                     and name.endswith(f".{suffix}")))
+              and isinstance(value, (int, float))]
+    return float(sum(values)) if values else None
 
 
 def activity_breakdown(metrics: Dict) -> Tuple[List[str], List[float]]:
     """Figure-6-style labels and values from a metrics snapshot."""
-    labels: List[str] = []
-    values: List[float] = []
-    for label, suffix in ACTIVITY_DEVICE_COUNTERS:
-        labels.append(label)
-        values.append(_sum_device_counter(metrics, suffix))
-    for label, name in ACTIVITY_FTL_COUNTERS:
-        labels.append(label)
-        values.append(float(metrics.get(name, 0)))
-    return labels, values
+    return ([label for label, __ in ACTIVITY_COUNTERS],
+            [_sum_scoped(metrics, suffix) or 0.0
+             for __, suffix in ACTIVITY_COUNTERS])
 
 
 def render_activities(metrics: Dict, width: int = 50) -> str:
@@ -305,8 +300,7 @@ def render_cluster(metrics: Dict) -> str:
 
 
 #: ``ftl.l2p.*`` gauges shown in the mapping table, as (label,
-#: name-suffix) pairs.  Names are matched bare and with any scope
-#: prefix (``device.data.ftl.l2p.…``), summing across devices.
+#: name-suffix) pairs, summed across devices like the activities.
 L2P_GAUGES = (
     ("L2P footprint (modeled bytes)", "ftl.l2p.footprint_bytes"),
     ("L2P fragments (runs/groups/deltas)", "ftl.l2p.runs"),
@@ -325,14 +319,8 @@ def mapping_summary(records: Sequence[Dict],
     """
     gauge_rows: List[List] = []
     for label, suffix in L2P_GAUGES:
-        total = 0.0
-        found = False
-        for name, value in metrics.items():
-            if name == suffix or name.endswith(f".{suffix}"):
-                if isinstance(value, (int, float)):
-                    total += value
-                    found = True
-        if found:
+        total = _sum_scoped(metrics, suffix)
+        if total is not None:
             gauge_rows.append([label, total])
     lab_rows: List[List] = []
     for record in records:
@@ -366,8 +354,8 @@ def render_mapping(records: Sequence[Dict], metrics: Dict) -> str:
             lab_rows, title="Mapping-strategy lab (footprint vs WAF vs "
                             "throughput vs SHARE fragmentation)"))
     if not parts:
-        return ("no L2P telemetry in artifact (ftl.l2p.* gauges are "
-                "refreshed at init, SHARE batches, flush, and recovery)")
+        return ("no L2P telemetry in artifact (every device reports "
+                "device.<name>.ftl.l2p.* gauges)")
     return "\n\n".join(parts)
 
 

@@ -1,6 +1,8 @@
 """Integration tests: telemetry wired through the device, FTL, host and
-engines — GC attribution via span parent chains, registry/DeviceStats
-parity, and the DeviceStats audit (new spill/wear counters, WAF guard)."""
+engines — GC attribution via span parent chains, the Figure-6 keys read
+from DeviceStats (every row of every stack shape is held to its owner in
+``test_obs_collectors.py``), and the DeviceStats audit (new spill/wear
+counters, WAF guard)."""
 
 import pytest
 
@@ -42,10 +44,17 @@ class TestDeviceMetrics:
         assert snap["device.dut.host_write_pages"] == stats.host_write_pages
         assert snap["device.dut.trim_commands"] == stats.trim_commands
         assert snap["device.dut.flush_commands"] == stats.flush_commands
-        assert snap["ftl.gc.events"] == stats.gc_events
-        assert snap["ftl.gc.copyback_pages"] == stats.copyback_pages
-        assert snap["ftl.gc.block_erases"] == stats.block_erases
-        assert snap["ftl.maplog.page_writes"] == stats.map_page_writes
+        assert snap["device.dut.ftl.gc.events"] == stats.gc_events
+        assert snap["device.dut.ftl.gc.copyback_pages"] \
+            == stats.copyback_pages
+        assert snap["device.dut.ftl.gc.block_erases"] == stats.block_erases
+        assert snap["device.dut.ftl.maplog.page_writes"] \
+            == stats.map_page_writes
+        # In full mode every completed command left one latency sample:
+        # the per-kind command counts agree with a second witness.
+        for kind in ("read", "write", "trim", "share", "flush"):
+            assert snap[f"device.dut.{kind}_commands"] \
+                == snap[f"device.dut.latency_us.{kind}"]["count"]
 
     def test_latency_histograms_recorded(self, clock):
         telemetry, ssd = telemetry_ssd(clock)
@@ -176,8 +185,9 @@ class TestNullTelemetryDefault:
     def test_device_defaults_to_null(self, clock):
         ssd = Ssd(clock, small_ssd_config())
         assert ssd.telemetry is NULL_TELEMETRY
-        ssd.write(0, "a")  # must not blow up, must not allocate metrics
-        assert NULL_TELEMETRY.metrics.snapshot() == {}
+        ssd.write(0, "a")  # must not blow up, must not register metrics
+        assert NULL_TELEMETRY.snapshot()["metrics"] == {}
+        assert not hasattr(NULL_TELEMETRY, "metrics")
 
     def test_disabled_telemetry_same_virtual_time(self, clock):
         """Telemetry must never change simulated behaviour: identical
@@ -209,11 +219,7 @@ class TestDeviceStatsAudit:
         assert "share_log_spills" in snap
         assert "spill_lookups" in snap
         assert "wear_level_moves" in snap
-        assert snap["share_log_spills"] == ssd.stats.share_log_spills
-        # FTL spill counters mirror into the registry.
-        reg = telemetry.metrics.snapshot()
-        assert reg["ftl.share.log_spills"] == ssd.stats.share_log_spills
-        assert reg["ftl.gc.spill_lookups"] == ssd.stats.spill_lookups
+        assert snap["share_log_spills"] == ssd.stats.share_log_spills > 0
 
     def test_waf_zero_host_writes_guarded(self):
         stats = DeviceStats()

@@ -1,90 +1,132 @@
-"""Tests for the metrics registry: namespacing, instrument semantics,
-histogram percentile parity with repro.sim.stats, bounded memory."""
+"""Tests for the metrics registry: namespacing, collector rows (read on
+demand, baselined at reset), histogram percentile parity with
+repro.sim.stats, bounded memory."""
+
+from operator import itemgetter
 
 import pytest
 
 from repro.obs import (
+    COUNTER,
     DEFAULT_MAX_SAMPLES,
+    GAUGE,
     BoundedHistogram,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 from repro.sim.stats import Histogram, percentile
 
 
-class TestCounter:
-    def test_counts(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("a.b")
-        counter.inc()
-        counter.inc(5)
-        assert counter.value == 6
-
-    def test_negative_increment_rejected(self):
-        counter = MetricsRegistry().counter("a")
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_reset(self):
-        counter = MetricsRegistry().counter("a")
-        counter.inc(3)
-        counter.reset()
-        assert counter.value == 0
-
-
-class TestGauge:
-    def test_last_write_wins(self):
-        gauge = MetricsRegistry().gauge("g")
-        gauge.set(10)
-        gauge.set(3)
-        assert gauge.value == 3
+def rows(*named_kinds):
+    """A collector table over a dict owner: one row per (name, kind)."""
+    return tuple((name, kind, itemgetter(name))
+                 for name, kind in named_kinds)
 
 
 class TestNamespacing:
     def test_same_name_same_instrument(self):
         registry = MetricsRegistry()
-        assert registry.counter("x.y") is registry.counter("x.y")
+        assert registry.histogram("x.y") is registry.histogram("x.y")
 
     def test_kind_conflict_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("x.y")
+        registry.histogram("x.y")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("x.y")
+            registry.collect("x", rows(("y", GAUGE)), {"y": 0})
+        registry.collect("x", rows(("z", COUNTER)), {"z": 0})
+        with pytest.raises(ValueError, match="already registered"):
+            registry.collect("x", rows(("z", GAUGE)), {"z": 0})
+        with pytest.raises(ValueError, match="already registered"):
+            registry.histogram("x.z")
 
     @pytest.mark.parametrize("bad", ["", ".a", "a.", "a..b", "a b"])
     def test_malformed_names_rejected(self, bad):
         with pytest.raises(ValueError):
-            MetricsRegistry().counter(bad)
+            MetricsRegistry().histogram(bad)
+        with pytest.raises(ValueError):
+            MetricsRegistry().collect("s", rows((bad, COUNTER)), {bad: 0})
 
     def test_scope_prefixes(self):
         registry = MetricsRegistry()
-        scope = registry.scope("device.data")
-        counter = scope.counter("writes")
-        counter.inc()
-        assert registry.counter("device.data.writes").value == 1
+        owner = {"writes": 0}
+        registry.collect("device.data", rows(("writes", COUNTER)), owner)
+        owner["writes"] += 1
+        assert registry.snapshot() == {"device.data.writes": 1}
 
     def test_nested_scopes(self):
         registry = MetricsRegistry()
-        inner = registry.scope("a").scope("b")
-        inner.gauge("g").set(7)
+        registry.collect("a.b", rows(("g", GAUGE)), {"g": 7})
         assert registry.snapshot()["a.b.g"] == 7
 
     def test_snapshot_is_flat_and_sorted(self):
         registry = MetricsRegistry()
-        registry.counter("b").inc(2)
-        registry.gauge("a").set(1)
+        registry.collect("z", rows(("b", COUNTER)), {"b": 2})
+        registry.collect("a", rows(("a", GAUGE)), {"a": 1})
+        registry.histogram("m")
         snap = registry.snapshot()
-        assert list(snap) == ["a", "b"]
-        assert snap == {"a": 1, "b": 2}
+        assert list(snap) == ["a.a", "m", "z.b"]
+        assert snap == {"a.a": 1, "m": {"count": 0}, "z.b": 2}
 
     def test_registry_reset_keeps_handles_valid(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c")
-        counter.inc(9)
+        histogram = registry.histogram("h")
+        histogram.record(9)
         registry.reset()
-        assert counter.value == 0
-        counter.inc()
-        assert registry.snapshot()["c"] == 1
+        assert histogram.count == 0
+        histogram.record(1)
+        assert registry.snapshot()["h"]["count"] == 1
+
+
+class TestCollectors:
+    """Counters and gauges are read from their owners at snapshot time."""
+
+    def test_rows_are_read_on_demand(self):
+        registry = MetricsRegistry()
+        owner = {"done": 0, "level": 10}
+        registry.collect("c", rows(("done", COUNTER), ("level", GAUGE)),
+                         owner)
+        owner["done"] += 6
+        owner["level"] = 3
+        assert registry.snapshot() == {"c.done": 6, "c.level": 3}
+
+    def test_reset_baselines_counters_and_leaves_gauges(self):
+        registry = MetricsRegistry()
+        owner = {"done": 5, "level": 4}
+        registry.collect("c", rows(("done", COUNTER), ("level", GAUGE)),
+                         owner)
+        registry.reset()
+        assert owner == {"done": 5, "level": 4}    # nothing was zeroed
+        assert registry.snapshot() == {"c.done": 0, "c.level": 4}
+        owner["done"] += 2
+        assert registry.snapshot()["c.done"] == 2
+
+    def test_same_owner_twice_raises(self):
+        registry = MetricsRegistry()
+        owner = {"n": 0}
+        registry.collect("c", rows(("n", COUNTER)), owner)
+        with pytest.raises(ValueError, match="already registered"):
+            registry.collect("c", rows(("n", COUNTER)), owner)
+
+    def test_a_second_owner_joins(self):
+        """A recovered engine beside the crashed one, nine filesystems
+        of one cluster: counters sum, a gauge shows the newest owner."""
+        registry = MetricsRegistry()
+        table = rows(("n", COUNTER), ("level", GAUGE))
+        registry.collect("c", table, {"n": 3, "level": 1})
+        registry.reset()
+        successor = {"n": 0, "level": 2}
+        registry.collect("c", table, successor)
+        successor["n"] += 4
+        assert registry.snapshot() == {"c.n": 4, "c.level": 2}
+
+    def test_failing_extractor_names_the_metric(self):
+        registry = MetricsRegistry()
+        registry.collect("c", rows(("missing", COUNTER)), {})
+        with pytest.raises(RuntimeError, match="'c.missing'"):
+            registry.snapshot()
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            MetricsRegistry().collect("c", rows(("n", "meter")), {"n": 0})
 
 
 class TestBoundedHistogram:
@@ -143,17 +185,3 @@ class TestBoundedHistogram:
         for value in (1.0, 2.0, 3.0, 4.0):
             hist.record(value)
         assert hist.pct(50) == percentile([1.0, 2.0, 3.0, 4.0], 50)
-
-
-class TestNullRegistry:
-    def test_null_instruments_accept_everything(self):
-        counter = NULL_REGISTRY.counter("anything")
-        counter.inc()
-        counter.inc(100)
-        NULL_REGISTRY.gauge("g").set(5)
-        NULL_REGISTRY.histogram("h").record(1.0)
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.names() == []
-
-    def test_null_scope_is_itself(self):
-        assert NULL_REGISTRY.scope("x") is NULL_REGISTRY

@@ -41,8 +41,11 @@ SYNTHETIC = [
         "device.data.host_write_pages": 500,
         "device.log.host_write_pages": 100,
         "device.data.host_read_pages": 50,
-        "ftl.gc.events": 2,
-        "ftl.gc.copyback_pages": 15,
+        "device.data.ftl.gc.events": 2,
+        "device.data.ftl.gc.copyback_pages": 12,
+        "device.log.ftl.gc.copyback_pages": 3,
+        "couch.share_pairs": 7,     # not a device's: must not be summed
+        "device.data.share_pairs": 4,
         "device.data.latency_us.write": {
             "count": 500, "total": 50_000.0, "mean": 100.0,
             "p25": 80.0, "p50": 95.0, "p75": 120.0, "p99": 400.0,
@@ -66,7 +69,8 @@ class TestActivityBreakdown:
         assert table["host writes (pages)"] == 600  # data 500 + log 100
         assert table["host reads (pages)"] == 50
         assert table["GC events"] == 2
-        assert table["GC copybacks (pages)"] == 15
+        assert table["GC copybacks (pages)"] == 15  # data 12 + log 3
+        assert table["share pairs"] == 4
         assert table["wear-level moves"] == 0
 
 

@@ -4,10 +4,9 @@ sampling, and the sampled device hot path."""
 
 import pytest
 
-from repro.obs import (DEFAULT_SAMPLE_EVERY, MemorySink, NEVER_SAMPLER,
-                       NULL_TELEMETRY, OBS_MODES, Sampler, Telemetry,
-                       obs_mode, obs_sample_every)
-from repro.obs.registry import NULL_REGISTRY
+from repro.obs import (COUNTER, DEFAULT_SAMPLE_EVERY, MemorySink,
+                       NEVER_SAMPLER, NULL_TELEMETRY, OBS_MODES, Sampler,
+                       Telemetry, obs_mode, obs_sample_every)
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd
 
@@ -103,12 +102,13 @@ class TestTelemetryModes:
     def test_off_mode_uses_null_registry(self):
         telemetry = Telemetry(mode="off")
         assert telemetry.enabled is False
-        assert telemetry.metrics is NULL_REGISTRY
         assert telemetry.tracer.enabled is False
         assert telemetry.sampler is NEVER_SAMPLER
-        # Unguarded metric handles still work, recording nothing.
-        counter = telemetry.metrics.counter("x")
-        counter.inc()
+        # Nothing registers: a collector is dropped, a histogram handle
+        # is None (its record site sits behind ``enabled``).
+        owner = {"x": 1}
+        telemetry.collect("t", (("x", COUNTER, lambda d: d["x"]),), owner)
+        assert telemetry.histogram("h") is None
         assert telemetry.metrics.snapshot() == {}
 
     def test_off_mode_resume_stays_off(self):

@@ -2,10 +2,12 @@
 IoTrace retention modes / span-compatibility view."""
 
 import json
+from operator import itemgetter
 
 import pytest
 
-from repro.obs import JsonlSink, MemorySink, Telemetry, TeeSink, read_jsonl
+from repro.obs import (COUNTER, JsonlSink, MemorySink, Telemetry, TeeSink,
+                       read_jsonl)
 from repro.sim.clock import SimClock
 from repro.ssd.trace import IoTrace, TraceEvent, trace_event_from_span
 
@@ -70,7 +72,7 @@ class TestPeriodicSnapshotter:
         telemetry = Telemetry(MemorySink(), snapshot_interval_us=100)
         clock = SimClock()
         telemetry.bind_clock(clock)
-        telemetry.metrics.counter("c").inc()
+        telemetry.collect("t", (("c", COUNTER, itemgetter("c")),), {"c": 1})
         assert not telemetry.maybe_snapshot(clock.now_us)  # not yet due
         clock.advance(100)
         assert telemetry.maybe_snapshot(clock.now_us)
@@ -80,7 +82,7 @@ class TestPeriodicSnapshotter:
         assert telemetry.maybe_snapshot(clock.now_us)
         snapshots = telemetry.sink.metrics()
         assert [s["t_us"] for s in snapshots] == [100, 200]
-        assert snapshots[0]["metrics"]["c"] == 1
+        assert snapshots[0]["metrics"]["t.c"] == 1
 
     def test_zero_interval_disables_cadence(self):
         telemetry = Telemetry(MemorySink(), snapshot_interval_us=0)
@@ -97,9 +99,9 @@ class TestPeriodicSnapshotter:
 
     def test_close_emits_final_snapshot(self):
         telemetry = Telemetry(MemorySink())
-        telemetry.metrics.counter("c").inc(3)
+        telemetry.collect("t", (("c", COUNTER, itemgetter("c")),), {"c": 3})
         record = telemetry.close()
-        assert record["metrics"]["c"] == 3
+        assert record["metrics"]["t.c"] == 3
         assert telemetry.sink.metrics()[-1] == record
 
 

@@ -1,9 +1,11 @@
 """Tests for span tracing: nesting, ids, virtual-time durations,
 pause semantics, error capture."""
 
+from operator import itemgetter
+
 import pytest
 
-from repro.obs import MemorySink, NULL_SPAN, Telemetry, Tracer
+from repro.obs import COUNTER, MemorySink, NULL_SPAN, Telemetry, Tracer
 from repro.sim.clock import SimClock
 
 
@@ -122,9 +124,11 @@ class TestTelemetryFacade:
 
     def test_reset_measurement_zeroes_metrics(self):
         telemetry = Telemetry(MemorySink())
-        telemetry.metrics.counter("c").inc(5)
+        owner = {"c": 5}
+        telemetry.collect("t", (("c", COUNTER, itemgetter("c")),), owner)
         telemetry.reset_measurement()
-        assert telemetry.metrics.snapshot()["c"] == 0
+        owner["c"] += 2     # the owner is never zeroed: the row baselines
+        assert telemetry.metrics.snapshot()["t.c"] == 2
 
     def test_spans_use_virtual_clock_not_wall_clock(self):
         telemetry = Telemetry(MemorySink())

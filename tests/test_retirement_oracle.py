@@ -62,7 +62,6 @@ def oracle_evacuate_for_retirement(ftl, block, inflight):
                 ftl._share_backed.pop(lpn, None)
         ftl.stats.copyback_pages += 1
         ftl._note_work("copyback", new_ppn)
-        ftl._m_copybacks.inc()
 
 
 # ---------------------------------------------------------------- driver
