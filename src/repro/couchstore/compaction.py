@@ -158,7 +158,7 @@ def _compact_share(store: CouchStore, clock: SimClock, suffix: str
     new_file = new_store.file
     pointers = store.doc_pointers()
     # Step 1 (Figure 3): reserve the new file's document region up front.
-    total_doc_blocks = sum(length for __, (__, length) in pointers)
+    total_doc_blocks = sum([length for __, (__, length) in pointers])
     if total_doc_blocks:
         new_file.fallocate(total_doc_blocks)
         new_store._append_cursor = total_doc_blocks

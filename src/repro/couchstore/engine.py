@@ -26,10 +26,9 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EngineError, ResilienceError
 from repro.couchstore.layout import (
+    DOC_TAG,
     doc_body,
-    doc_record,
     header_record,
-    is_doc,
     is_header,
     parse_header,
 )
@@ -162,14 +161,16 @@ class CouchStore:
         """Return the latest committed-or-pending document body, or None."""
         if key in self._pending_docs:
             block = self._pending_docs[key]
-            if block is None:
-                return None
-            return doc_body(self._read_doc(block))
-        pointer = self.tree.get(key)
-        if pointer is None:
+        else:
+            pointer = self.tree.get(key)
+            block = pointer[0] if pointer is not None else None
+        if block is None:
             return None
-        block, __ = pointer
-        return doc_body(self._read_doc(block))
+        record = self.file.pread_block(block)
+        if (not isinstance(record, tuple) or not record
+                or record[0] != DOC_TAG):
+            raise EngineError(f"block {block} does not hold a document")
+        return record[3]
 
     def contains(self, key: Any) -> bool:
         if key in self._pending_docs:
@@ -190,7 +191,8 @@ class CouchStore:
 
     def _read_doc(self, block: int) -> tuple:
         record = self.file.pread_block(block)
-        if not is_doc(record):
+        if (not isinstance(record, tuple) or not record
+                or record[0] != DOC_TAG):
             raise EngineError(f"block {block} does not hold a document")
         return record
 
@@ -199,11 +201,18 @@ class CouchStore:
     def set(self, key: Any, body: Any) -> None:
         """Insert or update a document (durable at the next commit)."""
         self.update_seq += 1
-        new_block = self._append(doc_record(key, self.update_seq, body))
+        file = self.file
+        new_block = self._append_cursor     # ``_append``, in line
+        if new_block >= file.block_count:
+            file.fallocate(file.block_count + self.config.prealloc_blocks)
+        file.pwrite_block(new_block, (DOC_TAG, key, self.update_seq, body))
+        self._append_cursor = new_block + 1
         for __ in range(self.config.doc_blocks - 1):
             self._append(("doc-cont", key, self.update_seq))
         self.stats.doc_blocks_written += self.config.doc_blocks
-        old_pointer = self._current_pointer(key)
+        # ``_current_pointer``, in line.
+        old_pointer = (self._pending_tree[key] if key in self._pending_tree
+                       else self.tree.get(key))
         if old_pointer is None:
             if self._pending_docs.get(key, "absent") is None:
                 # Re-inserting a key deleted earlier in this batch.
@@ -239,16 +248,11 @@ class CouchStore:
         return True
 
     def _current_pointer(self, key: Any) -> Optional[Tuple[int, int]]:
-        """Pointer as this batch sees it: committed tree unless the batch
-        already touched the key."""
+        """Pointer as this batch sees it: the committed tree's unless the
+        batch changed the index entry (a delete leaves None there; a
+        SHARE-mode update leaves the pointer on disk unchanged)."""
         if key in self._pending_tree:
             return self._pending_tree[key]
-        if key in self._pending_docs:
-            block = self._pending_docs[key]
-            if block is None:
-                return None
-            # SHARE-mode update in this batch: pointer unchanged on disk.
-            return self.tree.get(key)
         return self.tree.get(key)
 
     def _share_dst_of(self, key: Any) -> int:

@@ -11,27 +11,19 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
+#: A document block is ``(DOC_TAG, key, rev, body)``: the first block
+#: carries the key/rev/length metadata — the 'header page of each valid
+#: document' that SHARE compaction still has to read (Table 2).
 DOC_TAG = "doc"
 HEADER_TAG = "header"
 LEAF_TAG = "cleaf"
 INTERNAL_TAG = "cint"
 
 
-def doc_record(key: Any, rev: int, body: Any) -> tuple:
-    """A document block: the first block carries key/rev/length metadata —
-    the 'header page of each valid document' that SHARE compaction still
-    has to read (Table 2's explanation)."""
-    return (DOC_TAG, key, rev, body)
-
-
 def header_record(root_block: Optional[int], update_seq: int,
                   doc_count: int, stale_blocks: int) -> tuple:
     """A database header: commit point carrying the index root pointer."""
     return (HEADER_TAG, root_block, update_seq, doc_count, stale_blocks)
-
-
-def is_doc(record: Any) -> bool:
-    return isinstance(record, tuple) and record and record[0] == DOC_TAG
 
 
 def is_header(record: Any) -> bool:

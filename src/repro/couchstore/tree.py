@@ -26,8 +26,8 @@ class AppendTree:
 
     ``root_block`` of None means the tree is empty.  A node cache keyed by
     block index avoids re-reading immutable nodes from the device, like
-    couchstore's in-memory btree cache; document blocks are never cached
-    here.
+    couchstore's in-memory btree cache; it holds only nodes reachable
+    from ``root_block``, and document blocks are never cached here.
     """
 
     def __init__(self, file: File, leaf_capacity: int = 7,
@@ -46,6 +46,10 @@ class AppendTree:
         # falls back to plain file appends.
         self._append = append_fn if append_fn is not None else file.append_block
         self._cache: Dict[int, tuple] = {}
+        #: Last ``get`` answer as (root_block, key, pointer).
+        self._memo: tuple = (None, None, None)
+        #: Blocks the running ``apply_batch`` has replaced so far.
+        self._replaced: List[int] = []
         self.nodes_written = 0
         self.nodes_obsoleted = 0
 
@@ -70,19 +74,28 @@ class AppendTree:
     # -------------------------------------------------------------- lookup
 
     def get(self, key: Any) -> Optional[Any]:
-        """Document pointer stored under ``key``, or None."""
-        if self.root_block is None:
-            return None
-        block = self.root_block
-        node = self._read(block)
-        while node[0] == INTERNAL_TAG:
-            __, keys, children = node
-            node = self._read(children[bisect.bisect_right(keys, key)])
-        __, keys, ptrs = node
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            return ptrs[index]
-        return None
+        """Document pointer stored under ``key``, or None.
+
+        The last answer is remembered under the root it was read from:
+        the tree is copy-on-write, so the same root is the same tree and
+        the memo never needs invalidating."""
+        root = self.root_block
+        memo = self._memo
+        if memo[0] == root and memo[1] == key:
+            return memo[2]
+        pointer = None
+        if root is not None:
+            cached = self._cache.get
+            node = cached(root) or self._read(root)
+            while node[0] == INTERNAL_TAG:
+                block = node[2][bisect.bisect_right(node[1], key)]
+                node = cached(block) or self._read(block)
+            keys = node[1]
+            index = bisect.bisect_right(keys, key)
+            if index and keys[index - 1] == key:
+                pointer = node[2][index - 1]
+        self._memo = (root, key, pointer)
+        return pointer
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         """All (key, pointer) pairs in key order."""
@@ -157,8 +170,13 @@ class AppendTree:
             live = sorted((k, v) for k, v in changes.items() if v is not None)
             self.root_block = self._build_from_entries(live)
             return self.nodes_written - written_before
+        self._replaced = []
         result = self._apply(self.root_block, dict(changes))
         self.root_block = self._collapse_to_root(result)
+        # Only after the swap: until then the old root still reaches them.
+        self.nodes_obsoleted += len(self._replaced)
+        for block in self._replaced:
+            del self._cache[block]
         return self.nodes_written - written_before
 
     def _collapse_to_root(self, entries: List[Tuple[Any, int]]) -> Optional[int]:
@@ -195,7 +213,7 @@ class AppendTree:
             new_entries.extend(replacement)
         if not touched:
             return [(new_entries[0][0] if new_entries else None, block)]
-        self.nodes_obsoleted += 1
+        self._replaced.append(block)
         if not new_entries:
             return []
         if len(new_entries) <= self.internal_fanout:
@@ -215,7 +233,7 @@ class AppendTree:
         entries = sorted(merged.items())
         if entries == list(zip(keys, ptrs)):
             return [(keys[0] if keys else None, block)]
-        self.nodes_obsoleted += 1
+        self._replaced.append(block)
         if not entries:
             return []
         return self._split_entries_into_leaves(entries)
@@ -263,6 +281,7 @@ class AppendTree:
         """Replace the tree with a bulk-built one over ``sorted_items``
         (compaction's index rebuild); returns nodes written."""
         written_before = self.nodes_written
+        self._cache.clear()
         self.root_block = self._build_from_entries(list(sorted_items))
         return self.nodes_written - written_before
 

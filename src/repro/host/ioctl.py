@@ -41,19 +41,24 @@ def share_file_ranges(dst_file: File, src_file: File,
     """
     if dst_file.fs is not src_file.fs:
         raise IoctlError("share across filesystems is impossible")
-    dst_lpns: List[int] = []
-    src_lpns: List[int] = []
+    pairs: List[Tuple[int, int]] = []
     for dst_block, src_block, length in ranges:
+        # The common range is one block: one check, two subscripts (an
+        # unlinked file has no blocks, so it takes the path that raises).
+        if (length == 1 and 0 <= dst_block < dst_file.block_count
+                and 0 <= src_block < src_file.block_count):
+            pairs.append((dst_file._blocks[dst_block],
+                          src_file._blocks[src_block]))
+            continue
         if length < 1:
             raise IoctlError(f"length must be >= 1: {length}")
-        dst_lpns += dst_file.block_lpns(dst_block, length)
-        src_lpns += src_file.block_lpns(src_block, length)
-    if not dst_lpns:
+        pairs += zip(dst_file.block_lpns(dst_block, length),
+                     src_file.block_lpns(src_block, length))
+    if not pairs:
         raise IoctlError("no ranges to share")
     ssd = dst_file.fs.ssd
     if not ssd.supports_share:
         raise IoctlError("device does not support the SHARE command")
-    pairs = list(zip(dst_lpns, src_lpns))
     telemetry = ssd.telemetry
     if not telemetry.enabled:       # passive, as in Ssd._command: no span
         commands = ssd.in_batches(ssd.share_batch, pairs)

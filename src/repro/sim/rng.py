@@ -43,6 +43,7 @@ class ZipfianGenerator:
         self._alpha = 1.0 / (1.0 - theta)
         self._eta = ((1.0 - math.pow(2.0 / item_count, 1.0 - theta))
                      / (1.0 - self._zeta2 / self._zetan))
+        self._second_item_below = 1.0 + math.pow(0.5, theta)
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -54,10 +55,10 @@ class ZipfianGenerator:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + math.pow(0.5, self._theta):
+        if uz < self._second_item_below:
             return 1
-        return int(self._items * math.pow(self._eta * u - self._eta + 1.0,
-                                          self._alpha))
+        return int(self._items
+                   * (self._eta * u - self._eta + 1.0) ** self._alpha)
 
     @property
     def item_count(self) -> int:

@@ -228,7 +228,8 @@ class YcsbDriver:
         if workload is YcsbWorkload.F:
             key = self._chooser.next()
             self.store.get(key)
-            self._update(key)
+            self._versions += 1     # ``_update`` / ``_body``, in line
+            self.store.set(key, ("ycsb-record", key, self._versions))
             return (1, 1)  # a read-modify-write does both
         if workload is YcsbWorkload.A:
             return self._read_or_update(update_fraction=0.5)

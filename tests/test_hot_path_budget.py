@@ -22,6 +22,10 @@ the host ioctl (a count per pair, and again nothing in ``repro/obs``).
 The engine cell runs seeded LinkBench transactions on a small InnoDB
 SHARE stack and holds the probe / miss / commit path to the same three
 rules, plus: no fault checkpoint per transaction.
+
+The couchstore cell prices one YCSB-F read-modify-write on a SHARE store
+and holds the device to the command stream (and the clock) the same ops
+produced before the engine's hot path was straightened.
 """
 
 import cProfile
@@ -200,11 +204,12 @@ def test_each_telemetry_tier_costs_a_counted_number_of_calls():
 
 #: Calls per remapped pair of a 32-pair ``share_file_ranges`` commit —
 #: ``ShareGuard`` -> share ioctl -> ``Ssd.share_batch`` -> FTL -> map log,
-#: everything the command costs, builtins included.  Measured 9.44 on
-#: CPython 3.11 when committed (36.81 on the commit before, which
-#: validated, numbered, wrapped and checksummed every pair on its own);
-#: the ceiling is the measured value + 5 %.
-CALLS_PER_SHARE_PAIR_CEILING = 10.0
+#: everything the command costs, builtins included.  Measured 8.41 on
+#: CPython 3.11 when committed (9.44 when the ioctl took two
+#: ``block_lpns`` slices per one-block range; 36.81 when every pair was
+#: validated, numbered, wrapped and checksummed on its own); the ceiling
+#: is the measured value + 5 %.
+CALLS_PER_SHARE_PAIR_CEILING = 8.85
 
 SHARE_COMMITS = 60
 SHARE_PAIRS = 32
@@ -306,6 +311,15 @@ def defined_under(code, roots):
     return getattr(code, "co_filename", "").startswith(roots)
 
 
+def booked_calls(stats, roots):
+    """Calls of the functions defined under ``roots`` plus the builtins
+    those call."""
+    return sum(entry.callcount + sum(sub.callcount
+                                     for sub in entry.calls or ()
+                                     if isinstance(sub.code, str))
+               for entry in stats if defined_under(entry.code, roots))
+
+
 def short_name(code):
     return f"{os.path.basename(code.co_filename)}:{code.co_name}"
 
@@ -314,13 +328,7 @@ def test_engine_hot_path_stays_inside_its_call_budget():
     stats, (misses, batches) = profile_linkbench()
     assert misses > TRANSACTIONS // 4 and batches > 10, "pool not churning"
 
-    booked = 0
-    for entry in stats:
-        if defined_under(entry.code, ENGINE_LAYERS):
-            booked += entry.callcount + sum(
-                sub.callcount for sub in entry.calls or ()
-                if isinstance(sub.code, str))
-    per_transaction = booked / TRANSACTIONS
+    per_transaction = booked_calls(stats, ENGINE_LAYERS) / TRANSACTIONS
     assert per_transaction <= CALLS_PER_TRANSACTION_BUDGET, (
         f"{per_transaction:.1f} engine-side calls per transaction, budget "
         f"{CALLS_PER_TRANSACTION_BUDGET}")
@@ -347,3 +355,65 @@ def test_engine_hot_path_stays_inside_its_call_budget():
     hops = {getters[entry.code]: entry.callcount for entry in stats
             if entry.code in getters}
     assert not hops, f"property evaluated on the hot path: {hops}"
+
+
+# ------------------------------------------------------- couchstore cell
+
+#: Calls per YCSB-F op (a read-modify-write, commits every 16) booked to
+#: ``repro/couchstore``, ``repro/host`` and ``workloads/ycsb.py`` (their
+#: own functions plus the builtins those call).  Measured 15.83 on
+#: CPython 3.11 when committed; the same run cost 37.61 on the commit
+#: before, which descended the unchanged tree twice per op, eleven calls
+#: a descent, and read a document through four helper hops.  Raise it
+#: only with a reason in the commit message.
+CALLS_PER_YCSB_F_OP_BUDGET = 17.0
+
+YCSB_OPS = 2000
+COUCH_LAYERS = (os.path.join(SRC_ROOT, "couchstore") + os.sep,
+                os.path.join(SRC_ROOT, "host") + os.sep,
+                os.path.join(SRC_ROOT, "workloads", "ycsb.py"))
+
+#: What the device saw during the same ``YCSB_OPS`` ops on that commit
+#: before, and where its clock stood after them.  The engine may ask
+#: itself fewer questions; it may not ask the device different ones.
+YCSB_DEVICE_STREAM = {"host_read_pages": 2000, "host_write_pages": 2016,
+                      "share_commands": 125, "share_pairs": 1753,
+                      "flush_commands": 133, "trim_commands": 0}
+YCSB_CLOCK_AFTER_US = 7501266
+
+
+def profile_ycsb_f():
+    """(stats, device counter deltas, clock) of ``YCSB_OPS`` profiled
+    workload-F ops at batch 16 on a loaded, warmed SHARE store whose tree
+    is three levels deep, like ``ycsb-f-share``'s."""
+    from repro.bench.harness import build_couch_stack
+    from repro.couchstore.engine import CommitMode
+    from repro.workloads.ycsb import YcsbConfig, YcsbDriver, YcsbWorkload
+    stack = build_couch_stack(CommitMode.SHARE, 2000, 4000)
+    driver = YcsbDriver(stack.store, stack.clock,
+                        YcsbConfig(record_count=2000, seed=24))
+    driver.load()
+    driver.run(YcsbWorkload.F, 500, 16)
+    assert stack.store.tree.depth() == 3
+    device = stack.ssd.stats
+    before = {name: getattr(device, name) for name in YCSB_DEVICE_STREAM}
+    profile = cProfile.Profile(builtins=True)
+    profile.enable()
+    try:
+        driver.run(YcsbWorkload.F, YCSB_OPS, 16)
+    finally:
+        profile.disable()
+    stack.ssd.ftl.check_invariants()
+    return (profile.getstats(),
+            {name: getattr(device, name) - before[name] for name in before},
+            stack.clock.now_us)
+
+
+def test_couch_read_modify_write_stays_inside_its_call_budget():
+    stats, stream, clock_us = profile_ycsb_f()
+    per_op = booked_calls(stats, COUCH_LAYERS) / YCSB_OPS
+    assert per_op <= CALLS_PER_YCSB_F_OP_BUDGET, (
+        f"{per_op:.2f} engine-side calls per read-modify-write, budget "
+        f"{CALLS_PER_YCSB_F_OP_BUDGET}")
+    assert stream == YCSB_DEVICE_STREAM
+    assert clock_us == YCSB_CLOCK_AFTER_US

@@ -54,3 +54,27 @@ def test_scrambled_still_skewed():
     counts = Counter(gen.next() for _ in range(20000))
     hottest = counts.most_common(1)[0][1]
     assert hottest > 20000 * 0.02
+
+
+def _old_next(gen):
+    """``ZipfianGenerator.next`` before the threshold was hoisted into
+    ``__init__``: ``math.pow`` twice per draw."""
+    import math
+    u = gen._rng.random()
+    uz = u * gen._zetan
+    if uz < 1.0:
+        return 0
+    if uz < 1.0 + math.pow(0.5, gen._theta):
+        return 1
+    return int(gen._items * math.pow(gen._eta * u - gen._eta + 1.0,
+                                     gen._alpha))
+
+
+@pytest.mark.parametrize("theta", [0.8, 0.99])
+def test_zipfian_draws_equal_the_two_pow_formula(theta):
+    """The key stream — and with it every virtual metric — is what it was:
+    the hoisted constant and ``**`` go through the same libm ``pow``."""
+    new = ZipfianGenerator(20_000, theta=theta, seed=1)
+    old = ZipfianGenerator(20_000, theta=theta, seed=1)
+    assert ([new.next() for _ in range(100_000)]
+            == [_old_next(old) for _ in range(100_000)])
