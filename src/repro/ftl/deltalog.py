@@ -327,7 +327,7 @@ class MapLog:
         if self._snapshot_provider is None:
             raise FtlError("map log full and no snapshot provider registered")
         tracer = self.telemetry.tracer
-        if not tracer.enabled:
+        if not tracer.recording:
             self._do_checkpoint(None)
             return
         with tracer.span("ftl.maplog.checkpoint") as span:

@@ -181,8 +181,6 @@ class PageMappingFtl:
             "ftl.share.batch_pairs")
         self._m_contiguous_runs = self.telemetry.histogram(
             "ftl.share.contiguous_runs")
-        # Sampled-mode gate (None when telemetry has no sampler).
-        self._sampler = getattr(self.telemetry, "sampler", None)
         # Block state, owned here (repro.ftl.blocks): the hot path never
         # asks the media or the geometry what the firmware itself just
         # decided.  The write-pointer and valid-count lists are indexed
@@ -734,11 +732,9 @@ class PageMappingFtl:
         self.maplog.append_atomic(deltas)
         self.stats.share_commands += 1
         self.stats.share_pairs += len(pairs)
-        if self.telemetry.enabled:
-            sampler = self._sampler
-            if sampler is None or sampler.hit():
-                observe_batch(self._m_batch_pairs, self._m_contiguous_runs,
-                              pairs)
+        if self.telemetry.tracer.recording:
+            observe_batch(self._m_batch_pairs, self._m_contiguous_runs,
+                          pairs)
 
     def _reconcile_oldest_share(self) -> None:
         """Share table full: materialise a private copy for the oldest
@@ -878,12 +874,12 @@ class PageMappingFtl:
 
     def _reclaim_block(self, block: int, is_gc_event: bool) -> None:
         """Evacuate valid pages, erase, and return ``block`` to the free
-        pool.  With the tracer on the whole pass runs inside an
+        pool.  While the tracer is recording the whole pass runs inside an
         ``ftl.gc`` span, so the copyback/erase work is attributed to
         whichever host command (and engine operation above it) triggered
-        the collection; with it off the pass is a plain call."""
+        the collection; otherwise the pass is a plain call."""
         tracer = self.telemetry.tracer
-        if not tracer.enabled:
+        if not tracer.recording:
             self._do_reclaim_block(block, is_gc_event, None)
             return
         with tracer.span("ftl.gc", block=block,

@@ -86,7 +86,7 @@ class File:
             self.block_lpn(index)       # raises the unlinked / range error
         lpn = self._blocks[index]
         tracer = self.fs.telemetry.tracer
-        if tracer.enabled:
+        if tracer.recording:
             with tracer.span("host.pwrite", path=self.path, blocks=1):
                 self.fs.ssd.write(lpn, data)
         else:
@@ -100,7 +100,7 @@ class File:
             return
         lpns = self.block_lpns(index, len(pages))
         tracer = self.fs.telemetry.tracer
-        if tracer.enabled:
+        if tracer.recording:
             with tracer.span("host.pwrite", path=self.path,
                              blocks=len(pages)):
                 self._pwrite_runs(lpns, pages)

@@ -59,12 +59,11 @@ def share_file_ranges(dst_file: File, src_file: File,
     ssd = dst_file.fs.ssd
     if not ssd.supports_share:
         raise IoctlError("device does not support the SHARE command")
-    telemetry = ssd.telemetry
-    if not telemetry.enabled:       # passive, as in Ssd._command: no span
+    tracer = ssd.telemetry.tracer
+    if not tracer.recording:        # as in Ssd._command: no span
         commands = ssd.in_batches(ssd.share_batch, pairs)
     else:
-        with telemetry.tracer.span("host.share_ioctl",
-                                   pairs=len(pairs)) as span:
+        with tracer.span("host.share_ioctl", pairs=len(pairs)) as span:
             commands = ssd.in_batches(ssd.share_batch, pairs)
             span.set(commands=commands)
     dst_file.fs.share_ioctl_commands += commands

@@ -197,7 +197,7 @@ class InnoDBEngine:
         return Transaction(self)
 
     def _commit_transaction(self) -> None:
-        """Commit with a fault plan or the tracer attached; the bare
+        """Commit with a fault plan or the tracer recording; the bare
         commit in :meth:`Transaction.__exit__` is this minus the
         checkpoint and the span."""
         with self._tracer.span("innodb.txn_commit"):
@@ -264,7 +264,7 @@ class Transaction:
             engine._in_transaction = False
             return
         engine._in_transaction = False
-        if engine.faults.passive and not engine._tracer.enabled:
+        if engine.faults.passive and not engine._tracer.recording:
             engine.redo.commit()
             engine.transactions += 1
             pool = engine.pool

@@ -15,10 +15,15 @@ Three pieces, one facade:
 
 Enable telemetry by building a :class:`Telemetry` and passing it to the
 stack builders (or directly to :class:`repro.ssd.device.Ssd` and the
-engines).  Components default to :data:`NULL_TELEMETRY`, which
-registers nothing, and the hot paths skip it outright; what each
-``REPRO_OBS`` tier costs per device command is
-an exact call count held by ``tests/test_hot_path_budget.py``.  Render
+engines).  Components default to :data:`NULL_TELEMETRY`, an off
+:class:`Telemetry` that registers nothing and keeps no clock.  Sampling
+is decided once, per root span, by the tracer: hot sites test the one
+plain flag :attr:`Tracer.recording` before opening a span or recording
+a per-command histogram sample, so an off or paused stack skips them
+outright, and a sampled one keeps whole trees and the histogram samples
+of exactly those commands.  What each ``REPRO_OBS`` tier costs per
+device command is an exact call count held by
+``tests/test_hot_path_budget.py``.  Render
 an artifact with ``python -m repro.tools.report``, or a timeline with
 :func:`chrome_trace`.  See ``docs/observability.md`` for the metric
 catalog, span hierarchy, and JSONL schema.
@@ -46,15 +51,13 @@ from repro.obs.sinks import (
 )
 from repro.obs.telemetry import (
     DEFAULT_SAMPLE_EVERY,
-    NEVER_SAMPLER,
     NULL_TELEMETRY,
     OBS_MODES,
-    Sampler,
     Telemetry,
     obs_mode,
     obs_sample_every,
 )
-from repro.obs.tracing import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "BoundedHistogram",
@@ -65,15 +68,11 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",
-    "NEVER_SAMPLER",
     "NULL_SINK",
     "NULL_SPAN",
     "NULL_TELEMETRY",
-    "NULL_TRACER",
     "NullSink",
-    "NullTracer",
     "OBS_MODES",
-    "Sampler",
     "Span",
     "TeeSink",
     "Telemetry",

@@ -12,25 +12,28 @@ stack (device, FTL, filesystem, engines, benchmark driver).  It bundles
 
 Construction order: the harness creates the telemetry (with its sink and
 snapshot interval), then builds the stack; the device binds the shared
-clock via :meth:`bind_clock` and calls :meth:`maybe_snapshot` as virtual
-time passes, which is what drives the periodic snapshotter.
+clock via :meth:`bind_clock` and, as virtual time passes, compares each
+completion against :attr:`Telemetry.snapshot_due_us` — the periodic
+snapshotter costs a call only when a snapshot is due.
 
-``NULL_TELEMETRY`` is the always-disabled singleton every component
-defaults to.  It registers nothing and hands out ``None`` for a
-histogram handle: every ``record`` site sits behind ``telemetry.enabled``
-(False forever here), so a stack built without telemetry makes no call
-into this package per operation — and a site that forgot its guard fails
-on the ``None`` instead of silently paying for a null object.
+``NULL_TELEMETRY`` is the ``mode="off"`` instance every component
+defaults to.  It registers nothing, keeps no clock and hands out
+``None`` for a histogram handle: every ``record`` site sits behind the
+tracer's ``recording`` flag or ``telemetry.enabled`` (False forever
+here), so a stack built without telemetry makes no call into this
+package per operation — and a site that forgot its guard fails on the
+``None`` instead of silently paying for a null object.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Any, Dict, Iterable, Optional
 
 from repro.obs.registry import BoundedHistogram, MetricsRegistry, Row
 from repro.obs.sinks import NULL_SINK, NullSink
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.tracing import Tracer
 from repro.sim.clock import SimClock
 
 #: Valid values of the REPRO_OBS environment variable / ``mode`` argument.
@@ -71,65 +74,24 @@ def obs_sample_every(default: int = DEFAULT_SAMPLE_EVERY) -> int:
     return every
 
 
-class Sampler:
-    """Deterministic 1-in-N gate for hot-path recordings.
-
-    ``hit()`` is True on the first call and then every ``every``-th call
-    — counting, not randomness, so sampled runs are exactly reproducible.
-    With ``every == 1`` it is always True (full mode).
-    """
-
-    __slots__ = ("every", "_countdown")
-
-    def __init__(self, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError(f"sampler period must be >= 1: {every}")
-        self.every = every
-        self._countdown = 1  # first event always hits
-
-    def hit(self) -> bool:
-        self._countdown -= 1
-        if self._countdown:
-            return False
-        self._countdown = self.every
-        return True
-
-    def reset(self) -> None:
-        self._countdown = 1
-
-
-class _NeverSampler:
-    """Shared always-miss gate used when telemetry is off entirely."""
-
-    __slots__ = ()
-    every = 0
-
-    def hit(self) -> bool:
-        return False
-
-    def reset(self) -> None:
-        pass
-
-
-NEVER_SAMPLER = _NeverSampler()
-
-
 class Telemetry:
     """Live telemetry: metrics + tracing + sink + periodic snapshots.
 
     ``mode`` selects the observability cost tier (default: the
     ``REPRO_OBS`` environment variable, falling back to ``"full"``):
 
-    * ``"full"`` — every event recorded, every span traced (the
-      behaviour of earlier PRs, bit-identical).
-    * ``"sampled"`` — per-op histogram recordings pass a 1-in-N
-      :class:`Sampler` gate and only 1-in-N root spans (with their whole
-      subtree) are traced; counters and gauges are exact in every mode,
-      because they are read from their owners at snapshot time, not
-      recorded per event.  N defaults to ``REPRO_OBS_SAMPLE`` (64).
+    * ``"full"`` — every event recorded, every span traced.
+    * ``"sampled"`` — 1-in-N root spans are traced with their whole
+      subtree (the tracer's root decision, :attr:`Tracer.recording`),
+      and the per-command histograms — device latency and queue wait,
+      FTL SHARE batch shape — record exactly the commands of those
+      trees, so the trace and the histograms describe the same sample.
+      Counters and gauges are exact in every mode, because they are read
+      from their owners at snapshot time, not recorded per event.  N
+      defaults to ``REPRO_OBS_SAMPLE`` (64).
     * ``"off"`` — nothing registers (:meth:`collect` is a no-op,
-      :meth:`histogram` returns ``None``), the tracer is disabled and
-      :meth:`resume` stays off, so snapshots are empty.
+      :meth:`histogram` returns ``None``), no clock is kept, the tracer
+      is disabled and :meth:`resume` stays off, so snapshots are empty.
     """
 
     def __init__(self, sink: Optional[Any] = None,
@@ -149,32 +111,28 @@ class Telemetry:
         if mode == "sampled":
             if sample_every is None:
                 sample_every = obs_sample_every()
+            self.tracer = Tracer(self.sink, sample_every=sample_every)
             self.sample_every = sample_every
-            self.sampler: Any = Sampler(sample_every)
-            self.tracer: Any = Tracer(self.sink, sample_every=sample_every)
-            self.enabled = True
-        elif mode == "off":
-            self.sample_every = 0
-            self.sampler = NEVER_SAMPLER
+        else:
             self.tracer = Tracer(self.sink)
-            self.tracer.enabled = False
-            self.enabled = False
-        else:  # full
-            self.sample_every = 1
-            self.sampler = Sampler(1)
-            self.tracer = Tracer(self.sink)
-            self.enabled = True
+            self.sample_every = 1 if mode == "full" else 0
+        self.enabled = mode != "off"
+        self.tracer.enabled = self.enabled
         self.snapshot_interval_us = snapshot_interval_us
         self._last_snapshot_us = 0
         self._clock: Optional[SimClock] = None
+        self._reschedule()
 
     # ----------------------------------------------------------- lifecycle
 
     def bind_clock(self, clock: SimClock) -> None:
         """Attach the stack's virtual clock (idempotent; the first device
-        built does this)."""
-        self._clock = clock
-        self.tracer.bind_clock(clock)
+        built does this).  Off telemetry keeps none: the shared
+        :data:`NULL_TELEMETRY` must not pin any stack's clock — or,
+        through its reset hooks, the devices on it."""
+        if self.mode != "off":
+            self._clock = clock
+            self.tracer.bind_clock(clock)
 
     def collect(self, scope: str, rows: Iterable[Row], owner: Any) -> None:
         """Register a component's collector table over ``owner`` (see
@@ -184,7 +142,8 @@ class Telemetry:
 
     def histogram(self, name: str) -> Optional[BoundedHistogram]:
         """A histogram handle, resolved once by the recording component
-        — ``None`` when off, where ``enabled`` never lets a site use it."""
+        — ``None`` when off, where neither ``enabled`` nor the tracer's
+        ``recording`` ever lets a site use it."""
         if self.mode == "off":
             return None
         return self.metrics.histogram(name)
@@ -197,12 +156,14 @@ class Telemetry:
         the interval they are reported over."""
         self.enabled = False
         self.tracer.enabled = False
+        self._reschedule()
 
     def resume(self) -> None:
         if self.mode == "off":
             return
         self.enabled = True
         self.tracer.enabled = True
+        self._reschedule()
 
     def reset_measurement(self) -> None:
         """Start a metrics interval (histograms empty, counters baseline)
@@ -210,17 +171,25 @@ class Telemetry:
         ``Ssd.reset_measurement``."""
         self.metrics.reset()
         self._last_snapshot_us = self._clock.now_us if self._clock else 0
+        self._reschedule()
 
     # ----------------------------------------------------------- snapshots
 
+    def _reschedule(self) -> None:
+        """Recompute :attr:`snapshot_due_us`, the virtual time the
+        device's completion path compares against: one interval after
+        the last snapshot, never while disabled or without a cadence."""
+        self.snapshot_due_us = (
+            self._last_snapshot_us + self.snapshot_interval_us
+            if self.enabled and self.snapshot_interval_us else math.inf)
+
     def maybe_snapshot(self, now_us: int) -> bool:
         """Emit a metrics snapshot when at least one snapshot interval of
-        virtual time has passed.  Called from the device's command
-        completion path; cheap when disabled or not yet due."""
-        if (not self.enabled or not self.snapshot_interval_us
-                or now_us - self._last_snapshot_us < self.snapshot_interval_us):
+        virtual time has passed (``now_us >= snapshot_due_us``)."""
+        if now_us < self.snapshot_due_us:
             return False
         self._last_snapshot_us = now_us
+        self._reschedule()
         self.snapshot(now_us)
         return True
 
@@ -241,45 +210,5 @@ class Telemetry:
         return record
 
 
-class _NullTelemetry:
-    """The disabled singleton.  Everything is a no-op; ``enabled`` is
-    False forever so guards can skip optional work."""
-
-    __slots__ = ()
-    enabled = False
-    mode = "off"
-    tracer = NULL_TRACER
-    sink = NULL_SINK
-    sampler = NEVER_SAMPLER
-    sample_every = 0
-    snapshot_interval_us = 0
-
-    def bind_clock(self, clock: SimClock) -> None:
-        pass
-
-    def collect(self, scope: str, rows: Iterable[Row], owner: Any) -> None:
-        pass
-
-    def histogram(self, name: str) -> None:
-        return None
-
-    def pause(self) -> None:
-        pass
-
-    def resume(self) -> None:
-        pass
-
-    def reset_measurement(self) -> None:
-        pass
-
-    def maybe_snapshot(self, now_us: int) -> bool:
-        return False
-
-    def snapshot(self, now_us: Optional[int] = None) -> Dict[str, Any]:
-        return {"type": "metrics", "t_us": now_us or 0, "metrics": {}}
-
-    def close(self) -> Dict[str, Any]:
-        return self.snapshot()
-
-
-NULL_TELEMETRY = _NullTelemetry()
+#: The shared off instance every component defaults to.
+NULL_TELEMETRY = Telemetry(NULL_SINK, mode="off")

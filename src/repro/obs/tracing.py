@@ -104,10 +104,12 @@ NULL_SPAN = _NullSpan()
 class _SuppressedRoot:
     """Marker for a sampled-out *root* span.
 
-    While it is open the tracer hands NULL_SPAN to every child, so a
-    skipped operation skips its whole subtree — the emitted trace never
-    contains orphaned children whose parent was dropped.  Closing it
-    (``__exit__``) re-arms the tracer for the next root."""
+    While it is open the tracer is not :attr:`~Tracer.recording`, so it
+    hands NULL_SPAN to every child and guarded sites skip their span
+    altogether — a skipped operation skips its whole subtree, and the
+    emitted trace never contains orphaned children whose parent was
+    dropped.  Closing it (``__exit__``) re-arms the tracer for the next
+    root."""
 
     __slots__ = ("_tracer",)
     name = ""
@@ -125,7 +127,9 @@ class _SuppressedRoot:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer._suppressing = False
+        tracer = self._tracer
+        tracer._suppressing = False
+        tracer.recording = tracer._enabled
 
 
 class Tracer:
@@ -133,16 +137,20 @@ class Tracer:
 
     The sink is any object with ``emit(record: dict)``; the clock is bound
     late (the harness builds the telemetry object before the stack's
-    clock exists).  Disabling the tracer (``enabled = False``) makes
-    :meth:`span` return the shared null span, so paused telemetry skips
-    record construction entirely.
+    clock exists).
 
     ``sample_every`` (1 = keep everything) implements sampled telemetry
     mode at *root-span* granularity: 1-in-N roots are traced in full, the
     other N-1 are suppressed together with their entire subtree.  Keeping
     whole trees (rather than sampling spans independently) preserves
     parent chains in the output, which the Chrome-trace exporter and the
-    report's span tables both rely on.
+    report's span tables both rely on.  This root decision is the only
+    sampling decision in the stack.
+
+    :attr:`recording` is the one flag hot sites test before opening a
+    span or recording a per-command sample: a plain attribute, false
+    while the tracer is disabled (``enabled = False``, which is what
+    paused or off telemetry sets) and while a sampled-out root is open.
     """
 
     def __init__(self, sink: Any, clock: Optional[SimClock] = None,
@@ -153,11 +161,21 @@ class Tracer:
         self._clock = clock
         self._stack: List[Span] = []
         self._next_id = 1
-        self.enabled = True
+        self._enabled = True
+        self.recording = True
         self.sample_every = sample_every
         self._root_seq = 0
         self._suppressing = False
         self._suppressed_root = _SuppressedRoot(self)
+
+    @property
+    def enabled(self) -> bool:
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._enabled = value
+        self.recording = value and not self._suppressing
 
     def bind_clock(self, clock: SimClock) -> None:
         self._clock = clock
@@ -173,12 +191,13 @@ class Tracer:
 
     def span(self, name: str, **attrs: Any) -> Any:
         """Open a child of the current span (or a new root)."""
-        if not self.enabled or self._suppressing:
+        if not self.recording:
             return NULL_SPAN
         if not self._stack and self.sample_every > 1:
             self._root_seq += 1
             if (self._root_seq - 1) % self.sample_every:
                 self._suppressing = True
+                self.recording = False
                 return self._suppressed_root
         span_id = self._next_id
         self._next_id += 1
@@ -207,24 +226,3 @@ class Tracer:
             self._sink.emit(top.to_record())
         span.end_us = self._clock.now_us if self._clock is not None else 0
         self._sink.emit(span.to_record())
-
-
-class NullTracer:
-    """Tracer stand-in for disabled telemetry."""
-
-    __slots__ = ()
-    enabled = False
-    depth = 0
-    current = NULL_SPAN
-
-    def bind_clock(self, clock: SimClock) -> None:
-        pass
-
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def finish(self, span: Any) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()

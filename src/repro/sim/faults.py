@@ -1024,24 +1024,30 @@ class _PassiveScope:
 _PASSIVE_SCOPE = _PassiveScope()
 
 
+def _refuse_on_passive_plan(*args, **kwargs) -> None:
+    raise RuntimeError(
+        "NO_FAULTS is the shared passive plan; construct a FaultPlan() "
+        "to arm faults, count operations or trace checkpoints")
+
+
 class _PassiveFaultPlan(FaultPlan):
     """The plan behind :data:`NO_FAULTS`: nothing is ever armed on it, so
     checkpoints, operation scopes and the ack journal are pure overhead.
-    Anything that wants injection or the journal must construct its own
-    :class:`FaultPlan`; arming this shared singleton would silently
-    couple unrelated components, so :meth:`arm` refuses."""
+    Anything that wants injection, counting or the journal must construct
+    its own :class:`FaultPlan`; arming this shared singleton would
+    silently couple unrelated components, so every arm and counting
+    entry point refuses — the plan's own and those of its media, command
+    and cluster fault sets, which callers reach directly too."""
 
     passive = True
 
-    def arm(self, fault) -> None:
-        raise RuntimeError(
-            "NO_FAULTS is the shared passive plan; construct a FaultPlan() "
-            "to arm faults")
+    def __init__(self) -> None:
+        super().__init__()
+        for fault_set in (self.media, self.commands, self.cluster):
+            fault_set.arm = fault_set.enable_counting = \
+                _refuse_on_passive_plan
 
-    def enable_trace(self) -> None:
-        raise RuntimeError(
-            "NO_FAULTS is the shared passive plan; construct a FaultPlan() "
-            "to trace checkpoints")
+    arm = enable_trace = _refuse_on_passive_plan
 
     def checkpoint(self, point: str) -> None:
         pass

@@ -210,7 +210,7 @@ class Ssd:
         # Counters and gauges are read from this device at snapshot time
         # (DEVICE_ROWS); only the histograms are pushed, through handles
         # resolved once (None when telemetry is off: every record site
-        # sits behind ``telemetry.enabled``).
+        # sits behind a ticket issued while the tracer was recording).
         telemetry = self.telemetry
         scope = f"device.{name}"
         telemetry.collect(scope, DEVICE_ROWS, self)
@@ -220,9 +220,6 @@ class Ssd:
             kind: telemetry.histogram(f"{scope}.latency_us.{kind}")
             for kind in ("read", "write", "trim", "share", "flush")}
         self._m_queue_wait = telemetry.histogram(f"{scope}.queue.wait_us")
-        # Sampled-mode gate for per-completion histogram recording
-        # (always-hit in full mode, never-hit when telemetry is off).
-        self._sampler = getattr(self.telemetry, "sampler", None)
 
     # ---------------------------------------------------------- properties
 
@@ -317,12 +314,12 @@ class Ssd:
         """Run one journalled command: the submission fault gate, then
         ``body(op_kind, op, *args)``, then the synchronous wait.
 
-        The passive case — :data:`NO_FAULTS` and the tracer off, which is
-        every benchmark run — is a straight line: no scope objects, no
-        journal, ``body(None, None, *args)``.  A real fault plan brings
-        back the deferred ack scope (the wait runs after it exits, so
-        the ack is registered before it is delivered); an enabled tracer
-        brings back the ``device.<kind>`` span."""
+        Under :data:`NO_FAULTS` — every benchmark run — there is no
+        journal, so ``body(None, None, *args)`` runs bare, or inside the
+        ``device.<kind>`` span while the tracer is recording.  A real
+        fault plan brings back the deferred ack scope (the wait runs
+        after it exits, so the ack is registered before it is
+        delivered)."""
         faults = self.faults
         if faults.commands.active:
             self._gate(kind, lpns)
@@ -330,12 +327,15 @@ class Ssd:
         if ftl.work or ftl.map_work:
             ftl.take_work()   # discard stale work from direct FTL use
         tracer = self._tracer
-        if faults.passive and not tracer.enabled:
-            ticket = body(None, None, *args)
-        else:
+        if not faults.passive:
             with faults.operation(op_kind, lpns, deferred=True) as op, \
                     tracer.span("device." + kind):
                 ticket = body(op_kind, op, *args)
+        elif tracer.recording:
+            with tracer.span("device." + kind):
+                ticket = body(None, None, *args)
+        else:
+            ticket = body(None, None, *args)
         if self._session is None:
             self.events.run_until(ticket.completion_us)
 
@@ -344,7 +344,7 @@ class Ssd:
         if self.faults.commands.active:
             self._gate("read", (lpn,))
         tracer = self._tracer
-        if tracer.enabled:
+        if tracer.recording:
             with tracer.span("device.read"):
                 return self._read(lpn)
         return self._read(lpn)
@@ -712,15 +712,17 @@ class Ssd:
                     completion = end
         self.ncq.commit(completion)
 
+        tracer = self._tracer
+        recorded = tracer.recording
         ticket = CommandTicket(
             kind, lpn, count, latency, service_us, arrival, completion,
-            gc_events, copybacks, op_kind, op_record, gate_kind, gate_lpns)
+            gc_events, copybacks, op_kind, op_record, gate_kind, gate_lpns,
+            recorded)
         self.inflight += 1
         self.events.push(completion, self, ticket)
 
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.tracer.current.set(
+        if recorded:
+            tracer.current.set(
                 kind=kind, lpn=lpn, count=count, latency_us=latency,
                 gc_events=gc_events, copyback_pages=copybacks)
 
@@ -742,18 +744,19 @@ class Ssd:
         completion-phase fault gate and the deferred ack — in the order
         the device finishes work, not the order the host submitted it.
 
-        Delivery cost is tiered by telemetry mode: the latency and
-        queue-wait histograms pass the 1-in-N sampler gate, which is
-        where sampled mode saves its per-op time.  Counters and gauges
-        are not delivered at all — DEVICE_ROWS reads them on demand."""
+        The latency and queue-wait histograms record the commands issued
+        under a recording span (``ticket.recorded``: the tracer's root
+        decision, taken once at submission), in completion order; the
+        periodic snapshot costs a call only once it is due.  Counters
+        and gauges are not delivered at all — DEVICE_ROWS reads them on
+        demand."""
         self.inflight -= 1
         now = self.clock.now_us
+        if ticket.recorded:
+            self._m_latency[ticket.kind].record(ticket.latency_us)
+            self._m_queue_wait.record(ticket.wait_us)
         telemetry = self.telemetry
-        if telemetry.enabled:
-            sampler = self._sampler
-            if sampler is None or sampler.hit():
-                self._m_latency[ticket.kind].record(ticket.latency_us)
-                self._m_queue_wait.record(ticket.wait_us)
+        if now >= telemetry.snapshot_due_us:
             telemetry.maybe_snapshot(now)
         trace = self.trace
         if trace.capacity:

@@ -32,20 +32,24 @@ class CommandTicket:
     Everything completion needs is captured at submission so
     ``Ssd._on_complete`` is self-contained: the priced latency (float, for
     the latency histograms), its integer service time, arrival and
-    completion instants, and the deferred ack-journal record.
+    completion instants, the deferred ack-journal record, and whether
+    the command was issued under a recording span (``recorded``: only
+    those commands land in the latency and queue-wait histograms, so
+    they hold the same commands as the trace).
     """
 
     __slots__ = ("kind", "lpn", "count", "latency_us", "service_us",
                  "arrival_us", "completion_us", "gc_events",
                  "copyback_pages", "op_kind", "op_record", "gate_kind",
-                 "gate_lpns")
+                 "gate_lpns", "recorded")
 
     def __init__(self, kind: str, lpn: int, count: int, latency_us: float,
                  service_us: int, arrival_us: int, completion_us: int,
                  gc_events: int = 0, copyback_pages: int = 0,
                  op_kind: Optional[str] = None, op_record: Any = None,
                  gate_kind: Optional[str] = None,
-                 gate_lpns: Optional[Tuple[int, ...]] = None) -> None:
+                 gate_lpns: Optional[Tuple[int, ...]] = None,
+                 recorded: bool = False) -> None:
         self.kind = kind
         self.lpn = lpn
         self.count = count
@@ -59,6 +63,7 @@ class CommandTicket:
         self.op_record = op_record
         self.gate_kind = gate_kind
         self.gate_lpns = gate_lpns
+        self.recorded = recorded
 
     @property
     def wait_us(self) -> int:

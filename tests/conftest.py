@@ -20,7 +20,8 @@ def small_ssd_config(page_size=4096, share_entries=250, trace=0):
     )
 
 
-def small_linkbench_stack(seed, db_pages_estimate=320, l2p_strategy=None):
+def small_linkbench_stack(seed, db_pages_estimate=320, l2p_strategy=None,
+                          telemetry=None):
     """(stack, unloaded driver): a 600-node LinkBench graph on an InnoDB
     SHARE stack (queue depth 4, 2 channels) whose 64-page pool holds
     about a fifth of the database, so it misses, evicts and flushes.
@@ -32,7 +33,8 @@ def small_linkbench_stack(seed, db_pages_estimate=320, l2p_strategy=None):
     stack = build_innodb_stack(FlushMode.SHARE, 4096, buffer_pool_pages=64,
                                db_pages_estimate=db_pages_estimate,
                                queue_depth=4, channel_count=2,
-                               l2p_strategy=l2p_strategy)
+                               l2p_strategy=l2p_strategy,
+                               telemetry=telemetry)
     driver = LinkBenchDriver(stack.engine, stack.clock,
                              LinkBenchConfig(node_count=600, seed=seed))
     return stack, driver

@@ -13,8 +13,9 @@ budget; not one call lands in ``repro/obs`` (telemetry off must mean
 fault plan, the clock or the trace rings is evaluated (those are plain
 attributes, resolved once).  The same mix then prices each telemetry
 tier: ``Telemetry(mode="off")`` costs exactly the passive count, and
-``sampled`` / ``full`` stay under committed ceilings — the cost of
-looking as a count, not a wall-clock reading.
+``sampled`` / ``full`` stay within committed multiples of it (1.10 x and
+1.55 x) and under absolute ceilings — the cost of looking as a count,
+not a wall-clock reading.
 
 The SHARE cell prices one remapped pair of a couch-style commit through
 the host ioctl (a count per pair, and again nothing in ``repro/obs``).
@@ -61,25 +62,25 @@ from conftest import small_linkbench_stack
 CALLS_PER_COMMAND_BUDGET = 44.0
 
 #: Calls per command the same mix may cost with live telemetry (default
-#: sink, no snapshots).  Measured on CPython 3.11 when committed, against
-#: 41.89 passive: sampled 51.84 (+23.8 %; 6.3 of them in functions
-#: defined under ``repro/obs``), full 67.62 (+61.4 %; 14.5 under
-#: ``repro/obs``) — 60.03 and 99.06 on the commit before, when every
-#: counter and gauge was pushed per command (4.5 ``inc`` and 1.25 ``set``
-#: per command in ``sampled``, plus the per-channel utilisation sweep and
-#: by-name lookups in ``full``); now none is, in any tier.  The ceilings
-#: are the measured values + ~5 %.
+#: sink, no snapshots), as a ratio of the passive count and as an
+#: absolute ceiling.  Measured on CPython 3.11 when committed, against
+#: 41.89 passive: sampled 45.62 (1.089 x; 3.2 of them in functions
+#: defined under ``repro/obs``), full 63.43 (1.514 x; 12.4 under
+#: ``repro/obs``) — 51.84 and 67.62 on the commit before, when a second
+#: 1-in-N countdown gated the histograms beside the tracer's root
+#: decision, a passive fault plan still opened its operation scope on
+#: the traced path, and every completion called ``maybe_snapshot``;
+#: 60.03 and 99.06 before that, when every counter and gauge was pushed
+#: per command.  The absolute ceilings are the measured values + ~5 %.
 #:
-#: What is left of ``sampled``'s 9.95 extra calls is the span half:
-#: a suppressed root span still entered and exited (``span`` +
-#: ``__enter__`` + the C-level exit, ~3), ``tracer.current`` + ``set``
-#: (2.0), the ``faults.operation`` scope the non-passive command path
-#: opens (~2.1), the sampler gate (1.08), ``maybe_snapshot`` (0.99) and
-#: 0.15 histogram ``record``.  That — not a counter — is what stands
-#: between this and ROADMAP item 1's ``sampled <= 1.10 x passive``
-#: (46.1): the root span not entered when the gate says no, and the
-#: snapshot tick moved off the per-command path.
-TIER_CALLS_PER_COMMAND_CEILING = {"sampled": 54.5, "full": 71.0}
+#: What ``sampled`` pays per command now: the root decision itself —
+#: ``span`` on every root, and the sampled-out root marker's
+#: ``__enter__`` / ``__exit__`` (~3 calls) — plus, for the 1-in-N
+#: commands it keeps, the span, its attributes and two histogram
+#: ``record`` calls.  Everything else tests ``Tracer.recording``, a plain
+#: attribute, and the snapshot tick is a compare against a due time.
+TIER_CALLS_PER_COMMAND_RATIO = {"sampled": 1.10, "full": 1.55}
+TIER_CALLS_PER_COMMAND_CEILING = {"sampled": 47.9, "full": 66.6}
 
 COMMANDS = 4000
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -195,9 +196,11 @@ def test_each_telemetry_tier_costs_a_counted_number_of_calls():
         stats = profile_commands(Telemetry(mode=mode))
         per_command = calls_per_command(stats)
         assert calls_into_obs(stats), f"{mode} telemetry recorded nothing"
-        assert passive < per_command <= ceiling, (
+        ratio = TIER_CALLS_PER_COMMAND_RATIO[mode]
+        assert passive < per_command <= min(ceiling, ratio * passive), (
             f"{mode}: {per_command:.2f} calls per command "
-            f"(passive {passive:.2f}), ceiling {ceiling}")
+            f"({per_command / passive:.3f} x passive {passive:.2f}), "
+            f"ceiling {ceiling} or {ratio} x passive")
 
 
 # ------------------------------------------------------------- SHARE cell
@@ -282,7 +285,7 @@ ENGINE_LAYERS = tuple(os.path.join(SRC_ROOT, package) + os.sep
 #: Where the probe / miss / commit path lives.  The flush pipeline
 #: (``_flush_batch`` -> doublewrite -> share ioctl -> fs journal) runs
 #: once per 64-page batch, not per transaction, and still opens spans on
-#: the null tracer and calls ``NO_FAULTS.checkpoint`` (its counters are
+#: the off tracer and calls ``NO_FAULTS.checkpoint`` (its counters are
 #: plain fields now); these must not.
 TRANSACTION_PATH = ("btree.py", "buffer_pool.py", "engine.py", "redo.py",
                     "file.py", "linkbench.py")

@@ -187,7 +187,7 @@ class TestNullTelemetryDefault:
         assert ssd.telemetry is NULL_TELEMETRY
         ssd.write(0, "a")  # must not blow up, must not register metrics
         assert NULL_TELEMETRY.snapshot()["metrics"] == {}
-        assert not hasattr(NULL_TELEMETRY, "metrics")
+        assert NULL_TELEMETRY.metrics.snapshot() == {}
 
     def test_disabled_telemetry_same_virtual_time(self, clock):
         """Telemetry must never change simulated behaviour: identical

@@ -1,46 +1,20 @@
-"""Telemetry cost tiers (REPRO_OBS): the deterministic sampler, mode
-resolution, the off/sampled/full Telemetry wiring, root-span trace
-sampling, and the sampled device hot path."""
+"""Telemetry cost tiers (REPRO_OBS): mode resolution, the
+off/sampled/full Telemetry wiring, root-span trace sampling — the one
+sampling decision, read through ``Tracer.recording`` — and the sampled
+device and engine paths, whose histograms hold the traced commands."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.obs import (COUNTER, DEFAULT_SAMPLE_EVERY, MemorySink,
-                       NEVER_SAMPLER, NULL_TELEMETRY, OBS_MODES, Sampler,
-                       Telemetry, obs_mode, obs_sample_every)
+                       NULL_TELEMETRY, OBS_MODES, Telemetry, Tracer,
+                       obs_mode, obs_sample_every)
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd
 
-from conftest import small_ssd_config
-
-
-class TestSampler:
-    def test_first_event_always_hits(self):
-        assert Sampler(10).hit() is True
-
-    def test_one_in_n_deterministic(self):
-        sampler = Sampler(4)
-        hits = [sampler.hit() for __ in range(12)]
-        assert hits == [True, False, False, False] * 3
-
-    def test_every_one_always_hits(self):
-        sampler = Sampler(1)
-        assert all(sampler.hit() for __ in range(10))
-
-    def test_reset_rearms_first_hit(self):
-        sampler = Sampler(3)
-        sampler.hit()
-        sampler.hit()
-        sampler.reset()
-        assert sampler.hit() is True
-
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            Sampler(0)
-
-    def test_never_sampler(self):
-        assert NEVER_SAMPLER.every == 0
-        assert not any(NEVER_SAMPLER.hit() for __ in range(5))
-        NEVER_SAMPLER.reset()  # no-op
+from conftest import small_linkbench_stack, small_ssd_config
 
 
 class TestModeResolution:
@@ -96,14 +70,17 @@ class TestTelemetryModes:
     def test_full_mode_samples_everything(self):
         telemetry = Telemetry(mode="full")
         assert telemetry.enabled
-        assert telemetry.sampler.every == 1
-        assert all(telemetry.sampler.hit() for __ in range(5))
+        assert telemetry.sample_every == 1
+        tracer = telemetry.tracer
+        for __ in range(5):
+            with tracer.span("root"):
+                assert tracer.recording
 
     def test_off_mode_uses_null_registry(self):
         telemetry = Telemetry(mode="off")
         assert telemetry.enabled is False
         assert telemetry.tracer.enabled is False
-        assert telemetry.sampler is NEVER_SAMPLER
+        assert telemetry.tracer.recording is False
         # Nothing registers: a collector is dropped, a histogram handle
         # is None (its record site sits behind ``enabled``).
         owner = {"x": 1}
@@ -130,9 +107,36 @@ class TestTelemetryModes:
             Telemetry(mode="loud")
 
     def test_null_telemetry_carries_tier_attrs(self):
+        assert type(NULL_TELEMETRY) is Telemetry
         assert NULL_TELEMETRY.mode == "off"
-        assert NULL_TELEMETRY.sampler is NEVER_SAMPLER
         assert NULL_TELEMETRY.sample_every == 0
+
+
+class TestNullTelemetryStaysStateless:
+    """``NULL_TELEMETRY`` is one off ``Telemetry`` shared by every stack
+    built without one: it must hold nothing of any of them."""
+
+    def test_dropped_device_is_collectable(self):
+        ssd = Ssd(SimClock(), small_ssd_config())
+        assert ssd.telemetry is NULL_TELEMETRY
+        for lpn in range(20):
+            ssd.write(lpn, lpn)
+        ssd.share(30, 0)
+        ssd.read(30)
+        gone = weakref.ref(ssd)
+        del ssd
+        gc.collect()
+        assert gone() is None
+        assert NULL_TELEMETRY.metrics.snapshot() == {}
+
+    def test_stays_off_through_the_lifecycle(self):
+        for step in (NULL_TELEMETRY.pause, NULL_TELEMETRY.resume,
+                     NULL_TELEMETRY.reset_measurement):
+            step()
+            assert NULL_TELEMETRY.enabled is False
+            assert NULL_TELEMETRY.tracer.recording is False
+            assert not NULL_TELEMETRY.maybe_snapshot(10**12)
+        assert NULL_TELEMETRY.snapshot()["metrics"] == {}
 
 
 class TestRootSpanSampling:
@@ -158,6 +162,39 @@ class TestRootSpanSampling:
                 pass
         spans = {r["name"]: r for r in sink.spans()}
         assert spans["inner"]["parent_id"] == spans["keep"]["span_id"]
+
+    def test_invalid_period_rejected(self):
+        with pytest.raises(ValueError, match="sample_every"):
+            Telemetry(mode="sampled", sample_every=0)
+        with pytest.raises(ValueError, match="sample_every"):
+            Tracer(MemorySink(), sample_every=0)
+
+    def test_recording_flag_follows_the_root_decision(self):
+        telemetry = Telemetry(MemorySink(), mode="sampled", sample_every=2)
+        tracer = telemetry.tracer
+        seen = []
+        for __ in range(4):
+            assert tracer.recording     # between roots: ready to decide
+            with tracer.span("root"):
+                seen.append(tracer.recording)
+        assert seen == [True, False, True, False]
+        with tracer.span("root"):      # kept
+            telemetry.pause()
+            assert not tracer.recording
+            telemetry.resume()
+            assert tracer.recording
+        with tracer.span("root"):      # suppressed: resume cannot undo it
+            telemetry.pause()
+            telemetry.resume()
+            assert not tracer.recording
+        assert tracer.recording
+
+    def test_enabled_switch_sets_recording(self):
+        tracer = Telemetry(MemorySink(), mode="full").tracer
+        tracer.enabled = False
+        assert not tracer.recording
+        tracer.enabled = True
+        assert tracer.recording
 
     def test_full_mode_traces_every_root(self):
         sink = MemorySink()
@@ -201,3 +238,57 @@ class TestSampledDevicePath:
             ssd.write(i % ssd.logical_pages, i)
         assert ssd.stats.host_write_pages == 50
         assert telemetry.metrics.snapshot() == {}
+
+    def test_share_probe_records_the_traced_commands(self):
+        """One decision per root: at N=2 half of 40 SHARE commands are
+        traced, and exactly those leave a latency and a batch shape (two
+        gates draining one countdown gave 0 latencies and 40 shapes)."""
+        telemetry = Telemetry(MemorySink(), mode="sampled", sample_every=2)
+        ssd = Ssd(SimClock(), small_ssd_config(), telemetry=telemetry,
+                  name="dut")
+        telemetry.pause()
+        for lpn in range(40):
+            ssd.write(lpn, lpn)
+        telemetry.resume()
+        telemetry.reset_measurement()
+        for index in range(40):
+            ssd.share(100 + index, index)
+        snap = telemetry.metrics.snapshot()
+        assert snap["device.dut.share_commands"] == 40
+        assert snap["device.dut.latency_us.share"]["count"] == 20
+        assert snap["ftl.share.batch_pairs"]["count"] == 20
+        assert len(telemetry.sink.spans("device.share")) == 20
+
+
+class TestSampledEngineStack:
+    def test_trace_is_whole_trees_and_histograms_hold_its_commands(self):
+        """Sampled LinkBench on an InnoDB SHARE stack (16 clients, queue
+        depth 4): every emitted span's parent was emitted too, and each
+        kind's latency histogram, summed over both devices, counts
+        exactly the ``device.<kind>`` spans of the trace."""
+        sink = MemorySink()
+        telemetry = Telemetry(sink, mode="sampled", sample_every=4)
+        stack, driver = small_linkbench_stack(seed=25, telemetry=telemetry)
+        driver.load()
+        driver.run(600, concurrency=16)
+        stack.data_ssd.drain()
+        stack.log_ssd.drain()
+        spans = sink.spans()
+        ids = {span["span_id"] for span in spans}
+        assert not [span for span in spans
+                    if span["parent_id"] is not None
+                    and span["parent_id"] not in ids]
+        snap = telemetry.metrics.snapshot()
+        traced = 0
+        for kind in ("read", "write", "trim", "share", "flush"):
+            recorded = sum(
+                snap.get(f"device.{name}.latency_us.{kind}",
+                         {"count": 0})["count"]
+                for name in ("data", "log"))
+            emitted = len(sink.spans(f"device.{kind}"))
+            assert recorded == emitted, kind
+            traced += emitted
+        commands = sum(snap[f"device.{name}.{kind}_commands"]
+                       for name in ("data", "log")
+                       for kind in ("read", "write", "share", "flush"))
+        assert 0 < traced < commands

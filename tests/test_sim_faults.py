@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import PowerFailure
-from repro.sim.faults import FaultPlan, PowerFailAfter
+from repro.sim.clock import SimClock
+from repro.sim.faults import (NO_FAULTS, CommandTimeout, FaultPlan,
+                              PowerFailAfter, ProgramFault, ShardKill)
+from repro.ssd.device import Ssd
 
 
 def test_disarmed_plan_is_silent():
@@ -203,3 +206,55 @@ def test_clear_unacked():
     assert plan.unacked_op() is not None
     plan.clear_unacked()
     assert plan.unacked_op() is None
+
+
+# ------------------------------------------------- the shared passive plan
+
+#: Every way to arm a fault on, or start counting through, a plan — the
+#: plan's own entry points and those of the fault sets it carries.
+ARM_OR_COUNT = {
+    "arm": lambda plan: plan.arm(PowerFailAfter("nand.program")),
+    "enable_trace": lambda plan: plan.enable_trace(),
+    "arm_media": lambda plan: plan.arm_media(ProgramFault(nth=1)),
+    "media.arm": lambda plan: plan.media.arm(ProgramFault(nth=1)),
+    "media.enable_counting": lambda plan: plan.media.enable_counting(),
+    "arm_command": lambda plan: plan.arm_command(
+        CommandTimeout("write", nth=1)),
+    "commands.arm": lambda plan: plan.commands.arm(
+        CommandTimeout("write", nth=1)),
+    "commands.enable_counting": lambda plan: plan.commands.enable_counting(),
+    "arm_cluster": lambda plan: plan.arm_cluster(ShardKill(nth=1)),
+    "cluster.arm": lambda plan: plan.cluster.arm(ShardKill(nth=1)),
+    "cluster.enable_counting": lambda plan: plan.cluster.enable_counting(),
+}
+
+
+@pytest.fixture
+def scrub_no_faults():
+    """Put NO_FAULTS back if a path leaked state into it, so one failure
+    here does not poison every later test in the process."""
+    yield
+    NO_FAULTS.disarm()
+    for fault_set in (NO_FAULTS.media, NO_FAULTS.commands,
+                      NO_FAULTS.cluster):
+        fault_set.disarm()
+        fault_set._counting = False
+        fault_set.active = False
+
+
+@pytest.mark.parametrize("path", sorted(ARM_OR_COUNT))
+def test_no_faults_refuses_every_arm_and_counting_path(path,
+                                                       scrub_no_faults):
+    """NO_FAULTS is shared by every component built without a plan: a
+    fault armed on it would fire in an unrelated device (a command
+    timeout on the next fresh device's first write, a retired block)."""
+    with pytest.raises(RuntimeError, match="NO_FAULTS"):
+        ARM_OR_COUNT[path](NO_FAULTS)
+    assert not (NO_FAULTS.media.active or NO_FAULTS.commands.active
+                or NO_FAULTS.cluster.active)
+    ssd = Ssd(SimClock())
+    ssd.write(0, "a")
+    assert ssd.read(0) == "a"
+    assert ssd.nand.failed_programs == 0
+    # A plan of one's own still takes every path.
+    ARM_OR_COUNT[path](FaultPlan())
