@@ -20,7 +20,7 @@ from repro.cluster.replication import (REPL_SHARE, REPL_TRIM, REPL_WRITE,
                                        LogApplier, ReplicationLog,
                                        ReplRecord)
 from repro.cluster.router import ClusterStats, ShardRouter
-from repro.cluster.shard import GroupStats, PairStats, Replica, ShardGroup
+from repro.cluster.shard import PairStats, Replica, ShardGroup
 
 __all__ = [
     "HashRing",
@@ -34,7 +34,6 @@ __all__ = [
     "ShardGroup",
     "Replica",
     "PairStats",
-    "GroupStats",
     "FailoverController",
     "FailoverEvent",
     "MediaHealthMonitor",

@@ -36,24 +36,24 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _mix64(h: int) -> int:
-    """Finalizing avalanche (murmur3's fmix64).
+def _point_hash(data: bytes) -> int:
+    """FNV-1a (as :func:`fnv1a64`), then murmur3's fmix64 avalanche.
 
     Raw FNV-1a barely diffuses a short suffix — ``"shard3#0"`` through
-    ``"shard3#63"`` hash to *adjacent* points, so without this step each
-    node's vnodes collapse into one arc and the ring degenerates to a
-    single point per node (terrible balance, near-zero movement on
-    rebalance)."""
+    ``"shard3#63"`` hash to *adjacent* points, so without the finalizer
+    each node's vnodes collapse into one arc and the ring degenerates to
+    a single point per node (terrible balance, near-zero movement on
+    rebalance).  Inlined: this is the placement floor of every routed
+    KV op, and the one hashing path of vnodes, :meth:`HashRing.lookup`
+    and :meth:`HashRing.lookup_point`."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK
     h ^= h >> 33
     h = (h * 0xFF51AFD7ED558CCD) & _MASK
     h ^= h >> 33
     h = (h * 0xC4CEB9FE1A85EC53) & _MASK
-    h ^= h >> 33
-    return h
-
-
-def _point_hash(data: bytes) -> int:
-    return _mix64(fnv1a64(data))
+    return h ^ (h >> 33)
 
 
 class HashRing:
@@ -74,25 +74,22 @@ class HashRing:
                 point = _point_hash(f"{node}#{replica}".encode("utf-8"))
                 points.append((point, node))
         points.sort()
-        self._points = points
         self._hashes = [point for point, _ in points]
+        # One slot past the last point wraps to the first, so the
+        # bisect index needs no bounds check.
+        self._points = points + points[:1]
+        self._owners = [owner for _, owner in self._points]
 
     def lookup(self, key) -> str:
         """Owning node for ``key`` (first ring point clockwise)."""
-        h = _point_hash(repr(key).encode("utf-8"))
-        index = bisect_right(self._hashes, h)
-        if index == len(self._points):
-            index = 0
-        return self._points[index][1]
+        return self._owners[bisect_right(
+            self._hashes, _point_hash(repr(key).encode("utf-8")))]
 
     def lookup_point(self, key) -> Tuple[int, str]:
         """``(vnode_point, owner)`` for ``key`` — the migration cursor
         unit: all keys sharing a vnode point move as one batch."""
-        h = _point_hash(repr(key).encode("utf-8"))
-        index = bisect_right(self._hashes, h)
-        if index == len(self._points):
-            index = 0
-        return self._points[index]
+        return self._points[bisect_right(
+            self._hashes, _point_hash(repr(key).encode("utf-8")))]
 
     def rebalance(self, add: Sequence[str] = (),
                   remove: Sequence[str] = ()) -> "HashRing":

@@ -129,8 +129,7 @@ class Rebalancer:
             self.skipped += 1
             return False
         src = router.pairs[src_name]
-        value = router._shard_op(
-            src, lambda: src.get(key, allow_replica=False))
+        value = router._shard_op(src, src.get, key, allow_replica=False)
         if value is None:
             # Deleted on the source since the plan was computed.
             state.pending.pop(key, None)
@@ -140,19 +139,18 @@ class Rebalancer:
         record = None
         src_key = src._share_src.get(key)
         if src_key is not None and src_key in dst.directory:
-            src_val = router._shard_op(
-                dst, lambda: dst.get(src_key, allow_replica=False))
+            src_val = router._shard_op(dst, dst.get, src_key,
+                                       allow_replica=False)
             if repr(src_val) == repr(value):
-                record = router._shard_op(
-                    dst, lambda: dst.share(key, src_key))
+                record = router._shard_op(dst, dst.share, key, src_key)
                 self.shared += 1
                 router.stats.shared_migrations += 1
         if record is None:
-            record = router._shard_op(dst, lambda: dst.put(key, value))
+            record = router._shard_op(dst, dst.put, key, value)
         router._ack(dst, record)
         # The destination ack is durable: only now retire the old copy.
         state.pending.pop(key, None)
-        retired = router._shard_op(src, lambda: src.delete(key))
+        retired = router._shard_op(src, src.delete, key)
         if retired is not None:
             router._ack(src, retired)
         self.moved += 1

@@ -62,12 +62,8 @@ class ReplicationLog:
     def __init__(self) -> None:
         self._records: List[ReplRecord] = []
         self.epoch = 0
-        self.next_seq = 1
-
-    @property
-    def tip(self) -> int:
-        """Sequence number of the newest record (0 when empty)."""
-        return self.next_seq - 1
+        #: Sequence number of the newest record (0 when empty).
+        self.tip = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -77,10 +73,10 @@ class ReplicationLog:
         """Append a mutation under the current epoch and return it."""
         if kind not in _KINDS:
             raise ValueError(f"unknown replication kind: {kind!r}")
-        record = ReplRecord(self.epoch, self.next_seq, kind, key, lpn,
-                            value, src_lpn)
+        seq = self.tip + 1
+        record = ReplRecord(self.epoch, seq, kind, key, lpn, value, src_lpn)
         self._records.append(record)
-        self.next_seq += 1
+        self.tip = seq
         return record
 
     def append_record(self, record: ReplRecord) -> None:
@@ -93,12 +89,12 @@ class ReplicationLog:
             raise StaleEpochError(
                 f"record epoch {record.epoch} != log epoch {self.epoch} "
                 f"(seq {record.seq}): writer was demoted")
-        if record.seq != self.next_seq:
+        if record.seq != self.tip + 1:
             raise ClusterError(
                 f"non-contiguous append: seq {record.seq}, expected "
-                f"{self.next_seq}")
+                f"{self.tip + 1}")
         self._records.append(record)
-        self.next_seq += 1
+        self.tip = record.seq
 
     def bump_epoch(self) -> int:
         """Fence the old primary at promotion; returns the new epoch."""

@@ -196,30 +196,28 @@ class ShardRouter:
             if group is not None:
                 group.mark_replica_failed(event.old_primary)
 
-    def _ensure_primary(self, group: ShardGroup) -> None:
-        if group.primary_down or group.needs_promotion:
-            self.controller.promote(group)
-
-    def _shard_op(self, group: ShardGroup, fn):
-        """Run one group op with promote-and-retry on resilience failure.
+    def _shard_op(self, group: ShardGroup, op, *args, **kwargs):
+        """Run ``op(*args, **kwargs)``, a method of ``group``, with
+        promote-and-retry on resilience failure.
 
         The first failure may be the breaker tripping (or already open)
         for a dead primary: promote a replica and re-issue once on the
         new primary.  A second failure means the shard is genuinely
         unavailable."""
         self.stats.ops += 1
-        self._ensure_primary(group)
+        if group.primary_down or group.needs_promotion:
+            self.controller.promote(group)
         start_us = self._session.now_us if self._session is not None \
             else self.clock.now_us
         try:
-            result = fn()
+            result = op(*args, **kwargs)
         except ResilienceError as exc:
             if not (group.needs_promotion or group.primary_down):
                 raise ShardUnavailableError(
                     f"shard {group.name!r} failed without tripping its "
                     f"breaker: {exc}") from exc
             self.controller.promote(group)
-            result = fn()
+            result = op(*args, **kwargs)
         if self.telemetry.enabled:
             end_us = self._session.now_us if self._session is not None \
                 else self.clock.now_us
@@ -254,14 +252,12 @@ class ShardRouter:
 
     # ---------------------------------------------------- read routing
 
-    def _read_owner(self, key) -> ShardGroup:
-        """Owning group for a read, honoring mid-migration dual-read:
-        a pending key missing from the new owner is still served by its
-        old owner."""
-        group = self.pair_for(key)
-        state = self._migration
-        if state is not None and key not in group.directory:
-            src_name = state.pending.get(key)
+    def _read_owner(self, key, group: ShardGroup) -> ShardGroup:
+        """The group that serves a read of ``key`` whose ring owner is
+        ``group`` while a migration is active (dual-read): a pending key
+        missing from the new owner is still served by its old owner."""
+        if key not in group.directory:
+            src_name = self._migration.pending.get(key)
             if src_name is not None:
                 return self._group(src_name)
         return group
@@ -269,22 +265,23 @@ class ShardRouter:
     # ------------------------------------------------------- client API
 
     def put(self, key, value):
-        pair = self.pair_for(key)
-        record = self._shard_op(
-            pair, lambda: pair.put(key, value, session=self._session))
+        pair = self.pairs[self.ring.lookup(key)]
+        record = self._shard_op(pair, pair.put, key, value, self._session)
         self._ack(pair, record)
-        self._settle_migration(key)
+        if self._migration is not None:
+            self._settle_migration(key)
         return record
 
     def get(self, key):
-        pair = self._read_owner(key)
+        pair = self.pairs[self.ring.lookup(key)]
+        if self._migration is not None:
+            pair = self._read_owner(key, pair)
         session = self._session
         client = session.client if session is not None else None
         min_seq = self._client_seq.get((client, pair.name), 0)
         before_reads = pair.replica_reads
         before_falls = pair.replica_read_fallbacks
-        value = self._shard_op(
-            pair, lambda: pair.get(key, session=session, min_seq=min_seq))
+        value = self._shard_op(pair, pair.get, key, session, min_seq)
         if pair.replica_reads != before_reads:
             self.stats.replica_reads += 1
         if pair.replica_read_fallbacks != before_falls:
@@ -299,37 +296,40 @@ class ShardRouter:
         Different shards (or a source still mid-migration): the remap
         cannot cross devices, so degrade to read-on-source +
         put-on-destination (counted, so reports show how often the hash
-        layout defeats the mapping-only copy)."""
-        src_pair = self._read_owner(src_key)
-        dst_pair = self.pair_for(dst_key)
-        if src_pair is dst_pair:
-            record = self._shard_op(
-                dst_pair,
-                lambda: dst_pair.share(dst_key, src_key,
-                                       session=self._session))
-            self._ack(dst_pair, record)
-            self._settle_migration(dst_key)
-            return record
+        layout defeats the mapping-only copy).  An absent source raises
+        :class:`ClusterError` either way, before anything is written."""
+        src_pair = self.pairs[self.ring.lookup(src_key)]
+        if self._migration is not None:
+            src_pair = self._read_owner(src_key, src_pair)
+        dst_pair = self.pairs[self.ring.lookup(dst_key)]
         session = self._session
-        client = session.client if session is not None else None
-        min_seq = self._client_seq.get((client, src_pair.name), 0)
-        value = self._shard_op(
-            src_pair, lambda: src_pair.get(src_key, session=session,
-                                           min_seq=min_seq))
-        self.stats.cross_shard_copies += 1
-        record = self._shard_op(
-            dst_pair, lambda: dst_pair.put(dst_key, value,
-                                           session=self._session))
+        if src_pair is dst_pair:
+            record = self._shard_op(dst_pair, dst_pair.share, dst_key,
+                                    src_key, session)
+        else:
+            if src_key not in src_pair.directory:
+                raise ClusterError(
+                    f"share source {src_key!r} not present on shard "
+                    f"{src_pair.name!r}")
+            client = session.client if session is not None else None
+            min_seq = self._client_seq.get((client, src_pair.name), 0)
+            value = self._shard_op(src_pair, src_pair.get, src_key, session,
+                                   min_seq)
+            self.stats.cross_shard_copies += 1
+            record = self._shard_op(dst_pair, dst_pair.put, dst_key, value,
+                                    session)
         self._ack(dst_pair, record)
-        self._settle_migration(dst_key)
+        if self._migration is not None:
+            self._settle_migration(dst_key)
         return record
 
     def delete(self, key):
-        pair = self.pair_for(key)
-        record = self._shard_op(
-            pair, lambda: pair.delete(key, session=self._session))
+        pair = self.pairs[self.ring.lookup(key)]
+        record = self._shard_op(pair, pair.delete, key, self._session)
         if record is not None:
             self._ack(pair, record)
+        if self._migration is None:
+            return record
         settled = self._settle_migration(key)
         return record if record is not None else settled
 
@@ -380,16 +380,14 @@ class ShardRouter:
 
     def _settle_migration(self, key):
         """A client write/delete to a pending key supersedes the old
-        copy: retire it from the old owner and unpend the key."""
+        copy: retire it from the old owner and unpend the key.  Callers
+        test for an active migration first."""
         state = self._migration
-        if state is None:
-            return None
         src_name = state.pending.pop(key, None)
         if src_name is None:
             return None
         src = self._group(src_name)
-        record = self._shard_op(
-            src, lambda: src.delete(key, session=self._session))
+        record = self._shard_op(src, src.delete, key, self._session)
         if record is not None:
             self._ack(src, record)
         if not state.pending:
@@ -474,18 +472,21 @@ class ShardRouter:
                 start = (start + 1) % count
             self._pump_cursor = start
         enabled = self.telemetry.enabled
-        for group in pairs:
-            lag = group.repl_lag
-            if enabled:
-                self._m_replica_lag.record(lag)
-            if lag == 0 and self._pending_convergence:
-                started = self._pending_convergence.pop(group.name, None)
-                if started is not None:
-                    duration = max(0, self.clock.now_us - started)
-                    self.stats.convergences += 1
-                    self.stats.convergence_us += duration
-                    if enabled:
-                        self._m_convergence.record(duration)
+        # Lag is only read for the histogram or to close a convergence.
+        if enabled or self._pending_convergence:
+            for group in pairs:
+                lag = group.repl_lag
+                if enabled:
+                    self._m_replica_lag.record(lag)
+                if lag == 0 and self._pending_convergence:
+                    started = self._pending_convergence.pop(group.name,
+                                                            None)
+                    if started is not None:
+                        duration = max(0, self.clock.now_us - started)
+                        self.stats.convergences += 1
+                        self.stats.convergence_us += duration
+                        if enabled:
+                            self._m_convergence.record(duration)
         self.stats.repl_applied += applied
         return applied
 

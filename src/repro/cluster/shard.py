@@ -41,7 +41,7 @@ from repro.errors import (ClusterError, DeviceError, MediaError,
 from repro.host.resilience import CircuitBreaker, RetryPolicy, ShareGuard
 from repro.ssd.ncq import DeviceSession
 
-__all__ = ["ShardGroup", "Replica", "PairStats", "GroupStats"]
+__all__ = ["ShardGroup", "Replica", "PairStats"]
 
 #: Session id reserved for the first replica's apply loop (never a
 #: client); further replicas count down from here.
@@ -86,10 +86,6 @@ class PairStats(NamedTuple):
     replica_drops: int = 0
     replicas: int = 0
     write_quorum: int = 1
-
-
-#: The stats tuple outgrew the pair; both names refer to the same shape.
-GroupStats = PairStats
 
 
 class ShardGroup:
@@ -382,7 +378,9 @@ class ShardGroup:
         rotation — the applier watermark stays truthful, so a later
         repair could resume exactly where it stopped."""
         log = self.log
-        tip = log.tip if upto is None else min(upto, log.tip)
+        tip = log.tip
+        if upto is not None and upto < tip:
+            tip = upto
         applied = 0
         ssd = rep.ssd
         session = rep.session
@@ -421,11 +419,16 @@ class ShardGroup:
         if need <= 0:
             return
         satisfied = 0
-        live = sorted(self.live_replicas(),
-                      key=lambda rep: -rep.applier.watermark)
-        for rep in live:
-            if satisfied >= need:
-                break
+        # Most-caught-up first, ties in replica order (a stable sort by
+        # descending watermark, taken one pick at a time: only the
+        # picked replica's watermark moves).
+        live = [rep for rep in self.replicas if not rep.failed]
+        while live and satisfied < need:
+            rep = live[0]
+            for other in live:
+                if other.applier.watermark > rep.applier.watermark:
+                    rep = other
+            live.remove(rep)
             if rep.applier.watermark < seq:
                 self.quorum_syncs += 1
                 self._apply_to(rep, upto=seq)

@@ -341,6 +341,7 @@ class ClusterLinkBenchDriver:
         self._id_chooser = ZipfianGenerator(
             config.node_count, theta=config.zipf_theta,
             rng=make_rng(config.seed + 1))
+        self._pick_id = self._id_chooser.next
         self._next_node_id = config.node_count
         self._updates = 0
         self._ops: List[str] = [name for name, __ in DEFAULT_MIX]
@@ -427,9 +428,6 @@ class ClusterLinkBenchDriver:
                                op_counts=op_counts)
 
     # ------------------------------------------------------------- op impl
-
-    def _pick_id(self) -> int:
-        return self._id_chooser.next()
 
     def _op_get_node(self, index: int) -> None:
         self.router.get(("node", self._pick_id()))

@@ -2,6 +2,8 @@
 API: deterministic placement, the ack contract, same-shard SHARE vs
 cross-shard copy degradation, deletes, and replication pumping."""
 
+import hashlib
+
 import pytest
 
 from repro.cluster import HashRing, ShardGroup, ShardRouter, fnv1a64
@@ -28,6 +30,36 @@ def make_cluster(clock, shards=3, **pair_kwargs):
 
 # --------------------------------------------------------------- HashRing
 
+#: Known answers recorded before ``HashRing.lookup`` was inlined:
+#: ``(key, owner shard on the 3-shard ring, its vnode point, owner shard
+#: after ``rebalance(add=["shard3"])``, its vnode point)``.
+PLACEMENT = (
+    (("node", 7), 1, 0xD37CD2C6F0031A6C, 1, 0xD37CD2C6F0031A6C),
+    (("link", 3, 1, 250), 2, 0x7952EC9D5E7F0E29, 2, 0x7952EC9D5E7F0E29),
+    (("count", 12, 2), 0, 0x9C5125DED0E3A409, 0, 0x9C5125DED0E3A409),
+    (("snap", 41), 0, 0xBFC14C36CE93A589, 3, 0xBF617388889E3BED),
+    ("k", 1, 0xDD2B924EAA8D077A, 3, 0xDA91A60430D4AE9A),
+    ("overflow", 0, 0xCDEC88795DCDF034, 0, 0xCDEC88795DCDF034),
+    (0, 2, 0xC66EC828081A85DB, 2, 0xC66EC828081A85DB),
+    (12345, 0, 0x2DBDFA5CF81BDA68, 3, 0x2CD4A910755F05F8),
+)
+
+#: SHA-256 over ``"<owner>:<point hex>;"`` of every key of
+#: :func:`placement_keys` on both rings, recorded with ``PLACEMENT``: a
+#: single key that moves changes it.
+PLACEMENT_DIGEST = \
+    "68f202db84fe7d7afce88b69bdaa9cbf7c4ad8adf68d40bdbf81dd2824e8326f"
+
+
+def placement_keys():
+    for n in range(300):
+        yield ("node", n)
+        yield ("link", n, n % 3, (n * 7919) % 1000)
+        yield ("count", n, n % 3)
+        yield ("snap", n)
+        yield f"key{n}"
+        yield n
+
 
 class TestHashRing:
     def test_fnv1a64_is_stable(self):
@@ -35,6 +67,27 @@ class TestHashRing:
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == fnv1a64(b"a")
         assert fnv1a64(b"a") != fnv1a64(b"b")
+
+    def test_placement_matches_the_known_answers(self):
+        ring = HashRing(["shard0", "shard1", "shard2"])
+        grown = ring.rebalance(add=["shard3"])
+        for key, owner, point, grown_owner, grown_point in PLACEMENT:
+            assert ring.lookup_point(key) == (point, f"shard{owner}"), key
+            assert ring.lookup(key) == f"shard{owner}", key
+            assert grown.lookup_point(key) \
+                == (grown_point, f"shard{grown_owner}"), key
+            assert grown.lookup(key) == f"shard{grown_owner}", key
+
+    def test_placement_digest_pins_every_key(self):
+        ring = HashRing(["shard0", "shard1", "shard2"])
+        grown = ring.rebalance(add=["shard3"])
+        digest = hashlib.sha256()
+        for key in placement_keys():
+            for each in (ring, grown):
+                point, owner = each.lookup_point(key)
+                assert each.lookup(key) == owner
+                digest.update(f"{owner}:{point:x};".encode())
+        assert digest.hexdigest() == PLACEMENT_DIGEST
 
     def test_lookup_is_deterministic_across_rings(self):
         nodes = ["shard0", "shard1", "shard2"]
@@ -126,6 +179,20 @@ class TestShardRouter:
                    is router.pair_for(src))
         with pytest.raises(ClusterError):
             router.share(dst, src)
+
+    def test_cross_shard_share_missing_source_raises(self, clock):
+        router, __ = make_cluster(clock)
+        src = ("node", 0)
+        src_pair = router.pair_for(src)
+        dst = next(("snap", n) for n in range(1000)
+                   if router.pair_for(("snap", n)) is not src_pair)
+        dst_pair = router.pair_for(dst)
+        tip = dst_pair.log.tip
+        with pytest.raises(ClusterError):
+            router.share(dst, src)
+        assert dst not in dst_pair.directory
+        assert dst_pair.log.tip == tip
+        assert router.stats.cross_shard_copies == 0
 
     def test_delete_then_get_none(self, clock):
         router, __ = make_cluster(clock)
