@@ -85,7 +85,7 @@ def test_cluster_failover(benchmark, scale):
         # Ack counting starts when the plan arms, so the kill lands a
         # quarter of the way into the degraded phase — between pumps,
         # leaving delta-log lag the promotion has to replay.
-        faults.arm_cluster(ShardKill(nth=max(8, phase_ops // 4)))
+        faults.cluster.arm(ShardKill(nth=max(8, phase_ops // 4)))
         degraded = driver.run(phase_ops, concurrency=CLIENTS)
 
         post = driver.run(phase_ops, concurrency=CLIENTS)

@@ -369,7 +369,7 @@ class ClusterChaosHarness:
             plans = sorted(self.device_plans)
             plan = self.device_plans[plans[rng.randrange(len(plans))]]
             kind = "write" if rng.random() < 0.6 else "read"
-            plan.arm_command(DeviceBusy(
+            plan.commands.arm(DeviceBusy(
                 kind, nth=plan.commands.op_counts[kind] + 1,
                 clears_after=rng.randrange(1, 3)))
             self.busy_faults += 1
@@ -393,7 +393,7 @@ class ClusterChaosHarness:
         # verifies the steady state, not an ever-degrading device.
         for plan in self.device_plans.values():
             plan.commands.disarm()
-            plan.disarm_media()
+            plan.media.disarm()
         router.ensure_healthy()
         router.finish_rebalance()
         while router.pump_replication():

@@ -270,7 +270,7 @@ MODE_STORM = "storm"
 
 def _ack_sites(family: str, mode: str):
     def sites(factory, modes) -> Tuple[List[Site], Dict]:
-        acked = counted_run(factory).cluster.acked_writes
+        acked = counted_run(factory).cluster.op_counts["ack"]
         return ([Site(family, mode, nth, "ack")
                  for nth in range(1, acked + 1)], {"acked_writes": acked})
     return sites

@@ -305,7 +305,7 @@ def counted_run(factory: Callable[[FaultPlan], object],
     faults = FaultPlan()
     harness = factory(faults)
     if armed is not None:
-        faults.arm_command(armed)
+        faults.commands.arm(armed)
     faults.enable_trace()
     faults.media.enable_counting()
     faults.commands.enable_counting()

@@ -121,7 +121,7 @@ class FtlBasicHarness:
     """Raw device commands: writes, shares, trims, atomic writes, flushes.
 
     This is the layer where the ack-boundary journal is authoritative:
-    the oracle is keyed off :meth:`FaultPlan.unacked_op`, exactly like
+    the oracle is keyed off :meth:`FaultPlan.unacked_ops`, exactly like
     the strict property test."""
 
     name = "ftl-basic"
@@ -222,16 +222,16 @@ class FtlBasicHarness:
     def check_engine(self) -> List[str]:
         violations: List[str] = []
         ftl = self.ssd.ftl
-        unacked = self.faults.unacked_op()
-        if self.crashed and unacked is None:
+        unacked = self.faults.unacked_ops()
+        if self.crashed and not unacked:
             violations.append(
                 "ftl: crash escaped run() without an operation record — "
                 "a checkpoint fired outside every ack scope")
-        if not self.crashed and not self.aborted and unacked is not None:
+        if not self.crashed and not self.aborted and unacked:
             violations.append(
-                f"ftl: no crash, yet an operation is recorded unacked: "
+                f"ftl: no crash, yet operations are recorded unacked: "
                 f"{unacked!r}")
-        ambiguous = set(unacked.lpns) if unacked is not None else set()
+        ambiguous = {lpn for op in unacked for lpn in op.lpns}
         for lpn, expected in sorted(self.durable.items()):
             if lpn not in ambiguous:
                 # The strict contract: acknowledged writes MUST survive.
@@ -281,8 +281,8 @@ class FtlBasicHarness:
         raise a typed :class:`MediaError` — never wrong data."""
         violations: List[str] = []
         ftl = self.ssd.ftl
-        unacked = self.faults.unacked_op()
-        ambiguous = set(unacked.lpns) if unacked is not None else set()
+        ambiguous = {lpn for op in self.faults.unacked_ops()
+                     for lpn in op.lpns}
         for lpn, expected in sorted(self.durable.items()):
             if lpn in ambiguous:
                 continue

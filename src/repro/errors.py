@@ -57,7 +57,6 @@ __all__ = [
     "IoctlError",
     "EngineError",
     "TornPageError",
-    "RecoveryError",
     "ClusterError",
     "StaleEpochError",
     "ShardUnavailableError",
@@ -242,10 +241,6 @@ class EngineError(ReproError):
 class TornPageError(EngineError):
     """Raised when a page checksum mismatch (torn write) is detected and no
     recovery copy exists."""
-
-
-class RecoveryError(EngineError):
-    """Raised when crash recovery cannot restore a consistent state."""
 
 
 class ClusterError(ReproError):

@@ -1,4 +1,4 @@
-"""Power-failure and media-fault injection.
+"""Power-failure, media, command and cluster fault injection.
 
 The paper's atomicity argument (Section 4.2.2, Figure 4) is about what
 survives a power cut at each step of a SHARE operation or a page write.  To
@@ -9,43 +9,51 @@ away all volatile state, and restarts from the persisted media image.
 
 The plan also journals the **ack boundary** of durable operations: code
 wraps each host-visible command in :meth:`FaultPlan.operation`, and the
-plan remembers the single operation that was in flight when a power
-failure fired (:meth:`unacked_op`).  That record is what lets crash tests
+plan remembers the operations that were in flight when a power failure
+fired (:meth:`unacked_ops`).  That record is what lets crash tests
 assert the strict contract — *acknowledged* operations must survive, and
-only the one unacknowledged operation may be ambiguous — instead of
+only the unacknowledged operations may be ambiguous — instead of
 guessing which LPNs were in flight.  Leaving the ``with`` block cleanly
 first fires a ``<kind>.ack`` checkpoint (modelling power failing after
 the media work but before completion reaches the caller), then marks the
 operation acknowledged.
 
-Alongside the power fuses, the plan carries a :class:`MediaFaultSet`
-(:attr:`FaultPlan.media`) of armable **media faults**: uncorrectable or
-correctable-after-retry read errors (:class:`ReadFault`), program
-failures (:class:`ProgramFault`), erase failures (:class:`EraseFault`),
-retention/read-disturb decay keyed to erase counts (:class:`ReadDecay`),
-and silent bit corruption (:class:`CorruptRead`).  The NAND array
-consults the set on every read/program/erase; a disarmed set costs one
-attribute check per operation.  Unlike power fuses, media faults do not
-end the run — they are raised as typed :class:`MediaError` subclasses
-the FTL is expected to survive.
+Alongside the power fuses, the plan carries three :class:`FaultSet`
+instances, one per layer.  A set holds its armed faults, counts the
+operations its layer reports per kind (so sweeps can target the nth of
+each), and lets every matching fault act on the operation.  What a fault
+*does* — raise a typed error, corrupt a read, add latency, or hand
+itself to the shard router — lives on the fault's class.
 
-One layer up from the media, the plan also carries a
-:class:`CommandFaultSet` (:attr:`FaultPlan.commands`) of armable
-**command faults** at the host→device boundary: latency spikes
-(:class:`LatencySpike`), deadline-exceeded timeouts
-(:class:`CommandTimeout`), transient device-busy backpressure
-(:class:`DeviceBusy`), and a sticky SHARE-unsupported/hung outage
-(:class:`ShareOutage`).  The SSD facade consults the set at command
-submission and completion; faults are targetable by nth occurrence of
-a command kind or by LPN range, like media faults.  These model the
-failures a production host sees without the medium being at fault —
-the host resilience layer (:mod:`repro.host.resilience`) is what is
-expected to survive them.
+* :attr:`FaultPlan.media` holds armable **media faults**: uncorrectable
+  or correctable-after-retry read errors (:class:`ReadFault`), program
+  failures (:class:`ProgramFault`), erase failures (:class:`EraseFault`),
+  retention/read-disturb decay keyed to erase counts (:class:`ReadDecay`),
+  and silent bit corruption (:class:`CorruptRead`).  The NAND array
+  consults the set on every read/program/erase; a disarmed set costs one
+  attribute check per operation.  Unlike power fuses, media faults do not
+  end the run — they are raised as typed :class:`MediaError` subclasses
+  the FTL is expected to survive.
+* :attr:`FaultPlan.commands` holds armable **command faults** at the
+  host→device boundary: latency spikes (:class:`LatencySpike`),
+  deadline-exceeded timeouts (:class:`CommandTimeout`), transient
+  device-busy backpressure (:class:`DeviceBusy`), and a sticky
+  SHARE-unsupported/hung outage (:class:`ShareOutage`).  The SSD facade
+  consults the set at command submission and completion; faults are
+  targetable by nth occurrence of a command kind or by LPN range, like
+  media faults.  These model the failures a production host sees without
+  the medium being at fault — the host resilience layer
+  (:mod:`repro.host.resilience`) is what is expected to survive them.
+* :attr:`FaultPlan.cluster` holds armable **cluster faults**, which the
+  shard router consults once per acknowledged write (the ``"ack"``
+  count): sudden shard death (:class:`ShardKill`) and escalating media
+  storms on one shard (:class:`ShardMediaStorm`).
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from functools import partialmethod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -145,6 +153,96 @@ class _OpScope:
         return False
 
 
+class FaultSet:
+    """The armed faults of one layer of a :class:`FaultPlan`.
+
+    The layer reports each operation through :meth:`hit`, but only while
+    :attr:`active` is true.  ``active`` is a plain attribute recomputed
+    wherever the armed set changes (arm, disarm, a one-shot fault
+    consumed), so the disarmed common case costs one attribute load per
+    operation and no call.  The set counts operations per kind in
+    :attr:`op_counts` (from the moment counting is enabled by arming or
+    :meth:`enable_counting`) so sweeps can enumerate every operation of
+    a deterministic run and target each one in turn.
+
+    ``kinds`` are the operation kinds the layer reports; ``accepts`` is
+    the base class of the faults the set takes.  Every fault has a
+    ``kind``, a ``fired`` flag, ``matches(count, target, detail)`` and
+    ``act(faults, count, target, detail, result)``.
+    """
+
+    def __init__(self, kinds: Sequence[str], accepts: type) -> None:
+        self._accepts = accepts
+        self._faults: List = []
+        self._counting = False
+        self.active = False
+        self.op_counts: Dict[str, int] = dict.fromkeys(kinds, 0)
+
+    def _refresh(self) -> None:
+        self.active = bool(self._faults) or self._counting
+
+    def arm(self, fault) -> None:
+        if not isinstance(fault, self._accepts):
+            raise TypeError(f"not a {self._accepts.__name__}: {fault!r}")
+        self._faults.append(fault)
+        self.active = True
+
+    def disarm(self) -> None:
+        """Drop every armed fault (counting, once enabled, carries on)."""
+        self._faults = []
+        self._refresh()
+
+    def consume(self, fault) -> None:
+        """Drop one fault that has run its course: a one-shot that
+        fired, or a transient that cleared."""
+        self._faults.remove(fault)
+        self._refresh()
+
+    def enable_counting(self) -> None:
+        """Count operations even with no fault armed (enumeration runs)."""
+        self._counting = True
+        self.active = True
+
+    def armed(self) -> List:
+        return list(self._faults)
+
+    def fired_faults(self) -> List:
+        return [fault for fault in self._faults if fault.fired]
+
+    # ---------------------------------------------------------------- hook
+
+    def hit(self, kind: str, target, detail=None, tally: bool = True):
+        """Report one ``kind`` operation at ``target``.
+
+        Counts the operation (unless ``tally`` is false: a later phase
+        of an operation already counted), then lets every armed fault of
+        that kind which matches it act, in arming order.  A fault may
+        raise its layer's typed error; otherwise it folds its effect
+        into the result — ``True`` for a corrupted read, the extra
+        latency (µs) of a command, the fired cluster fault for the
+        router to perform — which is ``None`` when nothing acted."""
+        count = self.op_counts[kind]
+        if tally:
+            count += 1
+            self.op_counts[kind] = count
+        result = None
+        # Walk a snapshot: a fault may consume itself, and the faults
+        # armed after it must still see this operation.
+        for fault in tuple(self._faults):
+            if fault.kind == kind and fault.matches(count, target, detail):
+                fault.fired = True
+                result = fault.act(self, count, target, detail, result)
+        return result
+
+    #: The NAND array's chip hooks (``on_read(ppn, erase_count)``,
+    #: ``on_program(ppn)``, ``on_erase(block)``) and the shard router's
+    #: ``on_ack(shard)``.
+    on_read = partialmethod(hit, "read")
+    on_program = partialmethod(hit, "program")
+    on_erase = partialmethod(hit, "erase")
+    on_ack = partialmethod(hit, "ack")
+
+
 #: Sentinel wrapped around a page payload by :class:`CorruptRead`: the read
 #: "succeeds" at the chip level but returns garbage.  Checksummed layers
 #: (the mapping log, engine page checksums) are expected to detect it.
@@ -163,7 +261,7 @@ class MediaFault:
     location it landed on.
     """
 
-    op = "?"
+    kind = "?"
 
     def __init__(self, nth: Optional[int] = None,
                  location: Optional[int] = None) -> None:
@@ -176,7 +274,7 @@ class MediaFault:
         self.location = location   # bound ppn (read/program) or block (erase)
         self.fired = False         # has the fault triggered at least once?
 
-    def matches(self, count: int, location: int) -> bool:
+    def matches(self, count: int, location: int, erase_count=None) -> bool:
         """Does this fault trigger for op number ``count`` at ``location``?"""
         if self.location is not None:
             return location == self.location
@@ -201,7 +299,7 @@ class ReadFault(MediaFault):
     clears — exactly the shape firmware read-retry is built for.
     """
 
-    op = "read"
+    kind = "read"
 
     def __init__(self, nth: Optional[int] = None, ppn: Optional[int] = None,
                  retries_to_clear: Optional[int] = None) -> None:
@@ -212,6 +310,19 @@ class ReadFault(MediaFault):
         self.retries_to_clear = retries_to_clear
         self._failed_attempts = 0
 
+    def act(self, faults: FaultSet, count: int, ppn: int, erase_count,
+            corrupt):
+        if self.location is None:
+            self.location = ppn   # nth-fault binds to the page it hit
+        if self.retries_to_clear is not None:
+            if self._failed_attempts >= self.retries_to_clear:
+                faults.consume(self)   # cleared by retry
+                return corrupt
+            self._failed_attempts += 1
+        raise UncorrectableReadError(
+            f"injected uncorrectable read at PPN {ppn} "
+            f"(attempt {self._failed_attempts or 'n'})")
+
 
 class CorruptRead(MediaFault):
     """Silent bit corruption: the read *succeeds* but returns garbage.
@@ -221,11 +332,17 @@ class CorruptRead(MediaFault):
     the fault the mapping log's record checksums exist to catch.
     """
 
-    op = "read"
+    kind = "read"
 
     def __init__(self, nth: Optional[int] = None,
                  ppn: Optional[int] = None) -> None:
         super().__init__(nth, ppn)
+
+    def act(self, faults: FaultSet, count: int, ppn: int, erase_count,
+            corrupt) -> bool:
+        if self.location is None:
+            self.location = ppn   # nth-fault binds to the page it hit
+        return True
 
 
 class ProgramFault(MediaFault):
@@ -235,11 +352,15 @@ class ProgramFault(MediaFault):
     the block), but a re-program to a fresh page succeeds.
     """
 
-    op = "program"
+    kind = "program"
 
     def __init__(self, nth: Optional[int] = None,
                  ppn: Optional[int] = None) -> None:
         super().__init__(nth, ppn)
+
+    def act(self, faults: FaultSet, count: int, ppn: int, detail, result):
+        faults.consume(self)   # one-shot
+        raise ProgramFailError(f"injected program failure at PPN {ppn}")
 
 
 class EraseFault(MediaFault):
@@ -247,14 +368,19 @@ class EraseFault(MediaFault):
     erase of the block fails too, so tests can prove the FTL really
     retired it instead of retrying forever."""
 
-    op = "erase"
+    kind = "erase"
 
     def __init__(self, nth: Optional[int] = None,
                  block: Optional[int] = None) -> None:
         super().__init__(nth, block)
 
+    def act(self, faults: FaultSet, count: int, block: int, detail, result):
+        if self.location is None:
+            self.location = block   # sticky: the block stays bad
+        raise EraseFailError(f"injected erase failure at block {block}")
 
-class ReadDecay:
+
+class ReadDecay(MediaFault):
     """Retention / read-disturb decay keyed to wear.
 
     While armed, reading any page whose block has an erase count of at
@@ -263,7 +389,7 @@ class ReadDecay:
     worn blocks needing read-retry long before they die outright.
     """
 
-    op = "read"
+    kind = "read"
 
     def __init__(self, erase_threshold: int,
                  retries_to_clear: int = 1) -> None:
@@ -276,139 +402,24 @@ class ReadDecay:
         self._attempts: Dict[int, int] = {}
         self.fired = False
 
+    def matches(self, count: int, ppn: int, erase_count=None) -> bool:
+        return erase_count >= self.erase_threshold
+
+    def act(self, faults: FaultSet, count: int, ppn: int, erase_count,
+            corrupt):
+        attempts = self._attempts.get(ppn, 0)
+        if attempts < self.retries_to_clear:
+            self._attempts[ppn] = attempts + 1
+            raise UncorrectableReadError(
+                f"retention decay at PPN {ppn} "
+                f"(block erase count {erase_count} >= "
+                f"{self.erase_threshold}, attempt {attempts + 1})")
+        self._attempts[ppn] = 0
+        return corrupt
+
     def __repr__(self) -> str:
         return (f"ReadDecay(erase_threshold={self.erase_threshold}, "
                 f"retries_to_clear={self.retries_to_clear})")
-
-
-class MediaFaultSet:
-    """The armed media faults of one :class:`FaultPlan`.
-
-    The NAND array calls :meth:`on_read` / :meth:`on_program` /
-    :meth:`on_erase` only while :attr:`active` is true.  ``active`` is a
-    plain attribute recomputed wherever the armed set changes (arm,
-    disarm, a one-shot fault consumed), so the disarmed common case
-    costs one attribute load per chip operation and no call.  The
-    set counts operations per kind (from the moment counting is enabled
-    by arming or :meth:`enable_counting`) so sweeps can enumerate every
-    operation of a deterministic run and target each one in turn.
-    """
-
-    def __init__(self) -> None:
-        self._faults: List[MediaFault] = []
-        self._decay: Optional[ReadDecay] = None
-        self._counting = False
-        self.active = False
-        self.op_counts: Dict[str, int] = {"read": 0, "program": 0,
-                                          "erase": 0}
-
-    def _refresh(self) -> None:
-        self.active = (bool(self._faults) or self._decay is not None
-                       or self._counting)
-
-    def _consume(self, fault) -> None:
-        self._faults.remove(fault)
-        self._refresh()
-
-    def arm(self, fault) -> None:
-        """Arm a media fault (or a :class:`ReadDecay` model)."""
-        if isinstance(fault, ReadDecay):
-            if self._decay is not None:
-                raise ValueError("a ReadDecay model is already armed "
-                                 "(disarm first to replace it)")
-            self._decay = fault
-        elif not isinstance(fault, MediaFault):
-            raise TypeError(f"not a media fault: {fault!r}")
-        else:
-            self._faults.append(fault)
-        self._refresh()
-
-    def disarm(self) -> None:
-        """Drop every armed media fault and decay model."""
-        self._faults = []
-        self._decay = None
-        self._refresh()
-
-    def enable_counting(self) -> None:
-        """Count chip operations even with no fault armed (enumeration)."""
-        self._counting = True
-        self.active = True
-
-    def armed(self) -> List:
-        out: List = list(self._faults)
-        if self._decay is not None:
-            out.append(self._decay)
-        return out
-
-    def fired_faults(self) -> List:
-        return [fault for fault in self.armed() if fault.fired]
-
-    # ----------------------------------------------------------- chip hooks
-
-    def on_read(self, ppn: int, erase_count: int) -> bool:
-        """Called once per read attempt.  Raises
-        :class:`UncorrectableReadError` when the attempt fails; returns
-        True when the read must return a corrupted payload instead."""
-        count = self.op_counts["read"] + 1
-        self.op_counts["read"] = count
-        corrupt = False
-        for fault in self._faults:
-            if fault.op != "read" or not fault.matches(count, ppn):
-                continue
-            fault.fired = True
-            if fault.location is None:
-                fault.location = ppn   # nth-fault binds to the page it hit
-            if isinstance(fault, CorruptRead):
-                corrupt = True
-                continue
-            assert isinstance(fault, ReadFault)
-            if fault.retries_to_clear is not None:
-                if fault._failed_attempts >= fault.retries_to_clear:
-                    self._consume(fault)   # cleared by retry
-                    continue
-                fault._failed_attempts += 1
-            raise UncorrectableReadError(
-                f"injected uncorrectable read at PPN {ppn} "
-                f"(attempt {getattr(fault, '_failed_attempts', 0) or 'n'})")
-        decay = self._decay
-        if decay is not None and erase_count >= decay.erase_threshold:
-            attempts = decay._attempts.get(ppn, 0)
-            if attempts < decay.retries_to_clear:
-                decay._attempts[ppn] = attempts + 1
-                decay.fired = True
-                raise UncorrectableReadError(
-                    f"retention decay at PPN {ppn} "
-                    f"(block erase count {erase_count} >= "
-                    f"{decay.erase_threshold}, attempt {attempts + 1})")
-            decay._attempts[ppn] = 0
-        return corrupt
-
-    def on_program(self, ppn: int) -> None:
-        """Called once per program.  Raises :class:`ProgramFailError` when
-        an armed fault matches (one-shot)."""
-        count = self.op_counts["program"] + 1
-        self.op_counts["program"] = count
-        for fault in self._faults:
-            if fault.op != "program" or not fault.matches(count, ppn):
-                continue
-            fault.fired = True
-            self._consume(fault)   # one-shot
-            raise ProgramFailError(
-                f"injected program failure at PPN {ppn}")
-
-    def on_erase(self, block: int) -> None:
-        """Called once per erase.  Raises :class:`EraseFailError` when an
-        armed fault matches (sticky on the block once fired)."""
-        count = self.op_counts["erase"] + 1
-        self.op_counts["erase"] = count
-        for fault in self._faults:
-            if fault.op != "erase" or not fault.matches(count, block):
-                continue
-            fault.fired = True
-            if fault.location is None:
-                fault.location = block   # sticky: the block stays bad
-            raise EraseFailError(
-                f"injected erase failure at block {block}")
 
 
 #: Command kinds the device facade reports to the command-fault set.
@@ -450,7 +461,9 @@ class CommandFault:
     #: work happen and lose the completion on the way back to the host.
     phase = "submit"
 
-    def matches(self, count: int, lpns: Sequence[int]) -> bool:
+    def matches(self, count: int, lpns: Sequence[int], phase: str) -> bool:
+        if phase != self.phase:
+            return False
         if self.lpn_range is not None:
             start, end = self.lpn_range
             hit = any(start <= lpn < end for lpn in lpns)
@@ -479,6 +492,12 @@ class LatencySpike(CommandFault):
             raise ValueError(f"delay_us must be >= 1: {delay_us}")
         self.delay_us = delay_us
 
+    def act(self, faults: FaultSet, count: int, lpns, phase: str,
+            delay_us) -> int:
+        if not self.sticky:
+            faults.consume(self)
+        return (delay_us or 0) + self.delay_us
+
 
 class CommandTimeout(CommandFault):
     """The command exceeds its deadline and the host sees
@@ -500,6 +519,13 @@ class CommandTimeout(CommandFault):
     def phase(self) -> str:
         return "complete" if self.after_apply else "submit"
 
+    def act(self, faults: FaultSet, count: int, lpns, phase: str, result):
+        if not self.sticky:
+            faults.consume(self)
+        raise CommandTimeoutError(
+            f"injected {self.kind} timeout on command #{count} at "
+            f"{phase} ({'applied' if phase == 'complete' else 'not applied'})")
+
 
 class DeviceBusy(CommandFault):
     """Transient backpressure: the next ``clears_after`` matching
@@ -518,6 +544,15 @@ class DeviceBusy(CommandFault):
         self.clears_after = clears_after
         self._rejected = 0
 
+    def act(self, faults: FaultSet, count: int, lpns, phase: str, result):
+        if self._rejected >= self.clears_after:
+            faults.consume(self)   # backpressure drained
+            return result
+        self._rejected += 1
+        raise DeviceBusyError(
+            f"injected device-busy on {self.kind} command #{count} "
+            f"(rejection {self._rejected}/{self.clears_after})")
+
 
 class ShareOutage(CommandFault):
     """Sticky SHARE outage: from the nth SHARE command onward, every
@@ -533,116 +568,31 @@ class ShareOutage(CommandFault):
                              f"{error!r}")
         self.error = error
 
-
-class CommandFaultSet:
-    """The armed command faults of one :class:`FaultPlan`.
-
-    The SSD facade calls :meth:`on_command` at the submission and
-    completion of every host-visible command, but only while
-    :attr:`active` is true — a plain attribute recomputed wherever the
-    armed set changes, so the disarmed common case costs one attribute
-    load per command and no call.  Commands are counted per kind (from
-    arming or :meth:`enable_counting`) so sweeps can enumerate every
-    SHARE site of a deterministic run and target each one in turn.
-    """
-
-    def __init__(self) -> None:
-        self._faults: List[CommandFault] = []
-        self._counting = False
-        self.active = False
-        self.op_counts: Dict[str, int] = {kind: 0 for kind in COMMAND_KINDS}
-
-    def _refresh(self) -> None:
-        self.active = bool(self._faults) or self._counting
-
-    def _consume(self, fault) -> None:
-        self._faults.remove(fault)
-        self._refresh()
-
-    def arm(self, fault: CommandFault) -> None:
-        if not isinstance(fault, CommandFault):
-            raise TypeError(f"not a command fault: {fault!r}")
-        self._faults.append(fault)
-        self.active = True
-
-    def disarm(self) -> None:
-        self._faults = []
-        self._refresh()
-
-    def enable_counting(self) -> None:
-        """Count commands even with no fault armed (enumeration runs)."""
-        self._counting = True
-        self.active = True
-
-    def armed(self) -> List[CommandFault]:
-        return list(self._faults)
-
-    def fired_faults(self) -> List[CommandFault]:
-        return [fault for fault in self._faults if fault.fired]
-
-    # --------------------------------------------------------- device hook
-
-    def on_command(self, kind: str, lpns: Sequence[int],
-                   phase: str = "submit") -> int:
-        """Called by the device facade at each command phase.
-
-        Counts the command (submission phase only), raises the typed
-        error of the first matching error fault, and returns the total
-        extra latency (µs) of matching latency spikes."""
-        if phase == "submit":
-            count = self.op_counts[kind] + 1
-            self.op_counts[kind] = count
-        else:
-            count = self.op_counts[kind]
-        delay_us = 0
-        for fault in list(self._faults):
-            if fault.kind != kind or fault.phase != phase:
-                continue
-            if not fault.matches(count, lpns):
-                continue
-            fault.fired = True
-            if isinstance(fault, LatencySpike):
-                delay_us += fault.delay_us
-                if not fault.sticky:
-                    self._consume(fault)
-                continue
-            if isinstance(fault, DeviceBusy):
-                if fault._rejected >= fault.clears_after:
-                    self._consume(fault)   # backpressure drained
-                    continue
-                fault._rejected += 1
-                raise DeviceBusyError(
-                    f"injected device-busy on {kind} command #{count} "
-                    f"(rejection {fault._rejected}/{fault.clears_after})")
-            if isinstance(fault, ShareOutage):
-                if fault.error == "timeout":
-                    raise CommandTimeoutError(
-                        f"injected SHARE hang on command #{count} "
-                        f"(sticky from #{fault.nth})")
-                raise CommandUnsupportedError(
-                    f"injected SHARE outage on command #{count} "
-                    f"(sticky from #{fault.nth})")
-            assert isinstance(fault, CommandTimeout)
-            if not fault.sticky:
-                self._consume(fault)
+    def act(self, faults: FaultSet, count: int, lpns, phase: str, result):
+        if self.error == "timeout":
             raise CommandTimeoutError(
-                f"injected {kind} timeout on command #{count} at "
-                f"{phase} ({'applied' if phase == 'complete' else 'not applied'})")
-        return delay_us
+                f"injected SHARE hang on command #{count} "
+                f"(sticky from #{self.nth})")
+        raise CommandUnsupportedError(
+            f"injected SHARE outage on command #{count} "
+            f"(sticky from #{self.nth})")
 
 
-class ShardKill:
-    """Kill one shard's primary device after the nth acknowledged
-    cluster write.
+class ClusterFault:
+    """Base class for the shard router's faults: one-shot, fired after
+    the nth acknowledged cluster write.
 
     ``nth`` is 1-based and counts acknowledged writes across the whole
-    cluster — the shard router consults the fault set once per ack, so
-    arming ``ShardKill(nth=i)`` for every ``i`` sweeps a single-device
-    kill across every ack boundary of a run.  ``shard`` pins a victim by
-    name; by default the shard that acknowledged the nth write is killed
-    (the interesting case — it holds the just-acked data).  One-shot:
-    the fault fires at most once and records its victim.
+    cluster — the shard router reports every ack to the cluster fault
+    set, so arming a fault at every ``nth`` sweeps it across every ack
+    boundary of a run.  ``shard`` pins a victim by name; by default the
+    shard that acknowledged the nth write is the victim (the interesting
+    case — it holds the just-acked data).  The fired fault records its
+    victim and hands itself to the router, which performs it so the run
+    continues through failover rather than aborting.
     """
+
+    kind = "ack"
 
     def __init__(self, nth: int = 1, shard: Optional[str] = None) -> None:
         if nth < 1:
@@ -652,11 +602,25 @@ class ShardKill:
         self.fired = False
         self.victim: Optional[str] = None
 
+    def matches(self, count: int, shard: str, detail=None) -> bool:
+        return not self.fired and count == self.nth
+
+    def act(self, faults: FaultSet, count: int, shard: str, detail,
+            fired: Optional["ClusterFault"]) -> "ClusterFault":
+        self.victim = self.shard or shard
+        # One fault per ack: the router performs the first that fired.
+        return self if fired is None else fired
+
+
+class ShardKill(ClusterFault):
+    """Kill one shard's primary device after the nth acknowledged
+    cluster write: the router power-cycles it and latches its breaker."""
+
     def __repr__(self) -> str:
         return f"ShardKill(nth={self.nth}, shard={self.shard!r})"
 
 
-class ShardMediaStorm:
+class ShardMediaStorm(ClusterFault):
     """Escalating NAND degradation on one shard's primary after the nth
     acknowledged cluster write.
 
@@ -667,104 +631,34 @@ class ShardMediaStorm:
     kind.  The device keeps serving — the FTL absorbs each failure by
     retiring the block onto a spare — so no client sees an error; only
     the ``media.*`` counters move.  The cluster health monitor is what
-    must notice and trip a *proactive* failover.  One-shot; records its
-    victim like a kill.
+    must notice and trip a *proactive* failover.
     """
 
     def __init__(self, nth: int = 1, shard: Optional[str] = None,
                  program_fails: int = 3, erase_fails: int = 1) -> None:
-        if nth < 1:
-            raise ValueError(f"nth must be >= 1: {nth}")
+        super().__init__(nth, shard)
         if program_fails < 0 or erase_fails < 0:
             raise ValueError("fault counts must be >= 0")
         if program_fails + erase_fails < 1:
             raise ValueError("a storm needs at least one fault")
-        self.nth = nth
-        self.shard = shard
         self.program_fails = program_fails
         self.erase_fails = erase_fails
-        self.fired = False
-        self.victim: Optional[str] = None
 
     def inject(self, ssd) -> None:
         """Arm the storm's media faults on ``ssd``'s plan, targeting the
         chip operations immediately after the current counts."""
-        plan = ssd.faults
-        base = plan.media.op_counts["program"]
+        media = ssd.faults.media
+        base = media.op_counts["program"]
         for offset in range(self.program_fails):
-            plan.arm_media(ProgramFault(nth=base + 1 + offset))
-        base = plan.media.op_counts["erase"]
+            media.arm(ProgramFault(nth=base + 1 + offset))
+        base = media.op_counts["erase"]
         for offset in range(self.erase_fails):
-            plan.arm_media(EraseFault(nth=base + 1 + offset))
+            media.arm(EraseFault(nth=base + 1 + offset))
 
     def __repr__(self) -> str:
         return (f"ShardMediaStorm(nth={self.nth}, shard={self.shard!r}, "
                 f"program_fails={self.program_fails}, "
                 f"erase_fails={self.erase_fails})")
-
-
-#: Faults the cluster set accepts: sudden shard death or media storms.
-CLUSTER_FAULT_TYPES = (ShardKill, ShardMediaStorm)
-
-
-class ClusterFaultSet:
-    """The armed cluster-tier faults of one :class:`FaultPlan`.
-
-    The shard router calls :meth:`on_ack` after every acknowledged
-    write, but only while :attr:`active` (a plain attribute, kept by
-    arm/disarm) is true — the disarmed common case costs one attribute
-    load per ack.  Acks are counted (from
-    arming or :meth:`enable_counting`) so crashcheck sweeps can
-    enumerate every ack boundary of a deterministic run and target each
-    one in turn.
-    """
-
-    def __init__(self) -> None:
-        self._faults: List = []
-        self._counting = False
-        self.active = False
-        self.acked_writes = 0
-
-    def arm(self, fault) -> None:
-        if not isinstance(fault, CLUSTER_FAULT_TYPES):
-            raise TypeError(f"not a cluster fault: {fault!r}")
-        self._faults.append(fault)
-        self.active = True
-
-    def disarm(self) -> None:
-        self._faults = []
-        self.active = self._counting
-
-    def enable_counting(self) -> None:
-        """Count acks even with no fault armed (enumeration runs)."""
-        self._counting = True
-        self.active = True
-
-    def armed(self) -> List:
-        return list(self._faults)
-
-    def fired_faults(self) -> List:
-        return [fault for fault in self._faults if fault.fired]
-
-    # --------------------------------------------------------- router hook
-
-    def on_ack(self, shard: str):
-        """Count one acknowledged write on ``shard``.
-
-        Returns the fired fault — a :class:`ShardKill` to execute or a
-        :class:`ShardMediaStorm` to inject — when an armed fault's fuse
-        burns down, else ``None``.  The router performs the kill (power
-        cycle + breaker latch) or storm (NAND fault arming) so the run
-        continues through failover rather than aborting."""
-        count = self.acked_writes + 1
-        self.acked_writes = count
-        for fault in self._faults:
-            if fault.fired or count != fault.nth:
-                continue
-            fault.fired = True
-            fault.victim = fault.shard or shard
-            return fault
-        return None
 
 
 class FaultPlan:
@@ -809,13 +703,13 @@ class FaultPlan:
         self._nested_scopes: Dict[Tuple[str, bool], _OpScope] = {}
         # Armed media faults; the NAND array consults this on every chip
         # operation (one attribute check when nothing is armed).
-        self.media = MediaFaultSet()
+        self.media = FaultSet(("read", "program", "erase"), MediaFault)
         # Armed command faults; the SSD facade consults this on every
         # host-visible command (same one-attribute-check fast path).
-        self.commands = CommandFaultSet()
+        self.commands = FaultSet(COMMAND_KINDS, CommandFault)
         # Armed cluster faults; the shard router consults this once per
         # acknowledged write (same one-attribute-check fast path).
-        self.cluster = ClusterFaultSet()
+        self.cluster = FaultSet(("ack",), ClusterFault)
 
     def arm(self, fault: PowerFailAfter) -> None:
         """Arm a power failure at ``fault.point``.
@@ -841,30 +735,6 @@ class FaultPlan:
     def armed_count(self, point: str) -> int:
         """How many fuses are currently armed at ``point``."""
         return len(self._armed.get(point, ()))
-
-    def arm_media(self, fault) -> None:
-        """Arm a media fault (see :class:`MediaFaultSet`)."""
-        self.media.arm(fault)
-
-    def disarm_media(self) -> None:
-        """Drop every armed media fault."""
-        self.media.disarm()
-
-    def arm_command(self, fault: CommandFault) -> None:
-        """Arm a command fault (see :class:`CommandFaultSet`)."""
-        self.commands.arm(fault)
-
-    def disarm_commands(self) -> None:
-        """Drop every armed command fault."""
-        self.commands.disarm()
-
-    def arm_cluster(self, fault) -> None:
-        """Arm a cluster-tier fault (see :class:`ClusterFaultSet`)."""
-        self.cluster.arm(fault)
-
-    def disarm_cluster(self) -> None:
-        """Drop every armed cluster fault."""
-        self.cluster.disarm()
 
     def enable_trace(self) -> None:
         self._trace_enabled = True
@@ -933,17 +803,21 @@ class FaultPlan:
         self._current_op = record
         return _OpScope(self, kind, record, deferred)
 
+    def _pop_pending(self, kind: str, record: Optional[OpRecord]) -> None:
+        """Take a deferred operation off the pending-ack queue."""
+        for index, (pending_kind, pending_record) in enumerate(
+                self._pending_acks):
+            if pending_kind == kind and pending_record is record:
+                del self._pending_acks[index]
+                return
+
     def complete_operation(self, kind: str,
                            record: Optional[OpRecord]) -> None:
         """Deliver the completion of a deferred operation scope: fires
         the ``<kind>.ack`` checkpoint, then marks the record acked.
         Called by the device at the op's *completion* event, so acks are
         journalled in the order the device completes work."""
-        for index, (pending_kind, pending_record) in enumerate(
-                self._pending_acks):
-            if pending_kind == kind and pending_record is record:
-                del self._pending_acks[index]
-                break
+        self._pop_pending(kind, record)
         try:
             self.checkpoint(kind + ".ack")
         except PowerFailure:
@@ -958,11 +832,7 @@ class FaultPlan:
         """Drop a deferred operation whose completion will never fire
         (power cycle with commands in flight): the op was submitted but
         never acknowledged, so it is ambiguous."""
-        for index, (pending_kind, pending_record) in enumerate(
-                self._pending_acks):
-            if pending_kind == kind and pending_record is record:
-                del self._pending_acks[index]
-                break
+        self._pop_pending(kind, record)
         self._mark_unacked(record)
 
     def fail_operation(self, kind: str,
@@ -970,11 +840,7 @@ class FaultPlan:
         """A deferred operation's completion surfaced an ordinary error
         to the host: pop it and mark it failed (a failed operation
         promises nothing, so it is not ambiguous)."""
-        for index, (pending_kind, pending_record) in enumerate(
-                self._pending_acks):
-            if pending_kind == kind and pending_record is record:
-                del self._pending_acks[index]
-                break
+        self._pop_pending(kind, record)
         if record is not None:
             record.status = "failed"
 
@@ -991,12 +857,6 @@ class FaultPlan:
         out.extend(record for _, record in self._pending_acks
                    if record is not None and record not in out)
         return out
-
-    def unacked_op(self) -> Optional[OpRecord]:
-        """The first ambiguous operation, or None when every operation
-        either acked or failed (compat shim over :meth:`unacked_ops`)."""
-        ops = self.unacked_ops()
-        return ops[0] if ops else None
 
     def last_acked_op(self) -> Optional[OpRecord]:
         return self._last_acked
@@ -1036,8 +896,8 @@ class _PassiveFaultPlan(FaultPlan):
     Anything that wants injection, counting or the journal must construct
     its own :class:`FaultPlan`; arming this shared singleton would
     silently couple unrelated components, so every arm and counting
-    entry point refuses — the plan's own and those of its media, command
-    and cluster fault sets, which callers reach directly too."""
+    entry point refuses — the plan's own and those of its three fault
+    sets, which callers reach directly too."""
 
     passive = True
 

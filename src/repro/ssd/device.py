@@ -301,7 +301,8 @@ class Ssd:
         charged to the issuing session's cursor (or the clock, when
         synchronous); error faults raise typed :class:`DeviceError`
         subclasses the host resilience layer handles."""
-        delay_us = self.faults.commands.on_command(kind, lpns, phase)
+        delay_us = self.faults.commands.hit(kind, lpns, phase,
+                                            phase == "submit")
         if delay_us:
             self.stats.busy_us += delay_us
             if self._session is not None:

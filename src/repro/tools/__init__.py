@@ -1,7 +1,5 @@
 """Command-line utilities for exploring the simulated device.
 
-* ``python -m repro.tools.microbench`` — fio-style micro-benchmark
-  (sequential/random read/write/share patterns, IOPS/bandwidth/WAF).
 * ``python -m repro.tools.inspect`` — run a canned scenario and dump the
   device's internal state (mapping pressure, GC stats, wear histogram).
 * ``python -m repro.tools.report`` — render a telemetry JSONL artifact

@@ -170,7 +170,7 @@ class TestAtomicityUnderGcAndMediaFaults:
             for lpn in range(10):
                 ssd.write(lpn, ("old", lpn))
             # The third page of the batch fails its first program.
-            faults.arm_media(
+            faults.media.arm(
                 ProgramFault(nth=faults.media.op_counts["program"] + 3))
             return ssd, faults
 
@@ -181,7 +181,7 @@ class TestAtomicityUnderGcAndMediaFaults:
         retry_ppn = twin.ftl.fwd.lookup(batch[2][0])
 
         ssd, faults = device()
-        faults.arm_media(ProgramFault(ppn=retry_ppn))
+        faults.media.arm(ProgramFault(ppn=retry_ppn))
         with pytest.raises(ProgramFailError):
             ssd.write_atomic(batch)
         assert ssd.ftl.stats.program_fails == 2

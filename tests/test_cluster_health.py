@@ -87,7 +87,7 @@ class TestProactivePromotion:
 
     def test_storm_degradation_promotes_before_any_error(self, clock):
         plan = FaultPlan()
-        plan.arm_cluster(ShardMediaStorm(nth=4, program_fails=3,
+        plan.cluster.arm(ShardMediaStorm(nth=4, program_fails=3,
                                          erase_fails=1))
         router, groups = storm_router(clock, cluster_plan=plan)
         keys = self.prime(router)
@@ -124,12 +124,12 @@ class TestProactivePromotion:
         assert router.stats.proactive_promotions == 0
 
     def test_storm_dispatch_targets_round_robin_victims(self, clock):
-        """ClusterFaultSet hands the router the fired fault object; the
+        """The cluster fault set hands the router the fired fault object; the
         router must inject it on the fault's victim, not whoever acked."""
         plan = FaultPlan()
         storm = ShardMediaStorm(nth=2, shard="shard1", program_fails=1,
                                 erase_fails=0)
-        plan.arm_cluster(storm)
+        plan.cluster.arm(storm)
         router, groups = storm_router(clock, cluster_plan=plan)
         devices = {dev.name: dev
                    for group in groups
@@ -147,7 +147,7 @@ class TestProactivePromotion:
 
     def test_kill_fault_still_dispatches_to_kill_path(self, clock):
         plan = FaultPlan()
-        plan.arm_cluster(ShardKill(nth=3))
+        plan.cluster.arm(ShardKill(nth=3))
         router, groups = storm_router(clock, cluster_plan=plan)
         self.prime(router, keys=8)
         assert router.stats.kills == 1

@@ -129,7 +129,7 @@ class TestReplicaReads:
 class TestReplicaApplyErrors:
     def test_transient_busy_keeps_replica_in_rotation(self, clock):
         plan = FaultPlan()
-        plan.arm_command(DeviceBusy("write", nth=1, clears_after=1))
+        plan.commands.arm(DeviceBusy("write", nth=1, clears_after=1))
         group = make_group(clock, replicas=1, replica_plans={0: plan})
         group.put(("k", 0), "a")
         assert group.pump_replication() == 0       # busy rejected it
@@ -144,7 +144,7 @@ class TestReplicaApplyErrors:
         # retry limit 1 + back-to-back program failures: the replica's
         # write comes back as a host-visible MediaError.
         for nth in range(1, 4):
-            plan.arm_media(ProgramFault(nth=nth))
+            plan.media.arm(ProgramFault(nth=nth))
         group = make_group(clock, replicas=1, replica_plans={0: plan},
                            replica_retry_limit=1)
         group.put(("k", 0), "a")

@@ -148,7 +148,7 @@ def test_media_accounting_flags_bad_bookkeeping():
     for lpn in range(8):
         ssd.write(lpn, ("v", lpn))
     # Fail the next data program so a block is retired.
-    faults.arm_media(ProgramFault(nth=faults.media.op_counts["program"] + 1))
+    faults.media.arm(ProgramFault(nth=faults.media.op_counts["program"] + 1))
     ssd.write(4, "rewritten")
     ftl = ssd.ftl
     bad = sorted(ftl.grown_bad_blocks)

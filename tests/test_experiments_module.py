@@ -2,10 +2,14 @@
 results correctly, and the CLI end-to-end path works at TINY scale for
 the cheapest experiment."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench import experiments
-from repro.bench.harness import Scale
+from repro.bench.harness import SCALES, Scale
+from repro.innodb.engine import FlushMode
+from repro.workloads.ycsb import YcsbWorkload
 
 
 def synthetic_linkbench_cells(metric="throughput_tps"):
@@ -103,3 +107,28 @@ def test_db_pages_estimate_scales():
             > experiments._estimate_db_pages(10_000, 32))
     assert (experiments._estimate_db_pages(10_000, 16)
             > experiments._estimate_db_pages(10_000, 64))
+
+
+def test_share_beats_original_on_ycsb_f():
+    """Ported from the deleted ``tests/test_sweeps.py::test_ycsb_sweep_rows``:
+    on YCSB-F at batch size 1, SHARE commits out-run ORIGINAL, and only
+    SHARE remaps pages."""
+    cells = experiments._run_ycsb_sweep(YcsbWorkload.F, Scale.TINY,
+                                        batch_sizes=(1,))["cells"]
+    share, original = cells[(1, "share")], cells[(1, "original")]
+    assert share["throughput_ops"] > original["throughput_ops"]
+    assert share["share_pairs"] > 0
+    assert original["share_pairs"] == 0
+
+
+def test_share_beats_dwb_on_on_linkbench():
+    """Ported from the deleted
+    ``tests/test_sweeps.py::test_linkbench_sweep_rows``: at the 50 MB
+    paper buffer, SHARE writes fewer host pages than DWB-On and commits
+    more transactions per second."""
+    params = dataclasses.replace(SCALES[Scale.TINY], linkbench_nodes=1200,
+                                 linkbench_transactions=800)
+    dwb, share = (experiments.run_linkbench_cell(mode, 4096, 50, params)
+                  for mode in (FlushMode.DWB_ON, FlushMode.SHARE))
+    assert share["host_write_pages"] < dwb["host_write_pages"]
+    assert share["throughput_tps"] > dwb["throughput_tps"]

@@ -59,7 +59,7 @@ class TestNandMediaFaults:
         self.nand = NandArray(self.geo, faults=self.faults)
 
     def test_program_fail_consumes_slot_and_page_is_dead(self):
-        self.faults.arm_media(ProgramFault(nth=1))
+        self.faults.media.arm(ProgramFault(nth=1))
         with pytest.raises(ProgramFailError):
             self.nand.program(0, "doomed", spare=((0, 1),))
         # The slot is consumed: in-order rule continues at the next page.
@@ -77,7 +77,7 @@ class TestNandMediaFaults:
 
     def test_transient_read_fault_clears_after_retry(self):
         self.nand.program(0, "data", spare=((0, 1),))
-        self.faults.arm_media(ReadFault(ppn=0, retries_to_clear=1))
+        self.faults.media.arm(ReadFault(ppn=0, retries_to_clear=1))
         with pytest.raises(UncorrectableReadError):
             self.nand.read(0)
         assert self.nand.read(0) == "data"   # retry succeeds, fault cleared
@@ -86,7 +86,7 @@ class TestNandMediaFaults:
 
     def test_sticky_read_fault_is_a_dead_page(self):
         self.nand.program(0, "data", spare=((0, 1),))
-        self.faults.arm_media(ReadFault(ppn=0))
+        self.faults.media.arm(ReadFault(ppn=0))
         for __ in range(3):
             with pytest.raises(UncorrectableReadError):
                 self.nand.read(0)
@@ -97,7 +97,7 @@ class TestNandMediaFaults:
         self.nand.program(0, "a", spare=((0, 1),))
         self.nand.program(1, "b", spare=((1, 2),))
         fault = ReadFault(nth=2)
-        self.faults.arm_media(fault)
+        self.faults.media.arm(fault)
         assert self.nand.read(0) == "a"          # read #1: no fire
         with pytest.raises(UncorrectableReadError):
             self.nand.read(1)                    # read #2 fires and binds
@@ -108,13 +108,13 @@ class TestNandMediaFaults:
 
     def test_corrupt_read_returns_garbage_not_error(self):
         self.nand.program(0, "data", spare=((0, 1),))
-        self.faults.arm_media(CorruptRead(ppn=0))
+        self.faults.media.arm(CorruptRead(ppn=0))
         assert self.nand.read(0) == (CORRUPT_PAYLOAD, 0)
         assert self.nand.read(0) == (CORRUPT_PAYLOAD, 0)   # sticky
 
     def test_erase_fail_leaves_contents_untouched(self):
         self.nand.program(0, "data", spare=((0, 1),))
-        self.faults.arm_media(EraseFault(block=0))
+        self.faults.media.arm(EraseFault(block=0))
         with pytest.raises(EraseFailError):
             self.nand.erase(0)
         assert self.nand.read(0) == "data"
@@ -128,7 +128,7 @@ class TestNandMediaFaults:
             self.nand.erase(0)
         self.nand.program(0, "worn", spare=((0, 1),))
         self.nand.program(self.geo.first_ppn(1), "fresh", spare=((1, 2),))
-        self.faults.arm_media(ReadDecay(erase_threshold=3,
+        self.faults.media.arm(ReadDecay(erase_threshold=3,
                                         retries_to_clear=1))
         with pytest.raises(UncorrectableReadError):
             self.nand.read(0)                     # worn block: first try fails
@@ -143,6 +143,27 @@ class TestNandMediaFaults:
         self.nand.erase(1)
         assert self.faults.media.op_counts == {"read": 2, "program": 1,
                                                "erase": 1}
+
+    def test_cleared_read_fault_does_not_hide_the_next_fault(self):
+        # A transient read fault that clears on this read must not skip
+        # the fault armed after it: the set walks a snapshot.
+        for ppn in range(8):
+            self.nand.program(ppn, ("d", ppn), spare=((ppn, ppn + 1),))
+        self.faults.media.arm(ReadFault(ppn=7, retries_to_clear=1))
+        self.faults.media.arm(CorruptRead(ppn=7))
+        with pytest.raises(UncorrectableReadError):
+            self.nand.read(7)                     # read 1: the transient fails
+        assert self.nand.read(7) == (CORRUPT_PAYLOAD, 7)   # read 2: corrupt
+
+    def test_cleared_nth_read_fault_does_not_hide_the_next_fault(self):
+        self.nand.program(0, "data", spare=((0, 1),))
+        corrupt = CorruptRead(nth=2)
+        self.faults.media.arm(ReadFault(nth=1, retries_to_clear=1))
+        self.faults.media.arm(corrupt)
+        with pytest.raises(UncorrectableReadError):
+            self.nand.read(0)                     # read 1 binds and fails
+        assert self.nand.read(0) == (CORRUPT_PAYLOAD, 0)   # read 2 clears it
+        assert corrupt.fired
 
 
 class TestWearAccounting:
@@ -187,7 +208,7 @@ class TestFtlDegradation:
         ssd = make_ssd(faults)
         ssd.write(0, "payload")
         ppn = dict(ssd.ftl.fwd.mapped_lpns())[0]
-        faults.arm_media(ReadFault(ppn=ppn, retries_to_clear=1))
+        faults.media.arm(ReadFault(ppn=ppn, retries_to_clear=1))
         assert ssd.read(0) == "payload"
         assert ssd.ftl.stats.read_retries >= 1
         assert ssd.ftl.stats.read_relocations == 1
@@ -199,7 +220,7 @@ class TestFtlDegradation:
         ssd.write(0, "shared-payload")
         ssd.share(7, 0, 1)
         ppn = dict(ssd.ftl.fwd.mapped_lpns())[0]
-        faults.arm_media(ReadFault(ppn=ppn, retries_to_clear=1))
+        faults.media.arm(ReadFault(ppn=ppn, retries_to_clear=1))
         assert ssd.read(0) == "shared-payload"
         mapped = dict(ssd.ftl.fwd.mapped_lpns())
         assert mapped[0] == mapped[7] != ppn
@@ -213,7 +234,7 @@ class TestFtlDegradation:
         ssd = make_ssd(faults)
         ssd.write(3, "gone")
         ppn = dict(ssd.ftl.fwd.mapped_lpns())[3]
-        faults.arm_media(ReadFault(ppn=ppn))   # sticky dead page
+        faults.media.arm(ReadFault(ppn=ppn))   # sticky dead page
         with pytest.raises(UncorrectableReadError):
             ssd.read(3)
         assert ssd.ftl.stats.uncorrectable_reads >= 1
@@ -224,7 +245,7 @@ class TestFtlDegradation:
         for lpn in range(10):
             ssd.write(lpn, ("v", lpn))
         assert ssd.ftl.spare_pool_level == 1
-        faults.arm_media(
+        faults.media.arm(
             ProgramFault(nth=faults.media.op_counts["program"] + 1))
         ssd.write(5, "rewritten")
         assert len(ssd.ftl.grown_bad_blocks) == 1
@@ -243,7 +264,7 @@ class TestFtlDegradation:
         ssd = make_ssd(faults, spare_blocks=1)
         for lpn in range(10):
             ssd.write(lpn, ("v", lpn))
-        faults.arm_media(
+        faults.media.arm(
             ProgramFault(nth=faults.media.op_counts["program"] + 1))
         ssd.write(5, "rewritten")
         bad = ssd.ftl.grown_bad_blocks
@@ -263,7 +284,7 @@ class TestFtlDegradation:
         faults = FaultPlan()
         ssd = make_ssd(faults, spare_blocks=1,
                        gc_low_water=3, gc_high_water=5)
-        faults.arm_media(EraseFault(nth=1))   # the first GC erase fails
+        faults.media.arm(EraseFault(nth=1))   # the first GC erase fails
         span = 24
         for i in range(160):
             ssd.write(i % span, ("churn", i))
@@ -283,7 +304,7 @@ class TestFtlDegradation:
         map_pages = [geo.first_ppn(b) + off for b in map_blocks
                      for off in range(ssd.nand.programmed_pages_in_block(b))]
         assert map_pages, "workload must have written a map page"
-        faults.arm_media(CorruptRead(ppn=map_pages[0]))
+        faults.media.arm(CorruptRead(ppn=map_pages[0]))
         ssd.power_cycle()
         # The checksum catches the garbage instead of trusting it...
         assert ssd.ftl.stats.corrupt_map_pages >= 1
@@ -309,7 +330,7 @@ class TestOutOfSpaceUnderRetirement:
             # up with the typed error once GC can make no progress, well
             # within this bound (no infinite GC loop).
             for step in range(64):
-                faults.arm_media(
+                faults.media.arm(
                     ProgramFault(nth=faults.media.op_counts["program"] + 1))
                 ssd.write(step % span, ("more", step))
         # Acked data on the shrunken device still reads back correctly.

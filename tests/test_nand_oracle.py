@@ -272,7 +272,7 @@ def apply(nand, name, *args):
                    + nand.programmed_pages_in_block(block))
             name, args = "program", (ppn, data, ((data, ppn),))
         elif name in FAULTS:
-            nand.faults.arm_media(FAULTS[name](**args[0]))
+            nand.faults.media.arm(FAULTS[name](**args[0]))
             return "ok", None
         return "ok", getattr(nand, name)(*args)
     except Exception as exc:   # the type is what is compared

@@ -149,16 +149,16 @@ def test_crash_anywhere_recovers_consistently(ops, fault_point, nth):
     # The ack journal is authoritative about which operation (if any) is
     # ambiguous: every instrumented point fires inside an operation
     # scope, so a crash always names its victim.
-    unacked = faults.unacked_op()
+    unacked = faults.unacked_ops()
+    ambiguous = {lpn for op in unacked for lpn in op.lpns}
     if crashed:
-        assert unacked is not None, (
+        assert unacked, (
             f"crash at {fault_point} left no unacked operation record")
-        assert set(inflight) <= set(unacked.lpns), (
+        assert set(inflight) <= ambiguous, (
             f"in-flight effects {sorted(inflight)} outside the unacked "
-            f"op's LPNs {sorted(unacked.lpns)}")
+            f"ops' LPNs {sorted(ambiguous)}")
     else:
-        assert unacked is None
-    ambiguous = set(unacked.lpns) if unacked is not None else set()
+        assert not unacked
     for lpn, expected in durable.items():
         if lpn not in ambiguous:
             # STRICT durability: acknowledged operations must survive,

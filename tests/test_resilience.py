@@ -243,7 +243,7 @@ class TestShareGuard:
 
 def test_innodb_completes_on_share_outage():
     faults = FaultPlan()
-    faults.arm_command(ShareOutage(nth=1))
+    faults.commands.arm(ShareOutage(nth=1))
     clock = SimClock()
     data = Ssd(clock, small_ssd_config(), faults=faults)
     log = Ssd(clock, small_ssd_config(), faults=faults)
@@ -267,7 +267,7 @@ def test_innodb_completes_on_share_outage():
 
 def test_couch_commit_and_compaction_complete_on_share_outage(clock):
     faults = FaultPlan()
-    faults.arm_command(ShareOutage(nth=1, error="timeout"))
+    faults.commands.arm(ShareOutage(nth=1, error="timeout"))
     ssd = Ssd(clock, small_ssd_config(), faults=faults)
     fs = HostFs(ssd, FsConfig(journal_blocks=8))
     store = CouchStore(fs, "/db", CommitMode.SHARE,
@@ -313,7 +313,7 @@ def test_couch_compaction_falls_back_on_a_device_without_share(clock):
 
 def test_sqlite_completes_on_share_outage():
     faults = FaultPlan()
-    faults.arm_command(ShareOutage(nth=1))
+    faults.commands.arm(ShareOutage(nth=1))
     clock = SimClock()
     ssd = Ssd(clock, small_ssd_config(), faults=faults)
     fs = HostFs(ssd, FsConfig(journal_blocks=8))
@@ -334,7 +334,7 @@ def test_sqlite_crash_mid_fallback_recovers():
     """Power dies inside a degraded (rollback-journal) commit; reopening
     in SHARE mode must replay the journal like ROLLBACK mode would."""
     faults = FaultPlan()
-    faults.arm_command(ShareOutage(nth=1))
+    faults.commands.arm(ShareOutage(nth=1))
     clock = SimClock()
     ssd = Ssd(clock, small_ssd_config(), faults=faults)
     fs = HostFs(ssd, FsConfig(journal_blocks=8))
@@ -348,7 +348,7 @@ def test_sqlite_crash_mid_fallback_recovers():
         db.put(1, "doomed")
     ssd.power_cycle()
     faults.disarm()
-    faults.disarm_commands()
+    faults.commands.disarm()
     reopened = SqliteLikeDb.open(fs, "/app.db", JournalMode.SHARE,
                                  page_count=600)
     assert reopened.get(1) == "committed"
@@ -358,7 +358,7 @@ def test_sqlite_crash_mid_fallback_recovers():
 
 def test_datajournal_completes_on_share_outage(clock):
     faults = FaultPlan()
-    faults.arm_command(ShareOutage(nth=1))
+    faults.commands.arm(ShareOutage(nth=1))
     ssd = Ssd(clock, small_ssd_config(), faults=faults)
     fs = HostFs(ssd, FsConfig(journal_blocks=8))
     journal = DataJournalingFs(fs, CheckpointMode.SHARE, journal_blocks=16)
@@ -384,7 +384,7 @@ def test_transient_busy_heals_without_fallback(clock):
     """A busy burst under the retry budget must be absorbed: no
     fallback, SHARE still lands."""
     faults = FaultPlan()
-    faults.arm_command(DeviceBusy("share", nth=1, clears_after=2))
+    faults.commands.arm(DeviceBusy("share", nth=1, clears_after=2))
     ssd = Ssd(clock, small_ssd_config(), faults=faults)
     fs = HostFs(ssd, FsConfig(journal_blocks=8))
     db = SqliteLikeDb(fs, "/app.db", JournalMode.SHARE, page_count=600,

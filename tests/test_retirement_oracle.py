@@ -124,16 +124,16 @@ def run(monkeypatch, seed, fault, use_oracle):
                 lpn = next((lpn for lpn in recent if lpn in written and
                             geometry.block_of(ftl.fwd.lookup(lpn)) == block),
                            recent[-1])
-                faults.arm_media(ProgramFault(nth=counts["program"] + 1))
+                faults.media.arm(ProgramFault(nth=counts["program"] + 1))
                 ftl.write(lpn, ("v", lpn, index))
                 written.add(lpn)
             elif fault == "program":
-                faults.arm_media(ProgramFault(
+                faults.media.arm(ProgramFault(
                     nth=counts["program"] + rng.randrange(1, 30)))
             elif fault == "erase":
-                faults.arm_media(EraseFault(nth=counts["erase"] + 1))
+                faults.media.arm(EraseFault(nth=counts["erase"] + 1))
             else:   # a page dies for good; GC finds it and retires the block
-                faults.arm_media(ReadFault(
+                faults.media.arm(ReadFault(
                     nth=counts["read"] + rng.randrange(1, 30)))
         roll = rng.random()
         lpn = int(span * rng.random() ** 2)   # skewed: blocks age unevenly

@@ -229,7 +229,7 @@ class TestBatchedDrain:
         plan = FaultPlan()
         clock, ssd = queued_ssd(plan)
         ssd.write(0, "src")
-        plan.arm_command(CommandTimeout("share", nth=1, after_apply=True))
+        plan.commands.arm(CommandTimeout("share", nth=1, after_apply=True))
         session = DeviceSession(0, clock.now_us)
         with issuing(session, ssd):
             ssd.share(8, 0)             # mapping-only: completes first

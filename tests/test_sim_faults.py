@@ -120,7 +120,7 @@ def test_operation_acks_on_clean_exit():
     plan = FaultPlan()
     with plan.operation("dev.write", (7,)):
         plan.checkpoint("dev.step")
-    assert plan.unacked_op() is None
+    assert plan.unacked_ops() == []
     acked = plan.last_acked_op()
     assert acked is not None
     assert acked.kind == "dev.write"
@@ -134,8 +134,7 @@ def test_operation_records_unacked_on_power_failure():
     with pytest.raises(PowerFailure):
         with plan.operation("dev.write", (3, 4)):
             plan.checkpoint("dev.step")
-    unacked = plan.unacked_op()
-    assert unacked is not None
+    [unacked] = plan.unacked_ops()
     assert unacked.kind == "dev.write"
     assert unacked.lpns == (3, 4)
     assert unacked.status == "unacked"
@@ -147,7 +146,7 @@ def test_operation_failed_is_not_ambiguous():
     with pytest.raises(RuntimeError):
         with plan.operation("dev.write", (1,)):
             raise RuntimeError("ordinary failure, not a power cut")
-    assert plan.unacked_op() is None
+    assert plan.unacked_ops() == []
     assert plan.last_acked_op() is None
 
 
@@ -167,8 +166,7 @@ def test_power_failure_at_ack_boundary_is_unacked():
     with pytest.raises(PowerFailure):
         with plan.operation("dev.write", (9,)):
             pass
-    unacked = plan.unacked_op()
-    assert unacked is not None
+    [unacked] = plan.unacked_ops()
     assert unacked.status == "unacked"
     assert unacked.lpns == (9,)
 
@@ -192,8 +190,7 @@ def test_nested_power_failure_blames_outermost():
         with plan.operation("dev.write", (2,)):
             with plan.operation("ftl.write", (2,)):
                 plan.checkpoint("ftl.step")
-    unacked = plan.unacked_op()
-    assert unacked is not None
+    [unacked] = plan.unacked_ops()
     assert unacked.kind == "dev.write"
 
 
@@ -203,9 +200,9 @@ def test_clear_unacked():
     with pytest.raises(PowerFailure):
         with plan.operation("dev.trim", (0,)):
             plan.checkpoint("x")
-    assert plan.unacked_op() is not None
+    assert plan.unacked_ops()
     plan.clear_unacked()
-    assert plan.unacked_op() is None
+    assert plan.unacked_ops() == []
 
 
 # ------------------------------------------------- the shared passive plan
@@ -215,15 +212,11 @@ def test_clear_unacked():
 ARM_OR_COUNT = {
     "arm": lambda plan: plan.arm(PowerFailAfter("nand.program")),
     "enable_trace": lambda plan: plan.enable_trace(),
-    "arm_media": lambda plan: plan.arm_media(ProgramFault(nth=1)),
     "media.arm": lambda plan: plan.media.arm(ProgramFault(nth=1)),
     "media.enable_counting": lambda plan: plan.media.enable_counting(),
-    "arm_command": lambda plan: plan.arm_command(
-        CommandTimeout("write", nth=1)),
     "commands.arm": lambda plan: plan.commands.arm(
         CommandTimeout("write", nth=1)),
     "commands.enable_counting": lambda plan: plan.commands.enable_counting(),
-    "arm_cluster": lambda plan: plan.arm_cluster(ShardKill(nth=1)),
     "cluster.arm": lambda plan: plan.cluster.arm(ShardKill(nth=1)),
     "cluster.enable_counting": lambda plan: plan.cluster.enable_counting(),
 }

@@ -1,11 +1,13 @@
 """Unit tests for the SSD block-device facade: commands, stats, latency
 charging, tracing, aging, and power cycling."""
 
+import random
+
 import pytest
 
 from repro.errors import ShareError
 from repro.flash.geometry import FlashGeometry
-from repro.flash.timing import FAST_TIMING
+from repro.flash.timing import FAST_TIMING, MLC_TIMING
 from repro.ftl.config import FtlConfig
 from repro.ftl.share_ext import SharePair
 from repro.sim.clock import SimClock
@@ -185,3 +187,56 @@ class TestAging:
         ssd.reset_measurement()
         assert ssd.stats.host_write_pages == 0
         assert ssd.ftl.stats.host_page_writes == 0
+
+
+def preconditioned_mlc_ssd(block_count, utilization):
+    """An MLC-timed device (128-page blocks, 8 % over-provisioning) with
+    ``utilization`` of its logical space written untimed, then its
+    counters and clock reset.  Returns ``(ssd, span)``."""
+    geometry = FlashGeometry(page_size=4096, pages_per_block=128,
+                             block_count=block_count,
+                             overprovision_ratio=0.08)
+    ssd = Ssd(SimClock(), SsdConfig(
+        geometry=geometry, timing=MLC_TIMING,
+        ftl=FtlConfig(map_block_count=max(4, block_count // 24))))
+    span = int(ssd.logical_pages * utilization)
+    for lpn in range(span):
+        ssd.ftl.write(lpn, ("precond", lpn))
+    ssd.reset_measurement()
+    ssd.clock.reset()
+    return ssd, span
+
+
+class TestWorkloadShape:
+    def test_random_reads_are_faster_than_random_writes(self):
+        """Ported from the deleted
+        ``tests/test_tools.py::TestMicrobench::test_reads_faster_than_writes``:
+        500 random reads over a 60 % filled span take less virtual time
+        than 500 random writes over it."""
+        elapsed = {}
+        for op in ("read", "write"):
+            ssd, span = preconditioned_mlc_ssd(64, 0.6)
+            rng = random.Random(1)
+            for i in range(500):
+                if op == "read":
+                    ssd.read(rng.randrange(span))
+                else:
+                    ssd.write(rng.randrange(span), ("w", i))
+            elapsed[op] = ssd.clock.now_us
+        assert elapsed["read"] < elapsed["write"]
+
+    def test_higher_utilization_raises_waf_and_gc(self):
+        """Ported from the deleted
+        ``tests/test_tools.py::TestMicrobench::test_high_utilization_raises_waf``:
+        4 000 random writes over 90 % of a 48-block device amplify and
+        collect at least as much as over 30 % of it."""
+        stats = {}
+        for utilization in (0.3, 0.9):
+            ssd, span = preconditioned_mlc_ssd(48, utilization)
+            rng = random.Random(1)
+            for i in range(4000):
+                ssd.write(rng.randrange(span), ("w", i))
+            stats[utilization] = ssd.stats
+        assert (stats[0.9].write_amplification
+                >= stats[0.3].write_amplification)
+        assert stats[0.9].gc_events >= stats[0.3].gc_events

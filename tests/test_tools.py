@@ -1,4 +1,4 @@
-"""Tests for the CLI tools (microbench and inspector)."""
+"""Tests for the device-state inspector CLI."""
 
 import pytest
 
@@ -9,47 +9,6 @@ from repro.tools.inspect import (
     gather_report,
     run_scenario,
 )
-from repro.tools.microbench import PATTERNS, MicrobenchResult, run_microbench
-
-
-class TestMicrobench:
-    @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_every_pattern_runs(self, pattern):
-        result = run_microbench(pattern, ops=400, block_count=64)
-        assert isinstance(result, MicrobenchResult)
-        assert result.operations == 400
-        assert result.elapsed_seconds > 0
-        assert result.iops > 0
-
-    def test_reads_faster_than_writes(self):
-        reads = run_microbench("randread", ops=500, block_count=64)
-        writes = run_microbench("randwrite", ops=500, block_count=64)
-        assert reads.iops > writes.iops
-
-    def test_high_utilization_raises_waf(self):
-        low = run_microbench("randwrite", ops=4000, utilization=0.3,
-                             block_count=48)
-        high = run_microbench("randwrite", ops=4000, utilization=0.9,
-                              block_count=48)
-        assert high.waf >= low.waf
-        assert high.gc_events >= low.gc_events
-
-    def test_bad_args_rejected(self):
-        with pytest.raises(ValueError):
-            run_microbench("bogus")
-        with pytest.raises(ValueError):
-            run_microbench("randread", utilization=0.99)
-
-    def test_format_is_one_line(self):
-        result = run_microbench("randread", ops=100, block_count=64)
-        assert "\n" not in result.format()
-        assert "IOPS" in result.format()
-
-    def test_main_entrypoint(self, capsys):
-        from repro.tools.microbench import main
-        assert main(["--pattern", "randread", "--ops", "200",
-                     "--blocks", "64"]) == 0
-        assert "randread" in capsys.readouterr().out
 
 
 class TestInspector:
