@@ -205,7 +205,7 @@ class FlatListMap(MappingStrategy):
     Python-level savings.)
     """
 
-    __slots__ = ("table", "_mapped_count")
+    __slots__ = ("table", "_size", "_mapped_count")
 
     name = "flat"
 
@@ -213,11 +213,13 @@ class FlatListMap(MappingStrategy):
         if logical_pages <= 0:
             raise ValueError(f"logical_pages must be positive: {logical_pages}")
         self.table: List[int] = [UNMAPPED] * logical_pages
+        # The table never changes length: bounds checks read this, not len().
+        self._size = logical_pages
         self._mapped_count = 0
 
     @property
     def logical_pages(self) -> int:
-        return len(self.table)
+        return self._size
 
     @property
     def mapped_count(self) -> int:
@@ -249,22 +251,19 @@ class FlatListMap(MappingStrategy):
         return cleared
 
     def lookup(self, lpn: int) -> Optional[int]:
-        if not 0 <= lpn < len(self.table):
-            raise ValueError(
-                f"LPN out of range [0, {len(self.table)}): {lpn}")
+        if not 0 <= lpn < self._size:
+            raise ValueError(f"LPN out of range [0, {self._size}): {lpn}")
         ppn = self.table[lpn]
         return None if ppn == UNMAPPED else ppn
 
     def is_mapped(self, lpn: int) -> bool:
-        if not 0 <= lpn < len(self.table):
-            raise ValueError(
-                f"LPN out of range [0, {len(self.table)}): {lpn}")
+        if not 0 <= lpn < self._size:
+            raise ValueError(f"LPN out of range [0, {self._size}): {lpn}")
         return self.table[lpn] != UNMAPPED
 
     def update(self, lpn: int, ppn: int) -> Optional[int]:
-        if not 0 <= lpn < len(self.table):
-            raise ValueError(
-                f"LPN out of range [0, {len(self.table)}): {lpn}")
+        if not 0 <= lpn < self._size:
+            raise ValueError(f"LPN out of range [0, {self._size}): {lpn}")
         if ppn < 0:
             raise ValueError(f"PPN must be non-negative: {ppn}")
         old = self.table[lpn]
@@ -276,9 +275,8 @@ class FlatListMap(MappingStrategy):
         return old
 
     def clear(self, lpn: int) -> Optional[int]:
-        if not 0 <= lpn < len(self.table):
-            raise ValueError(
-                f"LPN out of range [0, {len(self.table)}): {lpn}")
+        if not 0 <= lpn < self._size:
+            raise ValueError(f"LPN out of range [0, {self._size}): {lpn}")
         old = self.table[lpn]
         if old != UNMAPPED:
             self._mapped_count -= 1
@@ -296,7 +294,7 @@ class FlatListMap(MappingStrategy):
         return 0   # a flat array has no continuity to break
 
     def footprint_bytes(self) -> int:
-        return len(self.table) * ENTRY_BYTES
+        return self._size * ENTRY_BYTES
 
     def fragment_count(self) -> int:
         return 1

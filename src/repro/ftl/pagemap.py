@@ -307,7 +307,10 @@ class PageMappingFtl:
         Raises :class:`UncorrectableReadError` when the backing page is
         unreadable even after firmware read-retry — the typed error is the
         contract: the host never receives wrong data silently."""
-        self._check_lpn_range(lpn)
+        # Host read / write inline the range test and _note_work (and
+        # _next_seq, the GC threshold); the helpers serve other callers.
+        if not 0 <= lpn < self._logical_pages:
+            self._check_lpn_range(lpn)   # raises
         # Range checked above: index the raw L2P table directly on the
         # flat backing (the fast lane — one None-compare of indirection),
         # ask the strategy on the compact backings.
@@ -316,7 +319,8 @@ class PageMappingFtl:
         if ppn == UNMAPPED:
             raise UnmappedPageError(f"LPN {lpn} is unmapped")
         self.stats.host_page_reads += 1
-        self._note_work("host_read", ppn)
+        self.work.append(
+            ("host_read", ppn // self._pages_per_block % self._channel_count))
         return self._read_page(ppn, scrub_ok=True)
 
     def is_mapped(self, lpn: int) -> bool:
@@ -332,13 +336,17 @@ class PageMappingFtl:
                 self._write(lpn, data, self.faults)
 
     def _write(self, lpn: int, data: Any, fuses: Optional[FaultPlan]) -> None:
-        self._check_lpn_range(lpn)
-        self._ensure_free_space()
-        seq = self._next_seq()
+        if not 0 <= lpn < self._logical_pages:
+            self._check_lpn_range(lpn)   # raises
+        if self._blocks.free_count <= self.config.gc_low_water:
+            self._ensure_free_space()
+        seq = self._seq
+        self._seq = seq + 1
         if fuses is not None:
             fuses.checkpoint("ftl.before_program")
         ppn = self._program_data(data, ((lpn, seq),), for_gc=False)
-        self._note_work("host_program", ppn)
+        self.work.append(("host_program",
+                          ppn // self._pages_per_block % self._channel_count))
         if fuses is not None:
             fuses.checkpoint("ftl.after_program")
         old = self.fwd.update(lpn, ppn)

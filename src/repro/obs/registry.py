@@ -77,7 +77,7 @@ class BoundedHistogram:
             self._min = value
         if value > self._max:
             self._max = value
-        if len(self._samples) < self._cap:
+        if self._seen <= self._cap:   # holds min(seen - 1, cap) samples
             self._samples.append(value)
             return
         # Reservoir replacement (algorithm R) with a deterministic LCG.

@@ -354,7 +354,8 @@ class Ssd:
         ftl = self.ftl
         if ftl.work or ftl.map_work:
             ftl.take_work()   # discard stale work from direct FTL use
-        cached = self.cache.lookup(lpn)
+        cache = self.cache
+        cached = cache.lookup(lpn) if cache.enabled else None
         if cached is not None:
             data = cached[0]
             self.stats.host_read_pages += 1
@@ -362,7 +363,8 @@ class Ssd:
                                  self._overhead_whole_us)
         else:
             data = ftl.read(lpn)
-            self.cache.insert(lpn, data)
+            if cache.enabled:
+                cache.insert(lpn, data)
             self.stats.host_read_pages += 1
             ticket = self._issue("read", lpn, 1, self._read_latency_us,
                                  self._read_whole_us)
@@ -377,7 +379,8 @@ class Ssd:
 
     def _write(self, op_kind, op, lpn: int, data: Any) -> CommandTicket:
         self.ftl.write(lpn, data)
-        self.cache.insert(lpn, data)
+        if self.cache.enabled:
+            self.cache.insert(lpn, data)
         stats = self.stats
         stats.host_write_pages += 1
         stats.write_commands += 1
@@ -395,9 +398,15 @@ class Ssd:
 
     def _write_multi(self, op_kind, op, lpn: int,
                      pages: Sequence[Any]) -> CommandTicket:
+        # The whole range, before the first page: a batch that runs past
+        # the logical end must not program (and leave unbilled) a prefix.
+        ftl = self.ftl
+        ftl._check_lpn_range(lpn, len(pages))
+        cache = self.cache
         for index, page in enumerate(pages):
-            self.ftl.write(lpn + index, page)
-            self.cache.insert(lpn + index, page)
+            ftl.write(lpn + index, page)
+            if cache.enabled:
+                cache.insert(lpn + index, page)
         self.stats.host_write_pages += len(pages)
         self.stats.write_commands += 1
         return self._issue("write", lpn, len(pages),
@@ -417,8 +426,9 @@ class Ssd:
                 self._tracer.span("device.write", atomic=True):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.write_atomic(items)
-            for item_lpn, data in items:
-                self.cache.insert(item_lpn, data)
+            if self.cache.enabled:
+                for item_lpn, data in items:
+                    self.cache.insert(item_lpn, data)
             self.stats.host_write_pages += len(items)
             self.stats.write_commands += 1
             self.stats.extra["atomic_write_commands"] = (
@@ -640,7 +650,9 @@ class Ssd:
         stale entries (direct FTL use between commands: aging, recovery)
         before mutating the FTL.  ``whole_us`` is the caller's
         precomputed ``int(round(base + overhead))``; it stands unless
-        the command turns out to carry priced internal work."""
+        the command turns out to carry priced internal work.  A ledger
+        that holds only the host's own page is placed here; anything
+        longer goes through :meth:`_price_media`."""
         stats = self.stats
         work = self.ftl.take_work()
         gc_events = 0
@@ -651,7 +663,21 @@ class Ssd:
         # the same float (x + 0.0*c == x for these non-negative
         # latencies).
         latency = base_latency_us + self._overhead_us
-        if work:
+        if not work:
+            dram_us = whole_us if whole_us is not None \
+                else int(round(latency))
+            pieces = ()
+        elif whole_us is not None and not work[1:] \
+                and work[0][0] in ("host_read", "host_program"):
+            # The ledger is just the host's own page: place it here, with
+            # _price_media's one-entry rule (pre-rounded cost, clamped).
+            work_kind, channel = work[0]
+            dur = self._work_whole_us[work_kind]
+            if dur > whole_us:
+                dur = whole_us
+            dram_us = whole_us - dur
+            pieces = ((channel, dur),) if dur > 0 else ()
+        else:
             erases = map_writes = spills = 0
             spill_lookups = wear_moves = 0
             for work_kind, __ in work:
@@ -686,10 +712,7 @@ class Ssd:
             stats.gc_events += gc_events
             stats.wear_level_moves += wear_moves
             dram_us, pieces = self._price_media(latency, work, whole_us)
-        else:
-            dram_us = whole_us if whole_us is not None \
-                else int(round(latency))
-            pieces = None
+            pieces = pieces.items()
         stats.busy_us += latency
 
         # Timing: admission through the bounded queue, a DRAM/firmware
@@ -703,7 +726,7 @@ class Ssd:
         completion = dram_end
         if pieces:
             intervals = self.intervals
-            for channel, duration in pieces.items():
+            for channel, duration in pieces:
                 service_us += duration
                 start, end = self.channels.acquire(channel, dram_end,
                                                    duration)

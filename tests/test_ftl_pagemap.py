@@ -7,9 +7,12 @@ import pytest
 from repro.errors import OutOfSpaceError, ShareError, UnmappedPageError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
+from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
 from repro.ftl.pagemap import PageMappingFtl
 from repro.ftl.share_ext import SharePair
+from repro.sim.clock import SimClock
+from repro.ssd.device import Ssd, SsdConfig
 
 
 def make_ftl(share_entries=250, page_size=4096, op=0.125, policy="log"):
@@ -24,6 +27,16 @@ def make_ftl(share_entries=250, page_size=4096, op=0.125, policy="log"):
 @pytest.fixture
 def ftl():
     return make_ftl()
+
+
+def untouched_by_rejects(ftl):
+    """What a host read or write of an out-of-range LPN must leave as it
+    was: the sequence counter, the allocator (free pool, open blocks,
+    every write pointer), the work ledger, the media's program count and
+    the host counters."""
+    return (ftl._seq, ftl.free_block_count, ftl.active_blocks(),
+            list(ftl._write_ptr), list(ftl.work), ftl.nand.total_programs,
+            ftl.stats.host_page_writes, ftl.stats.host_page_reads)
 
 
 class TestBasicIo:
@@ -48,10 +61,27 @@ class TestBasicIo:
         assert ftl.is_mapped(5)
 
     def test_lpn_bounds(self, ftl):
-        with pytest.raises(ValueError):
-            ftl.write(ftl.logical_pages, "x")
-        with pytest.raises(ValueError):
-            ftl.read(-1)
+        # Both the bare FTL and the device over it, each filled until the
+        # next write would run GC: a rejected LPN must be refused before
+        # the GC trigger, the sequence counter, the allocator, the work
+        # ledger or the media move.
+        ssd = Ssd(SimClock(), SsdConfig(
+            geometry=ftl.geometry, timing=FAST_TIMING, ftl=ftl.config))
+        for write, read, target in ((ftl.write, ftl.read, ftl),
+                                    (ssd.write, ssd.read, ssd.ftl)):
+            lpn = 0
+            while target.free_block_count > target.config.gc_low_water:
+                write(lpn % 200, ("fill", lpn))
+                lpn += 1
+            for bad in (-1, target.logical_pages):
+                before = untouched_by_rejects(target)
+                with pytest.raises(ValueError):
+                    write(bad, "x")
+                with pytest.raises(ValueError):
+                    read(bad)
+                assert untouched_by_rejects(target) == before
+        assert ssd.stats.host_write_pages == ssd.ftl.stats.host_page_writes
+        assert ssd.stats.host_read_pages == 0
 
     def test_invariants_after_writes(self, ftl):
         for i in range(100):

@@ -55,8 +55,11 @@ from repro.ssd.device import Ssd, SsdConfig
 
 from conftest import small_linkbench_stack
 
-#: Calls per command the mix below may cost.  Measured 41.89 on CPython
-#: 3.11 when committed (42.06 on the commit before, when a SHARE batch
+#: Calls per command the mix below may cost.  Measured 36.19 on CPython
+#: 3.11 when committed (41.89 on the commit before, when a read or write
+#: asked the FTL's per-page helpers and the flat L2P map's ``len`` what
+#: they already knew and a one-entry ledger went through
+#: ``_price_media``; 42.06 when a SHARE batch
 #: read the L2P split count before and after itself for a pushed counter;
 #: 45.49 when SHARE and TRIM did
 #: their bookkeeping pair by pair; 48.15 when the reverse map kept a
@@ -65,19 +68,22 @@ from conftest import small_linkbench_stack
 #: as well as the scheduler's heap; 98.7 before the FTL owned its block
 #: state); the slack covers interpreter versions.
 #: Raise it only with a reason in the commit message.
-CALLS_PER_COMMAND_BUDGET = 44.0
+CALLS_PER_COMMAND_BUDGET = 38.0
 
 #: Calls per command the same mix may cost with live telemetry (default
 #: sink, no snapshots), as a ratio of the passive count and as an
 #: absolute ceiling.  Measured on CPython 3.11 when committed, against
-#: 41.89 passive: sampled 45.62 (1.089 x; 3.2 of them in functions
-#: defined under ``repro/obs``), full 63.43 (1.514 x; 12.4 under
-#: ``repro/obs``) — 51.84 and 67.62 on the commit before, when a second
+#: 36.19 passive: sampled 39.77 (1.099 x; 3.2 of them in functions
+#: defined under ``repro/obs``), full 55.47 (1.533 x; 12.4 under
+#: ``repro/obs``) — 45.62 and 63.43 against 41.89 passive on the commit
+#: before, when a histogram sample asked ``len`` of its reservoir;
+#: 51.84 and 67.62 before that, when a second
 #: 1-in-N countdown gated the histograms beside the tracer's root
 #: decision, a passive fault plan still opened its operation scope on
 #: the traced path, and every completion called ``maybe_snapshot``;
 #: 60.03 and 99.06 before that, when every counter and gauge was pushed
-#: per command.  The absolute ceilings are the measured values + ~5 %.
+#: per command.  The absolute ceilings are the 45.62 / 63.43
+#: measurements + ~5 %.
 #:
 #: What ``sampled`` pays per command now: the root decision itself —
 #: ``span`` on every root, and the sampled-out root marker's
@@ -93,14 +99,16 @@ SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 OBS_ROOT = os.path.join(SRC_ROOT, "obs") + os.sep
 
 
-def make_device(telemetry=None):
+def make_device(telemetry=None, channel_count=4, dram_cache_pages=64,
+                queue_depth=4):
     geometry = FlashGeometry(page_size=4096, pages_per_block=32,
                              block_count=64, overprovision_ratio=0.125,
-                             channel_count=4)
+                             channel_count=channel_count)
     return Ssd(SimClock(), SsdConfig(
         geometry=geometry, timing=FAST_TIMING,
         ftl=FtlConfig(map_block_count=4, share_table_entries=32),
-        dram_cache_pages=64, queue_depth=4), telemetry=telemetry)
+        dram_cache_pages=dram_cache_pages, queue_depth=queue_depth),
+        telemetry=telemetry)
 
 
 def plan_commands(ssd, rng, count):
@@ -207,6 +215,86 @@ def test_each_telemetry_tier_costs_a_counted_number_of_calls():
             f"{mode}: {per_command:.2f} calls per command "
             f"({per_command / passive:.3f} x passive {passive:.2f}), "
             f"ceiling {ceiling} or {ratio} x passive")
+
+
+# ------------------------------------------------ synchronous device cell
+
+#: Calls per host read and per host write on the device shape three of
+#: perfbench's workloads run: no DRAM cache, queue depth 1 (submit and
+#: wait), the same small GC-bound array on one channel.  Measured on
+#: CPython 3.11 when committed: 20.00 per read, 38.65 per write; 27.00
+#: and 48.72 on the commit before, which consulted the disabled cache,
+#: called the FTL's range, sequence, ledger and GC-trigger helpers per
+#: page and priced the host's own ledger entry through ``_price_media``.
+#: The budgets are the measured values + ~5 %.  Raise them only with a
+#: reason in the commit message.
+CALLS_PER_SYNC_READ_BUDGET = 21.0
+CALLS_PER_SYNC_WRITE_BUDGET = 40.6
+
+#: Where the clock stood after the profiled reads and writes on that
+#: commit before: the same commands, priced and placed the same way.
+SYNC_CLOCK_AFTER_US = 158295
+
+SYNC_COMMANDS = 4000
+
+
+def issue_reads(ssd, lpns):
+    for lpn in lpns:
+        ssd.read(lpn)
+
+
+def issue_writes(ssd, lpns):
+    for index, lpn in enumerate(lpns):
+        ssd.write(lpn, ("w", lpn, index))
+
+
+def profile_sync_device():
+    """(read stats, write stats, clock) of ``SYNC_COMMANDS`` profiled
+    reads of live pages, then as many profiled overwrites, on a filled,
+    GC-bound cache-off queue-depth-1 device."""
+    ssd = make_device(channel_count=1, dram_cache_pages=0, queue_depth=1)
+    rng = random.Random(29)
+    live = set()
+    run_commands(ssd, plan_commands(ssd, rng, 3000), live)
+    mapped = sorted(live)
+    span = int(ssd.logical_pages * 0.85)
+    reads = [rng.choice(mapped) for __ in range(SYNC_COMMANDS)]
+    writes = [rng.randrange(span) for __ in range(SYNC_COMMANDS)]
+    profiles = []
+    gc_before = ssd.stats.gc_events
+    for issue, lpns in ((issue_reads, reads), (issue_writes, writes)):
+        profile = cProfile.Profile(builtins=True)
+        profile.enable()
+        try:
+            issue(ssd, lpns)
+        finally:
+            profile.disable()
+        profiles.append(profile.getstats())
+    assert ssd.stats.gc_events - gc_before > SYNC_COMMANDS // 200, \
+        "not GC-bound"
+    ssd.ftl.check_invariants()
+    return profiles[0], profiles[1], ssd.clock.now_us
+
+
+def calls_per_issued(stats, issue):
+    return sum(entry.callcount for entry in stats
+               if entry.code is not issue.__code__) / SYNC_COMMANDS
+
+
+def test_cache_off_sync_device_read_and_write_budgets():
+    reads, writes, clock_us = profile_sync_device()
+    per_read = calls_per_issued(reads, issue_reads)
+    per_write = calls_per_issued(writes, issue_writes)
+    assert per_read <= CALLS_PER_SYNC_READ_BUDGET, (
+        f"{per_read:.2f} calls per read, budget "
+        f"{CALLS_PER_SYNC_READ_BUDGET}")
+    assert per_write <= CALLS_PER_SYNC_WRITE_BUDGET, (
+        f"{per_write:.2f} calls per write, budget "
+        f"{CALLS_PER_SYNC_WRITE_BUDGET}")
+    for stats in (reads, writes):
+        into_obs = calls_into_obs(stats)
+        assert not into_obs, f"telemetry is off, yet repro/obs ran: {into_obs}"
+    assert clock_us == SYNC_CLOCK_AFTER_US
 
 
 # ------------------------------------------------------------- SHARE cell

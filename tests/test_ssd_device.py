@@ -28,6 +28,20 @@ class TestCommands:
         assert [ssd.read(10 + i) for i in range(3)] == ["a", "b", "c"]
         assert ssd.stats.host_write_pages == 3
 
+    def test_write_multi_past_the_end_writes_nothing(self, ssd):
+        last = ssd.logical_pages - 1
+        ssd.write(last, "old")
+        programs = ssd.nand.total_programs
+        clock_us = ssd.clock.now_us
+        with pytest.raises(ValueError):
+            ssd.write_multi(last, ["a", "b"])
+        # Nothing was programmed, so nothing went unbilled.
+        assert ssd.nand.total_programs == programs
+        assert ssd.clock.now_us == clock_us
+        assert (ssd.stats.host_write_pages, ssd.stats.write_commands) \
+            == (1, 1)
+        assert ssd.read(last) == "old"
+
     def test_write_multi_empty_rejected(self, ssd):
         from repro.errors import DeviceError
         with pytest.raises(DeviceError):
