@@ -3,14 +3,9 @@
 The paper sizes the DRAM share table at 250 entries and notes its size is
 "empirically determined" by the frequency of SHARE operations and the
 lifespan of shared pages.  This ablation runs a compaction-heavy workload
-(hundreds of simultaneously shared pages) across table sizes under both
-overflow policies:
-
-* ``log``  — overflowed entries stay resolvable from the mapping log;
-  GC pays a lookup read.  Costs stay flat as the table shrinks.
-* ``copy`` — overflow reconciles by materialising a private page copy,
-  so a too-small table re-introduces the very write amplification SHARE
-  removes.
+(hundreds of simultaneously shared pages) across table sizes.  Entries
+that do not fit spill to the mapping log, where they stay resolvable (GC
+pays a lookup read), so the write cost stays flat as the table shrinks.
 """
 
 from conftest import run_once
@@ -29,14 +24,13 @@ DOCS = 1_500
 TABLE_SIZES = (25, 250, 2_500)
 
 
-def run_cell(table_entries: int, policy: str) -> dict:
+def run_cell(table_entries: int) -> dict:
     clock = SimClock()
     geometry = FlashGeometry(page_size=4096, pages_per_block=128,
                              block_count=128, overprovision_ratio=0.08)
     ssd = Ssd(clock, SsdConfig(
         geometry=geometry, timing=FAST_TIMING,
         ftl=FtlConfig(share_table_entries=table_entries,
-                      share_overflow_policy=policy,
                       map_block_count=8)))
     fs = HostFs(ssd, FsConfig())
     store = CouchStore(fs, "/db", CommitMode.SHARE, CouchConfig())
@@ -58,38 +52,21 @@ def run_cell(table_entries: int, policy: str) -> dict:
     assert sample_ok
     return {
         "table": table_entries,
-        "policy": policy,
         "elapsed_s": result.elapsed_seconds,
-        "written_pages": ssd.stats.host_write_pages
-        + ssd.stats.share_spill_pages,
-        "spill_copies": ssd.stats.share_spill_pages,
+        "written_pages": ssd.stats.host_write_pages,
         "log_spills": ssd.ftl.stats.share_log_spills,
     }
 
 
 def test_share_table_size_ablation(benchmark, scale):
-    def sweep():
-        rows = []
-        for policy in ("log", "copy"):
-            for size in TABLE_SIZES:
-                rows.append(run_cell(size, policy))
-        return rows
-
-    rows = run_once(benchmark, sweep)
+    rows = run_once(benchmark,
+                    lambda: [run_cell(size) for size in TABLE_SIZES])
     print()
     print(format_table(
-        ["policy", "table entries", "compaction s", "pages written",
-         "spill copies", "log spills"],
-        [[r["policy"], r["table"], r["elapsed_s"], r["written_pages"],
-          r["spill_copies"], r["log_spills"]] for r in rows],
-        title="Ablation: share-table size x overflow policy"))
-    by_key = {(r["policy"], r["table"]): r for r in rows}
-    # Log policy: write cost flat regardless of table size.
-    log_costs = [by_key[("log", size)]["written_pages"]
-                 for size in TABLE_SIZES]
-    assert max(log_costs) <= min(log_costs) * 1.05
-    # Copy policy: a starved table forces reconciliation copies.
-    assert (by_key[("copy", 25)]["spill_copies"]
-            > by_key[("copy", 2_500)]["spill_copies"])
-    assert (by_key[("copy", 25)]["written_pages"]
-            > by_key[("log", 25)]["written_pages"])
+        ["table entries", "compaction s", "pages written", "log spills"],
+        [[r["table"], r["elapsed_s"], r["written_pages"], r["log_spills"]]
+         for r in rows],
+        title="Ablation: share-table size"))
+    # Write cost flat regardless of table size.
+    costs = [r["written_pages"] for r in rows]
+    assert max(costs) <= min(costs) * 1.05

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.flash.geometry import FlashGeometry
-from repro.flash.timing import MLC_TIMING, SATA_SSD_TIMING, FlashTiming
+from repro.flash.timing import SATA_SSD_TIMING
 from repro.ftl.config import FtlConfig
 from repro.ftl.mapping import resolve_l2p_strategy
 from repro.couchstore.engine import CommitMode, CouchConfig, CouchStore
@@ -126,30 +126,26 @@ def innodb_device_geometry(page_size: int, db_pages_estimate: int
 
 def build_innodb_stack(mode: FlushMode, page_size: int,
                        buffer_pool_pages: int, db_pages_estimate: int,
-                       timing: FlashTiming = MLC_TIMING,
-                       leaf_capacity: Optional[int] = None,
-                       share_table_entries: int = 250,
                        age_device: bool = True,
                        trace_capacity: int = 0,
                        telemetry=None,
                        queue_depth: int = 1,
                        channel_count: Optional[int] = None,
-                       plane_ways: int = 1,
                        interval_capacity: int = 0,
                        l2p_strategy: Optional[str] = None) -> InnoDbStack:
     """Assemble data device + log device + engine for one experiment cell.
 
-    ``leaf_capacity`` scales with the page size by default: bigger pages
+    The B-tree leaf capacity scales with the page size: bigger pages
     hold proportionally more rows, exactly why the paper's Figure 5(a)
     varies the page size.  ``age_device`` reproduces Section 5.1's aging
     pre-run so garbage collection is active in steady state.  Passing a
     :class:`repro.obs.Telemetry` instruments both devices (metric prefixes
     ``device.data`` and ``device.log``) and every layer above them.
 
-    ``queue_depth``/``channel_count``/``plane_ways`` configure the
-    event-driven execution core.  The defaults reproduce the serial
-    model bit-for-bit.  At ``queue_depth=1`` both devices share one
-    native command queue — the host issues synchronously, one command
+    ``queue_depth``/``channel_count`` configure the event-driven
+    execution core.  The defaults reproduce the serial model
+    bit-for-bit.  At ``queue_depth=1`` both devices share one native
+    command queue — the host issues synchronously, one command
     outstanding across the whole stack, exactly the old model; at
     higher depths each device gets its own queue and commands from
     different clients pipeline.
@@ -166,12 +162,10 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
         geometry = dataclasses.replace(geometry,
                                        channel_count=channel_count)
     data_ssd = Ssd(clock, SsdConfig(
-        geometry=geometry, timing=timing,
-        ftl=FtlConfig(share_table_entries=share_table_entries,
-                      map_block_count=_map_blocks_for(geometry.block_count),
+        geometry=geometry,
+        ftl=FtlConfig(map_block_count=_map_blocks_for(geometry.block_count),
                       l2p_strategy=_l2p(l2p_strategy)),
-        trace_capacity=trace_capacity, trace_keep="newest",
-        queue_depth=queue_depth, plane_ways=plane_ways,
+        trace_capacity=trace_capacity, queue_depth=queue_depth,
         interval_capacity=interval_capacity),
         telemetry=telemetry, name="data", events=events, ncq=shared_ncq)
     if age_device:
@@ -194,12 +188,10 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
                                    # reports its own ftl.l2p.* gauges).
                                    ftl=FtlConfig(
                                        l2p_strategy=_l2p(l2p_strategy)),
-                                   queue_depth=queue_depth,
-                                   plane_ways=plane_ways),
+                                   queue_depth=queue_depth),
                   telemetry=telemetry, name="log", events=events,
                   ncq=shared_ncq)
-    if leaf_capacity is None:
-        leaf_capacity = max(8, 32 * (page_size // 4096))
+    leaf_capacity = max(8, 32 * (page_size // 4096))
     config = InnoDBConfig(
         buffer_pool_pages=buffer_pool_pages,
         flush_batch_pages=64,
@@ -237,23 +229,19 @@ class CouchStack:
 
 def build_couch_stack(mode: CommitMode, record_count: int,
                       operations_estimate: int,
-                      timing: FlashTiming = MLC_TIMING,
                       config: Optional[CouchConfig] = None,
-                      share_table_entries: int = 250,
-                      age_device: bool = False,
                       telemetry=None,
                       queue_depth: int = 1,
                       channel_count: Optional[int] = None,
-                      plane_ways: int = 1,
                       l2p_strategy: Optional[str] = None) -> CouchStack:
     """Assemble the device + filesystem + couchstore for one cell.
 
     The device is sized for the record set plus the append churn of the
     run so compaction pressure (stale ratio) builds as in the paper.
     ``telemetry`` instruments the device (prefix ``device.data``) and the
-    store above it.  ``queue_depth``/``channel_count``/``plane_ways``
-    configure the event-driven core; the defaults reproduce the serial
-    model bit-for-bit."""
+    store above it.  ``queue_depth``/``channel_count`` configure the
+    event-driven core; the defaults reproduce the serial model
+    bit-for-bit."""
     clock = SimClock()
     churn = operations_estimate * 6
     needed_logical = record_count * 2 + churn + 4096
@@ -265,14 +253,11 @@ def build_couch_stack(mode: CommitMode, record_count: int,
         geometry = dataclasses.replace(geometry,
                                        channel_count=channel_count)
     ssd = Ssd(clock, SsdConfig(
-        geometry=geometry, timing=timing,
-        ftl=FtlConfig(share_table_entries=share_table_entries,
-                      map_block_count=_map_blocks_for(geometry.block_count),
+        geometry=geometry,
+        ftl=FtlConfig(map_block_count=_map_blocks_for(geometry.block_count),
                       l2p_strategy=_l2p(l2p_strategy)),
-        queue_depth=queue_depth, plane_ways=plane_ways),
+        queue_depth=queue_depth),
         telemetry=telemetry, name="data")
-    if age_device:
-        ssd.age(fill_fraction=0.5, rewrite_fraction=0.3)
     fs = HostFs(ssd, FsConfig())
     store = CouchStore(fs, "/db.couch", mode, config or CouchConfig())
     return CouchStack(clock, ssd, fs, store)
@@ -283,7 +268,6 @@ def build_couch_stack(mode: CommitMode, record_count: int,
 # --------------------------------------------------------------------------
 
 def build_postgres_stack(full_page_writes: bool, scale: int,
-                         timing: FlashTiming = MLC_TIMING,
                          l2p_strategy: Optional[str] = None
                          ) -> Tuple[SimClock, Ssd, Ssd, PostgresEngine]:
     """Assemble a heap device + WAL device + engine."""
@@ -294,10 +278,10 @@ def build_postgres_stack(full_page_writes: bool, scale: int,
                                  64, -(-(data_pages * 2) // int(128 * 0.92))),
                              overprovision_ratio=0.08)
     ftl_config = FtlConfig(l2p_strategy=_l2p(l2p_strategy))
-    data_ssd = Ssd(clock, SsdConfig(geometry=geometry, timing=timing,
-                                    share_enabled=False, ftl=ftl_config))
-    wal_ssd = Ssd(clock, SsdConfig(geometry=geometry, timing=timing,
-                                   share_enabled=False, ftl=ftl_config))
+    data_ssd = Ssd(clock, SsdConfig(geometry=geometry, share_enabled=False,
+                                    ftl=ftl_config))
+    wal_ssd = Ssd(clock, SsdConfig(geometry=geometry, share_enabled=False,
+                                   ftl=ftl_config))
     # Frequent checkpoints (as with pgbench's default-sized WAL) keep the
     # full-page-image cost recurring — the regime the paper's in-text
     # experiment measured.
@@ -325,12 +309,9 @@ class ClusterStack:
 
 
 def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
-                        page_size: int = 4 * KIB,
-                        timing: FlashTiming = MLC_TIMING,
                         telemetry=None, faults=None,
                         queue_depth: int = 4, channel_count: int = 2,
-                        queue_limit: Optional[int] = 8,
-                        vnodes: int = 64, replicas: int = 1,
+                        replicas: int = 1,
                         write_quorum: int = 1,
                         spare_shards: int = 0,
                         l2p_strategy: Optional[str] = None) -> ClusterStack:
@@ -365,7 +346,7 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
     pages_per_block = 64
     block_count = max(24, -(-needed_logical
                             // int(pages_per_block * 0.90)) + 4)
-    geometry = FlashGeometry(page_size=page_size,
+    geometry = FlashGeometry(page_size=4 * KIB,
                              pages_per_block=pages_per_block,
                              block_count=block_count,
                              overprovision_ratio=0.12,
@@ -373,7 +354,7 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
 
     def device(name: str) -> Ssd:
         return Ssd(clock, SsdConfig(
-            geometry=geometry, timing=timing,
+            geometry=geometry,
             ftl=FtlConfig(
                 share_table_entries=max(64, per_shard_keys // 4),
                 map_block_count=_map_blocks_for(block_count),
@@ -388,12 +369,11 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
         else:
             reps = [device(f"s{index}r{rep}") for rep in range(replicas)]
         return ShardGroup(f"shard{index}", primary, reps,
-                          queue_limit=queue_limit,
                           write_quorum=write_quorum)
 
     pairs = [group(index) for index in range(shards)]
     spares = [group(shards + extra) for extra in range(spare_shards)]
     router = ShardRouter(pairs, clock,
                          faults=faults if faults is not None else NO_FAULTS,
-                         telemetry=telemetry, vnodes=vnodes)
+                         telemetry=telemetry)
     return ClusterStack(clock, events, router, tuple(pairs), tuple(spares))

@@ -81,10 +81,6 @@ class Rebalancer:
         self.skipped = 0
 
     @property
-    def total_units(self) -> int:
-        return len(self._units)
-
-    @property
     def done(self) -> bool:
         return self.cursor >= len(self._units)
 

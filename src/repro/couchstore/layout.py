@@ -34,10 +34,6 @@ def doc_key(record: tuple) -> Any:
     return record[1]
 
 
-def doc_rev(record: tuple) -> int:
-    return record[2]
-
-
 def doc_body(record: tuple) -> Any:
     return record[3]
 

@@ -75,10 +75,6 @@ class FlashGeometry:
         """Pages exposed through the logical (LPN) address space."""
         return int(self.total_pages * (1.0 - self.overprovision_ratio))
 
-    @property
-    def logical_capacity_bytes(self) -> int:
-        return self.logical_pages * self.page_size
-
     def block_of(self, ppn: int) -> int:
         """Block index containing physical page ``ppn``."""
         self.check_ppn(ppn)
@@ -98,11 +94,6 @@ class FlashGeometry:
         """NAND channel serving ``block`` (blocks stripe round-robin)."""
         self.check_block(block)
         return block % self.channel_count
-
-    def channel_of_ppn(self, ppn: int) -> int:
-        """NAND channel serving physical page ``ppn``."""
-        self.check_ppn(ppn)
-        return (ppn // self.pages_per_block) % self.channel_count
 
     def check_ppn(self, ppn: int) -> None:
         if not 0 <= ppn < self.block_count * self.pages_per_block:

@@ -69,31 +69,25 @@ FAST_TIMING = FlashTiming(read_us=1.0, program_us=10.0, erase_us=30.0,
 
 
 class ChannelSet:
-    """Per-channel (and per-plane-way) busy resources.
+    """Per-channel busy resources.
 
-    Each channel owns ``ways`` interleave units (plane pairs on real
-    chips); an operation acquires the earliest-free way of its channel
-    and occupies it for its duration.  Different channels — and
-    different ways of one channel — overlap freely; operations on the
-    same way serialise.  All times are integer microseconds so the
-    event-driven device reproduces the serial model's per-command
-    rounding exactly at one channel.
+    An operation occupies its channel for its duration: different
+    channels overlap freely, operations on one channel serialise.  All
+    times are integer microseconds so the event-driven device reproduces
+    the serial model's per-command rounding exactly at one channel.
 
     ``busy_us`` accumulates occupied time per channel since the last
     :meth:`reset_accounting`, which is what the per-channel utilisation
     gauges report.
     """
 
-    __slots__ = ("channel_count", "ways", "_free_us", "busy_us")
+    __slots__ = ("channel_count", "_free_us", "busy_us")
 
-    def __init__(self, channel_count: int = 1, ways: int = 1) -> None:
+    def __init__(self, channel_count: int = 1) -> None:
         if channel_count < 1:
             raise ValueError(f"need at least one channel: {channel_count}")
-        if ways < 1:
-            raise ValueError(f"need at least one way per channel: {ways}")
         self.channel_count = channel_count
-        self.ways = ways
-        self._free_us: List[int] = [0] * (channel_count * ways)
+        self._free_us: List[int] = [0] * channel_count
         self.busy_us: List[int] = [0] * channel_count
 
     def acquire(self, channel: int, earliest_us: int,
@@ -104,28 +98,15 @@ class ChannelSet:
             raise ValueError(
                 f"channel out of range [0, {self.channel_count}): {channel}")
         free_us = self._free_us
-        if self.ways == 1:
-            # One way per channel (every stack the harness builds): the
-            # unit *is* the channel — skip the min() scan.
-            unit = channel
-        else:
-            base = channel * self.ways
-            unit = min(range(base, base + self.ways),
-                       key=lambda u: free_us[u])
-        start = free_us[unit]
+        start = free_us[channel]
         earliest_us = int(earliest_us)
         if earliest_us > start:
             start = earliest_us
         duration_us = int(duration_us)
         end = start + duration_us
-        free_us[unit] = end
+        free_us[channel] = end
         self.busy_us[channel] += duration_us
         return start, end
-
-    def free_at(self, channel: int) -> int:
-        """Earliest time ``channel`` has an idle way."""
-        base = channel * self.ways
-        return min(self._free_us[base:base + self.ways])
 
     def horizon_us(self) -> int:
         """Latest busy-until across all channels."""
@@ -146,4 +127,4 @@ class ChannelSet:
         """Free every channel (power cycle): the busy-until horizons go;
         the utilisation accumulators belong to the measured interval,
         which a power cycle does not end."""
-        self._free_us = [0] * (self.channel_count * self.ways)
+        self._free_us = [0] * self.channel_count

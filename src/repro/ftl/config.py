@@ -13,6 +13,11 @@ from dataclasses import dataclass
 #: new PPN, seq) at 4 bytes each as on the 32-bit Barefoot controller.
 DELTA_RECORD_BYTES = 16
 
+#: Extra read attempts firmware makes after an uncorrectable read before
+#: surfacing the error.  A data page that needed one is scrubbed —
+#: relocated to a fresh PPN — before it decays further.
+READ_RETRIES = 2
+
 
 @dataclass(frozen=True)
 class FtlConfig:
@@ -25,15 +30,12 @@ class FtlConfig:
     share_table_entries:
         Capacity of the reverse-mapping share table — the number of *extra*
         (beyond-the-first) LPN references physical pages may collectively
-        hold.  Paper: 250 entries for 4 KiB pages, 500 for 8 KiB.
+        hold.  Paper: 250 entries for 4 KiB pages, 500 for 8 KiB.  Extras
+        beyond it spill to the flash-resident mapping log (GC pays a
+        lookup read to resolve them).
     gc_low_water / gc_high_water:
         Greedy GC starts when the free-block pool drops to ``gc_low_water``
         and collects victims until the pool reaches ``gc_high_water``.
-    read_retries:
-        How many extra read attempts firmware makes after an uncorrectable
-        read before surfacing the error to the host.  A page that needed
-        one is scrubbed — relocated to a fresh PPN — before it decays
-        further.
     spare_block_count:
         Data blocks reserved as replacements for grown bad blocks.  The
         default of 0 keeps usable capacity identical to a fault-free
@@ -57,21 +59,14 @@ class FtlConfig:
     share_table_entries: int = 250
     gc_low_water: int = 3
     gc_high_water: int = 6
-    share_overflow_policy: str = "log"
     wear_leveling: bool = True
     wear_delta_threshold: int = 16
-    read_retries: int = 2
     spare_block_count: int = 0
     program_retry_limit: int = 4
     l2p_strategy: str = "flat"
     l2p_group_pages: int = 64
 
     def __post_init__(self) -> None:
-        if self.share_overflow_policy not in ("log", "copy"):
-            raise ValueError(
-                "share_overflow_policy must be 'log' (spill extra reverse "
-                "mappings to the flash-resident mapping log) or 'copy' "
-                f"(materialise private copies): {self.share_overflow_policy!r}")
         if self.wear_delta_threshold < 1:
             raise ValueError(
                 f"wear_delta_threshold must be >= 1: {self.wear_delta_threshold}")
@@ -84,8 +79,6 @@ class FtlConfig:
             raise ValueError(f"gc_low_water must be >= 2: {self.gc_low_water}")
         if self.gc_high_water <= self.gc_low_water:
             raise ValueError("gc_high_water must exceed gc_low_water")
-        if self.read_retries < 0:
-            raise ValueError(f"read_retries must be >= 0: {self.read_retries}")
         if self.spare_block_count < 0:
             raise ValueError(
                 f"spare_block_count must be >= 0: {self.spare_block_count}")

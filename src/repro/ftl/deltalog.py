@@ -62,6 +62,7 @@ from repro.errors import (
 )
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
+from repro.ftl.config import READ_RETRIES
 from repro.obs import NULL_TELEMETRY
 from repro.sim.faults import NO_FAULTS, FaultPlan
 
@@ -233,10 +234,6 @@ class MapLog:
                 "persist further deltas")
 
     @property
-    def bad_blocks(self) -> Set[int]:
-        return set(self._bad_blocks)
-
-    @property
     def records_per_page(self) -> int:
         return self._records_per_page
 
@@ -397,12 +394,11 @@ class MapLog:
 
     @staticmethod
     def scan(nand: NandArray, geometry: FlashGeometry,
-             map_blocks: Sequence[int],
-             read_retries: int = 2) -> Tuple[List[DeltaRecord], int]:
+             map_blocks: Sequence[int]) -> Tuple[List[DeltaRecord], int]:
         """Collect every readable, intact delta record in the map region.
 
         Returns ``(records, bad_pages)``.  A mapping page that stays
-        unreadable after ``read_retries`` extra attempts, or whose seal
+        unreadable after ``READ_RETRIES`` extra attempts, or whose seal
         fails verification, is counted in ``bad_pages`` and skipped —
         recovery merges the log with the full OOB scan by sequence number,
         so a lost log page degrades to the stamps' view of those LPNs
@@ -417,7 +413,7 @@ class MapLog:
                         f"non-map page found in map block {block} (PPN {ppn})")
                 payload = None
                 readable = False
-                for _ in range(read_retries + 1):
+                for _ in range(READ_RETRIES + 1):
                     try:
                         payload = nand.read(ppn)
                     except UncorrectableReadError:

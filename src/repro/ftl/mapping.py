@@ -453,10 +453,6 @@ class RunLengthMap(MappingStrategy):
         return self._mapped_count
 
     @property
-    def run_count(self) -> int:
-        return len(self._runs)
-
-    @property
     def write_splits(self) -> int:
         """Run carve-ups caused by ordinary (non-remap) updates."""
         return self._splits

@@ -19,7 +19,7 @@ held back for GC headroom.
 
 Media faults degrade the device gracefully instead of killing it:
 
-* an uncorrectable read is retried up to ``config.read_retries`` times;
+* an uncorrectable read is retried up to ``READ_RETRIES`` times;
   a page that needed retries is *scrubbed* — relocated to a fresh PPN
   (copy-safe for shared pages: every referencing LPN is stamped on the
   copy) — before it decays further;
@@ -53,7 +53,7 @@ from repro.errors import (
 )
 from repro.flash.nand import NandArray
 from repro.ftl.blocks import BlockTable
-from repro.ftl.config import FtlConfig
+from repro.ftl.config import READ_RETRIES, FtlConfig
 from repro.ftl.deltalog import (
     KIND_AWRITE,
     KIND_BADBLK,
@@ -82,8 +82,7 @@ class FtlStats:
     block_erases: int = 0
     share_commands: int = 0
     share_pairs: int = 0
-    share_spills: int = 0          # 'copy' policy: private copies made
-    share_log_spills: int = 0      # 'log' policy: entries spilled to flash
+    share_log_spills: int = 0      # share-table entries spilled to flash
     spill_lookups: int = 0         # GC reads of spilled reverse mappings
     trim_commands: int = 0
     trim_pages: int = 0
@@ -365,18 +364,17 @@ class PageMappingFtl:
     def _read_page(self, ppn: int, scrub_ok: bool = False) -> Any:
         """NAND read with firmware read-retry.
 
-        Retries up to ``config.read_retries`` extra attempts; when a read
+        Retries up to ``READ_RETRIES`` extra attempts; when a read
         only succeeded after retries and ``scrub_ok`` is set, the page is
         scrubbed (relocated) so the decaying cell is healed before it dies
         outright.  A read that stays uncorrectable raises the typed error.
         """
-        retries = self.config.read_retries
         attempt = 0
         while True:
             try:
                 data = self.nand.read(ppn)
             except UncorrectableReadError:
-                if attempt >= retries:
+                if attempt >= READ_RETRIES:
                     self.stats.uncorrectable_reads += 1
                     raise
                 attempt += 1
@@ -696,16 +694,6 @@ class PageMappingFtl:
                 raise ShareError(
                     f"source LPN {src_lpn} is unmapped; nothing to share")
         rev = self.rev
-        if self.config.share_overflow_policy == "copy":
-            # Reserve DRAM share-table capacity up front; reconciliation
-            # materialises a private copy (a real page program) per entry.
-            copies_before = self.stats.share_spills
-            for _ in range(len(resolved)):
-                if rev.is_full:
-                    self._reconcile_oldest_share()
-            if self.stats.share_spills != copies_before:
-                # The LPN that got its own copy may be one of this batch's.
-                resolved = fwd.resolve_pairs(pairs)
         # Persist any pending trims first so the atomic batch page carries
         # only this command's deltas.
         self._flush_pending_trims()
@@ -719,9 +707,9 @@ class PageMappingFtl:
         deltas = []
         seq = self._seq         # one per pair, in pair order
         for dst_lpn, old_ppn, src_ppn in resolved:
-            # With the DRAM table full the entry spills ('log' policy):
-            # resolvable from the mapping log this very batch persists;
-            # only GC pays a lookup.
+            # With the DRAM table full the entry spills: resolvable from
+            # the mapping log this very batch persists; only GC pays a
+            # lookup.
             add_extra(src_ppn, dst_lpn)
             if old_ppn == UNMAPPED:
                 old_ppn = None
@@ -743,26 +731,6 @@ class PageMappingFtl:
         if self.telemetry.tracer.recording:
             observe_batch(self._m_batch_pairs, self._m_contiguous_runs,
                           pairs)
-
-    def _reconcile_oldest_share(self) -> None:
-        """Share table full: materialise a private copy for the oldest
-        extra reference, freeing one table entry."""
-        entry = self.rev.oldest_extra()
-        if entry is None:
-            raise FtlError("share table reported full but holds no extras")
-        ppn, lpn = entry
-        data = self._read_page(ppn)
-        self._ensure_free_space()
-        seq = self._next_seq()
-        new_ppn = self._program_data(data, ((lpn, seq),), for_gc=False)
-        self.fwd.update(lpn, new_ppn)
-        self.rev.set_primary(new_ppn, lpn)
-        self._valid_count[new_ppn // self._pages_per_block] += 1
-        if self.rev.drop_ref(ppn, lpn):
-            self._valid_count[ppn // self._pages_per_block] -= 1
-        self._share_backed.pop(lpn, None)
-        self.stats.share_spills += 1
-        self._note_work("spill", new_ppn)
 
     # ------------------------------------------------------------- allocate
 
@@ -1067,8 +1035,7 @@ class PageMappingFtl:
                 for lpn, seq in spare:
                     assert_mapping(lpn, seq, ppn, "oob")
         records, bad_pages = MapLog.scan(self.nand, self.geometry,
-                                         self._map_blocks,
-                                         self.config.read_retries)
+                                         self._map_blocks)
         if bad_pages:
             # Corrupt or unreadable log pages are skipped, not replayed;
             # the OOB scan above already covers stamped mappings, so the

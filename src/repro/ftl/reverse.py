@@ -30,16 +30,16 @@ spills, spill lookups and virtual time.  Seeding the set with the primary
 first and never rebuilding it mid-life gives it exactly the history of a
 set kept since program time.
 
-When the share table is full, the FTL reconciles the oldest extra entry by
-materialising a private copy of the page for that LPN (a real page program,
-reported as a ``share_spill``), exactly the safety valve a bounded table
-needs.  The reproduction counts spills so experiments can show the table is
-effectively never exhausted under the paper's workloads.
+When the share table is full, a new extra reference *spills*: it stays
+resolvable from the flash-resident mapping log (every SHARE delta is
+persisted there), so correctness is unaffected and only GC pays — a log
+lookup read when it moves a page with spilled references.  The
+reproduction counts spills so experiments can show what a table of the
+paper's size costs.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
@@ -64,9 +64,8 @@ class ReverseMap:
         # Full reference sets, only for pages that have had an extra
         # reference in their current life (see the module docstring).
         self._refs: Dict[int, Set[int]] = {}
-        # Extra (share) entries in insertion order for FIFO reconciliation:
-        # key (ppn, lpn) -> None.
-        self._extras: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        # The DRAM share table: key (ppn, lpn) -> None.
+        self._extras: Dict[Tuple[int, int], None] = {}
         # Entries that did not fit the DRAM table, indexed by PPN.  They
         # remain resolvable (the mapping log persists every share delta,
         # so firmware can re-read them from flash); membership here marks
@@ -248,12 +247,6 @@ class ReverseMap:
         del self._refs[ppn]
         primary[ppn] = -1
         return True
-
-    def oldest_extra(self) -> Optional[Tuple[int, int]]:
-        """The (ppn, lpn) share entry that would be reconciled on overflow."""
-        if not self._extras:
-            return None
-        return next(iter(self._extras))
 
     def move_page(self, old_ppn: int, new_ppn: int,
                   refs: List[int]) -> None:

@@ -31,23 +31,22 @@ from repro.obs import COUNTER
 from repro.ssd.device import Ssd
 
 
+#: The descriptor + commit blocks of one ordered-mode journal transaction.
+METADATA_PAGES_PER_COMMIT = 2
+
+
 @dataclass(frozen=True)
 class FsConfig:
     """Filesystem assembly options.
 
-    ``journal_blocks`` LPNs are reserved for the metadata journal;
-    ``metadata_pages_per_commit`` models the descriptor + commit blocks of
-    one ordered-mode journal transaction.
+    ``journal_blocks`` LPNs are reserved for the metadata journal.
     """
 
     journal_blocks: int = 256
-    metadata_pages_per_commit: int = 2
 
     def __post_init__(self) -> None:
-        if self.journal_blocks < self.metadata_pages_per_commit:
+        if self.journal_blocks < METADATA_PAGES_PER_COMMIT:
             raise ValueError("journal area smaller than one commit")
-        if self.metadata_pages_per_commit < 1:
-            raise ValueError("need at least one metadata page per commit")
 
 
 #: ``host.*`` telemetry rows, read off the filesystem's own counters.
@@ -220,7 +219,7 @@ class HostFs:
         """Write one ordered-mode journal transaction (descriptor +
         commit) to the journal area."""
         with self.telemetry.tracer.span("host.journal_commit"):
-            for _ in range(self.config.metadata_pages_per_commit):
+            for _ in range(METADATA_PAGES_PER_COMMIT):
                 lpn = self._journal_base + self._journal_cursor
                 self._journal_cursor = (self._journal_cursor + 1) % self.config.journal_blocks
                 self.ssd.write(lpn, ("fsmeta", self.metadata_commits))

@@ -53,10 +53,6 @@ class LsmCompactionResult:
     blocks_shared: int
     share_commands: int
 
-    @property
-    def blocks_total(self) -> int:
-        return self.blocks_written + self.blocks_shared
-
 
 class _RunCursor:
     """Merge-side view of one input run: walks blocks and entries."""

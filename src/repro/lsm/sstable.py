@@ -120,10 +120,6 @@ class SSTable:
     def min_key(self) -> Optional[Any]:
         return self._index[0].first_key if self._index else None
 
-    @property
-    def max_key(self) -> Optional[Any]:
-        return self._index[-1].last_key if self._index else None
-
     def block_meta(self, block_number: int) -> BlockMeta:
         return self._index[block_number]
 

@@ -31,7 +31,6 @@ class PostgresConfig:
     full_page_writes: bool = True
     rows_per_page: int = 32
     checkpoint_interval_commits: int = 2000
-    wal_record_bytes: int = 128
 
     def __post_init__(self) -> None:
         if self.rows_per_page < 1:
@@ -48,8 +47,7 @@ class PostgresEngine:
         self.config = config or PostgresConfig()
         self.data_ssd = data_ssd
         self.faults = data_ssd.faults
-        self.wal = Wal(wal_ssd, record_bytes=self.config.wal_record_bytes,
-                       data_page_bytes=data_ssd.page_size)
+        self.wal = Wal(wal_ssd, data_page_bytes=data_ssd.page_size)
         self._tables: Dict[str, int] = {}          # name -> first page id
         self._table_pages: Dict[str, int] = {}     # name -> page count
         self._next_page = 0

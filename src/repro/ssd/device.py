@@ -63,13 +63,13 @@ class SsdConfig:
     ``queue_depth`` bounds the native command queue: how many commands
     may be outstanding between admission and completion.  1 (the
     default) serialises commands exactly like the old synchronous
-    model.  ``plane_ways`` is the number of interleave units per NAND
-    channel (plane pairs); operations on different ways of one channel
-    overlap.
+    model.
 
-    ``interval_capacity`` bounds the per-channel busy-interval ring
-    (:class:`~repro.ssd.trace.IntervalTrace`) the Chrome-trace exporter
-    draws channel lanes from.  0 (default) disables capture.
+    ``trace_capacity`` / ``interval_capacity`` bound the command trace
+    (:class:`~repro.ssd.trace.IoTrace`) and the per-channel busy-interval
+    capture (:class:`~repro.ssd.trace.IntervalTrace`) the Chrome-trace
+    exporter draws its lanes from; both rings keep the newest entries.
+    0 (default) disables capture.
     """
 
     geometry: FlashGeometry = FlashGeometry()
@@ -77,10 +77,8 @@ class SsdConfig:
     ftl: FtlConfig = FtlConfig()
     share_enabled: bool = True
     trace_capacity: int = 0
-    trace_keep: str = "oldest"
     dram_cache_pages: int = 0
     queue_depth: int = 1
-    plane_ways: int = 1
     interval_capacity: int = 0
 
 
@@ -156,8 +154,7 @@ class Ssd:
                                   telemetry=self.telemetry)
         self.timing = self.config.timing
         self.stats = DeviceStats(page_size=self.config.geometry.page_size)
-        self.trace = IoTrace(self.config.trace_capacity,
-                             keep=self.config.trace_keep)
+        self.trace = IoTrace(self.config.trace_capacity)
         self.intervals = IntervalTrace(self.config.interval_capacity)
         from repro.ssd.cache import DramReadCache
         self.cache = DramReadCache(self.config.dram_cache_pages)
@@ -165,8 +162,7 @@ class Ssd:
         # share a scheduler so completions fire in global order.
         self.events = events if events is not None \
             else EventScheduler(clock)
-        self.channels = ChannelSet(self.config.geometry.channel_count,
-                                   ways=self.config.plane_ways)
+        self.channels = ChannelSet(self.config.geometry.channel_count)
         # A stack may pass one shared NCQ to several devices: at depth 1
         # that models a host doing synchronous I/O (one outstanding
         # command across the whole stack), which is what the serial
@@ -187,7 +183,6 @@ class Ssd:
             "copyback": timing.copyback_us,
             "erase": timing.erase_us,
             "map_write": timing.program_us,
-            "spill": timing.read_us + timing.program_us,
             "spill_lookup": timing.read_us,
             "gc_event": 0.0, "wear_move": 0.0,
         }
@@ -230,10 +225,6 @@ class Ssd:
     @property
     def logical_pages(self) -> int:
         return self.ftl.logical_pages
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.logical_pages * self.page_size
 
     @property
     def max_share_batch(self) -> int:
@@ -637,7 +628,7 @@ class Ssd:
                gate_kind: Optional[str] = None,
                gate_lpns: Optional[Tuple[int, ...]] = None) -> CommandTicket:
         """Price the command (base latency plus the internal work — GC
-        copybacks, erases, mapping-page programs, spills — it
+        copybacks, erases, mapping-page programs, spill lookups — it
         triggered), admit it through the NCQ, occupy its channels, and
         push its ticket into the completion queue.
 
@@ -678,8 +669,7 @@ class Ssd:
             dram_us = whole_us - dur
             pieces = ((channel, dur),) if dur > 0 else ()
         else:
-            erases = map_writes = spills = 0
-            spill_lookups = wear_moves = 0
+            erases = map_writes = spill_lookups = wear_moves = 0
             for work_kind, __ in work:
                 if work_kind == "map_write":
                     map_writes += 1
@@ -689,25 +679,21 @@ class Ssd:
                     erases += 1
                 elif work_kind == "gc_event":
                     gc_events += 1
-                elif work_kind == "spill":
-                    spills += 1
                 elif work_kind == "spill_lookup":
                     spill_lookups += 1
                 elif work_kind == "wear_move":
                     wear_moves += 1
-            if copybacks or erases or map_writes or spills or spill_lookups:
+            if copybacks or erases or map_writes or spill_lookups:
                 timing = self.timing
                 latency = (latency
                            + copybacks * timing.copyback_us
                            + erases * timing.erase_us
                            + map_writes * timing.program_us
-                           + spills * (timing.read_us + timing.program_us)
                            + spill_lookups * timing.read_us)
                 whole_us = None
             stats.copyback_pages += copybacks
             stats.block_erases += erases
             stats.map_page_writes += map_writes
-            stats.share_spill_pages += spills
             stats.spill_lookups += spill_lookups
             stats.gc_events += gc_events
             stats.wear_level_moves += wear_moves

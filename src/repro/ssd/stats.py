@@ -34,6 +34,8 @@ class DeviceStats:
     copyback_pages: int = 0
     block_erases: int = 0
     map_page_writes: int = 0
+    # Always 0 since a full share table spills to the mapping log, never
+    # to a page copy; kept because perfbench reads it by name.
     share_spill_pages: int = 0
     share_log_spills: int = 0
     spill_lookups: int = 0

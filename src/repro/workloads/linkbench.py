@@ -45,6 +45,13 @@ WRITE_OPS = frozenset({"Update_Node", "Delete_Node", "ADD_Node", "Add_Link",
 MAX_ID2 = 1 << 62
 LINK_TYPES = 2
 
+#: Skew of the zipfian node-id chooser.
+ZIPF_THETA = 0.8
+#: Most links one Get_Link_List returns.
+LINK_LIST_LIMIT = 20
+#: Links one Multiget_Link reads.
+MULTIGET_SIZE = 4
+
 
 @dataclass(frozen=True)
 class LinkBenchConfig:
@@ -58,9 +65,6 @@ class LinkBenchConfig:
 
     node_count: int = 10_000
     links_per_node: int = 5
-    zipf_theta: float = 0.8
-    link_list_limit: int = 20
-    multiget_size: int = 4
     seed: int = 42
 
 
@@ -90,7 +94,7 @@ class LinkBenchDriver:
         self.config = config
         self._rng = make_rng(config.seed)
         self._id_chooser = ZipfianGenerator(
-            config.node_count, theta=config.zipf_theta,
+            config.node_count, theta=ZIPF_THETA,
             rng=make_rng(config.seed + 1))
         self._pick_id = self._id_chooser.next
         self._next_node_id = config.node_count
@@ -254,7 +258,7 @@ class LinkBenchDriver:
         with self.engine.transaction() as txn:
             txn.range("link", (id1, link_type, -1),
                       (id1, link_type, MAX_ID2),
-                      limit=self.config.link_list_limit)
+                      limit=LINK_LIST_LIMIT)
 
     def _op_count_link(self, index: int) -> None:
         with self.engine.transaction() as txn:
@@ -264,7 +268,7 @@ class LinkBenchDriver:
         id1 = self._pick_id()
         link_type = self._rng.randrange(LINK_TYPES)
         with self.engine.transaction() as txn:
-            for __ in range(self.config.multiget_size):
+            for __ in range(MULTIGET_SIZE):
                 id2 = self._rng.randrange(self.config.node_count)
                 txn.get("link", (id1, link_type, id2))
 
@@ -339,7 +343,7 @@ class ClusterLinkBenchDriver:
         self.pump_every = pump_every
         self._rng = make_rng(config.seed)
         self._id_chooser = ZipfianGenerator(
-            config.node_count, theta=config.zipf_theta,
+            config.node_count, theta=ZIPF_THETA,
             rng=make_rng(config.seed + 1))
         self._pick_id = self._id_chooser.next
         self._next_node_id = config.node_count
@@ -457,7 +461,7 @@ class ClusterLinkBenchDriver:
         link_type = self._rng.randrange(LINK_TYPES)
         router = self.router
         router.get(("count", id1, link_type))
-        for __ in range(min(4, self.config.link_list_limit)):
+        for __ in range(min(4, LINK_LIST_LIMIT)):
             id2 = self._rng.randrange(self.config.node_count)
             router.get(("link", id1, link_type, id2))
 
@@ -468,7 +472,7 @@ class ClusterLinkBenchDriver:
     def _op_multiget_link(self, index: int) -> None:
         id1 = self._pick_id()
         link_type = self._rng.randrange(LINK_TYPES)
-        for __ in range(self.config.multiget_size):
+        for __ in range(MULTIGET_SIZE):
             id2 = self._rng.randrange(self.config.node_count)
             self.router.get(("link", id1, link_type, id2))
 

@@ -25,13 +25,15 @@ from repro.sim.rng import make_rng
 ACCOUNTS_PER_BRANCH = 10_000
 TELLERS_PER_BRANCH = 10
 
+#: Seed of the transaction stream's account / teller / branch draws.
+SEED = 9
+
 
 @dataclass(frozen=True)
 class PgBenchConfig:
-    """Scale and seed."""
+    """Scale: ``scale`` branches, each with its tellers and accounts."""
 
     scale: int = 2
-    seed: int = 9
 
     @property
     def accounts(self) -> int:
@@ -77,7 +79,7 @@ def run_pgbench(engine: PostgresEngine, clock: SimClock,
                 transactions: int,
                 config: PgBenchConfig = PgBenchConfig()) -> PgBenchResult:
     """Run the timed transaction stream (tables must exist)."""
-    rng = make_rng(config.seed)
+    rng = make_rng(SEED)
     wal_before = engine.wal_stats.total_bytes
     fpi_before = engine.wal_stats.full_page_bytes
     rec_before = engine.wal_stats.record_bytes

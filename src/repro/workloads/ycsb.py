@@ -22,6 +22,9 @@ from repro.sim.clock import SimClock
 from repro.sim.rng import ScrambledZipfian, ZipfianGenerator, make_rng
 from repro.sim.stats import Histogram
 
+#: Skew of the key choosers (YCSB's default request distribution).
+ZIPF_THETA = 0.99
+
 
 class YcsbWorkload(Enum):
     """The full YCSB core workload suite.
@@ -47,7 +50,6 @@ class YcsbConfig:
     average record."""
 
     record_count: int = 50_000
-    zipf_theta: float = 0.99
     seed: int = 7
 
 
@@ -111,13 +113,13 @@ class YcsbDriver:
         self.clock = clock
         self.config = config
         self._chooser = ScrambledZipfian(config.record_count,
-                                         theta=config.zipf_theta,
+                                         theta=ZIPF_THETA,
                                          seed=config.seed)
         self._rng = make_rng(config.seed + 1)
         # Workload D's "latest" distribution needs an UNscrambled zipfian:
         # small draws must mean small offsets from the newest key.
         self._offset_chooser = ZipfianGenerator(
-            config.record_count, theta=config.zipf_theta,
+            config.record_count, theta=ZIPF_THETA,
             rng=make_rng(config.seed + 2))
         self._versions = 0
         self._next_insert_key = config.record_count

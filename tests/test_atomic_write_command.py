@@ -10,7 +10,7 @@ from repro.errors import (DeviceError, FtlError, PowerFailure,
                           ProgramFailError)
 from repro.ftl.config import FtlConfig
 from repro.ftl.mapping import STRATEGY_NAMES
-from repro.host.filesystem import FsConfig, HostFs
+from repro.host.filesystem import METADATA_PAGES_PER_COMMIT, FsConfig, HostFs
 from repro.host.ioctl import atomic_write_ioctl
 from repro.innodb.engine import FlushMode
 from repro.sim.faults import FaultPlan, PowerFailAfter, ProgramFault
@@ -231,7 +231,7 @@ class TestReflinkCopy:
         writes_before = ssd.stats.host_write_pages
         fs.reflink_copy("/src", "/dst")
         data_writes = (ssd.stats.host_write_pages - writes_before
-                       - fs.config.metadata_pages_per_commit)
+                       - METADATA_PAGES_PER_COMMIT)
         assert data_writes == 0, "reflink must copy no data pages"
         dst = fs.open("/dst")
         for i in range(10):

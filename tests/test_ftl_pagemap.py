@@ -15,13 +15,12 @@ from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
 
 
-def make_ftl(share_entries=250, page_size=4096, op=0.125, policy="log"):
+def make_ftl(share_entries=250, page_size=4096, op=0.125):
     geo = FlashGeometry(page_size=page_size, pages_per_block=32,
                         block_count=64, overprovision_ratio=op)
     nand = NandArray(geo)
     return PageMappingFtl(nand, FtlConfig(map_block_count=4,
-                                          share_table_entries=share_entries,
-                                          share_overflow_policy=policy))
+                                          share_table_entries=share_entries))
 
 
 @pytest.fixture
@@ -188,39 +187,12 @@ class TestShare:
         assert len(ppns) == 1
 
 
-class TestShareOverflowCopyPolicy:
-    """The 'copy' overflow policy reconciles the oldest extra reference
-    with a private page copy when the DRAM table is full."""
-
-    def test_spill_materialises_copy(self):
-        ftl = make_ftl(share_entries=2, policy="copy")
-        ftl.write(1, "payload")
-        ftl.share(10, 1)
-        ftl.share(11, 1)
-        assert ftl.rev.is_full
-        ftl.share(12, 1)  # must reconcile the oldest extra
-        assert ftl.stats.share_spills == 1
-        for lpn in (10, 11, 12):
-            assert ftl.read(lpn) == "payload"
-        ftl.check_invariants()
-
-    def test_spilled_lpn_becomes_private(self):
-        ftl = make_ftl(share_entries=1, policy="copy")
-        ftl.write(1, "v1")
-        ftl.share(10, 1)
-        ftl.share(11, 1)  # spills LPN 10 into its own copy
-        assert ftl.fwd.lookup(10) != ftl.fwd.lookup(1)
-        ftl.write(1, "v2")
-        assert ftl.read(10) == "v1"
-        assert ftl.read(11) == "v1"
-
-
 class TestShareOverflowLogPolicy:
-    """The default 'log' policy keeps overflowed reverse mappings
-    resolvable from the mapping log: no data copies, GC pays lookups."""
+    """A full share table spills reverse mappings to the mapping log,
+    where they stay resolvable: no data copies, GC pays lookups."""
 
     def test_overflow_makes_no_copies(self):
-        ftl = make_ftl(share_entries=2, policy="log")
+        ftl = make_ftl(share_entries=2)
         ftl.write(1, "payload")
         programs_before = ftl.nand.total_programs
         for dst in range(10, 20):
@@ -228,7 +200,7 @@ class TestShareOverflowLogPolicy:
         # Only mapping-log pages were programmed, no data copies.
         data_programs = (ftl.nand.total_programs - programs_before
                          - ftl.map_page_writes)
-        assert ftl.stats.share_spills == 0
+        assert data_programs == 0
         assert ftl.stats.share_log_spills == 8  # 10 extras, 2 fit in DRAM
         assert ftl.rev.spilled_entries == 8
         for dst in range(10, 20):
@@ -238,7 +210,7 @@ class TestShareOverflowLogPolicy:
     def test_gc_resolves_spilled_refs(self):
         import random
         rng = random.Random(3)
-        ftl = make_ftl(share_entries=1, policy="log")
+        ftl = make_ftl(share_entries=1)
         ftl.write(1, "shared")
         for dst in range(10, 14):
             ftl.share(dst, 1)
@@ -256,7 +228,7 @@ class TestShareOverflowLogPolicy:
         ftl.check_invariants()
 
     def test_spilled_entries_released_on_overwrite(self):
-        ftl = make_ftl(share_entries=1, policy="log")
+        ftl = make_ftl(share_entries=1)
         ftl.write(1, "v1")
         ftl.share(10, 1)
         ftl.share(11, 1)  # spills
@@ -266,7 +238,7 @@ class TestShareOverflowLogPolicy:
         ftl.check_invariants()
 
     def test_recovery_restores_spilled_refs(self):
-        ftl = make_ftl(share_entries=1, policy="log")
+        ftl = make_ftl(share_entries=1)
         ftl.write(1, "v1")
         for dst in range(10, 14):
             ftl.share(dst, 1)

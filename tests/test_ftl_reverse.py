@@ -63,21 +63,6 @@ def test_is_full(rev):
     for lpn in range(1, 5):
         rev.add_extra(10, lpn)
     assert rev.is_full
-    assert rev.oldest_extra() == (10, 1)
-
-
-def test_oldest_extra_fifo(rev):
-    rev.set_primary(10, 0)
-    rev.set_primary(11, 5)
-    rev.add_extra(10, 1)
-    rev.add_extra(11, 6)
-    assert rev.oldest_extra() == (10, 1)
-    rev.drop_ref(10, 1)
-    assert rev.oldest_extra() == (11, 6)
-
-
-def test_oldest_extra_none_when_empty(rev):
-    assert rev.oldest_extra() is None
 
 
 def test_move_page_transfers_refs(rev):
@@ -135,24 +120,6 @@ class TestSpillChurn:
         # valid and refs() reports them.
         assert rev.refs(10) == set(range(7))
         assert rev.is_spilled(10, 5) and not rev.is_spilled(10, 1)
-
-    def test_fifo_order_survives_interleaved_churn(self, rev):
-        for ppn in range(10, 16):
-            rev.set_primary(ppn, ppn * 100)
-        for ppn in range(10, 14):
-            rev.add_extra(ppn, ppn)           # fills the table: 10..13
-        rev.add_extra(14, 14)                 # spills
-        assert rev.oldest_extra() == (10, 10)
-        rev.drop_ref(11, 11)                  # free a middle entry
-        rev.add_extra(15, 15)                 # takes the freed slot
-        # FIFO order is insertion order of the surviving DRAM entries,
-        # not PPN order: 10, 12, 13, then the late arrival 15.
-        order = []
-        while rev.oldest_extra() is not None:
-            ppn, lpn = rev.oldest_extra()
-            order.append((ppn, lpn))
-            rev.drop_ref(ppn, lpn)
-        assert order == [(10, 10), (12, 12), (13, 13), (15, 15)]
 
     def test_drop_spilled_ref_releases_overflow(self, rev):
         rev.set_primary(10, 0)

@@ -11,7 +11,8 @@ from repro.errors import (
 )
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FAST_TIMING
-from repro.host.filesystem import FsConfig, HostFs, _runs
+from repro.host.filesystem import (METADATA_PAGES_PER_COMMIT, FsConfig, HostFs,
+                                   _runs)
 from repro.host.ioctl import share_file_ranges, share_ioctl
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
@@ -150,7 +151,7 @@ class TestMetadataJournal:
         f.append_block("x")
         writes_before = fs.ssd.stats.host_write_pages
         f.fsync()
-        per_commit = fs.config.metadata_pages_per_commit
+        per_commit = METADATA_PAGES_PER_COMMIT
         assert fs.ssd.stats.host_write_pages == writes_before + per_commit
 
 

@@ -7,7 +7,7 @@ from repro import errors
 from repro.bench.report import format_ratio_line, format_series, format_table
 from repro.flash.timing import FAST_TIMING, FlashTiming
 from repro.ssd.stats import DeviceStats
-from repro.ssd.trace import IoTrace, TraceEvent
+from repro.ssd.trace import IoTrace
 
 
 class TestDeviceStats:
@@ -54,21 +54,21 @@ class TestDeviceStats:
 
 
 class TestIoTrace:
-    def event(self, kind="write", latency=10.0):
-        return TraceEvent(timestamp_us=0, kind=kind, lpn=0, count=1,
-                          latency_us=latency)
+    def record(self, trace, kind="write", latency=10.0):
+        trace.record_fields(timestamp_us=0, kind=kind, lpn=0, count=1,
+                            latency_us=latency)
 
     def test_filtering_by_kind(self):
         trace = IoTrace(10)
-        trace.record(self.event("write"))
-        trace.record(self.event("read"))
+        self.record(trace, "write")
+        self.record(trace, "read")
         assert len(trace.events("write")) == 1
         assert len(trace.events()) == 2
 
     def test_max_latency(self):
         trace = IoTrace(10)
-        trace.record(self.event(latency=5.0))
-        trace.record(self.event(latency=50.0))
+        self.record(trace, latency=5.0)
+        self.record(trace, latency=50.0)
         assert trace.max_latency_us() == 50.0
 
     def test_max_latency_empty_raises(self):
@@ -77,8 +77,8 @@ class TestIoTrace:
 
     def test_clear(self):
         trace = IoTrace(1)
-        trace.record(self.event())
-        trace.record(self.event())
+        self.record(trace)
+        self.record(trace)
         assert trace.dropped == 1
         trace.clear()
         assert len(trace) == 0

@@ -55,7 +55,7 @@ def device_counters(ssd):
         "ftl.gc.spill_lookups": stats.spill_lookups,
         "ftl.wear.level_moves": stats.wear_level_moves,
         "ftl.share.pairs": ftl.share_pairs,
-        "ftl.share.spills": ftl.share_spills,
+        "ftl.share.spills": stats.share_spill_pages,
         "ftl.share.log_spills": ftl.share_log_spills,
         "ftl.maplog.page_writes": stats.map_page_writes,
         "ftl.maplog.checkpoints": ssd.ftl.maplog.checkpoints,

@@ -1,5 +1,5 @@
 """Tests for sinks (JSONL round-trip, periodic snapshotter) and the
-IoTrace retention modes / span-compatibility view."""
+IoTrace ring's retention and drop accounting."""
 
 import json
 from operator import itemgetter
@@ -9,12 +9,12 @@ import pytest
 from repro.obs import (COUNTER, JsonlSink, MemorySink, Telemetry, TeeSink,
                        read_jsonl)
 from repro.sim.clock import SimClock
-from repro.ssd.trace import IoTrace, TraceEvent, trace_event_from_span
+from repro.ssd.trace import IoTrace
 
 
-def make_event(index, kind="write"):
-    return TraceEvent(timestamp_us=index, kind=kind, lpn=index, count=1,
-                      latency_us=float(index))
+def record(trace, index):
+    trace.record_fields(timestamp_us=index, kind="write", lpn=index,
+                        count=1, latency_us=float(index))
 
 
 class TestJsonlSink:
@@ -106,68 +106,24 @@ class TestPeriodicSnapshotter:
 
 
 class TestIoTraceRetention:
-    def test_keep_oldest_drops_new_events(self):
-        trace = IoTrace(capacity=3, keep="oldest")
-        for index in range(5):
-            trace.record(make_event(index))
-        assert [e.lpn for e in trace] == [0, 1, 2]
-        assert trace.dropped == 2
-
     def test_keep_newest_is_a_ring(self):
-        trace = IoTrace(capacity=3, keep="newest")
+        trace = IoTrace(capacity=3)
         for index in range(5):
-            trace.record(make_event(index))
+            record(trace, index)
         assert [e.lpn for e in trace] == [2, 3, 4]
         assert trace.dropped == 2
 
     def test_snapshot_surfaces_drop_accounting(self):
-        trace = IoTrace(capacity=2, keep="newest")
+        trace = IoTrace(capacity=2)
         for index in range(5):
-            trace.record(make_event(index))
+            record(trace, index)
         assert trace.snapshot() == {
-            "capacity": 2, "recorded": 2, "dropped": 3, "keep": "newest"}
-
-    def test_invalid_keep_rejected(self):
-        with pytest.raises(ValueError, match="keep"):
-            IoTrace(capacity=1, keep="middle")
+            "capacity": 2, "recorded": 2, "dropped": 3}
 
     def test_clear_resets_drop_count(self):
         trace = IoTrace(capacity=1)
-        trace.record(make_event(0))
-        trace.record(make_event(1))
+        record(trace, 0)
+        record(trace, 1)
         trace.clear()
         assert len(trace) == 0
         assert trace.dropped == 0
-
-
-class TestSpanCompatibilityView:
-    def span_record(self, kind="write", lpn=7):
-        return {"type": "span", "name": f"device.{kind}", "span_id": 1,
-                "parent_id": None, "trace_id": 1, "start_us": 10,
-                "end_us": 30, "duration_us": 20,
-                "attrs": {"kind": kind, "lpn": lpn, "count": 2,
-                          "latency_us": 20.0, "gc_events": 1,
-                          "copyback_pages": 4}}
-
-    def test_event_from_span(self):
-        event = trace_event_from_span(self.span_record())
-        assert event == TraceEvent(timestamp_us=30, kind="write", lpn=7,
-                                   count=2, latency_us=20.0, gc_events=1,
-                                   copyback_pages=4)
-
-    def test_from_span_records_filters_non_device(self):
-        records = [
-            self.span_record(),
-            {"type": "span", "name": "ftl.gc", "span_id": 2,
-             "parent_id": 1, "trace_id": 1, "start_us": 0, "end_us": 0,
-             "duration_us": 0, "attrs": {}},
-            {"type": "metrics", "t_us": 0, "metrics": {}},
-        ]
-        trace = IoTrace.from_span_records(records)
-        assert len(trace) == 1
-        assert trace.events("write")[0].lpn == 7
-
-    def test_kind_falls_back_to_span_name(self):
-        record = self.span_record()
-        del record["attrs"]["kind"]
-        assert trace_event_from_span(record).kind == "write"

@@ -15,13 +15,12 @@ from repro.ftl.pagemap import PageMappingFtl
 LOGICAL_SPAN = 80  # stay well inside the tiny test geometry
 
 
-def fresh_ftl(share_entries=8, policy="log"):
+def fresh_ftl(share_entries=8):
     geo = FlashGeometry(page_size=4096, pages_per_block=16, block_count=48,
                         overprovision_ratio=0.2)
     nand = NandArray(geo)
     config = FtlConfig(map_block_count=4,
-                       share_table_entries=share_entries,
-                       share_overflow_policy=policy)
+                       share_table_entries=share_entries)
     return nand, config, PageMappingFtl(nand, config)
 
 
@@ -95,10 +94,11 @@ def test_recovery_reproduces_flushed_state(ops):
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(op_strategy, min_size=1, max_size=60),
-       st.sampled_from(["log", "copy"]))
-def test_both_overflow_policies_are_equivalent_logically(ops, policy):
-    __, __, ftl = fresh_ftl(share_entries=2, policy=policy)
+@given(st.lists(op_strategy, min_size=1, max_size=60))
+def test_starved_share_table_is_logically_invisible(ops):
+    """Two DRAM entries: most references spill to the mapping log, and
+    reads cannot tell."""
+    __, __, ftl = fresh_ftl(share_entries=2)
     model = {}
     apply_ops(ftl, model, ops)
     ftl.check_invariants()

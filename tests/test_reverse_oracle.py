@@ -180,12 +180,6 @@ class RefReverseMap:
         self._primary.pop(ppn, None)
         return True
 
-    def oldest_extra(self) -> Optional[Tuple[int, int]]:
-        """The (ppn, lpn) share entry that would be reconciled on overflow."""
-        if not self._extras:
-            return None
-        return next(iter(self._extras))
-
     def move_page(self, old_ppn: int, new_ppn: int,
                   refs: List[int]) -> None:
         """GC moved a valid page; transfer all references to ``new_ppn``.
@@ -264,7 +258,6 @@ def observe(rev):
         "is_valid": [rev.is_valid(ppn) for ppn in range(PAGES)],
         "primary_of": [rev.primary_of(ppn) for ppn in range(PAGES)],
         "live_pages": rev.live_pages(0, PAGES),
-        "oldest_extra": rev.oldest_extra(),
         "fifo": list(rev._extras),
         "extra_entries": rev.extra_entries,
         "is_full": rev.is_full,
@@ -380,7 +373,7 @@ def test_lazy_set_is_seeded_with_the_primary():
     pair.step("add_extra", 3, 8)
     pair.step("drop_ref", 3, 0)
     assert pair.new.primary_of(3) == 1
-    assert pair.new.oldest_extra() == (3, 8)
+    assert list(pair.new._extras) == [(3, 8)]
 
 
 def test_once_shared_page_keeps_its_set_through_a_single_reference():

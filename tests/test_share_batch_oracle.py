@@ -6,15 +6,14 @@ sequence-number call, a wrapper hop into the reverse map, a validated
 records' ``repr``.  Those bodies live on here, and only here, as the
 reference: ``RefFtl`` is today's ``PageMappingFtl`` with the old
 per-pair ``_share_batch`` / ``_trim`` put back, run with the old seal
-patched into the map log.  (Two deliberate differences from the old code,
-both bug fixes that rode along with the rewrite and have their own tests
-below: the reference bills a log spill only when ``add_extra`` really put
-an entry in the overflow, and under the ``copy`` policy it looks the
-batch's mappings up again after a reconciliation moved one of them.)
+patched into the map log.  (One deliberate difference from the old code,
+a bug fix that rode along with the rewrite and has its own test below:
+the reference bills a log spill only when ``add_extra`` really put an
+entry in the overflow.)
 
 The fence is *same seqs, same sets, same pages*: seeded write / share /
-trim / flush / GC mixes on every L2P backing and both overflow policies
-must leave the same forward map, the same reverse-map internals (set and
+trim / flush / GC mixes on every L2P backing, with a share table small
+enough to spill to the mapping log, must leave the same forward map, the same reverse-map internals (set and
 table iteration order included — which extra gets promoted is device
 behaviour), the same ``FtlStats``, the same sequence counter, the same
 decoded records on every mapping page, and the same state after a power
@@ -91,14 +90,6 @@ class RefFtl(PageMappingFtl):
             resolved.append((dst_lpn,
                              None if old_ppn == UNMAPPED else old_ppn,
                              src_ppn))
-        if self.config.share_overflow_policy == "copy":
-            copies_before = self.stats.share_spills
-            for _ in range(len(resolved)):
-                if self.rev.is_full:
-                    self._reconcile_oldest_share()
-            if self.stats.share_spills != copies_before:
-                resolved = [(dst_lpn, fwd.lookup(dst_lpn), fwd.get(src_lpn))
-                            for dst_lpn, src_lpn in pairs]
         self._flush_pending_trims()
         deltas = []
         rev = self.rev
@@ -139,10 +130,9 @@ class RefFtl(PageMappingFtl):
 
 # ---------------------------------------------------------------- driver
 
-def make_config(strategy, policy):
+def make_config(strategy):
     return FtlConfig(map_block_count=4, share_table_entries=6,
-                     share_overflow_policy=policy, l2p_strategy=strategy,
-                     l2p_group_pages=8)
+                     l2p_strategy=strategy, l2p_group_pages=8)
 
 
 def make_nand():
@@ -223,10 +213,10 @@ def observe(ftl, unseal):
     }
 
 
-def run(cls, unseal, strategy, policy, seed):
+def run(cls, unseal, strategy, seed):
     """Drive one FTL through the plan, then power-cycle it.  Returns the
     observations along the way, at the end, and after recovery."""
-    config = make_config(strategy, policy)
+    config = make_config(strategy)
     ftl = cls(make_nand(), config)
     ops = plan_ops(seed, ftl.logical_pages, ftl.max_share_batch)
     seen = []
@@ -242,13 +232,16 @@ def run(cls, unseal, strategy, policy, seed):
     return seen
 
 
-@pytest.mark.parametrize("policy", ["log", "copy"])
+# "log": the overflow rule under test — a full share table spills to the
+# mapping log.
+@pytest.mark.parametrize("overflow", ["log"])
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 @pytest.mark.parametrize("seed", [22, 23])
-def test_batched_path_matches_the_per_pair_reference(strategy, policy, seed):
+def test_batched_path_matches_the_per_pair_reference(strategy, overflow,
+                                                     seed):
     with reference_seal():
-        expected = run(RefFtl, ref_unseal, strategy, policy, seed)
-    actual = run(PageMappingFtl, deltalog._unseal, strategy, policy, seed)
+        expected = run(RefFtl, ref_unseal, strategy, seed)
+    actual = run(PageMappingFtl, deltalog._unseal, strategy, seed)
     assert len(actual) == len(expected)
     for index, (new, ref) in enumerate(zip(actual, expected)):
         for key in ref:
@@ -256,10 +249,7 @@ def test_batched_path_matches_the_per_pair_reference(strategy, policy, seed):
     final = expected[-2]["stats"]
     assert final["share_pairs"] and final["trim_pages"]
     assert final["gc_events"], "the mix never garbage-collected"
-    if policy == "log":
-        assert final["share_log_spills"]
-    else:
-        assert final["share_spills"]
+    assert final["share_log_spills"], "the share table never spilled"
 
 
 # -------------------------------------------------- the fix that rode along
@@ -274,7 +264,7 @@ def test_idempotent_reshare_is_not_billed_as_a_spill():
     assert rev.spill_adds == 0 and rev.spilled_entries == 0
     rev.check()
 
-    ftl = PageMappingFtl(make_nand(), make_config("flat", "log"))
+    ftl = PageMappingFtl(make_nand(), make_config("flat"))
     for lpn in range(4):
         ftl.write(lpn, ("v", lpn))
     ftl.share_batch([(10 + i, 0) for i in range(8)])    # table holds 6
@@ -287,26 +277,3 @@ def test_idempotent_reshare_is_not_billed_as_a_spill():
     ftl.rev.check()
     ftl.check_invariants()
 
-
-def test_copy_policy_reconciling_a_batch_lpn_does_not_leak_the_copy():
-    """``copy`` policy, share table full, and the entry reconciled to make
-    room belongs to an LPN of the very batch being applied: the private
-    copy it just got must be released (destination) or shared (source),
-    not left behind as a valid page nobody maps."""
-    for victim_is_destination in (True, False):
-        config = FtlConfig(map_block_count=4, share_table_entries=2,
-                           share_overflow_policy="copy")
-        ftl = PageMappingFtl(make_nand(), config)
-        for lpn in range(4):
-            ftl.write(lpn, ("v", lpn))
-        ftl.share(10, 0)
-        ftl.share(11, 1)            # table full; (page of 0, LPN 10) oldest
-        if victim_is_destination:
-            ftl.share_batch([(10, 2)])
-            assert ftl.read(10) == ("v", 2)
-        else:
-            ftl.share_batch([(12, 10)])
-            assert ftl.fwd.lookup(12) == ftl.fwd.lookup(10)
-            assert ftl.read(12) == ftl.read(10) == ("v", 0)
-        assert ftl.stats.share_spills == 1
-        ftl.check_invariants()

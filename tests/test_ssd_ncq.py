@@ -11,15 +11,14 @@ from repro.ssd.device import Ssd, SsdConfig
 from repro.ssd.ncq import DeviceSession, NativeCommandQueue, issuing
 
 
-def build(queue_depth=1, channel_count=1, plane_ways=1, block_count=32,
-          **ssd_kwargs):
+def build(queue_depth=1, channel_count=1, block_count=32, **ssd_kwargs):
     clock = SimClock()
     ssd = Ssd(clock, SsdConfig(
         geometry=FlashGeometry(page_size=4096, pages_per_block=16,
                                block_count=block_count,
                                channel_count=channel_count),
         timing=FAST_TIMING, ftl=FtlConfig(map_block_count=4),
-        queue_depth=queue_depth, plane_ways=plane_ways), **ssd_kwargs)
+        queue_depth=queue_depth), **ssd_kwargs)
     return clock, ssd
 
 

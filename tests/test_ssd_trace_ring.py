@@ -1,14 +1,13 @@
-"""IoTrace ring-buffer keep modes: dropped-record accounting across
-wrap boundaries, capacity-0 behaviour, the allocation-free
-``record_fields`` hot path, IntervalTrace, and the interaction with
-sampled telemetry mode."""
-
-import pytest
+"""The keep-newest ring both trace captures share: dropped-record
+accounting across wrap boundaries, wrap order and clear on each user
+(IoTrace, IntervalTrace), capacity-0 behaviour, the allocation-free
+``record_fields`` hot path, and the interaction with sampled telemetry
+mode."""
 
 from repro.obs import Telemetry
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd
-from repro.ssd.trace import KEEP_MODES, IntervalTrace, IoTrace, TraceEvent
+from repro.ssd.trace import IntervalTrace, IoTrace, TraceEvent
 
 from conftest import small_ssd_config
 
@@ -19,64 +18,73 @@ def fill(trace, n, start=0):
                             count=1, latency_us=5)
 
 
-class TestKeepOldest:
-    def test_keeps_first_capacity_events(self):
-        trace = IoTrace(4, keep="oldest")
-        fill(trace, 10)
-        assert len(trace) == 4
-        assert [e.lpn for e in trace] == [0, 1, 2, 3]
+class TestKeepNewest:
+    """The ring's cases on :class:`IoTrace`; :class:`TestIntervalRing`
+    runs them again on :class:`IntervalTrace`."""
 
-    def test_dropped_counts_overflow_exactly(self):
-        trace = IoTrace(4, keep="oldest")
-        fill(trace, 10)
-        assert trace.dropped == 6
-        fill(trace, 3, start=10)
-        assert trace.dropped == 9
+    make = IoTrace
+
+    @staticmethod
+    def fill(trace, n, start=0):
+        fill(trace, n, start)
+
+    @staticmethod
+    def keys(trace):
+        return [event.lpn for event in trace]
+
+    def test_keeps_last_capacity_events_in_order(self):
+        trace = self.make(4)
+        self.fill(trace, 10)
         assert len(trace) == 4
+        assert self.keys(trace) == [6, 7, 8, 9]
+
+    def test_dropped_counts_across_wrap_boundaries(self):
+        trace = self.make(3)
+        self.fill(trace, 3)
+        assert trace.dropped == 0
+        self.fill(trace, 1, start=3)      # first overwrite
+        assert trace.dropped == 1
+        self.fill(trace, 7, start=4)      # wraps the ring twice more
+        assert trace.dropped == 8
+        assert self.keys(trace) == [8, 9, 10]
+
+    def test_order_preserved_mid_wrap(self):
+        trace = self.make(4)
+        self.fill(trace, 6)  # head sits mid-ring
+        keys = self.keys(trace)
+        assert keys == sorted(keys) == [2, 3, 4, 5]
 
     def test_no_drops_under_capacity(self):
-        trace = IoTrace(8)
-        fill(trace, 8)
+        trace = self.make(8)
+        self.fill(trace, 8)
         assert trace.dropped == 0
         assert len(trace) == 8
 
-
-class TestKeepNewest:
-    def test_keeps_last_capacity_events_in_order(self):
-        trace = IoTrace(4, keep="newest")
-        fill(trace, 10)
-        assert len(trace) == 4
-        assert [e.lpn for e in trace] == [6, 7, 8, 9]
-
-    def test_dropped_counts_across_wrap_boundaries(self):
-        trace = IoTrace(3, keep="newest")
-        fill(trace, 3)
-        assert trace.dropped == 0
-        fill(trace, 1, start=3)           # first overwrite
-        assert trace.dropped == 1
-        fill(trace, 7, start=4)           # wraps the ring twice more
-        assert trace.dropped == 8
-        assert [e.lpn for e in trace] == [8, 9, 10]
-
-    def test_order_preserved_mid_wrap(self):
-        trace = IoTrace(4, keep="newest")
-        fill(trace, 6)  # head sits mid-ring
-        lpns = [e.lpn for e in trace]
-        assert lpns == sorted(lpns) == [2, 3, 4, 5]
-
     def test_clear_resets_ring_and_dropped(self):
-        trace = IoTrace(3, keep="newest")
-        fill(trace, 7)
+        trace = self.make(3)
+        self.fill(trace, 7)
         trace.clear()
         assert len(trace) == 0 and trace.dropped == 0
-        fill(trace, 2, start=20)
-        assert [e.lpn for e in trace] == [20, 21]
+        self.fill(trace, 2, start=20)
+        assert self.keys(trace) == [20, 21]
+
+
+class TestIntervalRing(TestKeepNewest):
+    make = IntervalTrace
+
+    @staticmethod
+    def fill(trace, n, start=0):
+        for i in range(start, start + n):
+            trace.record(0, i, i + 1)
+
+    @staticmethod
+    def keys(trace):
+        return [start for __, start, __ in trace.intervals()]
 
 
 class TestCapacityZero:
-    @pytest.mark.parametrize("keep", KEEP_MODES)
-    def test_drops_everything_without_error(self, keep):
-        trace = IoTrace(0, keep=keep)
+    def test_drops_everything_without_error(self):
+        trace = IoTrace(0)
         fill(trace, 5)
         assert len(trace) == 0
         assert trace.dropped == 5
@@ -100,10 +108,6 @@ class TestRecordFields:
         event = trace.events()[0]
         assert (event.arrival_us, event.wait_us) == (55, 5.0)
         assert (event.gc_events, event.copyback_pages) == (2, 3)
-
-    def test_invalid_keep_mode_rejected(self):
-        with pytest.raises(ValueError):
-            IoTrace(4, keep="recent")
 
 
 class TestIntervalTrace:
