@@ -44,15 +44,14 @@ class FtlConfig:
         How many fresh PPNs a single host write may try when programs keep
         failing before giving up with the typed error.
     l2p_strategy:
-        Forward-map backing: ``"flat"`` (default; DRAM array, bit-identical
-        to the pre-strategy FTL), ``"group"`` (GFTL per-group tables),
-        ``"runlength"`` (CCFTL extent runs), or ``"delta"``
-        (Page-Differential-Logging hybrid).  See
+        Forward-map backing: ``"flat"`` (default, the hot backing; DRAM
+        array, bit-identical to the pre-strategy FTL) or ``"delta"`` (the
+        compact one; Page-Differential-Logging hybrid).  See
         :mod:`repro.ftl.mapping`; ``repro.ftl.mapping.resolve_l2p_strategy``
         reads the ``REPRO_L2P`` environment override.
     l2p_group_pages:
-        Group size (LPNs per group) for the ``group`` and ``delta``
-        backings; ignored by the others.
+        Group size (LPNs per group) for the ``delta`` backing; ignored by
+        ``flat``.
     """
 
     map_block_count: int = 4

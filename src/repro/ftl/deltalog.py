@@ -36,8 +36,8 @@ Media faults make the log defend itself:
 The log is strategy-agnostic with respect to the in-DRAM forward map:
 records and spare stamps speak plain ``(LPN, PPN)``, and recovery replays
 the merged view through :class:`repro.ftl.mapping.MappingStrategy.update`,
-so the same media rebuilds identically under the flat, grouped,
-run-length, or delta-compressed backing (pinned by the parity tests in
+so the same media rebuilds identically under the flat or the
+delta-compressed backing (pinned by the parity tests in
 ``tests/test_ftl_strategy_recovery.py``).
 
 A record is plain data: any 5-tuple in :class:`DeltaRecord` field order

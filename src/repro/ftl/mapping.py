@@ -5,7 +5,7 @@ L2P mutation instead of a data copy — so the backing is a pluggable
 *strategy* rather than one hard-coded layout.  Every strategy implements
 the same :class:`MappingStrategy` contract (lookup / update / clear /
 bulk remap / iterate / footprint / snapshot); the FTL, recovery, and the
-crash invariants are backing-agnostic.  Four backings ship:
+crash invariants are backing-agnostic.  Two backings ship:
 
 * :class:`FlatListMap` (``"flat"``, the default) — a plain array of PPNs
   indexed by LPN, matching the page-mapping scheme of the OpenSSD
@@ -13,17 +13,6 @@ crash invariants are backing-agnostic.  Four backings ship:
   4.2.1).  O(1) everything, footprint proportional to the logical space
   whether mapped or not.  This is the fastest backing for the simulator
   and the bit-identical pre-refactor behaviour.
-* :class:`GroupMap` (``"group"``) — GFTL-style two-level mapping:
-  fixed-size per-group page tables allocated on first touch and freed
-  when their last entry clears.  Wins on footprint when the mapped set
-  is sparse or clustered; SHARE remaps into untouched groups force
-  group allocations (counted as remap splits).
-* :class:`RunLengthMap` (``"runlength"``) — CCFTL-style extent
-  compression: maximal runs of ``(lpn, ppn)`` pairs advancing in
-  lockstep collapse to one ``(start, length, ppn)`` record.  Wins big on
-  sequential workloads; random writes and SHARE remaps split runs
-  (split-on-write), which is exactly the fragmentation cost the lab
-  quantifies.
 * :class:`DeltaCompressedMap` (``"delta"``) — hybrid delta encoding per
   *Page-Differential Logging*: each group stores one base anchor (the
   PPN the group's first mapping predicts for every offset) plus a
@@ -31,6 +20,10 @@ crash invariants are backing-agnostic.  Four backings ship:
   Sequential fills cost one anchor per group; divergent entries —
   including SHARE remaps, which by construction point elsewhere — each
   cost an exception record.
+
+Flat is the one hot backing and delta is the compact one.  Run-based
+layouts lose to the flat array on SHARE (EXPERIMENTS.md, "SHARE
+fragments run-based compressed maps").
 
 Hot-path contract (preserved from the single-strategy era): the
 strategy's ``table`` attribute is the raw LPN-indexed list when the
@@ -41,7 +34,7 @@ compare is all the indirection costs on the default path.  SHARE and TRIM
 do not reach around: they make one :meth:`~MappingStrategy.resolve_pairs`
 / :meth:`~MappingStrategy.remap_pairs` /
 :meth:`~MappingStrategy.clear_range` call per command (flat indexes its
-list, the compact backings loop inside).  Direct writers must
+list, the delta backing loops inside).  Direct writers must
 maintain the ``UNMAPPED`` sentinel discipline and use
 :meth:`~MappingStrategy.update` / :meth:`~MappingStrategy.clear`
 whenever the mapped count could change.
@@ -59,12 +52,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 UNMAPPED = -1
 
 #: Registered strategy names, in presentation order.
-STRATEGY_NAMES = ("flat", "group", "runlength", "delta")
+STRATEGY_NAMES = ("flat", "delta")
 
 #: Modeled bytes per mapping entry (32-bit PPN).
 ENTRY_BYTES = 4
-#: Modeled bytes per run record: (start LPN, length, start PPN).
-RUN_BYTES = 12
 #: Modeled bytes per delta exception record: (LPN, PPN).
 DELTA_ENTRY_BYTES = 8
 
@@ -82,9 +73,8 @@ class MappingStrategy:
     ``remap`` is semantically :meth:`update` but tells the backing the
     new PPN aliases an existing physical page (a SHARE): backings that
     exploit contiguity use it to count ``remap_splits`` — the number of
-    runs split, groups allocated, or exception entries created by
-    remaps, i.e. the structural fragmentation cost of SHARE on that
-    layout.
+    exception entries created by remaps, i.e. the structural
+    fragmentation cost of SHARE on that layout.
     """
 
     __slots__ = ()
@@ -189,8 +179,7 @@ class MappingStrategy:
 
     def fragment_count(self) -> int:
         """How many internal fragments the layout holds right now —
-        1 for the flat array, allocated groups for the group map, runs
-        for the run-length map, exception entries for the delta map.
+        1 for the flat array, exception entries for the delta map.
         Exported as the device's ``ftl.l2p.runs`` gauge."""
         raise NotImplementedError
 
@@ -201,7 +190,7 @@ class FlatListMap(MappingStrategy):
     (An ``array('q')`` backing was measured and rejected: C-long boxing
     on every read made the hot loops slower than the plain list, and at
     simulated scale the footprint win is irrelevant — which is why the
-    compact backings below model their byte costs instead of chasing
+    delta backing below models its byte costs instead of chasing
     Python-level savings.)
     """
 
@@ -300,296 +289,6 @@ class FlatListMap(MappingStrategy):
         return 1
 
 
-class GroupMap(MappingStrategy):
-    """GFTL-style two-level map: per-group page tables on first touch.
-
-    The directory holds one slot per group; a group's table (``
-    group_pages`` entries) is allocated the first time any LPN inside it
-    maps and freed when its last entry clears.  Footprint follows the
-    *touched* address space instead of the whole logical space."""
-
-    __slots__ = ("_logical_pages", "_group_pages", "_groups", "_live",
-                 "_allocated", "_mapped_count", "_remap_splits")
-
-    name = "group"
-
-    def __init__(self, logical_pages: int, group_pages: int = 64) -> None:
-        if logical_pages <= 0:
-            raise ValueError(f"logical_pages must be positive: {logical_pages}")
-        if group_pages < 1:
-            raise ValueError(f"group_pages must be >= 1: {group_pages}")
-        self._logical_pages = logical_pages
-        self._group_pages = group_pages
-        group_count = -(-logical_pages // group_pages)
-        self._groups: List[Optional[List[int]]] = [None] * group_count
-        self._live = [0] * group_count       # mapped entries per group
-        self._allocated = 0
-        self._mapped_count = 0
-        self._remap_splits = 0
-
-    @property
-    def logical_pages(self) -> int:
-        return self._logical_pages
-
-    @property
-    def mapped_count(self) -> int:
-        return self._mapped_count
-
-    @property
-    def group_pages(self) -> int:
-        return self._group_pages
-
-    def get(self, lpn: int) -> int:
-        group = self._groups[lpn // self._group_pages]
-        if group is None:
-            return UNMAPPED
-        return group[lpn % self._group_pages]
-
-    def _set(self, lpn: int, ppn: int) -> Tuple[Optional[int], bool]:
-        """Write one entry; returns (old-or-None, allocated-a-group)."""
-        index = lpn // self._group_pages
-        group = self._groups[index]
-        fresh = group is None
-        if fresh:
-            group = [UNMAPPED] * self._group_pages
-            self._groups[index] = group
-            self._allocated += 1
-        offset = lpn % self._group_pages
-        old = group[offset]
-        group[offset] = ppn
-        if old == UNMAPPED:
-            self._live[index] += 1
-            self._mapped_count += 1
-            return None, fresh
-        return old, fresh
-
-    def update(self, lpn: int, ppn: int) -> Optional[int]:
-        self._check_lpn(lpn)
-        if ppn < 0:
-            raise ValueError(f"PPN must be non-negative: {ppn}")
-        return self._set(lpn, ppn)[0]
-
-    def remap(self, lpn: int, ppn: int) -> Optional[int]:
-        old, fresh = self._set(lpn, ppn)
-        if fresh:
-            # A remap forced a whole group table into existence for one
-            # entry — the group layout's SHARE fragmentation cost.
-            self._remap_splits += 1
-        return old
-
-    def clear(self, lpn: int) -> Optional[int]:
-        self._check_lpn(lpn)
-        index = lpn // self._group_pages
-        group = self._groups[index]
-        if group is None:
-            return None
-        offset = lpn % self._group_pages
-        old = group[offset]
-        if old == UNMAPPED:
-            return None
-        group[offset] = UNMAPPED
-        self._live[index] -= 1
-        self._mapped_count -= 1
-        if self._live[index] == 0:
-            self._groups[index] = None   # return the table to the pool
-            self._allocated -= 1
-        return old
-
-    def mapped_lpns(self) -> Iterator[Tuple[int, int]]:
-        group_pages = self._group_pages
-        logical = self._logical_pages
-        for index, group in enumerate(self._groups):
-            if group is None:
-                continue
-            base = index * group_pages
-            for offset, ppn in enumerate(group):
-                if ppn != UNMAPPED and base + offset < logical:
-                    yield base + offset, ppn
-
-    @property
-    def remap_splits(self) -> int:
-        return self._remap_splits
-
-    def footprint_bytes(self) -> int:
-        return (len(self._groups) * ENTRY_BYTES
-                + self._allocated * self._group_pages * ENTRY_BYTES)
-
-    def fragment_count(self) -> int:
-        return self._allocated
-
-
-class RunLengthMap(MappingStrategy):
-    """CCFTL-style extent runs with split-on-write.
-
-    Runs are ``[start_lpn, length, start_ppn]`` records, kept sorted by
-    ``start_lpn`` with a parallel key list for bisection.  A write that
-    extends a neighbouring run in lockstep merges into it; a write into
-    the middle of a run carves it apart.  SHARE remaps almost never
-    extend a run (the source page lives elsewhere), so heavy remapping
-    shreds extents — ``remap_splits`` counts every run boundary a remap
-    manufactures."""
-
-    __slots__ = ("_logical_pages", "_starts", "_runs", "_mapped_count",
-                 "_remap_splits", "_splits")
-
-    name = "runlength"
-
-    def __init__(self, logical_pages: int) -> None:
-        if logical_pages <= 0:
-            raise ValueError(f"logical_pages must be positive: {logical_pages}")
-        self._logical_pages = logical_pages
-        self._starts: List[int] = []
-        self._runs: List[List[int]] = []
-        self._mapped_count = 0
-        self._remap_splits = 0
-        self._splits = 0
-
-    @property
-    def logical_pages(self) -> int:
-        return self._logical_pages
-
-    @property
-    def mapped_count(self) -> int:
-        return self._mapped_count
-
-    @property
-    def write_splits(self) -> int:
-        """Run carve-ups caused by ordinary (non-remap) updates."""
-        return self._splits
-
-    def _locate(self, lpn: int) -> int:
-        """Index of the run containing or preceding ``lpn`` (-1 if none)."""
-        from bisect import bisect_right
-        return bisect_right(self._starts, lpn) - 1
-
-    def get(self, lpn: int) -> int:
-        index = self._locate(lpn)
-        if index < 0:
-            return UNMAPPED
-        start, length, ppn = self._runs[index]
-        if lpn < start + length:
-            return ppn + (lpn - start)
-        return UNMAPPED
-
-    def _insert_run(self, index: int, start: int, length: int, ppn: int) -> None:
-        self._starts.insert(index, start)
-        self._runs.insert(index, [start, length, ppn])
-
-    def _delete_run(self, index: int) -> None:
-        del self._starts[index]
-        del self._runs[index]
-
-    def _carve(self, lpn: int) -> Tuple[Optional[int], int]:
-        """Remove ``lpn`` from whatever run holds it.
-
-        Returns ``(old_ppn_or_None, runs_added)`` where ``runs_added``
-        is how many extra run records the carve created (an interior
-        split adds one; trimming an edge adds none; removing a
-        single-page run removes one, reported as -1)."""
-        index = self._locate(lpn)
-        if index < 0:
-            return None, 0
-        run = self._runs[index]
-        start, length, ppn = run
-        if lpn >= start + length:
-            return None, 0
-        old = ppn + (lpn - start)
-        self._mapped_count -= 1
-        if length == 1:
-            self._delete_run(index)
-            return old, -1
-        if lpn == start:                      # trim the head
-            run[0] = start + 1
-            run[1] = length - 1
-            run[2] = ppn + 1
-            self._starts[index] = start + 1
-            return old, 0
-        if lpn == start + length - 1:         # trim the tail
-            run[1] = length - 1
-            return old, 0
-        # Interior: split into [start, lpn) and (lpn, start+length).
-        left_len = lpn - start
-        run[1] = left_len
-        right_start = lpn + 1
-        self._insert_run(index + 1, right_start,
-                         start + length - right_start,
-                         ppn + (right_start - start))
-        return old, 1
-
-    def _place(self, lpn: int, ppn: int) -> bool:
-        """Insert the single mapping ``lpn -> ppn`` (the LPN is known
-        unmapped).  Returns True when it merged into a neighbour run."""
-        from bisect import bisect_right
-        index = bisect_right(self._starts, lpn) - 1
-        merged = False
-        if index >= 0:
-            run = self._runs[index]
-            if run[0] + run[1] == lpn and run[2] + run[1] == ppn:
-                run[1] += 1                   # extend predecessor
-                merged = True
-        if not merged:
-            self._insert_run(index + 1, lpn, 1, ppn)
-            index += 1
-        # Try to absorb the successor run.
-        run = self._runs[index]
-        if index + 1 < len(self._runs):
-            nxt = self._runs[index + 1]
-            if run[0] + run[1] == nxt[0] and run[2] + run[1] == nxt[2]:
-                run[1] += nxt[1]
-                self._delete_run(index + 1)
-                merged = True
-        self._mapped_count += 1
-        return merged
-
-    def update(self, lpn: int, ppn: int) -> Optional[int]:
-        self._check_lpn(lpn)
-        if ppn < 0:
-            raise ValueError(f"PPN must be non-negative: {ppn}")
-        if self.get(lpn) == ppn:
-            return ppn                        # already exactly mapped
-        old, added = self._carve(lpn)
-        if added > 0:
-            # Only genuine interior carve-ups count as write splits —
-            # placing a fresh run in open space is normal growth.
-            self._splits += added
-        self._place(lpn, ppn)
-        return old
-
-    def remap(self, lpn: int, ppn: int) -> Optional[int]:
-        if self.get(lpn) == ppn:
-            return ppn
-        before = len(self._runs)
-        old, _added = self._carve(lpn)
-        self._place(lpn, ppn)
-        grew = len(self._runs) - before
-        if grew > 0:
-            # Remaps are charged their *net* fragmentation: an interior
-            # carve and the non-mergeable run the aliased PPN forces are
-            # both continuity SHARE destroyed relative to a flat layout.
-            self._remap_splits += grew
-        return old
-
-    def clear(self, lpn: int) -> Optional[int]:
-        self._check_lpn(lpn)
-        old, _added = self._carve(lpn)
-        return old
-
-    def mapped_lpns(self) -> Iterator[Tuple[int, int]]:
-        for start, length, ppn in self._runs:
-            for offset in range(length):
-                yield start + offset, ppn + offset
-
-    @property
-    def remap_splits(self) -> int:
-        return self._remap_splits
-
-    def footprint_bytes(self) -> int:
-        return len(self._runs) * RUN_BYTES
-
-    def fragment_count(self) -> int:
-        return len(self._runs)
-
-
 class DeltaCompressedMap(MappingStrategy):
     """Hybrid delta encoding per *Page-Differential Logging*.
 
@@ -634,11 +333,6 @@ class DeltaCompressedMap(MappingStrategy):
     def group_pages(self) -> int:
         return self._group_pages
 
-    @property
-    def delta_entries(self) -> int:
-        """Exception records currently held (divergent mappings)."""
-        return len(self._deltas)
-
     def get(self, lpn: int) -> int:
         if not self._mapped[lpn]:
             return UNMAPPED
@@ -659,13 +353,10 @@ class DeltaCompressedMap(MappingStrategy):
         anchor = self._anchors[index]
         if anchor is None:
             # First live entry of the group sets the prediction base.
-            self._anchors[index] = ppn - offset
+            anchor = self._anchors[index] = ppn - offset
+        if anchor + offset == ppn:
             self._deltas.pop(lpn, None)
             created = False
-        elif anchor + offset == ppn:
-            had = self._deltas.pop(lpn, None) is not None
-            created = False
-            del had
         else:
             created = lpn not in self._deltas
             self._deltas[lpn] = ppn
@@ -727,8 +418,6 @@ class DeltaCompressedMap(MappingStrategy):
 #: Registry: strategy name -> class.
 STRATEGIES = {
     FlatListMap.name: FlatListMap,
-    GroupMap.name: GroupMap,
-    RunLengthMap.name: RunLengthMap,
     DeltaCompressedMap.name: DeltaCompressedMap,
 }
 assert tuple(STRATEGIES) == STRATEGY_NAMES
@@ -743,13 +432,13 @@ def create_strategy(name: str, logical_pages: int,
         raise ValueError(
             f"unknown L2P strategy {name!r}; pick from "
             f"{', '.join(STRATEGY_NAMES)}") from None
-    if cls in (GroupMap, DeltaCompressedMap):
+    if cls is DeltaCompressedMap:
         return cls(logical_pages, group_pages=group_pages)
     return cls(logical_pages)
 
 
 def resolve_l2p_strategy(default: str = "flat") -> str:
-    """The strategy name from ``REPRO_L2P`` (flat|group|runlength|delta),
+    """The strategy name from ``REPRO_L2P`` (flat|delta),
     or ``default`` when unset.  Harness builders and the crash-explorer
     workloads route their :class:`~repro.ftl.config.FtlConfig` through
     this, so one environment variable switches a whole run's backing."""

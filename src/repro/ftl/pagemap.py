@@ -312,7 +312,7 @@ class PageMappingFtl:
             self._check_lpn_range(lpn)   # raises
         # Range checked above: index the raw L2P table directly on the
         # flat backing (the fast lane — one None-compare of indirection),
-        # ask the strategy on the compact backings.
+        # ask the strategy on the compact (delta) backing.
         table = self._fwd_table
         ppn = table[lpn] if table is not None else self.fwd.get(lpn)
         if ppn == UNMAPPED:

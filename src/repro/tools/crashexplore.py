@@ -12,7 +12,7 @@ Usage::
     python -m repro.tools.crashexplore --family cluster-kill --max-points 40
     python -m repro.tools.crashexplore --family cluster-media --max-points 20
     python -m repro.tools.crashexplore --family cluster-chaos --seeds 3
-    python -m repro.tools.crashexplore --workload ftl-basic --l2p runlength
+    python -m repro.tools.crashexplore --workload ftl-basic --l2p delta
     python -m repro.tools.crashexplore --list
 
 Every run is the same loop (:mod:`repro.crashcheck.sweep`): enumerate the

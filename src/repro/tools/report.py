@@ -303,7 +303,7 @@ def render_cluster(metrics: Dict) -> str:
 #: name-suffix) pairs, summed across devices like the activities.
 L2P_GAUGES = (
     ("L2P footprint (modeled bytes)", "ftl.l2p.footprint_bytes"),
-    ("L2P fragments (runs/groups/deltas)", "ftl.l2p.runs"),
+    ("L2P fragments (flat 1, delta exceptions)", "ftl.l2p.runs"),
     ("SHARE remap splits", "ftl.l2p.remap_splits"),
 )
 

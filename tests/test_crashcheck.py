@@ -266,14 +266,14 @@ def test_cli_defaults_to_the_family_first_workload(family_name, tmp_path):
 def test_cli_l2p_is_reported_and_does_not_leak(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_L2P", raising=False)
     records = check_cli_sweep(["--workload", "ftl-basic", "--l2p",
-                               "runlength", "--max-points", "3"], tmp_path)
-    assert records[-1]["l2p"] == "runlength"
+                               "delta", "--max-points", "3"], tmp_path)
+    assert records[-1]["l2p"] == "delta"
     assert "REPRO_L2P" not in os.environ
     # A value the caller had set is put back, not dropped.
     monkeypatch.setenv("REPRO_L2P", "delta")
-    records = check_cli_sweep(["--workload", "ftl-basic", "--l2p", "group",
+    records = check_cli_sweep(["--workload", "ftl-basic", "--l2p", "flat",
                                "--max-points", "3"], tmp_path)
-    assert records[-1]["l2p"] == "group"
+    assert records[-1]["l2p"] == "flat"
     assert os.environ["REPRO_L2P"] == "delta"
 
 

@@ -1,9 +1,9 @@
 """Unit tests for the forward (L2P) mapping strategies.
 
 The conformance block runs against every registered backing — the
-strategy contract, not one implementation — and the per-strategy blocks
-pin the layout-specific behaviours (group alloc/free, run split/merge,
-delta anchors/exceptions) plus the SHARE remap-split accounting.
+strategy contract, not one implementation — and the delta block pins
+the layout-specific behaviour (anchors and exceptions) plus the SHARE
+remap-split accounting.
 """
 
 import random
@@ -13,8 +13,6 @@ import pytest
 from repro.ftl.mapping import (
     DeltaCompressedMap,
     FlatListMap,
-    GroupMap,
-    RunLengthMap,
     STRATEGY_NAMES,
     UNMAPPED,
     create_strategy,
@@ -138,8 +136,8 @@ def test_create_strategy_rejects_unknown():
 def test_resolve_l2p_strategy_env(monkeypatch):
     monkeypatch.delenv("REPRO_L2P", raising=False)
     assert resolve_l2p_strategy() == "flat"
-    monkeypatch.setenv("REPRO_L2P", "runlength")
-    assert resolve_l2p_strategy() == "runlength"
+    monkeypatch.setenv("REPRO_L2P", "delta")
+    assert resolve_l2p_strategy() == "delta"
     monkeypatch.setenv("REPRO_L2P", "lsm")
     with pytest.raises(ValueError):
         resolve_l2p_strategy()
@@ -155,99 +153,6 @@ def test_only_flat_exposes_raw_table():
             assert strategy.table is None
 
 
-# ------------------------------------------------------------------- group
-
-
-def test_group_allocates_on_first_touch_and_frees():
-    fwd = GroupMap(16, group_pages=4)
-    base = fwd.footprint_bytes()          # directory only
-    assert fwd.fragment_count() == 0
-    fwd.update(5, 50)
-    assert fwd.fragment_count() == 1
-    assert fwd.footprint_bytes() > base
-    fwd.update(6, 60)
-    assert fwd.fragment_count() == 1      # same group
-    fwd.update(13, 130)
-    assert fwd.fragment_count() == 2
-    fwd.clear(5)
-    fwd.clear(6)
-    assert fwd.fragment_count() == 1      # group 1 freed
-    fwd.clear(13)
-    assert fwd.fragment_count() == 0
-    assert fwd.footprint_bytes() == base
-
-
-def test_group_remap_into_untouched_group_counts_split():
-    fwd = GroupMap(16, group_pages=4)
-    fwd.update(0, 10)
-    assert fwd.remap_splits == 0
-    fwd.remap(9, 10)                      # group 2 allocated by a remap
-    assert fwd.remap_splits == 1
-    fwd.remap(10, 10)                     # group already allocated
-    assert fwd.remap_splits == 1
-
-
-# --------------------------------------------------------------- runlength
-
-
-def test_runlength_sequential_collapses_to_one_run():
-    fwd = RunLengthMap(64)
-    for i in range(32):
-        fwd.update(i, 1000 + i)
-    assert fwd.fragment_count() == 1
-    assert fwd.mapped_count == 32
-
-
-def test_runlength_interior_overwrite_splits_run():
-    fwd = RunLengthMap(64)
-    for i in range(8):
-        fwd.update(i, 100 + i)
-    fwd.update(4, 999)                    # breaks lockstep mid-run
-    assert fwd.fragment_count() == 3      # [0,4) + {4} + (4,8)
-    assert fwd.lookup(4) == 999
-    assert fwd.lookup(3) == 103 and fwd.lookup(5) == 105
-
-
-def test_runlength_adjacent_writes_merge_back():
-    fwd = RunLengthMap(64)
-    fwd.update(0, 100)
-    fwd.update(2, 102)
-    assert fwd.fragment_count() == 2
-    fwd.update(1, 101)                    # bridges the gap in lockstep
-    assert fwd.fragment_count() == 1
-
-
-def test_runlength_edge_trims_do_not_split():
-    fwd = RunLengthMap(64)
-    for i in range(6):
-        fwd.update(i, 100 + i)
-    fwd.clear(0)
-    fwd.clear(5)
-    assert fwd.fragment_count() == 1
-    assert fwd.mapped_count == 4
-
-
-def test_runlength_remap_counts_splits():
-    fwd = RunLengthMap(64)
-    for i in range(8):
-        fwd.update(i, 100 + i)
-    assert fwd.remap_splits == 0
-    fwd.remap(4, 7777)                    # interior remap: 1 -> 3 runs
-    assert fwd.remap_splits == 2
-    assert fwd.write_splits == 0          # charged to remaps, not writes
-
-
-def test_runlength_remap_into_unmapped_space():
-    # Regression: remapping a destination no run covers must create a
-    # fresh single-page run, not corrupt a neighbour.
-    fwd = RunLengthMap(64)
-    fwd.update(0, 100)
-    fwd.remap(40, 100)
-    assert fwd.lookup(40) == 100
-    assert fwd.lookup(39) is None and fwd.lookup(41) is None
-    assert fwd.mapped_count == 2
-
-
 # ------------------------------------------------------------------- delta
 
 
@@ -255,7 +160,6 @@ def test_delta_sequential_fill_needs_no_exceptions():
     fwd = DeltaCompressedMap(64, group_pages=8)
     for i in range(32):
         fwd.update(i, 500 + i)            # perfectly predicted by anchors
-    assert fwd.delta_entries == 0
     assert fwd.fragment_count() == 0
     assert fwd.mapped_count == 32
 
@@ -264,10 +168,10 @@ def test_delta_divergent_write_costs_exception():
     fwd = DeltaCompressedMap(64, group_pages=8)
     fwd.update(0, 500)
     fwd.update(1, 9000)                   # diverges from anchor 500
-    assert fwd.delta_entries == 1
+    assert fwd.fragment_count() == 1
     assert fwd.lookup(1) == 9000
     fwd.update(1, 501)                    # back on prediction: freed
-    assert fwd.delta_entries == 0
+    assert fwd.fragment_count() == 0
     assert fwd.lookup(1) == 501
 
 
@@ -291,7 +195,7 @@ def test_delta_clear_drops_anchor_when_group_empties():
     fwd.clear(4)
     fwd.clear(3)
     assert fwd.mapped_count == 0
-    assert fwd.delta_entries == 0
+    assert fwd.fragment_count() == 0
     assert fwd.footprint_bytes() < base
     # A fresh write re-anchors the group at the new PPN.
     fwd.update(3, 1234)

@@ -211,7 +211,7 @@ class TestBatchBoundaryRegressions:
 class TestSharePerStrategy:
     """The batch-boundary and overlap regressions above, re-run against
     every L2P backing — plus the remap-into-unmapped-run cases where the
-    compact layouts (runs, groups, delta anchors) do real work."""
+    compact layout (delta anchors and exceptions) does real work."""
 
     def test_share_resolves_and_reads_back(self, strategy_ftl):
         ftl = strategy_ftl
@@ -273,9 +273,9 @@ class TestSharePerStrategy:
         ftl.check_invariants()
 
     def test_remap_into_unmapped_destination_run(self, strategy_ftl):
-        # Regression mirrored from the RunLengthMap unit tests: a SHARE
-        # whose destination sits in untouched address space must create
-        # the mapping without disturbing its (unmapped) neighbours.
+        # Regression: a SHARE whose destination sits in untouched address
+        # space must create the mapping without disturbing its (unmapped)
+        # neighbours.
         ftl = strategy_ftl
         for lpn in range(4):
             ftl.write(lpn, ("v", lpn))
@@ -286,8 +286,8 @@ class TestSharePerStrategy:
         ftl.check_invariants()
 
     def test_remap_interior_of_sequential_run(self, strategy_ftl):
-        # A remap landing mid-run splits extents / diverges anchors but
-        # must stay read-correct on both sides of the split.
+        # A remap landing mid-run diverges from the delta anchor but
+        # must stay read-correct on both sides of it.
         ftl = strategy_ftl
         for lpn in range(10, 18):
             ftl.write(lpn, ("seq", lpn))
@@ -308,7 +308,7 @@ class TestSharePerStrategy:
         if ftl.fwd.name == "flat":
             assert after == before == 0   # nothing to fragment
         else:
-            assert after >= before        # compact layouts may pay
+            assert after >= before        # the compact layout may pay
 
     def test_overwrite_after_share_keeps_source_intact(self, strategy_ftl):
         ftl = strategy_ftl

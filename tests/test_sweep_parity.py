@@ -154,9 +154,9 @@ def test_enumerated_sites_match_parent(cell):
 
 
 def test_enumeration_is_the_same_under_a_compact_l2p(monkeypatch):
-    # The CI cell sweeps ftl-basic under --l2p group: the backing changes
+    # The CI cell sweeps ftl-basic under --l2p delta: the backing changes
     # the DRAM representation, not the checkpoints the run reaches.
-    monkeypatch.setenv("REPRO_L2P", "group")
+    monkeypatch.setenv("REPRO_L2P", "delta")
     sites, __ = FAMILIES["power"].enumerate(WORKLOADS["ftl-basic"],
                                             ("power-cut",))
     assert (len(sites), digest(canon_site(site) for site in sites)) \
