@@ -19,8 +19,9 @@ sequence number — the newest assertion per LPN wins.
 
 Media faults make the log defend itself:
 
-* every mapping page is sealed with a CRC32 over a canonical encoding of
-  its records' fields (see :func:`_checksum`), so a page returned
+* every mapping page is stored as its media encoding — the records'
+  fields packed as signed 64-bit integers — sealed with a CRC32 of
+  exactly those bytes (see :func:`_seal`), so a page returned
   corrupted (or torn by a failed program) is *detected* during
   :meth:`MapLog.scan` and skipped rather than replayed — recovery already
   always merges the log with the full OOB scan by sequence number, so a
@@ -45,7 +46,7 @@ A record is plain data: any 5-tuple in :class:`DeltaRecord` field order
 back :class:`DeltaRecord`).  Its rules — known kind, non-negative LPN,
 PPNs and seq, a trim has no new PPN, a badblk no PPNs — are enforced once
 per mapping page, by :func:`_seal`, before the page is programmed (and
-again by :func:`_unseal`, which re-seals what it read).
+again by :func:`_unseal`, which re-seals what it decoded).
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ from repro.sim.faults import NO_FAULTS, FaultPlan
 #: Spare-area tag marking a mapping page (vs a data page).
 MAP_PAGE_TAG = "map"
 
-#: Magic leading every sealed mapping-page payload (v3: the checksum
-#: covers the packed fields, not the records' debug string).
-MAP_MAGIC = "maplog-v3"
+#: Magic leading every sealed mapping-page payload (v4: the page holds
+#: the packed fields themselves, and the checksum covers those bytes).
+MAP_MAGIC = "maplog-v4"
 
 KIND_SHARE = "share"
 KIND_TRIM = "trim"
@@ -88,6 +89,11 @@ KIND_BADBLK = "badblk"
 #: Every known kind, and its integer in the sealed encoding.
 _KIND_CODES = {KIND_SHARE: 0, KIND_TRIM: 1, KIND_SNAP: 2, KIND_AWRITE: 3,
                KIND_XCOMMIT: 4, KIND_BADBLK: 5}
+_KIND_NAMES = tuple(_KIND_CODES)
+
+#: The packed encoding: five signed 64-bit fields per record.
+_RECORD_BYTES = 5 * array("q").itemsize
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 #: How many fresh mapping pages one append tries when programs keep
 #: failing before surfacing the error.
@@ -109,24 +115,18 @@ class DeltaRecord(NamedTuple):
     seq: int
 
 
-def _checksum(records: Tuple[tuple, ...]) -> int:
-    """CRC32 over the canonical encoding of a mapping page: five signed
-    64-bit integers per record — kind code, LPN, old PPN, new PPN, seq,
-    None as -1 — packed in one pass (native byte order: the simulated
-    medium never leaves the process)."""
-    codes = _KIND_CODES
-    return zlib.crc32(array("q", [
-        field for kind, lpn, old_ppn, new_ppn, seq in records
-        for field in (codes[kind], lpn,
-                      -1 if old_ppn is None else old_ppn,
-                      -1 if new_ppn is None else new_ppn, seq)]).tobytes())
-
-
 def _seal(records: Tuple[tuple, ...]):
-    """Wrap a mapping page's records with a checksum so corruption is
-    detected; ``ValueError`` (nothing is programmed) if one breaks a rule."""
+    """The media image of a mapping page: ``(MAP_MAGIC, packed, crc)``,
+    where ``packed`` is five signed 64-bit integers per record — kind
+    code, LPN, old PPN, new PPN, seq, None as -1 — in record order
+    (native byte order: the simulated medium never leaves the process)
+    and ``crc`` is the CRC32 of exactly those bytes.  ``ValueError``
+    (nothing is programmed) if a record breaks a rule or a field does
+    not fit 64 bits."""
+    codes = _KIND_CODES
+    fields: List[int] = []
     for kind, lpn, old_ppn, new_ppn, seq in records:
-        if kind not in _KIND_CODES:
+        if kind not in codes:
             raise ValueError(f"unknown delta kind: {kind!r}")
         if lpn < 0:
             raise ValueError(f"negative LPN: {lpn}")
@@ -141,24 +141,50 @@ def _seal(records: Tuple[tuple, ...]):
         if ((old_ppn is not None and old_ppn < 0)
                 or (new_ppn is not None and new_ppn < 0)):
             raise ValueError(f"negative PPN: {old_ppn}, {new_ppn}")
-    return (MAP_MAGIC, records, _checksum(records))
+        fields += (codes[kind], lpn,
+                   -1 if old_ppn is None else old_ppn,
+                   -1 if new_ppn is None else new_ppn, seq)
+    try:
+        packed = array("q", fields).tobytes()
+    except OverflowError:
+        index = next(index for index, value in enumerate(fields)
+                     if value not in _INT64)
+        name = DeltaRecord._fields[index % 5]
+        raise ValueError(
+            f"{name} outside signed 64 bits: {fields[index]}") from None
+    return (MAP_MAGIC, packed, zlib.crc32(packed))
 
 
 def _unseal(payload) -> Optional[List[DeltaRecord]]:
     """Records from a sealed mapping page, or None when the page is
-    corrupt: bad magic, torn shape, or records that :func:`_seal` would
-    not seal to this very payload (a record that is not five encodable
-    fields or breaks a rule, or a checksum mismatch)."""
+    corrupt: bad magic, torn shape (not a 3-tuple, a packed image that is
+    not ``bytes`` of whole records), a checksum mismatch, or decoded
+    records that :func:`_seal` would not seal to this very payload (an
+    unknown kind code or a record that breaks a rule)."""
     if (not isinstance(payload, tuple) or len(payload) != 3
-            or not isinstance(payload[1], tuple)):
+            or payload[0] != MAP_MAGIC):
         return None
-    records = payload[1]
+    __, packed, crc = payload
+    if (type(packed) is not bytes or len(packed) % _RECORD_BYTES
+            or zlib.crc32(packed) != crc):
+        return None
+    fields = array("q")
+    fields.frombytes(packed)
+    names = _KIND_NAMES
+    records = []
+    for index in range(0, len(fields), 5):
+        code, lpn, old_ppn, new_ppn, seq = fields[index:index + 5]
+        if not 0 <= code < len(names):
+            return None
+        records.append(DeltaRecord(
+            names[code], lpn, None if old_ppn == -1 else old_ppn,
+            None if new_ppn == -1 else new_ppn, seq))
     try:
         if _seal(records) != payload:
             return None
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         return None
-    return [DeltaRecord._make(record) for record in records]
+    return records
 
 
 class MapLog:

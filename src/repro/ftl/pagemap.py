@@ -343,7 +343,7 @@ class PageMappingFtl:
         self._seq = seq + 1
         if fuses is not None:
             fuses.checkpoint("ftl.before_program")
-        ppn = self._program_data(data, ((lpn, seq),), for_gc=False)
+        ppn = self._program_data(data, None, False, lpn, seq)
         self.work.append(("host_program",
                           ppn // self._pages_per_block % self._channel_count))
         if fuses is not None:
@@ -394,9 +394,13 @@ class PageMappingFtl:
         if self._in_gc or ppn in self._shadow_owner or not self.rev.is_valid(ppn):
             return
         refs = sorted(self.rev.refs(ppn))
-        stamps = tuple((lpn, self._next_seq()) for lpn in refs)
         try:
-            new_ppn = self._program_data(data, stamps, for_gc=False)
+            if len(refs) == 1:
+                new_ppn = self._program_data(data, None, False, refs[0],
+                                             self._next_seq())
+            else:
+                stamps = tuple((lpn, self._next_seq()) for lpn in refs)
+                new_ppn = self._program_data(data, stamps, False)
         except (MediaError, OutOfSpaceError):
             return
         self.rev.move_page(ppn, new_ppn, refs)
@@ -407,8 +411,11 @@ class PageMappingFtl:
             self._share_backed.pop(lpn, None)
         self.stats.read_relocations += 1
 
-    def _program_data(self, data: Any, spare, for_gc: bool) -> int:
-        """Program a data page, surviving program failures.
+    def _program_data(self, data: Any, spare, for_gc: bool,
+                      lpn: int = -1, seq: int = 0) -> int:
+        """Program a data page, surviving program failures.  The page is
+        stamped with ``lpn`` / ``seq`` when ``lpn`` is set, else with the
+        ``spare`` record (several stamps, or ``()`` for none).
 
         On a failure the consumed page's block grows bad — live pages are
         evacuated, the retirement is persisted, a spare backfills the free
@@ -419,12 +426,14 @@ class PageMappingFtl:
         for __ in range(self.config.program_retry_limit):
             ppn = self._alloc_page(for_gc)
             try:
-                self.nand.program(ppn, data, spare=spare)
+                self.nand.program(ppn, data, spare, lpn, seq)
             except ProgramFailError as exc:
                 last_error = exc
                 self.stats.program_fails += 1
-                self._retire_block(ppn // self._pages_per_block,
-                                   frozenset(lpn for lpn, __ in spare))
+                self._retire_block(
+                    ppn // self._pages_per_block,
+                    frozenset((lpn,)) if lpn >= 0
+                    else frozenset(stamped for stamped, __ in spare))
                 continue
             return ppn
         raise ProgramFailError(
@@ -939,11 +948,17 @@ class PageMappingFtl:
                     stats.spill_lookups += 1
                     work.append(("spill_lookup", victim % channels))
                 data = self._read_page(ppn)
-                stamped = ([lpn for lpn in refs if lpn not in inflight]
-                           if inflight else refs)
-                stamps = tuple(zip(stamped, count_from(self._seq)))
-                self._seq += len(stamps)
-                new_ppn = self._program_data(data, stamps, for_gc=True)
+                if not inflight and len(refs) == 1:
+                    seq = self._seq
+                    self._seq = seq + 1
+                    new_ppn = self._program_data(data, None, True, refs[0],
+                                                 seq)
+                else:
+                    stamped = ([lpn for lpn in refs if lpn not in inflight]
+                               if inflight else refs)
+                    stamps = tuple(zip(stamped, count_from(self._seq)))
+                    self._seq += len(stamps)
+                    new_ppn = self._program_data(data, stamps, True)
             except (MediaError, OutOfSpaceError):
                 if not tolerant:
                     raise

@@ -1,5 +1,8 @@
 """Unit tests for the mapping delta log."""
 
+import zlib
+from array import array
+
 import pytest
 
 from repro.errors import FtlError
@@ -75,12 +78,35 @@ class TestDeltaRecord:
         self.refused(env, DeltaRecord(KIND_TRIM, 1, -1, None, 1),
                      "negative PPN")
 
+    def test_fields_beyond_64_bits_rejected(self, env):
+        # The page is packed as signed 64-bit integers: a field that does
+        # not fit is refused by name, like any other broken rule.
+        self.refused(env, DeltaRecord(KIND_SHARE, 1, None, 0, 2 ** 70),
+                     "seq outside signed 64 bits")
+        self.refused(env, DeltaRecord(KIND_SHARE, 2 ** 63, None, 0, 1),
+                     "lpn outside signed 64 bits")
+        self.refused(env, DeltaRecord(KIND_SHARE, 1, 2 ** 64, 0, 1),
+                     "old_ppn outside signed 64 bits")
+
+
+def pack(rows):
+    """The packed image of ``rows`` of five int64 fields each."""
+    return array("q", [field for row in rows for field in row]).tobytes()
+
+
+def unpack(packed):
+    """Rows of five int64 fields from a packed image."""
+    fields = array("q", packed)
+    return [list(fields[index:index + 5])
+            for index in range(0, len(fields), 5)]
+
 
 class TestSeal:
-    """The seal is a checksum of the record fields: any change to any of
-    them — or to the page's shape — makes ``_unseal`` answer None, and
-    ``MapLog.scan`` counts the page in ``bad_pages`` instead of replaying
-    it."""
+    """A mapping page is stored as its packed fields and a CRC32 of
+    exactly those bytes: any change to a field or to the page's shape —
+    or a well-checksummed page ``_seal`` would not have written — makes
+    ``_unseal`` answer None, and ``MapLog.scan`` counts the page in
+    ``bad_pages`` instead of replaying it."""
 
     RECORDS = (
         DeltaRecord(KIND_SHARE, 7, None, 40, 11),
@@ -113,7 +139,11 @@ class TestSeal:
         bare = tuple(tuple(rec) for rec in self.RECORDS)
         payload = _seal(bare)
         assert payload == _seal(self.RECORDS)    # named or bare: same page
-        assert payload[0] == MAP_MAGIC == "maplog-v3"
+        magic, packed, crc = payload
+        assert magic == MAP_MAGIC == "maplog-v4"
+        assert type(packed) is bytes and len(packed) == 5 * 40
+        assert crc == zlib.crc32(packed)
+        assert unpack(packed)[2] == [1, 9, 5, -1, 13]   # trim, None as -1
         decoded = _unseal(payload)
         assert decoded == list(self.RECORDS)
         assert all(isinstance(rec, DeltaRecord) for rec in decoded)
@@ -122,45 +152,70 @@ class TestSeal:
         assert bad_pages == 0
 
     def test_any_flipped_field_is_detected(self):
-        magic, records, crc = _seal(self.RECORDS)
-        other_kind = {KIND_SHARE: KIND_SNAP, KIND_TRIM: KIND_SHARE,
-                      KIND_BADBLK: KIND_TRIM, KIND_SNAP: KIND_SHARE}
+        magic, packed, crc = _seal(self.RECORDS)
+        rows = unpack(packed)
         flips = 0
-        for index, rec in enumerate(records):
-            for field, value in enumerate(rec):
-                if field == 0:
-                    changed = [other_kind[value], "bogus", None, ["share"]]
-                elif value is None:
-                    changed = [0, 5, -1]    # -1 is None's own encoding
-                else:
-                    changed = [value + 1, value ^ 64, None, -1, "7", 2 ** 70]
-                for new_value in changed:
-                    forged = list(rec)
-                    forged[field] = new_value
-                    page = (records[:index] + (tuple(forged),)
-                            + records[index + 1:])
-                    self.refused((magic, page, crc))
+        for index, row in enumerate(rows):
+            for field, value in enumerate(row):
+                for new_value in {value + 1, value - 1, value ^ 64,
+                                  value ^ 1 << 40, -1, 0, 2 ** 63 - 1}:
+                    if new_value == value:
+                        continue
+                    forged = [list(other) for other in rows]
+                    forged[index][field] = new_value
+                    self.refused((magic, pack(forged), crc))
                     flips += 1
-        assert flips > 80
+        assert flips > 150
 
     def test_crc_and_magic_are_checked(self):
-        magic, records, crc = _seal(self.RECORDS)
-        self.refused((magic, records, crc ^ 1))
-        self.refused(("maplog-v2", records, crc))
+        magic, packed, crc = _seal(self.RECORDS)
+        self.refused((magic, packed, crc ^ 1))
+        self.refused((magic, packed, str(crc)))
+        self.refused(("maplog-v3", packed, crc))
+        # A page in the previous, record-tuple layout is not this one.
+        self.refused(("maplog-v3", self.RECORDS, crc))
+        self.refused((magic, self.RECORDS, crc))
 
     def test_torn_shapes_are_detected(self):
-        magic, records, crc = _seal(self.RECORDS)
-        self.refused((magic, records[:-1], crc))            # record lost
-        self.refused((magic, records + records[:1], crc))   # record doubled
-        self.refused((magic, records[::-1], crc))           # reordered
-        self.refused((magic, (records[0][:4],) + records[1:], crc))
-        self.refused((magic, (records[0] + (0,),) + records[1:], crc))
-        self.refused((magic, (7,) + records[1:], crc))
-        self.refused((magic, list(records), crc))           # not a tuple
-        self.refused((magic, records))
-        self.refused((magic, records, crc, 0))
+        magic, packed, crc = _seal(self.RECORDS)
+        rows = unpack(packed)
+        self.refused((magic, pack(rows[:-1]), crc))            # record lost
+        self.refused((magic, pack(rows + rows[:1]), crc))      # doubled
+        self.refused((magic, pack(rows[::-1]), crc))           # reordered
+        # Not whole records: refused even under a matching checksum.
+        for torn in (packed[:-1], packed + b"\0", packed[:20]):
+            self.refused((magic, torn, crc))
+            self.refused((magic, torn, zlib.crc32(torn)))
+        # Not ``bytes``: refused even under a matching checksum.
+        self.refused((magic, bytearray(packed), crc))
+        self.refused((magic, memoryview(packed), crc))
+        self.refused((magic, list(packed), crc))
+        self.refused((magic, packed))                          # no CRC
+        self.refused((magic, packed, crc, 0))
+        self.refused([magic, packed, crc])                     # not a tuple
         self.refused(None)
         self.refused("garbage")
+
+    def test_well_checksummed_forgeries_are_refused(self):
+        # A page whose CRC is right but which ``_seal`` would never have
+        # written: the decoded records are held to the seal's rules.
+        magic, packed, __ = _seal(self.RECORDS)
+        rows = unpack(packed)
+        forgeries = {
+            "unknown kind code": (0, 0, 6),
+            "negative kind code": (0, 0, -1),
+            "negative LPN": (0, 1, -5),
+            "negative seq": (1, 4, -1),
+            "trim with a new PPN": (2, 3, 44),
+            "badblk with a PPN": (3, 2, 7),
+            "PPN below None's -1": (1, 2, -2),
+        }
+        for what, (index, field, value) in forgeries.items():
+            forged = [list(row) for row in rows]
+            forged[index][field] = value
+            image = pack(forged)
+            assert _unseal((magic, image, zlib.crc32(image))) is None, what
+            self.refused((magic, image, zlib.crc32(image)))
 
     def test_corrupt_payload_is_detected(self):
         self.refused((CORRUPT_PAYLOAD, 1234))

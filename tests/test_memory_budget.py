@@ -2,14 +2,18 @@
 
 The footprint twin of ``test_hot_path_budget.py``: a simulated device
 must not cost a Python object per physical page.  ``NandArray`` keeps
-page state in three PPN-indexed arrays and ``ReverseMap`` keeps the
-primary reference in one, with a reference *set* only for a page that
-has been shared in its current life — the paper's split between the
-spare-area stamp and the bounded share table (§4.2.1).  ``tracemalloc``
-byte counts repeat closely for a given interpreter, so the ceilings
-below are the regression fence for "someone re-introduced an object per
-page"; the object-per-page layout this replaced measured 112.8 bytes per
-erased page and 566.8 per aged page on the same probes.
+page state in PPN-indexed arrays — the spare stamp as two typed integer
+arrays — and ``ReverseMap`` keeps the primary reference in one, with a
+reference *set* only for a page that has been shared in its current
+life — the paper's split between the spare-area stamp and the bounded
+share table (§4.2.1).  A mapping page is held as its packed record
+fields, not a tuple per record.  ``tracemalloc`` byte counts repeat
+closely for a given interpreter, so the ceilings below are the
+regression fence for "someone re-introduced an object per page (or per
+record)"; the object-per-page layout measured 112.8 bytes per erased
+page and 566.8 per aged page on the same probes, the ``((lpn, seq),)``
+stamp per page 243.8 per aged page, and a tuple per log record 216.5
+bytes per record.
 """
 
 import gc
@@ -20,19 +24,26 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
+from repro.ftl.deltalog import KIND_SHARE, MapLog
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
 
-#: Bytes per page of a fresh ``NandArray``: one state byte and two list
-#: slots.  Measured 17.2 on CPython 3.9, 3.11 and 3.12.
+#: Bytes per page of a fresh ``NandArray``: one state byte, one list
+#: slot for the payload, a 4-byte owner LPN and an 8-byte seq.  Measured
+#: 21.2 on CPython 3.11.
 ERASED_BYTES_PER_PAGE_CEILING = 24.0
 
 #: Bytes per physical page of a whole ``Ssd`` aged with ``age(0.85,
-#: 0.1)`` and never shared — dominated by what the run stored (payload
-#: tuples, spare stamps ``((lpn, seq),)`` and their ints), which are not
-#: per-page bookkeeping.  Measured 236.9 on CPython 3.9, 245.0 on 3.11,
-#: 243.9 on 3.12; the ceiling is the largest + 15 %.
-AGED_BYTES_PER_PAGE_CEILING = 282.0
+#: 0.1)`` and never shared — dominated by what the run stored (the
+#: payload tuples), which is not per-page bookkeeping.  Measured 135.0 on
+#: CPython 3.11; the ceiling is that + 15 %.
+AGED_BYTES_PER_PAGE_CEILING = 156.0
+
+#: Host bytes per record of a map block filled with full 128-record
+#: mapping pages: 40 packed bytes per record plus each page's share of
+#: its ``bytes`` header, seal tuple and spare tag.  Measured 42.0 on
+#: CPython 3.11.
+MAP_LOG_BYTES_PER_RECORD_CEILING = 64.0
 
 
 def traced(build):
@@ -79,6 +90,32 @@ def test_aged_unshared_device_holds_no_reference_set():
         f"{per_page:.1f} bytes per physical page, ceiling "
         f"{AGED_BYTES_PER_PAGE_CEILING}")
     ssd.ftl.check_invariants()
+
+
+def test_mapping_pages_hold_packed_records():
+    geometry = FlashGeometry(page_size=4096, pages_per_block=64,
+                             block_count=16)
+    nand = NandArray(geometry)
+    per_page = 128
+    log = MapLog(nand, geometry, [14, 15], records_per_page=per_page)
+
+    def fill():
+        # Field values past the small-int cache, as on a real device.
+        for page in range(geometry.pages_per_block):
+            base = 1000 + page * per_page
+            log.append_atomic([(KIND_SHARE, base + i, 5000 + base + i,
+                                90000 + base + i, base + i)
+                               for i in range(per_page)])
+
+    __, grown, __ = traced(fill)
+    assert nand.programmed_pages_in_block(14) == geometry.pages_per_block
+    assert log.checkpoints == 0
+    per_record = grown / (geometry.pages_per_block * per_page)
+    assert per_record <= MAP_LOG_BYTES_PER_RECORD_CEILING, (
+        f"{per_record:.1f} bytes per mapping-log record, ceiling "
+        f"{MAP_LOG_BYTES_PER_RECORD_CEILING}")
+    assert len(MapLog.scan(nand, geometry, [14, 15])[0]) == \
+        geometry.pages_per_block * per_page
 
 
 def test_reference_sets_are_bounded_by_the_pages_ever_shared():
