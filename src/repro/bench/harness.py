@@ -14,6 +14,10 @@ so a full figure regenerates in minutes of wall time; every ratio the
 figures depend on (buffer-to-database, over-provisioning, batch sizes) is
 preserved.  ``Scale.FULL`` restores the paper's record counts for
 overnight runs.
+
+Every builder takes ``l2p_strategy`` (``"flat"`` or ``"delta"``, see
+:mod:`repro.ftl.mapping`) and puts it in the ``FtlConfig`` of each device
+it builds, so the backing is the stack's, not one device's.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Optional, Tuple
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import SATA_SSD_TIMING
 from repro.ftl.config import FtlConfig
-from repro.ftl.mapping import resolve_l2p_strategy
 from repro.couchstore.engine import CommitMode, CouchConfig, CouchStore
 from repro.host.filesystem import FsConfig, HostFs
 from repro.innodb.engine import FlushMode, InnoDBConfig, InnoDBEngine
@@ -48,14 +51,6 @@ def _map_blocks_for(block_count: int) -> int:
     """Mapping-log region size: proportional to capacity (real FTLs
     reserve capacity-proportional metadata space) with a small floor."""
     return max(4, block_count // 24)
-
-
-def _l2p(l2p_strategy: Optional[str]) -> str:
-    """L2P backing for a stack: the explicit argument, else the
-    ``REPRO_L2P`` environment override, else the flat default — so one
-    env var flips every builder-made device in a run."""
-    return (l2p_strategy if l2p_strategy is not None
-            else resolve_l2p_strategy())
 
 
 class Scale(enum.Enum):
@@ -132,7 +127,7 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
                        queue_depth: int = 1,
                        channel_count: Optional[int] = None,
                        interval_capacity: int = 0,
-                       l2p_strategy: Optional[str] = None) -> InnoDbStack:
+                       l2p_strategy: str = "flat") -> InnoDbStack:
     """Assemble data device + log device + engine for one experiment cell.
 
     The B-tree leaf capacity scales with the page size: bigger pages
@@ -164,7 +159,7 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
     data_ssd = Ssd(clock, SsdConfig(
         geometry=geometry,
         ftl=FtlConfig(map_block_count=_map_blocks_for(geometry.block_count),
-                      l2p_strategy=_l2p(l2p_strategy)),
+                      l2p_strategy=l2p_strategy),
         trace_capacity=trace_capacity, queue_depth=queue_depth,
         interval_capacity=interval_capacity),
         telemetry=telemetry, name="data", events=events, ncq=shared_ncq)
@@ -187,7 +182,7 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
                                    # backing, not one device's (each
                                    # reports its own ftl.l2p.* gauges).
                                    ftl=FtlConfig(
-                                       l2p_strategy=_l2p(l2p_strategy)),
+                                       l2p_strategy=l2p_strategy),
                                    queue_depth=queue_depth),
                   telemetry=telemetry, name="log", events=events,
                   ncq=shared_ncq)
@@ -233,7 +228,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
                       telemetry=None,
                       queue_depth: int = 1,
                       channel_count: Optional[int] = None,
-                      l2p_strategy: Optional[str] = None) -> CouchStack:
+                      l2p_strategy: str = "flat") -> CouchStack:
     """Assemble the device + filesystem + couchstore for one cell.
 
     The device is sized for the record set plus the append churn of the
@@ -255,7 +250,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
     ssd = Ssd(clock, SsdConfig(
         geometry=geometry,
         ftl=FtlConfig(map_block_count=_map_blocks_for(geometry.block_count),
-                      l2p_strategy=_l2p(l2p_strategy)),
+                      l2p_strategy=l2p_strategy),
         queue_depth=queue_depth),
         telemetry=telemetry, name="data")
     fs = HostFs(ssd, FsConfig())
@@ -268,7 +263,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
 # --------------------------------------------------------------------------
 
 def build_postgres_stack(full_page_writes: bool, scale: int,
-                         l2p_strategy: Optional[str] = None
+                         l2p_strategy: str = "flat"
                          ) -> Tuple[SimClock, Ssd, Ssd, PostgresEngine]:
     """Assemble a heap device + WAL device + engine."""
     clock = SimClock()
@@ -277,7 +272,7 @@ def build_postgres_stack(full_page_writes: bool, scale: int,
                              block_count=max(
                                  64, -(-(data_pages * 2) // int(128 * 0.92))),
                              overprovision_ratio=0.08)
-    ftl_config = FtlConfig(l2p_strategy=_l2p(l2p_strategy))
+    ftl_config = FtlConfig(l2p_strategy=l2p_strategy)
     data_ssd = Ssd(clock, SsdConfig(geometry=geometry, share_enabled=False,
                                     ftl=ftl_config))
     wal_ssd = Ssd(clock, SsdConfig(geometry=geometry, share_enabled=False,
@@ -314,7 +309,7 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
                         replicas: int = 1,
                         write_quorum: int = 1,
                         spare_shards: int = 0,
-                        l2p_strategy: Optional[str] = None) -> ClusterStack:
+                        l2p_strategy: str = "flat") -> ClusterStack:
     """Assemble ``shards`` shard groups (primary + ``replicas`` peer
     devices each) behind a :class:`~repro.cluster.router.ShardRouter`.
 
@@ -358,7 +353,7 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
             ftl=FtlConfig(
                 share_table_entries=max(64, per_shard_keys // 4),
                 map_block_count=_map_blocks_for(block_count),
-                l2p_strategy=_l2p(l2p_strategy)),
+                l2p_strategy=l2p_strategy),
             queue_depth=queue_depth),
             telemetry=telemetry, name=name, events=events)
 

@@ -69,8 +69,10 @@ class ClusterHarness:
 
     name = "cluster-small"
 
-    def __init__(self, faults: FaultPlan, replicas: int = 1,
-                 write_quorum: int = 1, media: bool = False) -> None:
+    def __init__(self, faults: FaultPlan, l2p: str = "flat",
+                 replicas: int = 1, write_quorum: int = 1,
+                 media: bool = False) -> None:
+        self.l2p = l2p
         self.clock = SimClock()
         self.events = EventScheduler(self.clock)
         self.media = media
@@ -104,7 +106,7 @@ class ClusterHarness:
         if self.media:
             plan = self.device_plans.setdefault(name, FaultPlan())
             spares = 4
-        return _small_ssd(plan, self.clock, block_count=24,
+        return _small_ssd(plan, self.clock, self.l2p, block_count=24,
                           pages_per_block=8, overprovision=0.25,
                           share_entries=32, spare_blocks=spares,
                           name=name, events=self.events)
@@ -168,10 +170,11 @@ class ClusterHarness:
         return [pair.guard for pair in self.pairs]
 
 
-def media_cluster_harness(faults: FaultPlan) -> ClusterHarness:
+def media_cluster_harness(faults: FaultPlan,
+                          l2p: str = "flat") -> ClusterHarness:
     """Factory for the media sweep: per-device fault plans plus spare
     pools, so a storm degrades — not kills — its victim."""
-    return ClusterHarness(faults, media=True)
+    return ClusterHarness(faults, l2p, media=True)
 
 
 # ------------------------------------------------------------ chaos schedule
@@ -224,8 +227,9 @@ class ClusterChaosHarness:
                  write_quorum: int = CHAOS_QUORUM,
                  clients: int = CHAOS_CLIENTS,
                  max_kills: int = 2, max_storms: int = 2,
-                 max_busy: int = 3) -> None:
+                 max_busy: int = 3, l2p: str = "flat") -> None:
         self.seed = seed
+        self.l2p = l2p
         self.steps = steps
         self.rng = make_rng(seed)
         self.clock = SimClock()
@@ -271,7 +275,7 @@ class ClusterChaosHarness:
         # Every device owns a plan (storms and busy faults target one
         # victim) and a spare pool to absorb storm-failed blocks.
         plan = self.device_plans.setdefault(name, FaultPlan())
-        return _small_ssd(plan, self.clock, block_count=24,
+        return _small_ssd(plan, self.clock, self.l2p, block_count=24,
                           pages_per_block=8, overprovision=0.25,
                           share_entries=32, spare_blocks=4,
                           name=name, events=self.events)

@@ -30,13 +30,13 @@ the same operations in the same order up to the injected fault.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from repro.crashcheck.invariants import check_media
 from repro.errors import DeviceError, PowerFailure
-from repro.ftl.mapping import resolve_l2p_strategy
 from repro.sim.faults import FaultPlan, PowerFailAfter
 
 
@@ -200,7 +200,7 @@ class SweepReport(NamedTuple):
 
     family: Family
     workload: str
-    l2p: str                          # resolved forward-map strategy
+    l2p: str                          # forward-map backing swept
     modes: Tuple[str, ...]
     counts: Dict[str, object]
     sites: Tuple[Site, ...]           # everything enumerated (or given)
@@ -381,15 +381,19 @@ def run_site(family: Family, factory: Callable, site: Site) -> SiteResult:
 def sweep(family: Family, factory: Callable, workload: str,
           modes: Optional[Sequence[str]] = None,
           sites: Optional[Sequence[Site]] = None,
-          cap: Optional[int] = None, sink=None) -> SweepReport:
+          cap: Optional[int] = None, sink=None,
+          l2p: str = "flat") -> SweepReport:
     """The full sweep: enumerate (unless ``sites`` is given), cap, inject
     each site.
 
     ``cap`` bounds the run for CI with :func:`sample_sites`.  ``sink`` is
     any telemetry sink (``emit(dict)``): each site's record is emitted as
-    it completes, then one summary record.
+    it completes, then one summary record.  ``l2p`` is the forward-map
+    backing every harness the sweep builds puts its devices on.
     """
     modes = family.resolve_modes(factory, modes)
+    # Bound after resolve_modes, which inspects the harness class itself.
+    factory = functools.partial(factory, l2p=l2p)
     counts: Dict[str, object] = {}
     if sites is None:
         sites, counts = family.enumerate(factory, modes)
@@ -400,8 +404,8 @@ def sweep(family: Family, factory: Callable, workload: str,
         results.append(result)
         if sink is not None:
             sink.emit(result.as_record(workload))
-    report = SweepReport(family, workload, resolve_l2p_strategy(), modes,
-                         counts, tuple(sites), tuple(results))
+    report = SweepReport(family, workload, l2p, modes, counts,
+                         tuple(sites), tuple(results))
     if sink is not None:
         sink.emit(report.summary())
     return report

@@ -8,13 +8,15 @@ value, or — only where an operation was interrupted mid-flight — as the
 in-flight value.  Determinism matters doubly here: the explorer's
 enumeration run and every injection run must reach the same checkpoints
 in the same order, so harnesses take no input other than the fault plan
-and seed their own RNGs.
+and the L2P backing, and seed their own RNGs.
 
 The harness protocol the sweep engine (:mod:`repro.crashcheck.sweep`)
 relies on:
 
-* ``Harness(faults)`` — full setup (devices, files, schemas).  Setup may
-  hit fault points; a sweep only enumerates what ``run()`` reaches.
+* ``Harness(faults, l2p="flat")`` — full setup (devices, files,
+  schemas), every device on the ``l2p`` forward-map backing (see
+  :mod:`repro.ftl.mapping`).  Setup may hit fault points; a sweep only
+  enumerates what ``run()`` reaches.
 * ``run()`` — the workload.  May raise :class:`PowerFailure`, or a typed
   :class:`DeviceError` on a degraded device.
 * ``recover()`` — discard volatile state, recover every device from its
@@ -45,7 +47,6 @@ from repro.errors import (DeviceError, MediaError, PowerFailure, ReproError,
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
-from repro.ftl.mapping import resolve_l2p_strategy
 from repro.host.datajournal import CheckpointMode, DataJournalingFs
 from repro.host.filesystem import FsConfig, HostFs
 from repro.innodb.engine import FlushMode, InnoDBConfig, InnoDBEngine
@@ -92,7 +93,7 @@ def per_key_violations(label: str, recovered: Dict, durable: Dict,
     return violations
 
 
-def _small_ssd(faults: FaultPlan, clock: SimClock,
+def _small_ssd(faults: FaultPlan, clock: SimClock, l2p: str,
                block_count: int = 48, pages_per_block: int = 16,
                overprovision: float = 0.2, map_blocks: int = 4,
                share_entries: int = 64, gc_low_water: int = 3,
@@ -109,7 +110,7 @@ def _small_ssd(faults: FaultPlan, clock: SimClock,
                                      gc_low_water=gc_low_water,
                                      gc_high_water=gc_high_water,
                                      spare_block_count=spare_blocks,
-                                     l2p_strategy=resolve_l2p_strategy()),
+                                     l2p_strategy=l2p),
                        queue_depth=queue_depth)
     return Ssd(clock, config, faults=faults, name=name, events=events)
 
@@ -126,12 +127,12 @@ class FtlBasicHarness:
 
     name = "ftl-basic"
 
-    def __init__(self, faults: FaultPlan) -> None:
+    def __init__(self, faults: FaultPlan, l2p: str = "flat") -> None:
         self.faults = faults
         self.clock = SimClock()
         # Small enough that the run's churn drives GC (so erase sites
         # exist for the media-fault sweep) while staying far from full.
-        self.ssd = _small_ssd(faults, self.clock, block_count=18,
+        self.ssd = _small_ssd(faults, self.clock, l2p, block_count=18,
                               overprovision=0.2, share_entries=16,
                               spare_blocks=2)
         self.durable: Dict[int, object] = {}
@@ -328,10 +329,10 @@ class QueuedFtlHarness:
     CLIENTS = 3
     SPAN = 16
 
-    def __init__(self, faults: FaultPlan) -> None:
+    def __init__(self, faults: FaultPlan, l2p: str = "flat") -> None:
         self.faults = faults
         self.clock = SimClock()
-        self.ssd = _small_ssd(faults, self.clock, block_count=20,
+        self.ssd = _small_ssd(faults, self.clock, l2p, block_count=20,
                               overprovision=0.2, share_entries=16,
                               spare_blocks=2, queue_depth=4,
                               channel_count=2)
@@ -468,10 +469,10 @@ class CouchHarness:
 
     name = "couch-small"
 
-    def __init__(self, faults: FaultPlan) -> None:
+    def __init__(self, faults: FaultPlan, l2p: str = "flat") -> None:
         self.faults = faults
         self.clock = SimClock()
-        self.ssd = _small_ssd(faults, self.clock, block_count=64,
+        self.ssd = _small_ssd(faults, self.clock, l2p, block_count=64,
                               pages_per_block=16, overprovision=0.2,
                               spare_blocks=2)
         self.fs = HostFs(self.ssd, FsConfig(journal_blocks=8))
@@ -552,22 +553,22 @@ class LinkbenchHarness:
 
     name = "linkbench-small"
 
-    def __init__(self, faults: FaultPlan) -> None:
+    def __init__(self, faults: FaultPlan, l2p: str = "flat") -> None:
         self.faults = faults
         self.clock = SimClock()
         # A small data device with tight over-provisioning and aggressive
         # watermarks: the flush churn drains its free pool, so GC runs
         # underneath the SHARE remaps (the interaction the sweep must
         # cover).
-        self.data_ssd = _small_ssd(faults, self.clock, block_count=20,
+        self.data_ssd = _small_ssd(faults, self.clock, l2p, block_count=20,
                                    pages_per_block=8, overprovision=0.1,
                                    map_blocks=3, gc_low_water=8,
                                    gc_high_water=10)
-        self.log_ssd = _small_ssd(faults, self.clock, block_count=32,
+        self.log_ssd = _small_ssd(faults, self.clock, l2p, block_count=32,
                                   pages_per_block=16, overprovision=0.25)
-        self.couch_ssd = _small_ssd(faults, self.clock, block_count=64,
-                                    pages_per_block=16, overprovision=0.2,
-                                    spare_blocks=2)
+        self.couch_ssd = _small_ssd(faults, self.clock, l2p,
+                                    block_count=64, pages_per_block=16,
+                                    overprovision=0.2, spare_blocks=2)
         self.iconfig = InnoDBConfig(buffer_pool_pages=32,
                                     flush_batch_pages=8, dwb_pages=8,
                                     leaf_capacity=8, internal_fanout=8,
@@ -716,10 +717,10 @@ class SqliteHarness:
 
     name = "sqlite-share"
 
-    def __init__(self, faults: FaultPlan) -> None:
+    def __init__(self, faults: FaultPlan, l2p: str = "flat") -> None:
         self.faults = faults
         self.clock = SimClock()
-        self.ssd = _small_ssd(faults, self.clock, block_count=64,
+        self.ssd = _small_ssd(faults, self.clock, l2p, block_count=64,
                               pages_per_block=16, overprovision=0.2)
         self.fs = HostFs(self.ssd, FsConfig(journal_blocks=8))
         self.page_count = 256
@@ -793,10 +794,10 @@ class DataJournalHarness:
 
     name = "datajournal-share"
 
-    def __init__(self, faults: FaultPlan) -> None:
+    def __init__(self, faults: FaultPlan, l2p: str = "flat") -> None:
         self.faults = faults
         self.clock = SimClock()
-        self.ssd = _small_ssd(faults, self.clock, block_count=48,
+        self.ssd = _small_ssd(faults, self.clock, l2p, block_count=48,
                               pages_per_block=16, overprovision=0.2)
         self.fs = HostFs(self.ssd, FsConfig(journal_blocks=8))
         self.journal = DataJournalingFs(self.fs, CheckpointMode.SHARE,
@@ -860,12 +861,12 @@ class PostgresHarness:
 
     name = "postgres-small"
 
-    def __init__(self, faults: FaultPlan) -> None:
+    def __init__(self, faults: FaultPlan, l2p: str = "flat") -> None:
         self.faults = faults
         self.clock = SimClock()
-        self.data_ssd = _small_ssd(faults, self.clock, block_count=48,
+        self.data_ssd = _small_ssd(faults, self.clock, l2p, block_count=48,
                                    pages_per_block=16, overprovision=0.2)
-        self.wal_ssd = _small_ssd(faults, self.clock, block_count=48,
+        self.wal_ssd = _small_ssd(faults, self.clock, l2p, block_count=48,
                                   pages_per_block=16, overprovision=0.2)
         self.config = PostgresConfig(full_page_writes=True,
                                      checkpoint_interval_commits=4,

@@ -47,8 +47,7 @@ class FtlConfig:
         Forward-map backing: ``"flat"`` (default, the hot backing; DRAM
         array, bit-identical to the pre-strategy FTL) or ``"delta"`` (the
         compact one; Page-Differential-Logging hybrid).  See
-        :mod:`repro.ftl.mapping`; ``repro.ftl.mapping.resolve_l2p_strategy``
-        reads the ``REPRO_L2P`` environment override.
+        :mod:`repro.ftl.mapping`.
     l2p_group_pages:
         Group size (LPNs per group) for the ``delta`` backing; ignored by
         ``flat``.

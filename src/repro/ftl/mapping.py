@@ -46,7 +46,6 @@ layouts would cost in device DRAM, which is the paper-relevant number.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterator, List, Optional, Tuple
 
 UNMAPPED = -1
@@ -436,17 +435,3 @@ def create_strategy(name: str, logical_pages: int,
         return cls(logical_pages, group_pages=group_pages)
     return cls(logical_pages)
 
-
-def resolve_l2p_strategy(default: str = "flat") -> str:
-    """The strategy name from ``REPRO_L2P`` (flat|delta),
-    or ``default`` when unset.  Harness builders and the crash-explorer
-    workloads route their :class:`~repro.ftl.config.FtlConfig` through
-    this, so one environment variable switches a whole run's backing."""
-    raw = os.environ.get("REPRO_L2P", "").strip().lower()
-    if not raw:
-        return default
-    if raw not in STRATEGIES:
-        raise ValueError(
-            f"REPRO_L2P must be one of {', '.join(STRATEGY_NAMES)}, "
-            f"got {raw!r}")
-    return raw

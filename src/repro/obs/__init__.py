@@ -21,8 +21,8 @@ is decided once, per root span, by the tracer: hot sites test the one
 plain flag :attr:`Tracer.recording` before opening a span or recording
 a per-command histogram sample, so an off or paused stack skips them
 outright, and a sampled one keeps whole trees and the histogram samples
-of exactly those commands.  What each ``REPRO_OBS`` tier costs per
-device command is an exact call count held by
+of exactly those commands.  What each ``Telemetry(mode=...)`` tier costs
+per device command is an exact call count held by
 ``tests/test_hot_path_budget.py``.  Render
 an artifact with ``python -m repro.tools.report``, or a timeline with
 :func:`chrome_trace`.  See ``docs/observability.md`` for the metric
@@ -54,8 +54,6 @@ from repro.obs.telemetry import (
     NULL_TELEMETRY,
     OBS_MODES,
     Telemetry,
-    obs_mode,
-    obs_sample_every,
 )
 from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
@@ -79,8 +77,6 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "export_chrome_trace",
-    "obs_mode",
-    "obs_sample_every",
     "read_jsonl",
     "validate_chrome_trace",
 ]

@@ -28,7 +28,6 @@ package per operation — and a site that forgot its guard fails on the
 from __future__ import annotations
 
 import math
-import os
 from typing import Any, Dict, Iterable, Optional
 
 from repro.obs.registry import BoundedHistogram, MetricsRegistry, Row
@@ -36,49 +35,17 @@ from repro.obs.sinks import NULL_SINK, NullSink
 from repro.obs.tracing import Tracer
 from repro.sim.clock import SimClock
 
-#: Valid values of the REPRO_OBS environment variable / ``mode`` argument.
+#: Valid values of the ``mode`` argument.
 OBS_MODES = ("off", "sampled", "full")
 
-#: Default 1-in-N rate for sampled mode (REPRO_OBS_SAMPLE overrides).
+#: Default 1-in-N rate for sampled mode.
 DEFAULT_SAMPLE_EVERY = 64
-
-
-def obs_mode(default: str = "full") -> str:
-    """Resolve the telemetry mode from ``REPRO_OBS`` (off|sampled|full)."""
-    mode = os.environ.get("REPRO_OBS", default).strip().lower() or default
-    if mode not in OBS_MODES:
-        raise ValueError(
-            f"REPRO_OBS must be one of {OBS_MODES}, got {mode!r}")
-    return mode
-
-
-def obs_sample_every(default: int = DEFAULT_SAMPLE_EVERY) -> int:
-    """Resolve the sampled-mode 1-in-N rate from ``REPRO_OBS_SAMPLE``.
-
-    A malformed value fails fast with an error naming the variable and
-    what it accepts, instead of an anonymous ``int()`` traceback from
-    deep inside telemetry setup."""
-    raw = os.environ.get("REPRO_OBS_SAMPLE", "").strip()
-    if not raw:
-        return default
-    try:
-        every = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_OBS_SAMPLE must be an integer >= 1 (the 1-in-N "
-            f"sampling rate for REPRO_OBS=sampled), got {raw!r}") from None
-    if every < 1:
-        raise ValueError(
-            f"REPRO_OBS_SAMPLE must be an integer >= 1 (the 1-in-N "
-            f"sampling rate for REPRO_OBS=sampled), got {every}")
-    return every
 
 
 class Telemetry:
     """Live telemetry: metrics + tracing + sink + periodic snapshots.
 
-    ``mode`` selects the observability cost tier (default: the
-    ``REPRO_OBS`` environment variable, falling back to ``"full"``):
+    ``mode`` selects the observability cost tier (default ``"full"``):
 
     * ``"full"`` — every event recorded, every span traced.
     * ``"sampled"`` — 1-in-N root spans are traced with their whole
@@ -87,8 +54,8 @@ class Telemetry:
       FTL SHARE batch shape — record exactly the commands of those
       trees, so the trace and the histograms describe the same sample.
       Counters and gauges are exact in every mode, because they are read
-      from their owners at snapshot time, not recorded per event.  N
-      defaults to ``REPRO_OBS_SAMPLE`` (64).
+      from their owners at snapshot time, not recorded per event.  N is
+      ``sample_every`` (default :data:`DEFAULT_SAMPLE_EVERY`, 64).
     * ``"off"`` — nothing registers (:meth:`collect` is a no-op,
       :meth:`histogram` returns ``None``), no clock is kept, the tracer
       is disabled and :meth:`resume` stays off, so snapshots are empty.
@@ -96,21 +63,17 @@ class Telemetry:
 
     def __init__(self, sink: Optional[Any] = None,
                  snapshot_interval_us: int = 0,
-                 mode: Optional[str] = None,
-                 sample_every: Optional[int] = None) -> None:
+                 mode: str = "full",
+                 sample_every: int = DEFAULT_SAMPLE_EVERY) -> None:
         if snapshot_interval_us < 0:
             raise ValueError(
                 f"snapshot interval must be >= 0: {snapshot_interval_us}")
-        if mode is None:
-            mode = obs_mode()
         if mode not in OBS_MODES:
             raise ValueError(f"mode must be one of {OBS_MODES}, got {mode!r}")
         self.mode = mode
         self.sink = sink if sink is not None else NullSink()
         self.metrics = MetricsRegistry()
         if mode == "sampled":
-            if sample_every is None:
-                sample_every = obs_sample_every()
             self.tracer = Tracer(self.sink, sample_every=sample_every)
             self.sample_every = sample_every
         else:

@@ -34,9 +34,9 @@ occurrence counters dropped — each distinct checkpoint, mode × operation,
 mode × flavor) gets a site first, the rest of the budget is spread evenly
 over the remainder.
 
-``--l2p`` (or the ``REPRO_L2P`` env var) switches the forward-map backing
-of every device the sweep builds (see :mod:`repro.ftl.mapping`); the
-summary record names the strategy the run resolved.
+``--l2p`` (default ``flat``) is the forward-map backing of every device
+the sweep builds (see :mod:`repro.ftl.mapping`); the summary record
+names it.
 
 Each verdict is appended to the JSONL report as one ``{"type":
 "crashcheck", "family": ..., ...}`` record — the same sink format the
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -63,7 +62,8 @@ def _sweep(args, family: Family, workload: str, modes, sink) -> int:
     """Run one sweep and print its summary; the exit status."""
     sites = seed_sites(args.seeds) if args.seeds is not None else None
     report = sweep(family, family.harnesses[workload], workload,
-                   modes=modes, sites=sites, cap=args.max_points, sink=sink)
+                   modes=modes, sites=sites, cap=args.max_points, sink=sink,
+                   l2p=args.l2p)
     summary = report.summary()
     counted = f"; counted {json.dumps(report.counts)}" if report.counts else ""
     print(f"[crashexplore] family {family.name} on {workload} "
@@ -114,11 +114,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seeds", type=int, default=None, metavar="N",
                         help="run seeds 1..N of a seeded family "
                              f"(cluster-chaos; default: {DEFAULT_SEEDS})")
-    parser.add_argument("--l2p", default=None, metavar="STRATEGY",
+    parser.add_argument("--l2p", default="flat", metavar="STRATEGY",
                         choices=sorted(STRATEGY_NAMES),
                         help="L2P mapping strategy for every device the "
                              f"sweep builds ({', '.join(STRATEGY_NAMES)}; "
-                             "default: the REPRO_L2P env var, else flat)")
+                             "default: flat)")
     parser.add_argument("--out", default="crashexplore-report.jsonl",
                         help="JSONL report path "
                              "(default: crashexplore-report.jsonl)")
@@ -144,6 +144,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ValueError(
                 f"family {family.name!r} does not sweep workload "
                 f"{workload!r} (choose from {', '.join(family.harnesses)})")
+        if args.max_points is not None and args.max_points < 1:
+            raise ValueError(
+                f"--max-points takes a positive count, got {args.max_points}")
         if args.seeds is not None and not (family.seeded and args.seeds > 0):
             raise ValueError(
                 "--seeds takes a positive count and applies to seeded "
@@ -155,22 +158,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"[crashexplore] {exc}", file=sys.stderr)
         return 2
-    # Harnesses resolve their FtlConfig through resolve_l2p_strategy(),
-    # which reads this env var — setting it here switches every device
-    # the sweep builds, enumeration and injection runs alike.
-    previous = os.environ.get("REPRO_L2P")
-    if args.l2p is not None:
-        os.environ["REPRO_L2P"] = args.l2p
     sink = JsonlSink(args.out)
     try:
         return _sweep(args, family, workload, modes, sink)
     finally:
         sink.close()
-        if args.l2p is not None:
-            if previous is None:
-                del os.environ["REPRO_L2P"]
-            else:
-                os.environ["REPRO_L2P"] = previous
 
 
 if __name__ == "__main__":

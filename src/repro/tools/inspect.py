@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.config import FtlConfig
-from repro.ftl.mapping import resolve_l2p_strategy
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
 
@@ -32,8 +31,7 @@ def build_device(block_count: int = 128) -> Ssd:
                              overprovision_ratio=0.1)
     return Ssd(SimClock(), SsdConfig(
         geometry=geometry,
-        ftl=FtlConfig(map_block_count=6,
-                      l2p_strategy=resolve_l2p_strategy())))
+        ftl=FtlConfig(map_block_count=6)))
 
 
 def run_scenario(ssd: Ssd, scenario: str, seed: int = 3) -> None:

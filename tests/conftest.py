@@ -20,8 +20,8 @@ def small_ssd_config(page_size=4096, share_entries=250, trace=0):
     )
 
 
-def small_linkbench_stack(seed, db_pages_estimate=320, l2p_strategy=None,
-                          telemetry=None):
+def small_linkbench_stack(seed, db_pages_estimate=320,
+                          l2p_strategy="flat", telemetry=None):
     """(stack, unloaded driver): a 600-node LinkBench graph on an InnoDB
     SHARE stack (queue depth 4, 2 channels) whose 64-page pool holds
     about a fifth of the database, so it misses, evicts and flushes.

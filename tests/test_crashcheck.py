@@ -7,15 +7,17 @@ per-site verdicts, the one report/record schema, and the CLI entry
 point — mostly on the power family, the one with no extras.
 """
 
+import functools
 import os
 
 import pytest
 
 from conftest import check_capped_sweep, check_cli_sweep
 from repro.crashcheck import (FAMILIES, POWER, Site, SiteResult, SweepReport,
-                              run_site, sample_evenly, sample_sites)
+                              run_site, sample_evenly, sample_sites, sweep)
 from repro.crashcheck.workloads import WORKLOADS
 from repro.errors import PowerFailure
+from repro.ftl.mapping import STRATEGY_NAMES
 from repro.sim.faults import FaultPlan, PowerFailAfter
 from repro.tools.crashexplore import main as crashexplore_main
 
@@ -263,17 +265,40 @@ def test_cli_defaults_to_the_family_first_workload(family_name, tmp_path):
         FAMILIES[family_name].harnesses))
 
 
+def test_every_harness_builds_on_the_backing_it_is_given():
+    # The backing is one argument, so the harness x backing grid is a
+    # plain loop in one process: every device a harness builds, through
+    # its family's own ``build``, recovers on exactly that backing.
+    cells = {}
+    for family in FAMILIES.values():
+        for name, factory in family.harnesses.items():
+            cells.setdefault(name, (family, factory))
+    assert len(cells) == len(WORKLOADS) + 3
+    for name, (family, factory) in sorted(cells.items()):
+        site = Site(family.name, family.modes[0], seed=1)
+        for l2p in STRATEGY_NAMES:
+            harness = family.build(functools.partial(factory, l2p=l2p),
+                                   FaultPlan(), site)
+            states = harness.recover()
+            assert states, name
+            assert {state.ssd.ftl.fwd.name for state in states} == {l2p}, \
+                (name, l2p)
+    report = sweep(POWER, WORKLOADS["ftl-basic"], "ftl-basic", cap=2,
+                   l2p="delta")
+    assert report.ok, report.failures
+    assert report.l2p == report.summary()["l2p"] == "delta"
+
+
 def test_cli_l2p_is_reported_and_does_not_leak(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_L2P", raising=False)
+    # The backing is the --l2p argument and nothing else: a REPRO_L2P
+    # left in the caller's shell neither changes a run nor is touched.
+    monkeypatch.setenv("REPRO_L2P", "delta")
+    records = check_cli_sweep(["--workload", "ftl-basic",
+                               "--max-points", "3"], tmp_path)
+    assert records[-1]["l2p"] == "flat"
     records = check_cli_sweep(["--workload", "ftl-basic", "--l2p",
                                "delta", "--max-points", "3"], tmp_path)
     assert records[-1]["l2p"] == "delta"
-    assert "REPRO_L2P" not in os.environ
-    # A value the caller had set is put back, not dropped.
-    monkeypatch.setenv("REPRO_L2P", "delta")
-    records = check_cli_sweep(["--workload", "ftl-basic", "--l2p", "flat",
-                               "--max-points", "3"], tmp_path)
-    assert records[-1]["l2p"] == "flat"
     assert os.environ["REPRO_L2P"] == "delta"
 
 
@@ -283,6 +308,8 @@ def test_cli_l2p_is_reported_and_does_not_leak(tmp_path, monkeypatch):
     ["--family", "power", "--seeds", "2"],
     ["--family", "cluster-chaos", "--seeds", "0"],
     ["--family", "power", "--modes", "kill"],
+    ["--max-points", "0"],
+    ["--max-points", "-3"],
 ])
 def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "never.jsonl"

@@ -10,13 +10,19 @@ dotted ``repro.`` path in an inline code span or a fenced block, must
 resolve — a module by ``importlib.util.find_spec``, or a module followed
 by attributes of it (``repro.ssd.device.Ssd._issue``).  Likewise every
 ``FtlConfig.<x>``, ``SsdConfig.<x>`` or ``IoTrace.<x>`` there must be an
-attribute of an instance: a doc describing a deleted knob fails."""
+attribute of an instance: a doc describing a deleted knob fails.  And a
+``REPRO_*`` environment variable a doc names, anywhere in its text, must
+be one that an ``os.environ`` read under ``src/`` or ``benchmarks/``
+actually looks up: a doc telling readers to set a retired variable
+fails."""
 
 import glob
 import importlib
 import importlib.util
 import os
 import re
+
+from test_environment_edge import environment_reads, python_sources
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
@@ -28,6 +34,7 @@ SPAN = re.compile(r"`([^`\n]+)`")
 RUN_MODULE = re.compile(r"python3? -m (repro(?:\.\w+)+)")
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 OPTION = re.compile(r"\b(FtlConfig|SsdConfig|IoTrace)\.([A-Za-z_]\w*)")
+VARIABLE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
 
 def doc_paths():
@@ -134,4 +141,39 @@ def test_every_option_the_docs_name_exists():
                     if not hasattr(owners[owner], attribute)]
     assert checked >= 5, "the docs' option names were not parsed"
     assert not missing, ("docs name options that do not exist:\n"
+                         + "\n".join(missing))
+
+
+def read_variables():
+    """Every environment variable a read under ``src/`` or
+    ``benchmarks/`` looks up by name."""
+    names = set()
+    for __, source in python_sources("src", "benchmarks"):
+        names |= environment_reads(source)
+    return names
+
+
+def test_variables_are_matched_in_the_whole_text():
+    text = ("Set `REPRO_BENCH_SCALE=tiny`; REPRO_L2P is gone, and so\n"
+            "is ```\nREPRO_OBS_SAMPLE=8 pytest\n```, but not REPRO_ or "
+            "XREPRO_Y.\n")
+    assert set(VARIABLE.findall(text)) == {
+        "REPRO_BENCH_SCALE", "REPRO_L2P", "REPRO_OBS_SAMPLE"}
+    assert "REPRO_BENCH_SCALE" in read_variables()
+    assert not {"REPRO_L2P", "REPRO_OBS", "REPRO_OBS_SAMPLE"} \
+        & read_variables()
+
+
+def test_every_variable_the_docs_name_is_read():
+    known = read_variables()
+    checked = 0
+    missing = []
+    for path in doc_paths():
+        with open(path, encoding="utf-8") as handle:
+            names = set(VARIABLE.findall(handle.read()))
+        checked += len(names)
+        missing += [f"{os.path.relpath(path, ROOT)}: {name}"
+                    for name in sorted(names - known)]
+    assert checked >= 1, "the docs' variable names were not parsed"
+    assert not missing, ("docs name environment variables nothing reads:\n"
                          + "\n".join(missing))

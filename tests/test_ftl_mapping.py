@@ -16,7 +16,6 @@ from repro.ftl.mapping import (
     STRATEGY_NAMES,
     UNMAPPED,
     create_strategy,
-    resolve_l2p_strategy,
 )
 
 
@@ -131,16 +130,6 @@ def test_randomized_agreement_with_dict(fwd):
 def test_create_strategy_rejects_unknown():
     with pytest.raises(ValueError):
         create_strategy("btree", 16)
-
-
-def test_resolve_l2p_strategy_env(monkeypatch):
-    monkeypatch.delenv("REPRO_L2P", raising=False)
-    assert resolve_l2p_strategy() == "flat"
-    monkeypatch.setenv("REPRO_L2P", "delta")
-    assert resolve_l2p_strategy() == "delta"
-    monkeypatch.setenv("REPRO_L2P", "lsm")
-    with pytest.raises(ValueError):
-        resolve_l2p_strategy()
 
 
 def test_only_flat_exposes_raw_table():

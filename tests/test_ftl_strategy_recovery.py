@@ -50,11 +50,11 @@ def _maplog_occurrences():
 _SITES = _maplog_occurrences()
 
 
-def _crash_at(site: Site) -> FtlBasicHarness:
-    """Run ftl-basic (under whatever ``REPRO_L2P`` resolves to) until the
-    injected power cut."""
+def _crash_at(site: Site, l2p: str = "flat") -> FtlBasicHarness:
+    """Run ftl-basic on the ``l2p`` backing until the injected power
+    cut."""
     faults = FaultPlan()
-    harness = FtlBasicHarness(faults)
+    harness = FtlBasicHarness(faults, l2p)
     faults.arm(PowerFailAfter(site.power_point, site.power_nth))
     with pytest.raises(PowerFailure):
         harness.run()
@@ -90,14 +90,12 @@ def test_recovery_parity_with_flat(strategy, site):
 
 @pytest.mark.parametrize("strategy",
                          [s for s in STRATEGY_NAMES if s != "flat"])
-def test_crash_while_running_under_strategy(strategy, monkeypatch):
+def test_crash_while_running_under_strategy(strategy):
     # Complementary direction: the *workload* runs under the compact
-    # backing (the harness resolves REPRO_L2P), crashes at a mid-run
-    # commit site, and both that backing and the flat one rebuild
-    # identical mappings from its media.
-    monkeypatch.setenv("REPRO_L2P", strategy)
+    # backing, crashes at a mid-run commit site, and both that backing
+    # and the flat one rebuild identical mappings from its media.
     site = _SITES[len(_SITES) // 2]
-    harness = _crash_at(site)
+    harness = _crash_at(site, strategy)
     assert harness.ssd.ftl.fwd.name == strategy
     nand = harness.ssd.nand
     base_config = harness.ssd.config.ftl

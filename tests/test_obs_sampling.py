@@ -1,4 +1,4 @@
-"""Telemetry cost tiers (REPRO_OBS): mode resolution, the
+"""Telemetry cost tiers (``Telemetry(mode=...)``): the
 off/sampled/full Telemetry wiring, root-span trace sampling — the one
 sampling decision, read through ``Tracer.recording`` — and the sampled
 device and engine paths, whose histograms hold the traced commands."""
@@ -9,8 +9,7 @@ import weakref
 import pytest
 
 from repro.obs import (COUNTER, DEFAULT_SAMPLE_EVERY, MemorySink,
-                       NULL_TELEMETRY, OBS_MODES, Telemetry, Tracer,
-                       obs_mode, obs_sample_every)
+                       NULL_TELEMETRY, OBS_MODES, Telemetry, Tracer)
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd
 
@@ -18,52 +17,23 @@ from conftest import small_linkbench_stack, small_ssd_config
 
 
 class TestModeResolution:
+    """The tier comes from the constructor's arguments and nothing else:
+    the retired REPRO_OBS / REPRO_OBS_SAMPLE variables change nothing."""
+
     def test_default_is_full(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert obs_mode() == "full"
-
-    def test_env_selects_mode(self, monkeypatch):
-        for mode in OBS_MODES:
-            monkeypatch.setenv("REPRO_OBS", f"  {mode.upper()} ")
-            assert obs_mode() == mode
-
-    def test_bad_mode_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "verbose")
-        with pytest.raises(ValueError, match="REPRO_OBS"):
-            obs_mode()
-
-    def test_sample_every_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_SAMPLE", raising=False)
-        assert obs_sample_every() == DEFAULT_SAMPLE_EVERY
-        monkeypatch.setenv("REPRO_OBS_SAMPLE", "16")
-        assert obs_sample_every() == 16
-        monkeypatch.setenv("REPRO_OBS_SAMPLE", "0")
-        with pytest.raises(ValueError):
-            obs_sample_every()
-
-    def test_sample_every_malformed_value_names_the_variable(self,
-                                                             monkeypatch):
-        # A typo'd rate must fail with an error that says which variable
-        # is wrong and what it accepts — not a bare int() traceback.
-        for raw in ("sixty-four", "64x", "1.5", ""):
-            monkeypatch.setenv("REPRO_OBS_SAMPLE", raw)
-            if not raw.strip():
-                assert obs_sample_every() == DEFAULT_SAMPLE_EVERY
-                continue
-            with pytest.raises(ValueError,
-                               match="REPRO_OBS_SAMPLE") as excinfo:
-                obs_sample_every()
-            assert raw in str(excinfo.value)
-        monkeypatch.setenv("REPRO_OBS_SAMPLE", "-3")
-        with pytest.raises(ValueError, match="REPRO_OBS_SAMPLE"):
-            obs_sample_every()
-
-    def test_telemetry_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "sampled")
+        monkeypatch.setenv("REPRO_OBS", "off")
         monkeypatch.setenv("REPRO_OBS_SAMPLE", "8")
-        telemetry = Telemetry()
-        assert telemetry.mode == "sampled"
-        assert telemetry.sample_every == 8
+        assert Telemetry().mode == "full"
+        assert (Telemetry(mode="sampled").sample_every
+                == DEFAULT_SAMPLE_EVERY)
+
+    def test_bad_mode_raises(self):
+        # An argument is taken as given: no case folding or stripping
+        # (that was shell-string parsing), and the error lists the tiers.
+        for mode in ("verbose", " off ", "FULL"):
+            with pytest.raises(ValueError) as excinfo:
+                Telemetry(mode=mode)
+            assert all(tier in str(excinfo.value) for tier in OBS_MODES)
 
 
 class TestTelemetryModes:

@@ -19,6 +19,7 @@ A mismatch means a site moved or a verdict changed: never re-record to
 make a refactor pass.
 """
 
+import functools
 import hashlib
 import json
 
@@ -153,12 +154,12 @@ def test_enumerated_sites_match_parent(cell):
     assert counts == COUNTS[cell]
 
 
-def test_enumeration_is_the_same_under_a_compact_l2p(monkeypatch):
+def test_enumeration_is_the_same_under_a_compact_l2p():
     # The CI cell sweeps ftl-basic under --l2p delta: the backing changes
     # the DRAM representation, not the checkpoints the run reaches.
-    monkeypatch.setenv("REPRO_L2P", "delta")
-    sites, __ = FAMILIES["power"].enumerate(WORKLOADS["ftl-basic"],
-                                            ("power-cut",))
+    factory = functools.partial(WORKLOADS["ftl-basic"], l2p="delta")
+    assert factory(FaultPlan()).ssd.ftl.fwd.name == "delta"
+    sites, __ = FAMILIES["power"].enumerate(factory, ("power-cut",))
     assert (len(sites), digest(canon_site(site) for site in sites)) \
         == SITES["power/ftl-basic"]
 
@@ -209,9 +210,9 @@ class LeakyHarness:
     steps = kills = storms = busy_faults = ryw_checks = 0
     mid_rebalance_kill = False
 
-    def __init__(self, faults):
+    def __init__(self, faults, l2p="flat"):
         self.faults = faults
-        self.ssd = _small_ssd(faults, SimClock())
+        self.ssd = _small_ssd(faults, SimClock(), l2p)
         self.router = self          # ``harness.router.stats``
         self.violations = []        # the chaos family's inline checks
         # Acked during setup and never touched by run(): whatever is
@@ -251,7 +252,7 @@ def leaky(request, monkeypatch):
     family = FAMILIES[request.param]
     factory = LeakyHarness
     if family.seeded:   # built from a seed, not a plan
-        factory = lambda seed: LeakyHarness(FaultPlan())
+        factory = lambda seed, l2p="flat": LeakyHarness(FaultPlan(), l2p)
     monkeypatch.setitem(family.harnesses, "leaky", factory)
     return family
 
