@@ -302,7 +302,7 @@ class MapLog:
             break
         self.page_writes += 1
         self._note_work(ppn)
-        if self.telemetry.enabled:
+        if self.telemetry.tracer.recording:
             self._m_records.record(len(records))
         if not faults.passive:
             faults.checkpoint("maplog.after_commit")

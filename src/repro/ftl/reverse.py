@@ -16,19 +16,11 @@ This module keeps the same split.  Every valid physical page has
   PPN-indexed list), and possibly
 * *extra* references created by SHARE — these consume share-table capacity.
 
-A page that has never been shared costs nothing beyond its primary slot.
-The set of *all* its referencing LPNs is created, as ``{primary, extra}``,
-when the page gets its first extra reference, and is then kept for the
-rest of that page's life — until its last reference leaves, it is
-reprogrammed, or GC moves it (the copy gets a fresh set built from the
-sorted references, or none if only one is left) — even if it shrinks back
-to one LPN.  That lifetime is behaviour, not housekeeping: when a primary
-leaves, the extra promoted in its place is ``next(iter(set))``, a set's
-iteration order depends on every insert and discard it has seen, and which
-extra is promoted decides which share-table slot frees, hence later
-spills, spill lookups and virtual time.  Seeding the set with the primary
-first and never rebuilding it mid-life gives it exactly the history of a
-set kept since program time.
+A page that is not shared right now costs nothing beyond its primary
+slot.  A shared page holds one dict, ``{extra LPN: in the table?}``, for
+exactly as long as it has an extra reference.  When a primary leaves, the
+lowest extra LPN is promoted in its place — the rule GC applies when it
+stamps a copy with its lowest reference — and its entry frees.
 
 When the share table is full, a new extra reference *spills*: it stays
 resolvable from the flash-resident mapping log (every SHARE delta is
@@ -61,16 +53,13 @@ class ReverseMap:
         self._total_pages = total_pages
         # The spare-stamped owner of each physical page, -1 = none.
         self._primary: List[int] = [-1] * total_pages
-        # Full reference sets, only for pages that have had an extra
-        # reference in their current life (see the module docstring).
-        self._refs: Dict[int, Set[int]] = {}
-        # The DRAM share table: key (ppn, lpn) -> None.
-        self._extras: Dict[Tuple[int, int], None] = {}
-        # Entries that did not fit the DRAM table, indexed by PPN.  They
-        # remain resolvable (the mapping log persists every share delta,
-        # so firmware can re-read them from flash); membership here marks
-        # that resolving them costs a flash read instead of a DRAM lookup.
-        self._spilled: Dict[int, Set[int]] = {}
+        # The extra references of each shared page: lpn -> True when the
+        # entry holds a DRAM table slot, False when it spilled.  A spilled
+        # entry remains resolvable (the mapping log persists every share
+        # delta, so firmware can re-read it from flash); resolving it
+        # costs a flash read instead of a DRAM lookup.
+        self._extras: Dict[int, Dict[int, bool]] = {}
+        self._in_table = 0
         self._spilled_count = 0
         self._spilled_peak = 0
         #: References :meth:`add_extra` ever put in the overflow (never
@@ -86,7 +75,7 @@ class ReverseMap:
     @property
     def extra_entries(self) -> int:
         """DRAM share-table entries currently in use."""
-        return len(self._extras)
+        return self._in_table
 
     @property
     def spilled_entries(self) -> int:
@@ -101,25 +90,16 @@ class ReverseMap:
         went."""
         return self._spilled_peak
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._extras) >= self._capacity
-
     def refs(self, ppn: int) -> Set[int]:
         """LPNs currently referencing ``ppn`` (possibly empty)."""
-        if ppn in self._refs:
-            return set(self._refs[ppn])
-        lpn = self.primary_of(ppn)
-        return set() if lpn is None else {lpn}
-
-    def ref_count(self, ppn: int) -> int:
-        if ppn in self._refs:
-            return len(self._refs[ppn])
-        return 0 if self.primary_of(ppn) is None else 1
+        primary = self.primary_of(ppn)
+        if primary is None:
+            return set()
+        return {primary, *self._extras.get(ppn, ())}
 
     def is_valid(self, ppn: int) -> bool:
         """A physical page is valid while any LPN references it."""
-        return ppn in self._refs or self.primary_of(ppn) is not None
+        return self.primary_of(ppn) is not None
 
     def primary_of(self, ppn: int) -> Optional[int]:
         if 0 <= ppn < self._total_pages and self._primary[ppn] >= 0:
@@ -128,26 +108,26 @@ class ReverseMap:
 
     def shared_pages(self) -> int:
         """Physical pages with more than one live reference."""
-        return sum(1 for refs in self._refs.values() if len(refs) > 1)
+        return len(self._extras)
 
     def live_pages(self, start: int, stop: int
                    ) -> List[Tuple[int, List[int], bool]]:
         """GC's one question about a victim block, answered in one call:
         ``(ppn, sorted referencing LPNs, has spilled refs)`` for every
         valid page in ``[start, stop)``, in PPN order."""
-        refs = self._refs
-        spilled = self._spilled
-        return [(ppn, sorted(refs[ppn]), ppn in spilled) if ppn in refs
+        extras = self._extras
+        return [(ppn, sorted([lpn, *extras[ppn]]),
+                 not all(extras[ppn].values())) if ppn in extras
                 else (ppn, [lpn], False)
                 for ppn, lpn in enumerate(self._primary[start:stop], start)
-                if lpn >= 0 or ppn in refs]
+                if lpn >= 0]
 
     # ------------------------------------------------------------- updates
 
     def set_primary(self, ppn: int, lpn: int) -> None:
         """Record the spare-area stamp created when ``ppn`` was programmed
         for ``lpn``.  Clears any stale state from the page's previous life."""
-        if self._primary[ppn] >= 0 or ppn in self._refs:
+        if self._primary[ppn] >= 0:
             self._forget_page(ppn)
         self._primary[ppn] = lpn
 
@@ -157,26 +137,26 @@ class ReverseMap:
         Returns True when the entry fit the DRAM table, False when it
         spilled to the flash-log-backed overflow (counted in
         :attr:`spill_adds`; correctness is unaffected either way) or
-        ``lpn`` already referenced the page and nothing changed.
+        ``lpn`` already referenced the page and nothing changed.  Raises
+        :class:`ValueError` when ``ppn`` holds no data.
         """
-        if ppn in self._refs:
-            refs = self._refs[ppn]
-            if lpn in refs:
-                return (ppn, lpn) in self._extras
-            refs.add(lpn)
+        primary = self._primary[ppn]
+        if lpn == primary:
+            return False
+        extras = self._extras
+        if ppn in extras:
+            entries = extras[ppn]
+            if lpn in entries:
+                return entries[lpn]
+        elif primary < 0:
+            raise ValueError(f"PPN {ppn} holds no data to share")
         else:
-            primary = self._primary[ppn]
-            if lpn == primary:
-                return False
-            self._refs[ppn] = {primary, lpn} if primary >= 0 else {lpn}
-        if len(self._extras) < self._capacity:
-            self._extras[(ppn, lpn)] = None
+            entries = extras[ppn] = {}
+        if self._in_table < self._capacity:
+            entries[lpn] = True
+            self._in_table += 1
             return True
-        spilled = self._spilled
-        if ppn in spilled:
-            spilled[ppn].add(lpn)
-        else:
-            spilled[ppn] = {lpn}
+        entries[lpn] = False
         self.spill_adds += 1
         self._spilled_count = count = self._spilled_count + 1
         if count > self._spilled_peak:
@@ -184,26 +164,13 @@ class ReverseMap:
         return False
 
     def is_spilled(self, ppn: int, lpn: int) -> bool:
-        return lpn in self._spilled.get(ppn, ())
+        return self._extras.get(ppn, {}).get(lpn) is False
 
     def spilled_refs_of(self, ppn: int) -> Set[int]:
         """Extra references of ``ppn`` living in the overflow (GC must pay
         a flash-log read to learn them)."""
-        return set(self._spilled.get(ppn, ()))
-
-    def _drop_extra(self, ppn: int, lpn: int) -> None:
-        """Forget the share-table (or overflow) entry of one non-primary
-        reference; a primary reference holds neither, so callers skip it."""
-        key = (ppn, lpn)
-        if key in self._extras:
-            del self._extras[key]
-            return
-        bucket = self._spilled.get(ppn)
-        if bucket is not None and lpn in bucket:
-            bucket.discard(lpn)
-            if not bucket:
-                del self._spilled[ppn]
-            self._spilled_count -= 1
+        return {lpn for lpn, in_table in self._extras.get(ppn, {}).items()
+                if not in_table}
 
     def drop_ref(self, ppn: int, lpn: int) -> bool:
         """Remove ``lpn``'s reference to ``ppn`` (forward map moved away).
@@ -211,46 +178,35 @@ class ReverseMap:
         Returns True when the page became invalid (no references left).
         """
         primary = self._primary
-        if ppn not in self._refs:
-            # Never shared in this life: the primary is the only reference.
+        extras = self._extras
+        if ppn not in extras:
+            # Not shared: the primary is the only reference.
             if primary[ppn] != lpn:
                 return False
             primary[ppn] = -1
             return True
-        refs = self._refs[ppn]
-        if lpn not in refs:
-            return False
-        refs.discard(lpn)
+        entries = extras[ppn]
         if primary[ppn] == lpn:
-            if not refs:
-                del self._refs[ppn]
-                primary[ppn] = -1
-                return True
-            # The primary reference left: promote an extra to primary.
-            # The spare stamp is stale but the DRAM table now owns the
-            # page, and GC will restamp it on the next copyback.
-            lpn = primary[ppn] = next(iter(refs))
-        # Forget the entry of the extra that left or was promoted
-        # (:meth:`_drop_extra`, inline: this runs per remapped pair).
-        key = (ppn, lpn)
-        if key in self._extras:
-            del self._extras[key]
-        elif ppn in self._spilled:
-            bucket = self._spilled[ppn]
-            if lpn in bucket:
-                bucket.discard(lpn)
-                if not bucket:
-                    del self._spilled[ppn]
-                self._spilled_count -= 1
-        if refs:
+            # The primary reference left: promote the lowest extra.  The
+            # spare stamp is stale but the DRAM table now owns the page,
+            # and GC will restamp it on the next copyback.
+            lpn = primary[ppn] = min(entries)
+        elif lpn not in entries:
             return False
-        del self._refs[ppn]
-        primary[ppn] = -1
-        return True
+        # Forget the entry of the extra that left or was promoted.
+        if entries[lpn]:
+            self._in_table -= 1
+        else:
+            self._spilled_count -= 1
+        del entries[lpn]
+        if not entries:
+            del extras[ppn]
+        return False
 
     def move_page(self, old_ppn: int, new_ppn: int,
                   refs: List[int]) -> None:
-        """GC moved a valid page; transfer all references to ``new_ppn``.
+        """GC moved a valid page; transfer all references to ``new_ppn``,
+        which must hold no data.
 
         ``refs`` is the page's sorted reference list, which the caller
         already holds (from :meth:`live_pages` or ``sorted(refs(ppn))``).
@@ -259,8 +215,11 @@ class ReverseMap:
         the table is unchanged).
         """
         primary = self._primary
-        if old_ppn not in self._refs:
-            # Never shared: only the primary slot moves.  (The list
+        extras = self._extras
+        if primary[new_ppn] >= 0:
+            raise ValueError(f"PPN {new_ppn} already holds data")
+        if old_ppn not in extras:
+            # Not shared: only the primary slot moves.  (The list
             # comparison comes first so the common case pays no call.)
             owner = (primary[old_ppn] if 0 <= old_ppn < self._total_pages
                      else -1)
@@ -270,95 +229,72 @@ class ReverseMap:
             primary[old_ppn] = -1
             primary[new_ppn] = owner
             return
-        if self._refs[old_ppn] != set(refs):
+        if {primary[old_ppn], *extras[old_ppn]} != set(refs):
             raise ValueError(
                 f"{refs} are not the references of PPN {old_ppn}")
-        del self._refs[old_ppn]
-        old_primary = primary[old_ppn]
-        new_primary = refs[0]
-        primary[old_ppn] = -1
-        primary[new_ppn] = new_primary
-        if len(refs) > 1:
-            # Fresh from the sorted list, never the old object.
-            self._refs[new_ppn] = set(refs)
-        for lpn in refs:
-            if lpn != old_primary:
-                self._drop_extra(old_ppn, lpn)
-        for lpn in refs:
-            if lpn != new_primary:
-                if len(self._extras) < self._capacity:
-                    self._extras[(new_ppn, lpn)] = None
-                else:
-                    # As many entries were just dropped as are placed, the
-                    # table fills first: the count cannot pass its peak.
-                    self._spilled.setdefault(new_ppn, set()).add(lpn)
-                    self._spilled_count += 1
+        # Drop the old entries before placing the new ones: the table
+        # fills first, so the spilled count cannot pass its peak.
+        self._forget_page(old_ppn)
+        primary[new_ppn] = refs[0]
+        entries = extras[new_ppn] = {}
+        for lpn in refs[1:]:
+            self._place(entries, lpn)
+
+    def _place(self, entries: Dict[int, bool], lpn: int) -> None:
+        """Give ``lpn`` a table slot if one is free, else spill it — a
+        move or a reload, so neither :attr:`spill_adds` nor the peak."""
+        if self._in_table < self._capacity:
+            entries[lpn] = True
+            self._in_table += 1
+        else:
+            entries[lpn] = False
+            self._spilled_count += 1
 
     def _forget_page(self, ppn: int) -> None:
-        refs = self._refs.pop(ppn, None)
-        primary = self._primary[ppn]
         self._primary[ppn] = -1
-        for lpn in refs or ():
-            if lpn != primary:
-                self._drop_extra(ppn, lpn)
+        for in_table in self._extras.pop(ppn, {}).values():
+            if in_table:
+                self._in_table -= 1
+            else:
+                self._spilled_count -= 1
 
     # ------------------------------------------------------------ recovery
 
     def rebuild(self, entries: Iterable[Tuple[int, int, bool]]) -> None:
-        """Reload from recovery: ``entries`` yields (ppn, lpn, is_primary)."""
+        """Reload from recovery: ``entries`` yields (ppn, lpn, is_primary);
+        extras are placed in entry order, table first."""
         self._primary = primary = [-1] * self._total_pages
-        self._extras.clear()
-        self._spilled.clear()
-        self._spilled_count = 0
-        # Every page's set is built in entry order, as if it had existed
-        # since program time; only then are the never-shared ones dropped.
-        refs_by_ppn: Dict[int, Set[int]] = {}
+        self._extras = extras = {}
+        self._in_table = self._spilled_count = 0
         for ppn, lpn, is_primary in entries:
-            refs_by_ppn.setdefault(ppn, set()).add(lpn)
             if is_primary:
                 primary[ppn] = lpn
-            elif len(self._extras) < self._capacity:
-                self._extras[(ppn, lpn)] = None
             else:
-                self._spilled.setdefault(ppn, set()).add(lpn)
-                self._spilled_count += 1
+                self._place(extras.setdefault(ppn, {}), lpn)
         self._spilled_peak = self._spilled_count
-        self._refs = {ppn: refs for ppn, refs in refs_by_ppn.items()
-                      if refs != {primary[ppn]}}
 
     # --------------------------------------------------------------- debug
 
     def check(self) -> None:
-        """The bounded-refs invariant: the kept sets, the primary slots,
-        the DRAM share table and the spill buckets describe the same
-        references, and the table is within its budget.  Raises
+        """The bounded-refs invariant: every shared page is valid and its
+        extras are not its primary, the counters agree with the entries,
+        and the table is within its budget.  Raises
         :class:`AssertionError` on the first disagreement."""
-        if len(self._extras) > self._capacity:
+        if self._in_table > self._capacity:
             raise AssertionError(
-                f"share table over budget: {len(self._extras)} entries, "
+                f"share table over budget: {self._in_table} entries, "
                 f"capacity {self._capacity}")
-        in_dram: Dict[int, Set[int]] = {}
-        for ppn, lpn in self._extras:
-            in_dram.setdefault(ppn, set()).add(lpn)
-        spilled_total = sum(len(bucket) for bucket in self._spilled.values())
-        if spilled_total != self._spilled_count:
-            raise AssertionError(
-                f"spilled_entries {self._spilled_count} != {spilled_total} "
-                f"entries in the spill buckets")
-        for ppn in in_dram.keys() | self._spilled.keys():
-            if ppn not in self._refs:
-                raise AssertionError(
-                    f"PPN {ppn} has share-table or spill entries but no "
-                    f"reference set")
-        for ppn, refs in self._refs.items():
+        for ppn, entries in self._extras.items():
             primary = self._primary[ppn]
-            if primary not in refs:
+            if not entries or primary < 0 or primary in entries:
                 raise AssertionError(
-                    f"reference set {sorted(refs)} of PPN {ppn} does not "
-                    f"contain its primary ({primary}; -1 = invalid page)")
-            dram = in_dram.get(ppn, set())
-            spilled = self._spilled.get(ppn, set())
-            if dram & spilled or refs - {primary} != dram | spilled:
-                raise AssertionError(
-                    f"PPN {ppn}: extras {sorted(refs - {primary})} != "
-                    f"table {sorted(dram)} + spilled {sorted(spilled)}")
+                    f"PPN {ppn}: extras {sorted(entries)} beside primary "
+                    f"{primary} (-1 = invalid page)")
+        in_table = sum(sum(entries.values())
+                       for entries in self._extras.values())
+        spilled = sum(map(len, self._extras.values())) - in_table
+        if (in_table, spilled) != (self._in_table, self._spilled_count):
+            raise AssertionError(
+                f"counters (table {self._in_table}, spilled "
+                f"{self._spilled_count}) != entries (table {in_table}, "
+                f"spilled {spilled})")

@@ -51,8 +51,9 @@ class Telemetry:
     * ``"sampled"`` — 1-in-N root spans are traced with their whole
       subtree (the tracer's root decision, :attr:`Tracer.recording`),
       and the per-command histograms — device latency and queue wait,
-      FTL SHARE batch shape — record exactly the commands of those
-      trees, so the trace and the histograms describe the same sample.
+      FTL SHARE batch shape, map-log records per commit — record
+      exactly the commands of those trees, so the trace and the
+      histograms describe the same sample.
       Counters and gauges are exact in every mode, because they are read
       from their owners at snapshot time, not recorded per event.  N is
       ``sample_every`` (default :data:`DEFAULT_SAMPLE_EVERY`, 64).

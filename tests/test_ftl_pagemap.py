@@ -237,6 +237,23 @@ class TestShareOverflowLogPolicy:
         assert ftl.rev.spilled_entries == 0
         ftl.check_invariants()
 
+    def test_overwritten_primary_is_replaced_by_its_lowest_extra(self):
+        """LPN 9 takes the one table slot, LPN 2 spills.  Overwriting LPN
+        0 promotes 2, the lowest extra, so the spill frees and 9 keeps
+        the slot."""
+        ftl = make_ftl(share_entries=1)
+        ftl.write(0, "v0")
+        page = ftl.fwd.lookup(0)
+        ftl.share(9, 0)
+        ftl.share(2, 0)
+        assert ftl.rev.is_spilled(page, 2) and not ftl.rev.is_spilled(page, 9)
+        ftl.write(0, "private")
+        assert ftl.rev.primary_of(page) == 2
+        assert ftl.rev.refs(page) == {2, 9}
+        assert (ftl.rev.extra_entries, ftl.rev.spilled_entries) == (1, 0)
+        assert ftl.read(2) == ftl.read(9) == "v0"
+        ftl.check_invariants()
+
     def test_recovery_restores_spilled_refs(self):
         ftl = make_ftl(share_entries=1)
         ftl.write(1, "v1")

@@ -23,7 +23,7 @@ def test_extra_consumes_capacity(rev):
     rev.add_extra(10, 2)
     assert rev.refs(10) == {1, 2}
     assert rev.extra_entries == 1
-    assert rev.ref_count(10) == 2
+    assert len(rev.refs(10)) == 2
 
 
 def test_duplicate_extra_is_noop(rev):
@@ -58,11 +58,35 @@ def test_primary_departure_promotes_extra(rev):
     assert rev.extra_entries == 0
 
 
+def test_primary_departure_promotes_the_lowest_extra(rev):
+    rev.set_primary(10, 5)
+    for lpn in (9, 2, 7):
+        rev.add_extra(10, lpn)
+    rev.drop_ref(10, 5)
+    assert rev.primary_of(10) == 2
+    assert rev.live_pages(10, 11) == [(10, [2, 7, 9], False)]
+    rev.drop_ref(10, 2)
+    assert rev.primary_of(10) == 7
+    rev.drop_ref(10, 7)
+    # Back to one reference: the page holds no extras any more.
+    assert rev.refs(10) == {9} and rev.shared_pages() == 0
+    assert rev._extras == {}
+    rev.check()
+
+
+def test_add_extra_to_a_page_without_data_is_rejected(rev):
+    with pytest.raises(ValueError):
+        rev.add_extra(5, 3)
+    assert not rev.is_valid(5)
+    assert rev.extra_entries == 0 and rev.spilled_entries == 0
+    rev.check()
+
+
 def test_is_full(rev):
     rev.set_primary(10, 0)
     for lpn in range(1, 5):
         rev.add_extra(10, lpn)
-    assert rev.is_full
+    assert rev.extra_entries >= rev.capacity == 4
 
 
 def test_move_page_transfers_refs(rev):
@@ -83,6 +107,23 @@ def test_move_page_stale_refs_rejected(rev):
     with pytest.raises(ValueError):
         rev.move_page(11, 20, [1])
     assert rev.refs(10) == {1}
+
+
+def test_move_page_onto_a_live_page_is_rejected(rev):
+    rev.set_primary(10, 1)
+    rev.add_extra(10, 2)
+    rev.set_primary(20, 3)
+    rev.add_extra(20, 4)
+    rev.set_primary(30, 5)
+    with pytest.raises(ValueError):
+        rev.move_page(10, 20, [1, 2])     # a shared page onto a live one
+    with pytest.raises(ValueError):
+        rev.move_page(30, 20, [5])        # an unshared page onto one
+    # Nothing moved and the target's extras did not leak.
+    assert rev.refs(10) == {1, 2} and rev.refs(20) == {3, 4}
+    assert rev.refs(30) == {5}
+    assert rev.extra_entries == 2
+    rev.check()
 
 
 def test_set_primary_clears_previous_life(rev):

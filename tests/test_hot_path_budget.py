@@ -55,8 +55,12 @@ from repro.ssd.device import Ssd, SsdConfig
 
 from conftest import small_linkbench_stack
 
-#: Calls per command the mix below may cost.  Measured 36.19 on CPython
-#: 3.11 when committed (41.89 on the commit before, when a read or write
+#: Calls per command the mix below may cost.  Measured 35.61 on CPython
+#: 3.11 when a departing primary's replacement became the lowest extra
+#: LPN and a shared page one dict of its extras (35.99 before, with a
+#: reference set kept for a page's whole life beside a ``(ppn, lpn)``
+#: table and spill buckets); 36.19 when committed (41.89 on the commit
+#: before, when a read or write
 #: asked the FTL's per-page helpers and the flat L2P map's ``len`` what
 #: they already knew and a one-entry ledger went through
 #: ``_price_media``; 42.06 when a SHARE batch
@@ -72,11 +76,16 @@ CALLS_PER_COMMAND_BUDGET = 38.0
 
 #: Calls per command the same mix may cost with live telemetry (default
 #: sink, no snapshots), as a ratio of the passive count and as an
-#: absolute ceiling.  Measured on CPython 3.11 when committed, against
-#: 36.19 passive: sampled 39.77 (1.099 x; 3.2 of them in functions
-#: defined under ``repro/obs``), full 55.47 (1.533 x; 12.4 under
-#: ``repro/obs``) — 45.62 and 63.43 against 41.89 passive on the commit
-#: before, when a histogram sample asked ``len`` of its reservoir;
+#: absolute ceiling.  Measured on CPython 3.11 against 35.61 passive
+#: once the map log's records-per-commit histogram followed the root
+#: decision like the other per-command histograms: sampled 38.86
+#: (1.091 x), full 54.89 (1.541 x) — 39.57 (1.100 x) and 55.27 against
+#: 35.99 passive before, when that histogram recorded every commit of a
+#: sampled-out command too.  When committed, against 36.19 passive:
+#: sampled 39.77 (1.099 x; 3.2 of them in functions defined under
+#: ``repro/obs``), full 55.47 (1.533 x; 12.4 under ``repro/obs``) — 45.62
+#: and 63.43 against 41.89 passive on the commit before, when a
+#: histogram sample asked ``len`` of its reservoir;
 #: 51.84 and 67.62 before that, when a second
 #: 1-in-N countdown gated the histograms beside the tracer's root
 #: decision, a passive fault plan still opened its operation scope on
@@ -88,7 +97,7 @@ CALLS_PER_COMMAND_BUDGET = 38.0
 #: What ``sampled`` pays per command now: the root decision itself —
 #: ``span`` on every root, and the sampled-out root marker's
 #: ``__enter__`` / ``__exit__`` (~3 calls) — plus, for the 1-in-N
-#: commands it keeps, the span, its attributes and two histogram
+#: commands it keeps, the span, its attributes and its histogram
 #: ``record`` calls.  Everything else tests ``Tracer.recording``, a plain
 #: attribute, and the snapshot tick is a compare against a due time.
 TIER_CALLS_PER_COMMAND_RATIO = {"sampled": 1.10, "full": 1.55}
@@ -222,7 +231,8 @@ def test_each_telemetry_tier_costs_a_counted_number_of_calls():
 #: Calls per host read and per host write on the device shape three of
 #: perfbench's workloads run: no DRAM cache, queue depth 1 (submit and
 #: wait), the same small GC-bound array on one channel.  Measured on
-#: CPython 3.11 when committed: 20.00 per read, 38.65 per write; 27.00
+#: CPython 3.11 when committed: 20.00 per read, 38.65 per write (38.60
+#: once a shared page's extras became one dict); 27.00
 #: and 48.72 on the commit before, which consulted the disabled cache,
 #: called the FTL's range, sequence, ledger and GC-trigger helpers per
 #: page and priced the host's own ledger entry through ``_price_media``.
@@ -301,12 +311,14 @@ def test_cache_off_sync_device_read_and_write_budgets():
 
 #: Calls per remapped pair of a 32-pair ``share_file_ranges`` commit —
 #: ``ShareGuard`` -> share ioctl -> ``Ssd.share_batch`` -> FTL -> map log,
-#: everything the command costs, builtins included.  Measured 8.41 on
-#: CPython 3.11 when committed (9.44 when the ioctl took two
-#: ``block_lpns`` slices per one-block range; 36.81 when every pair was
-#: validated, numbered, wrapped and checksummed on its own); the ceiling
-#: is the measured value + 5 %.
-CALLS_PER_SHARE_PAIR_CEILING = 8.85
+#: everything the command costs, builtins included.  Measured 6.05 on
+#: CPython 3.11 when committed (8.34 on the commit before, when the
+#: reverse map kept a set per shared page, a ``(ppn, lpn)``-keyed table
+#: and spill buckets; 8.41 when the cell was added; 9.44 when the ioctl
+#: took two ``block_lpns`` slices per one-block range; 36.81 when every
+#: pair was validated, numbered, wrapped and checksummed on its own); the
+#: ceiling is the measured value + 5 %.
+CALLS_PER_SHARE_PAIR_CEILING = 6.35
 
 SHARE_COMMITS = 60
 SHARE_PAIRS = 32

@@ -3,17 +3,19 @@
 The footprint twin of ``test_hot_path_budget.py``: a simulated device
 must not cost a Python object per physical page.  ``NandArray`` keeps
 page state in PPN-indexed arrays — the spare stamp as two typed integer
-arrays — and ``ReverseMap`` keeps the primary reference in one, with a
-reference *set* only for a page that has been shared in its current
-life — the paper's split between the spare-area stamp and the bounded
-share table (§4.2.1).  A mapping page is held as its packed record
-fields, not a tuple per record.  ``tracemalloc`` byte counts repeat
-closely for a given interpreter, so the ceilings below are the
-regression fence for "someone re-introduced an object per page (or per
-record)"; the object-per-page layout measured 112.8 bytes per erased
-page and 566.8 per aged page on the same probes, the ``((lpn, seq),)``
-stamp per page 243.8 per aged page, and a tuple per log record 216.5
-bytes per record.
+arrays — and ``ReverseMap`` keeps the primary reference in one, with one
+small dict of extra references only while a page is shared — the
+paper's split between the spare-area stamp and the bounded share table
+(§4.2.1).  A mapping page is held as its packed record fields, not a
+tuple per record.  ``tracemalloc`` byte counts repeat closely for a
+given interpreter, so the ceilings below are the regression fence for
+"someone re-introduced an object per page (or per record)"; the
+object-per-page layout measured 112.8 bytes per erased page and 566.8
+per aged page on the same probes, the ``((lpn, seq),)`` stamp per page
+243.8 per aged page, a tuple per log record 216.5 bytes per record, and
+a reference set plus a ``(ppn, lpn)`` table key or spill bucket per
+shared page 406.0 (in the table) and 566.0 (spilled) bytes per shared
+page.
 """
 
 import gc
@@ -25,6 +27,7 @@ from repro.flash.nand import NandArray
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
 from repro.ftl.deltalog import KIND_SHARE, MapLog
+from repro.ftl.reverse import ReverseMap
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
 
@@ -38,6 +41,12 @@ ERASED_BYTES_PER_PAGE_CEILING = 24.0
 #: payload tuples), which is not per-page bookkeeping.  Measured 135.0 on
 #: CPython 3.11; the ceiling is that + 15 %.
 AGED_BYTES_PER_PAGE_CEILING = 156.0
+
+#: Bytes the share table adds per physical page shared once, whether
+#: the extra reference holds a table slot or spilled: the page's extras
+#: dict and the extra LPN itself.  Measured 322.0 either way on CPython
+#: 3.11; the ceiling is that + 15 %.
+SHARED_BYTES_PER_PAGE_CEILING = 370.0
 
 #: Host bytes per record of a map block filled with full 128-record
 #: mapping pages: 40 packed bytes per record plus each page's share of
@@ -83,13 +92,36 @@ def test_aged_unshared_device_holds_no_reference_set():
         return ssd
 
     ssd, grown, __ = traced(build)
-    assert ssd.ftl.rev._refs == {}
+    assert ssd.ftl.rev._extras == {}
     assert ssd.ftl.rev.shared_pages() == 0
     per_page = grown / geometry.total_pages
     assert per_page <= AGED_BYTES_PER_PAGE_CEILING, (
         f"{per_page:.1f} bytes per physical page, ceiling "
         f"{AGED_BYTES_PER_PAGE_CEILING}")
     ssd.ftl.check_invariants()
+
+
+def test_shared_page_costs_one_small_dict():
+    pages = 4096
+    for capacity in (pages, 1):         # every extra in the table / spilled
+        rev = ReverseMap(capacity, pages)
+        for ppn in range(pages):
+            rev.set_primary(ppn, 10_000 + ppn)
+
+        def share():
+            # LPNs past the small-int cache, as on a real device.
+            for ppn in range(pages):
+                rev.add_extra(ppn, 20_000 + ppn)
+
+        __, grown, __ = traced(share)
+        assert rev.shared_pages() == pages
+        assert rev.spilled_entries == (0 if capacity == pages
+                                       else pages - 1)
+        per_page = grown / pages
+        assert per_page <= SHARED_BYTES_PER_PAGE_CEILING, (
+            f"{per_page:.1f} bytes per shared page at capacity {capacity}, "
+            f"ceiling {SHARED_BYTES_PER_PAGE_CEILING}")
+        rev.check()
 
 
 def test_mapping_pages_hold_packed_records():
@@ -119,9 +151,10 @@ def test_mapping_pages_hold_packed_records():
 
 
 def test_reference_sets_are_bounded_by_the_pages_ever_shared():
-    """A GC-bound share/overwrite/trim churn: every set is born at a
-    page some ``share`` named as its source, or replaces one that GC
-    moved, so there are never more sets than source pages seen."""
+    """A GC-bound share/overwrite/trim churn: a page holds an extras dict
+    exactly while it is shared, and every shared page is one some
+    ``share`` named as its source or a GC copy of one, so there are never
+    more dicts than source pages seen."""
     ssd = Ssd(SimClock(), SsdConfig(
         geometry=FlashGeometry.small(channel_count=2), timing=FAST_TIMING,
         ftl=FtlConfig(map_block_count=4, share_table_entries=16)))
@@ -143,8 +176,9 @@ def test_reference_sets_are_bounded_by_the_pages_ever_shared():
             ssd.write(lpn, ("v", lpn, step))
         else:
             ssd.trim(lpn)
-        assert len(ftl.rev._refs) <= len(source_pages)
+        assert len(ftl.rev._extras) == ftl.rev.shared_pages()
+        assert len(ftl.rev._extras) <= len(source_pages)
     assert shares > 1000 and ftl.stats.gc_events > 20
     assert ftl.stats.share_log_spills > 0      # the table did overflow
-    assert 0 < ftl.rev.shared_pages() <= len(ftl.rev._refs)
+    assert ftl.rev.shared_pages() > 0
     ftl.check_invariants()

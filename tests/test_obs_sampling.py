@@ -209,10 +209,10 @@ class TestSampledDevicePath:
         assert ssd.stats.host_write_pages == 50
         assert telemetry.metrics.snapshot() == {}
 
-    def test_share_probe_records_the_traced_commands(self):
-        """One decision per root: at N=2 half of 40 SHARE commands are
-        traced, and exactly those leave a latency and a batch shape (two
-        gates draining one countdown gave 0 latencies and 40 shapes)."""
+    @staticmethod
+    def sampled_shares():
+        """(telemetry, snapshot) after 40 one-pair SHARE commands,
+        sampled 1 in 2, on a device loaded with telemetry paused."""
         telemetry = Telemetry(MemorySink(), mode="sampled", sample_every=2)
         ssd = Ssd(SimClock(), small_ssd_config(), telemetry=telemetry,
                   name="dut")
@@ -223,11 +223,25 @@ class TestSampledDevicePath:
         telemetry.reset_measurement()
         for index in range(40):
             ssd.share(100 + index, index)
-        snap = telemetry.metrics.snapshot()
+        return telemetry, telemetry.metrics.snapshot()
+
+    def test_share_probe_records_the_traced_commands(self):
+        """One decision per root: at N=2 half of 40 SHARE commands are
+        traced, and exactly those leave a latency and a batch shape (two
+        gates draining one countdown gave 0 latencies and 40 shapes)."""
+        telemetry, snap = self.sampled_shares()
         assert snap["device.dut.share_commands"] == 40
         assert snap["device.dut.latency_us.share"]["count"] == 20
         assert snap["ftl.share.batch_pairs"]["count"] == 20
         assert len(telemetry.sink.spans("device.share")) == 20
+
+    def test_map_log_commits_are_sampled_with_their_command(self):
+        """Each SHARE commits its deltas with one map-log program inside
+        the command's span, so the records-per-commit histogram holds the
+        traced commands' commits, not all 40."""
+        __, snap = self.sampled_shares()
+        assert snap["ftl.maplog.records_per_commit"]["count"] \
+            == snap["ftl.share.batch_pairs"]["count"] == 20
 
 
 class TestSampledEngineStack:

@@ -1,18 +1,19 @@
-"""The array-backed reverse map against the per-page-set map it replaced.
+"""The reverse map against the per-page-set map it replaced.
 
 ``ReverseMap`` used to hold a ``set`` of referencing LPNs for every valid
-physical page beside a ``dict`` of primaries; it now holds a flat
-PPN-indexed primary list and a set only for a page that has had an extra
-reference in its current life.  The fence is *same behaviour, bit for
-bit*, and the delicate part is promotion: when a primary leaves,
-``next(iter(refs))`` is promoted, so the iteration order of a set — every
-insert and discard it has seen — decides which share-table slot frees and
-therefore later spills and virtual time.  The previous class lives on
-here, verbatim, as the reference: hypothesis drives both with the same
-operation sequences and compares every observable after every step.
+physical page beside a dict of primaries and an ordered table of
+``(ppn, lpn)`` entries; it now holds a flat PPN-indexed primary list and,
+only while a page is shared, one dict of that page's extra LPNs.  The
+previous class lives on here as the reference with one line changed: a
+departing primary is replaced by ``min(refs)``, the lowest extra LPN,
+where it used to take ``next(iter(refs))``.  Hypothesis drives both with
+the same operation sequences and compares every observable after every
+step.  The two inputs that corrupted the reference — an extra reference
+on a page that holds no data, a move onto a live page — are not applied
+to it: the new map must reject them with ``ValueError`` and change
+nothing.
 """
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ class RefReverseMap:
 
     The structure maintains the invariant that ``refs(ppn)`` equals the set
     of LPNs whose forward mapping currently points at ``ppn``; the FTL calls
-    :meth:`add_ref` / :meth:`drop_ref` around every forward-map change.
+    :meth:`set_primary` / :meth:`add_extra` / :meth:`drop_ref` /
+    :meth:`move_page` around every forward-map change.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -38,9 +40,8 @@ class RefReverseMap:
         self._capacity = capacity
         self._refs: Dict[int, Set[int]] = {}
         self._primary: Dict[int, int] = {}
-        # Extra (share) entries in insertion order for FIFO reconciliation:
-        # key (ppn, lpn) -> None.
-        self._extras: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        # Extra (share) entries: key (ppn, lpn) -> None.
+        self._extras: Dict[Tuple[int, int], None] = {}
         # Entries that did not fit the DRAM table, indexed by PPN.  They
         # remain resolvable (the mapping log persists every share delta,
         # so firmware can re-read them from flash); membership here marks
@@ -78,16 +79,9 @@ class RefReverseMap:
         went."""
         return self._spilled_peak
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._extras) >= self._capacity
-
     def refs(self, ppn: int) -> Set[int]:
         """LPNs currently referencing ``ppn`` (possibly empty)."""
         return set(self._refs.get(ppn, ()))
-
-    def ref_count(self, ppn: int) -> int:
-        return len(self._refs.get(ppn, ()))
 
     def is_valid(self, ppn: int) -> bool:
         """A physical page is valid while any LPN references it."""
@@ -168,10 +162,10 @@ class RefReverseMap:
         if self._primary.get(ppn) != lpn:
             self._drop_extra(ppn, lpn)
         elif refs:
-            # The primary reference left: promote an extra to primary.
+            # The primary reference left: promote the lowest extra.
             # The spare stamp is stale but the DRAM table now owns the
             # page, and GC will restamp it on the next copyback.
-            promoted = next(iter(refs))
+            promoted = min(refs)
             self._primary[ppn] = promoted
             self._drop_extra(ppn, promoted)
         if refs:
@@ -198,9 +192,6 @@ class RefReverseMap:
         old_primary = self._primary.pop(old_ppn, None)
         new_primary = refs[0]
         self._primary[new_ppn] = new_primary
-        # A fresh set built from the sorted list, not the old object: a
-        # later promotion takes ``next(iter(...))`` of it, so its
-        # iteration order is part of the device's behaviour.
         self._refs[new_ppn] = set(refs)
         if current == {old_primary}:
             return   # an unshared page: no table entries to move
@@ -254,13 +245,10 @@ def observe(rev):
     """Everything a caller can learn from a reverse map."""
     return {
         "refs": [rev.refs(ppn) for ppn in range(PAGES)],
-        "ref_count": [rev.ref_count(ppn) for ppn in range(PAGES)],
         "is_valid": [rev.is_valid(ppn) for ppn in range(PAGES)],
         "primary_of": [rev.primary_of(ppn) for ppn in range(PAGES)],
         "live_pages": rev.live_pages(0, PAGES),
-        "fifo": list(rev._extras),
         "extra_entries": rev.extra_entries,
-        "is_full": rev.is_full,
         "is_spilled": [[rev.is_spilled(ppn, lpn) for lpn in range(LPNS)]
                        for ppn in range(PAGES)],
         "spilled_refs_of": [rev.spilled_refs_of(ppn)
@@ -290,22 +278,21 @@ class Pair:
         if name == "move_live":
             # The call GC makes: a page's own sorted references.
             name, args = "move_page", (*args, sorted(ref.refs(args[0])))
-        if (name == "move_page" and args[0] != args[1]
-                and ref.is_valid(args[1])):
-            # A move's target is a freshly programmed page.  Onto a live
-            # one the old class leaked the target's table entries; that
-            # corruption is not behaviour anyone keeps.
+        if ((name == "add_extra" and not ref.is_valid(args[0]))
+                or (name == "move_page" and ref.is_valid(args[1]))):
+            # An extra on a page that holds no data, or a move onto a live
+            # page: the reference corrupts itself, the new map refuses.
+            before = observe(new)
+            assert apply(new, name, *args) == ("raised", ValueError)
+            assert observe(new) == before, (name, args)
+            new.check()
             return None
         outcome = apply(ref, name, *args)
         assert apply(new, name, *args) == outcome, (name, args)
         assert observe(new) == observe(ref), (name, args)
         assert new.shared_pages() == sum(
             1 for refs in ref._refs.values() if len(refs) > 1)
-        if all(ppn in ref._primary for ppn in ref._refs):
-            # check() holds in every state the FTL can create; an extra
-            # on a page with no primary (which only this test issues) is
-            # carried like the reference carries it, and check() names it.
-            new.check()
+        new.check()
         return outcome
 
 
@@ -353,60 +340,8 @@ def test_matches_reference_after_every_step(capacity, ops):
 def test_matches_reference_from_a_rebuilt_map(capacity, entries, ops):
     pair = Pair(capacity)
     pair.step("rebuild", entries)
-    # Recovery keeps a set only for a page that is shared right now.
-    assert all(len(refs) > 1 for refs in pair.new._refs.values())
+    # Recovery keeps an extras dict only for a page that is shared, and
+    # never an empty one.
+    assert all(pair.new._extras.values())
     for op in ops:
         pair.step(*op)
-
-
-def test_lazy_set_is_seeded_with_the_primary():
-    """{0} + 1 + 8 iterates 1 first once 0 is discarded; a set that began
-    without the primary iterates 8 first.  Promotion must take the
-    former."""
-    late = set()
-    late.add(1)
-    late.add(8)
-    assert next(iter(late)) == 8   # the order a wrongly seeded set has
-    pair = Pair(capacity=4)
-    pair.step("set_primary", 3, 0)
-    pair.step("add_extra", 3, 1)
-    pair.step("add_extra", 3, 8)
-    pair.step("drop_ref", 3, 0)
-    assert pair.new.primary_of(3) == 1
-    assert list(pair.new._extras) == [(3, 8)]
-
-
-def test_once_shared_page_keeps_its_set_through_a_single_reference():
-    """Five extras grow the set's table; dropped again, the page is back
-    to one reference but its set is not a fresh ``{0}``: 6 then 8 iterate
-    6 first in the grown table and 8 first in a fresh one."""
-    fresh = {0}
-    fresh.add(6)
-    fresh.add(8)
-    fresh.discard(0)
-    assert next(iter(fresh)) == 8   # what a rebuilt set would promote
-    pair = Pair(capacity=4)         # so two of the five extras spill
-    pair.step("set_primary", 3, 0)
-    for lpn in range(1, 6):
-        pair.step("add_extra", 3, lpn)
-    for lpn in range(1, 6):
-        pair.step("drop_ref", 3, lpn)
-    assert pair.new.refs(3) == {0} and 3 in pair.new._refs
-    pair.step("add_extra", 3, 6)
-    pair.step("add_extra", 3, 8)
-    pair.step("drop_ref", 3, 0)
-    assert pair.new.primary_of(3) == 6
-
-
-def test_moved_and_never_shared_pages_hold_no_set():
-    pair = Pair(capacity=4)
-    pair.step("set_primary", 1, 10)
-    pair.step("set_primary", 2, 20)
-    pair.step("add_extra", 2, 21)
-    pair.step("drop_ref", 2, 21)         # page 2: once shared, now single
-    pair.step("move_live", 1, 5)
-    pair.step("move_live", 2, 6)
-    assert pair.new._refs == {}          # a move starts a new life
-    pair.step("add_extra", 6, 22)
-    pair.step("move_live", 6, 7)
-    assert set(pair.new._refs) == {7}
