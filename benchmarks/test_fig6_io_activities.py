@@ -64,7 +64,7 @@ def test_fig6_telemetry_artifact(benchmark, scale, tmp_path):
     Chrome-trace sample ``results/trace.json`` (committed at tiny scale)."""
     import json
 
-    from repro.obs import validate_chrome_trace
+    from repro.obs import read_jsonl, validate_chrome_trace
     from repro.tools import report
 
     results = Path(__file__).resolve().parent.parent / "results"
@@ -85,7 +85,7 @@ def test_fig6_telemetry_artifact(benchmark, scale, tmp_path):
                         trace_path=str(again))
     assert again.read_bytes() == trace_out.read_bytes()
 
-    records = report.load(str(out))
+    records = read_jsonl(str(out))
     spans = [r for r in records if r.get("type") == "span"]
     snapshots = [r for r in records if r.get("type") == "metrics"]
     assert spans and snapshots
@@ -96,9 +96,8 @@ def test_fig6_telemetry_artifact(benchmark, scale, tmp_path):
         cell["host_write_pages"]
 
     # Figure-6 breakdown renders with live host-write and GC bars.
-    labels, values = report.activity_breakdown(metrics)
-    table = dict(zip(labels, values))
-    assert table["host writes (pages)"] > 0
+    table = dict(report.activity_rows(metrics))
+    assert table["host_write_pages"] > 0
     text = report.render(records)
     print()
     print(text)
@@ -108,7 +107,7 @@ def test_fig6_telemetry_artifact(benchmark, scale, tmp_path):
     # Every GC event attributes through the span tree to a host-level
     # root operation (nothing orphaned at ftl.gc itself).
     attribution = report.gc_attribution(records)
-    if table["GC events"]:       # summed over device.<name>.ftl.gc.events
+    if table["ftl.gc.events"]:   # summed over device.<name>.ftl.gc.events
         assert attribution
         assert "ftl.gc" not in attribution
-        assert sum(attribution.values()) == table["GC events"]
+        assert sum(attribution.values()) == table["ftl.gc.events"]

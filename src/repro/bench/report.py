@@ -34,16 +34,6 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
-def format_ratio_line(label: str, baseline: float, improved: float) -> str:
-    """One 'who wins by how much' line."""
-    if improved <= 0:
-        return f"{label}: n/a"
-    return (f"{label}: baseline {baseline:.2f} vs improved {improved:.2f} "
-            f"-> {baseline / improved:.2f}x" if baseline >= improved else
-            f"{label}: baseline {baseline:.2f} vs improved {improved:.2f} "
-            f"-> {improved / baseline:.2f}x")
-
-
 def format_series(title: str, x_label: str, xs: Sequence,
                   series: Dict[str, Sequence[float]]) -> str:
     """A figure rendered as a table: one column per series."""

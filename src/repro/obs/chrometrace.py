@@ -127,20 +127,12 @@ def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
             events.append(_metadata(pid, 0, "thread_name", "commands"))
             events.append(_metadata(pid, 0, "thread_sort_index", 0))
             for ev in io_trace:
-                if ev.arrival_us:
-                    ts = ev.arrival_us
-                    dur = max(0, ev.timestamp_us - ev.arrival_us)
-                else:
-                    # Legacy event without arrival: draw the service time
-                    # ending at completion.
-                    ts = max(0, int(ev.timestamp_us - ev.latency_us))
-                    dur = ev.latency_us
                 events.append({
                     "name": ev.kind,
                     "cat": "command",
                     "ph": "X",
-                    "ts": ts,
-                    "dur": dur,
+                    "ts": ev.arrival_us,
+                    "dur": max(0, ev.timestamp_us - ev.arrival_us),
                     "pid": pid,
                     "tid": 0,
                     "args": {

@@ -43,10 +43,10 @@ class TraceEvent:
     lpn: int
     count: int
     latency_us: float
-    gc_events: int = 0
-    copyback_pages: int = 0
-    arrival_us: int = 0
-    wait_us: float = 0.0
+    gc_events: int
+    copyback_pages: int
+    arrival_us: int
+    wait_us: float
 
 
 class _Ring:
@@ -111,9 +111,9 @@ class IoTrace(_Ring):
     in the device so steady-state benchmarks pay nothing for it."""
 
     def record_fields(self, timestamp_us: int, kind: str, lpn: int,
-                      count: int, latency_us: float, gc_events: int = 0,
-                      copyback_pages: int = 0, arrival_us: int = 0,
-                      wait_us: float = 0.0) -> None:
+                      count: int, latency_us: float, gc_events: int,
+                      copyback_pages: int, arrival_us: int,
+                      wait_us: float) -> None:
         """Hot-path record: packs one field tuple straight into the ring,
         no :class:`TraceEvent` allocation."""
         self._store((timestamp_us, kind, lpn, count, latency_us, gc_events,

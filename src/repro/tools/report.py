@@ -1,136 +1,121 @@
-"""Render a telemetry JSONL artifact as paper-shaped text reports.
+"""Render a telemetry JSONL artifact as paper-shaped text reports::
 
-Usage::
-
-    python -m repro.tools.report results/linkbench_telemetry.jsonl
+    python -m repro.tools.report results/fig6_telemetry.jsonl
     python -m repro.tools.report out.jsonl --section activities
 
-Sections:
+Each ``--section`` is an entry of :data:`SECTIONS`: tables of a title,
+headers and a function building the rows.  A row is labelled with the
+name its owner registered — a ``DEVICE_ROWS`` / ``ROUTER_ROWS`` name, a
+histogram name or a field of an artifact record — so a metric reads the
+same here as in the catalog of ``docs/observability.md``:
 
-* ``activities`` — Figure-6-style breakdown of I/O activity inside the
-  device (host writes vs GC copybacks vs mapping traffic), drawn from the
-  final metrics snapshot,
-* ``latency``    — Table-1-style percentile rows for every latency
-  histogram in the final snapshot,
-* ``spans``      — per-span-name count / total / mean virtual duration,
-* ``gc``         — GC attribution: each ``ftl.gc`` span walked up its
-  parent chain to the host-level operation that triggered it,
-* ``queue``      — the event-driven device's queueing picture: per-device
-  queue-wait percentiles (time a command sat admitted-but-behind-others
-  versus being serviced) and per-channel busy time / utilisation,
-* ``cluster``    — the sharded tier: per-shard client latency percentiles
-  with epoch and replication lag, plus tier-wide kill / failover /
-  replication counters,
-* ``mapping``    — the L2P layer: the ``ftl.l2p.*`` gauges (modeled
-  footprint, fragment count, SHARE remap splits) from the final
-  snapshot, plus per-strategy comparison rows when the artifact carries
-  ``mapping_lab`` records (the committed
-  ``results/mapping_lab.jsonl`` grid).
+* ``activities`` — Figure 6: I/O activities summed across devices;
+* ``latency``    — Table 1: percentile rows for every histogram;
+* ``spans``      — per-span-name count / total / mean virtual duration;
+* ``gc``         — each ``ftl.gc`` span attributed to its root operation;
+* ``queue``      — per-device queue wait and per-channel occupancy;
+* ``cluster``    — per-shard latency, router counters, replica lag;
+* ``mapping``    — the ``ftl.l2p.*`` gauges and ``mapping_lab`` records.
 
-The artifact is whatever a :class:`repro.obs.JsonlSink` captured — metric
-snapshots (``type: "metrics"``) and finished spans (``type: "span"``).
+The numbers come from the last record that carries a ``metrics`` mapping
+(a :class:`repro.obs.JsonlSink` snapshot or a ``cluster_telemetry``
+record) and from the ``span`` records.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.text_plots import ascii_bars
 from repro.bench.report import format_table
+from repro.cluster.router import ROUTER_ROWS
 from repro.obs.sinks import read_jsonl
+from repro.ssd.device import DEVICE_ROWS
 
-#: Final-snapshot counters that make up the Figure-6-style breakdown,
-#: as (label, dotted-name-suffix) pairs, each summed across the device
-#: scopes it appears under (``device.<name>.<suffix>``).
-ACTIVITY_COUNTERS = (
-    ("host writes (pages)", "host_write_pages"),
-    ("host reads (pages)", "host_read_pages"),
-    ("flushes", "flush_commands"),
-    ("share pairs", "share_pairs"),
-    ("trims", "trim_commands"),
-    ("GC events", "ftl.gc.events"),
-    ("GC copybacks (pages)", "ftl.gc.copyback_pages"),
-    ("block erases", "ftl.gc.block_erases"),
-    ("map page writes", "ftl.maplog.page_writes"),
-    ("wear-level moves", "ftl.wear.level_moves"),
-)
+#: Figure 6's activities, as ``DEVICE_ROWS`` names.
+ACTIVITIES = (
+    "host_write_pages", "host_read_pages", "flush_commands", "share_pairs",
+    "trim_commands", "ftl.gc.events", "ftl.gc.copyback_pages",
+    "ftl.gc.block_erases", "ftl.maplog.page_writes", "ftl.wear.level_moves")
 
+#: The L2P gauges every device reports.
+L2P_GAUGES = tuple(name for name, __, __ in DEVICE_ROWS
+                   if name.startswith("ftl.l2p."))
 
-def load(path: str) -> List[Dict]:
-    """Read every record of a telemetry JSONL artifact."""
-    return read_jsonl(path)
+#: The summary fields of a histogram, one column each.
+DISTRIBUTION = ("count", "mean", "p25", "p50", "p75", "p99", "max")
+
+#: The fields of a ``mapping_lab`` record, one column each.
+MAPPING_LAB = ("workload", "strategy", "footprint_bytes", "fragments",
+               "remap_splits", "splits_per_pair", "waf", "wall_kops_per_s")
 
 
 def last_metrics(records: Sequence[Dict]) -> Dict:
-    """The final metrics snapshot's name -> value mapping ({} if none)."""
+    """The name -> value mapping of the last record carrying one ({} if
+    none)."""
     out: Dict = {}
     for record in records:
-        if record.get("type") == "metrics":
-            out = record.get("metrics", {})
+        if isinstance(record.get("metrics"), dict):
+            out = record["metrics"]
     return out
 
 
-def _sum_scoped(metrics: Dict, suffix: str) -> Optional[float]:
-    """Sum of every scalar named ``suffix`` under a device scope
-    (``device.<name>.<suffix>``) or bare, as artifacts from before the
-    firmware rows were scoped have it; None when there is no such name."""
-    values = [value for name, value in metrics.items()
-              if (name == suffix or (name.startswith("device.")
-                                     and name.endswith(f".{suffix}")))
+def device_total(metrics: Dict, name: str) -> Optional[float]:
+    """Sum of ``device.<any>.<name>`` over devices; None when no device
+    reports ``name``."""
+    values = [value for key, value in metrics.items()
+              if key.startswith("device.") and key.split(".", 2)[2:] == [name]
               and isinstance(value, (int, float))]
-    return float(sum(values)) if values else None
+    return sum(values) if values else None
 
 
-def activity_breakdown(metrics: Dict) -> Tuple[List[str], List[float]]:
-    """Figure-6-style labels and values from a metrics snapshot."""
-    return ([label for label, __ in ACTIVITY_COUNTERS],
-            [_sum_scoped(metrics, suffix) or 0.0
-             for __, suffix in ACTIVITY_COUNTERS])
-
-
-def render_activities(metrics: Dict, width: int = 50) -> str:
-    if not metrics:
-        return "no metrics snapshots in artifact"
-    labels, values = activity_breakdown(metrics)
-    return ascii_bars(labels, values, width=width,
-                      title="I/O activities (Figure 6 shape)")
-
-
-def latency_table(metrics: Dict) -> str:
-    """Table-1-shaped rows for every histogram summary in the snapshot."""
+def distributions(metrics: Dict, prefix: str = "",
+                  suffix: str = "") -> List[List]:
+    """One ``[key, count, mean, p25, p50, p75, p99, max]`` row per
+    populated histogram named ``<prefix><key><suffix>``."""
     rows = []
     for name in sorted(metrics):
         value = metrics[name]
-        if not isinstance(value, dict) or not value.get("count"):
-            continue
-        if not all(f"p{p}" in value for p in (25, 50, 75, 99)):
-            continue
-        rows.append([name, value["count"], value["mean"], value["p25"],
-                     value["p50"], value["p75"], value["p99"], value["max"]])
-    if not rows:
-        return "no latency histograms in artifact"
-    return format_table(
-        ["histogram", "count", "mean", "P25", "P50", "P75", "P99", "max"],
-        rows, title="Latency distributions (Table 1 shape)")
+        if (name.startswith(prefix) and name.endswith(suffix)
+                and isinstance(value, dict) and value.get("count")
+                and all(field in value for field in DISTRIBUTION)):
+            key = name[len(prefix):len(name) - len(suffix)]
+            rows.append([key] + [value[field] for field in DISTRIBUTION])
+    return rows
 
 
-def span_summary(records: Sequence[Dict]) -> str:
-    """Count / total / mean virtual duration per span name."""
+def channel_occupancy(metrics: Dict) -> List[List]:
+    """``[device, channel, busy_us, util]`` per ``chan.<ch>.busy_us``."""
+    rows = []
+    for name, value in metrics.items():
+        parts = name.split(".")
+        if parts[0] == "device" and parts[2:3] == ["chan"] \
+                and parts[-1] == "busy_us":
+            util = metrics.get(f"device.{parts[1]}.chan.{parts[3]}.util", 0.0)
+            rows.append([parts[1], int(parts[3]), value, util])
+    return sorted(rows)
+
+
+def activity_rows(metrics: Dict) -> List[List]:
+    """``[name, total]`` per activity (0 where absent), or none at all
+    when no device reports any."""
+    totals = [device_total(metrics, name) for name in ACTIVITIES]
+    if all(total is None for total in totals):
+        return []
+    return [[name, total or 0] for name, total in zip(ACTIVITIES, totals)]
+
+
+def span_totals(records: Sequence[Dict]) -> List[List]:
+    """``[name, count, total_us, mean_us]`` per span name."""
     agg: Dict[str, List[float]] = {}
     for record in records:
-        if record.get("type") != "span":
-            continue
-        entry = agg.setdefault(record["name"], [0, 0.0])
-        entry[0] += 1
-        entry[1] += record.get("duration_us", 0)
-    if not agg:
-        return "no spans in artifact"
-    rows = [[name, int(count), total_us, total_us / count]
+        if record.get("type") == "span":
+            entry = agg.setdefault(record["name"], [0, 0.0])
+            entry[0] += 1
+            entry[1] += record["duration_us"]
+    return [[name, count, total_us, total_us / count]
             for name, (count, total_us) in sorted(agg.items())]
-    return format_table(
-        ["span", "count", "total_us", "mean_us"], rows,
-        title="Spans by name (virtual time)")
 
 
 def gc_attribution(records: Sequence[Dict]) -> Dict[str, int]:
@@ -153,233 +138,74 @@ def gc_attribution(records: Sequence[Dict]) -> Dict[str, int]:
     return out
 
 
-def render_gc_attribution(records: Sequence[Dict]) -> str:
-    counts = gc_attribution(records)
-    if not counts:
-        return "no ftl.gc spans in artifact"
-    rows = [[name, count] for name, count in
-            sorted(counts.items(), key=lambda item: -item[1])]
-    return format_table(["root span", "gc events"], rows,
-                        title="GC attribution (root operation -> GC runs)")
-
-
-def queue_summary(metrics: Dict) -> Tuple[List[List], List[List]]:
-    """Queue-wait percentile rows and per-channel utilisation rows from
-    a metrics snapshot.
-
-    Returns ``(wait_rows, channel_rows)`` where wait rows are
-    ``[device, count, mean, p50, p75, p99, max]`` (microseconds) and
-    channel rows are ``[device, channel, busy_us, utilisation]``.
-    """
-    wait_rows: List[List] = []
-    channel_rows: List[List] = []
-    for name in sorted(metrics):
-        if name.startswith("device.") and name.endswith(".queue.wait_us"):
-            value = metrics[name]
-            if isinstance(value, dict) and value.get("count"):
-                device = name.split(".")[1]
-                wait_rows.append([device, value["count"], value["mean"],
-                                  value["p50"], value["p75"], value["p99"],
-                                  value["max"]])
-        if name.startswith("device.") and ".chan." in name \
-                and name.endswith(".busy_us"):
-            parts = name.split(".")
-            device, channel = parts[1], int(parts[3])
-            util = metrics.get(
-                f"device.{device}.chan.{channel}.util", 0.0)
-            channel_rows.append([device, channel, metrics[name], util])
-    channel_rows.sort()
-    return wait_rows, channel_rows
-
-
-def render_queueing(metrics: Dict) -> str:
-    wait_rows, channel_rows = queue_summary(metrics)
-    parts = []
-    if wait_rows:
-        parts.append(format_table(
-            ["device", "count", "mean", "P50", "P75", "P99", "max"],
-            wait_rows, title="Queue wait (us, admitted -> service start)"))
-    if channel_rows:
-        parts.append(format_table(
-            ["device", "channel", "busy_us", "utilisation"],
-            channel_rows, title="Channel occupancy"))
-    if not parts:
-        return ("no queueing telemetry in artifact "
-                "(single-channel QD1 runs stay on the serial fast path)")
-    return "\n\n".join(parts)
-
-
-#: Scalar ``cluster.*`` counters shown in the tier health table, as
-#: (label, name-suffix) pairs.
-CLUSTER_COUNTERS = (
-    ("operations", "ops"),
-    ("acked writes", "acked_writes"),
-    ("reads", "reads"),
-    ("shard kills", "shard_kills"),
-    ("failovers", "failovers"),
-    ("failover duration (us)", "failover_duration_us"),
-    ("records replayed at promotion", "replayed_records"),
-    ("replication records applied", "repl_applied"),
-    ("backpressure waits", "backpressure_waits"),
-    ("cross-shard copies", "cross_shard_copies"),
-    ("replica reads", "replica_reads"),
-    ("replica read fallbacks", "replica_read_fallbacks"),
-    ("media health trips", "media_trips"),
-    ("media storms injected", "media_storms"),
-    ("proactive promotions", "proactive_promotions"),
-    ("rebalances", "rebalances"),
-    ("keys migrated", "migrated_keys"),
-    ("migrations via SHARE remap", "shared_migrations"),
-)
-
-#: Tier-wide ``cluster.*`` histograms shown as distribution rows, as
-#: (label, name-suffix) pairs.  ``replica_lag`` is sampled once per
-#: ``pump_replication`` round per group; ``convergence_us`` records the
-#: wall time from a replica rejoin/lag event to full catch-up.
-CLUSTER_DISTRIBUTIONS = (
-    ("replica lag at pump (records)", "replica_lag"),
-    ("replica convergence time (us)", "convergence_us"),
-)
-
-
-def cluster_summary(metrics: Dict) -> Tuple[List[List], List[List],
-                                            List[List]]:
-    """Per-shard rows, tier-wide counter rows, and distribution rows
-    from a snapshot.
-
-    Shard rows are ``[shard, epoch, repl_lag, count, p50, p99, max]``
-    (client-visible latency, microseconds); counter rows are
-    ``[label, value]`` for every nonzero ``cluster.*`` scalar;
-    distribution rows are ``[label, count, mean, p50, p99, max]`` for
-    each populated histogram in :data:`CLUSTER_DISTRIBUTIONS`.
-    """
-    shard_rows: List[List] = []
-    for name in sorted(metrics):
-        if not name.startswith("cluster.latency_us."):
-            continue
-        value = metrics[name]
-        if not isinstance(value, dict) or not value.get("count"):
-            continue
-        shard = name[len("cluster.latency_us."):]
-        epoch = metrics.get(f"cluster.epoch.{shard}", 0)
-        lag = metrics.get(f"cluster.repl_lag.{shard}", 0)
-        shard_rows.append([shard, epoch, lag, value["count"], value["p50"],
-                           value["p99"], value["max"]])
-    counter_rows: List[List] = []
-    for label, suffix in CLUSTER_COUNTERS:
-        value = metrics.get(f"cluster.{suffix}")
-        if value:
-            counter_rows.append([label, value])
-    dist_rows: List[List] = []
-    for label, suffix in CLUSTER_DISTRIBUTIONS:
-        value = metrics.get(f"cluster.{suffix}")
-        if isinstance(value, dict) and value.get("count"):
-            dist_rows.append([label, value["count"], value["mean"],
-                              value["p50"], value["p99"], value["max"]])
-    return shard_rows, counter_rows, dist_rows
-
-
-def render_cluster(metrics: Dict) -> str:
-    shard_rows, counter_rows, dist_rows = cluster_summary(metrics)
-    parts = []
-    if shard_rows:
-        parts.append(format_table(
-            ["shard", "epoch", "repl_lag", "count", "P50", "P99", "max"],
-            shard_rows, title="Cluster shards (client latency, us)"))
-    if counter_rows:
-        parts.append(format_table(
-            ["counter", "value"], counter_rows,
-            title="Cluster tier (kills, failovers, replication)"))
-    if dist_rows:
-        parts.append(format_table(
-            ["distribution", "count", "mean", "P50", "P99", "max"],
-            dist_rows, title="Replica lag / convergence"))
-    if not parts:
-        return "no cluster telemetry in artifact"
-    return "\n\n".join(parts)
-
-
-#: ``ftl.l2p.*`` gauges shown in the mapping table, as (label,
-#: name-suffix) pairs, summed across devices like the activities.
-L2P_GAUGES = (
-    ("L2P footprint (modeled bytes)", "ftl.l2p.footprint_bytes"),
-    ("L2P fragments (flat 1, delta exceptions)", "ftl.l2p.runs"),
-    ("SHARE remap splits", "ftl.l2p.remap_splits"),
-)
-
-
-def mapping_summary(records: Sequence[Dict],
-                    metrics: Dict) -> Tuple[List[List], List[List]]:
-    """Gauge rows from the final snapshot and per-strategy rows from any
-    ``mapping_lab`` records in the artifact.
-
-    Gauge rows are ``[label, value]``; strategy rows are
-    ``[strategy, workload, footprint, fragments, splits, splits/pair,
-    waf, kops/s]`` — the shape of ``results/mapping_lab.jsonl``.
-    """
-    gauge_rows: List[List] = []
-    for label, suffix in L2P_GAUGES:
-        total = _sum_scoped(metrics, suffix)
-        if total is not None:
-            gauge_rows.append([label, total])
-    lab_rows: List[List] = []
-    for record in records:
-        if record.get("type") != "mapping_lab":
-            continue
-        lab_rows.append([
-            record.get("strategy", "?"),
-            record.get("workload", "?"),
-            record.get("footprint_bytes", 0),
-            record.get("fragments", 0),
-            record.get("remap_splits", 0),
-            round(record.get("splits_per_pair", 0.0), 3),
-            round(record.get("waf", 0.0), 3),
-            round(record.get("wall_kops_per_s", 0.0), 1),
-        ])
-    lab_rows.sort(key=lambda row: (row[1], row[0]))
-    return gauge_rows, lab_rows
-
-
-def render_mapping(records: Sequence[Dict], metrics: Dict) -> str:
-    gauge_rows, lab_rows = mapping_summary(records, metrics)
-    parts = []
-    if gauge_rows:
-        parts.append(format_table(
-            ["gauge", "value"], gauge_rows,
-            title="L2P mapping layer (final snapshot)"))
-    if lab_rows:
-        parts.append(format_table(
-            ["strategy", "workload", "footprint_B", "fragments",
-             "remap_splits", "splits/pair", "WAF", "kops/s"],
-            lab_rows, title="Mapping-strategy lab (footprint vs WAF vs "
-                            "throughput vs SHARE fragmentation)"))
-    if not parts:
-        return ("no L2P telemetry in artifact (every device reports "
-                "device.<name>.ftl.l2p.* gauges)")
-    return "\n\n".join(parts)
-
-
-SECTIONS = ("activities", "latency", "spans", "gc", "queue", "cluster",
-            "mapping")
+#: ``--section`` -> its tables, as ``(title, headers, rows(records,
+#: metrics))``; headers ``None`` draws ``[label, value]`` rows as bars.
+SECTIONS = {
+    "activities": [
+        ("I/O activities (Figure 6 shape)", None,
+         lambda records, metrics: activity_rows(metrics))],
+    "latency": [
+        ("Latency distributions (Table 1 shape)",
+         ("histogram",) + DISTRIBUTION,
+         lambda records, metrics: distributions(metrics))],
+    "spans": [
+        ("Spans by name (virtual time)",
+         ("span", "count", "total_us", "mean_us"),
+         lambda records, metrics: span_totals(records))],
+    "gc": [
+        ("GC attribution (root operation -> GC runs)",
+         ("root span", "gc events"),
+         lambda records, metrics: sorted(
+             gc_attribution(records).items(), key=lambda item: -item[1]))],
+    "queue": [
+        ("Queue wait (us, admitted -> service start)",
+         ("device",) + DISTRIBUTION,
+         lambda records, metrics: distributions(
+             metrics, "device.", ".queue.wait_us")),
+        ("Channel occupancy", ("device", "channel", "busy_us", "util"),
+         lambda records, metrics: channel_occupancy(metrics))],
+    "cluster": [
+        ("Cluster shards (client latency, us)",
+         ("shard",) + DISTRIBUTION + ("epoch", "repl_lag"),
+         lambda records, metrics: [
+             row + [metrics.get(f"cluster.epoch.{row[0]}", 0),
+                    metrics.get(f"cluster.repl_lag.{row[0]}", 0)]
+             for row in distributions(metrics, "cluster.latency_us.")]),
+        ("Cluster tier (kills, failovers, replication)", ("counter", "value"),
+         lambda records, metrics: [
+             [name, metrics[f"cluster.{name}"]] for name, __, __ in ROUTER_ROWS
+             if metrics.get(f"cluster.{name}")]),
+        ("Cluster distributions", ("histogram",) + DISTRIBUTION,
+         lambda records, metrics: [
+             row for row in distributions(metrics, "cluster.")
+             if "." not in row[0]])],  # per-shard ones are the first table
+    "mapping": [
+        ("L2P mapping layer (final snapshot)", ("gauge", "value"),
+         lambda records, metrics: [
+             [name, total] for name in L2P_GAUGES
+             if (total := device_total(metrics, name)) is not None]),
+        ("Mapping-strategy lab (footprint vs WAF vs throughput vs SHARE "
+         "fragmentation)", MAPPING_LAB,
+         lambda records, metrics: sorted(
+             [record[field] for field in MAPPING_LAB] for record in records
+             if record.get("type") == "mapping_lab"))],
+}
 
 
 def render(records: Sequence[Dict], section: str = "all") -> str:
     metrics = last_metrics(records)
     parts = []
-    if section in ("all", "activities"):
-        parts.append(render_activities(metrics))
-    if section in ("all", "latency"):
-        parts.append(latency_table(metrics))
-    if section in ("all", "spans"):
-        parts.append(span_summary(records))
-    if section in ("all", "gc"):
-        parts.append(render_gc_attribution(records))
-    if section in ("all", "queue"):
-        parts.append(render_queueing(metrics))
-    if section in ("all", "cluster"):
-        parts.append(render_cluster(metrics))
-    if section in ("all", "mapping"):
-        parts.append(render_mapping(records, metrics))
+    for name, tables in SECTIONS.items():
+        if section not in ("all", name):
+            continue
+        texts = []
+        for title, headers, build in tables:
+            rows = build(records, metrics)
+            if rows and headers is None:
+                texts.append(ascii_bars(*zip(*rows), title=title))
+            elif rows:
+                texts.append(format_table(headers, rows, title=title))
+        parts.append("\n\n".join(texts) or f"no {name} telemetry in artifact")
     return "\n\n".join(parts)
 
 
@@ -388,11 +214,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Render a telemetry JSONL artifact")
     parser.add_argument("path", help="JSONL artifact written by JsonlSink")
-    parser.add_argument("--section", choices=("all",) + SECTIONS,
+    parser.add_argument("--section", choices=("all",) + tuple(SECTIONS),
                         default="all")
     args = parser.parse_args(argv)
     try:
-        records = load(args.path)
+        records = read_jsonl(args.path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,7 @@ I/O trace, report formatting, error hierarchy, and timing validation."""
 import pytest
 
 from repro import errors
-from repro.bench.report import format_ratio_line, format_series, format_table
+from repro.bench.report import format_series, format_table
 from repro.flash.timing import FAST_TIMING, FlashTiming
 from repro.ssd.stats import DeviceStats
 from repro.ssd.trace import IoTrace
@@ -56,7 +56,8 @@ class TestDeviceStats:
 class TestIoTrace:
     def record(self, trace, kind="write", latency=10.0):
         trace.record_fields(timestamp_us=0, kind=kind, lpn=0, count=1,
-                            latency_us=latency)
+                            latency_us=latency, gc_events=0,
+                            copyback_pages=0, arrival_us=0, wait_us=0.0)
 
     def test_filtering_by_kind(self):
         trace = IoTrace(10)
@@ -102,11 +103,6 @@ class TestReportFormatting:
                              {"s1": [10.0, 20.0], "s2": [1.0, 2.0]})
         assert "fig" in text
         assert "s1" in text and "s2" in text
-
-    def test_ratio_line_both_directions(self):
-        assert "2.00x" in format_ratio_line("t", 10.0, 5.0)
-        assert "2.00x" in format_ratio_line("t", 5.0, 10.0)
-        assert "n/a" in format_ratio_line("t", 5.0, 0.0)
 
 
 class TestTimingValidation:

@@ -7,7 +7,10 @@ import pytest
 
 from repro.obs import MemorySink, Telemetry, chrome_trace, \
     export_chrome_trace, validate_chrome_trace
+from repro.flash.geometry import FlashGeometry
 from repro.sim.clock import SimClock
+from repro.ssd.device import Ssd, SsdConfig
+from repro.ssd.ncq import DeviceSession, issuing
 from repro.ssd.trace import IntervalTrace, IoTrace
 
 
@@ -74,7 +77,8 @@ class TestDeviceLanes:
     def device_traces(self):
         io = IoTrace(16)
         io.record_fields(100, "write", lpn=5, count=1, latency_us=40,
-                         arrival_us=50, wait_us=10.0)
+                         gc_events=0, copyback_pages=0, arrival_us=50,
+                         wait_us=10.0)
         intervals = IntervalTrace(16)
         intervals.record(0, 60, 100)
         intervals.record(1, 70, 90)
@@ -92,12 +96,22 @@ class TestDeviceLanes:
         assert cmd["args"]["wait_us"] == 10.0
         assert cmd["pid"] == 2 and cmd["tid"] == 0
 
-    def test_legacy_event_without_arrival_uses_service_time(self):
-        io = IoTrace(4)
-        io.record_fields(100, "read", lpn=1, count=1, latency_us=30)
-        trace = chrome_trace(devices=[("d", io, None)])
-        cmd = [e for e in trace["traceEvents"] if e["ph"] == "X"][0]
-        assert cmd["ts"] == 70 and cmd["dur"] == 30
+    def test_command_arriving_at_zero_is_drawn_with_its_wait(self):
+        # Two clients each submit a write at t = 0 to a QD-1 device: the
+        # second waits out the first, and its bar spans the wait too.
+        ssd = Ssd(SimClock(), SsdConfig(geometry=FlashGeometry.small(),
+                                        queue_depth=1, trace_capacity=16))
+        for client in range(2):
+            with issuing(DeviceSession(client, 0), ssd):
+                ssd.write(client, ("v", client))
+        ssd.drain()
+        first, second = ssd.trace.events()
+        assert second.arrival_us == 0 and second.wait_us > 0
+        trace = chrome_trace(devices=[("d", ssd.trace, None)])
+        bars = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert [(e["ts"], e["dur"]) for e in bars] == [
+            (0, first.timestamp_us), (0, second.timestamp_us)]
+        assert second.timestamp_us == first.timestamp_us + second.wait_us
 
     def test_channel_lanes(self):
         io, intervals = self.device_traces()

@@ -468,12 +468,11 @@ def test_each_device_reports_its_own_firmware():
         assert snap[f"device.{ssd.name}.ftl.free_blocks"] == free[ssd.name]
     assert "ftl.free_blocks" not in snap
     # The Figure-6 breakdown still sums the firmware rows across devices.
-    from repro.tools.report import activity_breakdown
-    labels, values = activity_breakdown(snap)
-    by_label = dict(zip(labels, values))
-    assert by_label["GC copybacks (pages)"] == sum(
+    from repro.tools.report import activity_rows
+    by_name = dict(activity_rows(snap))
+    assert by_name["ftl.gc.copyback_pages"] == sum(
         ssd.stats.copyback_pages for ssd in shape.devices)
-    assert by_label["map page writes"] == sum(
+    assert by_name["ftl.maplog.page_writes"] == sum(
         ssd.stats.map_page_writes for ssd in shape.devices) > 0
 
 

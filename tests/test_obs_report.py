@@ -6,14 +6,19 @@ import json
 
 import pytest
 
+from repro.ssd.device import DEVICE_ROWS
 from repro.tools.report import (
-    activity_breakdown,
+    ACTIVITIES,
+    L2P_GAUGES,
+    activity_rows,
+    channel_occupancy,
+    device_total,
+    distributions,
     gc_attribution,
     last_metrics,
-    latency_table,
     main,
     render,
-    span_summary,
+    span_totals,
 )
 
 
@@ -62,41 +67,57 @@ class TestSnapshotSelection:
         assert last_metrics([span("device.write", 1)]) == {}
 
 
+class TestRowNames:
+    """Every name the report looks up is one a device registers: a
+    renamed collector row fails here, not as a silently missing row."""
+
+    def test_activities_and_gauges_are_device_rows(self):
+        registered = {name for name, __, __ in DEVICE_ROWS}
+        assert set(ACTIVITIES) <= registered
+        assert L2P_GAUGES and set(L2P_GAUGES) <= registered
+
+
 class TestActivityBreakdown:
     def test_device_counters_summed_across_scopes(self):
-        labels, values = activity_breakdown(last_metrics(SYNTHETIC))
-        table = dict(zip(labels, values))
-        assert table["host writes (pages)"] == 600  # data 500 + log 100
-        assert table["host reads (pages)"] == 50
-        assert table["GC events"] == 2
-        assert table["GC copybacks (pages)"] == 15  # data 12 + log 3
-        assert table["share pairs"] == 4
-        assert table["wear-level moves"] == 0
+        table = dict(activity_rows(last_metrics(SYNTHETIC)))
+        assert table["host_write_pages"] == 600  # data 500 + log 100
+        assert table["host_read_pages"] == 50
+        assert table["ftl.gc.events"] == 2
+        assert table["ftl.gc.copyback_pages"] == 15  # data 12 + log 3
+        assert table["share_pairs"] == 4
+        assert table["ftl.wear.level_moves"] == 0
+
+    def test_device_total_is_none_when_no_device_reports(self):
+        assert device_total(last_metrics(SYNTHETIC), "trim_pages") is None
+        assert activity_rows({"couch.share_pairs": 7}) == []
 
 
 class TestLatencyTable:
     def test_histograms_render_as_rows(self):
-        text = latency_table(last_metrics(SYNTHETIC))
-        assert "device.data.latency_us.write" in text
-        assert "P99" in text
+        rows = distributions(last_metrics(SYNTHETIC))
+        assert rows == [["device.data.latency_us.write", 500, 100.0, 80.0,
+                         95.0, 120.0, 400.0, 900.0]]
+        assert "p99" in render(SYNTHETIC, "latency")
 
     def test_empty_snapshot(self):
-        assert "no latency histograms" in latency_table({})
+        assert distributions({}) == []
+        assert render([], "latency") == "no latency telemetry in artifact"
 
     def test_scalars_and_partial_dicts_skipped(self):
-        text = latency_table({"a.counter": 5,
-                              "a.partial": {"count": 1, "p50": 2.0}})
-        assert "no latency histograms" in text
+        assert distributions({"a.counter": 5,
+                              "a.partial": {"count": 1, "p50": 2.0}}) == []
 
 
 class TestSpanSummary:
     def test_counts_and_mean(self):
-        text = span_summary(SYNTHETIC)
-        assert "device.write" in text
-        assert "ftl.gc" in text
+        rows = {row[0]: row[1:] for row in span_totals(SYNTHETIC)}
+        assert rows["device.write"] == [2, 100.0, 50.0]
+        assert rows["ftl.gc"] == [2, 0.0, 0.0]
 
     def test_no_spans(self):
-        assert "no spans" in span_summary([metrics_record(0, {})])
+        assert span_totals([metrics_record(0, {})]) == []
+        assert "no spans telemetry" in render([metrics_record(0, {})],
+                                              "spans")
 
 
 class TestGcAttribution:
@@ -166,14 +187,12 @@ class TestQueueSection:
     })]
 
     def test_queue_section_renders_waits_and_channels(self):
-        from repro.tools.report import queue_summary, render_queueing
         metrics = last_metrics(self.METRICS)
-        wait_rows, channel_rows = queue_summary(metrics)
-        assert wait_rows == [["data", 40, 100.0, 60.0, 150.0, 800.0,
-                              1200.0]]
-        assert channel_rows == [["data", 0, 5000, 0.71],
-                                ["data", 1, 4500, 0.64]]
-        text = render_queueing(metrics)
+        assert distributions(metrics, "device.", ".queue.wait_us") == [
+            ["data", 40, 100.0, 10.0, 60.0, 150.0, 800.0, 1200.0]]
+        assert channel_occupancy(metrics) == [["data", 0, 5000, 0.71],
+                                              ["data", 1, 4500, 0.64]]
+        text = render(self.METRICS, "queue")
         assert "Queue wait" in text
         assert "Channel occupancy" in text
 
@@ -183,6 +202,55 @@ class TestQueueSection:
         assert "I/O activities" not in text
 
     def test_serial_artifact_explains_absence(self):
-        from repro.tools.report import render_queueing
-        assert "no queueing telemetry" in render_queueing(
-            {"device.data.host_write_pages": 5})
+        records = [metrics_record(0, {"device.data.host_write_pages": 5})]
+        assert render(records, "queue") == "no queue telemetry in artifact"
+
+
+class TestClusterSection:
+    """The committed cluster artifact stores its snapshots as
+    ``cluster_telemetry`` records, not ``metrics`` ones."""
+
+    RECORDS = [{"type": "cluster_telemetry", "metrics": {
+        "cluster.latency_us.shard0": {
+            "count": 10, "total": 1000.0, "mean": 100.0, "p25": 50.0,
+            "p50": 90.0, "p75": 120.0, "p99": 300.0, "max": 310.0},
+        "cluster.epoch.shard0": 2,
+        "cluster.repl_lag.shard0": 3,
+        "cluster.ops": 10,
+        "cluster.shard_kills": 1,
+        "cluster.failovers": 0,
+        "cluster.replica_lag": {
+            "count": 4, "total": 2.0, "mean": 0.5, "p25": 0.0, "p50": 0.0,
+            "p75": 1.0, "p99": 1.0, "max": 1.0},
+    }}]
+
+    def test_cluster_telemetry_record_renders_its_tables(self):
+        text = render(self.RECORDS, "cluster")
+        assert "Cluster shards" in text
+        assert "Cluster tier" in text
+        assert "Cluster distributions" in text
+        lines = text.splitlines()
+        shard = next(line for line in lines if line.startswith("shard0"))
+        assert shard.split()[-2:] == ["2", "3"]  # epoch, repl_lag
+        assert any(line.split() == ["shard_kills", "1"] for line in lines)
+        assert not any(line.lstrip().startswith("failovers ")
+                       for line in lines)  # zero: no row
+        assert any(line.startswith("replica_lag ") for line in lines)
+        assert "latency_us" not in text  # shard rows stay in their table
+
+
+class TestMappingSection:
+    def test_gauges_and_lab_records(self):
+        records = [metrics_record(0, {"device.data.ftl.l2p.runs": 2,
+                                      "device.log.ftl.l2p.runs": 1}),
+                   {"type": "mapping_lab", "workload": "seq",
+                    "strategy": "flat", "footprint_bytes": 100,
+                    "fragments": 1, "remap_splits": 0,
+                    "splits_per_pair": 0.0, "waf": 1.0,
+                    "wall_kops_per_s": 40.0}]
+        text = render(records, "mapping")
+        lines = text.splitlines()
+        assert any(line.split() == ["ftl.l2p.runs", "3"] for line in lines)
+        assert "ftl.l2p.footprint_bytes" not in text  # absent: no row
+        assert any(line.split()[:3] == ["seq", "flat", "100"]
+                   for line in lines)

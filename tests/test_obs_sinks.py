@@ -14,7 +14,8 @@ from repro.ssd.trace import IoTrace
 
 def record(trace, index):
     trace.record_fields(timestamp_us=index, kind="write", lpn=index,
-                        count=1, latency_us=float(index))
+                        count=1, latency_us=float(index), gc_events=0,
+                        copyback_pages=0, arrival_us=index, wait_us=0.0)
 
 
 class TestJsonlSink:

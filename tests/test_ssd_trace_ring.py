@@ -15,7 +15,9 @@ from conftest import small_ssd_config
 def fill(trace, n, start=0):
     for i in range(start, start + n):
         trace.record_fields(timestamp_us=i * 10, kind="write", lpn=i,
-                            count=1, latency_us=5)
+                            count=1, latency_us=5, gc_events=0,
+                            copyback_pages=0, arrival_us=i * 10,
+                            wait_us=0.0)
 
 
 class TestKeepNewest:
@@ -92,13 +94,13 @@ class TestCapacityZero:
 
 
 class TestRecordFields:
-    def test_events_materialize_lazily_with_defaults(self):
+    def test_events_materialize_lazily(self):
         trace = IoTrace(4)
-        trace.record_fields(100, "share", lpn=7, count=2, latency_us=30)
+        trace.record_fields(100, "share", 7, 2, 30, 0, 0, 70, 0.0)
         event = next(iter(trace))
         assert isinstance(event, TraceEvent)
         assert event.kind == "share" and event.lpn == 7
-        assert event.arrival_us == 0 and event.wait_us == 0.0
+        assert event.arrival_us == 70 and event.wait_us == 0.0
 
     def test_queue_fields_round_trip(self):
         trace = IoTrace(4)
