@@ -3,8 +3,12 @@ API: deterministic placement, the ack contract, same-shard SHARE vs
 cross-shard copy degradation, deletes, and replication pumping."""
 
 import hashlib
+from bisect import bisect_right
+from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import HashRing, ShardGroup, ShardRouter, fnv1a64
 from repro.errors import ClusterError
@@ -61,12 +65,83 @@ def placement_keys():
         yield n
 
 
+def reference_hash(data: bytes) -> int:
+    """One FNV-1a fold over all of ``data``, then fmix64: the ring hash
+    written out without the prefix-state cache."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2 ** 64
+    h ^= h >> 33
+    h = h * 0xFF51AFD7ED558CCD % 2 ** 64
+    h ^= h >> 33
+    h = h * 0xC4CEB9FE1A85EC53 % 2 ** 64
+    return h ^ (h >> 33)
+
+
+class ReferenceRing:
+    """Placement as the first vnode point clockwise of
+    :func:`reference_hash` of ``repr(key)``."""
+
+    def __init__(self, nodes, vnodes=64):
+        self.points = sorted(
+            (reference_hash(f"{node}#{replica}".encode()), node)
+            for node in nodes for replica in range(vnodes))
+        self.hashes = [point for point, __ in self.points]
+
+    def lookup_point(self, key):
+        index = bisect_right(self.hashes, reference_hash(repr(key).encode()))
+        return self.points[index % len(self.points)]
+
+
+RINGS = [(HashRing(nodes), ReferenceRing(nodes))
+         for nodes in (["shard0", "shard1", "shard2"],
+                       ["shard0", "shard1", "shard2", "shard3"])]
+
+Pair = namedtuple("Pair", "left right")
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(), st.text(alphabet=", '\"\\x1\u00e9\u952e\U0001F600"))
+
+KEYS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(Pair, inner, inner)),
+    max_leaves=8)
+
+
+def assert_placed_like_the_reference(keys):
+    """Look ``keys`` up in order, from an empty prefix-state cache."""
+    for ring, reference in RINGS:
+        ring._prefix_state.cache_clear()
+        for key in keys:
+            point = reference.lookup_point(key)
+            assert ring.lookup_point(key) == point, key
+            assert ring.lookup(key) == point[1], key
+
+
 class TestHashRing:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(KEYS, max_size=12))
+    def test_placement_equals_one_fold_over_the_whole_repr(self, keys):
+        assert_placed_like_the_reference(keys)
+
+    def test_prefix_state_is_keyed_by_the_string(self):
+        # (1,) == (True,) == (1.0,) and they hash alike: a cache keyed
+        # by a key's leading elements would hand (True, 5) the state of
+        # "(1, ".
+        assert_placed_like_the_reference(
+            [(1, 5), (True, 5), (1.0, 5), ("a", 1, 2), ("a", True, 2)])
+
     def test_fnv1a64_is_stable(self):
         # Known-answer: the empty string hashes to the FNV offset basis.
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == fnv1a64(b"a")
         assert fnv1a64(b"a") != fnv1a64(b"b")
+        # A left fold: the state after a prefix resumes exactly.
+        assert fnv1a64("d\u00e9f)".encode(), fnv1a64(b"('abc', ")) \
+            == fnv1a64("('abc', d\u00e9f)".encode())
 
     def test_placement_matches_the_known_answers(self):
         ring = HashRing(["shard0", "shard1", "shard2"])
@@ -99,9 +174,8 @@ class TestHashRing:
 
     def test_every_node_gets_load(self):
         ring = HashRing(["shard0", "shard1", "shard2"])
-        spread = ring.spread([("node", n) for n in range(600)])
-        assert sum(spread.values()) == 600
-        assert all(count > 0 for count in spread.values())
+        owners = {ring.lookup(("node", n)) for n in range(600)}
+        assert owners == set(ring.nodes)
 
     def test_validation(self):
         with pytest.raises(ValueError):

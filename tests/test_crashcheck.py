@@ -302,6 +302,34 @@ def test_cli_l2p_is_reported_and_does_not_leak(tmp_path, monkeypatch):
     assert os.environ["REPRO_L2P"] == "delta"
 
 
+#: Every (family, workload) pair ``crashexplore --list`` prints.
+LISTED = [(family.name, workload) for family in FAMILIES.values()
+          for workload, factory in family.harnesses.items()
+          if family.applies(factory)]
+
+
+def test_listed_pairs_are_what_the_cli_lists(capsys):
+    assert crashexplore_main(["--list"]) == 0
+    listing = capsys.readouterr().out.splitlines()
+    assert [(line.split(":")[0], workload) for line in listing
+            for workload in line.split("workloads ")[1].split(";")[0]
+            .split(", ")] == LISTED
+
+
+@pytest.mark.parametrize("l2p", STRATEGY_NAMES)
+@pytest.mark.parametrize("family_name, workload", LISTED)
+def test_every_listed_sweep_holds_at_three_sites(family_name, workload, l2p,
+                                                 tmp_path):
+    # The smoke of the whole grid: every harness runs, is cut, recovers
+    # and passes its checks on both backings (couch-small,
+    # datajournal-share and postgres-small run in no other test).
+    records = check_cli_sweep(["--family", family_name, "--workload",
+                               workload, "--l2p", l2p, "--max-points", "3"],
+                              tmp_path)
+    assert 1 <= len(records) - 1 <= 3
+    assert (records[-1]["workload"], records[-1]["l2p"]) == (workload, l2p)
+
+
 @pytest.mark.parametrize("argv", [
     ["--family", "cluster-kill", "--workload", "ftl-basic"],
     ["--family", "power", "--workload", "cluster-small"],

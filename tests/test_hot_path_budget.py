@@ -532,10 +532,12 @@ def test_couch_read_modify_write_stays_inside_its_call_budget():
 
 #: Calls per operation of the KV LinkBench mix booked to ``repro/cluster``
 #: (its own functions plus the builtins those call), on 3 shards of a
-#: primary and two replicas with ``write_quorum=2``.  Measured 48.72 on
-#: CPython 3.11 when committed; the same run cost 76.99 on the commit
-#: before, which hashed a key through four helper calls, routed every
-#: shard op through a fresh lambda and an ``_ensure_primary`` call,
+#: primary and two replicas with ``write_quorum=2``.  Measured 48.94 on
+#: CPython 3.11 with the ring resuming FNV-1a from cached prefix states
+#: (the region's 214 misses fold a prefix: 0.21 calls/op), 48.72 when
+#: each lookup folded the whole ``repr``; the same run cost 76.99 on the
+#: commit before, which hashed a key through four helper calls, routed
+#: every shard op through a fresh lambda and an ``_ensure_primary`` call,
 #: sorted the replicas for each quorum sync and read the log tip through
 #: a property.  Raise it only with a reason in the commit message.
 CALLS_PER_KV_OP_BUDGET = 51.2
@@ -563,8 +565,9 @@ def device_stream(ssd):
 
 
 def profile_cluster_linkbench():
-    """(stats, device stream deltas, clock) of ``KV_OPS`` profiled
-    operations from 4 clients on a loaded, warmed quorum cluster."""
+    """(stats, device stream deltas, clock, the ring's prefix-state
+    cache info before and after) of ``KV_OPS`` profiled operations from
+    4 clients on a loaded, warmed quorum cluster."""
     from repro.bench.harness import build_cluster_stack
     from repro.workloads.linkbench import (ClusterLinkBenchDriver,
                                            LinkBenchConfig)
@@ -578,6 +581,7 @@ def profile_cluster_linkbench():
     driver.run(500, concurrency=4)
     devices = router.devices
     before = {ssd.name: device_stream(ssd) for ssd in devices}
+    cache_before = router.ring._prefix_state.cache_info()
     profile = cProfile.Profile(builtins=True)
     profile.enable()
     try:
@@ -589,11 +593,13 @@ def profile_cluster_linkbench():
     return (profile.getstats(),
             {ssd.name: tuple(now - then for now, then in zip(
                 device_stream(ssd), before[ssd.name])) for ssd in devices},
-            stack.clock.now_us)
+            stack.clock.now_us, cache_before,
+            router.ring._prefix_state.cache_info())
 
 
 def test_routed_kv_op_stays_inside_its_call_budget():
-    stats, stream, clock_us = profile_cluster_linkbench()
+    stats, stream, clock_us, cache_before, cache_after = \
+        profile_cluster_linkbench()
     per_op = booked_calls(stats, CLUSTER_LAYER) / KV_OPS
     assert per_op <= CALLS_PER_KV_OP_BUDGET, (
         f"{per_op:.2f} cluster-side calls per KV op, budget "
@@ -602,3 +608,9 @@ def test_routed_kv_op_stays_inside_its_call_budget():
     assert not into_obs, f"telemetry is off, yet repro/obs ran: {into_obs}"
     assert stream == KV_DEVICE_STREAM
     assert clock_us == KV_CLOCK_AFTER_US
+    # The ring folds only a key's last element: the rest of its repr is
+    # a cached FNV state, so nearly every lookup must hit, in bounds.
+    hits = cache_after.hits - cache_before.hits
+    misses = cache_after.misses - cache_before.misses
+    assert hits / (hits + misses) >= 0.9, (hits, misses)
+    assert cache_after.currsize <= cache_after.maxsize
