@@ -93,16 +93,16 @@ class ChannelSet:
     def acquire(self, channel: int, earliest_us: int,
                 duration_us: int) -> Tuple[int, int]:
         """Occupy ``channel`` for ``duration_us`` starting no earlier
-        than ``earliest_us``; returns ``(start_us, end_us)``."""
+        than ``earliest_us``; returns ``(start_us, end_us)``.  Both are
+        integer microseconds already (the device rounds once, when it
+        prices the command), so nothing is coerced here."""
         if not 0 <= channel < self.channel_count:
             raise ValueError(
                 f"channel out of range [0, {self.channel_count}): {channel}")
         free_us = self._free_us
         start = free_us[channel]
-        earliest_us = int(earliest_us)
         if earliest_us > start:
             start = earliest_us
-        duration_us = int(duration_us)
         end = start + duration_us
         free_us[channel] = end
         self.busy_us[channel] += duration_us

@@ -209,7 +209,9 @@ class PageMappingFtl:
         # the device can place each command's internal work on the right
         # channel; ``map_work`` is the map log's half (channels of its
         # page programs).  Public so the device can see, without a call,
-        # whether anything is pending; drained only via take_work().
+        # whether anything is pending, and empty a ledger that holds
+        # only the host's own page in place; otherwise drained via
+        # take_work().
         self.work: List[Tuple[str, int]] = []
         self._seq = 1
         self._share_backed: Dict[int, Tuple[int, int]] = {}
@@ -271,9 +273,11 @@ class PageMappingFtl:
     def take_work(self) -> List[Tuple[str, int]]:
         """Drain the ``(kind, channel)`` ledger of charged work since the
         last drain (including the map log's page programs).  The device
-        calls this once per command to attribute the command's internal
-        work to channels; totals are always derived from the stats
-        counters, so a drained ledger only ever affects *placement*.
+        calls this for a command that carried internal work, to
+        attribute it to channels (a ledger of just the host's own page
+        it reads and empties in place); totals are always derived from
+        the stats counters, so a drained ledger only ever affects
+        *placement*.
 
         When both ledgers are empty (the common no-internal-work
         command) the *live* empty list is returned without allocating a

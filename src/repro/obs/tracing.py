@@ -52,20 +52,6 @@ class Span:
             raise ValueError(f"span {self.name!r} is still open")
         return self.end_us - self.start_us
 
-    def to_record(self) -> Dict[str, Any]:
-        """The JSONL schema of a finished span."""
-        return {
-            "type": "span",
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start_us": self.start_us,
-            "end_us": self.end_us,
-            "duration_us": self.duration_us,
-            "attrs": self.attrs,
-        }
-
     def __enter__(self) -> "Span":
         return self
 
@@ -151,6 +137,9 @@ class Tracer:
     span or recording a per-command sample: a plain attribute, false
     while the tracer is disabled (``enabled = False``, which is what
     paused or off telemetry sets) and while a sampled-out root is open.
+    :attr:`current` is a plain attribute too: the innermost open span,
+    or the null span when none is open (a sampled-out root is not on
+    the stack).
     """
 
     def __init__(self, sink: Any, clock: Optional[SimClock] = None,
@@ -160,6 +149,7 @@ class Tracer:
         self._sink = sink
         self._clock = clock
         self._stack: List[Span] = []
+        self.current: Any = NULL_SPAN
         self._next_id = 1
         self._enabled = True
         self.recording = True
@@ -184,11 +174,6 @@ class Tracer:
     def depth(self) -> int:
         return len(self._stack)
 
-    @property
-    def current(self) -> Any:
-        """The innermost open span (the null span when none is open)."""
-        return self._stack[-1] if self._stack else NULL_SPAN
-
     def span(self, name: str, **attrs: Any) -> Any:
         """Open a child of the current span (or a new root)."""
         if not self.recording:
@@ -212,17 +197,35 @@ class Tracer:
             attrs=attrs,
         )
         self._stack.append(span)
+        self.current = span
         return span
 
     def finish(self, span: Span) -> None:
-        """Close ``span`` and emit its record.  Closing out of order also
-        closes any younger spans still open (defensive; normal use is
+        """Close ``span`` and emit its record (the JSONL schema of a
+        finished span).  Closing out of order also closes any younger
+        spans still open, innermost first (defensive; normal use is
         strictly nested ``with`` blocks)."""
-        while self._stack:
-            top = self._stack.pop()
+        stack = self._stack
+        end_us = self._clock.now_us if self._clock is not None else 0
+        emit = self._sink.emit
+        while True:
+            if stack:
+                top = stack[-1]
+                del stack[-1]
+            else:
+                top = span
+            top.end_us = end_us
+            emit({
+                "type": "span",
+                "name": top.name,
+                "trace_id": top.trace_id,
+                "span_id": top.span_id,
+                "parent_id": top.parent_id,
+                "start_us": top.start_us,
+                "end_us": end_us,
+                "duration_us": end_us - top.start_us,
+                "attrs": top.attrs,
+            })
             if top is span:
                 break
-            top.end_us = self._clock.now_us if self._clock is not None else 0
-            self._sink.emit(top.to_record())
-        span.end_us = self._clock.now_us if self._clock is not None else 0
-        self._sink.emit(span.to_record())
+        self.current = stack[-1] if stack else NULL_SPAN

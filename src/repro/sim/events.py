@@ -3,7 +3,12 @@
 Components never advance the shared :class:`SimClock` by the latency of
 their own work; a device prices a command, pushes its ticket here under
 its completion time, and the clock only moves when :meth:`run_until`
-delivers that completion.  Two properties are load-bearing:
+delivers that completion.  A synchronous command, which waits for its
+own completion at once, goes through :meth:`submit_and_wait`: when
+nothing queued is due at or before it, it fires in line — the same clock
+move, ``fired`` count and ``_on_complete`` call, without a heap round
+trip — and otherwise it is pushed and run like any other entry.  Two
+properties are load-bearing:
 
 * **Determinism** — entries fire in ``(completion_us, seq)`` order,
   where ``seq`` is the submission order across *every* device on the
@@ -17,7 +22,9 @@ delivers that completion.  Two properties are load-bearing:
   rewinding time.
 
 The queue holds no callbacks: an entry names the device and the ticket,
-and firing it is ``device._on_complete(ticket)``.
+and firing it is ``device._on_complete(ticket)``.  The ticket is opaque
+here: a device may queue ``None`` for a command whose completion has
+nothing to deliver but the in-flight count.
 """
 
 from __future__ import annotations
@@ -66,6 +73,24 @@ class EventScheduler:
                 clock.now_us = completion_us
             self.fired += 1
             device._on_complete(ticket)
+
+    def submit_and_wait(self, completion_us: int, device, ticket) -> None:
+        """:meth:`push` then :meth:`run_until` ``completion_us``: the
+        synchronous issuer's wait for its own command.  When the queue
+        holds nothing due at or before ``completion_us`` the entry would
+        be the first and only one popped, so it fires in line instead —
+        same clock, same ``fired`` count, same ``(completion, seq)``
+        order, since every queued entry fires after it either way."""
+        heap = self._heap
+        if heap and heap[0][0] <= completion_us:
+            self.push(completion_us, device, ticket)
+            self.run_until(completion_us)
+            return
+        clock = self.clock
+        if completion_us > clock.now_us:
+            clock.now_us = completion_us
+        self.fired += 1
+        device._on_complete(ticket)
 
     def due(self, device) -> List[int]:
         """Completion times of ``device``'s queued tickets, ascending.

@@ -22,8 +22,8 @@ Alongside the power fuses, the plan carries three :class:`FaultSet`
 instances, one per layer.  A set holds its armed faults, counts the
 operations its layer reports per kind (so sweeps can target the nth of
 each), and lets every matching fault act on the operation.  What a fault
-*does* — raise a typed error, corrupt a read, add latency, or hand
-itself to the shard router — lives on the fault's class.
+*does* — raise a typed error, corrupt a read, or hand itself to the
+shard router — lives on the fault's class.
 
 * :attr:`FaultPlan.media` holds armable **media faults**: uncorrectable
   or correctable-after-retry read errors (:class:`ReadFault`), program
@@ -35,10 +35,11 @@ itself to the shard router — lives on the fault's class.
   end the run — they are raised as typed :class:`MediaError` subclasses
   the FTL is expected to survive.
 * :attr:`FaultPlan.commands` holds armable **command faults** at the
-  host→device boundary: latency spikes (:class:`LatencySpike`),
-  deadline-exceeded timeouts (:class:`CommandTimeout`), transient
-  device-busy backpressure (:class:`DeviceBusy`), and a sticky
-  SHARE-unsupported/hung outage (:class:`ShareOutage`).  The SSD facade
+  host→device boundary: deadline-exceeded timeouts
+  (:class:`CommandTimeout`), transient device-busy backpressure
+  (:class:`DeviceBusy`), and a sticky SHARE-unsupported/hung outage
+  (:class:`ShareOutage`).  A command fault raises or does nothing; it
+  never changes a command's latency.  The SSD facade
   consults the set at command submission and completion; faults are
   targetable by nth occurrence of a command kind or by LPN range, like
   media faults.  These model the failures a production host sees without
@@ -218,9 +219,10 @@ class FaultSet:
         of an operation already counted), then lets every armed fault of
         that kind which matches it act, in arming order.  A fault may
         raise its layer's typed error; otherwise it folds its effect
-        into the result — ``True`` for a corrupted read, the extra
-        latency (µs) of a command, the fired cluster fault for the
-        router to perform — which is ``None`` when nothing acted."""
+        into the result — ``True`` for a corrupted read, the fired
+        cluster fault for the router to perform — which is ``None`` when
+        nothing acted (a command fault either raises or leaves it
+        so)."""
         count = self.op_counts[kind]
         if tally:
             count += 1
@@ -477,26 +479,6 @@ class CommandFault:
                   else f"lpns={self.lpn_range!r}")
         return (f"{type(self).__name__}({self.kind!r}, {target}, "
                 f"sticky={self.sticky}, fired={self.fired})")
-
-
-class LatencySpike(CommandFault):
-    """The command succeeds but takes ``delay_us`` longer than normal —
-    backpressure, internal GC, thermal throttling.  The device facade
-    charges the delay to its virtual clock."""
-
-    def __init__(self, kind: str, nth: Optional[int] = None,
-                 lpn_range: Optional[Tuple[int, int]] = None,
-                 delay_us: int = 10_000, sticky: bool = False) -> None:
-        super().__init__(kind, nth, lpn_range, sticky)
-        if delay_us < 1:
-            raise ValueError(f"delay_us must be >= 1: {delay_us}")
-        self.delay_us = delay_us
-
-    def act(self, faults: FaultSet, count: int, lpns, phase: str,
-            delay_us) -> int:
-        if not self.sticky:
-            faults.consume(self)
-        return (delay_us or 0) + self.delay_us
 
 
 class CommandTimeout(CommandFault):

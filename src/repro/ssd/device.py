@@ -15,10 +15,13 @@ completion queue.  It *completes* when the queue delivers the ticket
 back (:meth:`Ssd._on_complete`): telemetry, the I/O trace record,
 completion-phase command faults and the deferred ack-boundary journal
 entry — in global ``(completion, submission)`` order across every device
-sharing the scheduler.
+sharing the scheduler.  A command whose completion has none of those to
+deliver carries no ticket: its entry only retires the in-flight count.
 
 With no session attached (the default), each command method submits and
-immediately waits for its own completion, which at ``queue_depth=1`` and
+immediately waits for its own completion
+(:meth:`~repro.sim.events.EventScheduler.submit_and_wait`, which fires it
+in line when nothing queued is due first), which at ``queue_depth=1`` and
 one channel reproduces the old caller-advances-the-clock model
 bit-for-bit.  Attaching a :class:`DeviceSession` turns the same methods
 into non-blocking submissions whose arrival time is the session cursor —
@@ -49,6 +52,10 @@ from repro.sim.faults import NO_FAULTS, FaultPlan
 from repro.ssd.ncq import CommandTicket, DeviceSession, NativeCommandQueue
 from repro.ssd.stats import DeviceStats
 from repro.ssd.trace import IntervalTrace, IoTrace
+
+#: What :meth:`Ssd._issue` hands back: the command's completion time and
+#: its ticket (``None`` when the completion has nothing to deliver).
+Issued = Tuple[int, Optional[CommandTicket]]
 
 
 @dataclass(frozen=True)
@@ -288,18 +295,10 @@ class Ssd:
         Consulted at submission (before any media work) and completion
         (after the work, modelling a lost completion), and only while
         ``faults.commands.active`` — callers test that plain attribute,
-        so a disarmed gate costs no call.  Latency-spike delays are
-        charged to the issuing session's cursor (or the clock, when
-        synchronous); error faults raise typed :class:`DeviceError`
-        subclasses the host resilience layer handles."""
-        delay_us = self.faults.commands.hit(kind, lpns, phase,
-                                            phase == "submit")
-        if delay_us:
-            self.stats.busy_us += delay_us
-            if self._session is not None:
-                self._session.now_us += delay_us
-            else:
-                self.clock.advance(delay_us)
+        so a disarmed gate costs no call.  A fault raises a typed
+        :class:`DeviceError` subclass the host resilience layer handles;
+        the gate never moves the session cursor or the clock."""
+        self.faults.commands.hit(kind, lpns, phase, phase == "submit")
 
     def _command(self, body, kind: str, op_kind: str,
                  lpns: Tuple[int, ...], *args) -> None:
@@ -308,10 +307,12 @@ class Ssd:
 
         Under :data:`NO_FAULTS` — every benchmark run — there is no
         journal, so ``body(None, None, *args)`` runs bare, or inside the
-        ``device.<kind>`` span while the tracer is recording.  A real
-        fault plan brings back the deferred ack scope (the wait runs
-        after it exits, so the ack is registered before it is
-        delivered)."""
+        ``device.<kind>`` span while the tracer is recording, and the
+        wait is :meth:`~repro.sim.events.EventScheduler.submit_and_wait`.
+        A real fault plan brings back the deferred ack scope: the
+        command is queued inside it (a power cut there finds it in
+        flight) and :meth:`_wait` runs after it exits, so the ack is
+        registered before it is delivered."""
         faults = self.faults
         if faults.commands.active:
             self._gate(kind, lpns)
@@ -322,14 +323,16 @@ class Ssd:
         if not faults.passive:
             with faults.operation(op_kind, lpns, deferred=True) as op, \
                     tracer.span("device." + kind):
-                ticket = body(op_kind, op, *args)
-        elif tracer.recording:
+                completion, ticket = body(op_kind, op, *args)
+            self._wait(completion, ticket)
+            return
+        if tracer.recording:
             with tracer.span("device." + kind):
-                ticket = body(None, None, *args)
+                completion, ticket = body(None, None, *args)
         else:
-            ticket = body(None, None, *args)
+            completion, ticket = body(None, None, *args)
         if self._session is None:
-            self.events.run_until(ticket.completion_us)
+            self.events.submit_and_wait(completion, self, ticket)
 
     def read(self, lpn: int) -> Any:
         """Read one page (through the controller DRAM cache if enabled)."""
@@ -350,17 +353,17 @@ class Ssd:
         if cached is not None:
             data = cached[0]
             self.stats.host_read_pages += 1
-            ticket = self._issue("read", lpn, 1, 0.0,   # DRAM-speed hit
-                                 self._overhead_whole_us)
+            completion, ticket = self._issue(
+                "read", lpn, 1, 0.0, self._overhead_whole_us)   # DRAM hit
         else:
             data = ftl.read(lpn)
             if cache.enabled:
                 cache.insert(lpn, data)
             self.stats.host_read_pages += 1
-            ticket = self._issue("read", lpn, 1, self._read_latency_us,
-                                 self._read_whole_us)
+            completion, ticket = self._issue(
+                "read", lpn, 1, self._read_latency_us, self._read_whole_us)
         if self._session is None:
-            self.events.run_until(ticket.completion_us)
+            self.events.submit_and_wait(completion, self, ticket)
         return data
 
     def write(self, lpn: int, data: Any) -> None:
@@ -368,7 +371,7 @@ class Ssd:
         self._command(self._write, "write", "device.write", (lpn,),
                       lpn, data)
 
-    def _write(self, op_kind, op, lpn: int, data: Any) -> CommandTicket:
+    def _write(self, op_kind, op, lpn: int, data: Any) -> Issued:
         self.ftl.write(lpn, data)
         if self.cache.enabled:
             self.cache.insert(lpn, data)
@@ -388,7 +391,7 @@ class Ssd:
                       tuple(range(lpn, lpn + len(pages))), lpn, pages)
 
     def _write_multi(self, op_kind, op, lpn: int,
-                     pages: Sequence[Any]) -> CommandTicket:
+                     pages: Sequence[Any]) -> Issued:
         # The whole range, before the first page: a batch that runs past
         # the logical end must not program (and leave unbilled) a prefix.
         ftl = self.ftl
@@ -424,12 +427,12 @@ class Ssd:
             self.stats.write_commands += 1
             self.stats.extra["atomic_write_commands"] = (
                 self.stats.extra.get("atomic_write_commands", 0) + 1)
-            ticket = self._issue(
+            completion, ticket = self._issue(
                 "write", items[0][0], len(items),
                 len(items) * self._program_latency_us,
                 op_kind="device.awrite", op_record=op,
                 gate_kind="awrite", gate_lpns=lpns)
-        self._wait(ticket)
+        self._wait(completion, ticket)
 
     # X-FTL transactional interface (Section 6.2 baseline) --------------
 
@@ -444,8 +447,9 @@ class Ssd:
             self.ftl.write_txn(txn_id, lpn, data)
             self.stats.host_write_pages += 1
             self.stats.write_commands += 1
-            ticket = self._issue("write", lpn, 1, self._program_latency_us)
-        self._wait(ticket)
+            completion, ticket = self._issue("write", lpn, 1,
+                                             self._program_latency_us)
+        self._wait(completion, ticket)
 
     def commit_txn(self, txn_id: int) -> None:
         """Atomically publish a transaction's staged pages."""
@@ -456,17 +460,18 @@ class Ssd:
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.commit_txn(txn_id)
             self.cache.invalidate(staged_lpns)
-            ticket = self._issue("flush", 0, 0, 0.0,
-                                 op_kind="device.xcommit", op_record=op)
-        self._wait(ticket)
+            completion, ticket = self._issue("flush", 0, 0, 0.0,
+                                             op_kind="device.xcommit",
+                                             op_record=op)
+        self._wait(completion, ticket)
 
     def abort_txn(self, txn_id: int) -> None:
         """Discard a transaction's staged pages."""
         with self._tracer.span("device.trim", txn=txn_id):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.abort_txn(txn_id)
-            ticket = self._issue("trim", 0, 0, 0.0)
-        self._wait(ticket)
+            completion, ticket = self._issue("trim", 0, 0, 0.0)
+        self._wait(completion, ticket)
 
     def trim(self, lpn: int, count: int = 1) -> None:
         """Invalidate a logical range."""
@@ -475,7 +480,7 @@ class Ssd:
                       lpns)
 
     def _trim(self, op_kind, op, lpn: int, count: int,
-              lpns: Tuple[int, ...]) -> CommandTicket:
+              lpns: Tuple[int, ...]) -> Issued:
         self.ftl.trim(lpn, count)
         if self.cache.enabled:
             self.cache.invalidate(lpns)
@@ -494,8 +499,8 @@ class Ssd:
         with self._tracer.span("device.idle_gc"):
             self.ftl.take_work()   # discard stale work from direct FTL use
             reclaimed = self.ftl.idle_gc(max_blocks, min_invalid_fraction)
-            ticket = self._issue("trim", 0, reclaimed, 0.0)
-        self._wait(ticket)
+            completion, ticket = self._issue("trim", 0, reclaimed, 0.0)
+        self._wait(completion, ticket)
         return reclaimed
 
     def flush(self) -> None:
@@ -504,7 +509,7 @@ class Ssd:
         modelled), matching the paper's O_DIRECT setup."""
         self._command(self._flush, "flush", "device.flush", ())
 
-    def _flush(self, op_kind, op) -> CommandTicket:
+    def _flush(self, op_kind, op) -> Issued:
         self.ftl.flush()
         self.stats.flush_commands += 1
         return self._issue("flush", 0, 0, 0.0, self._overhead_whole_us,
@@ -533,7 +538,7 @@ class Ssd:
                       pairs, lpns)
 
     def _share(self, op_kind, op, pairs: Sequence[Tuple[int, int]],
-               lpns: Tuple[int, ...]) -> CommandTicket:
+               lpns: Tuple[int, ...]) -> Issued:
         # Log spills are bookkeeping, not media work: they reach the
         # device stats as one count per command, not as ledger entries.
         ftl_stats = self.ftl.stats
@@ -626,26 +631,37 @@ class Ssd:
                base_latency_us: float, whole_us: Optional[int] = None,
                op_kind: Optional[str] = None, op_record: Any = None,
                gate_kind: Optional[str] = None,
-               gate_lpns: Optional[Tuple[int, ...]] = None) -> CommandTicket:
+               gate_lpns: Optional[Tuple[int, ...]] = None) -> Issued:
         """Price the command (base latency plus the internal work — GC
         copybacks, erases, mapping-page programs, spill lookups — it
-        triggered), admit it through the NCQ, occupy its channels, and
-        push its ticket into the completion queue.
+        triggered), admit it through the NCQ and occupy its channels.
+        Returns ``(completion_us, ticket)``.
 
         Per-command work deltas come from the FTL's work ledger: every
         internal-work counter increment leaves a ledger entry (some,
         like ``gc_event``, at zero media cost), so counting entries
         reproduces the old before/after counter diff exactly — and the
         common no-internal-work command skips the accounting entirely.
-        The ledger is taken here, once per command; the caller drains
+        The ledger is drained here, once per command; the caller drains
         stale entries (direct FTL use between commands: aging, recovery)
         before mutating the FTL.  ``whole_us`` is the caller's
         precomputed ``int(round(base + overhead))``; it stands unless
         the command turns out to carry priced internal work.  A ledger
-        that holds only the host's own page is placed here; anything
-        longer goes through :meth:`_price_media`."""
+        that holds only the host's own page is read and emptied in
+        place; anything longer is taken and goes through
+        :meth:`_price_media`.
+
+        The :class:`CommandTicket` is built only when the completion has
+        something to deliver: a recorded command's histograms, a trace
+        record, a completion gate or a deferred ack (``ticket`` is
+        ``None`` otherwise).  A session-issued command is pushed into
+        the completion queue here, and so is a journalled one (it is
+        queued inside its ack scope, where a power cut must find it in
+        flight); any other synchronous command is left to the caller's
+        :meth:`~repro.sim.events.EventScheduler.submit_and_wait`."""
         stats = self.stats
-        work = self.ftl.take_work()
+        ftl = self.ftl
+        work = ftl.work
         gc_events = 0
         copybacks = 0
         # NOTE: base + overhead, then the internal-work terms in this
@@ -654,21 +670,24 @@ class Ssd:
         # the same float (x + 0.0*c == x for these non-negative
         # latencies).
         latency = base_latency_us + self._overhead_us
-        if not work:
+        if not work and not ftl.map_work:
             dram_us = whole_us if whole_us is not None \
                 else int(round(latency))
             pieces = ()
-        elif whole_us is not None and not work[1:] \
+        elif whole_us is not None and len(work) == 1 \
+                and not ftl.map_work \
                 and work[0][0] in ("host_read", "host_program"):
             # The ledger is just the host's own page: place it here, with
             # _price_media's one-entry rule (pre-rounded cost, clamped).
             work_kind, channel = work[0]
+            del work[0]
             dur = self._work_whole_us[work_kind]
             if dur > whole_us:
                 dur = whole_us
             dram_us = whole_us - dur
             pieces = ((channel, dur),) if dur > 0 else ()
         else:
+            work = ftl.take_work()
             erases = map_writes = spill_lookups = wear_moves = 0
             for work_kind, __ in work:
                 if work_kind == "map_write":
@@ -724,35 +743,52 @@ class Ssd:
 
         tracer = self._tracer
         recorded = tracer.recording
-        ticket = CommandTicket(
-            kind, lpn, count, latency, service_us, arrival, completion,
-            gc_events, copybacks, op_kind, op_record, gate_kind, gate_lpns,
-            recorded)
+        if recorded or op_kind is not None or gate_kind is not None \
+                or self.trace.capacity:
+            ticket = CommandTicket(
+                kind, lpn, count, latency, service_us, arrival, completion,
+                gc_events, copybacks, op_kind, op_record, gate_kind,
+                gate_lpns, recorded)
+        else:
+            ticket = None
         self.inflight += 1
-        self.events.push(completion, self, ticket)
-
-        if recorded:
-            tracer.current.set(
-                kind=kind, lpn=lpn, count=count, latency_us=latency,
-                gc_events=gc_events, copyback_pages=copybacks)
-
         if session is not None:
             session.now_us = completion
-        return ticket
+            self.events.push(completion, self, ticket)
+        elif op_kind is not None:   # queued inside its ack scope
+            self.events.push(completion, self, ticket)
 
-    def _wait(self, ticket: CommandTicket) -> None:
-        """Synchronous issue (no session attached): fire every
-        completion up to the command's own, advancing the clock.  Runs
-        *after* the command's fault-operation scope has exited, so the
-        deferred ack is registered before it is delivered."""
+        if recorded:
+            # Recording means this command's own device span is open.
+            tracer.current.attrs.update(
+                kind=kind, lpn=lpn, count=count, latency_us=latency,
+                gc_events=gc_events, copyback_pages=copybacks)
+        return completion, ticket
+
+    def _wait(self, completion: int,
+              ticket: Optional[CommandTicket]) -> None:
+        """Synchronous issue (no session attached): wait for the
+        command's own completion, advancing the clock — after the
+        command's fault-operation scope has exited, so a deferred ack is
+        registered before it is delivered.  A journalled command is
+        queued already (:meth:`_issue` pushed it inside its ack scope),
+        so the queue runs up to it; any other goes through
+        :meth:`~repro.sim.events.EventScheduler.submit_and_wait`.
+        ``read`` and the passive ``_command`` inline the second case."""
         if self._session is None:
-            self.events.run_until(ticket.completion_us)
+            if ticket is not None and ticket.op_kind is not None:
+                self.events.run_until(completion)
+            else:
+                self.events.submit_and_wait(completion, self, ticket)
 
-    def _on_complete(self, ticket: CommandTicket) -> None:
-        """Complete one ticket (the completion queue popped it and moved
-        the clock up to it): deliver telemetry, the trace record, the
-        completion-phase fault gate and the deferred ack — in the order
-        the device finishes work, not the order the host submitted it.
+    def _on_complete(self, ticket: Optional[CommandTicket]) -> None:
+        """Complete one command (the completion queue delivered it and
+        moved the clock up to it): retire it from the in-flight count,
+        then deliver telemetry, the trace record, the completion-phase
+        fault gate and the deferred ack — in the order the device
+        finishes work, not the order the host submitted it.  A
+        ticket-less command (``None``) has only the first and the
+        snapshot tick to deliver.
 
         The latency and queue-wait histograms record the commands issued
         under a recording span (``ticket.recorded``: the tracer's root
@@ -762,18 +798,28 @@ class Ssd:
         demand."""
         self.inflight -= 1
         now = self.clock.now_us
-        if ticket.recorded:
-            self._m_latency[ticket.kind].record(ticket.latency_us)
-            self._m_queue_wait.record(ticket.wait_us)
         telemetry = self.telemetry
+        if ticket is None:
+            if now >= telemetry.snapshot_due_us:
+                telemetry.maybe_snapshot(now)
+            return
+        trace = self.trace
+        if ticket.recorded or trace.capacity:
+            # Time spent queued rather than serviced.
+            wait_us = (ticket.completion_us - ticket.arrival_us
+                       - ticket.service_us)
+            if wait_us < 0:
+                wait_us = 0
+            if ticket.recorded:
+                self._m_latency[ticket.kind].record(ticket.latency_us)
+                self._m_queue_wait.record(wait_us)
         if now >= telemetry.snapshot_due_us:
             telemetry.maybe_snapshot(now)
-        trace = self.trace
         if trace.capacity:
             trace.record_fields(
                 now, ticket.kind, ticket.lpn, ticket.count,
                 ticket.latency_us, ticket.gc_events, ticket.copyback_pages,
-                ticket.arrival_us, ticket.wait_us)
+                ticket.arrival_us, wait_us)
         if ticket.gate_kind is not None and self.faults.commands.active:
             try:
                 self._gate(ticket.gate_kind, ticket.gate_lpns, "complete")
@@ -828,7 +874,7 @@ class Ssd:
         order they would have completed), drop all volatile state and
         run the FTL recovery scan over the surviving media."""
         for ticket in self.events.discard(self):
-            if ticket.op_kind is not None:
+            if ticket is not None and ticket.op_kind is not None:
                 self.faults.abandon_operation(ticket.op_kind,
                                               ticket.op_record)
         self.inflight = 0

@@ -32,10 +32,12 @@ class CommandTicket:
     Everything completion needs is captured at submission so
     ``Ssd._on_complete`` is self-contained: the priced latency (float, for
     the latency histograms), its integer service time, arrival and
-    completion instants, the deferred ack-journal record, and whether
-    the command was issued under a recording span (``recorded``: only
-    those commands land in the latency and queue-wait histograms, so
-    they hold the same commands as the trace).
+    completion instants (their difference less the service time is the
+    queue wait), the deferred ack-journal record, and whether the
+    command was issued under a recording span (``recorded``: only those
+    commands land in the latency and queue-wait histograms, so they hold
+    the same commands as the trace).  A command with none of these to
+    deliver is queued without a ticket.
     """
 
     __slots__ = ("kind", "lpn", "count", "latency_us", "service_us",
@@ -64,12 +66,6 @@ class CommandTicket:
         self.gate_kind = gate_kind
         self.gate_lpns = gate_lpns
         self.recorded = recorded
-
-    @property
-    def wait_us(self) -> int:
-        """Time spent queued rather than serviced."""
-        return max(0, (self.completion_us - self.arrival_us)
-                   - self.service_us)
 
     def __repr__(self) -> str:
         return (f"CommandTicket({self.kind!r}, lpn={self.lpn}, "
@@ -142,11 +138,6 @@ class DeviceSession:
     def __init__(self, client: int = 0, now_us: int = 0) -> None:
         self.client = client
         self.now_us = int(now_us)
-
-    def begin(self, arrival_us: int) -> "DeviceSession":
-        """Position the cursor at the next operation's arrival."""
-        self.now_us = int(arrival_us)
-        return self
 
     def __repr__(self) -> str:
         return f"DeviceSession(client={self.client}, now_us={self.now_us})"

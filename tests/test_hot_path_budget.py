@@ -55,8 +55,13 @@ from repro.ssd.device import Ssd, SsdConfig
 
 from conftest import small_linkbench_stack
 
-#: Calls per command the mix below may cost.  Measured 35.61 on CPython
-#: 3.11 when a departing primary's replacement became the lowest extra
+#: Calls per command the mix below may cost.  Measured 31.73 on CPython
+#: 3.11 when a synchronous command began completing in line, a passive
+#: completion stopped carrying a ticket and ``_issue`` began reading a
+#: one-entry ledger in place (35.61 before, when every command built a
+#: ``CommandTicket``, took the ledger through ``take_work`` and waited
+#: through a heap push and ``run_until``); 35.61
+#: when a departing primary's replacement became the lowest extra
 #: LPN and a shared page one dict of its extras (35.99 before, with a
 #: reference set kept for a page's whole life beside a ``(ppn, lpn)``
 #: table and spill buckets); 36.19 when committed (41.89 on the commit
@@ -72,11 +77,18 @@ from conftest import small_linkbench_stack
 #: as well as the scheduler's heap; 98.7 before the FTL owned its block
 #: state); the slack covers interpreter versions.
 #: Raise it only with a reason in the commit message.
-CALLS_PER_COMMAND_BUDGET = 38.0
+CALLS_PER_COMMAND_BUDGET = 33.3
 
 #: Calls per command the same mix may cost with live telemetry (default
 #: sink, no snapshots), as a ratio of the passive count and as an
-#: absolute ceiling.  Measured on CPython 3.11 against 35.61 passive
+#: absolute ceiling.  Measured on CPython 3.11 against 31.73 passive
+#: once ``Tracer.current`` became a plain attribute, a span's record was
+#: built in ``Tracer.finish`` (no ``to_record`` / ``duration_us`` hop,
+#: no ``list.pop``), the device wrote its command attributes straight
+#: into the open span's dict and computed the queue wait inline (no
+#: ``CommandTicket.wait_us`` property and ``max``): sampled 34.88
+#: (1.099 x), full 44.90 (1.415 x) — 34.96 and 49.93 without those, the
+#: cheaper passive path having raised both ratios.  Against 35.61 passive
 #: once the map log's records-per-commit histogram followed the root
 #: decision like the other per-command histograms: sampled 38.86
 #: (1.091 x), full 54.89 (1.541 x) — 39.57 (1.100 x) and 55.27 against
@@ -91,8 +103,9 @@ CALLS_PER_COMMAND_BUDGET = 38.0
 #: decision, a passive fault plan still opened its operation scope on
 #: the traced path, and every completion called ``maybe_snapshot``;
 #: 60.03 and 99.06 before that, when every counter and gauge was pushed
-#: per command.  The absolute ceilings are the 45.62 / 63.43
-#: measurements + ~5 %.
+#: per command.  The absolute ceilings are the 34.88 / 44.90
+#: measurements + ~5 % (47.9 / 66.6, the 45.62 / 63.43 measurements
+#: + ~5 %, before).
 #:
 #: What ``sampled`` pays per command now: the root decision itself —
 #: ``span`` on every root, and the sampled-out root marker's
@@ -101,7 +114,7 @@ CALLS_PER_COMMAND_BUDGET = 38.0
 #: ``record`` calls.  Everything else tests ``Tracer.recording``, a plain
 #: attribute, and the snapshot tick is a compare against a due time.
 TIER_CALLS_PER_COMMAND_RATIO = {"sampled": 1.10, "full": 1.55}
-TIER_CALLS_PER_COMMAND_CEILING = {"sampled": 47.9, "full": 66.6}
+TIER_CALLS_PER_COMMAND_CEILING = {"sampled": 36.6, "full": 47.2}
 
 COMMANDS = 4000
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -231,15 +244,20 @@ def test_each_telemetry_tier_costs_a_counted_number_of_calls():
 #: Calls per host read and per host write on the device shape three of
 #: perfbench's workloads run: no DRAM cache, queue depth 1 (submit and
 #: wait), the same small GC-bound array on one channel.  Measured on
-#: CPython 3.11 when committed: 20.00 per read, 38.65 per write (38.60
+#: CPython 3.11: 16.00 per read, 34.66 per write once the command
+#: completed in line (``EventScheduler.submit_and_wait``) without a
+#: ticket and its one-entry ledger was read in place; 20.00 and 38.65
+#: on the commit before, which built a ``CommandTicket``, called
+#: ``take_work`` and waited through a heap push and ``run_until``.
+#: 20.00 per read, 38.65 per write when first committed (38.60
 #: once a shared page's extras became one dict); 27.00
 #: and 48.72 on the commit before, which consulted the disabled cache,
 #: called the FTL's range, sequence, ledger and GC-trigger helpers per
 #: page and priced the host's own ledger entry through ``_price_media``.
 #: The budgets are the measured values + ~5 %.  Raise them only with a
 #: reason in the commit message.
-CALLS_PER_SYNC_READ_BUDGET = 21.0
-CALLS_PER_SYNC_WRITE_BUDGET = 40.6
+CALLS_PER_SYNC_READ_BUDGET = 16.8
+CALLS_PER_SYNC_WRITE_BUDGET = 36.4
 
 #: Where the clock stood after the profiled reads and writes on that
 #: commit before: the same commands, priced and placed the same way.

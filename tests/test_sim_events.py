@@ -1,9 +1,13 @@
 """Completion queue: (completion, seq) order, clock motion, discard, and
-what a raising completion leaves behind."""
+what a raising completion leaves behind; the synchronous issuer's
+in-line completion against the push-and-run it replaces, and the
+ticket-less entries a passive command leaves in the queue."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CommandTimeoutError, PowerFailure
 from repro.flash.geometry import FlashGeometry
@@ -11,7 +15,8 @@ from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
-from repro.sim.faults import CommandTimeout, FaultPlan, PowerFailAfter
+from repro.sim.faults import (
+    NO_FAULTS, CommandTimeout, FaultPlan, PowerFailAfter)
 from repro.ssd.device import Ssd, SsdConfig
 from repro.ssd.ncq import DeviceSession, issuing
 
@@ -124,6 +129,28 @@ class TestOrdering:
         events.run_until(99)
         assert fired == ["in", "out"]
 
+    def test_submit_and_wait_fires_in_line_on_an_empty_queue(self):
+        clock, events, sink, fired = make()
+        events.submit_and_wait(40, sink, "sync")
+        assert fired == ["sync"]
+        assert clock.now_us == 40
+        assert events.fired == 1
+        assert events.due(sink) == []
+
+    def test_submit_and_wait_runs_what_is_due_first(self):
+        # A queued completion due at or before the synchronous one fires
+        # first — at an equal timestamp too, having been submitted
+        # earlier; a later one stays queued.
+        clock, events, sink, fired = make()
+        events.push(20, sink, "earlier")
+        events.push(30, sink, "tie")
+        events.push(31, sink, "later")
+        events.submit_and_wait(30, sink, "sync")
+        assert fired == ["earlier", "tie", "sync"]
+        assert clock.now_us == 30
+        assert events.fired == 3
+        assert events.due(sink) == [31]
+
     def test_event_scheduled_by_callback_fires_in_same_run(self):
         clock, events, sink, fired = make()
 
@@ -168,6 +195,154 @@ class TestCancellation:
         fired_before = ssd.events.fired
         ssd.events.run_until(10**9)
         assert ssd.events.fired == fired_before
+
+
+def mixed_device(clock, events, name, plan, queue_depth, trace):
+    ssd = Ssd(clock, SsdConfig(
+        geometry=FlashGeometry(page_size=4096, pages_per_block=16,
+                               block_count=32),
+        timing=FAST_TIMING, ftl=FtlConfig(map_block_count=4),
+        queue_depth=queue_depth, trace_capacity=trace),
+        faults=plan, name=name, events=events)
+    for lpn in range(16):
+        ssd.write(lpn, (name, lpn))
+    return ssd
+
+
+def run_mixed(schedule, journalled, sync_trace, reference):
+    """A synchronous and a session-driven device on one scheduler, fed
+    ``schedule``; returns every completion as it fired (device, clock,
+    LPN when the entry carries a ticket), the ``fired`` count and the
+    final clock.  ``reference`` swaps the in-line wait for the
+    push + run_until it replaces."""
+    clock = SimClock()
+    events = EventScheduler(clock)
+    if reference:
+        def push_and_run(completion_us, device, ticket):
+            events.push(completion_us, device, ticket)
+            events.run_until(completion_us)
+        events.submit_and_wait = push_and_run
+    plan = FaultPlan() if journalled else NO_FAULTS
+    sync = mixed_device(clock, events, "sync", plan, 1,
+                        8 if sync_trace else 0)
+    queued = mixed_device(clock, events, "queued", plan, 4, 0)
+    log = []
+    for ssd in (sync, queued):
+        def spy(ticket, ssd=ssd, complete=ssd._on_complete):
+            log.append((ssd.name, clock.now_us,
+                        None if ticket is None else ticket.lpn))
+            complete(ticket)
+        ssd._on_complete = spy
+    session = DeviceSession(1, 0)
+    for index, (op, lpn, offset) in enumerate(schedule):
+        if op == "sync_read":
+            sync.read(lpn)
+        elif op == "sync_write":
+            sync.write(lpn, ("w", index))
+        elif op == "sync_share":
+            if offset != lpn:
+                sync.share(lpn, offset)
+        elif op == "poll":
+            events.run_until(clock.now_us + offset)
+        else:
+            session.now_us = clock.now_us + offset
+            with issuing(session, queued):
+                if op == "queued_read":
+                    queued.read(lpn)
+                else:
+                    queued.write(lpn, ("q", index))
+    queued.drain()
+    assert sync.inflight == queued.inflight == 0
+    return log, events.fired, clock.now_us
+
+
+class TestSynchronousInLineCompletion:
+    @settings(max_examples=150, deadline=None)
+    @given(schedule=st.lists(st.tuples(
+        st.sampled_from(["sync_read", "sync_write", "sync_share",
+                         "queued_read", "queued_write", "poll"]),
+        st.integers(0, 15), st.integers(0, 15)), max_size=40),
+        journalled=st.booleans(), sync_trace=st.booleans())
+    def test_matches_push_and_run_until(self, schedule, journalled,
+                                        sync_trace):
+        # Offsets of 0-15 µs against 4 µs reads and 13 µs writes put
+        # queued completions on the very timestamps synchronous ones
+        # wait for: the in-line path must fire the same completions in
+        # the same order, with the same count and clock.
+        assert (run_mixed(schedule, journalled, sync_trace, False)
+                == run_mixed(schedule, journalled, sync_trace, True))
+
+    def test_power_cycle_accepts_ticketless_entries(self):
+        # Unjournalled commands under a session leave ticket-less
+        # entries; a power cycle takes them back with the journalled
+        # ones and abandons exactly the latter.
+        plan = FaultPlan()
+        clock, ssd = queued_ssd(plan)
+        ssd.write(9, "old")
+        session = DeviceSession(0, clock.now_us)
+        with issuing(session, ssd):
+            ssd.write(0, "a")
+            ssd.write_txn(ssd.begin_txn(), 9, "staged")   # no ack journal
+            ssd.write(1, "b")
+        assert ssd.inflight == 3
+        ssd.power_cycle()
+        assert ssd.inflight == 0
+        assert [op.lpns for op in plan.unacked_ops()] == [(0,), (1,)]
+        fired_before = ssd.events.fired
+        ssd.events.run_until(10**9)
+        assert ssd.events.fired == fired_before
+        assert ssd.read(9) == "old"
+
+    def test_power_cycle_of_a_passive_session_device(self):
+        clock = SimClock()
+        ssd = mixed_device(clock, EventScheduler(clock), "passive",
+                           NO_FAULTS, 4, 0)
+        session = DeviceSession(0, clock.now_us)
+        with issuing(session, ssd):
+            for lpn in range(4):
+                ssd.write(lpn, ("v", lpn))
+        assert ssd.inflight == 4
+        ssd.power_cycle()
+        assert ssd.inflight == 0
+
+    def test_journalled_sync_command_is_queued_before_its_ack(self):
+        # Under a real plan the completion goes through the queue, and
+        # a power failure at its ack leaves it retired and unacked.
+        plan = FaultPlan()
+        clock, ssd = queued_ssd(plan)
+        events = ssd.events
+        pushed = []
+        push = events.push
+
+        def spy(completion_us, device, ticket):
+            pushed.append((completion_us, device is ssd, ticket is not None))
+            push(completion_us, device, ticket)
+        events.push = spy
+        plan.arm(PowerFailAfter("device.write.ack"))
+        with pytest.raises(PowerFailure):
+            ssd.write(3, "v")
+        assert pushed == [(clock.now_us, True, True)]
+        assert ssd.inflight == 0
+        assert [op.lpns for op in plan.unacked_ops()] == [(3,)]
+
+    def test_power_cut_inside_the_ack_scope_finds_the_command_queued(self):
+        plan = FaultPlan()
+        clock, ssd = queued_ssd(plan)
+        issue = ssd._issue
+
+        def issue_then_cut(*args, **kwargs):
+            issue(*args, **kwargs)
+            raise PowerFailure("power cut after submission")
+        ssd._issue = issue_then_cut
+        with pytest.raises(PowerFailure):
+            ssd.write(4, "v")
+        del ssd._issue
+        assert ssd.inflight == 1
+        assert len(ssd.events.due(ssd)) == 1
+        ssd.power_cycle()
+        assert ssd.inflight == 0
+        assert ssd.events.due(ssd) == []
+        assert [op.lpns for op in plan.unacked_ops()] == [(4,)]
 
 
 class TestRoundingConvention:
