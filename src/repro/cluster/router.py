@@ -22,7 +22,14 @@ the calling client's last acked sequence on that shard (read-your-writes,
 tracked per ``(client, shard)``) and the sequence that created the
 key's directory entry; otherwise the primary serves them.  During a
 rebalance, reads of still-pending keys dual-read: new owner first, old
-owner as fallback.
+owner as fallback.  A get or delete of a key no live group holds is
+answered before placement — no ring lookup, no shard op — with the
+routed miss's own effects (the op and read counts, a 0 µs latency
+sample).  It is routed instead when a migration is active (dual-read
+and settling need the owner), when any group awaits promotion (the
+routed op would promote its owner even on a miss), or when any group
+holds a key ``==`` to it: equal keys that print differently may have
+different owners, so only the ring decides where such a key lives.
 
 Telemetry (``cluster.*``): op/ack counters, per-shard op-latency
 histograms (p99 per shard), ``repl_lag.<shard>`` and ``epoch.<shard>``
@@ -272,7 +279,26 @@ class ShardRouter:
             self._settle_migration(key)
         return record
 
+    def _absent(self, key) -> bool:
+        """Answer a get or delete of a key no live group holds, with
+        the routed miss's effects (the op count and, with telemetry on,
+        its 0 µs sample); False when the op must be routed (see "Read
+        routing" above for when)."""
+        if self._migration is not None:
+            return False
+        for group in self.pairs.values():
+            if group.primary_down or group.needs_promotion \
+                    or key in group.directory:
+                return False
+        self.stats.ops += 1
+        if self.telemetry.enabled:
+            self._m_latency[self.ring.lookup(key)].record(0)
+        return True
+
     def get(self, key):
+        if self._absent(key):
+            self.stats.reads += 1
+            return None
         pair = self.pairs[self.ring.lookup(key)]
         if self._migration is not None:
             pair = self._read_owner(key, pair)
@@ -324,6 +350,8 @@ class ShardRouter:
         return record
 
     def delete(self, key):
+        if self._absent(key):
+            return None
         pair = self.pairs[self.ring.lookup(key)]
         record = self._shard_op(pair, pair.delete, key, self._session)
         if record is not None:

@@ -172,11 +172,6 @@ class CouchStore:
             raise EngineError(f"block {block} does not hold a document")
         return record[3]
 
-    def contains(self, key: Any) -> bool:
-        if key in self._pending_docs:
-            return self._pending_docs[key] is not None
-        return self.tree.get(key) is not None
-
     def _append(self, record: Any) -> int:
         """Append into preallocated space, fallocating ahead in chunks so
         metadata journaling happens once per chunk, not per block (real

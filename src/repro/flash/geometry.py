@@ -90,11 +90,6 @@ class FlashGeometry:
         self.check_block(block)
         return block * self.pages_per_block
 
-    def channel_of(self, block: int) -> int:
-        """NAND channel serving ``block`` (blocks stripe round-robin)."""
-        self.check_block(block)
-        return block % self.channel_count
-
     def check_ppn(self, ppn: int) -> None:
         if not 0 <= ppn < self.block_count * self.pages_per_block:
             raise ValueError(f"PPN out of range [0, {self.total_pages}): {ppn}")

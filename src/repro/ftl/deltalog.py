@@ -259,10 +259,6 @@ class MapLog:
                 "every map block has grown bad; the mapping log cannot "
                 "persist further deltas")
 
-    @property
-    def records_per_page(self) -> int:
-        return self._records_per_page
-
     def _note_work(self, ppn: int) -> None:
         self._work.append(
             (ppn // self._geometry.pages_per_block)

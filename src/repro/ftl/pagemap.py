@@ -232,10 +232,6 @@ class PageMappingFtl:
         return self._logical_pages
 
     @property
-    def page_size(self) -> int:
-        return self.geometry.page_size
-
-    @property
     def max_share_batch(self) -> int:
         """Largest atomic SHARE batch (one mapping page of deltas)."""
         return self._records_per_page

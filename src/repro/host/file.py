@@ -31,10 +31,6 @@ class File:
 
     # ---------------------------------------------------------- geometry
 
-    @property
-    def size_bytes(self) -> int:
-        return self.block_count * self.fs.block_size
-
     def block_lpn(self, index: int) -> int:
         """Device LPN backing file block ``index``."""
         return self.block_lpns(index, 1)[0]

@@ -382,19 +382,8 @@ class ShareGuard:
 
     # ------------------------------------------------ ioctl replacements
 
-    def share_ioctl(self, dst_file: File, dst_block: int, src_file: File,
-                    src_block: int, length: int = 1) -> int:
-        return self.call("share_ioctl",
-                         lambda: _ioctl.share_ioctl(dst_file, dst_block,
-                                                    src_file, src_block,
-                                                    length))
-
     def share_file_ranges(self, dst_file: File, src_file: File,
                           ranges: Sequence[Tuple[int, int, int]]) -> int:
         return self.call("share_file_ranges",
                          lambda: _ioctl.share_file_ranges(dst_file, src_file,
                                                           ranges))
-
-    def atomic_write_ioctl(self, file: File, items: Sequence) -> int:
-        return self.call("atomic_write_ioctl",
-                         lambda: _ioctl.atomic_write_ioctl(file, items))

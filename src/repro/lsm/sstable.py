@@ -116,10 +116,6 @@ class SSTable:
     def data_block_count(self) -> int:
         return len(self._index)
 
-    @property
-    def min_key(self) -> Optional[Any]:
-        return self._index[0].first_key if self._index else None
-
     def block_meta(self, block_number: int) -> BlockMeta:
         return self._index[block_number]
 

@@ -60,10 +60,6 @@ class ZipfianGenerator:
         return int(self._items
                    * (self._eta * u - self._eta + 1.0) ** self._alpha)
 
-    @property
-    def item_count(self) -> int:
-        return self._items
-
 
 class ScrambledZipfian:
     """Zipfian draw scattered over the key space via a multiplicative hash.
@@ -83,7 +79,3 @@ class ScrambledZipfian:
         raw = self._zipf.next()
         hashed = ((raw + 1) * self._GOLDEN) & self._MASK
         return hashed % self._items
-
-    @property
-    def item_count(self) -> int:
-        return self._items

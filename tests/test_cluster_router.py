@@ -1,20 +1,23 @@
 """Tests for the consistent-hash ring and the shard router's client
 API: deterministic placement, the ack contract, same-shard SHARE vs
-cross-shard copy degradation, deletes, and replication pumping."""
+cross-shard copy degradation, deletes, replication pumping, and the
+absent-key answer that gets and deletes take before routing."""
 
 import hashlib
 from bisect import bisect_right
 from collections import namedtuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import HashRing, ShardGroup, ShardRouter, fnv1a64
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ReproError
+from repro.obs import Telemetry
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
 from repro.ssd.device import Ssd
+from repro.ssd.ncq import DeviceSession
 
 from conftest import small_ssd_config
 
@@ -323,3 +326,163 @@ class TestShardRouter:
         pairs[1].name = pairs[0].name
         with pytest.raises(ValueError):
             ShardRouter(pairs, clock)
+
+
+# ------------------------------------------------------ absent-key answer
+
+
+class RoutedRouter(ShardRouter):
+    """The router with every get and delete sent down the routed path:
+    the reference the absent-key answer must be indistinguishable from."""
+
+    def _absent(self, key):
+        return False
+
+
+#: Keys ops write: ``(1, 5)``, ``(True, 5)`` and ``(1.0, 5)`` are equal
+#: but print differently, so the ring may place them on different shards.
+WRITTEN_KEYS = [("node", 1), ("node", 2), ("link", 1, 2), "k", 7,
+                (1, 5), (True, 5), (1.0, 5)]
+#: Keys ops read or delete: the written ones and two that never are.
+PROBED_KEYS = WRITTEN_KEYS + [("node", 99), "never"]
+
+CLUSTER_OPS = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(WRITTEN_KEYS),
+              st.integers(0, 3)),
+    st.tuples(st.just("get"), st.sampled_from(PROBED_KEYS)),
+    st.tuples(st.just("delete"), st.sampled_from(PROBED_KEYS)),
+    st.tuples(st.just("share"), st.sampled_from(WRITTEN_KEYS),
+              st.sampled_from(PROBED_KEYS)),
+    st.tuples(st.just("kill"), st.integers(0, 3)),
+    # Start a rebalance (add the spare, else remove a shard) and drain
+    # 0-2 of its vnode batches; "step" drains more later.
+    st.tuples(st.just("rebalance"), st.integers(0, 3), st.integers(0, 2)),
+    st.tuples(st.just("step"), st.integers(1, 2)),
+    st.tuples(st.just("pump"), st.integers(1, 4)),
+    st.tuples(st.just("client"), st.integers(0, 2)),
+)
+
+
+class ClusterRun:
+    """One 3-shard quorum-2 cluster (a primary and two replicas per
+    group) with a spare group ready to join, every device tracing its
+    commands, driven op by op."""
+
+    def __init__(self, router_cls, mode):
+        self.clock = SimClock()
+        events = EventScheduler(self.clock)
+        self.telemetry = Telemetry(mode=mode)
+        self.devices = []
+
+        def group(index):
+            members = [Ssd(self.clock, small_ssd_config(trace=4096),
+                           name=f"s{index}{role}", events=events,
+                           telemetry=self.telemetry)
+                       for role in ("p", "r0", "r1")]
+            self.devices.extend(members)
+            return ShardGroup(f"shard{index}", members[0], members[1:],
+                              write_quorum=2)
+
+        self.router = router_cls([group(index) for index in range(3)],
+                                 self.clock, telemetry=self.telemetry)
+        self.spare = group(3)
+        self.sessions = [None, DeviceSession(client=1),
+                         DeviceSession(client=2)]
+        self.rebalancer = None
+        self.outcomes = []
+
+    def apply(self, op):
+        router = self.router
+        kind = op[0]
+        if kind == "put":
+            return router.put(op[1], op[2])
+        if kind == "get":
+            return router.get(op[1])
+        if kind == "delete":
+            return router.delete(op[1])
+        if kind == "share":
+            return router.share(op[1], op[2])
+        if kind == "pump":
+            return router.pump_replication(op[1])
+        if kind == "client":
+            return router.use_session(self.sessions[op[1]])
+        names = sorted(router.pairs)
+        if kind == "kill":
+            return router.kill_shard(names[op[1] % len(names)])
+        if kind == "rebalance":
+            if self.spare.name in router.pairs:
+                self.rebalancer = router.start_rebalance(
+                    remove=names[op[1] % len(names)])
+            else:
+                self.rebalancer = router.start_rebalance(add=self.spare)
+            return [self.rebalancer.step() for __ in range(op[2])]
+        if self.rebalancer is None:         # "step" before any rebalance
+            return None
+        return [self.rebalancer.step() for __ in range(op[1])]
+
+    def run(self, ops):
+        for op in ops:
+            try:
+                self.outcomes.append(("ok", self.apply(op)))
+            except (ReproError, ValueError) as exc:
+                self.outcomes.append((type(exc).__name__, str(exc)))
+        return self
+
+    def observed(self):
+        """Everything the absent-key answer could perturb: return values,
+        the router's counters, each shard's latency samples, each
+        device's command stream, and the clock."""
+        latency = {}
+        if self.telemetry.mode != "off":
+            latency = {name: (hist.count, list(hist._samples))
+                       for name, hist in self.router._m_latency.items()}
+        return (self.outcomes, self.router.stats, latency,
+                {ssd.name: (list(ssd.trace), ssd.trace.snapshot())
+                 for ssd in self.devices},
+                self.clock.now_us)
+
+
+@pytest.mark.parametrize("mode", ["full", "off"])
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(CLUSTER_OPS, max_size=40))
+@example(ops=[("put", "k", 1), ("kill", 0), ("get", ("node", 99)),
+              ("delete", "never"), ("get", "k")])
+def test_absent_key_answer_equals_the_routed_path(mode, ops):
+    fast = ClusterRun(ShardRouter, mode).run(ops)
+    routed = ClusterRun(RoutedRouter, mode).run(ops)
+    assert fast.observed() == routed.observed()
+
+
+def test_absent_key_answer_skips_the_ring(monkeypatch):
+    """A miss is answered without a ring lookup; it is routed when an
+    equal key is held, when a group awaits promotion (the routed path
+    promotes it) and while a migration is active."""
+    run = ClusterRun(ShardRouter, "off")
+    router = run.router
+    for n in range(20):
+        router.put(("node", n), n)
+    lookups = []
+    lookup = HashRing.lookup
+    monkeypatch.setattr(HashRing, "lookup", lambda ring, key: lookups.append(
+        key) or lookup(ring, key))
+    assert router.get(("node", 99)) is None
+    assert router.delete(("node", 99)) is None
+    assert lookups == []
+    assert router.stats.ops == 22 and router.stats.reads == 1
+    router.put((1, 5), "x")
+    lookups.clear()
+    router.get((True, 5))
+    assert lookups == [(True, 5)]
+    router.kill_shard("shard0")
+    lookups.clear()
+    assert router.get(("node", 99)) is None
+    assert lookups == [("node", 99)] and router.stats.failovers == 1
+    rebalancer = router.start_rebalance(add=run.spare)
+    assert router.migration_pending
+    lookups.clear()
+    assert router.delete(("node", 99)) is None
+    assert lookups == [("node", 99)]
+    rebalancer.run()
+    lookups.clear()
+    assert router.get(("node", 99)) is None
+    assert lookups == []

@@ -32,7 +32,8 @@ The router cell prices one LinkBench operation issued as KV calls through
 a replicated quorum-write cluster, with the same two extra rules: nothing
 in ``repro/obs``, and every device sees the command stream (and the
 clock) the same ops produced before the router's hot path was
-straightened.
+straightened.  It also bounds ring lookups per op, so a get or delete of
+a key no shard holds stays answered before routing.
 """
 
 import cProfile
@@ -40,6 +41,7 @@ import os
 import random
 
 import repro
+from repro.cluster.hashring import HashRing
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
@@ -550,15 +552,24 @@ def test_couch_read_modify_write_stays_inside_its_call_budget():
 
 #: Calls per operation of the KV LinkBench mix booked to ``repro/cluster``
 #: (its own functions plus the builtins those call), on 3 shards of a
-#: primary and two replicas with ``write_quorum=2``.  Measured 48.94 on
-#: CPython 3.11 with the ring resuming FNV-1a from cached prefix states
+#: primary and two replicas with ``write_quorum=2``.  Measured 34.00 on
+#: CPython 3.11 once a get or delete of a key no live group holds was
+#: answered before routing (no ring lookup, no ``_shard_op``, no
+#: ``ShardGroup`` call; on ``cluster-quorum`` 2.2 of 2.9 gets per op);
+#: 48.94 before, with the ring resuming FNV-1a from cached prefix states
 #: (the region's 214 misses fold a prefix: 0.21 calls/op), 48.72 when
 #: each lookup folded the whole ``repr``; the same run cost 76.99 on the
 #: commit before, which hashed a key through four helper calls, routed
 #: every shard op through a fresh lambda and an ``_ensure_primary`` call,
 #: sorted the replicas for each quorum sync and read the log tip through
 #: a property.  Raise it only with a reason in the commit message.
-CALLS_PER_KV_OP_BUDGET = 51.2
+CALLS_PER_KV_OP_BUDGET = 35.7
+
+#: ``HashRing.lookup`` calls per operation of the same mix: only a key
+#: some group holds (or a put / share target) is placed.  Measured 1.06
+#: (3 170 lookups in 3 000 ops); 3.36 when every get and delete was
+#: routed, misses included.
+LOOKUPS_PER_KV_OP_BUDGET = 1.15
 
 KV_OPS = 3000
 CLUSTER_LAYER = os.path.join(SRC_ROOT, "cluster") + os.sep
@@ -624,6 +635,11 @@ def test_routed_kv_op_stays_inside_its_call_budget():
         f"{CALLS_PER_KV_OP_BUDGET}")
     into_obs = calls_into_obs(stats)
     assert not into_obs, f"telemetry is off, yet repro/obs ran: {into_obs}"
+    lookups = sum(entry.callcount for entry in stats
+                  if entry.code is HashRing.lookup.__code__) / KV_OPS
+    assert lookups <= LOOKUPS_PER_KV_OP_BUDGET, (
+        f"{lookups:.2f} ring lookups per KV op, budget "
+        f"{LOOKUPS_PER_KV_OP_BUDGET}: misses are being routed again")
     assert stream == KV_DEVICE_STREAM
     assert clock_us == KV_CLOCK_AFTER_US
     # The ring folds only a key's last element: the rest of its repr is
