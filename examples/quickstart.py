@@ -3,8 +3,9 @@
 
 Builds a simulated SHARE-capable SSD, demonstrates the core remapping
 semantics (two logical pages sharing one physical page), shows that a
-SHARE batch is atomic across power failure, and finishes with the
-journaling-free atomic multi-page write built on top of it.
+SHARE batch is atomic across power failure, builds the journaling-free
+atomic multi-page write on top of it, and finishes with a file copy that
+copies no data (a filesystem "reflink").
 
 Run:  python examples/quickstart.py
 """
@@ -12,6 +13,7 @@ Run:  python examples/quickstart.py
 from repro.core import AtomicWriter, ScratchArea
 from repro.errors import PowerFailure
 from repro.flash.geometry import FlashGeometry
+from repro.host.filesystem import METADATA_PAGES_PER_COMMIT, HostFs
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultPlan, PowerFailAfter
 from repro.ssd.device import Ssd, SsdConfig
@@ -75,6 +77,25 @@ def main() -> None:
           f"{stats.share_pairs} share pairs, "
           f"WAF {stats.write_amplification:.2f}, "
           f"virtual time {clock.now_seconds * 1000:.1f} ms")
+
+    # --- 4. a file copy that copies no data ---------------------------------
+    # Section 1: with SHARE, "file copy operations can occur almost without
+    # copying data".  A filesystem on its own device clones a file by
+    # remapping the copy's blocks onto the original's pages.
+    fs_ssd = Ssd(clock, SsdConfig(geometry=FlashGeometry.small()))
+    fs = HostFs(fs_ssd)
+    original = fs.create("/original")
+    for index in range(8):
+        original.append_block(f"block {index}")
+    before = fs_ssd.stats.host_write_pages
+    commands = fs.reflink_copy("/original", "/clone")
+    data_pages = (fs_ssd.stats.host_write_pages - before
+                  - METADATA_PAGES_PER_COMMIT)
+    clone = fs.open("/clone")
+    print(f"\nreflink_copy cloned {clone.block_count} blocks with "
+          f"{commands} SHARE command(s) and {data_pages} data pages written")
+    print("  clone block 7 ->", clone.pread_block(7))
+    assert data_pages == 0
 
 
 if __name__ == "__main__":

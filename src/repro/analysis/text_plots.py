@@ -1,4 +1,4 @@
-"""Plain-text histograms and CDFs."""
+"""Plain-text histograms, bar charts and percentile tables."""
 
 from __future__ import annotations
 
@@ -73,24 +73,6 @@ def ascii_bars(labels: Sequence[str], values: Sequence[float],
     for label, value in zip(labels, values):
         bar = ("#" * max(0, round(value / peak * width))) if peak else ""
         lines.append(f"{label:<{label_width}} |{bar:<{width}}| {value:g}")
-    return "\n".join(lines)
-
-
-def ascii_cdf(values: Sequence[float],
-              points: Sequence[float] = (25, 50, 75, 90, 95, 99, 99.9),
-              width: int = 50, title: str = "") -> str:
-    """Render percentile points of a distribution as a bar chart."""
-    if not values:
-        raise ValueError("nothing to plot")
-    ordered = sorted(values)
-    rows = [(p, percentile(ordered, p)) for p in points]
-    peak = max(v for __, v in rows) or 1.0
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for p, value in rows:
-        bar = "#" * max(1, round(value / peak * width))
-        lines.append(f"p{p:<5g} {value:>10.3g} |{bar}")
     return "\n".join(lines)
 
 

@@ -276,7 +276,7 @@ class ShardRouter:
         record = self._shard_op(pair, pair.put, key, value, self._session)
         self._ack(pair, record)
         if self._migration is not None:
-            self._settle_migration(key)
+            self._settle_migration(key, pair)
         return record
 
     def _absent(self, key) -> bool:
@@ -346,7 +346,7 @@ class ShardRouter:
                                     session)
         self._ack(dst_pair, record)
         if self._migration is not None:
-            self._settle_migration(dst_key)
+            self._settle_migration(dst_key, dst_pair)
         return record
 
     def delete(self, key):
@@ -358,7 +358,7 @@ class ShardRouter:
             self._ack(pair, record)
         if self._migration is None:
             return record
-        settled = self._settle_migration(key)
+        settled = self._settle_migration(key, pair)
         return record if record is not None else settled
 
     # ------------------------------------------------------ rebalancing
@@ -404,20 +404,27 @@ class ShardRouter:
         state.rebalancer = rebalancer
         self._migration = state
         self.stats.rebalances += 1
+        if not pending:
+            # Nothing changes owner: the migration is over already.
+            self._finish_migration(state)
         return rebalancer
 
-    def _settle_migration(self, key):
+    def _settle_migration(self, key, written: ShardGroup):
         """A client write/delete to a pending key supersedes the old
-        copy: retire it from the old owner and unpend the key.  Callers
-        test for an active migration first."""
+        copy: retire it from the old owner and unpend the key.  When the
+        op itself went to the old owner (an equal key whose ``repr``
+        routes there), that copy *is* the op's result and stays.
+        Callers test for an active migration first."""
         state = self._migration
         src_name = state.pending.pop(key, None)
         if src_name is None:
             return None
-        src = self._group(src_name)
-        record = self._shard_op(src, src.delete, key, self._session)
-        if record is not None:
-            self._ack(src, record)
+        record = None
+        if src_name != written.name:
+            src = self._group(src_name)
+            record = self._shard_op(src, src.delete, key, self._session)
+            if record is not None:
+                self._ack(src, record)
         if not state.pending:
             self._finish_migration(state)
         return record

@@ -1,19 +1,11 @@
 """The paper's primary contribution as a host-side library.
 
-:mod:`repro.core.share` re-exports the SHARE command vocabulary and adds a
-builder for large batches; :mod:`repro.core.atomic_write` packages the
-paper's central trick — "write anywhere, then remap into place" — as a
-generic atomic multi-page write primitive any storage engine can adopt
-(Section 3.3's "other applications of SHARE").
+:mod:`repro.core.atomic_write` packages the paper's central trick —
+"write anywhere, then remap into place" — as a generic atomic multi-page
+write primitive any storage engine can adopt (Section 3.3's "other
+applications of SHARE").
 """
 
 from repro.core.atomic_write import AtomicWriter, ScratchArea
-from repro.core.share import ShareBatchBuilder, SharePair, expand_range
 
-__all__ = [
-    "AtomicWriter",
-    "ScratchArea",
-    "ShareBatchBuilder",
-    "SharePair",
-    "expand_range",
-]
+__all__ = ["AtomicWriter", "ScratchArea"]

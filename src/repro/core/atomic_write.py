@@ -14,7 +14,7 @@ final ``commit`` is a single atomic step.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.errors import ShareError
 from repro.ssd.device import Ssd
@@ -47,29 +47,6 @@ class ScratchArea:
         self._ssd.write(lpn, data)
         return lpn
 
-    def stage_batch(self, pages: List[Any]) -> List[int]:
-        """Stage consecutive page images; returns their scratch LPNs.
-
-        Splits around the ring wrap so each device command covers a
-        contiguous LPN run.
-        """
-        if not pages:
-            raise ValueError("no pages to stage")
-        if len(pages) > self.size_pages:
-            raise ShareError(
-                f"batch of {len(pages)} exceeds scratch capacity "
-                f"{self.size_pages}")
-        lpns: List[int] = []
-        remaining = list(pages)
-        while remaining:
-            run = min(len(remaining), self.size_pages - self._cursor)
-            start_lpn = self.base_lpn + self._cursor
-            self._ssd.write_multi(start_lpn, remaining[:run])
-            lpns.extend(range(start_lpn, start_lpn + run))
-            self._cursor = (self._cursor + run) % self.size_pages
-            remaining = remaining[run:]
-        return lpns
-
 
 class AtomicWriter:
     """Atomic propagation of a set of (destination LPN -> page image)
@@ -79,10 +56,6 @@ class AtomicWriter:
         self._ssd = ssd
         self._scratch = scratch
         self._staged: Dict[int, int] = {}
-
-    @property
-    def staged_count(self) -> int:
-        return len(self._staged)
 
     def stage(self, dst_lpn: int, data: Any) -> None:
         """Stage a new image for ``dst_lpn``.  Restaging the same

@@ -8,10 +8,10 @@ device and protocol failures.
 The hierarchy separates two very different failure families at the flash
 layer:
 
-* **protocol violations** (:class:`ProgramError`, :class:`ReadError`,
-  :class:`EraseError`) — the FTL broke a chip-level rule (overwrote a
-  programmed page, read an erased one).  These indicate firmware bugs and
-  are never retried or masked.
+* **protocol violations** (:class:`ProgramError`, :class:`ReadError`) —
+  the FTL broke a chip-level rule (overwrote a programmed page, read an
+  erased one).  These indicate firmware bugs and are never retried or
+  masked.
 * **media faults** (:class:`MediaError` and subclasses) — the *medium*
   failed: an uncorrectable read, a program failure, an erase failure.
   Firmware is expected to survive these (read-retry, re-program elsewhere,
@@ -33,7 +33,6 @@ __all__ = [
     "DeviceError",
     "FlashError",
     "ProgramError",
-    "EraseError",
     "ReadError",
     "MediaError",
     "UncorrectableReadError",
@@ -89,10 +88,6 @@ class ProgramError(FlashError):
     an FTL bug, so the array refuses the operation instead of corrupting
     state silently.
     """
-
-
-class EraseError(FlashError):
-    """Raised for an erase of an out-of-range or protected block."""
 
 
 class ReadError(FlashError):

@@ -187,9 +187,8 @@ class NandArray:
                 f"PPN {ppn} failed during program; payload unreadable")
         media = self.faults.media
         if media.active:
-            block = ppn // self._pages_per_block
             try:
-                corrupt = media.on_read(ppn, self.erase_counts[block])
+                corrupt = media.on_read(ppn)
             except UncorrectableReadError:
                 self.failed_reads += 1
                 raise

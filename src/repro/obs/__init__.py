@@ -46,7 +46,6 @@ from repro.obs.sinks import (
     MemorySink,
     NULL_SINK,
     NullSink,
-    TeeSink,
     read_jsonl,
 )
 from repro.obs.telemetry import (
@@ -72,7 +71,6 @@ __all__ = [
     "NullSink",
     "OBS_MODES",
     "Span",
-    "TeeSink",
     "Telemetry",
     "Tracer",
     "chrome_trace",

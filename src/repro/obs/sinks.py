@@ -73,21 +73,6 @@ class JsonlSink:
             self._fh = None
 
 
-class TeeSink:
-    """Fans every record out to several sinks (e.g. file + memory)."""
-
-    def __init__(self, *sinks: Any) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.emit(record)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-
 def read_jsonl(path: str) -> List[Dict[str, Any]]:
     """Load a telemetry artifact back into record dicts."""
     records: List[Dict[str, Any]] = []

@@ -3,7 +3,7 @@
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultPlan, PowerFailAfter
 from repro.sim.rng import ZipfianGenerator, make_rng
-from repro.sim.stats import Counter, Histogram, LatencyRecorder, percentile
+from repro.sim.stats import Histogram, LatencyRecorder, percentile
 
 __all__ = [
     "SimClock",
@@ -11,7 +11,6 @@ __all__ = [
     "PowerFailAfter",
     "ZipfianGenerator",
     "make_rng",
-    "Counter",
     "Histogram",
     "LatencyRecorder",
     "percentile",

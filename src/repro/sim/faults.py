@@ -27,8 +27,7 @@ shard router — lives on the fault's class.
 
 * :attr:`FaultPlan.media` holds armable **media faults**: uncorrectable
   or correctable-after-retry read errors (:class:`ReadFault`), program
-  failures (:class:`ProgramFault`), erase failures (:class:`EraseFault`),
-  retention/read-disturb decay keyed to erase counts (:class:`ReadDecay`),
+  failures (:class:`ProgramFault`), erase failures (:class:`EraseFault`)
   and silent bit corruption (:class:`CorruptRead`).  The NAND array
   consults the set on every read/program/erase; a disarmed set costs one
   attribute check per operation.  Unlike power fuses, media faults do not
@@ -236,8 +235,8 @@ class FaultSet:
                 result = fault.act(self, count, target, detail, result)
         return result
 
-    #: The NAND array's chip hooks (``on_read(ppn, erase_count)``,
-    #: ``on_program(ppn)``, ``on_erase(block)``) and the shard router's
+    #: The NAND array's chip hooks (``on_read(ppn)``, ``on_program(ppn)``,
+    #: ``on_erase(block)``) and the shard router's
     #: ``on_ack(shard)``.
     on_read = partialmethod(hit, "read")
     on_program = partialmethod(hit, "program")
@@ -276,7 +275,7 @@ class MediaFault:
         self.location = location   # bound ppn (read/program) or block (erase)
         self.fired = False         # has the fault triggered at least once?
 
-    def matches(self, count: int, location: int, erase_count=None) -> bool:
+    def matches(self, count: int, location: int, detail=None) -> bool:
         """Does this fault trigger for op number ``count`` at ``location``?"""
         if self.location is not None:
             return location == self.location
@@ -312,8 +311,7 @@ class ReadFault(MediaFault):
         self.retries_to_clear = retries_to_clear
         self._failed_attempts = 0
 
-    def act(self, faults: FaultSet, count: int, ppn: int, erase_count,
-            corrupt):
+    def act(self, faults: FaultSet, count: int, ppn: int, detail, corrupt):
         if self.location is None:
             self.location = ppn   # nth-fault binds to the page it hit
         if self.retries_to_clear is not None:
@@ -340,7 +338,7 @@ class CorruptRead(MediaFault):
                  ppn: Optional[int] = None) -> None:
         super().__init__(nth, ppn)
 
-    def act(self, faults: FaultSet, count: int, ppn: int, erase_count,
+    def act(self, faults: FaultSet, count: int, ppn: int, detail,
             corrupt) -> bool:
         if self.location is None:
             self.location = ppn   # nth-fault binds to the page it hit
@@ -380,48 +378,6 @@ class EraseFault(MediaFault):
         if self.location is None:
             self.location = block   # sticky: the block stays bad
         raise EraseFailError(f"injected erase failure at block {block}")
-
-
-class ReadDecay(MediaFault):
-    """Retention / read-disturb decay keyed to wear.
-
-    While armed, reading any page whose block has an erase count of at
-    least ``erase_threshold`` fails ``retries_to_clear`` consecutive
-    attempts before succeeding (per page, deterministic).  This models
-    worn blocks needing read-retry long before they die outright.
-    """
-
-    kind = "read"
-
-    def __init__(self, erase_threshold: int,
-                 retries_to_clear: int = 1) -> None:
-        if erase_threshold < 1:
-            raise ValueError(f"erase_threshold must be >= 1: {erase_threshold}")
-        if retries_to_clear < 1:
-            raise ValueError(f"retries_to_clear must be >= 1: {retries_to_clear}")
-        self.erase_threshold = erase_threshold
-        self.retries_to_clear = retries_to_clear
-        self._attempts: Dict[int, int] = {}
-        self.fired = False
-
-    def matches(self, count: int, ppn: int, erase_count=None) -> bool:
-        return erase_count >= self.erase_threshold
-
-    def act(self, faults: FaultSet, count: int, ppn: int, erase_count,
-            corrupt):
-        attempts = self._attempts.get(ppn, 0)
-        if attempts < self.retries_to_clear:
-            self._attempts[ppn] = attempts + 1
-            raise UncorrectableReadError(
-                f"retention decay at PPN {ppn} "
-                f"(block erase count {erase_count} >= "
-                f"{self.erase_threshold}, attempt {attempts + 1})")
-        self._attempts[ppn] = 0
-        return corrupt
-
-    def __repr__(self) -> str:
-        return (f"ReadDecay(erase_threshold={self.erase_threshold}, "
-                f"retries_to_clear={self.retries_to_clear})")
 
 
 #: Command kinds the device facade reports to the command-fault set.

@@ -1,12 +1,9 @@
-"""Counters, histograms, and latency recorders used across the stack.
+"""Histograms and latency recorders used across the stack.
 
-The paper reports three kinds of numbers and this module supports all of
-them:
-
-* plain event counters (host page writes, GC events, copyback pages),
-* throughput (operations over virtual time, computed by the harness),
-* latency distributions per operation type (Table 1: mean / P25 / P50 /
-  P75 / P99 / max).
+The paper reports latency distributions per operation type (Table 1:
+mean / P25 / P50 / P75 / P99 / max); this module keeps and summarises
+them.  Event counters are plain integer fields on each component's stats,
+and throughput is operations over virtual time, computed by the harness.
 """
 
 from __future__ import annotations
@@ -47,37 +44,6 @@ def distribution_summary(sorted_values: Sequence[float],
     numbers cannot diverge on the percentile math itself.
     """
     return {f"p{int(p)}": percentile(sorted_values, p) for p in percentiles}
-
-
-class Counter:
-    """A named bag of integer counters with dict-like convenience."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increments must be non-negative: {amount}")
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def names(self) -> List[str]:
-        return sorted(self._counts)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def reset(self) -> None:
-        self._counts.clear()
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
-        return f"Counter({inner})"
 
 
 class Histogram:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ascii_cdf, ascii_histogram, compare_cdfs
+from repro.analysis import ascii_histogram, compare_cdfs
 
 
 class TestHistogram:
@@ -36,18 +36,6 @@ class TestHistogram:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             ascii_histogram([1.0], bins=0)
-
-
-class TestCdf:
-    def test_percentile_rows(self):
-        values = list(range(1, 101))
-        text = ascii_cdf(values, points=(50, 99))
-        assert "p50" in text
-        assert "p99" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_cdf([])
 
 
 class TestCompare:

@@ -170,6 +170,37 @@ class TestLiveMigration:
         with pytest.raises(ClusterError):
             router.start_rebalance(remove="shard0")
 
+    def test_empty_ownership_diff_ends_the_migration_at_once(self, clock):
+        """A rebalance that moves no key is over when it starts: an add
+        leaves no migration behind, and a remove retires its shard."""
+        router, spare = make_router(clock)
+        rebalancer = router.start_rebalance(add=spare)
+        assert rebalancer.done and rebalancer.run() == 0
+        assert router._migration is None
+        assert router.finish_rebalance() == 0
+        router.start_rebalance(remove="shard3")   # not "in progress"
+        assert router._migration is None
+        assert "shard3" not in router.pairs
+        assert "shard3" in router.retired
+        router.put(("node", 0), "v")
+        assert router.get(("node", 0)) == "v"
+
+    def test_put_of_an_equal_key_routed_to_the_old_owner_keeps_its_ack(
+            self, clock):
+        """``(0.0, 0) == (0, 0)`` but the ring hashes their ``repr``s:
+        here the float form routes to the pending key's old owner, so
+        the put overwrites that copy, which then must not be retired."""
+        router, spare = make_router(clock)
+        router.put((0, 0), "old")
+        router.start_rebalance(add=spare)
+        old_owner = router._migration.pending[(0, 0)]
+        assert router.ring.lookup((0, 0)) == "shard3"
+        assert router.ring.lookup((0.0, 0)) == old_owner
+        router.put((0.0, 0), "acked")
+        assert router._migration is None         # that was the last key
+        assert router.get((0.0, 0)) == "acked"
+        assert (0, 0) in router.pairs[old_owner].directory
+
     def test_kill_mid_migration_loses_nothing(self, clock):
         router, spare = make_router(clock)
         keys = load(router)

@@ -1,11 +1,9 @@
-"""Unit tests for the SHARE-based atomic-write primitive and the batch
-builder."""
+"""Unit tests for the SHARE-based atomic-write primitive."""
 
 import pytest
 
 from repro.errors import PowerFailure, ShareError
 from repro.core.atomic_write import AtomicWriter, ScratchArea
-from repro.core.share import ShareBatchBuilder
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultPlan, PowerFailAfter
 from repro.ssd.device import Ssd
@@ -33,26 +31,6 @@ class TestScratchArea:
         lpns = [scratch.stage(i) for i in range(scratch.size_pages + 2)]
         assert lpns[0] == lpns[scratch.size_pages]
 
-    def test_stage_batch_contiguous(self, stack):
-        ssd, scratch = stack
-        lpns = scratch.stage_batch(["a", "b", "c"])
-        assert lpns == [scratch.base_lpn, scratch.base_lpn + 1,
-                        scratch.base_lpn + 2]
-
-    def test_stage_batch_across_wrap(self, stack):
-        ssd, scratch = stack
-        for _ in range(scratch.size_pages - 1):
-            scratch.stage("pad")
-        lpns = scratch.stage_batch(["x", "y"])
-        assert len(lpns) == 2
-        assert ssd.read(lpns[0]) == "x"
-        assert ssd.read(lpns[1]) == "y"
-
-    def test_oversized_batch_rejected(self, stack):
-        __, scratch = stack
-        with pytest.raises(ShareError):
-            scratch.stage_batch(["x"] * (scratch.size_pages + 1))
-
     def test_bad_geometry_rejected(self, stack):
         ssd, __ = stack
         with pytest.raises(ValueError):
@@ -70,7 +48,8 @@ class TestAtomicWriter:
         assert writer.commit() == 2
         assert ssd.read(10) == "ten"
         assert ssd.read(11) == "eleven"
-        assert writer.staged_count == 0
+        with pytest.raises(ShareError):
+            writer.commit()                 # the commit emptied the stage
 
     def test_restage_supersedes(self, stack):
         ssd, scratch = stack
@@ -127,50 +106,3 @@ class TestAtomicWriter:
         ssd.power_cycle()
         for lpn in (10, 11, 12):
             assert ssd.read(lpn) == ("new", lpn)
-
-
-class TestShareBatchBuilder:
-    def test_submit_chunks(self, stack):
-        ssd, __ = stack
-        builder = ShareBatchBuilder(ssd)
-        for i in range(10):
-            ssd.write(i, ("src", i))
-        for i in range(10):
-            builder.add(100 + i, i)
-        assert len(builder) == 10
-        commands = builder.submit()
-        assert commands == 1
-        for i in range(10):
-            assert ssd.read(100 + i) == ("src", i)
-
-    def test_large_batch_splits(self, stack):
-        ssd, __ = stack
-        builder = ShareBatchBuilder(ssd)
-        count = ssd.max_share_batch + 5
-        for i in range(count):
-            ssd.write(i % 50, ("src", i))
-        for i in range(count):
-            builder.add(500 + i, i % 50)
-        assert builder.submit() == 2
-
-    def test_duplicate_destination_rejected_eagerly(self, stack):
-        ssd, __ = stack
-        builder = ShareBatchBuilder(ssd)
-        builder.add(100, 0)
-        with pytest.raises(ShareError):
-            builder.add(100, 1)
-
-    def test_empty_submit_rejected(self, stack):
-        ssd, __ = stack
-        with pytest.raises(ShareError):
-            ShareBatchBuilder(ssd).submit()
-
-    def test_add_range(self, stack):
-        ssd, __ = stack
-        for i in range(3):
-            ssd.write(i, ("r", i))
-        builder = ShareBatchBuilder(ssd)
-        builder.add_range(200, 0, 3)
-        builder.submit()
-        for i in range(3):
-            assert ssd.read(200 + i) == ("r", i)

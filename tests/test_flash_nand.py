@@ -3,7 +3,7 @@ in-order programming, and wear accounting."""
 
 import pytest
 
-from repro.errors import EraseError, ProgramError, ReadError
+from repro.errors import ProgramError, ReadError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray, PageState
 

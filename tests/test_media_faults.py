@@ -1,7 +1,7 @@
 """Unit tests for NAND media faults and the FTL's degradation paths.
 
 Covers the chip-level fault model (program/erase failures, transient and
-sticky read errors, silent corruption, wear-keyed decay), the FTL's
+sticky read errors, silent corruption), the FTL's
 survival machinery (read-retry, scrubbing, block retirement, spare-pool
 backfill, bad-block persistence), the wear accounting the lifespan
 argument rests on, and the out-of-space contract when retirements shrink
@@ -27,7 +27,6 @@ from repro.sim.faults import (
     EraseFault,
     FaultPlan,
     ProgramFault,
-    ReadDecay,
     ReadFault,
 )
 from repro.ssd.device import Ssd, SsdConfig
@@ -122,18 +121,6 @@ class TestNandMediaFaults:
         assert self.nand.failed_erases == 1
         with pytest.raises(EraseFailError):
             self.nand.erase(0)                    # sticky: block stays bad
-
-    def test_read_decay_keyed_to_erase_counts(self):
-        for __ in range(3):
-            self.nand.erase(0)
-        self.nand.program(0, "worn", spare=((0, 1),))
-        self.nand.program(self.geo.first_ppn(1), "fresh", spare=((1, 2),))
-        self.faults.media.arm(ReadDecay(erase_threshold=3,
-                                        retries_to_clear=1))
-        with pytest.raises(UncorrectableReadError):
-            self.nand.read(0)                     # worn block: first try fails
-        assert self.nand.read(0) == "worn"        # retry succeeds
-        assert self.nand.read(self.geo.first_ppn(1)) == "fresh"  # no wear
 
     def test_op_counting_without_armed_faults(self):
         self.faults.media.enable_counting()

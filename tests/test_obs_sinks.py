@@ -6,7 +6,7 @@ from operator import itemgetter
 
 import pytest
 
-from repro.obs import (COUNTER, JsonlSink, MemorySink, Telemetry, TeeSink,
+from repro.obs import (COUNTER, JsonlSink, MemorySink, Telemetry,
                        read_jsonl)
 from repro.sim.clock import SimClock
 from repro.ssd.trace import IoTrace
@@ -55,17 +55,6 @@ class TestJsonlSink:
         path.write_text('{"ok": 1}\nnot json\n')
         with pytest.raises(ValueError, match="bad.jsonl:2"):
             read_jsonl(str(path))
-
-
-class TestTeeSink:
-    def test_fans_out_and_closes(self, tmp_path):
-        memory = MemorySink()
-        jsonl = JsonlSink(str(tmp_path / "out.jsonl"))
-        tee = TeeSink(memory, jsonl)
-        tee.emit({"type": "metrics", "t_us": 0, "metrics": {}})
-        tee.close()
-        assert len(memory.records) == 1
-        assert jsonl.emitted == 1
 
 
 class TestPeriodicSnapshotter:

@@ -1,8 +1,8 @@
-"""Unit tests for counters, histograms, and the latency recorder."""
+"""Unit tests for percentiles, histograms, and the latency recorder."""
 
 import pytest
 
-from repro.sim.stats import Counter, Histogram, LatencyRecorder, percentile
+from repro.sim.stats import Histogram, LatencyRecorder, percentile
 
 
 class TestPercentile:
@@ -31,33 +31,6 @@ class TestPercentile:
     def test_out_of_range_pct_rejected(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-
-class TestCounter:
-    def test_default_zero(self):
-        assert Counter().get("x") == 0
-
-    def test_add_and_get(self):
-        counter = Counter()
-        counter.add("writes")
-        counter.add("writes", 4)
-        assert counter["writes"] == 5
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().add("x", -1)
-
-    def test_reset(self):
-        counter = Counter()
-        counter.add("x", 3)
-        counter.reset()
-        assert counter.get("x") == 0
-
-    def test_names_sorted(self):
-        counter = Counter()
-        counter.add("b")
-        counter.add("a")
-        assert counter.names() == ["a", "b"]
 
 
 class TestHistogram:
