@@ -16,7 +16,9 @@ state machine in docs/resilience.md):
 1. Pick the most-caught-up live replica — the one whose applier
    watermark is highest, so the tail replay is shortest.  Failed
    replicas are a last resort: their media still holds every applied
-   record, they just stopped keeping up.
+   record, they just stopped keeping up — which is why they pin the
+   log's cut.  A rejoined device still below the cut is passed over
+   for one that can replay the tail.
 2. Reset the group's breaker — the new primary is healthy, and the
    reset re-emits the state gauge (the satellite fix in
    :meth:`CircuitBreaker.reset`) so the open->closed edge is visible in
@@ -28,8 +30,9 @@ state machine in docs/resilience.md):
 4. Bump the log epoch, fencing any stale writer from the old regime.
 5. Swap roles.  The old primary (power-cycled after a kill, or still
    live after a proactive media trip) rejoins as a replica with a fresh
-   applier at watermark 0; normal replication pumping re-replicates the
-   full log onto it.
+   applier at watermark 0; the next pump catches it up — from a
+   snapshot of the new primary once the log has been cut, else by
+   replaying the log from seq 1.
 
 A promotion whose old primary never went down (the health monitor fired
 before the device died) is recorded as *proactive* — the paper-level
@@ -89,10 +92,16 @@ class FailoverController:
         if self._promoting:
             raise ShardUnavailableError(
                 f"re-entrant promotion on shard {group.name!r}")
-        candidates = group.live_replicas() or list(group.replicas)
+        # A rejoined device still below the log's cut cannot replay the
+        # tail; every replica from before the cut (failed ones pin it) can.
+        base = group.log.base
+        able = [rep for rep in group.replicas
+                if rep.applier.watermark >= base]
+        candidates = [rep for rep in able if not rep.failed] or able
         if not candidates:
             raise ShardUnavailableError(
-                f"shard {group.name!r} has no replica to promote")
+                f"shard {group.name!r} has no replica to promote at or "
+                f"above the log's cut (seq {base})")
         self._promoting = True
         try:
             start_us = self.clock.now_us

@@ -1,18 +1,24 @@
-"""Delta-log replication between the two devices of a shard pair.
+"""Delta-log replication between the devices of a shard group.
 
 The unit of replication is the same thing the FTL journals in its delta
-log (PR 2): a small record describing one logical mutation — a write, a
+log: a small record describing one logical mutation — a write, a
 SHARE remap, or a trim.  The primary acks a client write as soon as the
-mutation is durable locally *and* appended to the pair's
-:class:`ReplicationLog`; the replica applies records strictly in
+mutation is durable locally *and* appended to the group's
+:class:`ReplicationLog`; each replica applies records strictly in
 sequence later (asynchronously, pumped in batches by the driver).
 
 Epoch fencing makes failover safe: every promotion bumps the log's
-epoch, and both :meth:`ReplicationLog.append_record` and
-:meth:`LogApplier.apply` refuse records from a superseded epoch with
-:class:`~repro.errors.StaleEpochError`.  A demoted primary that wakes up
-holding pre-failover records cannot push them into the log, and a
-lagging replica can never replay a stale remap over post-failover state.
+epoch, and :meth:`LogApplier.apply` refuses records from a superseded
+epoch with :class:`~repro.errors.StaleEpochError`, so a lagging replica
+can never replay a stale remap over post-failover state.
+
+The log is bounded the way the FTL bounds its mapping log (§4.2.2):
+it keeps only the records some replica may still need.
+:meth:`ReplicationLog.truncate` drops every record at or below a
+sequence — the shard group cuts below its slowest replica, failed ones
+included — and ``base`` names the newest dropped one.  A replica that
+rejoins below the cut catches up from a snapshot of the primary instead
+(:meth:`~repro.cluster.shard.ShardGroup.pump_replication`).
 
 The log models the durable replicated-log service of a production tier
 (it survives any single device kill); the devices under it hold the
@@ -64,8 +70,12 @@ class ReplicationLog:
         self.epoch = 0
         #: Sequence number of the newest record (0 when empty).
         self.tip = 0
+        #: Sequence number of the newest dropped record: the log holds
+        #: exactly ``base + 1 .. tip``.
+        self.base = 0
 
     def __len__(self) -> int:
+        """Records still held (``tip - base``)."""
         return len(self._records)
 
     def append(self, kind: str, key, lpn: int, value=None,
@@ -79,42 +89,28 @@ class ReplicationLog:
         self.tip = seq
         return record
 
-    def append_record(self, record: ReplRecord) -> None:
-        """Append a pre-built record, fencing stale writers.
-
-        A record stamped with a superseded epoch is refused with
-        :class:`StaleEpochError`; a sequence gap is a programming error
-        and raises :class:`ClusterError`."""
-        if record.epoch != self.epoch:
-            raise StaleEpochError(
-                f"record epoch {record.epoch} != log epoch {self.epoch} "
-                f"(seq {record.seq}): writer was demoted")
-        if record.seq != self.tip + 1:
-            raise ClusterError(
-                f"non-contiguous append: seq {record.seq}, expected "
-                f"{self.tip + 1}")
-        self._records.append(record)
-        self.tip = record.seq
-
     def bump_epoch(self) -> int:
         """Fence the old primary at promotion; returns the new epoch."""
         self.epoch += 1
         return self.epoch
 
-    def records_from(self, seq: int) -> List[ReplRecord]:
-        """All records with sequence >= ``seq`` (1-based, contiguous)."""
-        if seq < 1:
-            raise ValueError(f"seq must be >= 1: {seq}")
-        return self._records[seq - 1:]
+    def truncate(self, seq: int) -> None:
+        """Drop every record with sequence <= ``seq`` (a no-op at or
+        below ``base``)."""
+        cut = seq - self.base
+        if cut > 0:
+            del self._records[:cut]
+            self.base = seq
 
     def record_at(self, seq: int) -> ReplRecord:
         """The record with sequence ``seq`` — O(1), no tail copy.
 
-        Appliers stepping one record at a time (quorum waits, budgeted
-        round-robin pumping) use this instead of slicing the tail."""
-        if not 1 <= seq <= self.tip:
-            raise ValueError(f"seq {seq} outside log [1, {self.tip}]")
-        return self._records[seq - 1]
+        Only ``base < seq <= tip`` is held; a record at or below the
+        cut is gone and raises :class:`ValueError`."""
+        base = self.base
+        if not base < seq <= self.tip:
+            raise ValueError(f"seq {seq} outside log ({base}, {self.tip}]")
+        return self._records[seq - base - 1]
 
 
 class LogApplier:

@@ -18,6 +18,12 @@ shape) replicas lag behind on purpose and :meth:`pump_replication`
 applies the backlog in batches on dedicated replication sessions, so
 background applies never advance foreground client cursors.
 
+Log cut: after each pump the log drops every record that all replicas
+at or above the previous cut have applied — failed ones included, since
+promotion falls back to them — so it holds only the replication lag.
+A replica below the cut (a rejoined old primary) catches up from a
+snapshot of the primary instead of a replay from seq 1.
+
 Read path: a replica may serve a read when its applied watermark covers
 both the *reader's* last acked sequence on this shard (read-your-writes,
 enforced by the router's per-client watermark) and the sequence that
@@ -154,9 +160,11 @@ class ShardGroup:
     def rejoin(self, device) -> Replica:
         """Re-admit a demoted (or repaired) device as a fresh replica.
 
-        The new replica starts from watermark 0: applying the log from
-        seq 1 is idempotent on its media (writes of the same payloads,
-        remaps of the same pairs) and closes any post-kill gap."""
+        The new replica starts from watermark 0.  Once the log has been
+        cut, its first apply catches it up from a snapshot of the
+        primary (:meth:`_snapshot_to`); before that it replays the log
+        from seq 1, which is idempotent on its media.  Either way any
+        post-kill gap closes."""
         return self._add_replica(device)
 
     # ---------------------------------------------------------- metadata
@@ -387,6 +395,9 @@ class ShardGroup:
         if session.now_us < ssd.clock.now_us:
             session.now_us = ssd.clock.now_us
         applier = rep.applier
+        if applier.watermark < log.base:
+            self._snapshot_to(rep)
+            return 0
         while applier.watermark < tip:
             if budget is not None and applied >= budget:
                 break
@@ -409,6 +420,42 @@ class ShardGroup:
             if done:
                 applied += 1
         return applied
+
+    def _snapshot_to(self, rep: Replica) -> None:
+        """Catch a replica below the log's cut up from the primary.
+
+        The records it would replay are gone, so it copies the state they
+        built instead, on its replication session: every live directory
+        entry is read from the primary and written at its LPN, every LPN
+        the group has freed is trimmed, and the applier jumps to the log's
+        tip and epoch.  A device error leaves the watermark where it was
+        (the next apply starts the copy over); a dead primary serves no
+        snapshot until a promotion replaces it."""
+        if self.primary_down:
+            return
+        primary = self.primary
+        ssd = rep.ssd
+        primary._session = ssd._session = rep.session
+        try:
+            for lpn in self.directory.values():
+                try:
+                    value = primary.read(lpn)
+                except DeviceError:
+                    return      # the source stumbled, not the replica
+                ssd.write(lpn, value)
+            for lpn in self._free_lpns:
+                ssd.trim(lpn)
+        except (MediaError, OutOfSpaceError):
+            rep.failed = True
+            self.replica_drops += 1
+            return
+        except DeviceError:
+            return
+        finally:
+            primary._session = ssd._session = None
+        log = self.log
+        rep.applier.watermark = log.tip
+        rep.applier.epoch = log.epoch
 
     def _await_quorum(self, seq: int) -> None:
         """Block the ack until ``write_quorum`` group members hold the
@@ -443,10 +490,13 @@ class ShardGroup:
         Runs on each replica's dedicated replication session so the
         apply I/O queues behind the replica's other work without
         dragging any client cursor forward.  The most-lagged replica
-        drains first.  Returns the number of records applied."""
+        drains first.  Afterwards the log drops every record at or below
+        the lowest watermark of *all* replicas — a failed one may still
+        be promoted (when no live replica is left) and must find its
+        tail — except those already below the cut, which catch up from a
+        snapshot and need no record.  Returns the number of records
+        applied (a snapshot applies none)."""
         live = self.live_replicas()
-        if not live:
-            return 0
         live.sort(key=lambda rep: rep.applier.watermark)
         applied = 0
         remaining = limit
@@ -457,4 +507,12 @@ class ShardGroup:
                 remaining -= count
                 if remaining <= 0:
                     break
+        log = self.log
+        base = log.base
+        floor = log.tip
+        for rep in self.replicas:
+            mark = rep.applier.watermark
+            if base <= mark < floor:
+                floor = mark
+        log.truncate(floor)
         return applied

@@ -57,6 +57,11 @@ from repro.ssd.trace import IntervalTrace, IoTrace
 #: its ticket (``None`` when the completion has nothing to deliver).
 Issued = Tuple[int, Optional[CommandTicket]]
 
+#: The payload :meth:`Ssd.age` programs on every page it fills or
+#: rewrites: one shared object, not a tuple per page — nothing reads an
+#: aged page as data, and the page's spare stamp already names its LPN.
+_AGED_PAGE = ("aged",)
+
 
 @dataclass(frozen=True)
 class SsdConfig:
@@ -906,11 +911,11 @@ class Ssd:
         import random
         rng = random.Random(seed)
         pages = int(self.logical_pages * fill_fraction)
+        write = self.ftl.write
         for lpn in range(pages):
-            self.ftl.write(lpn, ("age", lpn))
+            write(lpn, _AGED_PAGE)
         for _ in range(int(pages * rewrite_fraction)):
-            lpn = rng.randrange(pages)
-            self.ftl.write(lpn, ("age2", lpn))
+            write(rng.randrange(pages), _AGED_PAGE)
         self.reset_measurement()
 
     def reset_measurement(self) -> None:

@@ -1,11 +1,16 @@
 """Tests for breaker-driven failover: kill -> deferred promotion ->
-tail replay -> epoch fencing -> role swap -> rejoin re-replication,
-plus the GuardStats open-episode accounting the promotion closes out."""
+tail replay -> epoch fencing -> role swap -> rejoin re-replication
+(a snapshot below the log's cut), plus the GuardStats open-episode
+accounting the promotion closes out."""
+
+import random
 
 import pytest
 
 from repro.cluster import FailoverController, ShardGroup, ShardRouter
-from repro.errors import ShardUnavailableError
+from repro.crashcheck.invariants import (no_lost_acked_write,
+                                         replica_convergence)
+from repro.errors import ShardUnavailableError, UnmappedPageError
 from repro.host.resilience import BREAKER_CLOSED, BREAKER_OPEN
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
@@ -13,6 +18,7 @@ from repro.ssd.device import Ssd
 
 from conftest import small_ssd_config
 
+from test_cluster_replication import quorum_cluster
 from test_cluster_router import make_cluster
 
 
@@ -23,6 +29,14 @@ def loaded_router(clock, keys=30, pump=True):
     if pump:
         router.pump_replication()
     return router, pairs
+
+
+def assert_converged(pair):
+    """Every live replica at the tip, every directory key equal on it."""
+    for rep in pair.live_replicas():
+        assert rep.applier.watermark == pair.log.tip
+        for key, lpn in pair.directory.items():
+            assert rep.ssd.read(lpn) == pair.primary.read(lpn), key
 
 
 class TestKillAndPromote:
@@ -74,17 +88,19 @@ class TestKillAndPromote:
         assert router.stats.failover_duration_us == event.duration_us
 
     def test_rejoin_rereplicates_full_log(self, clock):
-        """The demoted device gets a fresh applier; pumping replays the
-        whole log from seq 1 onto it (idempotent on its media)."""
+        """The demoted device gets a fresh applier below the log's cut;
+        the next pump catches it up from a snapshot of the new primary,
+        and every key reads back equal on it."""
         router, __ = loaded_router(clock, keys=25)
         pair = router.pair_for(("node", 0))
-        log_tip = pair.log.tip
         router.kill_shard(pair.name)
         router.ensure_healthy()
-        assert pair.replicas[0].applier.watermark == 0
-        applied = router.pump_replication()
-        assert applied == log_tip == pair.replicas[0].applier.watermark
+        rejoined = pair.replicas[0]
+        assert rejoined.applier.watermark == 0 < pair.log.base
+        router.pump_replication()
         assert pair.repl_lag == 0
+        assert rejoined.applier.epoch == pair.log.epoch
+        assert_converged(pair)
 
     def test_writes_continue_through_failover(self, clock):
         router, __ = loaded_router(clock)
@@ -138,3 +154,147 @@ class TestFailoverController:
         controller.promote(pair)
         assert len(seen) == 1
         assert seen[0].shard == pair.name
+
+
+# -------------------------------------------------- the log cut vs failover
+
+
+def load_durable(router, keys):
+    durable = {}
+    for n in range(keys):
+        durable[("node", n)] = ("v", n)
+        router.put(("node", n), ("v", n))
+    return durable
+
+
+class TestLogCutAndFailover:
+    def test_snapshot_trims_what_the_primary_freed(self, clock):
+        """A key deleted after the demotion is still on the old
+        primary's media; its snapshot catch-up must trim that LPN."""
+        router, __ = loaded_router(clock, keys=20)
+        pair = router.pair_for(("node", 0))
+        lpn = pair.directory[("node", 0)]
+        router.kill_shard(pair.name)
+        router.ensure_healthy()
+        assert router.delete(("node", 0)) is not None
+        rejoined = pair.replicas[0]
+        assert rejoined.ssd.read(lpn) == ("v", 0)
+        router.pump_replication()
+        with pytest.raises(UnmappedPageError):
+            rejoined.ssd.read(lpn)
+        assert_converged(pair)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("replicas,quorum", [(1, 1), (2, 2)])
+    def test_truncation_racing_a_rejoin(self, clock, replicas, quorum,
+                                        budget):
+        """Cut the log, kill a primary, promote, and let the rejoined
+        device catch up while writes, snapshots and deletes interleave
+        with budgeted pumps of ``budget`` records."""
+        router = quorum_cluster(clock, replicas=replicas,
+                                write_quorum=quorum)
+        durable = load_durable(router, 40)
+        router.pump_replication()
+        group = router.pair_for(("node", 0))
+        cut = group.log.base
+        assert cut == group.log.tip > 0
+        router.kill_shard(group.name)
+        router.ensure_healthy()
+        rng = random.Random(budget)
+        for step in range(150):
+            node = rng.randrange(40)
+            key = ("node", node)
+            roll = rng.random()
+            if roll < 0.6:
+                durable[key] = ("v", node, step)
+                router.put(key, durable[key])
+            elif roll < 0.72:
+                if router.delete(key) is not None:
+                    durable[key] = None
+            elif roll < 0.84 and durable.get(key) is not None:
+                router.share(("snap", node), key)
+                durable[("snap", node)] = durable[key]
+            else:
+                assert router.get(key) == durable.get(key)
+            router.pump_replication(limit=budget)
+        while router.pump_replication():
+            pass
+        assert group.log.base > cut        # the cut moved past the rejoin
+        assert no_lost_acked_write(router, durable) == []
+        assert replica_convergence(router) == []
+
+    def test_every_replica_failed_promotion_loses_no_acked_write(
+            self, clock):
+        """Failed replicas pin the cut: the best of them, promoted when
+        no live replica is left, still finds its whole tail."""
+        router = quorum_cluster(clock, replicas=2, write_quorum=1)
+        durable = load_durable(router, 30)
+        router.pump_replication()
+        group = router.pair_for(("node", 0))
+        lagging, ahead = group.replicas
+        group.mark_replica_failed(lagging.ssd.name)
+        for n in range(30, 45):
+            durable[("node", n)] = ("v", n)
+            router.put(("node", n), ("v", n))
+        router.pump_replication()
+        group.mark_replica_failed(ahead.ssd.name)
+        for n in range(45, 60):
+            durable[("node", n)] = ("v", n)
+            router.put(("node", n), ("v", n))
+        router.pump_replication()
+        assert group.log.base == lagging.applier.watermark
+        assert ahead.applier.watermark > group.log.base
+        router.kill_shard(group.name)
+        router.ensure_healthy()
+        assert group.primary is ahead.ssd
+        assert no_lost_acked_write(router, durable) == []
+
+    def test_rejoin_below_the_cut_is_passed_over(self, clock):
+        """A second kill before the rejoined device caught up: a failed
+        replica from before the cut is promoted, not the rejoined one."""
+        router = quorum_cluster(clock, replicas=2, write_quorum=1)
+        durable = load_durable(router, 30)
+        router.pump_replication()
+        group = router.pair_for(("node", 0))
+        router.kill_shard(group.name)
+        router.ensure_healthy()
+        survivor, rejoined = group.replicas
+        group.mark_replica_failed(survivor.ssd.name)
+        for n in range(30, 40):
+            durable[("node", n)] = ("v", n)
+            router.put(("node", n), ("v", n))
+        assert rejoined.applier.watermark < group.log.base
+        router.kill_shard(group.name)
+        router.ensure_healthy()
+        assert group.primary is survivor.ssd
+        assert no_lost_acked_write(router, durable) == []
+
+    def test_dead_primary_serves_no_snapshot(self, clock):
+        """A pump between a kill and its promotion leaves a replica below
+        the cut where it is: the killed primary is no snapshot source."""
+        router = quorum_cluster(clock, replicas=2, write_quorum=1)
+        durable = load_durable(router, 30)
+        router.pump_replication()
+        group = router.pair_for(("node", 0))
+        router.kill_shard(group.name)
+        router.ensure_healthy()
+        rejoined = group.replicas[1]
+        router.kill_shard(group.name)
+        router.pump_replication()
+        assert rejoined.applier.watermark == 0 < group.log.base
+        router.ensure_healthy()
+        router.pump_replication()
+        assert rejoined.applier.watermark == group.log.tip
+        assert no_lost_acked_write(router, durable) == []
+
+    def test_no_replica_past_the_cut_refuses_promotion(self, clock):
+        """One replica: killing the new primary before the rejoined one
+        caught up leaves no device that can replay the tail, and the
+        shard says so instead of serving a stale replica."""
+        router, __ = loaded_router(clock, keys=20)
+        pair = router.pair_for(("node", 0))
+        router.kill_shard(pair.name)
+        router.ensure_healthy()
+        router.kill_shard(pair.name)
+        with pytest.raises(ShardUnavailableError):
+            router.ensure_healthy()

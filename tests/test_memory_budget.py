@@ -15,7 +15,8 @@ per aged page on the same probes, the ``((lpn, seq),)`` stamp per page
 243.8 per aged page, a tuple per log record 216.5 bytes per record, and
 a reference set plus a ``(ppn, lpn)`` table key or spill bucket per
 shared page 406.0 (in the table) and 566.0 (spilled) bytes per shared
-page.
+page.  The cluster tier's replication log is fenced the same way: it
+keeps the records some replica still lacks, not the history.
 """
 
 import gc
@@ -31,22 +32,31 @@ from repro.ftl.reverse import ReverseMap
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
 
+from test_cluster_replication import quorum_cluster
+
 #: Bytes per page of a fresh ``NandArray``: one state byte, one list
 #: slot for the payload, a 4-byte owner LPN and an 8-byte seq.  Measured
 #: 21.2 on CPython 3.11.
 ERASED_BYTES_PER_PAGE_CEILING = 24.0
 
 #: Bytes per physical page of a whole ``Ssd`` aged with ``age(0.85,
-#: 0.1)`` and never shared — dominated by what the run stored (the
-#: payload tuples), which is not per-page bookkeeping.  Measured 135.0 on
-#: CPython 3.11; the ceiling is that + 15 %.
-AGED_BYTES_PER_PAGE_CEILING = 156.0
+#: 0.1)`` and never shared.  Measured 85.2 on CPython 3.11 (85.9 on a
+#: process's first build) with every aged page holding one shared filler
+#: payload; 135.0 with a fresh ``("age", lpn)`` tuple per page.  The
+#: ceiling is the first-build figure + 5 %.
+AGED_BYTES_PER_PAGE_CEILING = 90.0
 
 #: Bytes the share table adds per physical page shared once, whether
 #: the extra reference holds a table slot or spilled: the page's extras
 #: dict and the extra LPN itself.  Measured 322.0 either way on CPython
 #: 3.11; the ceiling is that + 15 %.
 SHARED_BYTES_PER_PAGE_CEILING = 370.0
+
+#: Host bytes a 3-shard quorum cluster keeps per acked overwrite once
+#: replication is pumped: the log holds only what some replica still
+#: lacks.  Measured 3.3 on CPython 3.11; 140.4 when the log kept every
+#: record.
+REPL_BYTES_PER_ACKED_WRITE_CEILING = 16.0
 
 #: Host bytes per record of a map block filled with full 128-record
 #: mapping pages: 40 packed bytes per record plus each page's share of
@@ -148,6 +158,35 @@ def test_mapping_pages_hold_packed_records():
         f"{MAP_LOG_BYTES_PER_RECORD_CEILING}")
     assert len(MapLog.scan(nand, geometry, [14, 15])[0]) == \
         geometry.pages_per_block * per_page
+
+
+def test_replication_log_keeps_only_the_lag():
+    """Overwrites through a pumped 3 x (1 + 2) quorum-2 cluster: after
+    each pump every record is on every replica, so the log is cut to
+    nothing and the churn leaves (almost) no host bytes behind."""
+    router = quorum_cluster(SimClock())
+    groups = list(router.pairs.values())
+    keys = [("node", n) for n in range(60)]
+    for key in keys:
+        router.put(key, 0)
+    router.pump_replication()
+    writes = 3000
+
+    def churn():
+        # Small ints as payloads: stale pages keep no object alive.
+        for n in range(writes):
+            router.put(keys[n % len(keys)], n % 200)
+            if n % 16 == 15:
+                router.pump_replication()
+        router.pump_replication()
+
+    __, grown, __ = traced(churn)
+    assert sum(group.log.tip for group in groups) == len(keys) + writes
+    assert [len(group.log) for group in groups] == [0, 0, 0]
+    per_write = grown / writes
+    assert per_write <= REPL_BYTES_PER_ACKED_WRITE_CEILING, (
+        f"{per_write:.1f} host bytes kept per acked write, ceiling "
+        f"{REPL_BYTES_PER_ACKED_WRITE_CEILING}")
 
 
 def test_reference_sets_are_bounded_by_the_pages_ever_shared():

@@ -92,8 +92,14 @@ VERDICTS = {
     "command/sqlite-share": (
         24, "3308a9480f0b8f99f4fb8c2a29e783c97554188b9295ee042968b0c86890205c",
         23, 13, 0),
+    # Re-recorded once the replication log began to be cut: the demoted
+    # primary rejoins below the cut and catches up from a snapshot (no
+    # record applied) instead of replaying from seq 1, so each site's
+    # ``repl_applied`` extra fell (e.g. 93 -> 91, 143 -> 90); site,
+    # fired, crashed, aborted, violations and the other extras were
+    # compared site by site and did not move.
     "cluster-kill/cluster-small": (
-        24, "4533d27dcb0a8ed42742def9289019b5da9d86624a2847d3d63abdef78f53020",
+        24, "afa04169053f7db8d98ef9e23ba37c27f58bd883dff9bdc1fb7775a80d0d7357",
         24, 0, 0),
     "cluster-media/cluster-media": (
         24, "fedbb183233977d8cfd40d6e61cd0d2e58f3af4816c0e0d45a4cfc9636bbb2c7",
