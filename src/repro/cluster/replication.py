@@ -73,6 +73,9 @@ class ReplicationLog:
         #: Sequence number of the newest dropped record: the log holds
         #: exactly ``base + 1 .. tip``.
         self.base = 0
+        #: Replicas that fell below ``base`` and were caught up from a
+        #: snapshot of the primary instead (``ShardGroup._snapshot_to``).
+        self.snapshot_catchups = 0
 
     def __len__(self) -> int:
         """Records still held (``tip - base``)."""

@@ -110,6 +110,7 @@ ROUTER_ROWS = tuple(
         "media_storms", "proactive_promotions", "migrated_keys",
         "shared_migrations", "rebalances")) + (
     ("shard_kills", COUNTER, attrgetter("stats.kills")),
+    ("repl_snapshot_catchups", COUNTER, attrgetter("snapshot_catchups")),
     ("backpressure_waits", COUNTER, _backpressure_waits))
 
 
@@ -175,6 +176,15 @@ class ShardRouter:
         groups = list(self.pairs.values())
         return ([g.primary for g in groups]
                 + [rep.ssd for g in groups for rep in g.replicas])
+
+    @property
+    def snapshot_catchups(self) -> int:
+        """Replicas caught up from a snapshot of their primary because
+        they rejoined below the replication log's cut, over every group
+        (retired ones included)."""
+        return sum(group.log.snapshot_catchups
+                   for group in (*self.pairs.values(),
+                                 *self.retired.values()))
 
     def pair_for(self, key) -> ShardGroup:
         return self.pairs[self.ring.lookup(key)]

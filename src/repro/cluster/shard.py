@@ -150,6 +150,11 @@ class ShardGroup:
         self.quorum_degraded = 0
         self.replica_drops = 0
         self._read_rr = 0
+        # That makes 29 instance attributes.  A 30th stops CPython 3.11
+        # sharing the instance dict's keys across groups, and every
+        # attribute read on a group gets slower — enough to show in
+        # cluster-quorum's host_ops_per_s — so a new per-group counter
+        # goes on ``self.log`` (as ``snapshot_catchups`` does).
 
     def _add_replica(self, device) -> Replica:
         rep = Replica(device, client=self._next_repl_client)
@@ -456,6 +461,7 @@ class ShardGroup:
         log = self.log
         rep.applier.watermark = log.tip
         rep.applier.epoch = log.epoch
+        log.snapshot_catchups += 1
 
     def _await_quorum(self, seq: int) -> None:
         """Block the ack until ``write_quorum`` group members hold the

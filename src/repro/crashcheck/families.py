@@ -368,6 +368,8 @@ def _chaos_evidence(harness, fault, recovery_trace) -> Dict:
             "media_trips": stats.media_trips,
             "migrated_keys": stats.migrated_keys,
             "replica_reads": stats.replica_reads,
+            "repl_applied": stats.repl_applied,
+            "snapshot_catchups": harness.router.snapshot_catchups,
             "ryw_checks": harness.ryw_checks,
             "mid_rebalance_kill": harness.mid_rebalance_kill}
 
@@ -385,7 +387,8 @@ CLUSTER_CHAOS = Family(
                                      + list(result.violations)),
     columns=_columns(
         "acked_writes", "kills", "storms", "busy_faults", "failovers",
-        "proactive_promotions", "migrated_keys", "ryw_checks")
+        "proactive_promotions", "migrated_keys", "ryw_checks",
+        "repl_applied", "snapshot_catchups")
     + (("mid_rebalance_kills",
         lambda result: int(result.extras["mid_rebalance_kill"])),),
     seeded=True,

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (EraseFailError, ProgramError, ProgramFailError,
                           ReadError, UncorrectableReadError)
@@ -62,6 +62,7 @@ class PageState(Enum):
 _ERASED = 0
 _PROGRAMMED = 1
 _FAILED = 2
+_PROGRAMMED_BYTE = bytes((_PROGRAMMED,))
 
 
 class NandArray:
@@ -170,6 +171,43 @@ class NandArray:
         self._next_program_offset[block] = offset + 1
         self.total_programs += 1
         self.channel_ops[block % self._channel_count] += 1
+
+    def program_run(self, ppn: int, pages: Sequence[Any], lpns: range,
+                    seqs: range) -> None:
+        """Program ``len(pages)`` consecutive pages of one block from
+        ``ppn`` on, page ``i`` stamped ``(lpns[i], seqs[i])``: the effect
+        of one :meth:`program` per page, with the erased and in-order
+        rules checked once for the whole run and the arrays filled by
+        slice assignment.  It honours no media fault (a failed program
+        mid-run has no per-page answer here), so it refuses to run while
+        one is armed; the FTL calls it only under the passive plan."""
+        if self.faults.media.active:
+            raise ProgramError("a run program cannot honour media faults")
+        count = len(pages)
+        full = self._pages_per_block
+        block = ppn // full
+        offset = ppn - block * full
+        stop = ppn + count
+        if not 0 <= ppn < self._total_pages or offset + count > full:
+            raise ProgramError(
+                f"run of {count} pages from PPN {ppn} leaves its block")
+        expected = self._next_program_offset[block]
+        if offset != expected or \
+                self._state.count(_ERASED, ppn, stop) != count:
+            raise ProgramError(
+                f"out-of-order or overwriting run in block {block}: page "
+                f"offset {offset}, expected {expected}")
+        # Both stamps first: a value that does not fit raises before any
+        # page is touched.
+        owners = array("i", lpns)
+        stamps = array("q", seqs)
+        self._seq[ppn:stop] = stamps
+        self._owner[ppn:stop] = owners
+        self._state[ppn:stop] = _PROGRAMMED_BYTE * count
+        self._data[ppn:stop] = pages
+        self._next_program_offset[block] = offset + count
+        self.total_programs += count
+        self.channel_ops[block % self._channel_count] += count
 
     def read(self, ppn: int) -> Any:
         """Read the data payload of a programmed page."""

@@ -30,11 +30,13 @@ strategy's ``table`` attribute is the raw LPN-indexed list when the
 backing is flat, and ``None`` otherwise.  The pagemap's pre-validated
 per-page loops check ``table`` once and either index it directly or
 fall back to the strategy's :meth:`~MappingStrategy.get` — one pointer
-compare is all the indirection costs on the default path.  SHARE and TRIM
-do not reach around: they make one :meth:`~MappingStrategy.resolve_pairs`
-/ :meth:`~MappingStrategy.remap_pairs` /
-:meth:`~MappingStrategy.clear_range` call per command (flat indexes its
-list, the delta backing loops inside).  Direct writers must
+compare is all the indirection costs on the default path.  SHARE, TRIM
+and a run of writes do not reach around: they make one
+:meth:`~MappingStrategy.resolve_pairs` /
+:meth:`~MappingStrategy.remap_pairs` /
+:meth:`~MappingStrategy.clear_range` / :meth:`~MappingStrategy.update_run`
+call per command (flat slices or indexes its list, the delta backing
+loops inside).  Direct writers must
 maintain the ``UNMAPPED`` sentinel discipline and use
 :meth:`~MappingStrategy.update` / :meth:`~MappingStrategy.clear`
 whenever the mapped count could change.
@@ -66,8 +68,8 @@ class MappingStrategy:
     :meth:`clear`, :meth:`is_mapped`) raise ``ValueError`` outside
     ``[0, logical_pages)``; the pre-validated hot-path methods
     (:meth:`get`, :meth:`remap`, and the per-command :meth:`resolve_pairs`,
-    :meth:`remap_pairs`, :meth:`clear_range`) skip the check — callers
-    validated the range once.
+    :meth:`remap_pairs`, :meth:`clear_range`, :meth:`update_run`) skip
+    the check — callers validated the range once.
 
     ``remap`` is semantically :meth:`update` but tells the backing the
     new PPN aliases an existing physical page (a SHARE): backings that
@@ -132,6 +134,14 @@ class MappingStrategy:
         ``(lpn, old_ppn)`` for each LPN that held one, ascending."""
         return [(current, old) for current in range(lpn, lpn + count)
                 if (old := self.clear(current)) is not None]
+
+    def update_run(self, lpn: int, ppns: List[int]) -> List[int]:
+        """Bulk write: :meth:`update` ``lpn + i`` to ``ppns[i]``, in LPN
+        order; returns each LPN's previous raw entry (``UNMAPPED`` where
+        it had none).  The run lies inside the logical space."""
+        update = self.update
+        return [UNMAPPED if (old := update(current, ppn)) is None else old
+                for current, ppn in enumerate(ppns, lpn)]
 
     # -- bounds-checked host API ------------------------------------------
 
@@ -237,6 +247,14 @@ class FlatListMap(MappingStrategy):
         table[lpn:stop] = [UNMAPPED] * count
         self._mapped_count -= len(cleared)
         return cleared
+
+    def update_run(self, lpn: int, ppns: List[int]) -> List[int]:
+        table = self.table
+        stop = lpn + len(ppns)
+        olds = table[lpn:stop]
+        table[lpn:stop] = ppns
+        self._mapped_count += olds.count(UNMAPPED)
+        return olds
 
     def lookup(self, lpn: int) -> Optional[int]:
         if not 0 <= lpn < self._size:

@@ -359,6 +359,107 @@ class PageMappingFtl:
             del self._trim_tombstones[lpn]
         self.stats.host_page_writes += 1
 
+    def write_run(self, first_lpn: int, pages: Sequence[Any]) -> None:
+        """Program ``pages`` (a list or tuple) at ``first_lpn`` on: exactly
+        ``write(first_lpn + i, page)`` for each page, in order.
+
+        Under a real fault plan it is that loop, so every page keeps its
+        own operation, checkpoints and media-fault count.  Under the
+        passive plan, whole rotation rounds — one page per channel,
+        while every channel's open block has room for them and the free
+        pool is above ``gc_low_water`` — are placed as a run
+        (:meth:`_write_rounds`); every other page (one that opens a
+        block, finds a channel dry, may trigger GC, or is the tail) goes
+        through :meth:`_write`, so GC fires exactly where the loop fires
+        it."""
+        if not self.faults.passive:
+            write = self.write
+            for index, page in enumerate(pages):
+                write(first_lpn + index, page)
+            return
+        count = len(pages)
+        # Only the in-range prefix can go as rounds: the per-page path
+        # raises at the first LPN past the logical end, as the loop would.
+        placeable = (min(count, self._logical_pages - first_lpn)
+                     if first_lpn >= 0 else 0)
+        channels = self._channel_count
+        full = self._pages_per_block
+        write_ptr = self._write_ptr
+        active = self._active_host
+        blocks = self._blocks
+        low_water = self.config.gc_low_water
+        index = 0
+        while index < count:
+            rounds = (placeable - index) // channels
+            if rounds > 0 and blocks.free_count > low_water:
+                for block in active:
+                    if block is None:
+                        rounds = 0
+                        break
+                    room = full - write_ptr[block]
+                    if room < rounds:
+                        rounds = room
+                if rounds:
+                    self._write_rounds(first_lpn + index, pages, index, rounds)
+                    index += rounds * channels
+                    continue
+            self._write(first_lpn + index, pages[index], None)
+            index += 1
+
+    def _write_rounds(self, lpn: int, pages: Sequence[Any], start: int,
+                      rounds: int) -> None:
+        """Write ``pages[start:start + rounds * channels]`` at ``lpn`` on
+        as ``rounds`` whole rotation rounds: the page at position ``i``
+        goes where :meth:`_alloc_page` would put it — channel ``(cursor +
+        i) % channels``, the next free page of that channel's open block
+        — with seq ``_seq + i``.  The caller has checked that no page of
+        it opens a block or finds the free pool at ``gc_low_water``, so
+        each block takes one NAND run program, one reverse-map fill and
+        one write-pointer and valid-count bump, and the forward map one
+        run update."""
+        channels = self._channel_count
+        full = self._pages_per_block
+        count = rounds * channels
+        stop = start + count
+        seq = self._seq
+        self._seq = seq + count
+        write_ptr = self._write_ptr
+        valid = self._valid_count
+        active = self._active_host
+        cursor = self._host_cursor
+        program_run = self.nand.program_run
+        set_primary_run = self.rev.set_primary_run
+        ppns = [0] * count
+        ledger = []
+        for position in range(channels):
+            channel = (cursor + position) % channels
+            block = active[channel]
+            offset = write_ptr[block]
+            first_ppn = block * full + offset
+            lpns = range(lpn + position, lpn + count, channels)
+            program_run(first_ppn, pages[start + position:stop:channels],
+                        lpns, range(seq + position, seq + count, channels))
+            set_primary_run(first_ppn, lpns)
+            write_ptr[block] = offset + rounds
+            valid[block] += rounds
+            ppns[position::channels] = range(first_ppn, first_ppn + rounds)
+            ledger.append(("host_program", channel))
+        self.work += ledger * rounds
+        # A fresh page was erased, and no mapping points at an erased
+        # page: every old PPN differs from its LPN's new one.
+        olds = self.fwd.update_run(lpn, ppns)
+        if olds.count(UNMAPPED) != count:
+            drop_ref = self.rev.drop_ref
+            for current, old in enumerate(olds, lpn):
+                if old != UNMAPPED and drop_ref(old, current):
+                    valid[old // full] -= 1
+        for backing in (self._share_backed, self._trim_tombstones):
+            if backing:
+                for current in range(lpn, lpn + count):
+                    if current in backing:
+                        del backing[current]
+        self.stats.host_page_writes += count
+
     # ------------------------------------------------------- media handling
 
     def _read_page(self, ppn: int, scrub_ok: bool = False) -> Any:
@@ -633,26 +734,46 @@ class PageMappingFtl:
         self._check_lpn_range(lpn, count)
         self.stats.trim_commands += 1
         cleared = self.fwd.clear_range(lpn, count)
-        if cleared:
-            drop_ref = self.rev.drop_ref
-            valid = self._valid_count
-            full = self._pages_per_block
-            tombstones = self._trim_tombstones
-            share_backed = self._share_backed
-            pending = self._pending_trims
-            seq = self._seq     # one per LPN that held a mapping, ascending
-            for current, old in cleared:
-                if drop_ref(old, current):
-                    valid[old // full] -= 1
-                tombstones[current] = seq
-                if current in share_backed:
-                    del share_backed[current]
-                pending.append((KIND_TRIM, current, old, None, seq))
-                seq += 1
-            self._seq = seq
-            self.stats.trim_pages += len(cleared)
-        if len(self._pending_trims) >= self._records_per_page:
-            self._flush_pending_trims()
+        if not cleared:
+            return
+        drop_ref = self.rev.drop_ref
+        valid = self._valid_count
+        full = self._pages_per_block
+        tombstones = self._trim_tombstones
+        share_backed = self._share_backed
+        first_seq = seq = self._seq   # one per LPN that held a mapping
+        for current, old in cleared:
+            if drop_ref(old, current):
+                valid[old // full] -= 1
+            tombstones[current] = seq
+            if current in share_backed:
+                del share_backed[current]
+            seq += 1
+        self._seq = seq
+        cleared_count = len(cleared)
+        self.stats.trim_pages += cleared_count
+        # The records exist one map page at a time, never for the whole
+        # run, and only once the state above is final: a checkpoint the
+        # log takes while programming one snapshots the finished trim.
+        pending = self._pending_trims
+        room = self._records_per_page - len(pending)
+        if cleared_count < room:
+            pending += [(KIND_TRIM, current, old, None, record_seq)
+                        for record_seq, (current, old)
+                        in enumerate(cleared, first_seq)]
+            return
+        # The pending page fills: it and every page after it go out, on
+        # the boundaries one append of the whole pending list would cut.
+        self._pending_trims = []
+        append_atomic = self.maplog.append_atomic
+        start, stop = 0, room
+        while start < cleared_count:
+            pending += [(KIND_TRIM, current, old, None, record_seq)
+                        for record_seq, (current, old)
+                        in enumerate(cleared[start:stop], first_seq + start)]
+            append_atomic(pending)
+            pending = []
+            start, stop = stop, stop + self._records_per_page
 
     def flush(self) -> None:
         """Persist pending mapping changes (trim deltas).  Host writes and

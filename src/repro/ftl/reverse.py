@@ -131,6 +131,16 @@ class ReverseMap:
             self._forget_page(ppn)
         self._primary[ppn] = lpn
 
+    def set_primary_run(self, ppn: int, lpns: range) -> None:
+        """:meth:`set_primary` of ``ppn + i`` for ``lpns[i]`` over a run
+        of freshly programmed pages, which must hold no references: one
+        slice assignment."""
+        primary = self._primary
+        stop = ppn + len(lpns)
+        if max(primary[ppn:stop]) >= 0:
+            raise ValueError(f"a page of PPNs [{ppn}, {stop}) holds data")
+        primary[ppn:stop] = lpns
+
     def add_extra(self, ppn: int, lpn: int) -> bool:
         """Add a SHARE-created reference.
 

@@ -306,7 +306,7 @@ class Ssd:
         self.faults.commands.hit(kind, lpns, phase, phase == "submit")
 
     def _command(self, body, kind: str, op_kind: str,
-                 lpns: Tuple[int, ...], *args) -> None:
+                 lpns: Sequence[int], *args) -> None:
         """Run one journalled command: the submission fault gate, then
         ``body(op_kind, op, *args)``, then the synchronous wait.
 
@@ -402,10 +402,17 @@ class Ssd:
         ftl = self.ftl
         ftl._check_lpn_range(lpn, len(pages))
         cache = self.cache
-        for index, page in enumerate(pages):
-            ftl.write(lpn + index, page)
-            if cache.enabled:
-                cache.insert(lpn + index, page)
+        if cache.enabled:
+            # A run that raises part-way leaves its written prefix
+            # cached, as one insert per written page would.
+            before = ftl.stats.host_page_writes
+            try:
+                ftl.write_run(lpn, pages)
+            finally:
+                for index in range(ftl.stats.host_page_writes - before):
+                    cache.insert(lpn + index, pages[index])
+        else:
+            ftl.write_run(lpn, pages)
         self.stats.host_write_pages += len(pages)
         self.stats.write_commands += 1
         return self._issue("write", lpn, len(pages),
@@ -480,12 +487,14 @@ class Ssd:
 
     def trim(self, lpn: int, count: int = 1) -> None:
         """Invalidate a logical range."""
-        lpns = tuple(range(lpn, lpn + max(count, 1)))
+        lpns = range(lpn, lpn + max(count, 1))
+        if not self.faults.passive:
+            lpns = tuple(lpns)   # the operation journal keeps them
         self._command(self._trim, "trim", "device.trim", lpns, lpn, count,
                       lpns)
 
     def _trim(self, op_kind, op, lpn: int, count: int,
-              lpns: Tuple[int, ...]) -> Issued:
+              lpns: Sequence[int]) -> Issued:
         self.ftl.trim(lpn, count)
         if self.cache.enabled:
             self.cache.invalidate(lpns)
@@ -901,7 +910,11 @@ class Ssd:
         Fills ``fill_fraction`` of the logical space sequentially, then
         rewrites ``rewrite_fraction`` of it at random so blocks hold a mix
         of valid and stale pages and GC is active during measurement.
-        Aging I/O is excluded from stats and virtual time.
+        Aging I/O is excluded from stats and virtual time.  The fill is
+        one :meth:`~repro.ftl.pagemap.PageMappingFtl.write_run`, which
+        programs whole rotation rounds a block at a time: its cost grows
+        with the blocks it fills, not the pages; the random rewrites are
+        one FTL write each.
         """
         if not 0.0 <= fill_fraction <= 1.0:
             raise ValueError(f"fill_fraction must be in [0, 1]: {fill_fraction}")
@@ -911,9 +924,8 @@ class Ssd:
         import random
         rng = random.Random(seed)
         pages = int(self.logical_pages * fill_fraction)
+        self.ftl.write_run(0, [_AGED_PAGE] * pages)
         write = self.ftl.write
-        for lpn in range(pages):
-            write(lpn, _AGED_PAGE)
         for _ in range(int(pages * rewrite_fraction)):
             write(rng.randrange(pages), _AGED_PAGE)
         self.reset_measurement()

@@ -97,10 +97,14 @@ class TestKillAndPromote:
         router.ensure_healthy()
         rejoined = pair.replicas[0]
         assert rejoined.applier.watermark == 0 < pair.log.base
+        applied = router.stats.repl_applied
         router.pump_replication()
         assert pair.repl_lag == 0
         assert rejoined.applier.epoch == pair.log.epoch
         assert_converged(pair)
+        # Caught up by copy, not replay: counted, and no record applied.
+        assert pair.log.snapshot_catchups == router.snapshot_catchups == 1
+        assert router.stats.repl_applied == applied
 
     def test_writes_continue_through_failover(self, clock):
         router, __ = loaded_router(clock)
@@ -282,9 +286,11 @@ class TestLogCutAndFailover:
         router.kill_shard(group.name)
         router.pump_replication()
         assert rejoined.applier.watermark == 0 < group.log.base
+        assert group.log.snapshot_catchups == 0
         router.ensure_healthy()
         router.pump_replication()
         assert rejoined.applier.watermark == group.log.tip
+        assert group.log.snapshot_catchups == 2   # both demoted primaries
         assert no_lost_acked_write(router, durable) == []
 
     def test_no_replica_past_the_cut_refuses_promotion(self, clock):

@@ -194,6 +194,7 @@ _EXTRAS = {
                       "storms": 1, "busy_faults": 1, "failovers": 1,
                       "proactive_promotions": 0, "media_trips": 0,
                       "migrated_keys": 4, "replica_reads": 2,
+                      "repl_applied": 6, "snapshot_catchups": 1,
                       "ryw_checks": 3, "mid_rebalance_kill": True},
 }
 

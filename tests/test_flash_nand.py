@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ProgramError, ReadError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray, PageState
+from repro.sim.faults import FaultPlan
 
 
 @pytest.fixture
@@ -101,3 +102,44 @@ def test_out_of_range_rejected(nand):
         nand.program(total, "x")
     with pytest.raises(ValueError):
         nand.erase(nand.geometry.block_count)
+
+
+def test_program_run_equals_one_program_per_page(nand):
+    """A run program leaves exactly what a page-by-page program of the
+    same stamps leaves, counters included."""
+    ref = NandArray(FlashGeometry.small())
+    nand.program(32, "head", lpn=9, seq=1)
+    ref.program(32, "head", lpn=9, seq=1)
+    nand.program_run(33, ["a", "b", "c"], range(5, 11, 2), range(7, 10))
+    for offset, (data, lpn, seq) in enumerate(
+            zip(["a", "b", "c"], range(5, 11, 2), range(7, 10))):
+        ref.program(33 + offset, data, lpn=lpn, seq=seq)
+    for ppn in range(32, 36):
+        assert nand.read(ppn) == ref.read(ppn)
+        assert nand.read_spare(ppn) == ref.read_spare(ppn)
+    assert nand.scan_block(1) == ref.scan_block(1)
+    assert nand.programmed_pages_in_block(1) == 4
+    assert (nand.total_programs, nand.channel_ops) == \
+        (ref.total_programs, ref.channel_ops)
+
+
+def test_program_run_refuses_what_program_refuses(nand):
+    nand.program(0, "a")
+    with pytest.raises(ProgramError):      # skips offset 1
+        nand.program_run(2, ["x"], range(1), range(1))
+    with pytest.raises(ProgramError):      # overwrites offset 0
+        nand.program_run(0, ["x"], range(1), range(1))
+    with pytest.raises(ProgramError):      # runs into the next block
+        nand.program_run(1, ["x"] * 32, range(32), range(32))
+    with pytest.raises(OverflowError):     # a seq that does not fit
+        nand.program_run(1, ["x"], range(1), range(2 ** 63, 2 ** 63 + 1))
+    assert nand.programmed_pages_in_block(0) == 1
+    assert nand.total_programs == 1
+
+
+def test_program_run_refuses_an_armed_media_fault():
+    plan = FaultPlan()
+    plan.media.enable_counting()
+    with pytest.raises(ProgramError):
+        NandArray(FlashGeometry.small(), plan).program_run(
+            0, ["x"], range(1), range(1))

@@ -189,3 +189,17 @@ def test_delta_clear_drops_anchor_when_group_empties():
     # A fresh write re-anchors the group at the new PPN.
     fwd.update(3, 1234)
     assert fwd.lookup(3) == 1234
+
+
+def test_update_run_matches_one_update_per_lpn(fwd):
+    ref = create_strategy(fwd.name, 16, group_pages=4)
+    for target in (fwd, ref):
+        target.update(5, 40)
+        target.update(7, 2)
+    olds = fwd.update_run(4, [30, 31, 32, 33, 50])
+    expected = [ref.update(lpn, ppn) for lpn, ppn
+                in zip(range(4, 9), [30, 31, 32, 33, 50])]
+    assert olds == [UNMAPPED if old is None else old for old in expected]
+    assert fwd.snapshot() == ref.snapshot()
+    assert fwd.mapped_count == ref.mapped_count == 5
+    assert fwd.footprint_bytes() == ref.footprint_bytes()

@@ -9,6 +9,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
+from repro.ftl.deltalog import KIND_TRIM, _unseal
 from repro.ftl.pagemap import PageMappingFtl
 from repro.ftl.share_ext import SharePair
 from repro.sim.clock import SimClock
@@ -383,3 +384,33 @@ class TestChannelStriping:
         assert len(host) == channels * 2
         assert {channel for __, channel in host} == set(range(channels))
         assert ftl.take_work() == []   # drained
+
+
+def test_a_trim_over_many_map_pages_cuts_them_where_one_append_would():
+    """A TRIM's records are built one map page at a time, after its state
+    changes: the pages hold exactly what one append of the pending
+    records plus the whole run's records would have cut them into."""
+    nand = NandArray(FlashGeometry(page_size=512, pages_per_block=16,
+                                   block_count=48, overprovision_ratio=0.2))
+    ftl = PageMappingFtl(nand, FtlConfig(map_block_count=4))
+    for lpn in range(200):
+        ftl.write(lpn, ("v", lpn))
+    ftl.trim(0, 5)                     # stays pending: under one page
+    pending = [tuple(record) for record in ftl._pending_trims]
+    olds = [ftl.fwd.lookup(lpn) for lpn in range(10, 160)]
+    first_seq = ftl._seq
+    ftl.trim(10, 150)
+    records = pending + [(KIND_TRIM, lpn, old, None, first_seq + index)
+                         for index, (lpn, old)
+                         in enumerate(zip(range(10, 160), olds))]
+    per_page = ftl.max_share_batch
+    assert len(records) > 4 * per_page
+    written = [[tuple(record) for record in _unseal(nand.read(ppn))]
+               for block in ftl._map_blocks
+               for ppn, __ in nand.scan_block(block)]
+    assert written == [records[start:start + per_page]
+                       for start in range(0, len(records), per_page)]
+    assert ftl._pending_trims == [] and ftl._seq == first_seq + 150
+    assert all(ftl._trim_tombstones[lpn] >= first_seq
+               for lpn in range(10, 160))
+    ftl.check_invariants()

@@ -216,3 +216,13 @@ class TestSpillChurn:
         entries = [(20, 0, True)] + [(20, lpn, False) for lpn in range(1, 6)]
         rev.rebuild(entries)
         assert rev.spilled_peak == 1
+
+
+def test_set_primary_run_fills_a_run_of_fresh_pages(rev):
+    rev.set_primary_run(8, range(100, 106, 2))
+    assert [rev.primary_of(ppn) for ppn in range(7, 12)] == \
+        [None, 100, 102, 104, None]
+    rev.set_primary(20, 3)
+    with pytest.raises(ValueError):
+        rev.set_primary_run(18, range(3))   # PPN 20 holds data
+    assert rev.primary_of(18) is None and rev.refs(20) == {3}

@@ -320,6 +320,8 @@ class Cluster(Shape):
             out[f"cluster.{name}"] = getattr(stats, field)
         out["cluster.backpressure_waits"] = sum(
             group.backpressure_waits for group in self.stack.pairs)
+        out["cluster.repl_snapshot_catchups"] = sum(
+            group.log.snapshot_catchups for group in self.stack.pairs)
         return out
 
     def gauges(self):

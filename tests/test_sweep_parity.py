@@ -106,10 +106,15 @@ VERDICTS = {
         24, 0, 0),
 }
 
-CHAOS_SHA = "13592775b44765f9792b41118ae665bade61761e5dd09d1af9e2b864b8a4db3e"
+#: Re-recorded when the family's records gained ``repl_applied`` and
+#: ``snapshot_catchups``; with those two keys dropped the results still
+#: hash to the digest recorded before them,
+#: 13592775b44765f9792b41118ae665bade61761e5dd09d1af9e2b864b8a4db3e.
+CHAOS_SHA = "c9cc1ac139e1fc622518a517bf3fe7623cf592d60ff0aedd81e4d69020f70a86"
 CHAOS_TOTALS = {"kills": 8, "mid_rebalance_kills": 3, "storms": 6,
                 "busy_faults": 9, "failovers": 10, "migrated_keys": 24,
-                "ryw_checks": 274}
+                "ryw_checks": 274, "repl_applied": 461,
+                "snapshot_catchups": 7}
 
 
 def canon_site(site):
@@ -214,6 +219,7 @@ class LeakyHarness:
     LOST = 4
     stats = _Stats()
     steps = kills = storms = busy_faults = ryw_checks = 0
+    snapshot_catchups = 0           # ``harness.router.snapshot_catchups``
     mid_rebalance_kill = False
 
     def __init__(self, faults, l2p="flat"):
