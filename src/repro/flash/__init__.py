@@ -2,13 +2,12 @@
 (no overwrite, erase-before-rewrite, sequential in-block programming)."""
 
 from repro.flash.geometry import FlashGeometry
-from repro.flash.nand import NandArray, PageState
+from repro.flash.nand import NandArray
 from repro.flash.timing import FlashTiming, MLC_TIMING, FAST_TIMING
 
 __all__ = [
     "FlashGeometry",
     "NandArray",
-    "PageState",
     "FlashTiming",
     "MLC_TIMING",
     "FAST_TIMING",

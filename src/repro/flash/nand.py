@@ -41,20 +41,12 @@ degraded device.
 from __future__ import annotations
 
 from array import array
-from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (EraseFailError, ProgramError, ProgramFailError,
                           ReadError, UncorrectableReadError)
 from repro.flash.geometry import FlashGeometry
 from repro.sim.faults import CORRUPT_PAYLOAD, NO_FAULTS, FaultPlan
-
-
-class PageState(Enum):
-    """Lifecycle of one physical page."""
-
-    ERASED = "erased"
-    PROGRAMMED = "programmed"
 
 
 # Per-page state bytes.  A *failed* page is PROGRAMMED to the chip (it
@@ -209,6 +201,73 @@ class NandArray:
         self.total_programs += count
         self.channel_ops[block % self._channel_count] += count
 
+    def copyback_run(self, ppn: int, sources: Sequence[int],
+                     lpns: Sequence[int], seqs: Sequence[int],
+                     spares: Dict[int, Any]) -> None:
+        """Copy the pages at ``sources`` (readable pages of one block, in
+        ascending order) to ``len(sources)`` consecutive pages of one
+        block from ``ppn`` on: the effect of one :meth:`read` of each
+        source and one :meth:`program` of its payload per page, in order.
+        Page ``i`` is stamped ``(lpns[i], seqs[i])`` when ``lpns[i] >=
+        0``, else with ``spares[ppn + i]`` (``spares`` lists those pages
+        in PPN order).
+
+        The erased, in-order and readable rules are checked once for the
+        run before anything changes, and the arrays are filled by slice
+        assignment.  Like :meth:`program_run` it honours no media fault,
+        so it refuses to run while one is armed."""
+        if self.faults.media.active:
+            raise ProgramError("a copyback run cannot honour media faults")
+        count = len(sources)
+        full = self._pages_per_block
+        block = ppn // full
+        offset = ppn - block * full
+        stop = ppn + count
+        if not 0 <= ppn < self._total_pages or offset + count > full:
+            raise ProgramError(
+                f"run of {count} pages from PPN {ppn} leaves its block")
+        expected = self._next_program_offset[block]
+        if offset != expected or \
+                self._state.count(_ERASED, ppn, stop) != count:
+            raise ProgramError(
+                f"out-of-order or overwriting run in block {block}: page "
+                f"offset {offset}, expected {expected}")
+        source_block = sources[0] // full
+        if not (0 <= sources[0] and sources[-1] < self._total_pages
+                and sources[-1] // full == source_block):
+            raise ReadError(f"copyback sources {sources} span blocks")
+        state = self._state
+        data = self._data
+        payloads = [data[source] for source in sources
+                    if state[source] == _PROGRAMMED]
+        if len(payloads) != count:
+            raise ReadError(f"a copyback source of {sources} is unreadable")
+        # Both stamps first: a value that does not fit raises before any
+        # page is touched.
+        owners = array("i", lpns)
+        stamps = array("q", seqs)
+        if spares:
+            # A page stamped with a record keeps its stale seq slot, as
+            # a program without an owner leaves it.
+            seq = self._seq
+            for spared in spares:
+                stamps[spared - ppn] = seq[spared]
+            overflow = self._overflow
+            if block in overflow:
+                overflow[block].update(spares)
+            else:
+                overflow[block] = dict(spares)
+        self._seq[ppn:stop] = stamps
+        self._owner[ppn:stop] = owners
+        self._state[ppn:stop] = _PROGRAMMED_BYTE * count
+        self._data[ppn:stop] = payloads
+        self._next_program_offset[block] = offset + count
+        self.total_reads += count
+        self.total_programs += count
+        channel_ops = self.channel_ops
+        channel_ops[source_block % self._channel_count] += count
+        channel_ops[block % self._channel_count] += count
+
     def read(self, ppn: int) -> Any:
         """Read the data payload of a programmed page."""
         if not 0 <= ppn < self._total_pages:
@@ -275,11 +334,6 @@ class NandArray:
 
     # -------------------------------------------------------------- queries
 
-    def state_of(self, ppn: int) -> PageState:
-        self.geometry.check_ppn(ppn)
-        return (PageState.ERASED if self._state[ppn] == _ERASED
-                else PageState.PROGRAMMED)
-
     def is_programmed(self, ppn: int) -> bool:
         """True when the page holds *readable* programmed data (a page that
         failed during program is not usable and reports False)."""
@@ -316,10 +370,6 @@ class NandArray:
     @property
     def max_erase_count(self) -> int:
         return max(self.erase_counts)
-
-    @property
-    def total_erase_count(self) -> int:
-        return sum(self.erase_counts)
 
     def wear_summary(self) -> Optional[dict]:
         """Min/mean/max erase counts — the lifespan metric of §5.3.1."""

@@ -135,8 +135,15 @@ class BlockTable:
                      threshold: int) -> Optional[int]:
         """Static wear leveling: the least-worn CLOSED block (lowest
         block number on ties) once the erase-count spread across the
-        closed blocks reaches ``threshold``, else None."""
+        closed blocks reaches ``threshold``, else None.
+
+        The closed blocks' spread cannot exceed the spread over every
+        data block, so while that one is below ``threshold`` the answer
+        is None without a pass over the states."""
         states = self.state
+        data_wear = erase_counts[:len(states)]
+        if max(data_wear) - min(data_wear) < threshold:
+            return None
         wear = [erases for erases, state in zip(erase_counts, states)
                 if state == CLOSED]
         if len(wear) < 2:

@@ -205,7 +205,7 @@ class MapLog:
         self._geometry = geometry
         self._blocks = list(map_blocks)
         self._bad_blocks: Set[int] = set()
-        self._records_per_page = records_per_page
+        self.records_per_page = records_per_page
         self._faults = faults
         self._cursor = 0          # index into self._blocks
         # The log's own write pointer per map block, read from the media
@@ -278,10 +278,10 @@ class MapLog:
         """
         if not records:
             raise ValueError("cannot commit an empty delta batch")
-        if len(records) > self._records_per_page:
+        if len(records) > self.records_per_page:
             raise FtlError(
                 f"delta batch of {len(records)} records exceeds the mapping "
-                f"page capacity of {self._records_per_page} — the batch "
+                f"page capacity of {self.records_per_page} — the batch "
                 "would not commit atomically (Section 4.2.2)")
         faults = self._faults
         if not faults.passive:
@@ -306,8 +306,8 @@ class MapLog:
     def append(self, records: Sequence[DeltaRecord]) -> None:
         """Persist records that do not need single-page atomicity (trim
         batches), splitting across pages as needed."""
-        for start in range(0, len(records), self._records_per_page):
-            self.append_atomic(records[start:start + self._records_per_page])
+        for start in range(0, len(records), self.records_per_page):
+            self.append_atomic(records[start:start + self.records_per_page])
 
     # ------------------------------------------------------------ internal
 
@@ -357,7 +357,7 @@ class MapLog:
         if not faults.passive:
             faults.checkpoint("maplog.checkpoint_start")
         pages_per_block = self._geometry.pages_per_block
-        page_capacity = self._records_per_page
+        page_capacity = self.records_per_page
         # Erase the whole rotation first, retiring any block whose erase
         # fails.  A retired block keeps its stale pages; they always lose
         # the seq merge, and the badblk record below marks it dead.

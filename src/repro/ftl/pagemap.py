@@ -94,9 +94,6 @@ class FtlStats:
     erase_fails: int = 0
     corrupt_map_pages: int = 0     # mapping-log pages skipped at recovery
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
-
 
 #: Levels and counts only the firmware knows, as ``(name, kind,
 #: extractor over the FTL)`` rows.  The owning device registers them as
@@ -143,20 +140,20 @@ class PageMappingFtl:
 
     def __init__(self, nand: NandArray, config: Optional[FtlConfig] = None,
                  faults: FaultPlan = NO_FAULTS, telemetry=None) -> None:
+        # Instance attributes stay at 29 or fewer, the most CPython 3.11
+        # keeps in a shared-key instance dict (tests/test_attribute_budget.py):
+        # the geometry comes through the NAND array, the map and data
+        # block ranges are derived where they are read, and the map log
+        # owns the records-per-page capacity.
         self.nand = nand
-        self.geometry = nand.geometry
         self.config = config or FtlConfig()
         self.faults = faults
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        geometry = self.geometry
-        if self.config.map_block_count >= geometry.block_count - 4:
+        geometry = nand.geometry
+        data_block_count = geometry.block_count - self.config.map_block_count
+        if data_block_count <= 4:
             raise ValueError("map region leaves too few data blocks")
-        self._map_blocks = list(range(
-            geometry.block_count - self.config.map_block_count,
-            geometry.block_count))
-        self._data_blocks = list(range(
-            geometry.block_count - self.config.map_block_count))
-        data_pages = len(self._data_blocks) * geometry.pages_per_block
+        data_pages = data_block_count * geometry.pages_per_block
         self._logical_pages = int(data_pages * (1.0 - geometry.overprovision_ratio))
         self.fwd = create_strategy(self.config.l2p_strategy,
                                    self._logical_pages,
@@ -166,20 +163,21 @@ class PageMappingFtl:
         self._fwd_table = self.fwd.table
         self.rev = ReverseMap(self.config.share_table_entries,
                               geometry.total_pages)
-        self._records_per_page = self.config.deltas_per_page(geometry.page_size)
         self.map_work: List[int] = []
-        self.maplog = MapLog(nand, geometry, self._map_blocks,
-                             self._records_per_page, faults,
-                             telemetry=self.telemetry, ledger=self.map_work)
+        self.maplog = MapLog(nand, geometry,
+                             range(data_block_count, geometry.block_count),
+                             self.config.deltas_per_page(geometry.page_size),
+                             faults, telemetry=self.telemetry,
+                             ledger=self.map_work)
         self.maplog.set_snapshot_provider(self._snapshot_records)
         self.stats = FtlStats()
-        # SHARE batch-shape histograms (None when telemetry is off).
-        # Counters and gauges are not pushed: FTL_ROWS / MEDIA_ROWS are
-        # read off this object when the owning device is snapshotted.
-        self._m_batch_pairs = self.telemetry.histogram(
-            "ftl.share.batch_pairs")
-        self._m_contiguous_runs = self.telemetry.histogram(
-            "ftl.share.contiguous_runs")
+        # SHARE batch-shape histograms, (batch pairs, contiguous runs);
+        # None each when telemetry is off.  Counters and gauges are not
+        # pushed: FTL_ROWS / MEDIA_ROWS are read off this object when the
+        # owning device is snapshotted.
+        self._m_share_batch = (
+            self.telemetry.histogram("ftl.share.batch_pairs"),
+            self.telemetry.histogram("ftl.share.contiguous_runs"))
         # Block state, owned here (repro.ftl.blocks): the hot path never
         # asks the media or the geometry what the firmware itself just
         # decided.  The write-pointer and valid-count lists are indexed
@@ -189,10 +187,10 @@ class PageMappingFtl:
         # (block -> the seq of its badblk record).
         self._pages_per_block = geometry.pages_per_block
         self._channel_count = geometry.channel_count
-        if self.config.spare_block_count >= len(self._data_blocks) - 4:
+        if self.config.spare_block_count >= data_block_count - 4:
             raise ValueError("spare_block_count leaves too few data blocks")
         self._blocks = BlockTable(
-            len(self._data_blocks), geometry.pages_per_block,
+            data_block_count, geometry.pages_per_block,
             geometry.channel_count, self.config.spare_block_count)
         self._write_ptr = self._blocks.write_ptr
         self._valid_count = self._blocks.valid
@@ -227,6 +225,19 @@ class PageMappingFtl:
     # ------------------------------------------------------------ geometry
 
     @property
+    def geometry(self):
+        return self.nand.geometry
+
+    @property
+    def _data_blocks(self) -> range:
+        """Data blocks ``0..n-1``; the map log's blocks follow them."""
+        return range(len(self._write_ptr))
+
+    @property
+    def _map_blocks(self) -> range:
+        return range(len(self._write_ptr), self.nand.geometry.block_count)
+
+    @property
     def logical_pages(self) -> int:
         """Size of the LPN address space exposed to the host."""
         return self._logical_pages
@@ -234,7 +245,7 @@ class PageMappingFtl:
     @property
     def max_share_batch(self) -> int:
         """Largest atomic SHARE batch (one mapping page of deltas)."""
-        return self._records_per_page
+        return self.maplog.records_per_page
 
     @property
     def free_block_count(self) -> int:
@@ -575,10 +586,6 @@ class PageMappingFtl:
         """Blocks retired for media failures (never erased or reused)."""
         return set(self._grown_bad)
 
-    @property
-    def spare_pool_level(self) -> int:
-        return len(self._blocks.spares)
-
     def media_report(self) -> Dict[str, int]:
         """The ``media.*`` degradation figures as one snapshot."""
         return {
@@ -611,10 +618,10 @@ class PageMappingFtl:
         if shadow is None:
             raise FtlError(f"unknown transaction: {txn_id}")
         self._check_lpn_range(lpn)
-        if len(shadow) >= self._records_per_page and lpn not in shadow:
+        if len(shadow) >= self.maplog.records_per_page and lpn not in shadow:
             raise FtlError(
                 f"transaction exceeds the atomic commit capacity of "
-                f"{self._records_per_page} pages")
+                f"{self.maplog.records_per_page} pages")
         self._ensure_free_space()
         ppn = self._program_data(data, (), for_gc=False)
         self._note_work("host_program", ppn)
@@ -667,16 +674,6 @@ class PageMappingFtl:
             self._shadow_owner.pop(ppn, None)
             self._valid_count[ppn // self._pages_per_block] -= 1
 
-    def txn_read(self, txn_id: int, lpn: int) -> Any:
-        """Writer's view: the shadow copy when staged, else committed."""
-        shadow = self._txn_shadow.get(txn_id)
-        if shadow is None:
-            raise FtlError(f"unknown transaction: {txn_id}")
-        ppn = shadow.get(lpn)
-        if ppn is not None:
-            return self._read_page(ppn)
-        return self.read(lpn)
-
     # --------------------------------------------------------- atomic write
 
     def write_atomic(self, items: Sequence[Tuple[int, Any]]) -> None:
@@ -699,10 +696,10 @@ class PageMappingFtl:
     def _write_atomic(self, items: Sequence[Tuple[int, Any]]) -> None:
         if not items:
             raise ValueError("empty atomic write")
-        if len(items) > self._records_per_page:
+        if len(items) > self.maplog.records_per_page:
             raise FtlError(
                 f"atomic write of {len(items)} pages exceeds the commit "
-                f"record capacity of {self._records_per_page}")
+                f"record capacity of {self.maplog.records_per_page}")
         lpns = [lpn for lpn, __ in items]
         if len(set(lpns)) != len(lpns):
             raise FtlError("duplicate LPN in atomic write")
@@ -756,7 +753,7 @@ class PageMappingFtl:
         # run, and only once the state above is final: a checkpoint the
         # log takes while programming one snapshots the finished trim.
         pending = self._pending_trims
-        room = self._records_per_page - len(pending)
+        room = self.maplog.records_per_page - len(pending)
         if cleared_count < room:
             pending += [(KIND_TRIM, current, old, None, record_seq)
                         for record_seq, (current, old)
@@ -773,7 +770,7 @@ class PageMappingFtl:
                         in enumerate(cleared[start:stop], first_seq + start)]
             append_atomic(pending)
             pending = []
-            start, stop = stop, stop + self._records_per_page
+            start, stop = stop, stop + self.maplog.records_per_page
 
     def flush(self) -> None:
         """Persist pending mapping changes (trim deltas).  Host writes and
@@ -812,7 +809,7 @@ class PageMappingFtl:
                 self._share_batch(pairs)
 
     def _share_batch(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        validate_batch(pairs, self._logical_pages, self._records_per_page)
+        validate_batch(pairs, self._logical_pages, self.maplog.records_per_page)
         # validate_batch bounds-checked every LPN: resolve both sides of
         # each pair through the strategy's bulk API.  This is the paper's
         # "mapping-only" cost and the simulator's SHARE hot path: the one
@@ -859,8 +856,7 @@ class PageMappingFtl:
         self.stats.share_commands += 1
         self.stats.share_pairs += len(pairs)
         if self.telemetry.tracer.recording:
-            observe_batch(self._m_batch_pairs, self._m_contiguous_runs,
-                          pairs)
+            observe_batch(*self._m_share_batch, pairs)
 
     # ------------------------------------------------------------- allocate
 
@@ -1042,12 +1038,24 @@ class PageMappingFtl:
         cannot be read or re-programmed (shadow pages included) stays
         pinned in the retiring block, and spill lookups are not billed.
         ``inflight`` LPNs (see :meth:`_retire_block`) move with their
-        page but are not re-stamped."""
+        page but are not re-stamped.
+
+        GC under the passive plan with no X-FTL page staged moves the
+        pages as copyback runs (:meth:`_copyback_runs`); this loop takes
+        only what they leave, the page that finds no free block."""
         full = self._pages_per_block
         channels = self._channel_count
         start = victim * full
-        live = self.rev.live_pages(start, start + self._write_ptr[victim])
+        ppns, lpns, shared = self.rev.live_pages(
+            start, start + self._write_ptr[victim])
         shadow = self._shadow_owner
+        moved = 0
+        if ppns and not (shadow or tolerant) and self.faults.passive:
+            moved = self._copyback_runs(victim, ppns, lpns, shared)
+            if not ppns[moved:]:   # all moved
+                return
+        live = [(ppn, *shared[ppn]) if ppn in shared else (ppn, [lpn], False)
+                for ppn, lpn in zip(ppns[moved:], lpns[moved:])]
         if shadow:   # uncommitted X-FTL pages move in PPN order with the rest
             live = sorted(live + [(ppn, None, False)
                                   for ppn in range(start, start + full)
@@ -1095,6 +1103,112 @@ class PageMappingFtl:
                     del share_backed[lpn]
             stats.copyback_pages += 1
             work.append(("copyback", new_ppn // full % channels))
+
+    def _copyback_runs(self, victim: int, ppns: List[int], lpns: List[int],
+                       shared: Dict[int, Tuple[List[int], bool]]) -> int:
+        """Move the live pages of GC victim ``victim`` (as
+        :meth:`ReverseMap.live_pages` gave them) in chunks, each as large
+        as the open GC block has room for, with the effect of
+        :meth:`_evacuate`'s per-page loop: the same PPNs, seqs, stamps,
+        block opens, counters and ledger entries (one per page, a page's
+        ``spill_lookup`` before its ``copyback``).  A chunk is one NAND
+        copyback run, one reverse-map run, one forward-map store and
+        ``_share_backed`` drop per LPN, and one ledger extend; only its
+        shared pages are visited one by one.
+
+        Returns how many pages it moved: all of them, unless the GC block
+        fills with no free block left to open, where the per-page loop
+        takes over and raises as :meth:`_alloc_page` does."""
+        full = self._pages_per_block
+        channels = self._channel_count
+        write_ptr = self._write_ptr
+        valid = self._valid_count
+        blocks = self._blocks
+        table = self._fwd_table
+        share_backed = self._share_backed
+        stats = self.stats
+        spill = ("spill_lookup", victim % channels)
+        count = len(ppns)
+        moved = 0
+        while moved < count:
+            block = self._active_gc
+            if block is None or write_ptr[block] == full:
+                if not blocks.free_count:
+                    break
+                block = self._active_gc = blocks.open(None, block)
+            offset = write_ptr[block]
+            stop = moved + full - offset
+            if stop > count:
+                stop = count
+            size = stop - moved
+            first = block * full + offset
+            sources = ppns[moved:stop]
+            owners = lpns[moved:stop]
+            copyback = ("copyback", block % channels)
+            ledger = [copyback] * size
+            seq = self._seq
+            moves = [(index, shared[ppn]) for index, ppn
+                     in enumerate(sources) if ppn in shared] if shared else ()
+            if not moves:   # one (lpn, seq) stamp per page
+                seqs = range(seq, seq + size)
+                self._seq = seq + size
+                self.nand.copyback_run(first, sources, owners, seqs, {})
+                self.rev.move_run(sources, first)
+            else:
+                # A shared page takes one seq per reference, stamps them
+                # all in the block's overflow, and may need a log lookup.
+                stamps = owners[:]
+                seqs = []
+                spares = {}
+                spilled = []
+                done = 0
+                for index, (refs, spilled_refs) in moves:
+                    seqs += range(seq, seq + index - done)
+                    seq += index - done
+                    seqs += (seq,)   # unread: a record stamp keeps its slot
+                    spares[first + index] = tuple(zip(refs, count_from(seq)))
+                    stamps[index] = -1
+                    seq += len(refs)
+                    if spilled_refs:
+                        spilled += (index,)
+                    done = index + 1
+                seqs += range(seq, seq + size - done)
+                self._seq = seq + size - done
+                self.nand.copyback_run(first, sources, stamps, seqs, spares)
+                self.rev.move_run(sources, first)
+                if spilled:
+                    stats.spill_lookups += len(spilled)
+                    for index in reversed(spilled):
+                        ledger.insert(index, spill)
+            write_ptr[block] = offset + size
+            valid[victim] -= size
+            valid[block] += size
+            if table is not None:
+                for new, lpn in enumerate(owners, first):
+                    table[lpn] = new
+                for index, (refs, __) in moves:
+                    for lpn in refs:
+                        table[lpn] = first + index
+            else:   # in page order: the delta backing's dict keeps it
+                refs_at = {index: refs for index, (refs, __) in moves}
+                fwd_update = self.fwd.update
+                for index, lpn in enumerate(owners):
+                    for ref in refs_at.get(index, (lpn,)):
+                        fwd_update(ref, first + index)
+            if share_backed:
+                # The copies' spares stamp every LPN: the mappings are
+                # recoverable from OOB again, so the log backing drops.
+                for lpn in owners:
+                    if lpn in share_backed:
+                        del share_backed[lpn]
+                for __, (refs, __) in moves:
+                    for lpn in refs:
+                        if lpn in share_backed:
+                            del share_backed[lpn]
+            self.work += ledger
+            stats.copyback_pages += size
+            moved = stop
+        return moved
 
     def _move_shadow_page(self, ppn: int) -> None:
         """GC move of an uncommitted X-FTL shadow page: the copy stays

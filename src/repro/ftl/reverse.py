@@ -111,16 +111,21 @@ class ReverseMap:
         return len(self._extras)
 
     def live_pages(self, start: int, stop: int
-                   ) -> List[Tuple[int, List[int], bool]]:
+                   ) -> Tuple[List[int], List[int],
+                              Dict[int, Tuple[List[int], bool]]]:
         """GC's one question about a victim block, answered in one call:
-        ``(ppn, sorted referencing LPNs, has spilled refs)`` for every
-        valid page in ``[start, stop)``, in PPN order."""
+        the valid pages of ``[start, stop)`` in PPN order as two columns,
+        their PPNs and their primary LPNs, and for each shared one
+        ``ppn: (sorted referencing LPNs, has spilled refs)``.  A page
+        that is not shared costs two list slots, no object of its own."""
+        primaries = self._primary[start:stop]
+        ppns = [ppn for ppn, lpn in enumerate(primaries, start) if lpn >= 0]
+        lpns = [lpn for lpn in primaries if lpn >= 0]
         extras = self._extras
-        return [(ppn, sorted([lpn, *extras[ppn]]),
-                 not all(extras[ppn].values())) if ppn in extras
-                else (ppn, [lpn], False)
-                for ppn, lpn in enumerate(self._primary[start:stop], start)
-                if lpn >= 0]
+        shared = {ppn: (sorted([primaries[ppn - start], *extras[ppn]]),
+                        not all(extras[ppn].values()))
+                  for ppn in ppns if ppn in extras} if extras else {}
+        return ppns, lpns, shared
 
     # ------------------------------------------------------------- updates
 
@@ -173,15 +178,6 @@ class ReverseMap:
             self._spilled_peak = count
         return False
 
-    def is_spilled(self, ppn: int, lpn: int) -> bool:
-        return self._extras.get(ppn, {}).get(lpn) is False
-
-    def spilled_refs_of(self, ppn: int) -> Set[int]:
-        """Extra references of ``ppn`` living in the overflow (GC must pay
-        a flash-log read to learn them)."""
-        return {lpn for lpn, in_table in self._extras.get(ppn, {}).items()
-                if not in_table}
-
     def drop_ref(self, ppn: int, lpn: int) -> bool:
         """Remove ``lpn``'s reference to ``ppn`` (forward map moved away).
 
@@ -219,7 +215,7 @@ class ReverseMap:
         which must hold no data.
 
         ``refs`` is the page's sorted reference list, which the caller
-        already holds (from :meth:`live_pages` or ``sorted(refs(ppn))``).
+        already holds (from :meth:`live_pages`, or ``sorted(refs(ppn))``).
         ``refs[0]`` becomes the spare-stamped owner of the copy; the
         others become extra entries at the new location (their count in
         the table is unchanged).
@@ -249,6 +245,34 @@ class ReverseMap:
         entries = extras[new_ppn] = {}
         for lpn in refs[1:]:
             self._place(entries, lpn)
+
+    def move_run(self, old_ppns: List[int], new_ppn: int) -> None:
+        """Move every reference of the valid pages ``old_ppns`` to
+        ``new_ppn + i`` for each ``i``, a run of pages that hold no data:
+        the effect of :meth:`move_page` with each page's sorted
+        references, in order.  The run's emptiness and its sources'
+        validity are checked once; a page that is not shared moves its
+        primary slot by slice, a shared one goes through
+        :meth:`move_page` in run order, so its extras are placed exactly
+        as one move at a time would place them."""
+        primary = self._primary
+        count = len(old_ppns)
+        stop = new_ppn + count
+        if primary[new_ppn:stop] != [-1] * count:
+            raise ValueError(f"a page of PPNs [{new_ppn}, {stop}) holds data")
+        owners = [primary[old] for old in old_ppns]
+        if -1 in owners:
+            raise ValueError(f"a page of PPNs {old_ppns} holds no data")
+        extras = self._extras
+        if extras:
+            for index, old in [(index, old) for index, old
+                               in enumerate(old_ppns) if old in extras]:
+                refs = sorted([owners[index], *extras[old]])
+                self.move_page(old, new_ppn + index, refs)
+                owners[index] = refs[0]
+        for old in old_ppns:
+            primary[old] = -1
+        primary[new_ppn:stop] = owners
 
     def _place(self, entries: Dict[int, bool], lpn: int) -> None:
         """Give ``lpn`` a table slot if one is free, else spill it — a

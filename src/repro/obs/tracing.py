@@ -113,9 +113,7 @@ class _SuppressedRoot:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        tracer = self._tracer
-        tracer._suppressing = False
-        tracer.recording = tracer._enabled
+        self._tracer.resume()
 
 
 class Tracer:
@@ -174,16 +172,36 @@ class Tracer:
     def depth(self) -> int:
         return len(self._stack)
 
+    def sample_out(self) -> bool:
+        """The root decision for a hot root site, taken before it opens
+        its span: True when the root about to open is sampled out — the
+        tracer stops recording, so the site runs its work bare, and calls
+        :meth:`resume` when the work ends — False when the site's
+        :meth:`span` is kept (or is not a root), which then counts it.
+        A sampled-out root costs these two calls instead of a
+        :meth:`span` and its marker's ``__enter__`` / ``__exit__``, and
+        the 1-in-N sequence is one, however the roots are opened."""
+        if self._stack or not self._root_seq % self.sample_every:
+            return False
+        self._root_seq += 1
+        self._suppressing = True
+        self.recording = False
+        return True
+
+    def resume(self) -> None:
+        """End a root :meth:`sample_out` sampled out: re-arm the tracer
+        for the next root."""
+        self._suppressing = False
+        self.recording = self._enabled
+
     def span(self, name: str, **attrs: Any) -> Any:
         """Open a child of the current span (or a new root)."""
         if not self.recording:
             return NULL_SPAN
         if not self._stack and self.sample_every > 1:
-            self._root_seq += 1
-            if (self._root_seq - 1) % self.sample_every:
-                self._suppressing = True
-                self.recording = False
+            if self.sample_out():
                 return self._suppressed_root
+            self._root_seq += 1
         span_id = self._next_id
         self._next_id += 1
         parent = self._stack[-1] if self._stack else None

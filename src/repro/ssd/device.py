@@ -331,11 +331,16 @@ class Ssd:
                 completion, ticket = body(op_kind, op, *args)
             self._wait(completion, ticket)
             return
-        if tracer.recording:
+        if not tracer.recording:
+            completion, ticket = body(None, None, *args)
+        elif tracer.sample_every > 1 and tracer.sample_out():
+            try:
+                completion, ticket = body(None, None, *args)
+            finally:
+                tracer.resume()
+        else:
             with tracer.span("device." + kind):
                 completion, ticket = body(None, None, *args)
-        else:
-            completion, ticket = body(None, None, *args)
         if self._session is None:
             self.events.submit_and_wait(completion, self, ticket)
 
@@ -344,10 +349,15 @@ class Ssd:
         if self.faults.commands.active:
             self._gate("read", (lpn,))
         tracer = self._tracer
-        if tracer.recording:
-            with tracer.span("device.read"):
+        if not tracer.recording:
+            return self._read(lpn)
+        if tracer.sample_every > 1 and tracer.sample_out():
+            try:
                 return self._read(lpn)
-        return self._read(lpn)
+            finally:
+                tracer.resume()
+        with tracer.span("device.read"):
+            return self._read(lpn)
 
     def _read(self, lpn: int) -> Any:
         ftl = self.ftl

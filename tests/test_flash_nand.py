@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ProgramError, ReadError
 from repro.flash.geometry import FlashGeometry
-from repro.flash.nand import NandArray, PageState
+from repro.flash.nand import NandArray
 from repro.sim.faults import FaultPlan
 
 
@@ -18,7 +18,7 @@ def test_program_then_read(nand):
     nand.program(0, "data", spare=((7, 1),))
     assert nand.read(0) == "data"
     assert nand.read_spare(0) == ((7, 1),)
-    assert nand.state_of(0) is PageState.PROGRAMMED
+    assert nand.is_programmed(0)
 
 
 def test_read_erased_rejected(nand):
@@ -52,7 +52,7 @@ def test_erase_resets_block(nand):
     nand.program(0, "a")
     nand.program(1, "b")
     nand.erase(0)
-    assert nand.state_of(0) is PageState.ERASED
+    assert not nand.is_programmed(0) and not nand.is_failed(0)
     assert nand.programmed_pages_in_block(0) == 0
     nand.program(0, "again")
     assert nand.read(0) == "again"

@@ -247,7 +247,7 @@ class TestShareOverflowLogPolicy:
         page = ftl.fwd.lookup(0)
         ftl.share(9, 0)
         ftl.share(2, 0)
-        assert ftl.rev.is_spilled(page, 2) and not ftl.rev.is_spilled(page, 9)
+        assert ftl.rev._extras[page] == {9: True, 2: False}   # 2 spilled
         ftl.write(0, "private")
         assert ftl.rev.primary_of(page) == 2
         assert ftl.rev.refs(page) == {2, 9}

@@ -5,6 +5,12 @@ import pytest
 from repro.ftl.reverse import ReverseMap
 
 
+def spilled_refs(rev, ppn):
+    """The extra references of ``ppn`` living in the overflow."""
+    return {lpn for lpn, in_table in rev._extras.get(ppn, {}).items()
+            if not in_table}
+
+
 @pytest.fixture
 def rev():
     return ReverseMap(capacity=4, total_pages=64)
@@ -64,7 +70,7 @@ def test_primary_departure_promotes_the_lowest_extra(rev):
         rev.add_extra(10, lpn)
     rev.drop_ref(10, 5)
     assert rev.primary_of(10) == 2
-    assert rev.live_pages(10, 11) == [(10, [2, 7, 9], False)]
+    assert rev.live_pages(10, 11) == ([10], [2], {10: ([2, 7, 9], False)})
     rev.drop_ref(10, 2)
     assert rev.primary_of(10) == 7
     rev.drop_ref(10, 7)
@@ -92,7 +98,7 @@ def test_is_full(rev):
 def test_move_page_transfers_refs(rev):
     rev.set_primary(10, 1)
     rev.add_extra(10, 2)
-    assert rev.live_pages(8, 12) == [(10, [1, 2], False)]
+    assert rev.live_pages(8, 12) == ([10], [1], {10: ([1, 2], False)})
     rev.move_page(10, 20, [1, 2])
     assert rev.refs(10) == set()
     assert rev.refs(20) == {1, 2}
@@ -156,11 +162,11 @@ class TestSpillChurn:
         assert fits == [True] * 4 + [False] * 2
         assert rev.extra_entries == 4
         assert rev.spilled_entries == 2
-        assert rev.spilled_refs_of(10) == {5, 6}
+        assert spilled_refs(rev, 10) == {5, 6}
         # Spilled references still count as references: the page stays
         # valid and refs() reports them.
         assert rev.refs(10) == set(range(7))
-        assert rev.is_spilled(10, 5) and not rev.is_spilled(10, 1)
+        assert 5 in spilled_refs(rev, 10) and 1 not in spilled_refs(rev, 10)
 
     def test_drop_spilled_ref_releases_overflow(self, rev):
         rev.set_primary(10, 0)
@@ -169,7 +175,7 @@ class TestSpillChurn:
         assert rev.spilled_entries == 1
         assert not rev.drop_ref(10, 5)
         assert rev.spilled_entries == 0
-        assert rev.spilled_refs_of(10) == set()
+        assert spilled_refs(rev, 10) == set()
         assert rev.refs(10) == {0, 1, 2, 3, 4}
 
     def test_peak_is_monotone_high_water_mark(self, rev):
@@ -199,9 +205,9 @@ class TestSpillChurn:
         assert rev.spilled_peak == 1
         # GC moves the spilled page; the table is still full of PPN 10's
         # entries, so the moved extra lands in overflow at its new home.
-        assert rev.live_pages(20, 21) == [(20, [50, 51], True)]
+        assert rev.live_pages(20, 21) == ([20], [50], {20: ([50, 51], True)})
         rev.move_page(20, 21, [50, 51])
-        assert rev.is_spilled(21, 51)
+        assert spilled_refs(rev, 21) == {51}
         assert rev.spilled_entries == 1
         assert rev.spilled_peak == 1
 

@@ -49,11 +49,11 @@ def untouched_device_refuses(pairs, match):
     for lpn in range(8):
         ssd.write(lpn, ("v", lpn))
     before = (ssd.stats.snapshot(), ssd.clock.now_us, ssd.ftl.fwd.snapshot(),
-              ssd.ftl.stats.as_dict(), ssd.ftl.map_page_writes, ssd.ftl._seq)
+              dict(vars(ssd.ftl.stats)), ssd.ftl.map_page_writes, ssd.ftl._seq)
     with pytest.raises(ShareError, match=match):
         ssd.share_batch(pairs)
     assert before == (ssd.stats.snapshot(), ssd.clock.now_us,
-                      ssd.ftl.fwd.snapshot(), ssd.ftl.stats.as_dict(),
+                      ssd.ftl.fwd.snapshot(), dict(vars(ssd.ftl.stats)),
                       ssd.ftl.map_page_writes, ssd.ftl._seq)
     ssd.ftl.check_invariants()
 

@@ -131,7 +131,7 @@ def run_mixed(ssd, seed, ops, program_fault_every=0, on_power_cycle=None):
         roll = rng.random()
         lpn = pick()
         if program_fault_every and index % program_fault_every == 0 \
-                and ssd.ftl.spare_pool_level:
+                and ssd.ftl.spare_blocks():
             media = ssd.faults.media
             media.arm(ProgramFault(
                 nth=media.op_counts["program"] + rng.randrange(1, 40)))

@@ -160,7 +160,7 @@ class TestWearAccounting:
         nand = NandArray(small_geometry())
         assert nand.wear_summary() == {"min": 0, "mean": 0.0, "max": 0}
         assert nand.max_erase_count == 0
-        assert nand.total_erase_count == 0
+        assert sum(nand.erase_counts) == 0
 
     def test_wear_summary_tracks_per_block_erases(self):
         nand = NandArray(small_geometry(block_count=4))
@@ -173,7 +173,7 @@ class TestWearAccounting:
         assert summary["max"] == 3
         assert summary["mean"] == pytest.approx(1.0)
         assert nand.max_erase_count == 3
-        assert nand.total_erase_count == 4
+        assert sum(nand.erase_counts) == 4
 
     def test_erase_resets_program_order_and_counts_wear(self):
         nand = NandArray(small_geometry())
@@ -231,12 +231,12 @@ class TestFtlDegradation:
         ssd = make_ssd(faults, spare_blocks=1)
         for lpn in range(10):
             ssd.write(lpn, ("v", lpn))
-        assert ssd.ftl.spare_pool_level == 1
+        assert ssd.ftl.media_report()["spare_pool"] == 1
         faults.media.arm(
             ProgramFault(nth=faults.media.op_counts["program"] + 1))
         ssd.write(5, "rewritten")
         assert len(ssd.ftl.grown_bad_blocks) == 1
-        assert ssd.ftl.spare_pool_level == 0   # spare backfilled the pool
+        assert ssd.ftl.media_report()["spare_pool"] == 0   # spare backfilled the pool
         assert ssd.ftl.stats.program_fails == 1
         assert ssd.read(5) == "rewritten"
         for lpn in range(10):
@@ -257,7 +257,7 @@ class TestFtlDegradation:
         bad = ssd.ftl.grown_bad_blocks
         ssd.power_cycle()
         assert ssd.ftl.grown_bad_blocks == bad
-        assert ssd.ftl.spare_pool_level == 0
+        assert ssd.ftl.media_report()["spare_pool"] == 0
         assert not bad & set(ssd.ftl.free_blocks())
         assert ssd.read(5) == "rewritten"
         for lpn in range(10):

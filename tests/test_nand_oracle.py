@@ -9,6 +9,7 @@ counter and per-page answer after every step.
 """
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Any, List, Optional, Tuple
 
 from hypothesis import given, settings
@@ -17,12 +18,19 @@ from hypothesis import strategies as st
 from repro.errors import (EraseFailError, ProgramError, ProgramFailError,
                           ReadError, UncorrectableReadError)
 from repro.flash.geometry import FlashGeometry
-from repro.flash.nand import NandArray, PageState
+from repro.flash.nand import NandArray
 from repro.sim.faults import (CORRUPT_PAYLOAD, NO_FAULTS, CorruptRead,
                               EraseFault, FaultPlan, ProgramFault, ReadFault)
 
 
 # ------------------------------------------------------ reference array
+
+class PageState(Enum):
+    """Lifecycle of one physical page."""
+
+    ERASED = "erased"
+    PROGRAMMED = "programmed"
+
 
 @dataclass
 class _Page:
@@ -174,10 +182,6 @@ class RefNandArray:
 
     # -------------------------------------------------------------- queries
 
-    def state_of(self, ppn: int) -> PageState:
-        self.geometry.check_ppn(ppn)
-        return self._pages[ppn].state
-
     def is_programmed(self, ppn: int) -> bool:
         """True when the page holds *readable* programmed data (a page that
         failed during program is not usable and reports False)."""
@@ -215,10 +219,6 @@ class RefNandArray:
     def max_erase_count(self) -> int:
         return max(self.erase_counts)
 
-    @property
-    def total_erase_count(self) -> int:
-        return sum(self.erase_counts)
-
     def wear_summary(self) -> Optional[dict]:
         """Min/mean/max erase counts — the lifespan metric of §5.3.1."""
         counts = self.erase_counts
@@ -245,7 +245,6 @@ FAULTS = {"program_fault": ProgramFault, "read_fault": ReadFault,
 def observe(nand):
     """Every counter and every per-page answer."""
     return {
-        "state_of": [nand.state_of(ppn) for ppn in range(PAGES)],
         "is_programmed": [nand.is_programmed(ppn) for ppn in range(PAGES)],
         "is_failed": [nand.is_failed(ppn) for ppn in range(PAGES)],
         "scan_block": [nand.scan_block(block) for block in range(BLOCKS)],
@@ -257,8 +256,7 @@ def observe(nand):
         "counters": (nand.total_programs, nand.total_reads,
                      nand.total_erases, nand.failed_programs,
                      nand.failed_reads, nand.failed_erases),
-        "wear": (nand.max_erase_count, nand.total_erase_count,
-                 nand.wear_summary()),
+        "wear": (nand.max_erase_count, nand.wear_summary()),
     }
 
 
@@ -303,7 +301,6 @@ operations = st.one_of(
     st.tuples(st.just("read_spare"), ppns),
     st.tuples(st.just("erase"), blocks),
     st.tuples(st.just("scan_block"), blocks),
-    st.tuples(st.just("state_of"), ppns),
     st.tuples(st.just("is_programmed"), ppns),
     st.tuples(st.just("is_failed"), ppns),
     st.tuples(st.just("program_fault"), st.one_of(
@@ -336,6 +333,6 @@ def test_failed_page_is_consumed_unreadable_and_cleared_by_erase():
         ("erase", 1),
         ("program_next", 1, 10),
     ])
-    assert new.state_of(5) is PageState.ERASED
+    assert not new.is_programmed(5) and not new.is_failed(5)
     assert new.scan_block(1) == [(4, ((10, 4),))]
     assert new.failed_programs == 1 and new.failed_reads == 1

@@ -11,6 +11,10 @@ use) and an ``__all__`` list.  A name bound in a module by an import from
 outside ``repro`` (``from collections import Counter``) is that other
 name there, not ours.
 
+The public methods and properties of the classes in
+:data:`CLASS_SCANNED` are held to the same rule (by name: a method is
+used where any caller names it).
+
 Code that only its own unit tests reach is cost without a user: delete
 it with its tests, or give it the caller that justifies it.  The scan is
 over the AST, so prose naming a function keeps nothing alive."""
@@ -31,12 +35,31 @@ ALLOWED = {
 }
 
 
-def public_definitions(tree):
-    """The module-level public function and class nodes of ``tree``."""
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")]
+#: Modules whose class bodies are scanned too: a public method or
+#: property defined there needs a caller as a module-level name does.
+CLASS_SCANNED = frozenset({
+    "src/repro/flash/nand.py",
+    "src/repro/ftl/reverse.py",
+    "src/repro/ftl/blocks.py",
+    "src/repro/ftl/pagemap.py",
+})
+
+
+def public_definitions(tree, class_bodies=False):
+    """``(label, node)`` for the module-level public function and class
+    nodes of ``tree`` and, with ``class_bodies``, the public methods and
+    properties of its classes (labelled ``Class.name``)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = [(node.name, node) for node in tree.body
+             if isinstance(node, functions + (ast.ClassDef,))
+             and not node.name.startswith("_")]
+    if class_bodies:
+        found += [(f"{owner.name}.{node.name}", node)
+                  for owner in tree.body if isinstance(owner, ast.ClassDef)
+                  for node in owner.body
+                  if isinstance(node, functions)
+                  and not node.name.startswith("_")]
+    return found
 
 
 def foreign_imports(tree):
@@ -85,9 +108,10 @@ def uses(path, tree, skip=None):
             - foreign_imports(tree))
 
 
-def unused_public_names(modules):
+def unused_public_names(modules, class_scanned=CLASS_SCANNED):
     """``path:line name`` for each public name defined under ``src/``
-    that no caller module names.  ``modules`` is ``(relative path,
+    that no caller module names (methods and properties too, in the
+    ``class_scanned`` modules).  ``modules`` is ``(relative path,
     source)`` pairs; only those under :data:`CALLER_DIRS` are callers."""
     trees = {path: ast.parse(source) for path, source in modules
              if path.split("/", 1)[0] in CALLER_DIRS}
@@ -96,13 +120,13 @@ def unused_public_names(modules):
     for path, tree in trees.items():
         if not path.startswith("src/"):
             continue
-        for node in public_definitions(tree):
+        for label, node in public_definitions(tree, path in class_scanned):
             if any(node.name in names for other, names in used_by.items()
                    if other != path):
                 continue
             if node.name in uses(path, tree, skip=node):
                 continue
-            unused.append(f"{path}:{node.lineno} {node.name}")
+            unused.append(f"{path}:{node.lineno} {label}")
     return unused
 
 
@@ -134,6 +158,27 @@ def test_the_scan_flags_names_without_a_real_caller():
     ]
     flagged = {line.split(" ")[1] for line in unused_public_names(modules)}
     assert flagged == {"unused", "exported", "tested", "listed", "Counter"}
+
+
+def test_the_class_scan_flags_methods_without_a_real_caller():
+    modules = [
+        ("src/repro/dev.py",
+         "class Device:\n"
+         "    def used(self):\n        return self._private()\n"
+         "    def unused(self):\n        return self.unused()\n"
+         "    @property\n    def level(self):\n        return 1\n"
+         "    def _private(self):\n        pass\n"),
+        ("src/repro/other.py",
+         "class Other:\n    def unscanned(self):\n        pass\n"),
+        ("src/repro/user.py",
+         "from repro.dev import Device, Other\n"
+         "Device().used()\nOther()\n"),
+        ("tests/test_dev.py",
+         "from repro.dev import Device\nDevice().level\n"),
+    ]
+    flagged = {line.split(" ")[1] for line
+               in unused_public_names(modules, {"src/repro/dev.py"})}
+    assert flagged == {"Device.unused", "Device.level"}
 
 
 def test_every_public_name_under_src_has_a_caller_outside_tests():

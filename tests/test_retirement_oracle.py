@@ -115,7 +115,7 @@ def run(monkeypatch, seed, fault, use_oracle):
     #                holds shared pages and old copies of in-flight LPNs
     txn = ftl.begin_txn()
     for index in range(5000):
-        if index % 250 == 100 and ftl.spare_pool_level:
+        if index % 250 == 100 and ftl.spare_blocks():
             counts = faults.media.op_counts
             if fault == "program" and index % 500 == 100:
                 # Aimed at a host rewrite of an LPN whose old copy sits
@@ -178,7 +178,7 @@ def test_unified_evacuation_matches_the_retirement_oracle(
     blocks = range(ftl.geometry.block_count)
     assert [ftl.nand.scan_block(block) for block in blocks] == \
         [oracle.nand.scan_block(block) for block in blocks]
-    assert ftl.stats.as_dict() == oracle.stats.as_dict()
+    assert vars(ftl.stats) == vars(oracle.stats)
     assert ftl.take_work() == oracle.take_work()
     assert ftl.grown_bad_blocks == oracle.grown_bad_blocks
     ftl.check_invariants()

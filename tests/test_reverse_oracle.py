@@ -90,15 +90,18 @@ class RefReverseMap:
     def primary_of(self, ppn: int) -> Optional[int]:
         return self._primary.get(ppn)
 
-    def live_pages(self, start: int, stop: int
-                   ) -> List[Tuple[int, List[int], bool]]:
+    def live_pages(self, start: int, stop: int):
         """GC's one question about a victim block, answered in one call:
-        ``(ppn, sorted referencing LPNs, has spilled refs)`` for every
-        valid page in ``[start, stop)``, in PPN order."""
+        the PPNs and primary LPNs of the valid pages in ``[start, stop)``,
+        in PPN order, and ``ppn: (sorted referencing LPNs, has spilled
+        refs)`` for each shared one."""
         refs = self._refs
         spilled = self._spilled
-        return [(ppn, sorted(refs[ppn]), ppn in spilled)
-                for ppn in range(start, stop) if ppn in refs]
+        ppns = [ppn for ppn in range(start, stop) if ppn in refs]
+        return (ppns,
+                [self._primary[ppn] for ppn in ppns],
+                {ppn: (sorted(refs[ppn]), ppn in spilled) for ppn in ppns
+                 if len(refs[ppn]) > 1})
 
     # ------------------------------------------------------------- updates
 
@@ -127,9 +130,6 @@ class RefReverseMap:
         self._spilled.setdefault(ppn, set()).add(lpn)
         self._note_spill()
         return False
-
-    def is_spilled(self, ppn: int, lpn: int) -> bool:
-        return lpn in self._spilled.get(ppn, ())
 
     def spilled_refs_of(self, ppn: int) -> Set[int]:
         """Extra references of ``ppn`` living in the overflow (GC must pay
@@ -241,6 +241,14 @@ PAGES = 12          # small spaces, so collisions, spills and promotions
 LPNS = 24           # are the common case
 
 
+def spilled_refs(rev, ppn):
+    """The extra references of ``ppn`` living in the overflow."""
+    if isinstance(rev, ReverseMap):
+        return {lpn for lpn, in_table in rev._extras.get(ppn, {}).items()
+                if not in_table}
+    return rev.spilled_refs_of(ppn)
+
+
 def observe(rev):
     """Everything a caller can learn from a reverse map."""
     return {
@@ -249,10 +257,7 @@ def observe(rev):
         "primary_of": [rev.primary_of(ppn) for ppn in range(PAGES)],
         "live_pages": rev.live_pages(0, PAGES),
         "extra_entries": rev.extra_entries,
-        "is_spilled": [[rev.is_spilled(ppn, lpn) for lpn in range(LPNS)]
-                       for ppn in range(PAGES)],
-        "spilled_refs_of": [rev.spilled_refs_of(ppn)
-                            for ppn in range(PAGES)],
+        "spilled_refs": [spilled_refs(rev, ppn) for ppn in range(PAGES)],
         "spilled_entries": rev.spilled_entries,
         "spilled_peak": rev.spilled_peak,
     }

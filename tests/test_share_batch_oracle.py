@@ -94,9 +94,9 @@ class RefFtl(PageMappingFtl):
         rev = self.rev
         for dst_lpn, old_ppn, src_ppn in resolved:
             seq = self._next_seq()
-            was_spilled = rev.is_spilled(src_ppn, dst_lpn)
+            was_spilled = is_spilled(rev, src_ppn, dst_lpn)
             rev.add_extra(src_ppn, dst_lpn)
-            if rev.is_spilled(src_ppn, dst_lpn) and not was_spilled:
+            if is_spilled(rev, src_ppn, dst_lpn) and not was_spilled:
                 self.stats.share_log_spills += 1
             fwd.remap(dst_lpn, src_ppn)
             if old_ppn is not None and old_ppn != src_ppn:
@@ -123,8 +123,13 @@ class RefFtl(PageMappingFtl):
             self._pending_trims.append(
                 DeltaRecord(KIND_TRIM, current, old, None, seq))
             self.stats.trim_pages += 1
-        if len(self._pending_trims) >= self._records_per_page:
+        if len(self._pending_trims) >= self.maplog.records_per_page:
             self._flush_pending_trims()
+
+
+def is_spilled(rev, ppn, lpn):
+    """Does ``lpn``'s reference to ``ppn`` live in the overflow?"""
+    return rev._extras.get(ppn, {}).get(lpn) is False
 
 
 # ---------------------------------------------------------------- driver
@@ -199,7 +204,7 @@ def observe(ftl, unseal):
         "extras": [(ppn, list(entries.items()))
                    for ppn, entries in rev._extras.items()],
         "spilled_count": (rev.spilled_entries, rev.spilled_peak),
-        "stats": ftl.stats.as_dict(),
+        "stats": dict(vars(ftl.stats)),
         "seq": ftl._seq,
         "share_backed": list(ftl._share_backed.items()),
         "tombstones": list(ftl._trim_tombstones.items()),

@@ -23,15 +23,6 @@ class TestDeviceTransactions:
         ssd.commit_txn(txn)
         assert ssd.read(5) == "new"
 
-    def test_txn_read_sees_shadow(self, ssd):
-        ssd.write(5, "old")
-        ssd.write(6, "committed")
-        txn = ssd.begin_txn()
-        ssd.write_txn(txn, 5, "new")
-        assert ssd.ftl.txn_read(txn, 5) == "new"     # shadow copy
-        assert ssd.ftl.txn_read(txn, 6) == "committed"  # committed path
-        ssd.commit_txn(txn)
-
     def test_abort_discards(self, ssd):
         ssd.write(5, "old")
         txn = ssd.begin_txn()
