@@ -180,6 +180,9 @@ def _compact_share(store: CouchStore, clock: SimClock, suffix: str
         entries.append((key, (cursor, length)))
         cursor += length
         docs_moved += 1
+    # The tree's pointer list is done with: it must not stay alive
+    # through the SHARE, the index build and the old file's TRIM.
+    del pointers
     share_commands = 0
     if ranges:
         # The destination file blocks come from new_file; sources from the
@@ -203,6 +206,9 @@ def _compact_share(store: CouchStore, clock: SimClock, suffix: str
     # from the tree in key order, so ``entries`` is already sorted.
     faults.checkpoint("couch.compact_index")
     nodes = new_store.tree.bulk_load(entries)
+    # Neither list is needed again; the rename's TRIM of the old file
+    # runs without them.
+    del ranges, entries
     faults.checkpoint("couch.compact_header")
     new_store._append(header_record(new_store.tree.root_block,
                                     new_store.update_seq,

@@ -129,11 +129,14 @@ class MappingStrategy:
         for dst_lpn, __, src_ppn in resolved:
             self.remap(dst_lpn, src_ppn)
 
-    def clear_range(self, lpn: int, count: int) -> List[Tuple[int, int]]:
+    def clear_range(self, lpn: int, count: int) -> List[int]:
         """Bulk TRIM: drop every mapping in ``[lpn, lpn + count)``; returns
-        ``(lpn, old_ppn)`` for each LPN that held one, ascending."""
-        return [(current, old) for current in range(lpn, lpn + count)
-                if (old := self.clear(current)) is not None]
+        each LPN's previous raw entry, in LPN order (``UNMAPPED`` where it
+        had none) — the shape :meth:`update_run` returns, and no object
+        per LPN."""
+        clear = self.clear
+        return [UNMAPPED if (old := clear(current)) is None else old
+                for current in range(lpn, lpn + count)]
 
     def update_run(self, lpn: int, ppns: List[int]) -> List[int]:
         """Bulk write: :meth:`update` ``lpn + i`` to ``ppns[i]``, in LPN
@@ -238,15 +241,13 @@ class FlatListMap(MappingStrategy):
                 self._mapped_count += 1
             table[dst_lpn] = src_ppn
 
-    def clear_range(self, lpn: int, count: int) -> List[Tuple[int, int]]:
+    def clear_range(self, lpn: int, count: int) -> List[int]:
         table = self.table
         stop = lpn + count
-        cleared = [(current, ppn)
-                   for current, ppn in enumerate(table[lpn:stop], lpn)
-                   if ppn != UNMAPPED]
+        olds = table[lpn:stop]
         table[lpn:stop] = [UNMAPPED] * count
-        self._mapped_count -= len(cleared)
-        return cleared
+        self._mapped_count -= count - olds.count(UNMAPPED)
+        return olds
 
     def update_run(self, lpn: int, ppns: List[int]) -> List[int]:
         table = self.table

@@ -130,6 +130,20 @@ class _RecoveredState:
     grown_bad: Dict[int, int] = field(default_factory=dict)  # block -> seq
 
 
+def _trim_records(olds: List[int], lpn: int, seq: int) -> List[DeltaRecord]:
+    """The TRIM records of a window of :meth:`MappingStrategy.clear_range`'s
+    result starting at ``lpn``: one per LPN that held a mapping, seqs from
+    ``seq`` on."""
+    if UNMAPPED in olds:
+        mapped = [(current, old) for current, old in enumerate(olds, lpn)
+                  if old != UNMAPPED]
+        return [(KIND_TRIM, current, old, None, record_seq)
+                for record_seq, (current, old) in enumerate(mapped, seq)]
+    return [(KIND_TRIM, current, old, None, record_seq)
+            for record_seq, (current, old) in enumerate(enumerate(olds, lpn),
+                                                        seq)]
+
+
 class PageMappingFtl:
     """The firmware: read/write/trim/share/flush over a :class:`NandArray`.
 
@@ -730,47 +744,58 @@ class PageMappingFtl:
     def _trim(self, lpn: int, count: int) -> None:
         self._check_lpn_range(lpn, count)
         self.stats.trim_commands += 1
-        cleared = self.fwd.clear_range(lpn, count)
-        if not cleared:
-            return
+        # The range's old raw entries, UNMAPPED where an LPN had none:
+        # one list slot per LPN, walked twice, never a tuple per LPN.
+        olds = self.fwd.clear_range(lpn, count)
         drop_ref = self.rev.drop_ref
         valid = self._valid_count
         full = self._pages_per_block
         tombstones = self._trim_tombstones
         share_backed = self._share_backed
         first_seq = seq = self._seq   # one per LPN that held a mapping
-        for current, old in cleared:
+        for current, old in enumerate(olds, lpn):
+            if old == UNMAPPED:
+                continue
             if drop_ref(old, current):
                 valid[old // full] -= 1
             tombstones[current] = seq
             if current in share_backed:
                 del share_backed[current]
             seq += 1
+        trimmed = seq - first_seq
+        if not trimmed:
+            return
         self._seq = seq
-        cleared_count = len(cleared)
-        self.stats.trim_pages += cleared_count
+        self.stats.trim_pages += trimmed
         # The records exist one map page at a time, never for the whole
         # run, and only once the state above is final: a checkpoint the
         # log takes while programming one snapshots the finished trim.
         pending = self._pending_trims
-        room = self.maplog.records_per_page - len(pending)
-        if cleared_count < room:
-            pending += [(KIND_TRIM, current, old, None, record_seq)
-                        for record_seq, (current, old)
-                        in enumerate(cleared, first_seq)]
+        per_page = self.maplog.records_per_page
+        if trimmed < per_page - len(pending):
+            pending += _trim_records(olds, lpn, first_seq)
             return
         # The pending page fills: it and every page after it go out, on
         # the boundaries one append of the whole pending list would cut.
+        # The slice is walked a page's worth of LPNs at a time; a window
+        # with unmapped LPNs yields fewer records, and what overflows
+        # the page opens the next one.
         self._pending_trims = []
         append_atomic = self.maplog.append_atomic
-        start, stop = 0, room
-        while start < cleared_count:
-            pending += [(KIND_TRIM, current, old, None, record_seq)
-                        for record_seq, (current, old)
-                        in enumerate(cleared[start:stop], first_seq + start)]
+        seq = first_seq
+        for start in range(0, count, per_page):
+            records = _trim_records(olds[start:start + per_page],
+                                    lpn + start, seq)
+            seq += len(records)
+            room = per_page - len(pending)
+            if len(records) < room:
+                pending += records
+                continue
+            pending += records[:room]
             append_atomic(pending)
-            pending = []
-            start, stop = stop, stop + self.maplog.records_per_page
+            pending = records[room:]
+        if pending:
+            append_atomic(pending)
 
     def flush(self) -> None:
         """Persist pending mapping changes (trim deltas).  Host writes and

@@ -17,17 +17,18 @@ This module keeps the same split.  Every valid physical page has
 * *extra* references created by SHARE — these consume share-table capacity.
 
 A page that is not shared right now costs nothing beyond its primary
-slot.  A shared page holds one dict, ``{extra LPN: in the table?}``, for
-exactly as long as it has an extra reference.  When a primary leaves, the
-lowest extra LPN is promoted in its place — the rule GC applies when it
-stamps a copy with its lowest reference — and its entry frees.
+slot.  A shared page holds one small tuple of its extra LPNs, ascending,
+for exactly as long as it has an extra reference.  When a primary leaves,
+the lowest extra LPN is promoted in its place — the rule GC applies when
+it stamps a copy with its lowest reference — and its entry frees.
 
-When the share table is full, a new extra reference *spills*: it stays
-resolvable from the flash-resident mapping log (every SHARE delta is
-persisted there), so correctness is unaffected and only GC pays — a log
-lookup read when it moves a page with spilled references.  The
-reproduction counts spills so experiments can show what a table of the
-paper's size costs.
+The share table itself is one container of ``(ppn, lpn)`` entries that
+never holds more than ``capacity`` of them.  When it is full, a new extra
+reference *spills*: it stays resolvable from the flash-resident mapping
+log (every SHARE delta is persisted there), so correctness is unaffected
+and only GC pays — a log lookup read when it moves a page with spilled
+references.  The reproduction counts spills so experiments can show what
+a table of the paper's size costs.
 """
 
 from __future__ import annotations
@@ -53,12 +54,16 @@ class ReverseMap:
         self._total_pages = total_pages
         # The spare-stamped owner of each physical page, -1 = none.
         self._primary: List[int] = [-1] * total_pages
-        # The extra references of each shared page: lpn -> True when the
-        # entry holds a DRAM table slot, False when it spilled.  A spilled
-        # entry remains resolvable (the mapping log persists every share
-        # delta, so firmware can re-read it from flash); resolving it
-        # costs a flash read instead of a DRAM lookup.
-        self._extras: Dict[int, Dict[int, bool]] = {}
+        # The extra references of each shared page, ascending.
+        self._extras: Dict[int, Tuple[int, ...]] = {}
+        # The DRAM share table: one (ppn, lpn) key per extra reference
+        # holding a slot, never more than ``capacity``.  An extra that is
+        # not here spilled: it remains resolvable (the mapping log
+        # persists every share delta, so firmware can re-read it from
+        # flash), but resolving it costs a flash read instead of a DRAM
+        # lookup.  The two counters below are kept in step with it and
+        # with ``_extras`` (:meth:`check` verifies both).
+        self._table: Dict[Tuple[int, int], None] = {}
         self._in_table = 0
         self._spilled_count = 0
         self._spilled_peak = 0
@@ -122,8 +127,10 @@ class ReverseMap:
         ppns = [ppn for ppn, lpn in enumerate(primaries, start) if lpn >= 0]
         lpns = [lpn for lpn in primaries if lpn >= 0]
         extras = self._extras
+        table = self._table
         shared = {ppn: (sorted([primaries[ppn - start], *extras[ppn]]),
-                        not all(extras[ppn].values()))
+                        [lpn for lpn in extras[ppn]
+                         if (ppn, lpn) not in table] != [])
                   for ppn in ppns if ppn in extras} if extras else {}
         return ppns, lpns, shared
 
@@ -160,18 +167,25 @@ class ReverseMap:
             return False
         extras = self._extras
         if ppn in extras:
+            # Keep the tuple ascending; a page shared once more only
+            # pays a call when the new LPN lands between two extras.
             entries = extras[ppn]
             if lpn in entries:
-                return entries[lpn]
+                return (ppn, lpn) in self._table
+            if lpn > entries[-1]:
+                extras[ppn] = entries + (lpn,)
+            elif lpn < entries[0]:
+                extras[ppn] = (lpn,) + entries
+            else:
+                extras[ppn] = tuple(sorted(entries + (lpn,)))
         elif primary < 0:
             raise ValueError(f"PPN {ppn} holds no data to share")
         else:
-            entries = extras[ppn] = {}
+            extras[ppn] = (lpn,)
         if self._in_table < self._capacity:
-            entries[lpn] = True
+            self._table[(ppn, lpn)] = None
             self._in_table += 1
             return True
-        entries[lpn] = False
         self.spill_adds += 1
         self._spilled_count = count = self._spilled_count + 1
         if count > self._spilled_peak:
@@ -196,17 +210,24 @@ class ReverseMap:
             # The primary reference left: promote the lowest extra.  The
             # spare stamp is stale but the DRAM table now owns the page,
             # and GC will restamp it on the next copyback.
-            lpn = primary[ppn] = min(entries)
+            lpn = primary[ppn] = entries[0]
         elif lpn not in entries:
             return False
         # Forget the entry of the extra that left or was promoted.
-        if entries[lpn]:
+        if entries[0] == lpn:
+            entries = entries[1:]
+        else:
+            entries = tuple([extra for extra in entries if extra != lpn])
+        if entries:
+            extras[ppn] = entries
+        else:
+            del extras[ppn]
+        key = (ppn, lpn)
+        if key in self._table:
+            del self._table[key]
             self._in_table -= 1
         else:
             self._spilled_count -= 1
-        del entries[lpn]
-        if not entries:
-            del extras[ppn]
         return False
 
     def move_page(self, old_ppn: int, new_ppn: int,
@@ -235,16 +256,23 @@ class ReverseMap:
             primary[old_ppn] = -1
             primary[new_ppn] = owner
             return
-        if {primary[old_ppn], *extras[old_ppn]} != set(refs):
+        if {primary[old_ppn], *extras[old_ppn]} != {*refs}:
             raise ValueError(
                 f"{refs} are not the references of PPN {old_ppn}")
         # Drop the old entries before placing the new ones: the table
         # fills first, so the spilled count cannot pass its peak.
         self._forget_page(old_ppn)
-        primary[new_ppn] = refs[0]
-        entries = extras[new_ppn] = {}
-        for lpn in refs[1:]:
-            self._place(entries, lpn)
+        owner = primary[new_ppn] = refs[0]
+        entries = extras[new_ppn] = tuple(sorted({*refs} - {owner}))
+        # Free slots go to the extras in ``refs`` order.
+        table = self._table
+        room = free = self._capacity - self._in_table
+        for lpn in refs:
+            if room and lpn != owner and (new_ppn, lpn) not in table:
+                table[(new_ppn, lpn)] = None
+                room -= 1
+        self._in_table += free - room
+        self._spilled_count += len(entries) - (free - room)
 
     def move_run(self, old_ppns: List[int], new_ppn: int) -> None:
         """Move every reference of the valid pages ``old_ppns`` to
@@ -274,20 +302,13 @@ class ReverseMap:
             primary[old] = -1
         primary[new_ppn:stop] = owners
 
-    def _place(self, entries: Dict[int, bool], lpn: int) -> None:
-        """Give ``lpn`` a table slot if one is free, else spill it — a
-        move or a reload, so neither :attr:`spill_adds` nor the peak."""
-        if self._in_table < self._capacity:
-            entries[lpn] = True
-            self._in_table += 1
-        else:
-            entries[lpn] = False
-            self._spilled_count += 1
-
     def _forget_page(self, ppn: int) -> None:
         self._primary[ppn] = -1
-        for in_table in self._extras.pop(ppn, {}).values():
-            if in_table:
+        table = self._table
+        for lpn in self._extras.pop(ppn, ()):
+            key = (ppn, lpn)
+            if key in table:
+                del table[key]
                 self._in_table -= 1
             else:
                 self._spilled_count -= 1
@@ -296,39 +317,54 @@ class ReverseMap:
 
     def rebuild(self, entries: Iterable[Tuple[int, int, bool]]) -> None:
         """Reload from recovery: ``entries`` yields (ppn, lpn, is_primary);
-        extras are placed in entry order, table first."""
+        extras take table slots in entry order, the rest spill."""
         self._primary = primary = [-1] * self._total_pages
         self._extras = extras = {}
-        self._in_table = self._spilled_count = 0
+        self._table = table = {}
+        capacity = self._capacity
+        spilled = 0
         for ppn, lpn, is_primary in entries:
             if is_primary:
                 primary[ppn] = lpn
+                continue
+            extras[ppn] = extras.get(ppn, ()) + (lpn,)
+            if len(table) < capacity:
+                table[(ppn, lpn)] = None
             else:
-                self._place(extras.setdefault(ppn, {}), lpn)
-        self._spilled_peak = self._spilled_count
+                spilled += 1
+        for ppn, lpns in extras.items():
+            extras[ppn] = tuple(sorted(lpns))
+        self._in_table = len(table)
+        self._spilled_count = self._spilled_peak = spilled
 
     # --------------------------------------------------------------- debug
 
     def check(self) -> None:
         """The bounded-refs invariant: every shared page is valid and its
-        extras are not its primary, the counters agree with the entries,
-        and the table is within its budget.  Raises
+        extras are distinct, ascending and not its primary; every table
+        entry names a live extra reference; the counters agree with the
+        table and the extras; and the table is within its budget.  Raises
         :class:`AssertionError` on the first disagreement."""
-        if self._in_table > self._capacity:
+        table = self._table
+        if max(self._in_table, len(table)) > self._capacity:
             raise AssertionError(
-                f"share table over budget: {self._in_table} entries, "
-                f"capacity {self._capacity}")
+                f"share table over budget: {len(table)} entries "
+                f"(counted {self._in_table}), capacity {self._capacity}")
         for ppn, entries in self._extras.items():
             primary = self._primary[ppn]
-            if not entries or primary < 0 or primary in entries:
+            if (not entries or primary < 0 or primary in entries
+                    or list(entries) != sorted(set(entries))):
                 raise AssertionError(
-                    f"PPN {ppn}: extras {sorted(entries)} beside primary "
+                    f"PPN {ppn}: extras {entries} beside primary "
                     f"{primary} (-1 = invalid page)")
-        in_table = sum(sum(entries.values())
-                       for entries in self._extras.values())
-        spilled = sum(map(len, self._extras.values())) - in_table
-        if (in_table, spilled) != (self._in_table, self._spilled_count):
+        for ppn, lpn in table:
+            if lpn not in self._extras.get(ppn, ()):
+                raise AssertionError(
+                    f"share table entry ({ppn}, {lpn}) names no extra "
+                    f"reference of PPN {ppn}")
+        spilled = sum(map(len, self._extras.values())) - len(table)
+        if (len(table), spilled) != (self._in_table, self._spilled_count):
             raise AssertionError(
                 f"counters (table {self._in_table}, spilled "
-                f"{self._spilled_count}) != entries (table {in_table}, "
+                f"{self._spilled_count}) != entries (table {len(table)}, "
                 f"spilled {spilled})")

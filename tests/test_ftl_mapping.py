@@ -203,3 +203,18 @@ def test_update_run_matches_one_update_per_lpn(fwd):
     assert fwd.snapshot() == ref.snapshot()
     assert fwd.mapped_count == ref.mapped_count == 5
     assert fwd.footprint_bytes() == ref.footprint_bytes()
+
+
+def test_clear_range_matches_one_clear_per_lpn(fwd):
+    ref = create_strategy(fwd.name, 16, group_pages=4)
+    for target in (fwd, ref):
+        for lpn, ppn in ((2, 40), (3, 41), (5, 7), (9, 60), (12, 3)):
+            target.update(lpn, ppn)
+    olds = fwd.clear_range(3, 8)
+    expected = [ref.clear(lpn) for lpn in range(3, 11)]
+    assert olds == [UNMAPPED if old is None else old for old in expected]
+    assert olds == [41, UNMAPPED, 7, UNMAPPED, UNMAPPED, UNMAPPED, 60,
+                    UNMAPPED]
+    assert fwd.snapshot() == ref.snapshot() == [(2, 40), (12, 3)]
+    assert fwd.mapped_count == ref.mapped_count == 2
+    assert fwd.footprint_bytes() == ref.footprint_bytes()

@@ -247,7 +247,8 @@ class TestShareOverflowLogPolicy:
         page = ftl.fwd.lookup(0)
         ftl.share(9, 0)
         ftl.share(2, 0)
-        assert ftl.rev._extras[page] == {9: True, 2: False}   # 2 spilled
+        assert ftl.rev._extras[page] == (2, 9)
+        assert list(ftl.rev._table) == [(page, 9)]            # 2 spilled
         ftl.write(0, "private")
         assert ftl.rev.primary_of(page) == 2
         assert ftl.rev.refs(page) == {2, 9}

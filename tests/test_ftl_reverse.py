@@ -7,8 +7,8 @@ from repro.ftl.reverse import ReverseMap
 
 def spilled_refs(rev, ppn):
     """The extra references of ``ppn`` living in the overflow."""
-    return {lpn for lpn, in_table in rev._extras.get(ppn, {}).items()
-            if not in_table}
+    return {lpn for lpn in rev._extras.get(ppn, ())
+            if (ppn, lpn) not in rev._table}
 
 
 @pytest.fixture
@@ -106,6 +106,15 @@ def test_move_page_transfers_refs(rev):
     assert rev.extra_entries == 1  # LPN 2 still occupies a share entry
 
 
+def test_move_page_places_a_repeated_reference_once(rev):
+    rev.set_primary(10, 1)
+    rev.add_extra(10, 2)
+    rev.move_page(10, 20, [1, 2, 2])
+    assert rev.refs(20) == {1, 2} and rev._extras[20] == (2,)
+    assert (rev.extra_entries, rev.spilled_entries) == (1, 0)
+    rev.check()
+
+
 def test_move_page_stale_refs_rejected(rev):
     rev.set_primary(10, 1)
     with pytest.raises(ValueError):
@@ -148,6 +157,41 @@ def test_rebuild(rev):
     assert rev.primary_of(11) == 3
 
 
+@pytest.mark.parametrize("counted", [True, False])
+def test_check_rejects_a_table_over_budget(rev, counted):
+    rev.set_primary(10, 0)
+    for lpn in range(1, 5):
+        rev.add_extra(10, lpn)
+    rev.set_primary(11, 9)
+    rev.check()
+    # A fifth slot past capacity 4, with or without its count.
+    rev._extras[11] = (10,)
+    rev._table[(11, 10)] = None
+    rev._in_table += counted
+    with pytest.raises(AssertionError, match="over budget"):
+        rev.check()
+
+
+def test_check_rejects_a_table_entry_whose_extra_is_gone(rev):
+    rev.set_primary(10, 0)
+    rev.add_extra(10, 1)
+    rev.add_extra(10, 2)
+    rev.check()
+    rev._extras[10] = (2,)      # extra 1 left, its table slot did not
+    with pytest.raises(AssertionError, match=r"\(10, 1\) names no extra"):
+        rev.check()
+
+
+def test_check_rejects_counters_out_of_step(rev):
+    rev.set_primary(10, 0)
+    for lpn in range(1, 6):
+        rev.add_extra(10, lpn)          # 4 in the table, 1 spilled
+    rev.check()
+    rev._spilled_count = 0
+    with pytest.raises(AssertionError, match="counters"):
+        rev.check()
+
+
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         ReverseMap(0, total_pages=64)
@@ -163,6 +207,8 @@ class TestSpillChurn:
         assert rev.extra_entries == 4
         assert rev.spilled_entries == 2
         assert spilled_refs(rev, 10) == {5, 6}
+        assert list(rev._table) == [(10, lpn) for lpn in range(1, 5)]
+        assert rev._extras[10] == (1, 2, 3, 4, 5, 6)
         # Spilled references still count as references: the page stays
         # valid and refs() reports them.
         assert rev.refs(10) == set(range(7))
@@ -208,6 +254,7 @@ class TestSpillChurn:
         assert rev.live_pages(20, 21) == ([20], [50], {20: ([50, 51], True)})
         rev.move_page(20, 21, [50, 51])
         assert spilled_refs(rev, 21) == {51}
+        assert (21, 51) not in rev._table and rev._extras[21] == (51,)
         assert rev.spilled_entries == 1
         assert rev.spilled_peak == 1
 

@@ -4,19 +4,26 @@ The footprint twin of ``test_hot_path_budget.py``: a simulated device
 must not cost a Python object per physical page.  ``NandArray`` keeps
 page state in PPN-indexed arrays — the spare stamp as two typed integer
 arrays — and ``ReverseMap`` keeps the primary reference in one, with one
-small dict of extra references only while a page is shared — the
-paper's split between the spare-area stamp and the bounded share table
-(§4.2.1).  A mapping page is held as its packed record fields, not a
-tuple per record.  ``tracemalloc`` byte counts repeat closely for a
-given interpreter, so the ceilings below are the regression fence for
-"someone re-introduced an object per page (or per record)"; the
-object-per-page layout measured 112.8 bytes per erased page and 566.8
-per aged page on the same probes, the ``((lpn, seq),)`` stamp per page
-243.8 per aged page, a tuple per log record 216.5 bytes per record, and
-a reference set plus a ``(ppn, lpn)`` table key or spill bucket per
-shared page 406.0 (in the table) and 566.0 (spilled) bytes per shared
-page.  The cluster tier's replication log is fenced the same way: it
-keeps the records some replica still lacks, not the history.
+small tuple of extra LPNs only while a page is shared and one ``(ppn,
+lpn)`` key per extra that holds a slot of the bounded share table — the
+paper's split between the spare-area stamp and the DRAM table (§4.2.1).
+A mapping page is held as its packed record fields, not a tuple per
+record, and a TRIM walks the slice of old L2P entries, not a pair per
+LPN.  ``tracemalloc`` byte counts repeat closely for a given
+interpreter, so the ceilings below are the regression fence for
+"someone re-introduced an object per page (or per record)".
+
+Layout history, measured on the same probes (CPython 3.11): the
+object-per-page layout cost 112.8 bytes per erased page and 566.8 per
+aged page, the ``((lpn, seq),)`` stamp per page 243.8 per aged page, a
+tuple per log record 216.5 bytes per record.  A shared page cost 406.0
+(in the table) and 566.0 (spilled) bytes with a lifelong reference set
+plus a ``(ppn, lpn)`` table key or spill bucket; 322.0 either way with
+one ``{lpn: in_table}`` dict per shared page; now 238.0 and 146.1 with
+the tuple and the table key.  A TRIM's transient bytes per LPN were 66.0
+with an ``(lpn, old_ppn)`` pair per LPN; now 10.0.  The cluster tier's
+replication log is fenced the same way: it keeps the records some
+replica still lacks, not the history.
 """
 
 import gc
@@ -28,6 +35,7 @@ from repro.flash.nand import NandArray
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
 from repro.ftl.deltalog import KIND_SHARE, MapLog
+from repro.ftl.pagemap import PageMappingFtl
 from repro.ftl.reverse import ReverseMap
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
@@ -46,11 +54,24 @@ ERASED_BYTES_PER_PAGE_CEILING = 24.0
 #: ceiling is the first-build figure + 5 %.
 AGED_BYTES_PER_PAGE_CEILING = 90.0
 
-#: Bytes the share table adds per physical page shared once, whether
-#: the extra reference holds a table slot or spilled: the page's extras
-#: dict and the extra LPN itself.  Measured 322.0 either way on CPython
-#: 3.11; the ceiling is that + 15 %.
-SHARED_BYTES_PER_PAGE_CEILING = 370.0
+#: Bytes the reverse map adds per physical page shared once whose extra
+#: reference holds a share-table slot: the page's one-LPN tuple, its
+#: ``_extras`` slot, the extra LPN and the ``(ppn, lpn)`` table key.
+#: Measured 238.0 on CPython 3.11 and 3.12, 230.5 on 3.9 (322.0 with a
+#: dict per shared page); the ceiling is the 3.11 figure + 15 %.
+SHARED_IN_TABLE_BYTES_PER_PAGE_CEILING = 274.0
+
+#: The same for an extra reference that spilled: no table key.  Measured
+#: 146.1 on CPython 3.11 and 3.12, 138.3 on 3.9 (322.0 with a dict per
+#: shared page); the ceiling is the 3.11 figure + 15 %.
+SHARED_SPILLED_BYTES_PER_PAGE_CEILING = 168.0
+
+#: Transient host bytes per trimmed LPN: the tracemalloc peak of a TRIM
+#: of a whole mapped range above what the TRIM leaves allocated.  The
+#: slice of old L2P entries costs one list slot per LPN.  Measured 10.0
+#: on CPython 3.9, 3.11 and 3.12; 66.0 when ``clear_range`` returned an
+#: ``(lpn, old_ppn)`` pair per LPN.
+TRIM_TRANSIENT_BYTES_PER_LPN_CEILING = 16.0
 
 #: Host bytes a 3-shard quorum cluster keeps per acked overwrite once
 #: replication is pumped: the log holds only what some replica still
@@ -102,7 +123,7 @@ def test_aged_unshared_device_holds_no_reference_set():
         return ssd
 
     ssd, grown, __ = traced(build)
-    assert ssd.ftl.rev._extras == {}
+    assert ssd.ftl.rev._extras == {} and ssd.ftl.rev._table == {}
     assert ssd.ftl.rev.shared_pages() == 0
     per_page = grown / geometry.total_pages
     assert per_page <= AGED_BYTES_PER_PAGE_CEILING, (
@@ -111,9 +132,11 @@ def test_aged_unshared_device_holds_no_reference_set():
     ssd.ftl.check_invariants()
 
 
-def test_shared_page_costs_one_small_dict():
+def test_shared_page_costs_one_small_tuple():
     pages = 4096
-    for capacity in (pages, 1):         # every extra in the table / spilled
+    # Every extra in the table / every extra but the first spilled.
+    for capacity, ceiling in ((pages, SHARED_IN_TABLE_BYTES_PER_PAGE_CEILING),
+                              (1, SHARED_SPILLED_BYTES_PER_PAGE_CEILING)):
         rev = ReverseMap(capacity, pages)
         for ppn in range(pages):
             rev.set_primary(ppn, 10_000 + ppn)
@@ -127,11 +150,35 @@ def test_shared_page_costs_one_small_dict():
         assert rev.shared_pages() == pages
         assert rev.spilled_entries == (0 if capacity == pages
                                        else pages - 1)
+        assert len(rev._table) == rev.extra_entries == min(capacity, pages)
         per_page = grown / pages
-        assert per_page <= SHARED_BYTES_PER_PAGE_CEILING, (
+        assert per_page <= ceiling, (
             f"{per_page:.1f} bytes per shared page at capacity {capacity}, "
-            f"ceiling {SHARED_BYTES_PER_PAGE_CEILING}")
+            f"ceiling {ceiling}")
         rev.check()
+
+
+def test_trim_walks_the_old_entries_without_a_pair_per_lpn():
+    geometry = FlashGeometry(page_size=4096, pages_per_block=128,
+                             block_count=512)
+    ftl = PageMappingFtl(NandArray(geometry), FtlConfig(map_block_count=8))
+    first, lpns = 1000, 40_000
+    ftl.write_run(first, [("trim", "probe")] * lpns)
+    ftl.flush()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ftl.trim(first, lpns)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ftl.stats.trim_pages == lpns and ftl.fwd.mapped_count == 0
+    per_lpn = (peak - retained) / lpns
+    assert per_lpn <= TRIM_TRANSIENT_BYTES_PER_LPN_CEILING, (
+        f"{per_lpn:.1f} transient bytes per trimmed LPN, ceiling "
+        f"{TRIM_TRANSIENT_BYTES_PER_LPN_CEILING}")
+    ftl.check_invariants()
 
 
 def test_mapping_pages_hold_packed_records():
@@ -190,10 +237,11 @@ def test_replication_log_keeps_only_the_lag():
 
 
 def test_reference_sets_are_bounded_by_the_pages_ever_shared():
-    """A GC-bound share/overwrite/trim churn: a page holds an extras dict
+    """A GC-bound share/overwrite/trim churn: a page holds an extras tuple
     exactly while it is shared, and every shared page is one some
     ``share`` named as its source or a GC copy of one, so there are never
-    more dicts than source pages seen."""
+    more tuples than source pages seen; the share table never holds more
+    keys than its 16 slots."""
     ssd = Ssd(SimClock(), SsdConfig(
         geometry=FlashGeometry.small(channel_count=2), timing=FAST_TIMING,
         ftl=FtlConfig(map_block_count=4, share_table_entries=16)))
@@ -217,6 +265,7 @@ def test_reference_sets_are_bounded_by_the_pages_ever_shared():
             ssd.trim(lpn)
         assert len(ftl.rev._extras) == ftl.rev.shared_pages()
         assert len(ftl.rev._extras) <= len(source_pages)
+        assert len(ftl.rev._table) == ftl.rev.extra_entries <= 16
     assert shares > 1000 and ftl.stats.gc_events > 20
     assert ftl.stats.share_log_spills > 0      # the table did overflow
     assert ftl.rev.shared_pages() > 0

@@ -42,6 +42,8 @@ CLASS_SCANNED = frozenset({
     "src/repro/ftl/reverse.py",
     "src/repro/ftl/blocks.py",
     "src/repro/ftl/pagemap.py",
+    "src/repro/ftl/mapping.py",
+    "src/repro/couchstore/compaction.py",
 })
 
 

@@ -2,8 +2,9 @@
 
 ``ReverseMap`` used to hold a ``set`` of referencing LPNs for every valid
 physical page beside a dict of primaries and an ordered table of
-``(ppn, lpn)`` entries; it now holds a flat PPN-indexed primary list and,
-only while a page is shared, one dict of that page's extra LPNs.  The
+``(ppn, lpn)`` entries; it now holds a flat PPN-indexed primary list,
+only while a page is shared one ascending tuple of that page's extra
+LPNs, and the same ordered table of ``(ppn, lpn)`` entries.  The
 previous class lives on here as the reference with one line changed: a
 departing primary is replaced by ``min(refs)``, the lowest extra LPN,
 where it used to take ``next(iter(refs))``.  Hypothesis drives both with
@@ -244,8 +245,8 @@ LPNS = 24           # are the common case
 def spilled_refs(rev, ppn):
     """The extra references of ``ppn`` living in the overflow."""
     if isinstance(rev, ReverseMap):
-        return {lpn for lpn, in_table in rev._extras.get(ppn, {}).items()
-                if not in_table}
+        return {lpn for lpn in rev._extras.get(ppn, ())
+                if (ppn, lpn) not in rev._table}
     return rev.spilled_refs_of(ppn)
 
 
@@ -297,6 +298,8 @@ class Pair:
         assert observe(new) == observe(ref), (name, args)
         assert new.shared_pages() == sum(
             1 for refs in ref._refs.values() if len(refs) > 1)
+        # The same references hold the same table slots.
+        assert set(new._table) == set(ref._extras), (name, args)
         new.check()
         return outcome
 
@@ -345,7 +348,7 @@ def test_matches_reference_after_every_step(capacity, ops):
 def test_matches_reference_from_a_rebuilt_map(capacity, entries, ops):
     pair = Pair(capacity)
     pair.step("rebuild", entries)
-    # Recovery keeps an extras dict only for a page that is shared, and
+    # Recovery keeps an extras tuple only for a page that is shared, and
     # never an empty one.
     assert all(pair.new._extras.values())
     for op in ops:

@@ -129,7 +129,8 @@ class RefFtl(PageMappingFtl):
 
 def is_spilled(rev, ppn, lpn):
     """Does ``lpn``'s reference to ``ppn`` live in the overflow?"""
-    return rev._extras.get(ppn, {}).get(lpn) is False
+    return (lpn in rev._extras.get(ppn, ())
+            and (ppn, lpn) not in rev._table)
 
 
 # ---------------------------------------------------------------- driver
@@ -144,7 +145,7 @@ def make_nand():
                                    block_count=48, overprovision_ratio=0.2))
 
 
-def plan_ops(seed, logical_pages, limit):
+def plan_ops(seed, logical_pages, limit, trim_sizes=(1, 1, 3, 8, 40)):
     """A seeded command list that never raises: the planner keeps its own
     model of which LPNs are mapped, so the same list drives both FTLs."""
     rng = random.Random(seed)
@@ -174,7 +175,7 @@ def plan_ops(seed, logical_pages, limit):
             last_share = pairs
         elif roll < 0.90:
             lpn = rng.randrange(span)
-            count = rng.choice((1, 1, 3, 8, 40))
+            count = rng.choice(trim_sizes)
             count = min(count, span - lpn)
             ops.append(("trim", lpn, count))
             live.difference_update(range(lpn, lpn + count))
@@ -201,8 +202,8 @@ def observe(ftl, unseal):
         "fwd": ftl.fwd.snapshot(),
         "remap_splits": ftl.fwd.remap_splits,
         "primary": list(rev._primary),
-        "extras": [(ppn, list(entries.items()))
-                   for ppn, entries in rev._extras.items()],
+        "extras": list(rev._extras.items()),
+        "table": list(rev._table),
         "spilled_count": (rev.spilled_entries, rev.spilled_peak),
         "stats": dict(vars(ftl.stats)),
         "seq": ftl._seq,
@@ -215,12 +216,12 @@ def observe(ftl, unseal):
     }
 
 
-def run(cls, unseal, strategy, seed):
+def run(cls, unseal, strategy, seed, **plan):
     """Drive one FTL through the plan, then power-cycle it.  Returns the
     observations along the way, at the end, and after recovery."""
     config = make_config(strategy)
     ftl = cls(make_nand(), config)
-    ops = plan_ops(seed, ftl.logical_pages, ftl.max_share_batch)
+    ops = plan_ops(seed, ftl.logical_pages, ftl.max_share_batch, **plan)
     seen = []
     for index, (name, *args) in enumerate(ops):
         getattr(ftl, name)(*args)
@@ -248,6 +249,23 @@ def test_batched_path_matches_the_per_pair_reference(strategy, seed):
     assert final["share_pairs"] and final["trim_pages"]
     assert final["gc_events"], "the mix never garbage-collected"
     assert final["share_log_spills"], "the share table never spilled"
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_long_trims_over_gaps_match_the_per_pair_reference(strategy):
+    """TRIMs many mapping pages long over partly unmapped ranges: the
+    records come out one window of the old-entry slice at a time, and a
+    window with gaps must still cut the pages where the per-pair
+    reference cuts them."""
+    plan = {"trim_sizes": (1, 31, 32, 33, 95, 300)}
+    with reference_seal():
+        expected = run(RefFtl, ref_unseal, strategy, 24, **plan)
+    actual = run(PageMappingFtl, deltalog._unseal, strategy, 24, **plan)
+    for index, (new, ref) in enumerate(zip(actual, expected)):
+        for key in ref:
+            assert new[key] == ref[key], (index, key)
+    final = expected[-2]["stats"]
+    assert final["trim_pages"] > 10 * 32 and final["trim_commands"] > 20
 
 
 # -------------------------------------------------- the fix that rode along
