@@ -172,8 +172,9 @@ class NandArray:
         rules checked once for the whole run and the arrays filled by
         slice assignment.  It honours no media fault (a failed program
         mid-run has no per-page answer here), so it refuses to run while
-        one is armed; the FTL calls it only under the passive plan."""
-        if self.faults.media.active:
+        one is armed; a plan that only counts counts its programs."""
+        media = self.faults.media
+        if media.active and media.armed():
             raise ProgramError("a run program cannot honour media faults")
         count = len(pages)
         full = self._pages_per_block
@@ -193,6 +194,8 @@ class NandArray:
         # page is touched.
         owners = array("i", lpns)
         stamps = array("q", seqs)
+        if media.active:
+            media.op_counts["program"] += count
         self._seq[ppn:stop] = stamps
         self._owner[ppn:stop] = owners
         self._state[ppn:stop] = _PROGRAMMED_BYTE * count
@@ -215,8 +218,10 @@ class NandArray:
         The erased, in-order and readable rules are checked once for the
         run before anything changes, and the arrays are filled by slice
         assignment.  Like :meth:`program_run` it honours no media fault,
-        so it refuses to run while one is armed."""
-        if self.faults.media.active:
+        so it refuses to run while one is armed and counts its reads and
+        programs on a plan that only counts."""
+        media = self.faults.media
+        if media.active and media.armed():
             raise ProgramError("a copyback run cannot honour media faults")
         count = len(sources)
         full = self._pages_per_block
@@ -246,6 +251,9 @@ class NandArray:
         # page is touched.
         owners = array("i", lpns)
         stamps = array("q", seqs)
+        if media.active:
+            media.op_counts["read"] += count
+            media.op_counts["program"] += count
         if spares:
             # A page stamped with a record keeps its stale seq slot, as
             # a program without an owner leaves it.

@@ -388,24 +388,22 @@ class PageMappingFtl:
         """Program ``pages`` (a list or tuple) at ``first_lpn`` on: exactly
         ``write(first_lpn + i, page)`` for each page, in order.
 
-        Under a real fault plan it is that loop, so every page keeps its
-        own operation, checkpoints and media-fault count.  Under the
-        passive plan, whole rotation rounds — one page per channel,
-        while every channel's open block has room for them and the free
-        pool is above ``gc_low_water`` — are placed as a run
-        (:meth:`_write_rounds`); every other page (one that opens a
-        block, finds a channel dry, may trigger GC, or is the tail) goes
-        through :meth:`_write`, so GC fires exactly where the loop fires
-        it."""
-        if not self.faults.passive:
-            write = self.write
-            for index, page in enumerate(pages):
-                write(first_lpn + index, page)
-            return
+        Whole rotation rounds — one page per channel, while every open
+        block has room, the free pool is above ``gc_low_water``, no media
+        fault is armed and no power fuse is due — are placed as a run
+        (:meth:`_write_rounds`), then each of their pages passes its
+        ``ftl.write`` scope and checkpoints, so a plan's counts, trace
+        and journal come out as the loop leaves them.  Every other page
+        goes through :meth:`write`, so GC and power cuts fire where the
+        loop fires them."""
+        faults = self.faults
         count = len(pages)
-        # Only the in-range prefix can go as rounds: the per-page path
-        # raises at the first LPN past the logical end, as the loop would.
-        placeable = (min(count, self._logical_pages - first_lpn)
+        # Only the in-range prefix before the first page a fuse may cut
+        # (each page passes each write point once) can go as rounds.
+        placeable = (min(count, self._logical_pages - first_lpn,
+                         faults.headroom(("ftl.before_program",
+                                          "ftl.after_program",
+                                          "ftl.write.ack")))
                      if first_lpn >= 0 else 0)
         channels = self._channel_count
         full = self._pages_per_block
@@ -416,7 +414,8 @@ class PageMappingFtl:
         index = 0
         while index < count:
             rounds = (placeable - index) // channels
-            if rounds > 0 and blocks.free_count > low_water:
+            if rounds > 0 and blocks.free_count > low_water and not (
+                    faults.media.active and faults.media.armed()):
                 for block in active:
                     if block is None:
                         rounds = 0
@@ -425,10 +424,16 @@ class PageMappingFtl:
                     if room < rounds:
                         rounds = room
                 if rounds:
-                    self._write_rounds(first_lpn + index, pages, index, rounds)
+                    lpn = first_lpn + index
+                    self._write_rounds(lpn, pages, index, rounds)
                     index += rounds * channels
+                    if not faults.passive:   # NO_FAULTS journals nothing
+                        for lpn in range(lpn, first_lpn + index):
+                            with faults.operation("ftl.write", (lpn,)):
+                                faults.checkpoint("ftl.before_program")
+                                faults.checkpoint("ftl.after_program")
                     continue
-            self._write(first_lpn + index, pages[index], None)
+            self.write(first_lpn + index, pages[index])
             index += 1
 
     def _write_rounds(self, lpn: int, pages: Sequence[Any], start: int,
@@ -1065,7 +1070,7 @@ class PageMappingFtl:
         ``inflight`` LPNs (see :meth:`_retire_block`) move with their
         page but are not re-stamped.
 
-        GC under the passive plan with no X-FTL page staged moves the
+        GC with no X-FTL page staged and no media fault armed moves the
         pages as copyback runs (:meth:`_copyback_runs`); this loop takes
         only what they leave, the page that finds no free block."""
         full = self._pages_per_block
@@ -1074,8 +1079,9 @@ class PageMappingFtl:
         ppns, lpns, shared = self.rev.live_pages(
             start, start + self._write_ptr[victim])
         shadow = self._shadow_owner
+        media = self.faults.media
         moved = 0
-        if ppns and not (shadow or tolerant) and self.faults.passive:
+        if ppns and not (shadow or tolerant or media.active and media.armed()):
             moved = self._copyback_runs(victim, ppns, lpns, shared)
             if not ppns[moved:]:   # all moved
                 return

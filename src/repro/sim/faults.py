@@ -52,6 +52,7 @@ shard router — lives on the fault's class.
 
 from __future__ import annotations
 
+import sys
 from bisect import insort
 from functools import partialmethod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -124,8 +125,6 @@ class _OpScope:
         plan = self.plan
         plan._op_depth -= 1
         record = self.record
-        if record is not None:
-            plan._current_op = None
         if exc_type is None:
             if self.deferred:
                 # Queued device: the media work is submitted but the ack
@@ -144,7 +143,6 @@ class _OpScope:
                 raise
             if record is not None:
                 record.status = "acked"
-                plan._last_acked = record
             return False
         if issubclass(exc_type, PowerFailure):
             plan._mark_unacked(record)
@@ -621,14 +619,11 @@ class FaultPlan:
         self._hits: Dict[str, int] = {}
         self._trace_enabled = False
         self._trace: List[str] = []
-        # Operation (ack-boundary) journal: only the current record and
-        # the terminal ones are kept, never a growing log — NO_FAULTS is
-        # a process-wide singleton and must stay O(1) in memory.
+        # Operation (ack-boundary) journal: only the records a power
+        # failure left ambiguous are kept, never a log of every op.
         self._op_depth = 0
         self._op_seq = 0
-        self._current_op: Optional[OpRecord] = None
         self._unacked_ops: List[OpRecord] = []
-        self._last_acked: Optional[OpRecord] = None
         # Deferred-ack queue: (kind, record) pairs whose media work was
         # submitted but whose completion has not fired yet.  The queued
         # device pops each entry via complete_operation(), so the list
@@ -670,9 +665,13 @@ class FaultPlan:
         else:
             self._armed.pop(point, None)
 
-    def armed_count(self, point: str) -> int:
-        """How many fuses are currently armed at ``point``."""
-        return len(self._armed.get(point, ()))
+    def headroom(self, points: Sequence[str]) -> int:
+        """How many more passes of every point in ``points`` are safe
+        before an armed power fuse at one fires (else ``sys.maxsize``)."""
+        armed, hits = self._armed, self._hits
+        return min((armed[point][0] - hits.get(point, 0) - 1
+                    for point in points if point in armed),
+                   default=sys.maxsize)
 
     def enable_trace(self) -> None:
         self._trace_enabled = True
@@ -738,7 +737,6 @@ class FaultPlan:
         self._op_depth = 1
         self._op_seq += 1
         record = OpRecord(self._op_seq, kind, tuple(lpns))
-        self._current_op = record
         return _OpScope(self, kind, record, deferred)
 
     def _pop_pending(self, kind: str, record: Optional[OpRecord]) -> None:
@@ -763,7 +761,6 @@ class FaultPlan:
             raise
         if record is not None:
             record.status = "acked"
-            self._last_acked = record
 
     def abandon_operation(self, kind: str,
                           record: Optional[OpRecord]) -> None:
@@ -795,15 +792,6 @@ class FaultPlan:
         out.extend(record for _, record in self._pending_acks
                    if record is not None and record not in out)
         return out
-
-    def last_acked_op(self) -> Optional[OpRecord]:
-        return self._last_acked
-
-    def clear_unacked(self) -> None:
-        """Forget the recorded unacked operations (e.g. between two
-        independently injected crashes on one plan)."""
-        self._unacked_ops = []
-        self._pending_acks = []
 
 
 class _PassiveScope:

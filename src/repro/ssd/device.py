@@ -498,8 +498,6 @@ class Ssd:
     def trim(self, lpn: int, count: int = 1) -> None:
         """Invalidate a logical range."""
         lpns = range(lpn, lpn + max(count, 1))
-        if not self.faults.passive:
-            lpns = tuple(lpns)   # the operation journal keeps them
         self._command(self._trim, "trim", "device.trim", lpns, lpn, count,
                       lpns)
 

@@ -15,10 +15,12 @@ import pytest
 from conftest import check_capped_sweep, check_cli_sweep
 from repro.crashcheck import (FAMILIES, POWER, Site, SiteResult, SweepReport,
                               run_site, sample_evenly, sample_sites, sweep)
+from repro.crashcheck.sweep import counted_run
 from repro.crashcheck.workloads import WORKLOADS
 from repro.errors import PowerFailure
 from repro.ftl.mapping import STRATEGY_NAMES
-from repro.sim.faults import FaultPlan, PowerFailAfter
+from repro.ftl.pagemap import PageMappingFtl
+from repro.sim.faults import NO_FAULTS, FaultPlan, PowerFailAfter
 from repro.tools.crashexplore import main as crashexplore_main
 
 _CACHE = {}
@@ -178,6 +180,33 @@ def test_ci_power_caps_reach_every_fault_point(workload, cap, points):
         # ... and 4.2.2's commit point is the map-log program.
         assert {"ftl.share.ack", "device.share.ack", "maplog.before_commit",
                 "maplog.after_commit"} <= reached
+
+
+#: ``PageMappingFtl._write_rounds`` calls in one fault-free run of each
+#: harness whose engine issues multi-page writes.
+ROUNDS_PER_RUN = {"linkbench-small": 17, "sqlite-share": 9,
+                  "datajournal-share": 12}
+
+
+@pytest.mark.parametrize("workload", sorted(ROUNDS_PER_RUN))
+def test_the_counted_run_places_the_rounds_a_passive_run_places(
+        workload, monkeypatch):
+    """The sweeps cut the code the benchmarks run: the counted run (a
+    real plan that traces and counts) takes the same rotation rounds as
+    the harness under ``NO_FAULTS``, so its sites lie inside them."""
+    rounds = []
+    write_rounds = PageMappingFtl._write_rounds
+
+    def counted(self, lpn, pages, start, count):
+        rounds.append((lpn, count))
+        return write_rounds(self, lpn, pages, start, count)
+    monkeypatch.setattr(PageMappingFtl, "_write_rounds", counted)
+    WORKLOADS[workload](NO_FAULTS).run()
+    passive = rounds[:]
+    del rounds[:]
+    counted_run(WORKLOADS[workload])
+    assert len(passive) == ROUNDS_PER_RUN[workload]
+    assert rounds == passive
 
 
 # ------------------------------------------------------------------ reports

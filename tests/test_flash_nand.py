@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ProgramError, ReadError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultPlan, ProgramFault
 
 
 @pytest.fixture
@@ -140,6 +140,10 @@ def test_program_run_refuses_what_program_refuses(nand):
 def test_program_run_refuses_an_armed_media_fault():
     plan = FaultPlan()
     plan.media.enable_counting()
+    nand = NandArray(FlashGeometry.small(), plan)
+    nand.program_run(0, ["x", "y"], range(2), range(2))
+    assert plan.media.op_counts["program"] == 2   # counted, as per page
+    plan.media.arm(ProgramFault(nth=9))
     with pytest.raises(ProgramError):
-        NandArray(FlashGeometry.small(), plan).program_run(
-            0, ["x"], range(1), range(1))
+        nand.program_run(2, ["z"], range(2, 3), range(2, 3))
+    assert nand.read(1) == "y" and plan.media.op_counts["program"] == 2

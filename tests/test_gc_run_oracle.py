@@ -1,6 +1,6 @@
 """Differential oracle for GC's copyback runs.
 
-Under the passive plan ``PageMappingFtl._evacuate`` moves a GC victim's
+With no media fault armed ``PageMappingFtl._evacuate`` moves a GC victim's
 live pages as copyback runs (``_copyback_runs``): one NAND copyback run,
 one reverse-map run and one ledger extend per chunk of the open GC
 block.  Its effect must be exactly the per-page loop it replaced, which
@@ -14,8 +14,10 @@ counters, reverse map, L2P, block table, ``_seq``, ``_share_backed``,
 ledger, in order.  Runs cover both L2P backings on 1, 2 and 4 channels,
 shared pages that spill, TRIMs, wear-level moves, ``idle_gc``, a victim
 whose pages cross into a fresh GC block, a GC block that finds no free
-block to open, and a real ``FaultPlan`` with a media fault armed (the
-per-page loop runs, and the NAND run refuses).
+block to open, plans that only count media operations or hold a power
+fuse (the runs serve them, and their counts and trace match), and a
+plan with a media fault armed (the per-page loop runs, and the NAND run
+refuses).
 """
 
 import cProfile
@@ -25,14 +27,15 @@ from itertools import count as count_from
 
 import pytest
 
-from repro.errors import MediaError, OutOfSpaceError, ProgramError, ReadError
+from repro.errors import (MediaError, OutOfSpaceError, PowerFailure,
+                          ProgramError, ReadError)
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.blocks import BAD, CLOSED, FREE, OPEN, BlockTable
 from repro.ftl.config import FtlConfig
 from repro.ftl.mapping import STRATEGY_NAMES
 from repro.sim.clock import SimClock
-from repro.sim.faults import FaultPlan, ReadFault
+from repro.sim.faults import FaultPlan, PowerFailAfter, ReadFault
 from repro.ssd.device import Ssd, SsdConfig
 
 from test_write_run_oracle import assert_same_state
@@ -242,22 +245,93 @@ def test_a_gc_block_that_finds_no_free_block_stops_where_the_loop_stops():
 
 # ------------------------------------------------------ a real FaultPlan
 
-def test_a_real_fault_plan_with_a_media_fault_takes_the_per_page_loop():
-    plans = [FaultPlan(), FaultPlan()]
-    for plan in plans:
-        plan.media.enable_counting()
+def runs_taken(ssd):
+    """Count ``_copyback_runs`` calls on ``ssd``'s FTL in the returned
+    list."""
+    calls = []
+    runs = ssd.ftl._copyback_runs
+
+    def counted(*args):
+        calls.append(args[0])
+        return runs(*args)
+    ssd.ftl._copyback_runs = counted
+    return calls
+
+
+def counting_plan():
+    plan = FaultPlan()
+    plan.media.enable_counting()
+    return plan
+
+
+def power_plan():
+    """Trace every checkpoint; cut power at the 2 000th host program."""
+    plan = FaultPlan()
+    plan.enable_trace()
+    plan.arm(PowerFailAfter("ftl.after_program", 2000))
+    return plan
+
+
+@pytest.mark.parametrize("make_plan", (counting_plan, power_plan))
+@pytest.mark.parametrize("channels", (1, 4))
+def test_a_real_plan_with_no_media_fault_armed_takes_copyback_runs(
+        channels, make_plan):
+    """GC passes no power checkpoint, so a plan that counts media
+    operations or holds a power fuse moves victims as copyback runs:
+    the device, its ledgers, the media counts and the trace match the
+    per-page loop up to the cut, through recovery, and after it."""
+    ssd = make_ssd(channels, faults=make_plan())
+    ref = make_ssd(channels, faults=make_plan())
+    per_page_gc(ref.ftl)
+    runs = runs_taken(ssd)
+    cut = []
+    for device in (ssd, ref):   # one at a time: the cut ends the drive
+        try:
+            drive((device,), 3000, seed=channels)
+        except PowerFailure:
+            cut.append(device.ftl.stats.host_page_writes)
+    assert runs and ssd.ftl.stats.gc_events
+    assert cut == ([] if make_plan is counting_plan else [1999, 1999])
+    plans = ssd.faults, ref.faults
+    assert plans[0].trace == plans[1].trace
+    assert plans[0].media.op_counts == plans[1].media.op_counts
+    assert_same_device(ssd, ref)
+    if cut:
+        for device in (ssd, ref):
+            device.power_cycle()
+            record_ledgers(device)
+        per_page_gc(ref.ftl)
+        runs = runs_taken(ssd)
+        assert_same_device(ssd, ref)
+        drive((ssd, ref), 1500, seed=channels + 10)
+        assert runs, "no victim after recovery took the run path"
+        assert plans[0].trace == plans[1].trace
+        assert_same_device(ssd, ref)
+
+
+def test_an_armed_media_fault_takes_the_per_page_loop():
+    """While a media fault is armed every victim takes the per-page
+    loop; once the fault has cleared (a read retried past it), runs
+    serve again."""
+    plans = [counting_plan(), counting_plan()]
     ssd = make_ssd(2, faults=plans[0])
     ref = make_ssd(2, faults=plans[1])
     per_page_gc(ref.ftl)
-    runs = []
-    ssd.ftl._copyback_runs = lambda *args: runs.append(args)
     drive((ssd, ref), 1500, seed=8)
     for plan in plans:
-        plan.media.arm(ReadFault(nth=plan.media.op_counts["read"] + 40,
+        plan.media.arm(ReadFault(nth=plan.media.op_counts["read"] + 400,
                                  retries_to_clear=2))
+    ftl = ssd.ftl
+    victims, runs = [], []   # per call: was a media fault armed?
+    for name, seen in (("_evacuate", victims), ("_copyback_runs", runs)):
+        def watched(*args, real=getattr(ftl, name), seen=seen, **kwargs):
+            seen.append(bool(plans[0].media.armed()))
+            return real(*args, **kwargs)
+        setattr(ftl, name, watched)
     drive((ssd, ref), 2500, seed=9)
-    assert ssd.ftl.stats.read_retries and ssd.ftl.stats.gc_events
-    assert not runs, "a real fault plan took the run path"
+    assert ftl.stats.read_retries and not plans[0].media.armed()
+    assert any(victims), "no victim was moved while the fault was armed"
+    assert runs and not any(runs), "a run was taken with a fault armed"
     assert plans[0].media.op_counts == plans[1].media.op_counts
     assert_same_device(ssd, ref)
 

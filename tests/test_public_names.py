@@ -44,6 +44,7 @@ CLASS_SCANNED = frozenset({
     "src/repro/ftl/pagemap.py",
     "src/repro/ftl/mapping.py",
     "src/repro/couchstore/compaction.py",
+    "src/repro/sim/faults.py",
 })
 
 

@@ -364,10 +364,12 @@ class TestBatchedDrain:
         # Two identical commands submitted at the same cursor complete at
         # the identical timestamp; the queue must deliver them in
         # (completion_us, seq) order — observable through the deferred-ack
-        # journal: the *second* submission must be the last one acked.
+        # journal: the *second* submission must be the last one acked,
+        # so a power cut at the second ack leaves it ambiguous.
         plan = FaultPlan()
         clock, ssd = queued_ssd(plan)
         plan.enable_trace()
+        plan.arm(PowerFailAfter("device.trim.ack", 2))
         session = DeviceSession(0, 0)
         with issuing(session, ssd):
             ssd.trim(1)
@@ -375,12 +377,13 @@ class TestBatchedDrain:
             session.now_us = 0          # same arrival for the second command
             ssd.trim(2)
         assert session.now_us == first_done   # genuinely the same timestamp
-        ssd.events.run_until(first_done)
+        with pytest.raises(PowerFailure):
+            ssd.events.run_until(first_done)
         acks = [point for point in plan.trace
                 if point == "device.trim.ack"]
         assert acks == ["device.trim.ack", "device.trim.ack"]
-        acked = plan.last_acked_op()
-        assert acked is not None and acked.lpns == (2,)
+        [unacked] = plan.unacked_ops()
+        assert unacked.lpns == (2,)
 
     def test_power_cycle_cancels_queued_drain_event(self):
         # Nothing queued before a power cycle fires after it, and the
@@ -404,6 +407,7 @@ class TestBatchedDrain:
         plan = FaultPlan()
         clock, ssd = queued_ssd(plan)
         ssd.write(0, "src")
+        plan.enable_trace()
         plan.commands.arm(CommandTimeout("share", nth=1, after_apply=True))
         session = DeviceSession(0, clock.now_us)
         with issuing(session, ssd):
@@ -416,12 +420,15 @@ class TestBatchedDrain:
         ssd.drain()
         assert ssd.inflight == 0
         assert plan.unacked_ops() == []
-        assert plan.last_acked_op().lpns == (2,)
+        # Both writes behind the lost completion acked; the share never did.
+        assert [point for point in plan.trace if point.startswith(
+            "device.")] == ["device.write.ack", "device.write.ack"]
         assert ssd.read(8) == "src"     # applied: only the completion was lost
 
     def test_journal_power_failure_leaves_later_tickets_queued(self):
         plan = FaultPlan()
         clock, ssd = queued_ssd(plan)
+        plan.enable_trace()
         plan.arm(PowerFailAfter("device.write.ack", 2))
         session = DeviceSession(0, 0)
         with issuing(session, ssd):
@@ -429,7 +436,9 @@ class TestBatchedDrain:
                 ssd.write(lpn, ("v", lpn))
         with pytest.raises(PowerFailure):
             ssd.drain()
-        assert plan.last_acked_op().lpns == (0,)
+        # The first write acked; the cut came at the second's ack.
+        assert [point for point in plan.trace if point.startswith(
+            "device.")] == ["device.write.ack", "device.write.ack"]
         assert ssd.inflight == 1        # the third write is still queued
         ssd.power_cycle()               # ... where the reboot finds it
         assert [op.lpns for op in plan.unacked_ops()] == [(1,), (2,)]

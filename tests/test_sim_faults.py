@@ -1,5 +1,7 @@
 """Unit tests for power-failure injection."""
 
+import sys
+
 import pytest
 
 from repro.errors import PowerFailure
@@ -88,9 +90,17 @@ def test_duplicate_arm_raises():
     plan.arm(PowerFailAfter("p", nth=3))
     with pytest.raises(ValueError):
         plan.arm(PowerFailAfter("p", nth=3))
-    # A different nth at the same point is fine.
+    # A different nth at the same point is fine: both fuses fire.
     plan.arm(PowerFailAfter("p", nth=5))
-    assert plan.armed_count("p") == 2
+    plan.enable_trace()
+    fired = []
+    for hit in range(1, 7):
+        try:
+            plan.checkpoint("p")
+        except PowerFailure:
+            fired.append(hit)
+    assert fired == [3, 5]
+    assert plan.trace == ["p"] * 6
 
 
 def test_nth_counts_from_arming():
@@ -113,15 +123,64 @@ def test_rearm_after_fire_allowed():
         plan.checkpoint("p")
 
 
+# ------------------------------------------------------------- headroom
+
+
+def test_headroom_is_unbounded_with_no_fuse_at_the_points():
+    plan = FaultPlan()
+    plan.checkpoint("a")
+    assert plan.headroom(("a", "b")) == sys.maxsize
+    plan.arm(PowerFailAfter("c"))   # a fuse elsewhere bounds nothing here
+    assert plan.headroom(("a", "b")) == sys.maxsize
+    assert NO_FAULTS.headroom(("a",)) == sys.maxsize
+
+
+def test_headroom_is_the_nearest_fuse_over_every_point():
+    plan = FaultPlan()
+    for __ in range(3):
+        plan.checkpoint("a")
+    plan.arm(PowerFailAfter("a", nth=7))   # fires on hit 10
+    plan.arm(PowerFailAfter("a", nth=4))   # fires on hit 7
+    plan.arm(PowerFailAfter("b", nth=5))   # fires on hit 5
+    assert plan.headroom(("a",)) == 3
+    assert plan.headroom(("b",)) == 4
+    assert plan.headroom(("a", "b")) == 3
+    # That many passes of every point are safe; the next one fires.
+    for __ in range(3):
+        plan.checkpoint("a")
+        plan.checkpoint("b")
+    assert plan.headroom(("a", "b")) == 0
+    with pytest.raises(PowerFailure):
+        plan.checkpoint("a")
+
+
+def test_headroom_after_a_fuse_fired():
+    plan = FaultPlan()
+    plan.arm(PowerFailAfter("a", nth=2))
+    plan.arm(PowerFailAfter("a", nth=5))
+    plan.arm(PowerFailAfter("b", nth=3))
+    plan.checkpoint("a")
+    with pytest.raises(PowerFailure):
+        plan.checkpoint("a")
+    # The fired fuse is gone: the next at "a" is hit 5, three away.
+    assert plan.headroom(("a",)) == 2
+    assert plan.headroom(("a", "b")) == 2
+    plan.checkpoint("b")
+    plan.checkpoint("b")
+    with pytest.raises(PowerFailure):
+        plan.checkpoint("b")
+    assert plan.headroom(("b",)) == sys.maxsize
+    assert plan.headroom(("a", "b")) == 2
+
+
 # ------------------------------------------------- ack-boundary journal
 
 
 def test_operation_acks_on_clean_exit():
     plan = FaultPlan()
-    with plan.operation("dev.write", (7,)):
+    with plan.operation("dev.write", (7,)) as acked:
         plan.checkpoint("dev.step")
     assert plan.unacked_ops() == []
-    acked = plan.last_acked_op()
     assert acked is not None
     assert acked.kind == "dev.write"
     assert acked.lpns == (7,)
@@ -132,22 +191,22 @@ def test_operation_records_unacked_on_power_failure():
     plan = FaultPlan()
     plan.arm(PowerFailAfter("dev.step"))
     with pytest.raises(PowerFailure):
-        with plan.operation("dev.write", (3, 4)):
+        with plan.operation("dev.write", (3, 4)) as record:
             plan.checkpoint("dev.step")
     [unacked] = plan.unacked_ops()
+    assert unacked is record
     assert unacked.kind == "dev.write"
     assert unacked.lpns == (3, 4)
     assert unacked.status == "unacked"
-    assert plan.last_acked_op() is None
 
 
 def test_operation_failed_is_not_ambiguous():
     plan = FaultPlan()
     with pytest.raises(RuntimeError):
-        with plan.operation("dev.write", (1,)):
+        with plan.operation("dev.write", (1,)) as record:
             raise RuntimeError("ordinary failure, not a power cut")
     assert plan.unacked_ops() == []
-    assert plan.last_acked_op() is None
+    assert record.status == "failed"
 
 
 def test_clean_exit_fires_ack_checkpoint():
@@ -174,13 +233,13 @@ def test_power_failure_at_ack_boundary_is_unacked():
 def test_nested_scopes_journal_only_outermost():
     plan = FaultPlan()
     plan.enable_trace()
-    with plan.operation("dev.write", (5,)):
-        with plan.operation("ftl.write", (5,)):
+    with plan.operation("dev.write", (5,)) as acked:
+        with plan.operation("ftl.write", (5,)) as inner:
             pass
     # Inner scope fires its .ack for point coverage but does not journal.
     assert plan.trace == ["ftl.write.ack", "dev.write.ack"]
-    acked = plan.last_acked_op()
-    assert acked is not None and acked.kind == "dev.write"
+    assert inner is None
+    assert acked.kind == "dev.write" and acked.status == "acked"
 
 
 def test_nested_power_failure_blames_outermost():
@@ -192,17 +251,6 @@ def test_nested_power_failure_blames_outermost():
                 plan.checkpoint("ftl.step")
     [unacked] = plan.unacked_ops()
     assert unacked.kind == "dev.write"
-
-
-def test_clear_unacked():
-    plan = FaultPlan()
-    plan.arm(PowerFailAfter("x"))
-    with pytest.raises(PowerFailure):
-        with plan.operation("dev.trim", (0,)):
-            plan.checkpoint("x")
-    assert plan.unacked_ops()
-    plan.clear_unacked()
-    assert plan.unacked_ops() == []
 
 
 # ------------------------------------------------- the shared passive plan

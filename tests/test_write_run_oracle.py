@@ -14,9 +14,11 @@ log-backed dicts, the work ledgers, ``FtlStats``, the map log, and —
 through ``write_multi`` — the device stats, the DRAM cache and the
 clock.  Runs cover fresh devices aged at several fill / rewrite
 fractions, runs that cross the GC low-water mark, runs over shared,
-trimmed and cached LPNs, runs that stop at the logical end, and a real
-``FaultPlan`` (where ``write_run`` is the loop, so the checkpoint trace
-and the media operation counts must match too).
+trimmed and cached LPNs, runs that stop at the logical end, and real
+fault plans, one cut at every page of a run at each write point:
+there the rounds before the fuse must leave the same checkpoint trace,
+hit counts, media operation counts and journal as the loop, and the
+page at the fuse must fail where the loop fails.
 """
 
 import cProfile
@@ -337,15 +339,80 @@ def test_a_real_fault_plan_keeps_the_per_page_journal(channels, cut_at):
     assert_same_state(ssd, ref)
 
 
+#: The power checkpoints one ``ftl.write`` passes, in order.
+WRITE_POINTS = ("ftl.before_program", "ftl.after_program", "ftl.write.ack")
+
+
+def rounds_taken(ftl):
+    """Count ``ftl._write_rounds`` calls in the returned list."""
+    calls = []
+    write_rounds = ftl._write_rounds
+
+    def counted(*args):
+        calls.append(args[-1])
+        return write_rounds(*args)
+    ftl._write_rounds = counted
+    return calls
+
+
+@pytest.mark.parametrize("make_plan", (traced_plan, FaultPlan),
+                         ids=("traced", "bare"))
+@pytest.mark.parametrize("channels", (1, 4))
+def test_a_power_cut_at_every_page_of_a_run_matches_the_loop(channels,
+                                                             make_plan):
+    """A fuse at each write point, on each page of a run: the pages
+    before it go as rotation rounds, the page at it fails where the loop
+    fails, and the plan's hits, trace, media counts and journal, the
+    device and its recovery all match the loop — for a ``write_multi``
+    (whose ``ftl.write`` scopes nest in the command's) and for a bare
+    ``ftl.write_run`` (where each page journals its own operation)."""
+    length = 3 * channels + 2
+    placed = 0
+    for nested in (True, False):
+        for point in WRITE_POINTS:
+            for nth in range(1, length + 1):
+                ssd = make_ssd(channels, faults=make_plan(), block_count=32)
+                ref = make_ssd(channels, faults=make_plan(), block_count=32)
+                ssd.age(0.5, 0.0)
+                reference_age(ref, 0.5, 0.0)
+                per_page_loop(ref.ftl)
+                rounds = rounds_taken(ssd.ftl)
+                pages = [("cut", point, nth, index)
+                         for index in range(length)]
+                for device, write_multi in ((ssd, Ssd.write_multi),
+                                            (ref, reference_write_multi)):
+                    device.faults.arm(PowerFailAfter(point, nth))
+                    with pytest.raises(PowerFailure):
+                        if nested:
+                            write_multi(device, 40, pages)
+                        else:
+                            device.ftl.write_run(40, pages)
+                placed += sum(rounds)
+                plans = ssd.faults, ref.faults
+                assert plans[0].trace == plans[1].trace
+                assert plans[0].media.op_counts == plans[1].media.op_counts
+                assert [plans[0].hits(each) for each in WRITE_POINTS] == \
+                    [plans[1].hits(each) for each in WRITE_POINTS]
+                assert [repr(op) for op in plans[0].unacked_ops()] == \
+                    [repr(op) for op in plans[1].unacked_ops()]
+                assert_same_state(ssd, ref)
+                for device in (ssd, ref):
+                    device.power_cycle()
+                assert_same_state(ssd, ref)
+    assert placed, "no page of a cut run went as a round"
+
+
 # --------------------------------------------------------- the call fence
 
 #: Calls (builtins included) the fill phase of ``age(0.85, 0.0)`` may
 #: cost per data block of the 4-channel device below (128 pages a block,
 #: 196 data blocks, 18 659 pages filled).  Measured on CPython 3.11:
-#: 13.36 per block (2 619 calls in all) with whole rotation rounds
-#: placed a block at a time; 763.3 per block (149 610 calls, 8.02 per
-#: page) when the fill was one ``ftl.write`` per page.  The budget is
-#: the measurement + ~10 %; a return to per-page work fails it by 50 x.
+#: 14.14 per block (2 771 calls in all) with whole rotation rounds
+#: placed a block at a time, each page that opens a block going through
+#: ``write`` (13.36 when those pages skipped that hop); 763.3 per block
+#: (149 610 calls, 8.02 per page) when the fill was one ``ftl.write`` per
+#: page.  The budget is the first measurement + ~10 %; a return to
+#: per-page work fails it by 50 x.
 CALLS_PER_DATA_BLOCK_BUDGET = 14.7
 DATA_BLOCKS = 196
 
