@@ -9,12 +9,12 @@ from repro.sim.stats import percentile
 
 
 def ascii_histogram(values: Sequence[float], bins: int = 12,
-                    width: int = 50, title: str = "",
-                    log_bins: bool = True) -> str:
+                    width: int = 50, title: str = "") -> str:
     """Render a histogram with ``#`` bars.
 
-    ``log_bins`` spaces the bin edges geometrically, which suits latency
-    data spanning orders of magnitude (buffer hits vs GC stalls).
+    The bin edges are spaced geometrically when every value is positive,
+    which suits latency data spanning orders of magnitude (buffer hits vs
+    GC stalls), else linearly.
     """
     if not values:
         raise ValueError("nothing to plot")
@@ -28,7 +28,7 @@ def ascii_histogram(values: Sequence[float], bins: int = 12,
     if high <= low:
         lines.append(f"all {len(values)} samples = {low:.3g}")
         return "\n".join(lines)
-    edges = _edges(low, high, bins, log_bins)
+    edges = _edges(low, high, bins)
     counts = [0] * bins
     for value in values:
         index = _bin_of(value, edges)
@@ -41,8 +41,8 @@ def ascii_histogram(values: Sequence[float], bins: int = 12,
     return "\n".join(lines)
 
 
-def _edges(low: float, high: float, bins: int, log_bins: bool) -> List[float]:
-    if log_bins and low > 0:
+def _edges(low: float, high: float, bins: int) -> List[float]:
+    if low > 0:
         log_low = math.log10(low)
         log_high = math.log10(high)
         return [10 ** (log_low + (log_high - log_low) * i / bins)

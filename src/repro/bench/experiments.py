@@ -65,7 +65,6 @@ TRACE_SPAN_LIMIT = 2048
 def run_linkbench_cell(mode: FlushMode, page_size: int,
                        paper_buffer_mib: int, params: ScaleParams,
                        collect_latencies: bool = False,
-                       concurrency: int = LINKBENCH_CLIENTS,
                        telemetry=None,
                        force_fallback: bool = False,
                        queue_depth: int = 1,
@@ -109,7 +108,7 @@ def run_linkbench_cell(mode: FlushMode, page_size: int,
     tel.resume()
     tel.reset_measurement()
     result = driver.run(params.linkbench_transactions,
-                        concurrency=concurrency)
+                        concurrency=LINKBENCH_CLIENTS)
     stats = stack.data_ssd.stats
     if telemetry is not None:
         if telemetry.enabled:
@@ -145,13 +144,9 @@ def run_linkbench_cell(mode: FlushMode, page_size: int,
 
 
 def linkbench_telemetry(scale: Scale = Scale.QUICK,
-                        mode: FlushMode = FlushMode.SHARE,
                         jsonl_path: str = "results/linkbench_telemetry.jsonl",
-                        snapshot_interval_us: int = 1_000_000,
-                        queue_depth: int = 1,
-                        channel_count: Optional[int] = None,
                         trace_path: Optional[str] = None) -> Dict:
-    """One fully instrumented LinkBench cell: runs (mode, 4 KiB, 50 MB)
+    """One fully instrumented LinkBench cell: runs (SHARE, 4 KiB, 50 MB)
     with a JSONL sink and returns the cell dict plus the artifact path.
 
     Render the artifact with ``python -m repro.tools.report <path>``.
@@ -168,13 +163,11 @@ def linkbench_telemetry(scale: Scale = Scale.QUICK,
     if directory:
         os.makedirs(directory, exist_ok=True)
     telemetry = Telemetry(JsonlSink(jsonl_path),
-                          snapshot_interval_us=snapshot_interval_us)
+                          snapshot_interval_us=1_000_000)
     try:
-        cell = run_linkbench_cell(mode, 4096, 50, SCALES[scale],
+        cell = run_linkbench_cell(FlushMode.SHARE, 4096, 50, SCALES[scale],
                                   collect_latencies=True,
-                                  telemetry=telemetry,
-                                  queue_depth=queue_depth,
-                                  channel_count=channel_count)
+                                  telemetry=telemetry)
     finally:
         telemetry.close()
     cell["jsonl_path"] = jsonl_path
@@ -189,27 +182,28 @@ def linkbench_telemetry(scale: Scale = Scale.QUICK,
     return cell
 
 
-def fig5a(scale: Scale = Scale.QUICK,
-          modes=(FlushMode.DWB_ON, FlushMode.SHARE)) -> Dict:
+#: The flush modes Figure 5 compares.
+FIG5_MODES = (FlushMode.DWB_ON, FlushMode.SHARE)
+
+
+def fig5a(scale: Scale = Scale.QUICK) -> Dict:
     """Figure 5(a): LinkBench throughput vs page size (50 MB buffer)."""
     params = SCALES[scale]
     cells = {}
     for page_size in PAPER_PAGE_SIZES:
-        for mode in modes:
+        for mode in FIG5_MODES:
             cells[(page_size, mode.value)] = run_linkbench_cell(
                 mode, page_size, 50, params)
     return {"experiment": "fig5a", "scale": scale.value, "cells": cells}
 
 
-def fig5b(scale: Scale = Scale.QUICK,
-          modes=(FlushMode.DWB_ON, FlushMode.SHARE),
-          buffers=PAPER_BUFFER_SWEEP_MIB) -> Dict:
+def fig5b(scale: Scale = Scale.QUICK) -> Dict:
     """Figure 5(b): LinkBench throughput vs buffer-pool size (4 KiB
     pages).  The same runs also provide Figure 6's I/O counters."""
     params = SCALES[scale]
     cells = {}
-    for buffer_mib in buffers:
-        for mode in modes:
+    for buffer_mib in PAPER_BUFFER_SWEEP_MIB:
+        for mode in FIG5_MODES:
             cells[(buffer_mib, mode.value)] = run_linkbench_cell(
                 mode, 4096, buffer_mib, params)
     return {"experiment": "fig5b", "scale": scale.value, "cells": cells}
@@ -249,28 +243,24 @@ def table1(scale: Scale = Scale.QUICK) -> Dict:
 # YCSB cells (Figures 7, 8; Table 2)
 # --------------------------------------------------------------------------
 
-def _run_ycsb_sweep(workload: YcsbWorkload, scale: Scale,
-                    batch_sizes=PAPER_BATCH_SIZES,
-                    telemetry=None) -> Dict:
+def _run_ycsb_sweep(workload: YcsbWorkload, scale: Scale) -> Dict:
     params = SCALES[scale]
     cells = {}
     for mode in (CommitMode.ORIGINAL, CommitMode.SHARE):
-        stack = build_couch_stack(mode, params.ycsb_records,
-                                  params.ycsb_operations * len(batch_sizes),
-                                  telemetry=telemetry)
+        stack = build_couch_stack(
+            mode, params.ycsb_records,
+            params.ycsb_operations * len(PAPER_BATCH_SIZES))
         tel = stack.ssd.telemetry
         driver = YcsbDriver(stack.store, stack.clock,
                             YcsbConfig(record_count=params.ycsb_records))
         tel.pause()  # the load phase is not part of any cell
         driver.load()
         tel.resume()
-        for batch_size in batch_sizes:
+        for batch_size in PAPER_BATCH_SIZES:
             stack.ssd.reset_measurement()
             stack.clock.reset()
             tel.reset_measurement()
             result = driver.run(workload, params.ycsb_operations, batch_size)
-            if telemetry is not None:
-                telemetry.snapshot(stack.clock.now_us)
             stats = stack.ssd.stats
             cells[(batch_size, mode.value)] = {
                 "mode": mode.value,
@@ -301,7 +291,7 @@ def fig8(scale: Scale = Scale.QUICK) -> Dict:
     return out
 
 
-def table2(scale: Scale = Scale.QUICK, update_fraction: float = 1.0) -> Dict:
+def table2(scale: Scale = Scale.QUICK) -> Dict:
     """Table 2: compaction elapsed time and written bytes, original vs
     SHARE.  Builds identical aged stores (every record updated once so
     roughly half the file is stale), then compacts."""
@@ -313,8 +303,7 @@ def table2(scale: Scale = Scale.QUICK, update_fraction: float = 1.0) -> Dict:
         driver = YcsbDriver(stack.store, stack.clock,
                             YcsbConfig(record_count=params.ycsb_records))
         driver.load()
-        updates = int(params.ycsb_records * update_fraction)
-        driver.run(YcsbWorkload.F, updates, batch_size=16)
+        driver.run(YcsbWorkload.F, params.ycsb_records, batch_size=16)
         store = stack.store
         stack.ssd.reset_measurement()
         stack.clock.reset()

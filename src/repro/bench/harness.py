@@ -14,10 +14,6 @@ so a full figure regenerates in minutes of wall time; every ratio the
 figures depend on (buffer-to-database, over-provisioning, batch sizes) is
 preserved.  ``Scale.FULL`` restores the paper's record counts for
 overnight runs.
-
-Every builder takes ``l2p_strategy`` (``"flat"`` or ``"delta"``, see
-:mod:`repro.ftl.mapping`) and puts it in the ``FtlConfig`` of each device
-it builds, so the backing is the stack's, not one device's.
 """
 
 from __future__ import annotations
@@ -121,19 +117,17 @@ def innodb_device_geometry(page_size: int, db_pages_estimate: int
 
 def build_innodb_stack(mode: FlushMode, page_size: int,
                        buffer_pool_pages: int, db_pages_estimate: int,
-                       age_device: bool = True,
                        trace_capacity: int = 0,
                        telemetry=None,
                        queue_depth: int = 1,
                        channel_count: Optional[int] = None,
-                       interval_capacity: int = 0,
-                       l2p_strategy: str = "flat") -> InnoDbStack:
+                       interval_capacity: int = 0) -> InnoDbStack:
     """Assemble data device + log device + engine for one experiment cell.
 
     The B-tree leaf capacity scales with the page size: bigger pages
     hold proportionally more rows, exactly why the paper's Figure 5(a)
-    varies the page size.  ``age_device`` reproduces Section 5.1's aging
-    pre-run so garbage collection is active in steady state.  Passing a
+    varies the page size.  The data device is aged (Section 5.1's
+    pre-run) so garbage collection is active in steady state.  Passing a
     :class:`repro.obs.Telemetry` instruments both devices (metric prefixes
     ``device.data`` and ``device.log``) and every layer above them.
 
@@ -158,18 +152,16 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
                                        channel_count=channel_count)
     data_ssd = Ssd(clock, SsdConfig(
         geometry=geometry,
-        ftl=FtlConfig(map_block_count=_map_blocks_for(geometry.block_count),
-                      l2p_strategy=l2p_strategy),
+        ftl=FtlConfig(map_block_count=_map_blocks_for(geometry.block_count)),
         trace_capacity=trace_capacity, queue_depth=queue_depth,
         interval_capacity=interval_capacity),
         telemetry=telemetry, name="data", events=events, ncq=shared_ncq)
-    if age_device:
-        # Light sequential pre-fill of the region the database will NOT
-        # overwrite is pointless cold weight; the paper-faithful aging is
-        # the workload warm-up the experiment driver performs, which
-        # fragments exactly the blocks the benchmark churns.  A thin
-        # pre-fill of the low LPNs seeds that fragmentation.
-        data_ssd.age(fill_fraction=0.35, rewrite_fraction=0.2)
+    # Light sequential pre-fill of the region the database will NOT
+    # overwrite is pointless cold weight; the paper-faithful aging is the
+    # workload warm-up the experiment driver performs, which fragments
+    # exactly the blocks the benchmark churns.  A thin pre-fill of the
+    # low LPNs seeds that fragmentation.
+    data_ssd.age(fill_fraction=0.35, rewrite_fraction=0.2)
     log_geometry = FlashGeometry(page_size=page_size, pages_per_block=128,
                                  block_count=max(
                                      32, geometry.block_count // 2),
@@ -178,11 +170,7 @@ def build_innodb_stack(mode: FlushMode, page_size: int,
     log_ssd = Ssd(clock, SsdConfig(geometry=log_geometry,
                                    timing=SATA_SSD_TIMING,
                                    share_enabled=False,
-                                   # ``l2p_strategy`` selects the stack's
-                                   # backing, not one device's (each
-                                   # reports its own ftl.l2p.* gauges).
-                                   ftl=FtlConfig(
-                                       l2p_strategy=l2p_strategy),
+                                   ftl=FtlConfig(),
                                    queue_depth=queue_depth),
                   telemetry=telemetry, name="log", events=events,
                   ncq=shared_ncq)
@@ -227,8 +215,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
                       config: Optional[CouchConfig] = None,
                       telemetry=None,
                       queue_depth: int = 1,
-                      channel_count: Optional[int] = None,
-                      l2p_strategy: str = "flat") -> CouchStack:
+                      channel_count: Optional[int] = None) -> CouchStack:
     """Assemble the device + filesystem + couchstore for one cell.
 
     The device is sized for the record set plus the append churn of the
@@ -249,8 +236,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
                                        channel_count=channel_count)
     ssd = Ssd(clock, SsdConfig(
         geometry=geometry,
-        ftl=FtlConfig(map_block_count=_map_blocks_for(geometry.block_count),
-                      l2p_strategy=l2p_strategy),
+        ftl=FtlConfig(map_block_count=_map_blocks_for(geometry.block_count)),
         queue_depth=queue_depth),
         telemetry=telemetry, name="data")
     fs = HostFs(ssd, FsConfig())
@@ -262,8 +248,7 @@ def build_couch_stack(mode: CommitMode, record_count: int,
 # PostgreSQL / pgbench stack
 # --------------------------------------------------------------------------
 
-def build_postgres_stack(full_page_writes: bool, scale: int,
-                         l2p_strategy: str = "flat"
+def build_postgres_stack(full_page_writes: bool, scale: int
                          ) -> Tuple[SimClock, Ssd, Ssd, PostgresEngine]:
     """Assemble a heap device + WAL device + engine."""
     clock = SimClock()
@@ -272,7 +257,7 @@ def build_postgres_stack(full_page_writes: bool, scale: int,
                              block_count=max(
                                  64, -(-(data_pages * 2) // int(128 * 0.92))),
                              overprovision_ratio=0.08)
-    ftl_config = FtlConfig(l2p_strategy=l2p_strategy)
+    ftl_config = FtlConfig()
     data_ssd = Ssd(clock, SsdConfig(geometry=geometry, share_enabled=False,
                                     ftl=ftl_config))
     wal_ssd = Ssd(clock, SsdConfig(geometry=geometry, share_enabled=False,
@@ -308,8 +293,7 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
                         queue_depth: int = 4, channel_count: int = 2,
                         replicas: int = 1,
                         write_quorum: int = 1,
-                        spare_shards: int = 0,
-                        l2p_strategy: str = "flat") -> ClusterStack:
+                        spare_shards: int = 0) -> ClusterStack:
     """Assemble ``shards`` shard groups (primary + ``replicas`` peer
     devices each) behind a :class:`~repro.cluster.router.ShardRouter`.
 
@@ -352,8 +336,7 @@ def build_cluster_stack(shards: int = 3, keys_estimate: int = 4_000,
             geometry=geometry,
             ftl=FtlConfig(
                 share_table_entries=max(64, per_shard_keys // 4),
-                map_block_count=_map_blocks_for(block_count),
-                l2p_strategy=l2p_strategy),
+                map_block_count=_map_blocks_for(block_count)),
             queue_depth=queue_depth),
             telemetry=telemetry, name=name, events=events)
 

@@ -3,7 +3,7 @@
 Keys are hashed with FNV-1a over their ``repr`` — never Python's
 built-in ``hash()``, which is randomized per process for strings and
 would make shard placement (and therefore every crashcheck sweep and
-benchmark) non-reproducible.  Each node contributes ``vnodes`` virtual
+benchmark) non-reproducible.  Each node contributes :data:`VNODES` virtual
 points so load stays balanced even with a handful of shards, and a key
 maps to the first point clockwise from its own hash.
 
@@ -31,6 +31,9 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 #: Bound of a ring's prefix-state cache: 97.9 % of ``cluster-quorum``'s
 #: lookups hit it over 120 k ops (seed 1) while it held 8 987 entries.
 PREFIX_CACHE_SIZE = 1 << 14
+
+#: Virtual points per node.
+VNODES = 64
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -67,18 +70,15 @@ def _fold_prefix(prefix: str) -> int:
 class HashRing:
     """Consistent-hash ring over a set of node names."""
 
-    def __init__(self, nodes: Sequence[str], vnodes: int = 64) -> None:
+    def __init__(self, nodes: Sequence[str]) -> None:
         if not nodes:
             raise ValueError("ring needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise ValueError(f"duplicate node names: {list(nodes)!r}")
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1: {vnodes}")
         self.nodes: Tuple[str, ...] = tuple(nodes)
-        self.vnodes = vnodes
         points: List[Tuple[int, str]] = []
         for node in self.nodes:
-            for replica in range(vnodes):
+            for replica in range(VNODES):
                 point = _fmix64(fnv1a64(f"{node}#{replica}".encode("utf-8")))
                 points.append((point, node))
         points.sort()
@@ -143,7 +143,7 @@ class HashRing:
         nodes = [n for n in self.nodes if n not in remove] + add
         if not nodes:
             raise ValueError("rebalance would empty the ring")
-        return HashRing(nodes, vnodes=self.vnodes)
+        return HashRing(nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-__all__ = ["MediaHealthMonitor", "DEFAULT_WEIGHTS"]
+__all__ = ["MediaHealthMonitor", "WEIGHTS"]
 
 #: Weight per media_report counter delta.  Program/erase failures and
 #: grown-bad blocks dominate: they are the irreversible escalation.
 #: Read-retry noise contributes but cannot trip the breaker alone.
-DEFAULT_WEIGHTS: Dict[str, int] = {
+WEIGHTS: Dict[str, int] = {
     "program_fails": 3,
     "erase_fails": 3,
     "uncorrectable_reads": 2,
@@ -41,26 +41,24 @@ DEFAULT_WEIGHTS: Dict[str, int] = {
     "read_relocations": 1,
 }
 
+#: A score at or above this trips the breaker.
+TRIP_THRESHOLD = 8
+
+#: A group's primary is scored on every this-many acknowledged writes.
+CHECK_EVERY = 4
+
 
 class MediaHealthMonitor:
     """Per-shard media health scores with breaker-trip escalation.
 
     ``observe(group)`` is called by the router once per acknowledged
-    write; every ``check_every``-th call per group it snapshots the
-    primary's media report and scores the delta.  Crossing ``threshold``
-    — or exhausting a spare pool that existed at baseline — latches the
-    group's breaker open exactly once per device.
+    write; every :data:`CHECK_EVERY`-th call per group it snapshots the
+    primary's media report and scores the delta.  Reaching
+    :data:`TRIP_THRESHOLD` — or exhausting a spare pool that existed at
+    baseline — latches the group's breaker open exactly once per device.
     """
 
-    def __init__(self, threshold: int = 8, check_every: int = 4,
-                 weights: Dict[str, int] = DEFAULT_WEIGHTS) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1: {threshold}")
-        if check_every < 1:
-            raise ValueError(f"check_every must be >= 1: {check_every}")
-        self.threshold = threshold
-        self.check_every = check_every
-        self.weights = dict(weights)
+    def __init__(self) -> None:
         self.trips = 0
         #: Device names whose degradation tripped a breaker.  A tripped
         #: device never re-trips (it was already demoted once; the
@@ -74,14 +72,14 @@ class MediaHealthMonitor:
         report = ssd.media_report()
         base = self._baseline.setdefault(ssd.name, dict(report))
         total = 0
-        for counter, weight in self.weights.items():
+        for counter, weight in WEIGHTS.items():
             delta = report.get(counter, 0) - base.get(counter, 0)
             if delta > 0:
                 total += weight * delta
         # Spare exhaustion is terminal regardless of how gently the
         # device got there: the next retirement has nowhere to go.
         if base.get("spare_pool", 0) > 0 and report.get("spare_pool", 0) == 0:
-            total += self.threshold
+            total += TRIP_THRESHOLD
         return total
 
     def observe(self, group) -> bool:
@@ -95,9 +93,9 @@ class MediaHealthMonitor:
             return False
         count = self._acks.get(group.name, 0) + 1
         self._acks[group.name] = count
-        if count % self.check_every:
+        if count % CHECK_EVERY:
             return False
-        if self.score(primary) < self.threshold:
+        if self.score(primary) < TRIP_THRESHOLD:
             return False
         self.tripped.add(primary.name)
         self.trips += 1

@@ -118,9 +118,7 @@ class ShardRouter:
     """Consistent-hash router over shard groups with failover."""
 
     def __init__(self, pairs: Sequence[ShardGroup], clock,
-                 faults=NO_FAULTS, telemetry=None,
-                 vnodes: int = 64,
-                 health: Optional[MediaHealthMonitor] = None) -> None:
+                 faults=NO_FAULTS, telemetry=None) -> None:
         if not pairs:
             raise ValueError("router needs at least one shard group")
         self.clock = clock
@@ -129,9 +127,9 @@ class ShardRouter:
         self.pairs: Dict[str, ShardGroup] = {p.name: p for p in pairs}
         if len(self.pairs) != len(pairs):
             raise ValueError("duplicate shard group names")
-        self.ring = HashRing([p.name for p in pairs], vnodes=vnodes)
+        self.ring = HashRing([p.name for p in pairs])
         self.stats = ClusterStats()
-        self.health = health if health is not None else MediaHealthMonitor()
+        self.health = MediaHealthMonitor()
         self._session: Optional[DeviceSession] = None
         #: Per-(client, shard) last acked sequence — the read-your-writes
         #: watermark replica reads must reach.
@@ -185,9 +183,6 @@ class ShardRouter:
         return sum(group.log.snapshot_catchups
                    for group in (*self.pairs.values(),
                                  *self.retired.values()))
-
-    def pair_for(self, key) -> ShardGroup:
-        return self.pairs[self.ring.lookup(key)]
 
     def _group(self, name: str) -> ShardGroup:
         group = self.pairs.get(name)

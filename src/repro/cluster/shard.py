@@ -32,7 +32,7 @@ because LPNs are recycled: without it a lagging replica could return a
 deleted key's stale payload for a fresh key that re-used its LPN.
 
 Backpressure: before each command the group bounds the target device's
-in-flight queue at ``queue_limit`` tickets, blocking (advancing virtual
+in-flight queue at :data:`QUEUE_LIMIT` tickets, blocking (advancing virtual
 time to the next completion) until a slot frees up.
 """
 
@@ -44,7 +44,7 @@ from repro.cluster.replication import (REPL_SHARE, REPL_TRIM, REPL_WRITE,
                                        LogApplier, ReplicationLog)
 from repro.errors import (ClusterError, DeviceError, MediaError,
                           OutOfSpaceError, ShareError)
-from repro.host.resilience import CircuitBreaker, RetryPolicy, ShareGuard
+from repro.host.resilience import ShareGuard
 from repro.ssd.ncq import DeviceSession
 
 __all__ = ["ShardGroup", "Replica", "PairStats"]
@@ -52,6 +52,9 @@ __all__ = ["ShardGroup", "Replica", "PairStats"]
 #: Session id reserved for the first replica's apply loop (never a
 #: client); further replicas count down from here.
 REPL_CLIENT = -1
+
+#: In-flight tickets a device may hold before the group blocks for one.
+QUEUE_LIMIT = 8
 
 
 class Replica:
@@ -98,12 +101,7 @@ class ShardGroup:
     """Primary + R replica devices serving one consistent-hash shard."""
 
     def __init__(self, name: str, primary, replicas: Sequence = (),
-                 policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 queue_limit: Optional[int] = 8,
                  write_quorum: int = 1) -> None:
-        if queue_limit is not None and queue_limit < 1:
-            raise ValueError(f"queue_limit must be >= 1: {queue_limit}")
         if write_quorum < 1:
             raise ValueError(f"write_quorum must be >= 1: {write_quorum}")
         if write_quorum > 1 + len(replicas):
@@ -117,7 +115,6 @@ class ShardGroup:
         for device in replicas:
             self._add_replica(device)
         self.write_quorum = write_quorum
-        self.queue_limit = queue_limit
         self.log = ReplicationLog()
         self.directory: Dict[Any, int] = {}
         #: Sequence of the record that created each live directory entry
@@ -131,8 +128,7 @@ class ShardGroup:
         self.capacity = min(device.logical_pages for device in devices)
         self._next_lpn = 0
         self._free_lpns: List[int] = []
-        self.guard = ShareGuard(primary, engine=f"shard.{name}",
-                                policy=policy, breaker=breaker)
+        self.guard = ShareGuard(primary, engine=f"shard.{name}")
         # Role/health flags the router and failover controller maintain.
         self.primary_down = False
         self.needs_promotion = False
@@ -230,9 +226,8 @@ class ShardGroup:
     # ------------------------------------------------------- client ops
 
     def _backpressure(self, ssd) -> None:
-        limit = self.queue_limit
-        if limit is not None and ssd.inflight >= limit:
-            self.backpressure_waits += ssd.drain(leave=limit - 1)
+        if ssd.inflight >= QUEUE_LIMIT:
+            self.backpressure_waits += ssd.drain(leave=QUEUE_LIMIT - 1)
 
     def _guarded(self, label: str, ssd, session, fn):
         """Run a device op through the guard with a session attached."""

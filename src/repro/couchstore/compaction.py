@@ -29,6 +29,9 @@ from repro.couchstore.layout import doc_key, header_record
 from repro.errors import IoctlError, ResilienceError
 from repro.sim.clock import SimClock
 
+#: The compacted file is built at the database path plus this suffix.
+COMPACT_SUFFIX = ".compact"
+
 
 @dataclass(frozen=True)
 class CompactionResult:
@@ -48,33 +51,32 @@ class CompactionResult:
         return self.written_bytes / (1024.0 * 1024.0)
 
 
-def compact(store: CouchStore, clock: SimClock,
-            suffix: str = ".compact") -> Tuple[CouchStore, CompactionResult]:
+def compact(store: CouchStore,
+            clock: SimClock) -> Tuple[CouchStore, CompactionResult]:
     """Compact ``store`` using its own mode's algorithm; returns the new
     store (same path, swapped in place) and the measurement."""
     telemetry = store.telemetry
     with telemetry.tracer.span("couch.compaction",
                                mode=store.mode.value) as span:
         if store.mode is CommitMode.SHARE:
-            new_store, result = _compact_share(store, clock, suffix)
+            new_store, result = _compact_share(store, clock)
         else:
-            new_store, result = _compact_copy(store, clock, suffix)
+            new_store, result = _compact_copy(store, clock)
         span.set(docs_moved=result.docs_moved,
                  share_commands=result.share_commands,
                  index_nodes_written=result.index_nodes_written)
     stats = new_store.stats     # the database's, inherited from ``store``
     stats.compactions += 1
-    stats.compaction_pages_moved += (result.docs_moved
-                                     * store.config.doc_blocks)
+    stats.compaction_pages_moved += result.docs_moved
     stats.compaction_share_commands += result.share_commands
     stats.compaction_index_nodes += result.index_nodes_written
     return new_store, result
 
 
-def abandon_partial(store: CouchStore, suffix: str = ".compact") -> bool:
+def abandon_partial(store: CouchStore) -> bool:
     """Post-crash cleanup: delete a leftover partial compaction file.
     Returns True when one existed."""
-    partial = store.path + suffix
+    partial = store.path + COMPACT_SUFFIX
     if store.fs.exists(partial):
         store.fs.unlink(partial)
         return True
@@ -108,11 +110,11 @@ def _swap_in(store: CouchStore, new_store: CouchStore, tmp_path: str) -> None:
     new_store.path = store.path
 
 
-def _compact_copy(store: CouchStore, clock: SimClock, suffix: str
+def _compact_copy(store: CouchStore, clock: SimClock
                   ) -> Tuple[CouchStore, CompactionResult]:
     faults = store.faults
     start = _measure_start(store, clock)
-    tmp_path = store.path + suffix
+    tmp_path = store.path + COMPACT_SUFFIX
     new_store = CouchStore(store.fs, tmp_path, store.mode, store.config,
                            _update_seq=store.update_seq,
                            _doc_count=store.doc_count, _stale_blocks=0,
@@ -125,8 +127,6 @@ def _compact_copy(store: CouchStore, clock: SimClock, suffix: str
     for key, (block, length) in store.doc_pointers():
         record = store._read_doc(block)
         new_block = new_store._append(record)
-        for offset in range(1, length):
-            new_store._append(store.file.pread_block(block + offset))
         entries.append((key, (new_block, length)))
         docs_moved += 1
     faults.checkpoint("couch.compact_index")
@@ -144,11 +144,11 @@ def _compact_copy(store: CouchStore, clock: SimClock, suffix: str
     return new_store, result
 
 
-def _compact_share(store: CouchStore, clock: SimClock, suffix: str
+def _compact_share(store: CouchStore, clock: SimClock
                    ) -> Tuple[CouchStore, CompactionResult]:
     faults = store.faults
     start = _measure_start(store, clock)
-    tmp_path = store.path + suffix
+    tmp_path = store.path + COMPACT_SUFFIX
     new_store = CouchStore(store.fs, tmp_path, store.mode, store.config,
                            _update_seq=store.update_seq,
                            _doc_count=store.doc_count, _stale_blocks=0,
@@ -201,7 +201,7 @@ def _compact_share(store: CouchStore, clock: SimClock, suffix: str
             faults.checkpoint("couch.compact_fallback")
             store.resilience.record_fallback()
             store.fs.unlink(tmp_path)
-            return _compact_copy(store, clock, suffix)
+            return _compact_copy(store, clock)
     # Step 3: rebuild the index over the new locations.  ``pointers`` came
     # from the tree in key order, so ``entries`` is already sorted.
     faults.checkpoint("couch.compact_index")

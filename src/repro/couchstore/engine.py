@@ -15,6 +15,9 @@ Write path (Section 2.2 / 4.3):
 Stale-block accounting drives the compaction trigger: ORIGINAL updates
 strand the old document and the replaced index nodes; SHARE updates strand
 the appended staging copy (one block) and no index nodes.
+
+A document is one file block; its index pointer is ``(block, 1)``, the
+length a ranged SHARE of it takes.
 """
 
 from __future__ import annotations
@@ -58,13 +61,10 @@ class CouchConfig:
 
     leaf_capacity: int = 7
     internal_fanout: int = 200
-    doc_blocks: int = 1
     compaction_stale_ratio: float = 0.6
     prealloc_blocks: int = 256
 
     def __post_init__(self) -> None:
-        if self.doc_blocks < 1:
-            raise ValueError(f"doc_blocks must be >= 1: {self.doc_blocks}")
         if not 0.0 < self.compaction_stale_ratio < 1.0:
             raise ValueError("compaction_stale_ratio must be in (0, 1)")
         if self.prealloc_blocks < 1:
@@ -202,9 +202,7 @@ class CouchStore:
             file.fallocate(file.block_count + self.config.prealloc_blocks)
         file.pwrite_block(new_block, (DOC_TAG, key, self.update_seq, body))
         self._append_cursor = new_block + 1
-        for __ in range(self.config.doc_blocks - 1):
-            self._append(("doc-cont", key, self.update_seq))
-        self.stats.doc_blocks_written += self.config.doc_blocks
+        self.stats.doc_blocks_written += 1
         # ``_current_pointer``, in line.
         old_pointer = (self._pending_tree[key] if key in self._pending_tree
                        else self.tree.get(key))
@@ -212,20 +210,20 @@ class CouchStore:
             if self._pending_docs.get(key, "absent") is None:
                 # Re-inserting a key deleted earlier in this batch.
                 self._pending_shares.pop(self._share_dst_of(key), None)
-            self._pending_tree[key] = (new_block, self.config.doc_blocks)
+            self._pending_tree[key] = (new_block, 1)
             self.doc_count += 1
         elif self.mode is CommitMode.SHARE and self._live_snapshots == 0:
             old_block, __ = old_pointer
             if old_block in self._pending_shares:
                 # Two updates of one key in a batch: the earlier staged
                 # copy is stranded.
-                self._pending_stale += self.config.doc_blocks
+                self._pending_stale += 1
             self._pending_shares[old_block] = (new_block, key)
             # The staged copy itself becomes stale once remapped.
-            self._pending_stale += self.config.doc_blocks
+            self._pending_stale += 1
         else:
-            self._pending_tree[key] = (new_block, self.config.doc_blocks)
-            self._pending_stale += self.config.doc_blocks  # old document
+            self._pending_tree[key] = (new_block, 1)
+            self._pending_stale += 1  # old document
         self._pending_docs[key] = new_block
 
     def delete(self, key: Any) -> bool:
@@ -264,7 +262,7 @@ class CouchStore:
                 share_pairs=len(self._pending_shares)):
             self.faults.checkpoint("couch.commit_begin")
             if self._pending_shares:
-                ranges = [(dst, src, self.config.doc_blocks)
+                ranges = [(dst, src, 1)
                           for dst, (src, __)
                           in sorted(self._pending_shares.items())]
                 try:
@@ -281,12 +279,10 @@ class CouchStore:
                     self.resilience.record_fallback()
                     for __, (new_block, key) in sorted(
                             self._pending_shares.items()):
-                        self._pending_tree[key] = (new_block,
-                                                   self.config.doc_blocks)
+                        self._pending_tree[key] = (new_block, 1)
                 else:
                     self.stats.share_commands += commands
-                    self.stats.share_pairs += (len(ranges)
-                                               * self.config.doc_blocks)
+                    self.stats.share_pairs += len(ranges)
                     self.faults.checkpoint("couch.after_share")
             if self._pending_tree:
                 self.tree.apply_batch(dict(self._pending_tree))
@@ -445,9 +441,6 @@ class CouchSnapshot:
             return None
         block, __ = pointer
         return doc_body(self._store._read_doc(block))
-
-    def contains(self, key: Any) -> bool:
-        return self._tree.get(key) is not None
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         for key, (block, __) in self._tree.items():

@@ -70,7 +70,6 @@ class ClusterHarness:
     name = "cluster-small"
 
     def __init__(self, faults: FaultPlan, l2p: str = "flat",
-                 replicas: int = 1, write_quorum: int = 1,
                  media: bool = False) -> None:
         self.l2p = l2p
         self.clock = SimClock()
@@ -83,12 +82,8 @@ class ClusterHarness:
         pairs = []
         for index in range(CLUSTER_SHARDS):
             primary = self._device(f"s{index}p")
-            reps = []
-            for rep_index in range(replicas):
-                suffix = "r" if replicas == 1 else f"r{rep_index}"
-                reps.append(self._device(f"s{index}{suffix}"))
-            pairs.append(ShardGroup(f"shard{index}", primary, reps,
-                                    write_quorum=write_quorum))
+            pairs.append(ShardGroup(f"shard{index}", primary,
+                                    [self._device(f"s{index}r")]))
         self.pairs = pairs
         # In the kill sweep devices run fault-free (the kill is a
         # router-level event); only the router consults the sweep's plan.
@@ -220,35 +215,29 @@ class ClusterChaosHarness:
     """
 
     name = "cluster-chaos"
+    steps = CHAOS_STEPS
+    clients = CHAOS_CLIENTS
+    #: Caps on the kills, media storms and device-busy faults of a seed.
+    max_kills = 2
+    max_storms = 2
+    max_busy = 3
 
-    def __init__(self, seed: int, steps: int = CHAOS_STEPS,
-                 shards: int = CHAOS_SHARDS,
-                 replicas: int = CHAOS_REPLICAS,
-                 write_quorum: int = CHAOS_QUORUM,
-                 clients: int = CHAOS_CLIENTS,
-                 max_kills: int = 2, max_storms: int = 2,
-                 max_busy: int = 3, l2p: str = "flat") -> None:
+    def __init__(self, seed: int, l2p: str = "flat") -> None:
         self.seed = seed
         self.l2p = l2p
-        self.steps = steps
         self.rng = make_rng(seed)
         self.clock = SimClock()
         self.events = EventScheduler(self.clock)
         self.device_plans: Dict[str, FaultPlan] = {}
-        groups = [self._build_group(f"shard{index}", replicas, write_quorum)
-                  for index in range(shards)]
+        groups = [self._build_group(f"shard{index}")
+                  for index in range(CHAOS_SHARDS)]
         self.groups = groups
         # Chaos is injected directly below (kills, storms, busy faults),
         # not through an armed plan, so the router runs with the null one.
         self.router = ShardRouter(groups, self.clock, faults=NO_FAULTS)
         #: The shard the mid-run rebalance adds to the ring.
-        self.spare_group = self._build_group(f"shard{shards}", replicas,
-                                             write_quorum)
-        self.clients = clients
-        self.max_kills = max_kills
-        self.max_storms = max_storms
-        self.max_busy = max_busy
-        self.rebalance_at = steps // 2
+        self.spare_group = self._build_group(f"shard{CHAOS_SHARDS}")
+        self.rebalance_at = self.steps // 2
         # Invariant bookkeeping.
         self.version = 0
         #: key -> [(version, repr-or-None)] for every acked mutation.
@@ -265,11 +254,11 @@ class ClusterChaosHarness:
         self.rebalanced = False
         self.mid_rebalance_kill = False
 
-    def _build_group(self, name: str, replicas: int,
-                     write_quorum: int) -> ShardGroup:
+    def _build_group(self, name: str) -> ShardGroup:
         primary = self._device(f"{name}p")
-        reps = [self._device(f"{name}r{index}") for index in range(replicas)]
-        return ShardGroup(name, primary, reps, write_quorum=write_quorum)
+        reps = [self._device(f"{name}r{index}")
+                for index in range(CHAOS_REPLICAS)]
+        return ShardGroup(name, primary, reps, write_quorum=CHAOS_QUORUM)
 
     def _device(self, name: str):
         # Every device owns a plan (storms and busy faults target one

@@ -590,7 +590,6 @@ class LinkbenchHarness:
         self.cdurable: Dict = {}
         self.cinflight: Optional[Dict] = None
         self.rec_engine = None
-        self.rec_report = None
         self.rec_couch = None
         self.recovery_errors: List[str] = []
 
@@ -654,7 +653,7 @@ class LinkbenchHarness:
 
     def recover(self) -> List[DeviceState]:
         try:
-            self.rec_engine, self.rec_report = innodb_recover(
+            self.rec_engine, __ = innodb_recover(
                 FlushMode.SHARE, self.data_ssd, self.log_ssd, self.iconfig,
                 fs_config=self.fs_config)
         except ReproError as exc:
@@ -674,10 +673,6 @@ class LinkbenchHarness:
     def check_engine(self) -> List[str]:
         violations = list(self.recovery_errors)
         if self.rec_engine is not None:
-            if self.rec_report is not None and not self.rec_report.clean:
-                violations.append(
-                    f"innodb: unrepairable pages in SHARE mode: "
-                    f"{self.rec_report.unrepairable_pages}")
             for table in ("node", "link"):
                 durable = self.idurable[table]
                 inflight = (self.iinflight[table]

@@ -67,23 +67,9 @@ class FlashGeometry:
         return self.block_count * self.pages_per_block
 
     @property
-    def raw_capacity_bytes(self) -> int:
-        return self.total_pages * self.page_size
-
-    @property
     def logical_pages(self) -> int:
         """Pages exposed through the logical (LPN) address space."""
         return int(self.total_pages * (1.0 - self.overprovision_ratio))
-
-    def block_of(self, ppn: int) -> int:
-        """Block index containing physical page ``ppn``."""
-        self.check_ppn(ppn)
-        return ppn // self.pages_per_block
-
-    def page_in_block(self, ppn: int) -> int:
-        """Offset of ``ppn`` within its block."""
-        self.check_ppn(ppn)
-        return ppn % self.pages_per_block
 
     def first_ppn(self, block: int) -> int:
         """First physical page number of ``block``."""

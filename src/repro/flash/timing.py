@@ -108,10 +108,6 @@ class ChannelSet:
         self.busy_us[channel] += duration_us
         return start, end
 
-    def horizon_us(self) -> int:
-        """Latest busy-until across all channels."""
-        return max(self._free_us)
-
     def utilization(self, elapsed_us: int) -> List[float]:
         """Per-channel busy fraction over ``elapsed_us``."""
         if elapsed_us <= 0:

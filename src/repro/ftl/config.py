@@ -40,9 +40,6 @@ class FtlConfig:
         Data blocks reserved as replacements for grown bad blocks.  The
         default of 0 keeps usable capacity identical to a fault-free
         device; harnesses that inject media faults opt in.
-    program_retry_limit:
-        How many fresh PPNs a single host write may try when programs keep
-        failing before giving up with the typed error.
     l2p_strategy:
         Forward-map backing: ``"flat"`` (default, the hot backing; DRAM
         array, bit-identical to the pre-strategy FTL) or ``"delta"`` (the
@@ -60,7 +57,6 @@ class FtlConfig:
     wear_leveling: bool = True
     wear_delta_threshold: int = 16
     spare_block_count: int = 0
-    program_retry_limit: int = 4
     l2p_strategy: str = "flat"
     l2p_group_pages: int = 64
 
@@ -80,9 +76,6 @@ class FtlConfig:
         if self.spare_block_count < 0:
             raise ValueError(
                 f"spare_block_count must be >= 0: {self.spare_block_count}")
-        if self.program_retry_limit < 1:
-            raise ValueError(
-                f"program_retry_limit must be >= 1: {self.program_retry_limit}")
         from repro.ftl.mapping import STRATEGY_NAMES
         if self.l2p_strategy not in STRATEGY_NAMES:
             raise ValueError(

@@ -95,6 +95,11 @@ class FtlStats:
     corrupt_map_pages: int = 0     # mapping-log pages skipped at recovery
 
 
+#: Fresh blocks one data-page program tries while programs keep failing,
+#: before it gives up with the typed error.
+PROGRAM_RETRY_LIMIT = 4
+
+
 #: Levels and counts only the firmware knows, as ``(name, kind,
 #: extractor over the FTL)`` rows.  The owning device registers them as
 #: ``device.<name>.ftl.*`` and reads them through its *current* FTL, so
@@ -551,10 +556,10 @@ class PageMappingFtl:
         On a failure the consumed page's block grows bad — live pages are
         evacuated, the retirement is persisted, a spare backfills the free
         pool — and the program retries at a fresh PPN, up to
-        ``config.program_retry_limit`` blocks before surfacing the typed
+        :data:`PROGRAM_RETRY_LIMIT` blocks before surfacing the typed
         error."""
         last_error: Optional[ProgramFailError] = None
-        for __ in range(self.config.program_retry_limit):
+        for __ in range(PROGRAM_RETRY_LIMIT):
             ppn = self._alloc_page(for_gc)
             try:
                 self.nand.program(ppn, data, spare, lpn, seq)
@@ -568,7 +573,7 @@ class PageMappingFtl:
                 continue
             return ppn
         raise ProgramFailError(
-            f"program failed on {self.config.program_retry_limit} "
+            f"program failed on {PROGRAM_RETRY_LIMIT} "
             f"consecutive blocks: {last_error}")
 
     def _retire_block(self, block: int,

@@ -5,8 +5,7 @@ survive SHARE command failures."""
 from repro.host.file import File
 from repro.host.filesystem import FsConfig, HostFs
 from repro.host.ioctl import share_file_ranges, share_ioctl
-from repro.host.resilience import (CircuitBreaker, GuardStats, RetryPolicy,
-                                   ShareGuard)
+from repro.host.resilience import CircuitBreaker, GuardStats, ShareGuard
 
 __all__ = ["File", "FsConfig", "HostFs", "share_file_ranges", "share_ioctl",
-           "RetryPolicy", "CircuitBreaker", "ShareGuard", "GuardStats"]
+           "CircuitBreaker", "ShareGuard", "GuardStats"]

@@ -52,16 +52,14 @@ class DataJournalingFs:
     """data=journal semantics over a HostFs."""
 
     def __init__(self, fs: HostFs, mode: CheckpointMode,
-                 journal_blocks: int = 256,
-                 resilience: Optional[ShareGuard] = None) -> None:
+                 journal_blocks: int = 256) -> None:
         if journal_blocks < 8:
             raise ValueError(
                 f"data journal needs >= 8 blocks: {journal_blocks}")
         self.fs = fs
         self.mode = mode
         self.faults = fs.ssd.faults
-        self.resilience = resilience or ShareGuard(fs.ssd,
-                                                   engine="datajournal")
+        self.resilience = ShareGuard(fs.ssd, engine="datajournal")
         self.journal = fs.create("/.datajournal")
         self.journal.fallocate(journal_blocks)
         self.journal_blocks = journal_blocks

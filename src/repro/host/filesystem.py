@@ -176,9 +176,6 @@ class HostFs:
         if replaced is not None:
             self._release_file(replaced, new_path)
 
-    def list_files(self) -> List[str]:
-        return sorted(self._files)
-
     # -------------------------------------------------------- allocation
 
     def allocate_blocks(self, count: int) -> List[int]:

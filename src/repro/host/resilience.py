@@ -2,9 +2,10 @@
 
 The paper assumes SHARE always succeeds; a production host cannot.  This
 module is the layer between the engines and :mod:`repro.host.ioctl` that
-makes the SHARE path survivable: a :class:`RetryPolicy` (bounded
-attempts, exponential backoff with deterministic jitter, per-command
-deadline — all in virtual time), a :class:`CircuitBreaker`
+makes the SHARE path survivable: a retry schedule (bounded attempts,
+exponential backoff with deterministic jitter, per-command deadline —
+all in virtual time, fixed by the module's constants), a
+:class:`CircuitBreaker`
 (closed→open→half-open, tripping on consecutive failures so a sick
 device is not hammered), and a :class:`ShareGuard` facade the engines
 call instead of the raw ioctl helpers.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import (CircuitOpenError, CommandTimeoutError,
                           DeviceBusyError, DeviceError, PowerFailure,
@@ -52,7 +53,6 @@ from repro.obs import COUNTER, GAUGE
 from repro.sim.rng import make_rng
 
 __all__ = [
-    "RetryPolicy",
     "CircuitBreaker",
     "ShareGuard",
     "GuardStats",
@@ -73,77 +73,51 @@ BREAKER_OPEN = "open"
 _STATE_GAUGE = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff, jitter, and a deadline.
+#: The retry schedule, in virtual microseconds: backoff before retry
+#: ``n`` is ``BASE_BACKOFF_US * BACKOFF_MULTIPLIER ** (n - 1)`` capped at
+#: ``MAX_BACKOFF_US``, plus up to ``JITTER_FRACTION`` of itself drawn
+#: from a private stream seeded with ``RETRY_SEED``
+#: (:func:`repro.sim.rng.make_rng`), so a schedule is exactly
+#: reproducible.  A call gives up after ``MAX_ATTEMPTS`` attempts or
+#: when the next backoff would end past ``DEADLINE_US`` since its start.
+MAX_ATTEMPTS = 4
+BASE_BACKOFF_US = 200
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_US = 20_000
+JITTER_FRACTION = 0.25
+DEADLINE_US = 2_000_000
+RETRY_SEED = 0x51C
 
-    All durations are virtual microseconds.  Jitter is drawn from a
-    seeded private stream (:func:`repro.sim.rng.make_rng`), so a retry
-    schedule is exactly reproducible for a given seed.
-    """
+#: The breaker: this many consecutive failures trip it open; it
+#: half-opens after ``RECOVERY_TIMEOUT_US`` and admits
+#: ``HALF_OPEN_PROBES`` probe commands.
+FAILURE_THRESHOLD = 3
+RECOVERY_TIMEOUT_US = 500_000
+HALF_OPEN_PROBES = 1
 
-    max_attempts: int = 4
-    base_backoff_us: int = 200
-    backoff_multiplier: float = 2.0
-    max_backoff_us: int = 20_000
-    jitter_fraction: float = 0.25
-    deadline_us: Optional[int] = 2_000_000
-    seed: int = 0x51C
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.base_backoff_us < 0:
-            raise ValueError(
-                f"base_backoff_us must be >= 0: {self.base_backoff_us}")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"backoff_multiplier must be >= 1: {self.backoff_multiplier}")
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValueError(
-                f"jitter_fraction must be in [0, 1]: {self.jitter_fraction}")
-        if self.deadline_us is not None and self.deadline_us < 1:
-            raise ValueError(
-                f"deadline_us must be >= 1 or None: {self.deadline_us}")
-
-    def backoff_us(self, attempt: int, rng) -> int:
-        """Backoff before retry number ``attempt`` (1-based)."""
-        base = min(self.base_backoff_us
-                   * self.backoff_multiplier ** (attempt - 1),
-                   float(self.max_backoff_us))
-        return int(base + base * self.jitter_fraction * rng.random())
+def backoff_us(attempt: int, rng) -> int:
+    """Backoff before retry number ``attempt`` (1-based)."""
+    base = min(BASE_BACKOFF_US * BACKOFF_MULTIPLIER ** (attempt - 1),
+               float(MAX_BACKOFF_US))
+    return int(base + base * JITTER_FRACTION * rng.random())
 
 
 class CircuitBreaker:
     """Consecutive-failure circuit breaker on the virtual clock.
 
-    ``failure_threshold`` consecutive failures trip CLOSED→OPEN; while
-    OPEN, :meth:`allow` refuses until ``recovery_timeout_us`` of virtual
+    ``FAILURE_THRESHOLD`` consecutive failures trip CLOSED→OPEN; while
+    OPEN, :meth:`allow` refuses until ``RECOVERY_TIMEOUT_US`` of virtual
     time has passed, then the breaker half-opens and admits
-    ``half_open_probes`` probe commands.  A probe success closes the
+    ``HALF_OPEN_PROBES`` probe commands.  A probe success closes the
     breaker; a probe failure re-opens it (restarting the timeout).
     :meth:`force_open` latches the breaker open regardless of time —
-    benchmarks use it to measure the pure-fallback path.
+    benchmarks use it to measure the pure-fallback path.  Every state
+    change is announced to ``on_transition``.
     """
 
-    def __init__(self, clock, failure_threshold: int = 3,
-                 recovery_timeout_us: int = 500_000,
-                 half_open_probes: int = 1,
-                 on_transition: Optional[Callable[[str], None]] = None
-                 ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1: {failure_threshold}")
-        if recovery_timeout_us < 1:
-            raise ValueError(
-                f"recovery_timeout_us must be >= 1: {recovery_timeout_us}")
-        if half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1: {half_open_probes}")
+    def __init__(self, clock, on_transition: Callable[[str], None]) -> None:
         self.clock = clock
-        self.failure_threshold = failure_threshold
-        self.recovery_timeout_us = recovery_timeout_us
-        self.half_open_probes = half_open_probes
         self.on_transition = on_transition
         self.state = BREAKER_CLOSED
         self.trips = 0
@@ -159,8 +133,7 @@ class CircuitBreaker:
         if state == BREAKER_OPEN:
             self.trips += 1
             self._opened_at = self.clock.now_us
-        if self.on_transition is not None:
-            self.on_transition(state)
+        self.on_transition(state)
 
     def allow(self) -> bool:
         """May a command be attempted right now?  Half-opens an OPEN
@@ -172,10 +145,10 @@ class CircuitBreaker:
             return True
         if self.state == BREAKER_OPEN:
             if (self.clock.elapsed_since(self._opened_at)
-                    < self.recovery_timeout_us):
+                    < RECOVERY_TIMEOUT_US):
                 return False
             self._transition(BREAKER_HALF_OPEN)
-            self._probes_left = self.half_open_probes
+            self._probes_left = HALF_OPEN_PROBES
         if self._probes_left <= 0:
             return False
         self._probes_left -= 1
@@ -192,7 +165,7 @@ class CircuitBreaker:
             return
         self._consecutive_failures += 1
         if (self.state == BREAKER_CLOSED
-                and self._consecutive_failures >= self.failure_threshold):
+                and self._consecutive_failures >= FAILURE_THRESHOLD):
             self._transition(BREAKER_OPEN)
 
     def force_open(self) -> None:
@@ -214,7 +187,7 @@ class CircuitBreaker:
         self._opened_at = None
         if self.state != BREAKER_CLOSED:
             self._transition(BREAKER_CLOSED)
-        elif self.on_transition is not None:
+        else:
             self.on_transition(BREAKER_CLOSED)
 
 
@@ -269,35 +242,29 @@ class ShareGuard:
     serves the operation through its classic two-phase path.
     """
 
-    def __init__(self, ssd, engine: str = "host",
-                 policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None) -> None:
+    def __init__(self, ssd, engine: str = "host") -> None:
         self.ssd = ssd
         self.clock = ssd.clock
         self.engine = engine
-        self.policy = policy or RetryPolicy()
-        self._rng = make_rng(self.policy.seed)
+        self._rng = make_rng(RETRY_SEED)
         self.stats = GuardStats()
-        if breaker is None:
-            breaker = CircuitBreaker(ssd.clock)
-        self.breaker = breaker
+        self.breaker = CircuitBreaker(ssd.clock, self._observe)
+        self._listeners: List[Callable[[str], None]] = []
         ssd.telemetry.collect("resilience", guard_rows(engine), self)
         self._open_since: Optional[int] = None
-        previous = breaker.on_transition
-        def _observe(state: str, _prev=previous) -> None:
-            if state == BREAKER_OPEN and self._open_since is None:
-                # Episode start; half-open flaps back to open do not
-                # restart the clock, so open_duration_us measures
-                # trip-to-recovery, i.e. failover latency.
-                self._open_since = self.clock.now_us
-                self.stats.last_open_us = self._open_since
-            elif state == BREAKER_CLOSED and self._open_since is not None:
-                self.stats.open_duration_us += (self.clock.now_us
-                                                - self._open_since)
-                self._open_since = None
-            if _prev is not None:
-                _prev(state)
-        breaker.on_transition = _observe
+
+    def _observe(self, state: str) -> None:
+        if state == BREAKER_OPEN and self._open_since is None:
+            # Episode start; half-open flaps back to open do not restart
+            # the clock, so open_duration_us measures trip-to-recovery,
+            # i.e. failover latency.
+            self._open_since = self.clock.now_us
+            self.stats.last_open_us = self._open_since
+        elif state == BREAKER_CLOSED and self._open_since is not None:
+            self.stats.open_duration_us += self.clock.now_us - self._open_since
+            self._open_since = None
+        for listener in self._listeners:
+            listener(state)
 
     # ------------------------------------------------------------- core
 
@@ -315,7 +282,6 @@ class ShareGuard:
             raise CircuitOpenError(
                 f"{label}: circuit breaker is {self.breaker.state} "
                 f"for engine {self.engine!r}")
-        policy = self.policy
         start_us = self.clock.now_us
         attempt = 0
         while True:
@@ -334,19 +300,18 @@ class ShareGuard:
                         f"attempt(s): {exc}", attempts=attempt,
                         elapsed_us=self.clock.elapsed_since(start_us)
                     ) from exc
-                if attempt >= policy.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     raise RetriesExhaustedError(
                         f"{label}: {attempt} attempts failed, last: {exc}",
                         attempts=attempt,
                         elapsed_us=self.clock.elapsed_since(start_us)
                     ) from exc
-                backoff = policy.backoff_us(attempt, self._rng)
+                backoff = backoff_us(attempt, self._rng)
                 elapsed = self.clock.elapsed_since(start_us)
-                if (policy.deadline_us is not None
-                        and elapsed + backoff > policy.deadline_us):
+                if elapsed + backoff > DEADLINE_US:
                     self.stats.deadline_exceeded += 1
                     raise RetriesExhaustedError(
-                        f"{label}: deadline {policy.deadline_us}us exceeded "
+                        f"{label}: deadline {DEADLINE_US}us exceeded "
                         f"after {attempt} attempt(s): {exc}",
                         attempts=attempt, elapsed_us=elapsed) from exc
                 self.stats.retries += 1
@@ -368,17 +333,13 @@ class ShareGuard:
         self.stats.fallbacks += 1
 
     def add_listener(self, listener: Callable[[str], None]) -> None:
-        """Chain another breaker-state observer after the guard's own.
+        """Announce every breaker state change to ``listener`` too, after
+        the guard's own bookkeeping.
 
         The cluster failover controller registers its promotion trigger
         here, so a breaker trip marks the shard for promotion without
         the guard knowing anything about the tier above it."""
-        previous = self.breaker.on_transition
-        def _chained(state: str, _prev=previous) -> None:
-            if _prev is not None:
-                _prev(state)
-            listener(state)
-        self.breaker.on_transition = _chained
+        self._listeners.append(listener)
 
     # ------------------------------------------------ ioctl replacements
 

@@ -114,9 +114,6 @@ class BTree:
             return node[2][index - 1]
         return None
 
-    def contains(self, key: Any) -> bool:
-        return self.get(key) is not None
-
     def range(self, low: Any, high: Any, limit: Optional[int] = None
               ) -> List[Tuple[Any, Any]]:
         """The (key, row) pairs with low <= key <= high in key order, at

@@ -73,9 +73,6 @@ class BufferPool:
     def __len__(self) -> int:
         return len(self._frames)
 
-    def contains(self, page_id: int) -> bool:
-        return page_id in self._frames
-
     def fetch(self, page_id: int) -> Page:
         """Return the page, reading it from storage on a miss."""
         frames = self._frames
@@ -177,8 +174,3 @@ class BufferPool:
                 return total
             total += flushed
 
-    def drop_clean(self) -> None:
-        """Drop every clean frame (used by tests to force re-reads)."""
-        clean = [pid for pid, frame in self._frames.items() if not frame.dirty]
-        for pid in clean:
-            del self._frames[pid]

@@ -17,7 +17,7 @@ the tablespace atomically per page.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import List, Optional
+from typing import List
 
 from repro.errors import EngineError, PowerFailure, ResilienceError
 from repro.host.file import File
@@ -42,16 +42,14 @@ class DoublewriteBuffer:
 
     def __init__(self, tablespace: File, first_block: int,
                  size_pages: int = 128,
-                 faults: FaultPlan = NO_FAULTS,
-                 resilience: Optional[ShareGuard] = None) -> None:
+                 faults: FaultPlan = NO_FAULTS) -> None:
         if size_pages < 1:
             raise ValueError(f"doublewrite area needs >= 1 page: {size_pages}")
         self.tablespace = tablespace
         self.first_block = first_block
         self.size_pages = size_pages
         self.faults = faults
-        self.resilience = resilience or ShareGuard(tablespace.fs.ssd,
-                                                   engine="innodb")
+        self.resilience = ShareGuard(tablespace.fs.ssd, engine="innodb")
         self._cursor = 0
         self.batches_staged = 0
         self.pages_staged = 0

@@ -224,11 +224,6 @@ class InnoDBEngine:
             self.tablespace.fsync()
             self.faults.checkpoint("innodb.ckpt_end")
 
-    def shutdown(self) -> None:
-        """Clean shutdown: checkpoint then final log commit."""
-        self.redo.commit()
-        self.checkpoint()
-
 
 class Transaction:
     """One transaction scope and the logical operations inside it.

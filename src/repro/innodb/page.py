@@ -43,9 +43,6 @@ class Page:
         """True when the checksum does not match — a torn write."""
         return not self.checksum_ok
 
-    def with_payload(self, payload: Any, lsn: int) -> "Page":
-        return Page(self.page_id, lsn, payload)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Page):
             return NotImplemented

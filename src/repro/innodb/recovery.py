@@ -35,23 +35,18 @@ class RecoveryReport:
 
     torn_pages_found: List[int] = field(default_factory=list)
     pages_repaired_from_dwb: List[int] = field(default_factory=list)
-    unrepairable_pages: List[int] = field(default_factory=list)
     records_replayed: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.unrepairable_pages
 
 
 def recover(mode: FlushMode, data_ssd: Ssd, log_ssd: Ssd,
             config: Optional[InnoDBConfig] = None,
-            strict: bool = True, fs_config=None) -> tuple:
+            fs_config=None) -> tuple:
     """Restart the engine after a crash.
 
     ``data_ssd`` and ``log_ssd`` carry the surviving media (after
-    ``power_cycle()``).  Returns ``(engine, report)``.  With ``strict``
-    a torn page without a doublewrite copy raises :class:`TornPageError`
-    — that is precisely the DWB_OFF data-loss scenario.  ``fs_config``
+    ``power_cycle()``).  Returns ``(engine, report)``.  A torn page
+    without a doublewrite copy raises :class:`TornPageError` — that is
+    precisely the DWB_OFF data-loss scenario.  ``fs_config``
     must match whatever the crashed engine used (journal sizing drives
     the tablespace's deterministic block layout).
     """
@@ -61,7 +56,7 @@ def recover(mode: FlushMode, data_ssd: Ssd, log_ssd: Ssd,
                           fs_config=fs_config)
     report = RecoveryReport()
     _reextend_tablespace(engine, data_ssd)
-    _repair_torn_pages(engine, report, strict)
+    _repair_torn_pages(engine, report)
     _replay_redo(engine, report, log_ssd)
     return engine, report
 
@@ -81,8 +76,8 @@ def _reextend_tablespace(engine: InnoDBEngine, data_ssd: Ssd) -> None:
         engine.tablespace.fallocate(engine.tablespace.block_count + grow)
 
 
-def _repair_torn_pages(engine: InnoDBEngine, report: RecoveryReport,
-                       strict: bool) -> None:
+def _repair_torn_pages(engine: InnoDBEngine,
+                       report: RecoveryReport) -> None:
     """Step 1: the doublewrite scan."""
     dwb_copies: Dict[int, Page] = {}
     for block in engine.dwb.staged_blocks():
@@ -108,11 +103,9 @@ def _repair_torn_pages(engine: InnoDBEngine, report: RecoveryReport,
             engine.tablespace.pwrite_block(block, staged)
             report.pages_repaired_from_dwb.append(block)
         else:
-            report.unrepairable_pages.append(block)
-            if strict:
-                raise TornPageError(
-                    f"page {block} is torn and no doublewrite copy exists "
-                    "(this is the DWB-off data-loss scenario)")
+            raise TornPageError(
+                f"page {block} is torn and no doublewrite copy exists "
+                "(this is the DWB-off data-loss scenario)")
     if report.pages_repaired_from_dwb:
         engine.tablespace.fsync()
 

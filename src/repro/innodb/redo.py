@@ -17,21 +17,19 @@ from typing import Any, List, Tuple
 
 from repro.ssd.device import Ssd
 
+#: Log records packed into one device page.
+RECORDS_PER_PAGE = 32
+
 
 class RedoLog:
     """Append-only log of (lsn, record) entries over a plain SSD."""
 
-    def __init__(self, device: Ssd, records_per_page: int = 32,
-                 region_pages: int = 0) -> None:
-        if records_per_page < 1:
-            raise ValueError(
-                f"records_per_page must be >= 1: {records_per_page}")
+    def __init__(self, device: Ssd) -> None:
         self.device = device
-        self.records_per_page = records_per_page
         # The log file is a fixed-size region (ib_logfile*), recycled
         # circularly; it must not consume the whole device or the log
         # device's own GC has no headroom.
-        self.region_pages = region_pages or max(1, device.logical_pages // 2)
+        self.region_pages = max(1, device.logical_pages // 2)
         #: LSN the next appended record takes (plain attribute: the
         #: B+tree stamps it on every page image it builds).
         self.next_lsn = 1
@@ -39,10 +37,6 @@ class RedoLog:
         self._cursor_lpn = 0
         self._committed_through = 0
         self.commits = 0
-
-    @property
-    def last_committed_lsn(self) -> int:
-        return self._committed_through
 
     def append(self, record: Any) -> int:
         """Buffer a record; returns its LSN.  Not durable until commit."""
@@ -61,8 +55,8 @@ class RedoLog:
         # flush below still goes out (it costs a device command slot).
         while pending:
             self.device.write(self._cursor_lpn,
-                              tuple(pending[:self.records_per_page]))
-            del pending[:self.records_per_page]
+                              tuple(pending[:RECORDS_PER_PAGE]))
+            del pending[:RECORDS_PER_PAGE]
             self._cursor_lpn = (self._cursor_lpn + 1) % self.region_pages
         self.device.flush()
         self._committed_through = self.next_lsn - 1

@@ -119,9 +119,6 @@ class SSTable:
     def block_meta(self, block_number: int) -> BlockMeta:
         return self._index[block_number]
 
-    def block_entry_count(self, block_number: int) -> int:
-        return self._index[block_number].entry_count
-
     def _block_entries(self, block_number: int) -> Tuple:
         record = self.file.pread_block(block_number)
         if not (isinstance(record, tuple) and record[0] == _DATA_TAG):
@@ -158,9 +155,3 @@ class SSTable:
         for __, entries in self.block_items():
             for key, value in entries:
                 yield key, value
-
-    def key_range(self) -> Tuple[Any, Any]:
-        """(min key, max key) of the run, straight from the index."""
-        if not self._index:
-            raise EngineError("empty SSTable has no key range")
-        return self._index[0].first_key, self._index[-1].last_key

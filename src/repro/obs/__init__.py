@@ -36,8 +36,8 @@ from repro.obs.chrometrace import (
 )
 from repro.obs.registry import (
     COUNTER,
-    DEFAULT_MAX_SAMPLES,
     GAUGE,
+    MAX_SAMPLES,
     BoundedHistogram,
     MetricsRegistry,
 )
@@ -49,9 +49,9 @@ from repro.obs.sinks import (
     read_jsonl,
 )
 from repro.obs.telemetry import (
-    DEFAULT_SAMPLE_EVERY,
     NULL_TELEMETRY,
     OBS_MODES,
+    SAMPLE_EVERY,
     Telemetry,
 )
 from repro.obs.tracing import NULL_SPAN, Span, Tracer
@@ -59,8 +59,8 @@ from repro.obs.tracing import NULL_SPAN, Span, Tracer
 __all__ = [
     "BoundedHistogram",
     "COUNTER",
-    "DEFAULT_MAX_SAMPLES",
-    "DEFAULT_SAMPLE_EVERY",
+    "MAX_SAMPLES",
+    "SAMPLE_EVERY",
     "GAUGE",
     "JsonlSink",
     "MemorySink",

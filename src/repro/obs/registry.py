@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Iterable, List, Tuple, Union
 from repro.sim.stats import distribution_summary, percentile
 
 #: Reservoir size bounding a histogram's memory (see BoundedHistogram).
-DEFAULT_MAX_SAMPLES = 4096
+MAX_SAMPLES = 4096
 
 SnapshotValue = Union[int, float, Dict[str, float]]
 
@@ -44,23 +44,20 @@ class BoundedHistogram:
     """Latency/size distribution with bounded memory.
 
     Count, total, min, and max are exact.  Percentiles come from a
-    deterministic reservoir: the first ``max_samples`` values are kept
+    deterministic reservoir: the first :data:`MAX_SAMPLES` values are kept
     verbatim; after that each new value replaces a pseudo-random slot with
-    probability ``max_samples / seen`` (Vitter's algorithm R, driven by a
+    probability ``MAX_SAMPLES / seen`` (Vitter's algorithm R, driven by a
     private LCG so runs stay reproducible).  Percentile math reuses
     :func:`repro.sim.stats.percentile`, so summaries agree exactly with
     :class:`repro.sim.stats.Histogram` while the reservoir is not full.
     """
 
-    __slots__ = ("name", "_samples", "_cap", "_seen", "_total", "_min",
+    __slots__ = ("name", "_samples", "_seen", "_total", "_min",
                  "_max", "_lcg")
 
-    def __init__(self, name: str, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1: {max_samples}")
+    def __init__(self, name: str) -> None:
         self.name = name
         self._samples: List[float] = []
-        self._cap = max_samples
         self._seen = 0
         self._total = 0.0
         self._min = float("inf")
@@ -77,14 +74,14 @@ class BoundedHistogram:
             self._min = value
         if value > self._max:
             self._max = value
-        if self._seen <= self._cap:   # holds min(seen - 1, cap) samples
+        if self._seen <= MAX_SAMPLES:   # holds min(seen - 1, cap) samples
             self._samples.append(value)
             return
         # Reservoir replacement (algorithm R) with a deterministic LCG.
         self._lcg = (self._lcg * 6364136223846793005 + 1442695040888963407) \
             & 0xFFFFFFFFFFFFFFFF
         slot = (self._lcg >> 16) % self._seen
-        if slot < self._cap:
+        if slot < MAX_SAMPLES:
             self._samples[slot] = value
 
     @property
@@ -178,8 +175,7 @@ class MetricsRegistry:
         self._histograms: Dict[str, BoundedHistogram] = {}
         self._rows: Dict[str, _Collected] = {}
 
-    def histogram(self, name: str,
-                  max_samples: int = DEFAULT_MAX_SAMPLES) -> BoundedHistogram:
+    def histogram(self, name: str) -> BoundedHistogram:
         """Create-or-return by dotted name (handles stay valid across
         :meth:`reset`)."""
         histogram = self._histograms.get(name)
@@ -187,8 +183,7 @@ class MetricsRegistry:
             row = self._rows.get(_check_name(name))
             if row is not None:
                 raise _clash(name, row.kind, "histogram")
-            histogram = self._histograms[name] = BoundedHistogram(
-                name, max_samples)
+            histogram = self._histograms[name] = BoundedHistogram(name)
         return histogram
 
     def collect(self, scope: str, rows: Iterable[Row], owner: Any) -> None:

@@ -54,18 +54,12 @@ class JsonlSink:
     def __init__(self, path: str) -> None:
         self.path = path
         self._fh = open(path, "w", encoding="utf-8")
-        self._emitted = 0
 
     def emit(self, record: Dict[str, Any]) -> None:
         if self._fh is None:
             raise ValueError(f"sink for {self.path!r} is closed")
         self._fh.write(json.dumps(record, sort_keys=True))
         self._fh.write("\n")
-        self._emitted += 1
-
-    @property
-    def emitted(self) -> int:
-        return self._emitted
 
     def close(self) -> None:
         if self._fh is not None:

@@ -38,8 +38,8 @@ from repro.sim.clock import SimClock
 #: Valid values of the ``mode`` argument.
 OBS_MODES = ("off", "sampled", "full")
 
-#: Default 1-in-N rate for sampled mode.
-DEFAULT_SAMPLE_EVERY = 64
+#: 1-in-N root spans sampled mode traces.
+SAMPLE_EVERY = 64
 
 
 class Telemetry:
@@ -56,7 +56,7 @@ class Telemetry:
       histograms describe the same sample.
       Counters and gauges are exact in every mode, because they are read
       from their owners at snapshot time, not recorded per event.  N is
-      ``sample_every`` (default :data:`DEFAULT_SAMPLE_EVERY`, 64).
+      :data:`SAMPLE_EVERY`, 64.
     * ``"off"`` — nothing registers (:meth:`collect` is a no-op,
       :meth:`histogram` returns ``None``), no clock is kept, the tracer
       is disabled and :meth:`resume` stays off, so snapshots are empty.
@@ -64,8 +64,7 @@ class Telemetry:
 
     def __init__(self, sink: Optional[Any] = None,
                  snapshot_interval_us: int = 0,
-                 mode: str = "full",
-                 sample_every: int = DEFAULT_SAMPLE_EVERY) -> None:
+                 mode: str = "full") -> None:
         if snapshot_interval_us < 0:
             raise ValueError(
                 f"snapshot interval must be >= 0: {snapshot_interval_us}")
@@ -75,8 +74,8 @@ class Telemetry:
         self.sink = sink if sink is not None else NullSink()
         self.metrics = MetricsRegistry()
         if mode == "sampled":
-            self.tracer = Tracer(self.sink, sample_every=sample_every)
-            self.sample_every = sample_every
+            self.tracer = Tracer(self.sink, sample_every=SAMPLE_EVERY)
+            self.sample_every = SAMPLE_EVERY
         else:
             self.tracer = Tracer(self.sink)
             self.sample_every = 1 if mode == "full" else 0

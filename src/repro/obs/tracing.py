@@ -140,12 +140,9 @@ class Tracer:
     the stack).
     """
 
-    def __init__(self, sink: Any, clock: Optional[SimClock] = None,
-                 sample_every: int = 1) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1: {sample_every}")
+    def __init__(self, sink: Any, sample_every: int = 1) -> None:
         self._sink = sink
-        self._clock = clock
+        self._clock: Optional[SimClock] = None
         self._stack: List[Span] = []
         self.current: Any = NULL_SPAN
         self._next_id = 1

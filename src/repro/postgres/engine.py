@@ -91,10 +91,6 @@ class PostgresEngine:
             self._buffer[page_id] = rows
         return rows
 
-    def read_row(self, table: str, row_id: int) -> Any:
-        page_id = self._page_of(table, row_id)
-        return self._load_page(page_id).get(row_id)
-
     def update_row(self, table: str, row_id: int, value: Any) -> None:
         """WAL-before-data update of one row."""
         page_id = self._page_of(table, row_id)

@@ -14,6 +14,9 @@ from typing import Any, List
 
 from repro.ssd.device import Ssd
 
+#: Bytes one logical WAL record takes.
+RECORD_BYTES = 128
+
 
 @dataclass
 class WalStats:
@@ -34,7 +37,7 @@ class WalStats:
 class Wal:
     """Append-only WAL over a log device.
 
-    ``record_bytes`` models the size of one logical record (a pgbench
+    :data:`RECORD_BYTES` models the size of one logical record (a pgbench
     UPDATE record is on the order of 100–200 bytes); full page images
     consume a whole data page.  The WAL fills device pages with whatever
     mix of records and images is pending, so turning full_page_writes off
@@ -42,12 +45,8 @@ class Wal:
     performance effect the experiment shows.
     """
 
-    def __init__(self, device: Ssd, record_bytes: int = 128,
-                 data_page_bytes: int = 4096) -> None:
-        if record_bytes < 1:
-            raise ValueError(f"record_bytes must be >= 1: {record_bytes}")
+    def __init__(self, device: Ssd, data_page_bytes: int = 4096) -> None:
         self.device = device
-        self.record_bytes = record_bytes
         self.data_page_bytes = data_page_bytes
         self.stats = WalStats()
         self._pending_bytes = 0
@@ -58,8 +57,8 @@ class Wal:
     def log_record(self, record: Any) -> None:
         """Append one small logical record."""
         self.stats.records += 1
-        self.stats.record_bytes += self.record_bytes
-        self._pending_bytes += self.record_bytes
+        self.stats.record_bytes += RECORD_BYTES
+        self._pending_bytes += RECORD_BYTES
         self._pending_payload.append(("rec", record))
 
     def log_full_page_image(self, page_id: int, image: Any) -> None:

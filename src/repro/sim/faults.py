@@ -251,26 +251,21 @@ CORRUPT_PAYLOAD = "media-corrupt"
 class MediaFault:
     """Base class for armable media faults.
 
-    Each fault targets either a *specific location* (``ppn``/``block``) or
-    the *nth operation* of its kind counted from arming (``nth``, 1-based,
-    global across every device sharing the plan).  Occurrence targeting is
-    what lets the media-fault explorer sweep "every read/program/erase
-    site" of a deterministic workload without knowing physical addresses
-    up front: once the nth operation arrives, the fault binds to whatever
-    location it landed on.
+    Each fault targets the *nth operation* of its kind counted from
+    arming (``nth``, 1-based, global across every device sharing the
+    plan).  Occurrence targeting is what lets the media-fault explorer
+    sweep "every read/program/erase site" of a deterministic workload
+    without knowing physical addresses up front: once the nth operation
+    arrives, a sticky fault binds to whatever location it landed on.
     """
 
     kind = "?"
 
-    def __init__(self, nth: Optional[int] = None,
-                 location: Optional[int] = None) -> None:
-        if (nth is None) == (location is None):
-            raise ValueError("arm a media fault with exactly one of nth= "
-                             "or a target location")
-        if nth is not None and nth < 1:
+    def __init__(self, nth: int) -> None:
+        if nth < 1:
             raise ValueError(f"nth must be >= 1: {nth}")
         self.nth = nth
-        self.location = location   # bound ppn (read/program) or block (erase)
+        self.location: Optional[int] = None   # bound ppn or block
         self.fired = False         # has the fault triggered at least once?
 
     def matches(self, count: int, location: int, detail=None) -> bool:
@@ -300,9 +295,9 @@ class ReadFault(MediaFault):
 
     kind = "read"
 
-    def __init__(self, nth: Optional[int] = None, ppn: Optional[int] = None,
+    def __init__(self, nth: int,
                  retries_to_clear: Optional[int] = None) -> None:
-        super().__init__(nth, ppn)
+        super().__init__(nth)
         if retries_to_clear is not None and retries_to_clear < 1:
             raise ValueError(
                 f"retries_to_clear must be >= 1 or None: {retries_to_clear}")
@@ -332,10 +327,6 @@ class CorruptRead(MediaFault):
 
     kind = "read"
 
-    def __init__(self, nth: Optional[int] = None,
-                 ppn: Optional[int] = None) -> None:
-        super().__init__(nth, ppn)
-
     def act(self, faults: FaultSet, count: int, ppn: int, detail,
             corrupt) -> bool:
         if self.location is None:
@@ -352,10 +343,6 @@ class ProgramFault(MediaFault):
 
     kind = "program"
 
-    def __init__(self, nth: Optional[int] = None,
-                 ppn: Optional[int] = None) -> None:
-        super().__init__(nth, ppn)
-
     def act(self, faults: FaultSet, count: int, ppn: int, detail, result):
         faults.consume(self)   # one-shot
         raise ProgramFailError(f"injected program failure at PPN {ppn}")
@@ -367,10 +354,6 @@ class EraseFault(MediaFault):
     retired it instead of retrying forever."""
 
     kind = "erase"
-
-    def __init__(self, nth: Optional[int] = None,
-                 block: Optional[int] = None) -> None:
-        super().__init__(nth, block)
 
     def act(self, faults: FaultSet, count: int, block: int, detail, result):
         if self.location is None:
@@ -385,30 +368,20 @@ COMMAND_KINDS = ("read", "write", "awrite", "trim", "flush", "share")
 class CommandFault:
     """Base class for armable host-command faults.
 
-    Each fault targets either the *nth command* of its kind counted from
-    arming (1-based, global across every device sharing the plan) or any
-    command of its kind touching an LPN in ``lpn_range`` (a half-open
-    ``(start, end)`` interval).  ``sticky`` faults keep firing from their
-    first match onward — the shape of a hung firmware unit — while
-    non-sticky faults are one-shot.
+    Each fault targets the *nth command* of its kind counted from arming
+    (1-based, global across every device sharing the plan).  ``sticky``
+    faults keep firing from their first match onward — the shape of a
+    hung firmware unit — while non-sticky faults are one-shot.
     """
 
-    def __init__(self, kind: str, nth: Optional[int] = None,
-                 lpn_range: Optional[Tuple[int, int]] = None,
-                 sticky: bool = False) -> None:
+    def __init__(self, kind: str, nth: int, sticky: bool = False) -> None:
         if kind not in COMMAND_KINDS:
             raise ValueError(f"unknown command kind {kind!r} "
                              f"(choose from {', '.join(COMMAND_KINDS)})")
-        if (nth is None) == (lpn_range is None):
-            raise ValueError("arm a command fault with exactly one of "
-                             "nth= or lpn_range=")
-        if nth is not None and nth < 1:
+        if nth < 1:
             raise ValueError(f"nth must be >= 1: {nth}")
-        if lpn_range is not None and lpn_range[0] >= lpn_range[1]:
-            raise ValueError(f"empty lpn_range: {lpn_range!r}")
         self.kind = kind
         self.nth = nth
-        self.lpn_range = lpn_range
         self.sticky = sticky
         self.fired = False
 
@@ -420,18 +393,12 @@ class CommandFault:
     def matches(self, count: int, lpns: Sequence[int], phase: str) -> bool:
         if phase != self.phase:
             return False
-        if self.lpn_range is not None:
-            start, end = self.lpn_range
-            hit = any(start <= lpn < end for lpn in lpns)
-            return hit and (self.sticky or not self.fired)
         if self.sticky:
             return count >= self.nth
         return not self.fired and count == self.nth
 
     def __repr__(self) -> str:
-        target = (f"nth={self.nth}" if self.lpn_range is None
-                  else f"lpns={self.lpn_range!r}")
-        return (f"{type(self).__name__}({self.kind!r}, {target}, "
+        return (f"{type(self).__name__}({self.kind!r}, nth={self.nth}, "
                 f"sticky={self.sticky}, fired={self.fired})")
 
 
@@ -445,10 +412,9 @@ class CommandTimeout(CommandFault):
     lost: the ambiguous case real timeouts create, safe to retry only
     because SHARE is idempotent."""
 
-    def __init__(self, kind: str, nth: Optional[int] = None,
-                 lpn_range: Optional[Tuple[int, int]] = None,
-                 sticky: bool = False, after_apply: bool = False) -> None:
-        super().__init__(kind, nth, lpn_range, sticky)
+    def __init__(self, kind: str, nth: int,
+                 after_apply: bool = False) -> None:
+        super().__init__(kind, nth)
         self.after_apply = after_apply
 
     @property
@@ -456,8 +422,7 @@ class CommandTimeout(CommandFault):
         return "complete" if self.after_apply else "submit"
 
     def act(self, faults: FaultSet, count: int, lpns, phase: str, result):
-        if not self.sticky:
-            faults.consume(self)
+        faults.consume(self)   # one-shot
         raise CommandTimeoutError(
             f"injected {self.kind} timeout on command #{count} at "
             f"{phase} ({'applied' if phase == 'complete' else 'not applied'})")
@@ -471,10 +436,8 @@ class DeviceBusy(CommandFault):
     rejected until the budget is spent (a busy device stays busy for the
     retry, too)."""
 
-    def __init__(self, kind: str, nth: Optional[int] = None,
-                 lpn_range: Optional[Tuple[int, int]] = None,
-                 clears_after: int = 1) -> None:
-        super().__init__(kind, nth, lpn_range, sticky=True)
+    def __init__(self, kind: str, nth: int, clears_after: int = 1) -> None:
+        super().__init__(kind, nth, sticky=True)
         if clears_after < 1:
             raise ValueError(f"clears_after must be >= 1: {clears_after}")
         self.clears_after = clears_after
@@ -659,11 +622,9 @@ class FaultPlan:
                 f"(disarm first to replace it)")
         insort(fuses, target)
 
-    def disarm(self, point: Optional[str] = None) -> None:
-        if point is None:
-            self._armed.clear()
-        else:
-            self._armed.pop(point, None)
+    def disarm(self) -> None:
+        """Drop every armed power fuse."""
+        self._armed.clear()
 
     def headroom(self, points: Sequence[str]) -> int:
         """How many more passes of every point in ``points`` are safe

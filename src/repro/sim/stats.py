@@ -33,17 +33,21 @@ def percentile(sorted_values: Sequence[float], pct: float) -> float:
     return float(sorted_values[lo]) * (1.0 - frac) + float(sorted_values[hi]) * frac
 
 
-def distribution_summary(sorted_values: Sequence[float],
-                         percentiles: Sequence[float] = (25, 50, 75, 99)
+#: The percentiles every summary reports (Table 1's columns).
+SUMMARY_PERCENTILES = (25, 50, 75, 99)
+
+
+def distribution_summary(sorted_values: Sequence[float]
                          ) -> Dict[str, float]:
-    """``{"p<N>": value}`` rows for each requested percentile.
+    """``{"p<N>": value}`` rows for each of :data:`SUMMARY_PERCENTILES`.
 
     The single shared quantile path: both :class:`Histogram` (exact
     samples) and :class:`repro.obs.registry.BoundedHistogram` (reservoir)
     build their summaries through this function, so profiler and report
     numbers cannot diverge on the percentile math itself.
     """
-    return {f"p{int(p)}": percentile(sorted_values, p) for p in percentiles}
+    return {f"p{p}": percentile(sorted_values, p)
+            for p in SUMMARY_PERCENTILES}
 
 
 class Histogram:
@@ -98,13 +102,13 @@ class Histogram:
             self._sorted = sorted(self._samples)
         return percentile(self._sorted, p)
 
-    def summary(self, percentiles: Sequence[float] = (25, 50, 75, 99)) -> Dict[str, float]:
-        """Return the Table-1 shaped summary: mean, requested percentiles,
-        and max."""
+    def summary(self) -> Dict[str, float]:
+        """Return the Table-1 shaped summary: mean, the
+        :data:`SUMMARY_PERCENTILES`, and max."""
         if self._sorted is None:
             self._sorted = sorted(self._samples)
         out: Dict[str, float] = {"mean": self.mean}
-        out.update(distribution_summary(self._sorted, percentiles))
+        out.update(distribution_summary(self._sorted))
         out["max"] = self.max
         return out
 

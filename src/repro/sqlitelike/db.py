@@ -140,9 +140,8 @@ class SqliteLikeDb:
 
     @classmethod
     def open(cls, fs: HostFs, path: str, mode: JournalMode,
-             page_count: int = 4096,
-             faults: FaultPlan = NO_FAULTS) -> "SqliteLikeDb":
+             page_count: int = 4096) -> "SqliteLikeDb":
         """Reopen after a crash: the pager runs the journal-mode recovery,
         then the header page tells us the committed tree root."""
-        pager = Pager.open(fs, path, mode, page_count, faults=faults)
+        pager = Pager.open(fs, path, mode, page_count)
         return cls(fs, path, mode, page_count, _pager=pager)

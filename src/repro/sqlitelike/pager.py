@@ -33,6 +33,12 @@ _JHDR_EMPTY = "jhdr-empty"
 _WAL_FRAME = "wal-frame"
 _WAL_COMMIT = "wal-commit"
 
+#: Pages of the SHARE mode's scratch region at the end of the file.
+SCRATCH_PAGES = 64
+
+#: WAL frames that trigger a checkpoint.
+WAL_CHECKPOINT_FRAMES = 256
+
 
 class JournalMode(Enum):
     """How commits achieve atomicity.
@@ -66,26 +72,20 @@ class Pager:
     """Fixed-size page file with transactional page updates."""
 
     def __init__(self, fs: HostFs, path: str, mode: JournalMode,
-                 page_count: int, scratch_pages: int = 64,
-                 wal_checkpoint_frames: int = 256,
-                 faults: FaultPlan = NO_FAULTS,
-                 resilience: Optional[ShareGuard] = None,
+                 page_count: int, faults: FaultPlan = NO_FAULTS,
                  _existing: bool = False) -> None:
         if page_count < 1:
             raise ValueError(f"page_count must be >= 1: {page_count}")
-        if scratch_pages < 1:
-            raise ValueError(f"scratch_pages must be >= 1: {scratch_pages}")
         self.fs = fs
         self.path = path
         self.mode = mode
         self.page_count = page_count
-        self.scratch_pages = scratch_pages
-        self.wal_checkpoint_frames = wal_checkpoint_frames
         self.faults = faults
-        self.resilience = resilience or ShareGuard(fs.ssd, engine="sqlite")
+        self.resilience = ShareGuard(fs.ssd, engine="sqlite")
         self.stats = PagerStats()
         self.db_file = fs.open(path) if _existing else fs.create(path)
-        total = page_count + (scratch_pages if mode is JournalMode.SHARE else 0)
+        total = page_count + (SCRATCH_PAGES if mode is JournalMode.SHARE
+                              else 0)
         self.db_file.fallocate(total)
         self._scratch_cursor = 0
         self._txn: Optional[Dict[int, Any]] = None
@@ -230,7 +230,7 @@ class Pager:
             self._wal_index[pgno] = start + offset
         self._wal_frame_count += len(frames)
         self.stats.wal_frames += len(frames)
-        if self._wal_frame_count >= self.wal_checkpoint_frames:
+        if self._wal_frame_count >= WAL_CHECKPOINT_FRAMES:
             self.checkpoint_wal()
 
     def checkpoint_wal(self) -> None:
@@ -270,11 +270,11 @@ class Pager:
     def _commit_share(self, dirty: Dict[int, Any]) -> None:
         """Stage into the scratch tail, fsync, publish with SHARE."""
         pgnos = sorted(dirty)
-        if len(pgnos) > self.scratch_pages:
+        if len(pgnos) > SCRATCH_PAGES:
             raise EngineError(
                 f"transaction of {len(pgnos)} pages exceeds the scratch "
-                f"region of {self.scratch_pages}")
-        if self._scratch_cursor + len(pgnos) > self.scratch_pages:
+                f"region of {SCRATCH_PAGES}")
+        if self._scratch_cursor + len(pgnos) > SCRATCH_PAGES:
             self._scratch_cursor = 0
         scratch_base = self.page_count + self._scratch_cursor
         self.db_file.pwrite_blocks(scratch_base,
@@ -312,12 +312,10 @@ class Pager:
     # ------------------------------------------------------------ recovery
 
     @classmethod
-    def open(cls, fs: HostFs, path: str, mode: JournalMode, page_count: int,
-             scratch_pages: int = 64, wal_checkpoint_frames: int = 256,
-             faults: FaultPlan = NO_FAULTS) -> "Pager":
+    def open(cls, fs: HostFs, path: str, mode: JournalMode,
+             page_count: int) -> "Pager":
         """Reopen after a crash, running the mode's recovery protocol."""
-        pager = cls(fs, path, mode, page_count, scratch_pages,
-                    wal_checkpoint_frames, faults, _existing=fs.exists(path))
+        pager = cls(fs, path, mode, page_count, _existing=fs.exists(path))
         if mode is JournalMode.ROLLBACK:
             pager._recover_rollback()
         elif mode is JournalMode.WAL:

@@ -62,6 +62,9 @@ Issued = Tuple[int, Optional[CommandTicket]]
 #: aged page as data, and the page's spare stamp already names its LPN.
 _AGED_PAGE = ("aged",)
 
+#: Seed of :meth:`Ssd.age`'s random rewrite pass.
+AGE_SEED = 17
+
 
 @dataclass(frozen=True)
 class SsdConfig:
@@ -911,8 +914,7 @@ class Ssd:
 
     # --------------------------------------------------------------- aging
 
-    def age(self, fill_fraction: float, rewrite_fraction: float,
-            seed: int = 17) -> None:
+    def age(self, fill_fraction: float, rewrite_fraction: float) -> None:
         """Pre-condition the device as in Section 5.1's aging pre-run.
 
         Fills ``fill_fraction`` of the logical space sequentially, then
@@ -930,7 +932,7 @@ class Ssd:
             raise ValueError(
                 f"rewrite_fraction must be in [0, 1]: {rewrite_fraction}")
         import random
-        rng = random.Random(seed)
+        rng = random.Random(AGE_SEED)
         pages = int(self.logical_pages * fill_fraction)
         self.ftl.write_run(0, [_AGED_PAGE] * pages)
         write = self.ftl.write

@@ -53,10 +53,6 @@ class DeviceStats:
         return self.host_write_pages * self.page_size
 
     @property
-    def host_read_bytes(self) -> int:
-        return self.host_read_pages * self.page_size
-
-    @property
     def total_nand_programs(self) -> int:
         """Every page program the media absorbed."""
         return (self.host_write_pages + self.copyback_pages

@@ -128,12 +128,6 @@ class IoTrace(_Ring):
             return list(self)
         return [event for event in self if event.kind == kind]
 
-    def max_latency_us(self, kind: Optional[str] = None) -> float:
-        events = self.events(kind)
-        if not events:
-            raise ValueError("trace holds no matching events")
-        return max(event.latency_us for event in events)
-
 
 class IntervalTrace(_Ring):
     """Bounded capture of per-channel busy intervals.
@@ -146,17 +140,8 @@ class IntervalTrace(_Ring):
     def record(self, channel: int, start_us: int, end_us: int) -> None:
         self._store((channel, start_us, end_us))
 
-    def intervals(self, channel: Optional[int] = None
-                  ) -> List[Tuple[int, int, int]]:
-        ordered = self._ordered()
-        if channel is None:
-            return ordered
-        return [iv for iv in ordered if iv[0] == channel]
-
-    def busy_us(self, channel: Optional[int] = None) -> int:
-        """Total busy time across retained intervals (per channel or
-        overall)."""
-        return sum(end - start for __, start, end in self.intervals(channel))
+    def intervals(self) -> List[Tuple[int, int, int]]:
+        return self._ordered()
 
     def channels(self) -> List[int]:
         return sorted({iv[0] for iv in self.intervals()})

@@ -326,21 +326,21 @@ class ClusterLinkBenchDriver:
     :class:`~repro.ssd.ncq.DeviceSession`; ops from different clients
     overlap in device time, and a shard's bounded queue backpressures
     only the clients that hash onto it.  Replication to the peer devices
-    is pumped every ``pump_every`` operations (and once at the end), so
+    is pumped every :attr:`PUMP_EVERY` operations (and once at the end), so
     the replicas trail the primaries by a bounded delta-log lag — the
     window failover replay has to cover.
     """
 
     #: Every this many Update_Node ops, refresh the node's SHARE snapshot.
     SNAPSHOT_EVERY = 4
+    #: Replication is pumped every this many operations.
+    PUMP_EVERY = 16
 
     def __init__(self, router, clock: SimClock,
-                 config: LinkBenchConfig = LinkBenchConfig(),
-                 pump_every: int = 16) -> None:
+                 config: LinkBenchConfig = LinkBenchConfig()) -> None:
         self.router = router
         self.clock = clock
         self.config = config
-        self.pump_every = pump_every
         self._rng = make_rng(config.seed)
         self._id_chooser = ZipfianGenerator(
             config.node_count, theta=ZIPF_THETA,
@@ -398,7 +398,7 @@ class ClusterLinkBenchDriver:
         handlers = self._handlers
         record = recorder.record
         counts_get = op_counts.get
-        pump_every = self.pump_every
+        pump_every = self.PUMP_EVERY
         sessions = [DeviceSession(client, start_us)
                     for client in range(max(1, concurrency))]
         schedulers = []
@@ -418,7 +418,7 @@ class ClusterLinkBenchDriver:
                 now = session.now_us
                 for scheduler in schedulers:
                     scheduler.run_until(now)
-                if pump_every and (index + 1) % pump_every == 0:
+                if (index + 1) % pump_every == 0:
                     router.use_session(None)
                     router.pump_replication()
         finally:

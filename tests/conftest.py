@@ -20,8 +20,29 @@ def small_ssd_config(page_size=4096, share_entries=250, trace=0):
     )
 
 
-def small_linkbench_stack(seed, db_pages_estimate=320,
-                          l2p_strategy="flat", telemetry=None):
+def pair_for(router, key):
+    """The shard group ``router`` places ``key`` on."""
+    return router.pairs[router.ring.lookup(key)]
+
+
+def drop_clean_frames(pool):
+    """Drop every clean frame of a buffer pool, so the next reads of
+    those pages go to the device."""
+    for page_id in [page_id for page_id, frame in pool._frames.items()
+                    if not frame.dirty]:
+        del pool._frames[page_id]
+
+
+def sampled_telemetry(every, *args, **kwargs):
+    """A ``mode="sampled"`` Telemetry that traces 1 root in ``every``
+    (the stack's own rate is the constant ``SAMPLE_EVERY``)."""
+    from repro.obs import Telemetry
+    telemetry = Telemetry(*args, mode="sampled", **kwargs)
+    telemetry.sample_every = telemetry.tracer.sample_every = every
+    return telemetry
+
+
+def small_linkbench_stack(seed, db_pages_estimate=320, telemetry=None):
     """(stack, unloaded driver): a 600-node LinkBench graph on an InnoDB
     SHARE stack (queue depth 4, 2 channels) whose 64-page pool holds
     about a fifth of the database, so it misses, evicts and flushes.
@@ -33,7 +54,6 @@ def small_linkbench_stack(seed, db_pages_estimate=320,
     stack = build_innodb_stack(FlushMode.SHARE, 4096, buffer_pool_pages=64,
                                db_pages_estimate=db_pages_estimate,
                                queue_depth=4, channel_count=2,
-                               l2p_strategy=l2p_strategy,
                                telemetry=telemetry)
     driver = LinkBenchDriver(stack.engine, stack.clock,
                              LinkBenchConfig(node_count=600, seed=seed))

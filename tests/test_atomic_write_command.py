@@ -9,6 +9,7 @@ import pytest
 from repro.errors import (DeviceError, FtlError, PowerFailure,
                           ProgramFailError)
 from repro.ftl.config import FtlConfig
+from repro.ftl import pagemap
 from repro.ftl.mapping import STRATEGY_NAMES
 from repro.host.filesystem import METADATA_PAGES_PER_COMMIT, FsConfig, HostFs
 from repro.host.ioctl import atomic_write_ioctl
@@ -16,7 +17,7 @@ from repro.innodb.engine import FlushMode
 from repro.sim.faults import FaultPlan, PowerFailAfter, ProgramFault
 from repro.ssd.device import Ssd
 
-from conftest import small_ssd_config
+from conftest import drop_clean_frames, small_ssd_config
 
 
 class TestWriteAtomicCommand:
@@ -154,18 +155,21 @@ class TestAtomicityUnderGcAndMediaFaults:
             acked.update(items)
         ssd.ftl.check_invariants()
 
-    def test_failed_batch_leaves_the_live_device_all_old(self, clock):
+    def test_failed_batch_leaves_the_live_device_all_old(self, clock,
+                                                         monkeypatch):
         # A page of the batch fails to program on two consecutive blocks
-        # (the retry limit), so the command raises the typed error with
-        # earlier pages of the batch already on flash.
+        # (the retry limit, lowered from 4 so two faults exhaust it), so
+        # the command raises the typed error with earlier pages of the
+        # batch already on flash.
+        monkeypatch.setattr(pagemap, "PROGRAM_RETRY_LIMIT", 2)
         config = dataclasses.replace(
             small_ssd_config(),
-            ftl=FtlConfig(map_block_count=4, spare_block_count=2,
-                          program_retry_limit=2))
+            ftl=FtlConfig(map_block_count=4, spare_block_count=2))
         batch = [(lpn, ("new", lpn)) for lpn in range(6)]
 
         def device():
             faults = FaultPlan()
+            faults.media.enable_counting()   # count on once a fault fired
             ssd = Ssd(clock, config, faults=faults)
             for lpn in range(10):
                 ssd.write(lpn, ("old", lpn))
@@ -174,14 +178,22 @@ class TestAtomicityUnderGcAndMediaFaults:
                 ProgramFault(nth=faults.media.op_counts["program"] + 3))
             return ssd, faults
 
-        # A twin run with only that fault armed shows where the retry
-        # lands; failing that PPN as well exhausts the retry limit.
-        twin, __ = device()
+        # A twin run with only that fault armed shows which program is
+        # the retry; failing that one as well exhausts the retry limit.
+        twin, twin_faults = device()
+        programmed = {}
+        program = twin.nand.program
+
+        def counted(ppn, *args, **kwargs):
+            program(ppn, *args, **kwargs)
+            programmed[ppn] = twin_faults.media.op_counts["program"]
+
+        twin.nand.program = counted
         twin.write_atomic(batch)
-        retry_ppn = twin.ftl.fwd.lookup(batch[2][0])
+        retry_nth = programmed[twin.ftl.fwd.lookup(batch[2][0])]
 
         ssd, faults = device()
-        faults.media.arm(ProgramFault(ppn=retry_ppn))
+        faults.media.arm(ProgramFault(nth=retry_nth))
         with pytest.raises(ProgramFailError):
             ssd.write_atomic(batch)
         assert ssd.ftl.stats.program_fails == 2
@@ -216,7 +228,7 @@ class TestInnoDbAtomicWriteMode:
         # Single write per page, like SHARE; no share pairs, no torn window.
         assert data.stats.share_pairs == 0
         assert data.stats.extra.get("atomic_write_commands", 0) > 0
-        engine.pool.drop_clean()
+        drop_clean_frames(engine.pool)
         with engine.transaction() as txn:
             assert txn.get("t", 3) is not None
 

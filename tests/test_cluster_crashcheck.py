@@ -7,9 +7,7 @@ proactive promotions expected across the sweep), the seeded chaos
 scheduler (randomized kills + storms + busy faults + a mid-rebalance
 kill, three invariants checked), and the CLI entry points for both."""
 
-import functools
-
-from conftest import check_capped_sweep, check_cli_sweep
+from conftest import check_capped_sweep, check_cli_sweep, pair_for
 from repro.crashcheck import (CLUSTER_CHAOS, CLUSTER_KILL, CLUSTER_MEDIA,
                               ClusterChaosHarness, ClusterHarness, Site,
                               SiteResult, SweepReport, run_site, seed_sites)
@@ -20,10 +18,14 @@ SWEEP_POINTS = 8
 CHAOS_TEST_STEPS = 80
 
 
+class ShortChaosHarness(ClusterChaosHarness):
+    """A third of the real schedule, so each seed stays quick."""
+    steps = CHAOS_TEST_STEPS
+
+
 def run_chaos_seed(seed):
     """One short schedule through the engine."""
-    factory = functools.partial(ClusterChaosHarness, steps=CHAOS_TEST_STEPS)
-    return run_site(CLUSTER_CHAOS, factory, seed_sites(seed)[-1])
+    return run_site(CLUSTER_CHAOS, ShortChaosHarness, seed_sites(seed)[-1])
 
 
 def test_enumeration_counts_acked_writes():
@@ -83,7 +85,7 @@ def test_oracle_catches_a_lost_write():
     harness = ClusterHarness(FaultPlan())
     harness.run()
     key = next(k for k, v in harness.durable.items() if v is not None)
-    pair = harness.router.pair_for(key)
+    pair = pair_for(harness.router, key)
     del pair.directory[key]    # the tier "forgets" an acked write
     harness.recover()
     violations = harness.check_engine()
@@ -149,7 +151,7 @@ def test_chaos_record_shape():
 def test_chaos_reports_a_diverged_replica():
     """The convergence check itself: a replica whose copy differs from
     the primary's must be named once the schedule quiesces."""
-    harness = ClusterChaosHarness(1, steps=CHAOS_TEST_STEPS)
+    harness = ShortChaosHarness(1)
     harness.run()
     assert harness.violations == []
     group = next(g for g in harness.router.pairs.values()

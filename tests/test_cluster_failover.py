@@ -16,7 +16,7 @@ from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
 from repro.ssd.device import Ssd
 
-from conftest import small_ssd_config
+from conftest import pair_for, small_ssd_config
 
 from test_cluster_replication import quorum_cluster
 from test_cluster_router import make_cluster
@@ -42,7 +42,7 @@ def assert_converged(pair):
 class TestKillAndPromote:
     def test_kill_marks_pair_and_defers_promotion(self, clock):
         router, __ = loaded_router(clock)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         router.kill_shard(pair.name)
         assert pair.primary_down
         assert pair.needs_promotion    # breaker listener fired
@@ -51,7 +51,7 @@ class TestKillAndPromote:
 
     def test_next_op_promotes_and_serves(self, clock):
         router, __ = loaded_router(clock)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         old_primary, old_replica = pair.primary, pair.replicas[0].ssd
         router.kill_shard(pair.name)
         assert router.get(("node", 0)) == ("v", 0)
@@ -66,7 +66,7 @@ class TestKillAndPromote:
         router, __ = loaded_router(clock, keys=20, pump=True)
         for n in range(20, 30):                 # unpumped tail
             router.put(("node", n), ("v", n))
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         lag_before = pair.repl_lag
         router.kill_shard(pair.name)
         router.ensure_healthy()
@@ -77,7 +77,7 @@ class TestKillAndPromote:
 
     def test_promotion_bumps_epoch(self, clock):
         router, __ = loaded_router(clock)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         router.kill_shard(pair.name)
         assert router.ensure_healthy() == 1
         assert pair.log.epoch == 1
@@ -92,7 +92,7 @@ class TestKillAndPromote:
         the next pump catches it up from a snapshot of the new primary,
         and every key reads back equal on it."""
         router, __ = loaded_router(clock, keys=25)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         router.kill_shard(pair.name)
         router.ensure_healthy()
         rejoined = pair.replicas[0]
@@ -108,7 +108,7 @@ class TestKillAndPromote:
 
     def test_writes_continue_through_failover(self, clock):
         router, __ = loaded_router(clock)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         router.kill_shard(pair.name)
         record = router.put(("node", 0), ("v2", 0))
         assert record.epoch == 1    # post-fencing regime
@@ -116,7 +116,7 @@ class TestKillAndPromote:
 
     def test_second_kill_promotes_back(self, clock):
         router, __ = loaded_router(clock)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         original_primary = pair.primary
         router.kill_shard(pair.name)
         router.ensure_healthy()
@@ -130,7 +130,7 @@ class TestKillAndPromote:
 
     def test_guard_stats_record_open_episode(self, clock):
         router, __ = loaded_router(clock)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         router.kill_shard(pair.name)
         stats = pair.guard.stats
         assert stats.last_open_us == clock.now_us
@@ -152,7 +152,7 @@ class TestFailoverController:
     def test_on_promoted_callback_fires(self, clock):
         seen = []
         router, __ = loaded_router(clock)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         router.kill_shard(pair.name)
         controller = FailoverController(clock, on_promoted=seen.append)
         controller.promote(pair)
@@ -176,7 +176,7 @@ class TestLogCutAndFailover:
         """A key deleted after the demotion is still on the old
         primary's media; its snapshot catch-up must trim that LPN."""
         router, __ = loaded_router(clock, keys=20)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         lpn = pair.directory[("node", 0)]
         router.kill_shard(pair.name)
         router.ensure_healthy()
@@ -199,7 +199,7 @@ class TestLogCutAndFailover:
                                 write_quorum=quorum)
         durable = load_durable(router, 40)
         router.pump_replication()
-        group = router.pair_for(("node", 0))
+        group = pair_for(router, ("node", 0))
         cut = group.log.base
         assert cut == group.log.tip > 0
         router.kill_shard(group.name)
@@ -234,7 +234,7 @@ class TestLogCutAndFailover:
         router = quorum_cluster(clock, replicas=2, write_quorum=1)
         durable = load_durable(router, 30)
         router.pump_replication()
-        group = router.pair_for(("node", 0))
+        group = pair_for(router, ("node", 0))
         lagging, ahead = group.replicas
         group.mark_replica_failed(lagging.ssd.name)
         for n in range(30, 45):
@@ -259,7 +259,7 @@ class TestLogCutAndFailover:
         router = quorum_cluster(clock, replicas=2, write_quorum=1)
         durable = load_durable(router, 30)
         router.pump_replication()
-        group = router.pair_for(("node", 0))
+        group = pair_for(router, ("node", 0))
         router.kill_shard(group.name)
         router.ensure_healthy()
         survivor, rejoined = group.replicas
@@ -279,7 +279,7 @@ class TestLogCutAndFailover:
         router = quorum_cluster(clock, replicas=2, write_quorum=1)
         durable = load_durable(router, 30)
         router.pump_replication()
-        group = router.pair_for(("node", 0))
+        group = pair_for(router, ("node", 0))
         router.kill_shard(group.name)
         router.ensure_healthy()
         rejoined = group.replicas[1]
@@ -298,7 +298,7 @@ class TestLogCutAndFailover:
         caught up leaves no device that can replay the tail, and the
         shard says so instead of serving a stale replica."""
         router, __ = loaded_router(clock, keys=20)
-        pair = router.pair_for(("node", 0))
+        pair = pair_for(router, ("node", 0))
         router.kill_shard(pair.name)
         router.ensure_healthy()
         router.kill_shard(pair.name)

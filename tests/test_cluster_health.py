@@ -4,6 +4,7 @@ promotion the router performs while the sick primary is still serving,
 and the ShardMediaStorm fault that drives the whole path in sweeps."""
 
 from repro.cluster import MediaHealthMonitor, ShardGroup, ShardRouter
+from repro.cluster import health as health_module
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
@@ -24,7 +25,7 @@ class FakeDevice:
         return dict(self._report)
 
 
-def storm_router(clock, shards=2, threshold=6, cluster_plan=None):
+def storm_router(clock, shards=2, cluster_plan=None):
     """Groups whose devices each carry their own FaultPlan (a storm must
     land on one victim, never on the shared NO_FAULTS singleton)."""
     events = EventScheduler(clock)
@@ -41,9 +42,8 @@ def storm_router(clock, shards=2, threshold=6, cluster_plan=None):
 
     groups = [ShardGroup(f"shard{i}", device(f"s{i}p"),
                          [device(f"s{i}r")]) for i in range(shards)]
-    health = MediaHealthMonitor(threshold=threshold, check_every=1)
     router = ShardRouter(
-        groups, clock, health=health,
+        groups, clock,
         faults=cluster_plan if cluster_plan is not None else FaultPlan())
     return router, groups
 
@@ -58,14 +58,16 @@ class TestHealthScore:
         assert monitor.score(dev) == 3 * 2 + 4 * 1
 
     def test_spare_exhaustion_is_terminal(self):
-        monitor = MediaHealthMonitor(threshold=8)
+        monitor = MediaHealthMonitor()
         dev = FakeDevice("d", {"spare_pool": 2})
         assert monitor.score(dev) == 0
         dev._report["spare_pool"] = 0
-        assert monitor.score(dev) >= monitor.threshold
+        assert monitor.score(dev) >= health_module.TRIP_THRESHOLD
 
-    def test_observe_trips_once_per_device(self, clock):
-        router, groups = storm_router(clock, threshold=3)
+    def test_observe_trips_once_per_device(self, clock, monkeypatch):
+        # Score on every ack, so the first observe is the one that trips.
+        monkeypatch.setattr(health_module, "CHECK_EVERY", 1)
+        router, groups = storm_router(clock)
         group = groups[0]
         monitor = router.health
         monitor.score(group.primary)          # pin the baseline
@@ -85,7 +87,13 @@ class TestProactivePromotion:
         router.pump_replication()
         return [("k", n) for n in range(keys)]
 
-    def test_storm_degradation_promotes_before_any_error(self, clock):
+    def test_storm_degradation_promotes_before_any_error(self, clock,
+                                                         monkeypatch):
+        # A gentler trip than the defaults (8 points, scored every 4th
+        # ack), which this three-failure storm on a 24-block device does
+        # not reach within the loop below.
+        monkeypatch.setattr(health_module, "TRIP_THRESHOLD", 6)
+        monkeypatch.setattr(health_module, "CHECK_EVERY", 1)
         plan = FaultPlan()
         plan.cluster.arm(ShardMediaStorm(nth=4, program_fails=3,
                                          erase_fails=1))

@@ -9,30 +9,22 @@ from repro.cluster import Replica, ShardGroup, ShardRouter
 from repro.sim.clock import SimClock
 from repro.sim.events import EventScheduler
 from repro.sim.faults import DeviceBusy, FaultPlan, ProgramFault
-from repro.ssd.device import Ssd, SsdConfig
-from repro.ftl.config import FtlConfig
-from repro.flash.geometry import FlashGeometry
+from repro.ftl.pagemap import PROGRAM_RETRY_LIMIT
+from repro.ssd.device import Ssd
 from repro.ssd.ncq import DeviceSession
 
 from conftest import small_ssd_config
 
 
-def make_group(clock, replicas=2, write_quorum=1, replica_plans=None,
-               replica_retry_limit=4):
+def make_group(clock, replicas=2, write_quorum=1, replica_plans=None):
     """One ShardGroup; ``replica_plans[i]`` arms faults on replica i."""
     events = EventScheduler(clock)
     primary = Ssd(clock, small_ssd_config(), name="p", events=events)
     reps = []
     for index in range(replicas):
         plan = (replica_plans or {}).get(index)
-        config = small_ssd_config()
-        if replica_retry_limit != 4:
-            geometry = FlashGeometry.small()
-            config = SsdConfig(
-                geometry=geometry, timing=config.timing,
-                ftl=FtlConfig(map_block_count=4, share_table_entries=250,
-                              program_retry_limit=replica_retry_limit))
-        reps.append(Ssd(clock, config, name=f"r{index}", events=events,
+        reps.append(Ssd(clock, small_ssd_config(), name=f"r{index}",
+                        events=events,
                         faults=plan if plan is not None else FaultPlan()))
     return ShardGroup("shard0", primary, reps, write_quorum=write_quorum)
 
@@ -141,12 +133,12 @@ class TestReplicaApplyErrors:
 
     def test_media_error_drops_the_replica(self, clock):
         plan = FaultPlan()
-        # retry limit 1 + back-to-back program failures: the replica's
-        # write comes back as a host-visible MediaError.
-        for nth in range(1, 4):
+        # Back-to-back program failures past the retry limit (twice as
+        # many as the limit: a retirement programs as well): the
+        # replica's write comes back as a host-visible MediaError.
+        for nth in range(1, 2 * PROGRAM_RETRY_LIMIT + 1):
             plan.media.arm(ProgramFault(nth=nth))
-        group = make_group(clock, replicas=1, replica_plans={0: plan},
-                           replica_retry_limit=1)
+        group = make_group(clock, replicas=1, replica_plans={0: plan})
         group.put(("k", 0), "a")
         group.pump_replication()
         rep = group.replicas[0]

@@ -11,7 +11,7 @@ from repro.errors import ClusterError, StaleEpochError
 from repro.sim.events import EventScheduler
 from repro.ssd.device import Ssd
 
-from conftest import small_ssd_config
+from conftest import pair_for, small_ssd_config
 
 from test_cluster_failover import assert_converged
 
@@ -130,7 +130,7 @@ class TestLiveMigration:
         for n in range(80):
             src = ("node", n)
             dst = ("snap", n)
-            if router.pair_for(src) is router.pair_for(dst):
+            if pair_for(router, src) is pair_for(router, dst):
                 router.share(dst, src)
                 snaps.append((dst, src))
         assert snaps
@@ -145,7 +145,7 @@ class TestLiveMigration:
     def test_remove_retires_the_shard(self, clock):
         router, __ = make_router(clock, spare=False)
         keys = load(router)
-        victim = router.pair_for(keys[0]).name
+        victim = pair_for(router, keys[0]).name
         rebalancer = router.start_rebalance(remove=victim)
         rebalancer.run()
         assert victim not in router.pairs
@@ -229,7 +229,7 @@ class TestStaleEpochRejoin:
         leave it converged at the new epoch."""
         router, __ = make_router(clock, spare=False)
         keys = load(router, keys=20)
-        pair = router.pair_for(keys[0])
+        pair = pair_for(router, keys[0])
         router.pump_replication()
         router.kill_shard(pair.name)
         router.ensure_healthy()                  # epoch 0 -> 1
@@ -258,13 +258,13 @@ class TestShareWithSourceBreakerOpen:
         src_key = dst_key = None
         for n in range(40):
             for m in range(40):
-                if router.pair_for(("node", n)) \
-                        is not router.pair_for(("snap", m)):
+                if pair_for(router, ("node", n)) \
+                        is not pair_for(router, ("snap", m)):
                     src_key, dst_key = ("node", n), ("snap", m)
                     break
             if src_key:
                 break
-        src_pair = router.pair_for(src_key)
+        src_pair = pair_for(router, src_key)
         router.kill_shard(src_pair.name)         # breaker open on source
         copies_before = router.stats.cross_shard_copies
         record = router.share(dst_key, src_key)
@@ -279,9 +279,9 @@ class TestShareWithSourceBreakerOpen:
         load(router, keys=40)
         router.pump_replication()
         src_key = ("node", 0)
-        pair = router.pair_for(src_key)
+        pair = pair_for(router, src_key)
         dst_key = next(("snap", m) for m in range(200)
-                       if router.pair_for(("snap", m)) is pair)
+                       if pair_for(router, ("snap", m)) is pair)
         router.kill_shard(pair.name)
         record = router.share(dst_key, src_key)
         assert record is not None

@@ -208,10 +208,6 @@ class TestReopen:
 
 
 class TestConfigValidation:
-    def test_bad_doc_blocks(self):
-        with pytest.raises(ValueError):
-            CouchConfig(doc_blocks=0)
-
     def test_bad_stale_ratio(self):
         with pytest.raises(ValueError):
             CouchConfig(compaction_stale_ratio=1.5)

@@ -9,7 +9,6 @@ import pytest
 from repro.bench import experiments
 from repro.bench.harness import SCALES, Scale
 from repro.innodb.engine import FlushMode
-from repro.workloads.ycsb import YcsbWorkload
 
 
 def synthetic_linkbench_cells(metric="throughput_tps"):
@@ -113,8 +112,7 @@ def test_share_beats_original_on_ycsb_f():
     """Ported from the deleted ``tests/test_sweeps.py::test_ycsb_sweep_rows``:
     on YCSB-F at batch size 1, SHARE commits out-run ORIGINAL, and only
     SHARE remaps pages."""
-    cells = experiments._run_ycsb_sweep(YcsbWorkload.F, Scale.TINY,
-                                        batch_sizes=(1,))["cells"]
+    cells = experiments.fig7(Scale.TINY)["cells"]
     share, original = cells[(1, "share")], cells[(1, "original")]
     assert share["throughput_ops"] > original["throughput_ops"]
     assert share["share_pairs"] > 0

@@ -8,7 +8,6 @@ from repro.flash.geometry import KIB, FlashGeometry
 def test_defaults_consistent():
     geo = FlashGeometry()
     assert geo.total_pages == geo.block_count * geo.pages_per_block
-    assert geo.raw_capacity_bytes == geo.total_pages * geo.page_size
     assert geo.logical_pages < geo.total_pages
 
 
@@ -17,18 +16,15 @@ def test_overprovisioning_hides_capacity():
     assert geo.logical_pages == int(geo.total_pages * 0.75)
 
 
-def test_block_of_and_page_in_block():
+def test_first_ppn():
     geo = FlashGeometry.small()
-    ppn = geo.pages_per_block * 3 + 5
-    assert geo.block_of(ppn) == 3
-    assert geo.page_in_block(ppn) == 5
     assert geo.first_ppn(3) == geo.pages_per_block * 3
 
 
 def test_ppn_bounds_checked():
     geo = FlashGeometry.small()
     with pytest.raises(ValueError):
-        geo.block_of(geo.total_pages)
+        geo.check_ppn(geo.total_pages)
     with pytest.raises(ValueError):
         geo.check_ppn(-1)
 

@@ -12,12 +12,15 @@ stack with GC active, nothing above the FTL can tell the backings apart.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
+from repro.bench import harness
 from repro.crashcheck import POWER, Site, sample_evenly
 from repro.crashcheck.workloads import FtlBasicHarness
 from repro.errors import PowerFailure
+from repro.ftl.config import FtlConfig
 from repro.ftl.mapping import STRATEGY_NAMES
 from repro.ftl.pagemap import PageMappingFtl
 from repro.sim.faults import FaultPlan, PowerFailAfter
@@ -107,11 +110,14 @@ def test_crash_while_running_under_strategy(strategy):
     recovered.check_invariants()
 
 
-def _observe_linkbench(strategy):
+def _observe_linkbench(strategy, monkeypatch):
     """Everything visible above the FTL after a small GC-bound LinkBench
-    run on an InnoDB SHARE stack whose devices use ``strategy``."""
-    stack, driver = small_linkbench_stack(seed=3, db_pages_estimate=120,
-                                          l2p_strategy=strategy)
+    run on an InnoDB SHARE stack whose devices use ``strategy`` (the
+    builders build every device's ``FtlConfig`` with the default backing;
+    the stack's is swapped in where they build it)."""
+    monkeypatch.setattr(harness, "FtlConfig",
+                        functools.partial(FtlConfig, l2p_strategy=strategy))
+    stack, driver = small_linkbench_stack(seed=3, db_pages_estimate=120)
     assert stack.data_ssd.ftl.fwd.name == strategy
     assert stack.log_ssd.ftl.fwd.name == strategy
     driver.load()
@@ -125,14 +131,14 @@ def _observe_linkbench(strategy):
     }
 
 
-def test_l2p_backing_is_invisible_above_the_ftl():
+def test_l2p_backing_is_invisible_above_the_ftl(monkeypatch):
     # The backing changes only the DRAM representation of the map: on an
     # engine stack with GC active, the virtual clock, both devices'
     # counters and every row must not depend on it.
-    flat = _observe_linkbench("flat")
+    flat = _observe_linkbench("flat", monkeypatch)
     assert flat["data"]["gc_events"] > 0
     assert flat["data"]["share_pairs"] > 0
     assert sum(len(rows) for rows in flat["rows"].values()) > 600
     for strategy in STRATEGY_NAMES:
         if strategy != "flat":
-            assert _observe_linkbench(strategy) == flat, strategy
+            assert _observe_linkbench(strategy, monkeypatch) == flat, strategy

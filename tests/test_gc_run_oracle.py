@@ -337,7 +337,7 @@ def test_an_armed_media_fault_takes_the_per_page_loop():
 
     # The run primitive itself refuses while a media fault is armed.
     nand = ssd.nand
-    plans[0].media.arm(ReadFault(ppn=0))
+    plans[0].media.arm(ReadFault(nth=10 ** 9))   # armed, never due
     victim = ssd.ftl._blocks.pick_victim()
     source = victim * ssd.ftl._pages_per_block
     target = ssd.ftl._blocks.free_blocks()[0] * ssd.ftl._pages_per_block

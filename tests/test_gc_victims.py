@@ -53,10 +53,11 @@ def oracle_next(ftl, allow_wear_move):
             return coldest, False
     valid = {}
     for __, ppn in ftl.fwd.mapped_lpns():
-        block = ftl.geometry.block_of(ppn)
+        block = ppn // ftl.geometry.pages_per_block
         valid.setdefault(block, set()).add(ppn)
     for ppn in ftl._shadow_owner:
-        valid.setdefault(ftl.geometry.block_of(ppn), set()).add(ppn)
+        valid.setdefault(ppn // ftl.geometry.pages_per_block,
+                         set()).add(ppn)
     return min(candidates, key=lambda b: (len(valid.get(b, ())), b)), True
 
 

@@ -31,7 +31,7 @@ class TestDirectory:
         f = fs.create("/db")
         assert fs.open("/db") is f
         assert fs.exists("/db")
-        assert fs.list_files() == ["/db"]
+        assert sorted(fs._files) == ["/db"]
 
     def test_create_duplicate_rejected(self, fs):
         fs.create("/db")

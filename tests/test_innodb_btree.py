@@ -36,7 +36,6 @@ def harness():
 
 def test_empty_tree(harness):
     assert harness.tree.get(1) is None
-    assert not harness.tree.contains(1)
     assert list(harness.tree.items()) == []
     assert harness.tree.depth() == 1
 

@@ -82,7 +82,7 @@ def test_dirty_victim_lost_by_the_flush_callback_is_an_error(harness):
         pool.put(Page(page_id, 1, ("d", page_id)))
     with pytest.raises(EngineError, match="dirty page dropped unflushed"):
         pool.fetch(20)
-    assert pool.contains(0) and pool.dirty_count == 8
+    assert 0 in pool._frames and pool.dirty_count == 8
     assert pool.evictions == 0
 
 
@@ -111,8 +111,8 @@ def test_lru_order(harness):
         pool.fetch(page_id)
     pool.fetch(0)  # refresh page 0
     pool.fetch(20)  # evicts page 1, not 0
-    assert pool.contains(0)
-    assert not pool.contains(1)
+    assert 0 in pool._frames
+    assert 1 not in pool._frames
 
 
 def test_wrong_page_id_from_storage_rejected():
@@ -131,11 +131,3 @@ def test_capacity_validation():
         BufferPool(capacity_pages=8, read_page=lambda p: None,
                    flush_callback=lambda p: None, flush_batch_pages=0)
 
-
-def test_drop_clean(harness):
-    pool = harness.pool
-    pool.fetch(1)
-    pool.put(Page(2, 1, "dirty"))
-    pool.drop_clean()
-    assert not pool.contains(1)
-    assert pool.contains(2)

@@ -11,6 +11,8 @@ from repro.innodb.engine import FlushMode, InnoDBConfig, InnoDBEngine
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
 
+from conftest import drop_clean_frames
+
 
 def make_engine(mode, buffer_pages=64, flush_batch=16, clock=None):
     clock = clock or SimClock()
@@ -168,7 +170,7 @@ class TestFlushModes:
     def test_share_content_correct_after_flush(self):
         __, data, __, engine = make_engine(FlushMode.SHARE)
         churn(engine, ops=2000, keys=400)
-        engine.pool.drop_clean()
+        drop_clean_frames(engine.pool)
         with engine.transaction() as txn:
             for key in range(0, 400, 37):
                 row = txn.get("t", key)
@@ -187,12 +189,6 @@ class TestCheckpoint:
         __, data, __, engine = make_engine(FlushMode.SHARE)
         churn(engine, ops=500)
         engine.checkpoint()
-        assert engine.pool.dirty_count == 0
-
-    def test_shutdown_is_clean(self):
-        __, __, __, engine = make_engine(FlushMode.DWB_ON)
-        churn(engine, ops=200)
-        engine.shutdown()
         assert engine.pool.dirty_count == 0
 
 

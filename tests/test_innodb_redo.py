@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.innodb.redo import RedoLog
+from repro.innodb.redo import RECORDS_PER_PAGE, RedoLog
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd
 
@@ -12,7 +12,7 @@ from conftest import small_ssd_config
 @pytest.fixture
 def log(clock):
     device = Ssd(clock, small_ssd_config())
-    return RedoLog(device, records_per_page=4)
+    return RedoLog(device)
 
 
 def test_append_assigns_lsns(log):
@@ -23,17 +23,17 @@ def test_append_assigns_lsns(log):
 
 def test_records_not_durable_until_commit(log):
     log.append("a")
-    assert log.last_committed_lsn == 0
-    log.commit()
-    assert log.last_committed_lsn == 1
+    assert log.replay_records() == []
+    assert log.commit() == 1
+    assert log.replay_records() == [(1, "a")]
 
 
 def test_commit_packs_pages(log):
-    for i in range(10):
+    for i in range(2 * RECORDS_PER_PAGE + 2):
         log.append(("rec", i))
     writes_before = log.device.stats.host_write_pages
     log.commit()
-    assert log.device.stats.host_write_pages - writes_before == 3  # 4+4+2
+    assert log.device.stats.host_write_pages - writes_before == 3  # 32+32+2
 
 
 def test_replay_returns_all_committed(log):
@@ -61,14 +61,10 @@ def test_empty_commit_is_cheap(log):
 
 def test_region_wraps(clock):
     device = Ssd(clock, small_ssd_config())
-    log = RedoLog(device, records_per_page=1, region_pages=4)
-    for i in range(10):
+    log = RedoLog(device)
+    assert log.region_pages == device.logical_pages // 2
+    for i in range(log.region_pages + 10):
         log.append(i)
         log.commit()
     # The cursor stayed inside the region.
-    assert not device.ftl.is_mapped(5)
-
-
-def test_bad_records_per_page():
-    with pytest.raises(ValueError):
-        RedoLog(None, records_per_page=0)
+    assert not device.ftl.is_mapped(log.region_pages)

@@ -72,11 +72,12 @@ class TestSSTable:
     def test_key_range_and_meta(self, fs):
         entries = [(k, k) for k in range(10)]
         table = SSTable.build(fs, "/run", entries, block_capacity=4)
-        assert table.key_range() == (0, 9)
+        assert (table.block_meta(0).first_key,
+                table.block_meta(2).last_key) == (0, 9)
         assert table.data_block_count == 3
         assert table.block_meta(0).first_key == 0
         assert table.block_meta(0).last_key == 3
-        assert table.block_entry_count(2) == 2
+        assert table.block_meta(2).entry_count == 2
 
     def test_tombstone_flag_in_meta(self, fs):
         entries = [(1, "a"), (2, TOMBSTONE), (3, "c")]

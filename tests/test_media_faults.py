@@ -32,6 +32,11 @@ from repro.sim.faults import (
 from repro.ssd.device import Ssd, SsdConfig
 
 
+def next_op(faults, kind):
+    """The ``nth`` that targets the next ``kind`` operation of ``faults``."""
+    return faults.media.op_counts[kind] + 1
+
+
 def small_geometry(block_count=16, pages_per_block=8):
     return FlashGeometry(page_size=512, pages_per_block=pages_per_block,
                          block_count=block_count, overprovision_ratio=0.25)
@@ -76,7 +81,8 @@ class TestNandMediaFaults:
 
     def test_transient_read_fault_clears_after_retry(self):
         self.nand.program(0, "data", spare=((0, 1),))
-        self.faults.media.arm(ReadFault(ppn=0, retries_to_clear=1))
+        self.faults.media.arm(
+            ReadFault(nth=next_op(self.faults, "read"), retries_to_clear=1))
         with pytest.raises(UncorrectableReadError):
             self.nand.read(0)
         assert self.nand.read(0) == "data"   # retry succeeds, fault cleared
@@ -85,7 +91,7 @@ class TestNandMediaFaults:
 
     def test_sticky_read_fault_is_a_dead_page(self):
         self.nand.program(0, "data", spare=((0, 1),))
-        self.faults.media.arm(ReadFault(ppn=0))
+        self.faults.media.arm(ReadFault(nth=next_op(self.faults, "read")))
         for __ in range(3):
             with pytest.raises(UncorrectableReadError):
                 self.nand.read(0)
@@ -107,13 +113,13 @@ class TestNandMediaFaults:
 
     def test_corrupt_read_returns_garbage_not_error(self):
         self.nand.program(0, "data", spare=((0, 1),))
-        self.faults.media.arm(CorruptRead(ppn=0))
+        self.faults.media.arm(CorruptRead(nth=next_op(self.faults, "read")))
         assert self.nand.read(0) == (CORRUPT_PAYLOAD, 0)
         assert self.nand.read(0) == (CORRUPT_PAYLOAD, 0)   # sticky
 
     def test_erase_fail_leaves_contents_untouched(self):
         self.nand.program(0, "data", spare=((0, 1),))
-        self.faults.media.arm(EraseFault(block=0))
+        self.faults.media.arm(EraseFault(nth=next_op(self.faults, "erase")))
         with pytest.raises(EraseFailError):
             self.nand.erase(0)
         assert self.nand.read(0) == "data"
@@ -130,17 +136,6 @@ class TestNandMediaFaults:
         self.nand.erase(1)
         assert self.faults.media.op_counts == {"read": 2, "program": 1,
                                                "erase": 1}
-
-    def test_cleared_read_fault_does_not_hide_the_next_fault(self):
-        # A transient read fault that clears on this read must not skip
-        # the fault armed after it: the set walks a snapshot.
-        for ppn in range(8):
-            self.nand.program(ppn, ("d", ppn), spare=((ppn, ppn + 1),))
-        self.faults.media.arm(ReadFault(ppn=7, retries_to_clear=1))
-        self.faults.media.arm(CorruptRead(ppn=7))
-        with pytest.raises(UncorrectableReadError):
-            self.nand.read(7)                     # read 1: the transient fails
-        assert self.nand.read(7) == (CORRUPT_PAYLOAD, 7)   # read 2: corrupt
 
     def test_cleared_nth_read_fault_does_not_hide_the_next_fault(self):
         self.nand.program(0, "data", spare=((0, 1),))
@@ -195,8 +190,10 @@ class TestFtlDegradation:
         ssd = make_ssd(faults)
         ssd.write(0, "payload")
         ppn = dict(ssd.ftl.fwd.mapped_lpns())[0]
-        faults.media.arm(ReadFault(ppn=ppn, retries_to_clear=1))
+        fault = ReadFault(nth=next_op(faults, "read"), retries_to_clear=1)
+        faults.media.arm(fault)
         assert ssd.read(0) == "payload"
+        assert fault.location == ppn
         assert ssd.ftl.stats.read_retries >= 1
         assert ssd.ftl.stats.read_relocations == 1
         assert dict(ssd.ftl.fwd.mapped_lpns())[0] != ppn   # scrubbed away
@@ -207,8 +204,10 @@ class TestFtlDegradation:
         ssd.write(0, "shared-payload")
         ssd.share(7, 0, 1)
         ppn = dict(ssd.ftl.fwd.mapped_lpns())[0]
-        faults.media.arm(ReadFault(ppn=ppn, retries_to_clear=1))
+        fault = ReadFault(nth=next_op(faults, "read"), retries_to_clear=1)
+        faults.media.arm(fault)
         assert ssd.read(0) == "shared-payload"
+        assert fault.location == ppn
         mapped = dict(ssd.ftl.fwd.mapped_lpns())
         assert mapped[0] == mapped[7] != ppn
         # Copy-safe: both stamps survive an immediate power cycle.
@@ -221,9 +220,11 @@ class TestFtlDegradation:
         ssd = make_ssd(faults)
         ssd.write(3, "gone")
         ppn = dict(ssd.ftl.fwd.mapped_lpns())[3]
-        faults.media.arm(ReadFault(ppn=ppn))   # sticky dead page
+        fault = ReadFault(nth=next_op(faults, "read"))   # sticky dead page
+        faults.media.arm(fault)
         with pytest.raises(UncorrectableReadError):
             ssd.read(3)
+        assert fault.location == ppn
         assert ssd.ftl.stats.uncorrectable_reads >= 1
 
     def test_program_fail_retires_block_and_loses_nothing(self):
@@ -291,8 +292,11 @@ class TestFtlDegradation:
         map_pages = [geo.first_ppn(b) + off for b in map_blocks
                      for off in range(ssd.nand.programmed_pages_in_block(b))]
         assert map_pages, "workload must have written a map page"
-        faults.media.arm(CorruptRead(ppn=map_pages[0]))
+        # Recovery's first read is the first mapping page.
+        fault = CorruptRead(nth=next_op(faults, "read"))
+        faults.media.arm(fault)
         ssd.power_cycle()
+        assert fault.location == map_pages[0]
         # The checksum catches the garbage instead of trusting it...
         assert ssd.ftl.stats.corrupt_map_pages >= 1
         # ...and recovery still restores every primary mapping from OOB.

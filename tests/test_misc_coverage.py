@@ -26,9 +26,7 @@ class TestDeviceStats:
     def test_bytes_properties(self):
         stats = DeviceStats(page_size=4096)
         stats.host_write_pages = 3
-        stats.host_read_pages = 2
         assert stats.host_written_bytes == 3 * 4096
-        assert stats.host_read_bytes == 2 * 4096
 
     def test_copy_is_independent(self):
         stats = DeviceStats()
@@ -65,16 +63,6 @@ class TestIoTrace:
         self.record(trace, "read")
         assert len(trace.events("write")) == 1
         assert len(trace.events()) == 2
-
-    def test_max_latency(self):
-        trace = IoTrace(10)
-        self.record(trace, latency=5.0)
-        self.record(trace, latency=50.0)
-        assert trace.max_latency_us() == 50.0
-
-    def test_max_latency_empty_raises(self):
-        with pytest.raises(ValueError):
-            IoTrace(10).max_latency_us()
 
     def test_clear(self):
         trace = IoTrace(1)

@@ -419,7 +419,7 @@ def test_pause_stops_spans_not_counting_in_any_layer():
 def test_sampled_mode_counters_are_exact_histograms_one_in_n():
     """Was ``ftl.share.pairs = 5`` against ``FtlStats.share_pairs =
     182``: the counter was pushed inside the 1-in-64 sampler gate."""
-    telemetry = Telemetry(mode="sampled", sample_every=64)
+    telemetry = Telemetry(mode="sampled")
     ssd = make_device(telemetry)
     run_commands(ssd, plan_commands(ssd, random.Random(15), 4000), set())
     snap = telemetry.metrics.snapshot()

@@ -108,7 +108,7 @@ class TestEngineSpans:
         stack = build_innodb_stack(FlushMode.SHARE, 4096,
                                    buffer_pool_pages=64,
                                    db_pages_estimate=512,
-                                   age_device=False, telemetry=telemetry)
+                                   telemetry=telemetry)
         engine = stack.engine
         table = engine.create_table("t")
         for key in range(600):

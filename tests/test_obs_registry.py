@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import (
     COUNTER,
-    DEFAULT_MAX_SAMPLES,
+    MAX_SAMPLES,
     GAUGE,
     BoundedHistogram,
     MetricsRegistry,
@@ -145,27 +145,28 @@ class TestBoundedHistogram:
             assert b[key] == e[key], key
 
     def test_exact_stats_beyond_cap(self):
-        hist = BoundedHistogram("h", max_samples=16)
-        for value in range(1000):
+        hist = BoundedHistogram("h")
+        seen = 3 * MAX_SAMPLES
+        for value in range(seen):
             hist.record(float(value))
-        assert hist.count == 1000
-        assert hist.total == sum(range(1000))
+        assert hist.count == seen
+        assert hist.total == sum(range(seen))
         assert hist.min == 0.0
-        assert hist.max == 999.0
-        assert len(hist._samples) == 16
+        assert hist.max == seen - 1.0
+        assert len(hist._samples) == MAX_SAMPLES
 
     def test_reservoir_percentiles_are_plausible(self):
-        hist = BoundedHistogram("h", max_samples=256)
-        for value in range(10_000):
+        hist = BoundedHistogram("h")
+        for value in range(10 * MAX_SAMPLES):
             hist.record(float(value))
-        # The reservoir is a uniform sample; the median of 0..9999 must
-        # land far from either edge.
-        assert 2000 < hist.pct(50) < 8000
+        # The reservoir is a uniform sample; the median of the values
+        # seen must land far from either edge.
+        assert 2 * MAX_SAMPLES < hist.pct(50) < 8 * MAX_SAMPLES
 
     def test_deterministic_across_runs(self):
         def fill():
-            hist = BoundedHistogram("h", max_samples=8)
-            for value in range(500):
+            hist = BoundedHistogram("h")
+            for value in range(2 * MAX_SAMPLES):
                 hist.record(float(value))
             return hist.summary()
         assert fill() == fill()
@@ -178,7 +179,14 @@ class TestBoundedHistogram:
             BoundedHistogram("h").record(-1.0)
 
     def test_default_cap(self):
-        assert BoundedHistogram("h")._cap == DEFAULT_MAX_SAMPLES
+        hist = BoundedHistogram("h")
+        for value in range(MAX_SAMPLES):
+            hist.record(float(value))
+        # The first MAX_SAMPLES values are kept verbatim; the next one
+        # can only replace a slot.
+        assert hist._samples == [float(v) for v in range(MAX_SAMPLES)]
+        hist.record(float(MAX_SAMPLES))
+        assert len(hist._samples) == MAX_SAMPLES
 
     def test_percentile_function_is_shared(self):
         hist = BoundedHistogram("h")

@@ -12,7 +12,8 @@ from repro.sim.clock import SimClock
 def make_tracer():
     sink = MemorySink()
     clock = SimClock()
-    tracer = Tracer(sink, clock)
+    tracer = Tracer(sink)
+    tracer.bind_clock(clock)
     return tracer, sink, clock
 
 

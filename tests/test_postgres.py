@@ -4,11 +4,15 @@ import pytest
 
 from repro.errors import EngineError
 from repro.postgres.engine import PostgresConfig, PostgresEngine
-from repro.postgres.wal import Wal
+from repro.postgres.wal import RECORD_BYTES, Wal
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd
 
 from conftest import small_ssd_config
+
+
+def read_row(engine, table, row_id):
+    return engine._load_page(engine._page_of(table, row_id)).get(row_id)
 
 
 def make_engine(clock, fpw=True, checkpoint_every=100):
@@ -23,23 +27,23 @@ def make_engine(clock, fpw=True, checkpoint_every=100):
 class TestWal:
     def test_records_accumulate(self, clock):
         device = Ssd(clock, small_ssd_config())
-        wal = Wal(device, record_bytes=100)
+        wal = Wal(device)
         for i in range(5):
             wal.log_record(("r", i))
         assert wal.stats.records == 5
-        assert wal.stats.record_bytes == 500
+        assert wal.stats.record_bytes == 5 * RECORD_BYTES
 
     def test_commit_writes_pages(self, clock):
         device = Ssd(clock, small_ssd_config())
-        wal = Wal(device, record_bytes=100)
+        wal = Wal(device)
         for i in range(50):
             wal.log_record(("r", i))
         wal.commit()
-        assert wal.stats.wal_pages_written >= 2  # 5000 bytes / 4096
+        assert wal.stats.wal_pages_written >= 2  # 6400 bytes / 4096
 
     def test_small_commits_rewrite_partial_page(self, clock):
         device = Ssd(clock, small_ssd_config())
-        wal = Wal(device, record_bytes=100)
+        wal = Wal(device)
         pages = 0
         for i in range(5):
             wal.log_record(("r", i))
@@ -49,16 +53,11 @@ class TestWal:
 
     def test_full_page_image_counts_whole_page(self, clock):
         device = Ssd(clock, small_ssd_config())
-        wal = Wal(device, record_bytes=100, data_page_bytes=4096)
+        wal = Wal(device, data_page_bytes=4096)
         wal.log_full_page_image(3, "before")
         wal.commit()
         assert wal.stats.full_page_bytes == 4096
         assert wal.stats.total_bytes == 4096
-
-    def test_bad_record_bytes(self, clock):
-        device = Ssd(clock, small_ssd_config())
-        with pytest.raises(ValueError):
-            Wal(device, record_bytes=0)
 
 
 class TestEngine:
@@ -66,9 +65,9 @@ class TestEngine:
         __, __, engine = make_engine(clock)
         engine.create_table("t", rows=100)
         engine.update_row("t", 5, "v1")
-        assert engine.read_row("t", 5) == "v1"
+        assert read_row(engine, "t", 5) == "v1"
         engine.commit()
-        assert engine.read_row("t", 5) == "v1"
+        assert read_row(engine, "t", 5) == "v1"
 
     def test_duplicate_table_rejected(self, clock):
         __, __, engine = make_engine(clock)
@@ -82,7 +81,7 @@ class TestEngine:
         with pytest.raises(EngineError):
             engine.update_row("t", 1000, "x")
         with pytest.raises(EngineError):
-            engine.read_row("missing", 0)
+            engine.update_row("missing", 0, "x")
 
     def test_checkpoint_flushes_dirty_pages(self, clock):
         data, __, engine = make_engine(clock)

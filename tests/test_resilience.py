@@ -11,13 +11,14 @@ import pytest
 from repro.couchstore.compaction import compact
 from repro.couchstore.engine import CommitMode, CouchConfig, CouchStore
 from repro.errors import (CircuitOpenError, CommandUnsupportedError,
-                          DeviceBusyError, PowerFailure, ResilienceError,
+                          DeviceBusyError, PowerFailure,
                           RetriesExhaustedError)
 from repro.host.datajournal import CheckpointMode, DataJournalingFs
 from repro.host.filesystem import FsConfig, HostFs
+from repro.host import resilience
 from repro.host.resilience import (BREAKER_CLOSED, BREAKER_HALF_OPEN,
                                    BREAKER_OPEN, CircuitBreaker,
-                                   RetryPolicy, ShareGuard)
+                                   ShareGuard, backoff_us)
 from repro.innodb.engine import FlushMode, InnoDBConfig, InnoDBEngine
 from repro.sim.clock import SimClock
 from repro.sim.faults import (DeviceBusy, FaultPlan, PowerFailAfter,
@@ -29,53 +30,39 @@ from repro.ssd.device import Ssd
 from conftest import small_ssd_config
 
 
-# ------------------------------------------------------------ RetryPolicy
+# --------------------------------------------------------- retry schedule
 
 
 class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_fraction=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline_us=0)
-
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(base_backoff_us=100, backoff_multiplier=2.0,
-                             max_backoff_us=350, jitter_fraction=0.0)
+    def test_backoff_grows_and_caps(self, monkeypatch):
+        # Jitter off, so the exponential schedule itself is visible.
+        monkeypatch.setattr(resilience, "JITTER_FRACTION", 0.0)
         rng = make_rng(1)
-        assert policy.backoff_us(1, rng) == 100
-        assert policy.backoff_us(2, rng) == 200
-        assert policy.backoff_us(3, rng) == 350   # capped
-        assert policy.backoff_us(9, rng) == 350
+        assert [backoff_us(n, rng) for n in range(1, 10)] == [
+            200, 400, 800, 1600, 3200, 6400, 12800, 20000, 20000]
 
     def test_jitter_is_deterministic_per_seed(self):
-        policy = RetryPolicy(jitter_fraction=0.5)
-        a = [policy.backoff_us(n, make_rng(7)) for n in range(1, 5)]
-        b = [policy.backoff_us(n, make_rng(7)) for n in range(1, 5)]
+        a = [backoff_us(n, make_rng(7)) for n in range(1, 5)]
+        b = [backoff_us(n, make_rng(7)) for n in range(1, 5)]
         assert a == b
 
     def test_jitter_stays_bounded(self):
-        policy = RetryPolicy(base_backoff_us=1000, jitter_fraction=0.25,
-                             backoff_multiplier=1.0)
         rng = make_rng(3)
         for __ in range(50):
-            assert 1000 <= policy.backoff_us(1, rng) <= 1250
+            assert 200 <= backoff_us(1, rng) <= 250
 
 
 # --------------------------------------------------------- CircuitBreaker
 
 
 class TestCircuitBreaker:
-    def make(self, **kwargs):
+    def make(self):
         clock = SimClock()
-        return clock, CircuitBreaker(clock, **kwargs)
+        seen = []
+        return clock, CircuitBreaker(clock, seen.append), seen
 
     def test_trips_after_threshold(self):
-        __, breaker = self.make(failure_threshold=3)
+        __, breaker, ___ = self.make()
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == BREAKER_CLOSED
@@ -85,19 +72,26 @@ class TestCircuitBreaker:
         assert not breaker.allow()
 
     def test_success_resets_failure_streak(self):
-        __, breaker = self.make(failure_threshold=2)
+        __, breaker, ___ = self.make()
+        breaker.record_failure()
         breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
+        breaker.record_failure()
         assert breaker.state == BREAKER_CLOSED
 
+    def trip(self, breaker):
+        for __ in range(resilience.FAILURE_THRESHOLD):
+            breaker.record_failure()
+        assert breaker.state == BREAKER_OPEN
+
     def test_half_open_probe_recovers(self):
-        clock, breaker = self.make(failure_threshold=1,
-                                   recovery_timeout_us=1000,
-                                   half_open_probes=1)
-        breaker.record_failure()
+        clock, breaker, __ = self.make()
+        self.trip(breaker)
         assert not breaker.allow()
-        clock.advance(1000)
+        clock.advance(resilience.RECOVERY_TIMEOUT_US - 1)
+        assert not breaker.allow()
+        clock.advance(1)
         assert breaker.allow()                  # the probe
         assert breaker.state == BREAKER_HALF_OPEN
         assert not breaker.allow()              # probe budget spent
@@ -106,10 +100,9 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
     def test_half_open_probe_failure_reopens(self):
-        clock, breaker = self.make(failure_threshold=1,
-                                   recovery_timeout_us=1000)
-        breaker.record_failure()
-        clock.advance(1000)
+        clock, breaker, __ = self.make()
+        self.trip(breaker)
+        clock.advance(resilience.RECOVERY_TIMEOUT_US)
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == BREAKER_OPEN
@@ -117,7 +110,7 @@ class TestCircuitBreaker:
         assert not breaker.allow()              # timeout restarted
 
     def test_force_open_latches_through_time(self):
-        clock, breaker = self.make()
+        clock, breaker, __ = self.make()
         breaker.force_open()
         clock.advance(10 ** 9)
         assert not breaker.allow()
@@ -126,31 +119,19 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
     def test_transition_callback_fires(self):
-        seen = []
-        clock = SimClock()
-        breaker = CircuitBreaker(clock, failure_threshold=1,
-                                 on_transition=seen.append)
-        breaker.record_failure()
+        __, breaker, seen = self.make()
+        self.trip(breaker)
         breaker.reset()
         assert seen == [BREAKER_OPEN, BREAKER_CLOSED]
-
-    def test_validation(self):
-        clock = SimClock()
-        with pytest.raises(ValueError):
-            CircuitBreaker(clock, failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(clock, recovery_timeout_us=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(clock, half_open_probes=0)
 
 
 # ------------------------------------------------------------- ShareGuard
 
 
-def make_guard(clock=None, **kwargs):
+def make_guard(clock=None):
     clock = clock or SimClock()
     ssd = Ssd(clock, small_ssd_config())
-    return ShareGuard(ssd, engine="test", **kwargs)
+    return ShareGuard(ssd, engine="test")
 
 
 class Flaky:
@@ -180,15 +161,16 @@ class TestShareGuard:
         assert clock.now_us > 0              # backoff advanced the clock
         assert guard.breaker.state == BREAKER_CLOSED
 
-    def test_attempt_budget_exhausts(self):
-        guard = make_guard(policy=RetryPolicy(max_attempts=3),
-                           breaker=CircuitBreaker(SimClock(),
-                                                  failure_threshold=99))
+    def test_attempt_budget_exhausts(self, monkeypatch):
+        # The breaker (3 failures) ends the loop before the budget (4
+        # attempts) can; raise its threshold to reach the budget.
+        monkeypatch.setattr(resilience, "FAILURE_THRESHOLD", 99)
+        guard = make_guard()
         fn = Flaky(99)
         with pytest.raises(RetriesExhaustedError) as excinfo:
             guard.call("t", fn)
-        assert fn.calls == 3
-        assert excinfo.value.attempts == 3
+        assert fn.calls == resilience.MAX_ATTEMPTS
+        assert excinfo.value.attempts == resilience.MAX_ATTEMPTS
 
     def test_breaker_opening_ends_the_retry_loop(self):
         guard = make_guard()   # threshold 3 < default 4 attempts
@@ -208,13 +190,19 @@ class TestShareGuard:
         assert guard.stats.retries == 0
 
     def test_deadline_bounds_total_time(self):
-        guard = make_guard(
-            policy=RetryPolicy(max_attempts=100, base_backoff_us=1000,
-                               jitter_fraction=0.0, deadline_us=2500),
-            breaker=CircuitBreaker(SimClock(), failure_threshold=10 ** 6))
-        with pytest.raises(RetriesExhaustedError):
-            guard.call("t", Flaky(10 ** 6))
+        """A command that spends the deadline failing is not retried."""
+        clock = SimClock()
+        guard = make_guard(clock)
+
+        def slow_busy():
+            clock.advance(resilience.DEADLINE_US)
+            raise DeviceBusyError("busy after a long wait")
+
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            guard.call("t", slow_busy)
+        assert excinfo.value.attempts == 1
         assert guard.stats.deadline_exceeded == 1
+        assert guard.stats.retries == 0
 
     def test_power_failure_is_never_swallowed(self):
         guard = make_guard()
@@ -301,10 +289,10 @@ def test_couch_compaction_falls_back_on_a_device_without_share(clock):
     for key in range(40):           # inserts only: no SHARE at commit
         store.set(key, ("v0", key))
     store.commit()
-    files_before = set(fs.list_files())
+    files_before = set(fs._files)
     new_store, result = compact(store, clock)
     assert result.mode == "copy"
-    assert set(fs.list_files()) == files_before   # abandoned file unlinked
+    assert set(fs._files) == files_before   # abandoned file unlinked
     for key in range(40):
         assert new_store.get(key) == ("v0", key)
     assert new_store.resilience.stats.fallbacks == 1
@@ -397,19 +385,6 @@ def test_transient_busy_heals_without_fallback(clock):
     assert db.pager.stats.share_pairs > 0
 
 
-def test_engines_can_share_one_breaker(clock):
-    """Two guards on one breaker: a trip seen by one engine fast-fails
-    the other (the per-device blast-radius model)."""
-    ssd = Ssd(clock, small_ssd_config())
-    breaker = CircuitBreaker(clock, failure_threshold=1)
-    guard_a = ShareGuard(ssd, engine="a", breaker=breaker)
-    guard_b = ShareGuard(ssd, engine="b", breaker=breaker)
-    with pytest.raises(ResilienceError):
-        guard_a.call("t", Flaky(99, exc=CommandUnsupportedError))
-    with pytest.raises(CircuitOpenError):
-        guard_b.call("t", Flaky(0))
-
-
 # ------------------------------------------------- reset + open episodes
 
 
@@ -420,7 +395,7 @@ class TestBreakerReset:
         stale value standing."""
         seen = []
         clock = SimClock()
-        breaker = CircuitBreaker(clock, on_transition=seen.append)
+        breaker = CircuitBreaker(clock, seen.append)
         breaker.reset()
         assert seen == [BREAKER_CLOSED]
         breaker.force_open()
@@ -429,7 +404,7 @@ class TestBreakerReset:
 
     def test_reset_unlatches_force_open(self):
         clock = SimClock()
-        breaker = CircuitBreaker(clock)
+        breaker = CircuitBreaker(clock, lambda state: None)
         breaker.force_open()
         assert not breaker.allow()
         breaker.reset()
@@ -438,21 +413,19 @@ class TestBreakerReset:
 
     def test_reset_clears_probe_accounting(self):
         clock = SimClock()
-        breaker = CircuitBreaker(clock, failure_threshold=1,
-                                 recovery_timeout_us=100,
-                                 half_open_probes=1)
-        breaker.record_failure()
-        clock.advance(100)
+        breaker = CircuitBreaker(clock, lambda state: None)
+        trip = TestCircuitBreaker().trip
+        trip(breaker)
+        clock.advance(resilience.RECOVERY_TIMEOUT_US)
         assert breaker.allow()             # half-open, probe consumed
         breaker.reset()
         assert breaker._probes_left == 0
         assert breaker._opened_at is None
         # The next trip starts a clean episode: refused until a full
         # fresh recovery timeout elapses, then probes again.
-        breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
+        trip(breaker)
         assert not breaker.allow()
-        clock.advance(100)
+        clock.advance(resilience.RECOVERY_TIMEOUT_US)
         assert breaker.allow()
 
     def test_guard_gauge_reemitted_on_reset(self, clock):
@@ -473,9 +446,7 @@ class TestGuardOpenEpisodes:
     def make_guard(self):
         clock = SimClock()
         device = Ssd(clock, small_ssd_config())
-        guard = ShareGuard(device, breaker=CircuitBreaker(
-            clock, failure_threshold=1, recovery_timeout_us=100))
-        return clock, guard
+        return clock, ShareGuard(device)
 
     def test_episode_duration_accumulates(self):
         clock, guard = self.make_guard()
@@ -495,13 +466,13 @@ class TestGuardOpenEpisodes:
 
     def test_half_open_flap_does_not_restart_episode(self):
         clock, guard = self.make_guard()
-        guard.breaker.record_failure()     # open
+        TestCircuitBreaker().trip(guard.breaker)
         opened_at = clock.now_us
-        clock.advance(100)
+        clock.advance(resilience.RECOVERY_TIMEOUT_US)
         assert guard.breaker.allow()       # half-open probe
         guard.breaker.record_failure()     # flaps back open
         assert guard.stats.last_open_us == opened_at
-        clock.advance(100)
+        clock.advance(resilience.RECOVERY_TIMEOUT_US)
         assert guard.breaker.allow()
         guard.breaker.record_success()     # closes, ending the episode
         assert guard.stats.open_duration_us == clock.now_us - opened_at

@@ -122,7 +122,8 @@ def run(monkeypatch, seed, fault, use_oracle):
                 # in the block the program is about to fail on.
                 block = ftl.active_blocks().get(f"host(ch{ftl._host_cursor})")
                 lpn = next((lpn for lpn in recent if lpn in written and
-                            geometry.block_of(ftl.fwd.lookup(lpn)) == block),
+                            ftl.fwd.lookup(lpn) // geometry.pages_per_block
+                            == block),
                            recent[-1])
                 faults.media.arm(ProgramFault(nth=counts["program"] + 1))
                 ftl.write(lpn, ("v", lpn, index))

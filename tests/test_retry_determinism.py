@@ -1,11 +1,12 @@
-"""Satellite: a guard's retry schedule — jittered backoffs, the virtual
-timeline they produce, and where the deadline cuts the attempt chain —
-is exactly reproducible for a fixed policy seed.  Two identical runs
-must agree microsecond-for-microsecond; the crashcheck sweeps and the
-failover benchmark depend on this to be re-runnable."""
+"""A guard's retry schedule — jittered backoffs, the virtual timeline
+they produce, and where the deadline cuts the attempt chain — is exactly
+reproducible: the jitter stream is seeded with ``RETRY_SEED``.  Two
+identical runs must agree microsecond-for-microsecond; the crashcheck
+sweeps and the failover benchmark depend on this to be re-runnable."""
 
 from repro.errors import DeviceBusyError, RetriesExhaustedError
-from repro.host.resilience import CircuitBreaker, RetryPolicy, ShareGuard
+from repro.host import resilience
+from repro.host.resilience import ShareGuard
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd
 
@@ -26,17 +27,13 @@ class Flaky:
         return "ok"
 
 
-def run_schedule(seed, failures=2, calls=6, deadline_us=2_000_000,
-                 max_attempts=5):
+def run_schedule(failures=2, calls=6):
     """One guarded run; returns everything an identical re-run must
     reproduce: the stats counters, the virtual timeline after each call,
     and each call's outcome."""
     clock = SimClock()
     ssd = Ssd(clock, small_ssd_config())
-    policy = RetryPolicy(seed=seed, deadline_us=deadline_us,
-                         max_attempts=max_attempts)
-    guard = ShareGuard(ssd, engine="det", policy=policy,
-                       breaker=CircuitBreaker(clock, failure_threshold=100))
+    guard = ShareGuard(ssd, engine="det")
     timeline = []
     outcomes = []
     for __ in range(calls):
@@ -50,8 +47,8 @@ def run_schedule(seed, failures=2, calls=6, deadline_us=2_000_000,
 
 
 def test_identical_runs_produce_identical_schedules():
-    stats_a, timeline_a, outcomes_a = run_schedule(seed=0x51C)
-    stats_b, timeline_b, outcomes_b = run_schedule(seed=0x51C)
+    stats_a, timeline_a, outcomes_a = run_schedule()
+    stats_b, timeline_b, outcomes_b = run_schedule()
     assert timeline_a == timeline_b
     assert outcomes_a == outcomes_b
     assert stats_a.backoff_us == stats_b.backoff_us
@@ -61,18 +58,24 @@ def test_identical_runs_produce_identical_schedules():
     assert stats_a.backoff_us > 12 * 200
 
 
-def test_different_seeds_diverge():
-    __, timeline_a, ___ = run_schedule(seed=1)
-    __, timeline_b, ___ = run_schedule(seed=2)
+def test_different_seeds_diverge(monkeypatch):
+    monkeypatch.setattr(resilience, "RETRY_SEED", 1)
+    __, timeline_a, ___ = run_schedule()
+    monkeypatch.setattr(resilience, "RETRY_SEED", 2)
+    __, timeline_b, ___ = run_schedule()
     assert timeline_a != timeline_b
 
 
-def test_deadline_cut_is_deterministic():
+def test_deadline_cut_is_deterministic(monkeypatch):
     """With backoffs 200/400/800 (+jitter) a 1000us deadline must fire
-    by the third retry — at exactly the same attempt both runs."""
-    results = [run_schedule(seed=7, failures=10, calls=4,
-                            deadline_us=1_000, max_attempts=10)
-               for __ in range(2)]
+    by the third retry — at exactly the same attempt both runs.  The
+    constants are patched because at their real values the breaker (3
+    failures) ends every chain long before the 2 s deadline could."""
+    monkeypatch.setattr(resilience, "DEADLINE_US", 1_000)
+    monkeypatch.setattr(resilience, "MAX_ATTEMPTS", 10)
+    monkeypatch.setattr(resilience, "FAILURE_THRESHOLD", 100)
+    monkeypatch.setattr(resilience, "RETRY_SEED", 7)
+    results = [run_schedule(failures=10, calls=4) for __ in range(2)]
     (stats_a, timeline_a, outcomes_a), (stats_b, timeline_b,
                                         outcomes_b) = results
     assert stats_a.deadline_exceeded == stats_b.deadline_exceeded == 4

@@ -458,7 +458,7 @@ class TestValidation:
         clock.reset()
         assert ssd.inflight == 0
         assert ssd.ncq.inflight == 0
-        assert ssd.channels.horizon_us() == 0
+        assert max(ssd.channels._free_us) == 0
         fired_before = ssd.events.fired
         ssd.events.run_until(10**9)     # the queued completion is gone
         assert ssd.events.fired == fired_before

@@ -43,13 +43,6 @@ def test_other_points_unaffected():
         plan.checkpoint("a")
 
 
-def test_disarm():
-    plan = FaultPlan()
-    plan.arm(PowerFailAfter("a"))
-    plan.disarm("a")
-    plan.checkpoint("a")
-
-
 def test_disarm_all():
     plan = FaultPlan()
     plan.arm(PowerFailAfter("a"))

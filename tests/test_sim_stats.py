@@ -102,11 +102,6 @@ class TestDistributionSummary:
         assert set(summary) == {"p25", "p50", "p75", "p99"}
         assert summary["p50"] == 3.0
 
-    def test_custom_percentiles(self):
-        from repro.sim.stats import distribution_summary
-        summary = distribution_summary([1.0, 2.0], percentiles=(50, 90))
-        assert set(summary) == {"p50", "p90"}
-
     def test_matches_percentile_function(self):
         from repro.sim.stats import distribution_summary
         values = sorted(float((i * 37) % 101) for i in range(60))

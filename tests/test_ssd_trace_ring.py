@@ -4,12 +4,11 @@ accounting across wrap boundaries, wrap order and clear on each user
 ``record_fields`` hot path, and the interaction with sampled telemetry
 mode."""
 
-from repro.obs import Telemetry
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd
 from repro.ssd.trace import IntervalTrace, IoTrace, TraceEvent
 
-from conftest import small_ssd_config
+from conftest import sampled_telemetry, small_ssd_config
 
 
 def fill(trace, n, start=0):
@@ -113,15 +112,13 @@ class TestRecordFields:
 
 
 class TestIntervalTrace:
-    def test_records_and_filters_by_channel(self):
+    def test_records_channels_in_order(self):
         trace = IntervalTrace(8)
         trace.record(0, 0, 10)
         trace.record(1, 5, 25)
         trace.record(0, 10, 15)
         assert trace.channels() == [0, 1]
-        assert trace.intervals(channel=0) == [(0, 0, 10), (0, 10, 15)]
-        assert trace.busy_us() == 10 + 20 + 5
-        assert trace.busy_us(channel=1) == 20
+        assert trace.intervals() == [(0, 0, 10), (1, 5, 25), (0, 10, 15)]
 
     def test_keep_newest_ring_with_dropped(self):
         trace = IntervalTrace(2)
@@ -142,7 +139,7 @@ class TestSampledModeInteraction:
     def test_ring_captures_every_command_while_histograms_sample(self):
         """The IoTrace is a forensic record: sampled mode thins metric
         histograms but never the ring — every completion lands in it."""
-        telemetry = Telemetry(mode="sampled", sample_every=10)
+        telemetry = sampled_telemetry(10)
         ssd = Ssd(SimClock(), small_ssd_config(trace=64),
                   telemetry=telemetry, name="dut")
         writes = 40
@@ -154,7 +151,7 @@ class TestSampledModeInteraction:
         assert snap["device.dut.latency_us.write"]["count"] == writes // 10
 
     def test_ring_wrap_under_sampled_mode_keeps_counting_drops(self):
-        telemetry = Telemetry(mode="sampled", sample_every=5)
+        telemetry = sampled_telemetry(5)
         ssd = Ssd(SimClock(), small_ssd_config(trace=8),
                   telemetry=telemetry, name="dut")
         for i in range(30):

@@ -18,7 +18,7 @@ from repro.workloads.ycsb import YcsbConfig, YcsbDriver, YcsbWorkload
 
 def small_linkbench(mode=FlushMode.SHARE, nodes=800, seed=42):
     stack = build_innodb_stack(mode, 4096, buffer_pool_pages=64,
-                               db_pages_estimate=500, age_device=False)
+                               db_pages_estimate=500)
     driver = LinkBenchDriver(stack.engine, stack.clock,
                              LinkBenchConfig(node_count=nodes, seed=seed))
     driver.load()
@@ -197,8 +197,7 @@ class TestConcurrentClients:
         # makespan, same throughput — only recorded latencies grow by
         # the queueing wait.
         def run(concurrency, seed=7):
-            stack = build_innodb_stack(FlushMode.SHARE, 4096, 64, 2000,
-                                       age_device=False)
+            stack = build_innodb_stack(FlushMode.SHARE, 4096, 64, 2000)
             driver = LinkBenchDriver(
                 stack.engine, stack.clock,
                 LinkBenchConfig(node_count=300, seed=seed))
@@ -218,7 +217,6 @@ class TestConcurrentClients:
     def test_linkbench_deep_queue_multi_channel_shrinks_makespan(self):
         def run(queue_depth, channel_count):
             stack = build_innodb_stack(FlushMode.SHARE, 4096, 64, 2000,
-                                       age_device=False,
                                        queue_depth=queue_depth,
                                        channel_count=channel_count)
             driver = LinkBenchDriver(
