@@ -24,7 +24,8 @@ state machine in docs/resilience.md):
    :meth:`CircuitBreaker.reset`) so the open->closed edge is visible in
    telemetry with the failover duration accounted in ``GuardStats``.
 3. Replay the replication-log tail past the chosen replica's verified
-   watermark onto it, each record through the guard's retry policy —
+   watermark onto it, on its replication session, each record through
+   the guard's retry policy —
    this is where writes that were acked but not yet pumped (the dead
    shard's in-flight backlog) drain back through retry.
 4. Bump the log epoch, fencing any stale writer from the old regime.
@@ -116,23 +117,22 @@ class FailoverController:
             # the failover latency).
             group.guard.breaker.reset()
             session = target.session
-            if session.now_us < self.clock.now_us:
-                session.now_us = self.clock.now_us
+            clock = self.clock
+            if session.now_us < clock.now_us:
+                session.now_us = clock.now_us
             start_cursor = session.now_us
             replayed = 0
             applier = target.applier
             log = group.log
-            for seq in range(applier.watermark + 1, log.tip + 1):
-                record = log.record_at(seq)
-
-                def apply_one(record=record):
-                    new_primary._session = session
-                    try:
-                        return applier.apply(new_primary, record)
-                    finally:
-                        new_primary._session = None
-                if group.guard.call("cluster.replay", apply_one):
-                    replayed += 1
+            caller = clock.issuer
+            clock.issuer = session
+            try:
+                for seq in range(applier.watermark + 1, log.tip + 1):
+                    if group.guard.call("cluster.replay", applier.apply,
+                                        new_primary, log.record_at(seq)):
+                        replayed += 1
+            finally:
+                clock.issuer = caller
             epoch = log.bump_epoch()
             group.replicas.remove(target)
             group.primary = new_primary

@@ -55,7 +55,6 @@ from repro.cluster.shard import ShardGroup
 from repro.errors import ClusterError, ResilienceError, ShardUnavailableError
 from repro.obs import COUNTER, GAUGE, NULL_TELEMETRY
 from repro.sim.faults import NO_FAULTS, ShardMediaStorm
-from repro.ssd.ncq import DeviceSession
 
 __all__ = ["ShardRouter", "ClusterStats"]
 
@@ -130,7 +129,6 @@ class ShardRouter:
         self.ring = HashRing([p.name for p in pairs])
         self.stats = ClusterStats()
         self.health = MediaHealthMonitor()
-        self._session: Optional[DeviceSession] = None
         #: Per-(client, shard) last acked sequence — the read-your-writes
         #: watermark replica reads must reach.
         self._client_seq: Dict[Tuple[Optional[int], str], int] = {}
@@ -162,11 +160,7 @@ class ShardRouter:
                                    group)
         self.controller.attach(group)
 
-    # --------------------------------------------------------- sessions
-
-    def use_session(self, session: Optional[DeviceSession]) -> None:
-        """Issue subsequent ops on ``session``'s cursor (None = sync)."""
-        self._session = session
+    # ---------------------------------------------------------- devices
 
     @property
     def devices(self) -> List:
@@ -215,12 +209,13 @@ class ShardRouter:
         The first failure may be the breaker tripping (or already open)
         for a dead primary: promote a replica and re-issue once on the
         new primary.  A second failure means the shard is genuinely
-        unavailable."""
+        unavailable.  With telemetry on, it times the op on the issuer."""
         self.stats.ops += 1
         if group.primary_down or group.needs_promotion:
             self.controller.promote(group)
-        start_us = self._session.now_us if self._session is not None \
-            else self.clock.now_us
+        timed = self.telemetry.enabled
+        if timed:
+            start_us = self.clock.issuer.now_us
         try:
             result = op(*args, **kwargs)
         except ResilienceError as exc:
@@ -230,10 +225,9 @@ class ShardRouter:
                     f"breaker: {exc}") from exc
             self.controller.promote(group)
             result = op(*args, **kwargs)
-        if self.telemetry.enabled:
-            end_us = self._session.now_us if self._session is not None \
-                else self.clock.now_us
-            self._m_latency[group.name].record(max(0, end_us - start_us))
+        if timed:
+            self._m_latency[group.name].record(
+                max(0, self.clock.issuer.now_us - start_us))
         return result
 
     def _ack(self, group: ShardGroup, record=None) -> None:
@@ -241,9 +235,8 @@ class ShardRouter:
         health scoring, and the crashcheck kill/storm hook."""
         self.stats.acked_writes += 1
         if record is not None:
-            session = self._session
-            client = session.client if session is not None else None
-            self._client_seq[(client, group.name)] = record.seq
+            self._client_seq[(self.clock.issuer.client, group.name)] = \
+                record.seq
         if self.health.observe(group):
             self.stats.media_trips += 1
         faults = self.faults
@@ -278,7 +271,7 @@ class ShardRouter:
 
     def put(self, key, value):
         pair = self.pairs[self.ring.lookup(key)]
-        record = self._shard_op(pair, pair.put, key, value, self._session)
+        record = self._shard_op(pair, pair.put, key, value)
         self._ack(pair, record)
         if self._migration is not None:
             self._settle_migration(key, pair)
@@ -307,12 +300,11 @@ class ShardRouter:
         pair = self.pairs[self.ring.lookup(key)]
         if self._migration is not None:
             pair = self._read_owner(key, pair)
-        session = self._session
-        client = session.client if session is not None else None
-        min_seq = self._client_seq.get((client, pair.name), 0)
+        min_seq = self._client_seq.get((self.clock.issuer.client, pair.name),
+                                       0)
         before_reads = pair.replica_reads
         before_falls = pair.replica_read_fallbacks
-        value = self._shard_op(pair, pair.get, key, session, min_seq)
+        value = self._shard_op(pair, pair.get, key, min_seq)
         if pair.replica_reads != before_reads:
             self.stats.replica_reads += 1
         if pair.replica_read_fallbacks != before_falls:
@@ -333,22 +325,19 @@ class ShardRouter:
         if self._migration is not None:
             src_pair = self._read_owner(src_key, src_pair)
         dst_pair = self.pairs[self.ring.lookup(dst_key)]
-        session = self._session
         if src_pair is dst_pair:
             record = self._shard_op(dst_pair, dst_pair.share, dst_key,
-                                    src_key, session)
+                                    src_key)
         else:
             if src_key not in src_pair.directory:
                 raise ClusterError(
                     f"share source {src_key!r} not present on shard "
                     f"{src_pair.name!r}")
-            client = session.client if session is not None else None
-            min_seq = self._client_seq.get((client, src_pair.name), 0)
-            value = self._shard_op(src_pair, src_pair.get, src_key, session,
-                                   min_seq)
+            min_seq = self._client_seq.get(
+                (self.clock.issuer.client, src_pair.name), 0)
+            value = self._shard_op(src_pair, src_pair.get, src_key, min_seq)
             self.stats.cross_shard_copies += 1
-            record = self._shard_op(dst_pair, dst_pair.put, dst_key, value,
-                                    session)
+            record = self._shard_op(dst_pair, dst_pair.put, dst_key, value)
         self._ack(dst_pair, record)
         if self._migration is not None:
             self._settle_migration(dst_key, dst_pair)
@@ -358,7 +347,7 @@ class ShardRouter:
         if self._absent(key):
             return None
         pair = self.pairs[self.ring.lookup(key)]
-        record = self._shard_op(pair, pair.delete, key, self._session)
+        record = self._shard_op(pair, pair.delete, key)
         if record is not None:
             self._ack(pair, record)
         if self._migration is None:
@@ -427,7 +416,7 @@ class ShardRouter:
         record = None
         if src_name != written.name:
             src = self._group(src_name)
-            record = self._shard_op(src, src.delete, key, self._session)
+            record = self._shard_op(src, src.delete, key)
             if record is not None:
                 self._ack(src, record)
         if not state.pending:

@@ -229,19 +229,7 @@ class ShardGroup:
         if ssd.inflight >= QUEUE_LIMIT:
             self.backpressure_waits += ssd.drain(leave=QUEUE_LIMIT - 1)
 
-    def _guarded(self, label: str, ssd, session, fn):
-        """Run a device op through the guard with a session attached."""
-        def attempt():
-            if session is not None:
-                ssd._session = session
-            try:
-                return fn()
-            finally:
-                if session is not None:
-                    ssd._session = None
-        return self.guard.call(label, attempt)
-
-    def put(self, key, value, session: Optional[DeviceSession] = None):
+    def put(self, key, value):
         """Durably write ``key`` and append the replication record.
 
         Returns the appended :class:`ReplRecord`; its return *is* the
@@ -252,8 +240,7 @@ class ShardGroup:
         ssd = self.primary
         self._backpressure(ssd)
         lpn, fresh = self._reserve_lpn(key)
-        self._guarded("cluster.put", ssd, session,
-                      lambda: ssd.write(lpn, value))
+        self.guard.call("cluster.put", ssd.write, lpn, value)
         self._commit_lpn(key, lpn, fresh)
         record = self.log.append(REPL_WRITE, key, lpn, value)
         if fresh:
@@ -263,8 +250,7 @@ class ShardGroup:
         self.writes += 1
         return record
 
-    def get(self, key, session: Optional[DeviceSession] = None,
-            min_seq: int = 0, allow_replica: bool = True):
+    def get(self, key, min_seq: int = 0, allow_replica: bool = True):
         """Read ``key`` (None when absent).
 
         A replica serves the read when one has applied both ``min_seq``
@@ -278,8 +264,10 @@ class ShardGroup:
         if allow_replica and self.replicas:
             rep = self._pick_replica(key, min_seq)
             if rep is not None:
+                ssd = rep.ssd
+                self._backpressure(ssd)
                 try:
-                    value = self._replica_read(rep, lpn, session)
+                    value = ssd.read(lpn)
                 except DeviceError:
                     self.replica_read_fallbacks += 1
                 else:
@@ -288,8 +276,7 @@ class ShardGroup:
                     return value
         ssd = self.primary
         self._backpressure(ssd)
-        value = self._guarded("cluster.get", ssd, session,
-                              lambda: ssd.read(lpn))
+        value = self.guard.call("cluster.get", ssd.read, lpn)
         self.reads += 1
         return value
 
@@ -308,19 +295,7 @@ class ShardGroup:
             return rep
         return None
 
-    def _replica_read(self, rep: Replica, lpn: int, session):
-        ssd = rep.ssd
-        self._backpressure(ssd)
-        if session is None:
-            return ssd.read(lpn)
-        ssd._session = session
-        try:
-            return ssd.read(lpn)
-        finally:
-            ssd._session = None
-
-    def share(self, dst_key, src_key,
-              session: Optional[DeviceSession] = None):
+    def share(self, dst_key, src_key):
         """SHARE-remap ``dst_key`` onto ``src_key``'s physical page.
 
         The mapping-only copy from the paper, lifted to the KV tier.
@@ -335,8 +310,7 @@ class ShardGroup:
                 f"{self.name!r}")
         ssd = self.primary
         self._backpressure(ssd)
-        value = self._guarded("cluster.share.read", ssd, session,
-                              lambda: ssd.read(src_lpn))
+        value = self.guard.call("cluster.share.read", ssd.read, src_lpn)
         lpn, fresh = self._reserve_lpn(dst_key)
 
         def do_share():
@@ -345,7 +319,7 @@ class ShardGroup:
             except ShareError:
                 self.share_fallbacks += 1
                 ssd.write(lpn, value)
-        self._guarded("cluster.share", ssd, session, do_share)
+        self.guard.call("cluster.share", do_share)
         self._commit_lpn(dst_key, lpn, fresh)
         record = self.log.append(REPL_SHARE, dst_key, lpn, value,
                                  src_lpn=src_lpn)
@@ -356,15 +330,14 @@ class ShardGroup:
         self.shares += 1
         return record
 
-    def delete(self, key, session: Optional[DeviceSession] = None):
+    def delete(self, key):
         """Trim ``key``; returns the record, or None when absent."""
         lpn = self.directory.get(key)
         if lpn is None:
             return None
         ssd = self.primary
         self._backpressure(ssd)
-        self._guarded("cluster.delete", ssd, session,
-                      lambda: ssd.trim(lpn))
+        self.guard.call("cluster.delete", ssd.trim, lpn)
         del self.directory[key]
         self._entry_seq.pop(key, None)
         self._share_src.pop(key, None)
@@ -384,7 +357,8 @@ class ShardGroup:
         ``budget`` bounds how many records this call applies.  A device
         error mid-apply marks the replica failed and drops it from the
         rotation — the applier watermark stays truthful, so a later
-        repair could resume exactly where it stopped."""
+        repair could resume exactly where it stopped.  The I/O runs on
+        the replica's replication session (the caller's issuer after)."""
         log = self.log
         tip = log.tip
         if upto is not None and upto < tip:
@@ -392,50 +366,52 @@ class ShardGroup:
         applied = 0
         ssd = rep.ssd
         session = rep.session
-        if session.now_us < ssd.clock.now_us:
-            session.now_us = ssd.clock.now_us
+        clock = ssd.clock
+        if session.now_us < clock.now_us:
+            session.now_us = clock.now_us
         applier = rep.applier
-        if applier.watermark < log.base:
-            self._snapshot_to(rep)
-            return 0
-        while applier.watermark < tip:
-            if budget is not None and applied >= budget:
-                break
-            record = log.record_at(applier.watermark + 1)
-            ssd._session = session
-            try:
-                done = applier.apply(ssd, record)
-            except (MediaError, OutOfSpaceError):
-                # The replica's media is giving out: drop it from the
-                # rotation rather than burn its remaining spares.
-                rep.failed = True
-                self.replica_drops += 1
-                break
-            except DeviceError:
-                # Transient (busy/timeout): stop this batch, retry at
-                # the next pump with the replica still in rotation.
-                break
-            finally:
-                ssd._session = None
-            if done:
-                applied += 1
+        caller = clock.issuer
+        clock.issuer = session
+        try:
+            if applier.watermark < log.base:
+                self._snapshot_to(rep)
+                return 0
+            while applier.watermark < tip:
+                if budget is not None and applied >= budget:
+                    break
+                record = log.record_at(applier.watermark + 1)
+                try:
+                    done = applier.apply(ssd, record)
+                except (MediaError, OutOfSpaceError):
+                    # The replica's media is giving out: drop it from
+                    # the rotation rather than burn its remaining spares.
+                    rep.failed = True
+                    self.replica_drops += 1
+                    break
+                except DeviceError:
+                    # Transient (busy/timeout): stop this batch, retry
+                    # at the next pump with the replica still in rotation.
+                    break
+                if done:
+                    applied += 1
+        finally:
+            clock.issuer = caller
         return applied
 
     def _snapshot_to(self, rep: Replica) -> None:
         """Catch a replica below the log's cut up from the primary.
 
         The records it would replay are gone, so it copies the state they
-        built instead, on its replication session: every live directory
-        entry is read from the primary and written at its LPN, every LPN
-        the group has freed is trimmed, and the applier jumps to the log's
-        tip and epoch.  A device error leaves the watermark where it was
+        built instead, on its replication session (:meth:`_apply_to`
+        binds it): every live directory entry is read from the primary
+        and written at its LPN, every LPN the group has freed is trimmed,
+        and the applier jumps to the log's tip and epoch.  A device error leaves the watermark where it was
         (the next apply starts the copy over); a dead primary serves no
         snapshot until a promotion replaces it."""
         if self.primary_down:
             return
         primary = self.primary
         ssd = rep.ssd
-        primary._session = ssd._session = rep.session
         try:
             for lpn in self.directory.values():
                 try:
@@ -451,8 +427,6 @@ class ShardGroup:
             return
         except DeviceError:
             return
-        finally:
-            primary._session = ssd._session = None
         log = self.log
         rep.applier.watermark = log.tip
         rep.applier.epoch = log.epoch

@@ -300,14 +300,16 @@ class ClusterChaosHarness:
         sessions = [DeviceSession(client, 0)
                     for client in range(self.clients)]
         rebalancer = None
+        clock = router.clock
+        caller = clock.issuer
         for step in range(self.steps):
             client = rng.randrange(self.clients)
             session = sessions[client]
-            router.use_session(session)
+            clock.issuer = session
             try:
                 self._client_op(rng, router, client)
             finally:
-                router.use_session(None)
+                clock.issuer = caller
             self.events.run_until(session.now_us)
             rebalancer = self._chaos(rng, router, step, rebalancer)
             if (step + 1) % CHAOS_PUMP_EVERY == 0:

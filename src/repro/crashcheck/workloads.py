@@ -347,58 +347,59 @@ class QueuedFtlHarness:
         self._share_members: set = set()
 
     def run(self) -> None:
-        from repro.ssd.ncq import DeviceSession, issuing
+        from repro.ssd.ncq import DeviceSession
         rng = random.Random(0x0E0)
         ssd = self.ssd
-        sessions = [DeviceSession(client, self.clock.now_us)
+        clock = self.clock
+        sessions = [DeviceSession(client, clock.now_us)
                     for client in range(self.CLIENTS)]
+        caller = clock.issuer
         try:
             for step in range(180):
                 client = step % self.CLIENTS
                 session = sessions[client]
                 base = client * self.SPAN
                 roll = rng.random()
-                with issuing(session, ssd):
-                    if roll < 0.62:
-                        lpn = base + rng.randrange(self.SPAN)
-                        value = ("q", step, lpn)
-                        # History records the *submission* (before the
-                        # command runs): a crash mid-command leaves this
-                        # value as the LPN's trailing unacked entry.
-                        self.history.setdefault(lpn, []).append(value)
-                        self._share_members.discard(lpn)
-                        ssd.write(lpn, value)
-                    elif roll < 0.82:
-                        # Share within the client's own range (so the
-                        # copied value is this session's latest) and
-                        # never from or onto an existing pair member.
-                        owned = [l for l in sorted(self.history)
-                                 if base <= l < base + self.SPAN
-                                 and l not in self._share_members]
-                        if not owned:
-                            continue
-                        src = rng.choice(owned)
-                        dst = base + rng.randrange(self.SPAN)
-                        if dst == src or dst in self._share_members:
-                            continue
-                        self.history.setdefault(dst, []).append(
-                            self.history[src][-1])
-                        self._share_members.update((src, dst))
-                        try:
-                            ssd.share(dst, src, 1)
-                        except ShareError:
-                            self.history[dst].pop()
-                            self._share_members.difference_update(
-                                (src, dst))
-                            continue
-                    elif roll < 0.94:
-                        owned = [l for l in sorted(self.history)
-                                 if base <= l < base + self.SPAN]
-                        if not owned:
-                            continue
-                        ssd.read(rng.choice(owned))
-                    else:
-                        ssd.flush()
+                clock.issuer = session
+                if roll < 0.62:
+                    lpn = base + rng.randrange(self.SPAN)
+                    value = ("q", step, lpn)
+                    # History records the *submission* (before the
+                    # command runs): a crash mid-command leaves this
+                    # value as the LPN's trailing unacked entry.
+                    self.history.setdefault(lpn, []).append(value)
+                    self._share_members.discard(lpn)
+                    ssd.write(lpn, value)
+                elif roll < 0.82:
+                    # Share within the client's own range (so the
+                    # copied value is this session's latest) and
+                    # never from or onto an existing pair member.
+                    owned = [l for l in sorted(self.history)
+                             if base <= l < base + self.SPAN
+                             and l not in self._share_members]
+                    if not owned:
+                        continue
+                    src = rng.choice(owned)
+                    dst = base + rng.randrange(self.SPAN)
+                    if dst == src or dst in self._share_members:
+                        continue
+                    self.history.setdefault(dst, []).append(
+                        self.history[src][-1])
+                    self._share_members.update((src, dst))
+                    try:
+                        ssd.share(dst, src, 1)
+                    except ShareError:
+                        self.history[dst].pop()
+                        self._share_members.difference_update((src, dst))
+                        continue
+                elif roll < 0.94:
+                    owned = [l for l in sorted(self.history)
+                             if base <= l < base + self.SPAN]
+                    if not owned:
+                        continue
+                    ssd.read(rng.choice(owned))
+                else:
+                    ssd.flush()
                 ssd.poll(session.now_us)
             ssd.drain()
         except PowerFailure:
@@ -407,6 +408,8 @@ class QueuedFtlHarness:
         except DeviceError:
             self.aborted = True
             raise
+        finally:
+            clock.issuer = caller
 
     def recover(self) -> List[DeviceState]:
         self.ssd.power_cycle()

@@ -268,8 +268,8 @@ class ShareGuard:
 
     # ------------------------------------------------------------- core
 
-    def call(self, label: str, fn: Callable[[], object]):
-        """Run ``fn`` under the retry policy and breaker.
+    def call(self, label: str, fn: Callable[..., object], *args):
+        """Run ``fn(*args)`` under the retry policy and breaker.
 
         Returns ``fn``'s result.  Raises :class:`CircuitOpenError` when
         the breaker refuses the attempt, :class:`RetriesExhaustedError`
@@ -288,7 +288,7 @@ class ShareGuard:
             attempt += 1
             self.stats.attempts += 1
             try:
-                result = fn()
+                result = fn(*args)
             except PowerFailure:
                 raise
             except RETRYABLE_ERRORS as exc:
@@ -345,6 +345,5 @@ class ShareGuard:
 
     def share_file_ranges(self, dst_file: File, src_file: File,
                           ranges: Sequence[Tuple[int, int, int]]) -> int:
-        return self.call("share_file_ranges",
-                         lambda: _ioctl.share_file_ranges(dst_file, src_file,
-                                                          ranges))
+        return self.call("share_file_ranges", _ioctl.share_file_ranges,
+                         dst_file, src_file, ranges)

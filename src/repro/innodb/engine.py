@@ -129,7 +129,8 @@ class InnoDBEngine:
 
     def devices(self):
         """Every device this engine issues commands to, for workload
-        drivers that attach submission sessions around an operation."""
+        drivers that run their completions and drain them around
+        concurrent operations."""
         return (self.data_ssd, self.log_ssd)
 
     # ----------------------------------------------------------- page I/O

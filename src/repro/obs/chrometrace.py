@@ -6,10 +6,11 @@ records on the virtual clock:
 
 * **host spans** (pid 1) — the span tracer's nested operations
   (``innodb.txn`` → ``device.write`` → ``ftl.gc`` ...), one thread lane
-  per nesting depth;
+  per (client, nesting depth), since clients' operations overlap;
 * **device commands** (one pid per device) — each host command drawn
   from its queue *arrival* to its completion, so admission wait is
-  visible as bar length beyond the service time;
+  visible as bar length beyond the service time (overlapping commands
+  take the first ``commands`` lane free at their arrival);
 * **channel busy intervals** — one lane per flash channel showing when
   the media was actually occupied.
 
@@ -77,6 +78,19 @@ def _span_depths(records: Sequence[Dict[str, Any]]) -> Dict[int, int]:
     return depths
 
 
+def _pack(intervals: Iterable[Tuple[int, int]]) -> List[int]:
+    """Lane per ``(start, end)``: the first lane whose last interval
+    ended by ``start``, else a new one."""
+    ends: List[int] = []
+    lanes = []
+    for start, end in intervals:
+        lane = next((lane for lane, last in enumerate(ends)
+                     if last <= start), len(ends))
+        ends[lane:lane + 1] = [end]     # a new lane appends
+        lanes.append(lane)
+    return lanes
+
+
 def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
                  devices: Sequence[Tuple[str, Any, Any]] = (),
                  ) -> Dict[str, Any]:
@@ -87,9 +101,9 @@ def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
     a JSONL artifact; non-span records are ignored.
 
     ``devices`` — ``(name, io_trace, interval_trace)`` triples; either
-    trace may be ``None``.  Each device becomes its own process with a
-    ``commands`` lane (from the :class:`~repro.ssd.trace.IoTrace`) and
-    one lane per flash channel (from the
+    trace may be ``None``.  Each device becomes its own process with
+    ``commands`` lanes (from the :class:`~repro.ssd.trace.IoTrace`) and
+    one lane per flash channel after them (from the
     :class:`~repro.ssd.trace.IntervalTrace`).
     """
     events: List[Dict[str, Any]] = []
@@ -99,15 +113,19 @@ def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
         events.append(_metadata(HOST_PID, None, "process_name", "host spans"))
         events.append(_metadata(HOST_PID, None, "process_sort_index", 0))
         depths = _span_depths(spans)
-        seen_tids = set()
-        for record in spans:
-            tid = depths.get(record["span_id"], 0)
-            if tid not in seen_tids:
-                seen_tids.add(tid)
-                events.append(_metadata(HOST_PID, tid, "thread_name",
-                                        f"depth {tid}"))
-                events.append(_metadata(HOST_PID, tid, "thread_sort_index",
-                                        tid))
+        keys = [(record.get("client"), depths.get(record["span_id"], 0))
+                for record in spans]
+        # Synchronous spans (client None) first, then by client, depth.
+        tids = {key: tid for tid, key in enumerate(sorted(
+            set(keys), key=lambda key: (key[0] is not None, key[0] or 0,
+                                        key[1])))}
+        for (client, depth), tid in tids.items():
+            who = "sync" if client is None else f"client {client}"
+            events.append(_metadata(HOST_PID, tid, "thread_name",
+                                    f"{who} depth {depth}"))
+            events.append(_metadata(HOST_PID, tid, "thread_sort_index",
+                                    tid))
+        for record, key in zip(spans, keys):
             events.append({
                 "name": record["name"],
                 "cat": "span",
@@ -115,7 +133,7 @@ def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
                 "ts": record["start_us"],
                 "dur": max(0, record["end_us"] - record["start_us"]),
                 "pid": HOST_PID,
-                "tid": tid,
+                "tid": tids[key],
                 "args": dict(record.get("attrs", {})),
             })
 
@@ -123,10 +141,17 @@ def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
         pid = HOST_PID + 1 + index
         events.append(_metadata(pid, None, "process_name", f"device {name}"))
         events.append(_metadata(pid, None, "process_sort_index", pid))
+        lanes = 1
         if io_trace is not None and len(io_trace):
-            events.append(_metadata(pid, 0, "thread_name", "commands"))
-            events.append(_metadata(pid, 0, "thread_sort_index", 0))
-            for ev in io_trace:
+            commands = list(io_trace)
+            lane_of = _pack((ev.arrival_us, ev.timestamp_us)
+                            for ev in commands)
+            lanes = max(lane_of) + 1
+            for tid in range(lanes):
+                events.append(_metadata(pid, tid, "thread_name",
+                                        f"commands {tid}"))
+                events.append(_metadata(pid, tid, "thread_sort_index", tid))
+            for ev, tid in zip(commands, lane_of):
                 events.append({
                     "name": ev.kind,
                     "cat": "command",
@@ -134,7 +159,7 @@ def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
                     "ts": ev.arrival_us,
                     "dur": max(0, ev.timestamp_us - ev.arrival_us),
                     "pid": pid,
-                    "tid": 0,
+                    "tid": tid,
                     "args": {
                         "lpn": ev.lpn,
                         "count": ev.count,
@@ -146,7 +171,7 @@ def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
                 })
         if interval_trace is not None and len(interval_trace):
             for channel in interval_trace.channels():
-                tid = 1 + channel
+                tid = lanes + channel
                 events.append(_metadata(pid, tid, "thread_name",
                                         f"channel {channel}"))
                 events.append(_metadata(pid, tid, "thread_sort_index", tid))
@@ -158,7 +183,7 @@ def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
                     "ts": start_us,
                     "dur": max(0, end_us - start_us),
                     "pid": pid,
-                    "tid": 1 + channel,
+                    "tid": lanes + channel,
                     "args": {"channel": channel},
                 })
 
@@ -167,8 +192,9 @@ def chrome_trace(span_records: Iterable[Dict[str, Any]] = (),
 
 def validate_chrome_trace(trace: Dict[str, Any]) -> Dict[str, Any]:
     """Schema-check a trace dict against the Trace Event Format subset
-    this exporter emits.  Raises :class:`ValueError` on the first
-    violation; returns the trace unchanged so calls chain."""
+    this exporter emits, including that no two complete events of one
+    ``(pid, tid)`` lane overlap.  Raises :class:`ValueError` on the
+    first violation; returns the trace unchanged so calls chain."""
     if not isinstance(trace, dict):
         raise ValueError(f"trace must be a dict, got {type(trace).__name__}")
     events = trace.get("traceEvents")
@@ -199,6 +225,17 @@ def validate_chrome_trace(trace: Dict[str, Any]) -> Dict[str, Any]:
                     raise ValueError(f"{where}: {key!r} must be an int")
         else:
             raise ValueError(f"{where}: unsupported phase {ph!r}")
+    lanes: Dict[Tuple[int, int], List[Tuple[Any, Any, int]]] = {}
+    for position, event in enumerate(events):
+        if event["ph"] == "X":
+            lanes.setdefault((event["pid"], event["tid"]), []).append(
+                (event["ts"], event["ts"] + event["dur"], position))
+    for lane in lanes.values():
+        lane.sort()
+        for (__, end, before), (start, ___, position) in zip(lane, lane[1:]):
+            if start < end:
+                raise ValueError(f"traceEvents[{position}] overlaps "
+                                 f"traceEvents[{before}] on its lane")
     try:
         json.dumps(trace)
     except (TypeError, ValueError) as exc:

@@ -11,9 +11,12 @@ a single host operation is attributed all the way down —
 walk away.  Finished spans are emitted to the telemetry sink as plain
 dicts (``{"type": "span", ...}``), which is also the JSONL schema.
 
-All timestamps come from the shared :class:`repro.sim.clock.SimClock`;
-the tracer never reads wall-clock time, so traces are exactly
-reproducible.
+All timestamps come from the shared :class:`repro.sim.clock.SimClock`'s
+current issuer (``clock.issuer.now_us``): the issuing client's session
+cursor, or the clock itself under synchronous issue — the "now" the
+device commands inside the span arrive at and complete on.  Each span
+records the issuer's ``client`` (None for the clock).  The tracer never
+reads wall-clock time, so traces are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -28,17 +31,18 @@ class Span:
     :meth:`set`.  Attributes must be JSON-serialisable."""
 
     __slots__ = ("_tracer", "name", "span_id", "parent_id", "trace_id",
-                 "start_us", "end_us", "attrs")
+                 "start_us", "end_us", "attrs", "client")
 
     def __init__(self, tracer: "Tracer", name: str, span_id: int,
                  parent_id: Optional[int], trace_id: int, start_us: int,
-                 attrs: Dict[str, Any]) -> None:
+                 attrs: Dict[str, Any], client: Optional[int]) -> None:
         self._tracer = tracer
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
         self.trace_id = trace_id
         self.start_us = start_us
+        self.client = client
         self.end_us: Optional[int] = None
         self.attrs = attrs
 
@@ -121,7 +125,7 @@ class Tracer:
 
     The sink is any object with ``emit(record: dict)``; the clock is bound
     late (the harness builds the telemetry object before the stack's
-    clock exists).
+    clock exists; until then spans are stamped 0).
 
     ``sample_every`` (1 = keep everything) implements sampled telemetry
     mode at *root-span* granularity: 1-in-N roots are traced in full, the
@@ -142,7 +146,7 @@ class Tracer:
 
     def __init__(self, sink: Any, sample_every: int = 1) -> None:
         self._sink = sink
-        self._clock: Optional[SimClock] = None
+        self._clock = SimClock()
         self._stack: List[Span] = []
         self.current: Any = NULL_SPAN
         self._next_id = 1
@@ -202,14 +206,16 @@ class Tracer:
         span_id = self._next_id
         self._next_id += 1
         parent = self._stack[-1] if self._stack else None
+        issuer = self._clock.issuer
         span = Span(
             tracer=self,
             name=name,
             span_id=span_id,
             parent_id=parent.span_id if parent is not None else None,
             trace_id=parent.trace_id if parent is not None else span_id,
-            start_us=self._clock.now_us if self._clock is not None else 0,
+            start_us=issuer.now_us,
             attrs=attrs,
+            client=issuer.client,
         )
         self._stack.append(span)
         self.current = span
@@ -221,7 +227,7 @@ class Tracer:
         spans still open, innermost first (defensive; normal use is
         strictly nested ``with`` blocks)."""
         stack = self._stack
-        end_us = self._clock.now_us if self._clock is not None else 0
+        end_us = self._clock.issuer.now_us
         emit = self._sink.emit
         while True:
             if stack:
@@ -239,6 +245,7 @@ class Tracer:
                 "start_us": top.start_us,
                 "end_us": end_us,
                 "duration_us": end_us - top.start_us,
+                "client": top.client,
                 "attrs": top.attrs,
             })
             if top is span:

@@ -16,7 +16,7 @@ US_PER_MS = 1_000
 
 
 class SimClock:
-    """Monotonic virtual clock with microsecond resolution.
+    """Monotonic virtual clock with microsecond resolution, starting at 0.
 
     The clock only moves forward — via :meth:`advance`, or when the
     completion queue (:class:`~repro.sim.events.EventScheduler`) moves it
@@ -28,14 +28,23 @@ class SimClock:
     attribute, not a property: the device reads it on every command and
     completion.  Only the clock's own methods and the completion queue
     write it.
+
+    ``issuer`` is the stack's one current issuer: the clock itself under
+    synchronous issue, else the :class:`~repro.ssd.ncq.DeviceSession`
+    being issued on.  Both carry ``now_us`` and ``client``, so
+    ``clock.issuer.now_us`` is the one "now" devices, the cluster router
+    and the tracer read.  To bind a session, save the issuer, set it and
+    restore the saved one on exit (``try`` / ``finally``): binds nest.
     """
 
-    __slots__ = ("now_us", "_reset_hooks")
+    __slots__ = ("now_us", "issuer", "_reset_hooks")
 
-    def __init__(self, start_us: int = 0) -> None:
-        if start_us < 0:
-            raise ValueError(f"clock cannot start at negative time: {start_us}")
-        self.now_us = int(start_us)
+    #: The clock as an issuer is no client.
+    client = None
+
+    def __init__(self) -> None:
+        self.now_us = 0
+        self.issuer = self
         self._reset_hooks = []
 
     @property

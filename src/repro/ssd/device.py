@@ -18,15 +18,17 @@ entry — in global ``(completion, submission)`` order across every device
 sharing the scheduler.  A command whose completion has none of those to
 deliver carries no ticket: its entry only retires the in-flight count.
 
-With no session attached (the default), each command method submits and
-immediately waits for its own completion
+A command arrives at ``clock.issuer.now_us``.  While the clock is its
+own issuer (the default), each command method submits and immediately
+waits for its own completion
 (:meth:`~repro.sim.events.EventScheduler.submit_and_wait`, which fires it
 in line when nothing queued is due first), which at ``queue_depth=1`` and
 one channel reproduces the old caller-advances-the-clock model
-bit-for-bit.  Attaching a :class:`DeviceSession` turns the same methods
-into non-blocking submissions whose arrival time is the session cursor —
-that is how N closed-loop benchmark clients drive one device
-concurrently.
+bit-for-bit.  While a :class:`DeviceSession` is the issuer, the same
+methods are non-blocking submissions that move the session cursor to
+their completion — that is how N closed-loop benchmark clients drive
+the stack's devices concurrently.  Either happens inside the command's
+span, so the span ends on the completion.
 
 A second, plain :class:`Ssd` without SHARE enabled stands in for the
 Samsung PM853T log device of the experimental setup.
@@ -52,10 +54,6 @@ from repro.sim.faults import NO_FAULTS, FaultPlan
 from repro.ssd.ncq import CommandTicket, DeviceSession, NativeCommandQueue
 from repro.ssd.stats import DeviceStats
 from repro.ssd.trace import IntervalTrace, IoTrace
-
-#: What :meth:`Ssd._issue` hands back: the command's completion time and
-#: its ticket (``None`` when the completion has nothing to deliver).
-Issued = Tuple[int, Optional[CommandTicket]]
 
 #: The payload :meth:`Ssd.age` programs on every page it fills or
 #: rewrites: one shared object, not a tuple per page — nothing reads an
@@ -184,7 +182,6 @@ class Ssd:
         # model's equivalence requires.
         self.ncq = ncq if ncq is not None \
             else NativeCommandQueue(self.config.queue_depth)
-        self._session: Optional[DeviceSession] = None
         #: Commands submitted and not yet completed (their tickets sit
         #: in ``events``).
         self.inflight = 0
@@ -261,24 +258,32 @@ class Ssd:
     # ----------------------------------------------------- submission API
 
     def attach_session(self, session: DeviceSession) -> None:
-        """Issue the following commands from ``session``: they arrive at
-        the session cursor and return without waiting for completion."""
-        if self._session is not None and self._session is not session:
+        """Make ``session`` the stack's issuer until
+        :meth:`detach_session`; unnested, so it refuses to replace
+        another bound session."""
+        clock = self.clock
+        if clock.issuer is not clock and clock.issuer is not session:
             raise DeviceError(
                 f"device {self.name!r} already has a session attached")
-        self._session = session
+        clock.issuer = session
 
     def detach_session(self) -> None:
-        """Return to synchronous (submit-and-wait) issue."""
-        self._session = None
+        """Return the stack to synchronous (submit-and-wait) issue."""
+        self.clock.issuer = self.clock
 
-    def poll(self, now_us: Optional[int] = None) -> int:
-        """Fire every completion due at or before ``now_us`` (default:
-        the session cursor, else the clock); returns how many commands
-        are still in flight."""
-        if now_us is None:
-            now_us = (self._session.now_us if self._session is not None
-                      else self.clock.now_us)
+    @property
+    def _session(self) -> Optional[DeviceSession]:
+        """The bound session, or None under synchronous issue.
+
+        Read-only: perfbench's layer pass reads it to stamp a device
+        span; ROADMAP item 12's benchmark follow-up retires it for
+        ``clock.issuer``."""
+        issuer = self.clock.issuer
+        return None if issuer is self.clock else issuer
+
+    def poll(self, now_us: int) -> int:
+        """Fire every completion due at or before ``now_us``; returns how
+        many commands are still in flight."""
         self.events.run_until(now_us)
         return self.inflight
 
@@ -311,16 +316,15 @@ class Ssd:
     def _command(self, body, kind: str, op_kind: str,
                  lpns: Sequence[int], *args) -> None:
         """Run one journalled command: the submission fault gate, then
-        ``body(op_kind, op, *args)``, then the synchronous wait.
+        ``body(op_kind, op, *args)``.
 
         Under :data:`NO_FAULTS` — every benchmark run — there is no
         journal, so ``body(None, None, *args)`` runs bare, or inside the
-        ``device.<kind>`` span while the tracer is recording, and the
-        wait is :meth:`~repro.sim.events.EventScheduler.submit_and_wait`.
-        A real fault plan brings back the deferred ack scope: the
-        command is queued inside it (a power cut there finds it in
-        flight) and :meth:`_wait` runs after it exits, so the ack is
-        registered before it is delivered."""
+        ``device.<kind>`` span while the tracer is recording, and
+        :meth:`_issue` does the wait.  A real fault plan brings back the
+        deferred ack scope: the command is queued inside it (a power cut
+        there finds it in flight) and :meth:`_wait` runs after it exits,
+        so the ack is registered before it is delivered."""
         faults = self.faults
         if faults.commands.active:
             self._gate(kind, lpns)
@@ -331,21 +335,19 @@ class Ssd:
         if not faults.passive:
             with faults.operation(op_kind, lpns, deferred=True) as op, \
                     tracer.span("device." + kind):
-                completion, ticket = body(op_kind, op, *args)
-            self._wait(completion, ticket)
+                completion = body(op_kind, op, *args)
+            self._wait(completion)
             return
         if not tracer.recording:
-            completion, ticket = body(None, None, *args)
+            body(None, None, *args)
         elif tracer.sample_every > 1 and tracer.sample_out():
             try:
-                completion, ticket = body(None, None, *args)
+                body(None, None, *args)
             finally:
                 tracer.resume()
         else:
             with tracer.span("device." + kind):
-                completion, ticket = body(None, None, *args)
-        if self._session is None:
-            self.events.submit_and_wait(completion, self, ticket)
+                body(None, None, *args)
 
     def read(self, lpn: int) -> Any:
         """Read one page (through the controller DRAM cache if enabled)."""
@@ -371,17 +373,15 @@ class Ssd:
         if cached is not None:
             data = cached[0]
             self.stats.host_read_pages += 1
-            completion, ticket = self._issue(
-                "read", lpn, 1, 0.0, self._overhead_whole_us)   # DRAM hit
+            self._issue("read", lpn, 1, 0.0,
+                        self._overhead_whole_us)   # DRAM hit
         else:
             data = ftl.read(lpn)
             if cache.enabled:
                 cache.insert(lpn, data)
             self.stats.host_read_pages += 1
-            completion, ticket = self._issue(
-                "read", lpn, 1, self._read_latency_us, self._read_whole_us)
-        if self._session is None:
-            self.events.submit_and_wait(completion, self, ticket)
+            self._issue("read", lpn, 1, self._read_latency_us,
+                        self._read_whole_us)
         return data
 
     def write(self, lpn: int, data: Any) -> None:
@@ -389,7 +389,7 @@ class Ssd:
         self._command(self._write, "write", "device.write", (lpn,),
                       lpn, data)
 
-    def _write(self, op_kind, op, lpn: int, data: Any) -> Issued:
+    def _write(self, op_kind, op, lpn: int, data: Any) -> int:
         self.ftl.write(lpn, data)
         if self.cache.enabled:
             self.cache.insert(lpn, data)
@@ -409,7 +409,7 @@ class Ssd:
                       tuple(range(lpn, lpn + len(pages))), lpn, pages)
 
     def _write_multi(self, op_kind, op, lpn: int,
-                     pages: Sequence[Any]) -> Issued:
+                     pages: Sequence[Any]) -> int:
         # The whole range, before the first page: a batch that runs past
         # the logical end must not program (and leave unbilled) a prefix.
         ftl = self.ftl
@@ -452,12 +452,12 @@ class Ssd:
             self.stats.write_commands += 1
             self.stats.extra["atomic_write_commands"] = (
                 self.stats.extra.get("atomic_write_commands", 0) + 1)
-            completion, ticket = self._issue(
+            completion = self._issue(
                 "write", items[0][0], len(items),
                 len(items) * self._program_latency_us,
                 op_kind="device.awrite", op_record=op,
                 gate_kind="awrite", gate_lpns=lpns)
-        self._wait(completion, ticket)
+        self._wait(completion)
 
     # X-FTL transactional interface (Section 6.2 baseline) --------------
 
@@ -472,9 +472,7 @@ class Ssd:
             self.ftl.write_txn(txn_id, lpn, data)
             self.stats.host_write_pages += 1
             self.stats.write_commands += 1
-            completion, ticket = self._issue("write", lpn, 1,
-                                             self._program_latency_us)
-        self._wait(completion, ticket)
+            self._issue("write", lpn, 1, self._program_latency_us)
 
     def commit_txn(self, txn_id: int) -> None:
         """Atomically publish a transaction's staged pages."""
@@ -485,18 +483,16 @@ class Ssd:
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.commit_txn(txn_id)
             self.cache.invalidate(staged_lpns)
-            completion, ticket = self._issue("flush", 0, 0, 0.0,
-                                             op_kind="device.xcommit",
-                                             op_record=op)
-        self._wait(completion, ticket)
+            completion = self._issue("flush", 0, 0, 0.0,
+                                     op_kind="device.xcommit", op_record=op)
+        self._wait(completion)
 
     def abort_txn(self, txn_id: int) -> None:
         """Discard a transaction's staged pages."""
         with self._tracer.span("device.trim", txn=txn_id):
             self.ftl.take_work()   # discard stale work from direct FTL use
             self.ftl.abort_txn(txn_id)
-            completion, ticket = self._issue("trim", 0, 0, 0.0)
-        self._wait(completion, ticket)
+            self._issue("trim", 0, 0, 0.0)
 
     def trim(self, lpn: int, count: int = 1) -> None:
         """Invalidate a logical range."""
@@ -505,7 +501,7 @@ class Ssd:
                       lpns)
 
     def _trim(self, op_kind, op, lpn: int, count: int,
-              lpns: Sequence[int]) -> Issued:
+              lpns: Sequence[int]) -> int:
         self.ftl.trim(lpn, count)
         if self.cache.enabled:
             self.cache.invalidate(lpns)
@@ -524,8 +520,7 @@ class Ssd:
         with self._tracer.span("device.idle_gc"):
             self.ftl.take_work()   # discard stale work from direct FTL use
             reclaimed = self.ftl.idle_gc(max_blocks, min_invalid_fraction)
-            completion, ticket = self._issue("trim", 0, reclaimed, 0.0)
-        self._wait(completion, ticket)
+            self._issue("trim", 0, reclaimed, 0.0)
         return reclaimed
 
     def flush(self) -> None:
@@ -534,7 +529,7 @@ class Ssd:
         modelled), matching the paper's O_DIRECT setup."""
         self._command(self._flush, "flush", "device.flush", ())
 
-    def _flush(self, op_kind, op) -> Issued:
+    def _flush(self, op_kind, op) -> int:
         self.ftl.flush()
         self.stats.flush_commands += 1
         return self._issue("flush", 0, 0, 0.0, self._overhead_whole_us,
@@ -563,7 +558,7 @@ class Ssd:
                       pairs, lpns)
 
     def _share(self, op_kind, op, pairs: Sequence[Tuple[int, int]],
-               lpns: Tuple[int, ...]) -> Issued:
+               lpns: Tuple[int, ...]) -> int:
         # Log spills are bookkeeping, not media work: they reach the
         # device stats as one count per command, not as ledger entries.
         ftl_stats = self.ftl.stats
@@ -656,11 +651,11 @@ class Ssd:
                base_latency_us: float, whole_us: Optional[int] = None,
                op_kind: Optional[str] = None, op_record: Any = None,
                gate_kind: Optional[str] = None,
-               gate_lpns: Optional[Tuple[int, ...]] = None) -> Issued:
+               gate_lpns: Optional[Tuple[int, ...]] = None) -> int:
         """Price the command (base latency plus the internal work — GC
         copybacks, erases, mapping-page programs, spill lookups — it
-        triggered), admit it through the NCQ and occupy its channels.
-        Returns ``(completion_us, ticket)``.
+        triggered), admit it through the NCQ, occupy its channels and
+        hand it to the completion queue.  Returns its completion time.
 
         Per-command work deltas come from the FTL's work ledger: every
         internal-work counter increment leaves a ledger entry (some,
@@ -679,11 +674,12 @@ class Ssd:
         The :class:`CommandTicket` is built only when the completion has
         something to deliver: a recorded command's histograms, a trace
         record, a completion gate or a deferred ack (``ticket`` is
-        ``None`` otherwise).  A session-issued command is pushed into
-        the completion queue here, and so is a journalled one (it is
-        queued inside its ack scope, where a power cut must find it in
-        flight); any other synchronous command is left to the caller's
-        :meth:`~repro.sim.events.EventScheduler.submit_and_wait`."""
+        ``None`` otherwise).  The command arrives at the stack issuer's
+        ``now_us``.  Under a session it is pushed and moves the cursor to
+        its completion; under the clock it waits for itself here
+        (:meth:`~repro.sim.events.EventScheduler.submit_and_wait`) unless
+        it is journalled: then it is pushed inside its ack scope (where a
+        power cut must find it in flight) and :meth:`_wait` runs after."""
         stats = self.stats
         ftl = self.ftl
         work = ftl.work
@@ -748,9 +744,9 @@ class Ssd:
         # Timing: admission through the bounded queue, a DRAM/firmware
         # phase, then per-channel media occupancy.
         service_us = dram_us
-        session = self._session
-        arrival = (session.now_us if session is not None
-                   else self.clock.now_us)
+        clock = self.clock
+        issuer = clock.issuer
+        arrival = issuer.now_us
         admit = self.ncq.admit(arrival)
         dram_end = admit + dram_us
         completion = dram_end
@@ -777,34 +773,30 @@ class Ssd:
         else:
             ticket = None
         self.inflight += 1
-        if session is not None:
-            session.now_us = completion
-            self.events.push(completion, self, ticket)
-        elif op_kind is not None:   # queued inside its ack scope
-            self.events.push(completion, self, ticket)
-
         if recorded:
             # Recording means this command's own device span is open.
             tracer.current.attrs.update(
                 kind=kind, lpn=lpn, count=count, latency_us=latency,
-                gc_events=gc_events, copyback_pages=copybacks)
-        return completion, ticket
+                service_us=service_us, gc_events=gc_events,
+                copyback_pages=copybacks)
+        if issuer is not clock:
+            issuer.now_us = completion
+            self.events.push(completion, self, ticket)
+        elif op_kind is None:
+            self.events.submit_and_wait(completion, self, ticket)
+        else:   # queued inside its ack scope
+            self.events.push(completion, self, ticket)
+        return completion
 
-    def _wait(self, completion: int,
-              ticket: Optional[CommandTicket]) -> None:
-        """Synchronous issue (no session attached): wait for the
-        command's own completion, advancing the clock — after the
-        command's fault-operation scope has exited, so a deferred ack is
-        registered before it is delivered.  A journalled command is
-        queued already (:meth:`_issue` pushed it inside its ack scope),
-        so the queue runs up to it; any other goes through
-        :meth:`~repro.sim.events.EventScheduler.submit_and_wait`.
-        ``read`` and the passive ``_command`` inline the second case."""
-        if self._session is None:
-            if ticket is not None and ticket.op_kind is not None:
-                self.events.run_until(completion)
-            else:
-                self.events.submit_and_wait(completion, self, ticket)
+    def _wait(self, completion: int) -> None:
+        """A journalled command's synchronous wait: run the completion
+        queue up to it (:meth:`_issue` queued it inside its ack scope),
+        advancing the clock — after that scope has exited, so the
+        deferred ack is registered before it is delivered.  Under a
+        session the cursor has moved already."""
+        clock = self.clock
+        if clock.issuer is clock:
+            self.events.run_until(completion)
 
     def _on_complete(self, ticket: Optional[CommandTicket]) -> None:
         """Complete one command (the completion queue delivered it and

@@ -11,13 +11,14 @@ bit-for-bit.
 
 A :class:`DeviceSession` is one closed-loop submission context (a host
 thread / benchmark client).  It carries a virtual *cursor*: the time at
-which its next command arrives.  Attaching a session to a device turns
-the synchronous command methods into submissions — they queue the
-command, advance the session cursor to the command's completion time
-and return without blocking the simulated clock; the workload driver
-``poll()``s completions and ``drain()``s at the end.  One session may
-be attached to several devices (data + log SSD) so a client's
-cross-device command chain stays ordered.
+which its next command arrives.  While a session is the stack's issuer
+(:attr:`~repro.sim.clock.SimClock.issuer`), the synchronous command
+methods of every device on that clock become submissions — they queue
+the command, advance the session cursor to the command's completion
+time and return without blocking the simulated clock; the workload
+driver runs the completion queue up to the cursor and ``drain()``s at
+the end.  A client's cross-device command chain (data + log SSD) stays
+ordered because both devices read the one issuer.
 """
 
 from __future__ import annotations
@@ -127,10 +128,12 @@ class NativeCommandQueue:
 class DeviceSession:
     """One closed-loop submission context (a host thread).
 
-    ``now_us`` is the session cursor: when the session is attached to a
-    device, each command arrives at the cursor and the cursor jumps to
+    ``now_us`` is the session cursor: while the session is the clock's
+    issuer, each command arrives at the cursor and the cursor jumps to
     the command's completion — so a client's commands chain in order
     while other clients' commands overlap with them in device time.
+    ``client`` labels the spans stamped on the cursor (one trace lane
+    per client).
     """
 
     __slots__ = ("client", "now_us")
@@ -141,31 +144,3 @@ class DeviceSession:
 
     def __repr__(self) -> str:
         return f"DeviceSession(client={self.client}, now_us={self.now_us})"
-
-
-class issuing:
-    """Attach ``session`` to every device for the duration of one
-    operation::
-
-        with issuing(session, data_ssd, log_ssd):
-            engine.do_one_op()
-
-    A plain class-based context manager (not ``@contextmanager``): the
-    workload drivers enter it once per operation, and the generator
-    machinery costs roughly 3x a slotted instance on that path.
-    """
-
-    __slots__ = ("session", "devices")
-
-    def __init__(self, session: DeviceSession, *devices) -> None:
-        self.session = session
-        self.devices = devices
-
-    def __enter__(self) -> DeviceSession:
-        for device in self.devices:
-            device.attach_session(self.session)
-        return self.session
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        for device in self.devices:
-            device.detach_session()

@@ -178,49 +178,39 @@ class LinkBenchDriver:
         handlers = self._handlers
         record = recorder.record
         counts_get = op_counts.get
-        if concurrency > 1:
-            devices = self.engine.devices()
-            sessions = [DeviceSession(client, start_us)
-                        for client in range(concurrency)]
-            # All of a stack's devices share one EventScheduler, so one
-            # run_until per operation polls every device's completions;
-            # keep a list in case a custom engine wires separate ones.
-            schedulers = []
-            for device in devices:
-                if all(device.events is not ev for ev in schedulers):
-                    schedulers.append(device.events)
-            # Sessions are swapped by direct assignment (the issuing()
-            # context manager costs ~7 calls per operation just to
-            # attach/detach); the finally block restores synchronous
-            # issue even if an operation raises.
-            try:
-                for index in range(transactions):
-                    op = ops[bisect_right(cum_weights,
-                                          random_() * total_weight, 0, hi)]
-                    session = sessions[index % concurrency]
-                    arrival = session.now_us
-                    for device in devices:
-                        device._session = session
-                    handlers[op](index)
-                    record(op, (session.now_us - arrival) / 1000.0)
-                    op_counts[op] = counts_get(op, 0) + 1
-                    now = session.now_us
-                    for scheduler in schedulers:
-                        scheduler.run_until(now)
-            finally:
-                for device in devices:
-                    device._session = None
-            for device in devices:
-                device.drain()
-        else:
-            clock = self.clock
+        clock = self.clock
+        caller = clock.issuer
+        # Each operation runs on its client's issuer: a session per client,
+        # or the caller's own issuer (the clock) for one synchronous client.
+        issuers = ([DeviceSession(client, start_us)
+                    for client in range(concurrency)]
+                   if concurrency > 1 else [caller])
+        clients = len(issuers)
+        devices = self.engine.devices()
+        # All of a stack's devices share one EventScheduler, so one
+        # run_until per operation polls every device's completions;
+        # keep a list in case a custom engine wires separate ones.
+        schedulers = []
+        for device in devices:
+            if all(device.events is not ev for ev in schedulers):
+                schedulers.append(device.events)
+        try:
             for index in range(transactions):
                 op = ops[bisect_right(cum_weights,
                                       random_() * total_weight, 0, hi)]
-                op_start = clock.now_us
+                issuer = issuers[index % clients]
+                arrival = issuer.now_us
+                clock.issuer = issuer
                 handlers[op](index)
-                record(op, (clock.now_us - op_start) / 1000.0)
+                record(op, (issuer.now_us - arrival) / 1000.0)
                 op_counts[op] = counts_get(op, 0) + 1
+                now = issuer.now_us
+                for scheduler in schedulers:
+                    scheduler.run_until(now)
+        finally:
+            clock.issuer = caller
+        for device in devices:
+            device.drain()
         elapsed = (self.clock.now_us - start_us) / 1e6
         return LinkBenchResult(transactions=transactions,
                                elapsed_seconds=elapsed,
@@ -405,13 +395,17 @@ class ClusterLinkBenchDriver:
         for device in router.devices:
             if all(device.events is not ev for ev in schedulers):
                 schedulers.append(device.events)
+        # Each operation runs with its client's session as the stack's
+        # issuer, the pumps with the caller's.
+        clock = self.clock
+        caller = clock.issuer
         try:
             for index in range(operations):
                 op = ops[bisect_right(cum_weights,
                                       random_() * total_weight, 0, hi)]
                 session = sessions[index % len(sessions)]
                 arrival = session.now_us
-                router.use_session(session)
+                clock.issuer = session
                 handlers[op](index)
                 record(op, (session.now_us - arrival) / 1000.0)
                 op_counts[op] = counts_get(op, 0) + 1
@@ -419,10 +413,10 @@ class ClusterLinkBenchDriver:
                 for scheduler in schedulers:
                     scheduler.run_until(now)
                 if (index + 1) % pump_every == 0:
-                    router.use_session(None)
+                    clock.issuer = caller
                     router.pump_replication()
         finally:
-            router.use_session(None)
+            clock.issuer = caller
         router.pump_replication()
         router.drain()
         elapsed = (self.clock.now_us - start_us) / 1e6

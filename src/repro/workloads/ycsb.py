@@ -164,7 +164,7 @@ class YcsbDriver:
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {batch_size}")
-        from repro.ssd.ncq import DeviceSession, issuing
+        from repro.ssd.ncq import DeviceSession
         reads = writes = 0
         latency = Histogram()
         start_us = self.clock.now_us
@@ -175,16 +175,21 @@ class YcsbDriver:
         sessions = ([DeviceSession(client, start_us)
                      for client in range(concurrency)]
                     if concurrency > 1 else None)
+        clock = self.clock
+        caller = clock.issuer
         for index in range(operations):
             if sessions is not None:
                 session = sessions[index % concurrency]
                 # A shared barrier may have advanced the clock past this
                 # client's cursor; it cannot issue into the past.
-                if session.now_us < self.clock.now_us:
-                    session.now_us = self.clock.now_us
+                if session.now_us < clock.now_us:
+                    session.now_us = clock.now_us
                 op_start = session.now_us
-                with issuing(session, device):
+                clock.issuer = session
+                try:
                     reads_delta, writes_delta = self._one_op(workload)
+                finally:
+                    clock.issuer = caller
                 op_end = session.now_us
                 device.poll(session.now_us)
             else:

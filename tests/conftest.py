@@ -1,6 +1,7 @@
 """Shared fixtures: small, fast device stacks for unit tests."""
 
 import json
+from contextlib import contextmanager
 
 import pytest
 
@@ -18,6 +19,19 @@ def small_ssd_config(page_size=4096, share_entries=250, trace=0):
         ftl=FtlConfig(map_block_count=4, share_table_entries=share_entries),
         trace_capacity=trace,
     )
+
+
+@contextmanager
+def issuing(session, clock):
+    """Make ``session`` the stack's issuer (``clock.issuer``) for one
+    block and restore the previous issuer after — the save / set /
+    restore the workload drivers inline around each operation."""
+    caller = clock.issuer
+    clock.issuer = session
+    try:
+        yield session
+    finally:
+        clock.issuer = caller
 
 
 def pair_for(router, key):

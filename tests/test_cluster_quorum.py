@@ -216,7 +216,7 @@ class TestRouterReadYourWrites:
     def test_writer_sees_own_write_before_any_pump(self, clock):
         router, events = self.make_router(clock)
         session = DeviceSession(1, 0)
-        router.use_session(session)
+        clock.issuer = session
         for n in range(10):
             router.put(("k", n), ("v", n))
             events.run_until(session.now_us)
@@ -228,12 +228,12 @@ class TestRouterReadYourWrites:
     def test_other_client_may_read_from_replica(self, clock):
         router, events = self.make_router(clock)
         writer, reader = DeviceSession(1, 0), DeviceSession(2, 0)
-        router.use_session(writer)
+        clock.issuer = writer
         router.put(("k", 0), "a")
         events.run_until(writer.now_us)
-        router.use_session(None)
+        clock.issuer = clock
         router.pump_replication()
-        router.use_session(reader)
+        clock.issuer = reader
         assert router.get(("k", 0)) == "a"
         events.run_until(reader.now_us)
         assert router.stats.replica_reads == 1

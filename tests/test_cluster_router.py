@@ -384,7 +384,7 @@ class ClusterRun:
         self.router = router_cls([group(index) for index in range(3)],
                                  self.clock, telemetry=self.telemetry)
         self.spare = group(3)
-        self.sessions = [None, DeviceSession(client=1),
+        self.sessions = [self.clock, DeviceSession(client=1),
                          DeviceSession(client=2)]
         self.rebalancer = None
         self.outcomes = []
@@ -403,7 +403,8 @@ class ClusterRun:
         if kind == "pump":
             return router.pump_replication(op[1])
         if kind == "client":
-            return router.use_session(self.sessions[op[1]])
+            router.clock.issuer = self.sessions[op[1]]
+            return None
         names = sorted(router.pairs)
         if kind == "kill":
             return router.kill_shard(names[op[1] % len(names)])

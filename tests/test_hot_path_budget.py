@@ -564,8 +564,10 @@ def test_couch_read_modify_write_stays_inside_its_call_budget():
 
 #: Calls per operation of the KV LinkBench mix booked to ``repro/cluster``
 #: (its own functions plus the builtins those call), on 3 shards of a
-#: primary and two replicas with ``write_quorum=2``.  Measured 34.00 on
-#: CPython 3.11 once a get or delete of a key no live group holds was
+#: primary and two replicas with ``write_quorum=2``.  Measured 31.25 on
+#: CPython 3.11 once the shard ops stopped wrapping each device call in
+#: a session-binding closure and a lambda (the clock holds the issuer);
+#: 34.00 once a get or delete of a key no live group holds was
 #: answered before routing (no ring lookup, no ``_shard_op``, no
 #: ``ShardGroup`` call; on ``cluster-quorum`` 2.2 of 2.9 gets per op);
 #: 48.94 before, with the ring resuming FNV-1a from cached prefix states

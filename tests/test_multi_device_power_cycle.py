@@ -9,7 +9,7 @@ from repro.sim.events import EventScheduler
 from repro.ssd.device import Ssd
 from repro.ssd.ncq import DeviceSession
 
-from conftest import small_ssd_config
+from conftest import issuing, small_ssd_config
 
 
 def make_two(clock):
@@ -20,12 +20,9 @@ def make_two(clock):
 
 
 def queue_writes(ssd, session, count, base_lpn=0):
-    ssd._session = session
-    try:
+    with issuing(session, ssd.clock):
         for n in range(count):
             ssd.write(base_lpn + n, (ssd.name, n))
-    finally:
-        ssd._session = None
 
 
 def test_power_cycle_cancels_only_own_inflight(clock):

@@ -10,8 +10,10 @@ from repro.obs import MemorySink, Telemetry, chrome_trace, \
 from repro.flash.geometry import FlashGeometry
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
-from repro.ssd.ncq import DeviceSession, issuing
+from repro.ssd.ncq import DeviceSession
 from repro.ssd.trace import IntervalTrace, IoTrace
+
+from conftest import issuing
 
 
 def traced_spans():
@@ -68,6 +70,26 @@ class TestSpanLanes:
         assert by_name["mid"]["tid"] == 1
         assert by_name["leaf"]["tid"] == 2
 
+    def test_each_client_gets_its_own_lanes(self):
+        # Two clients' operations overlap in virtual time: on one lane
+        # they would not nest, so each (client, depth) is a lane.
+        def span(span_id, parent_id, start_us, end_us, client):
+            return {"type": "span", "name": f"s{span_id}",
+                    "span_id": span_id, "parent_id": parent_id,
+                    "start_us": start_us, "end_us": end_us,
+                    "client": client, "attrs": {}}
+        records = [span(2, 1, 2, 8, 0), span(1, None, 0, 10, 0),
+                   span(3, None, 5, 15, 1), span(4, None, 20, 21, None)]
+        trace = validate_chrome_trace(chrome_trace(span_records=records))
+        names = {event["tid"]: event["args"]["name"]
+                 for event in trace["traceEvents"]
+                 if event["name"] == "thread_name"}
+        assert names == {0: "sync depth 0", 1: "client 0 depth 0",
+                         2: "client 0 depth 1", 3: "client 1 depth 0"}
+        tids = {event["name"]: event["tid"]
+                for event in trace["traceEvents"] if event["ph"] == "X"}
+        assert tids == {"s4": 0, "s1": 1, "s2": 2, "s3": 3}
+
     def test_non_span_records_ignored(self):
         records = [{"type": "metrics", "t_us": 0, "metrics": {}}]
         assert chrome_trace(span_records=records)["traceEvents"] == []
@@ -102,15 +124,18 @@ class TestDeviceLanes:
         ssd = Ssd(SimClock(), SsdConfig(geometry=FlashGeometry.small(),
                                         queue_depth=1, trace_capacity=16))
         for client in range(2):
-            with issuing(DeviceSession(client, 0), ssd):
+            with issuing(DeviceSession(client, 0), ssd.clock):
                 ssd.write(client, ("v", client))
         ssd.drain()
         first, second = ssd.trace.events()
         assert second.arrival_us == 0 and second.wait_us > 0
-        trace = chrome_trace(devices=[("d", ssd.trace, None)])
+        trace = validate_chrome_trace(
+            chrome_trace(devices=[("d", ssd.trace, None)]))
         bars = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert [(e["ts"], e["dur"]) for e in bars] == [
             (0, first.timestamp_us), (0, second.timestamp_us)]
+        # The bars overlap, so they are packed onto two lanes.
+        assert [e["tid"] for e in bars] == [0, 1]
         assert second.timestamp_us == first.timestamp_us + second.wait_us
 
     def test_channel_lanes(self):
@@ -156,6 +181,18 @@ class TestValidation:
             validate_chrome_trace({"traceEvents": [
                 {"ph": "X", "name": "", "ts": 0, "dur": 1,
                  "pid": 1, "tid": 0}]})
+
+    def test_rejects_overlapping_events_in_one_lane(self):
+        def event(ts, dur, tid):
+            return {"ph": "X", "name": "x", "ts": ts, "dur": dur,
+                    "pid": 1, "tid": tid}
+        # Touching and zero-length events do not overlap.
+        validate_chrome_trace({"traceEvents": [
+            event(0, 10, 0), event(10, 0, 0), event(10, 5, 0),
+            event(3, 4, 1)]})
+        with pytest.raises(ValueError, match="overlaps"):
+            validate_chrome_trace({"traceEvents": [
+                event(0, 10, 0), event(12, 1, 0), event(9, 2, 0)]})
 
     def test_rejects_unserialisable_args(self):
         with pytest.raises(ValueError, match="serialisable"):

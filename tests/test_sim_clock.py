@@ -47,11 +47,6 @@ def test_negative_advance_rejected():
         clock.advance(-1)
 
 
-def test_negative_start_rejected():
-    with pytest.raises(ValueError):
-        SimClock(start_us=-5)
-
-
 def test_reset():
     clock = SimClock()
     clock.advance(10)
@@ -59,6 +54,8 @@ def test_reset():
     assert clock.now_us == 0
 
 
-def test_custom_start():
-    clock = SimClock(start_us=77)
-    assert clock.now_us == 77
+def test_a_new_clock_is_its_own_issuer():
+    clock = SimClock()
+    assert clock.issuer is clock
+    assert clock.issuer.now_us == clock.now_us == 0
+    assert clock.issuer.client is None

@@ -18,7 +18,9 @@ from repro.sim.events import EventScheduler
 from repro.sim.faults import (
     NO_FAULTS, CommandTimeout, FaultPlan, PowerFailAfter)
 from repro.ssd.device import Ssd, SsdConfig
-from repro.ssd.ncq import DeviceSession, issuing
+from repro.ssd.ncq import DeviceSession
+
+from conftest import issuing
 
 
 class Sink:
@@ -82,7 +84,7 @@ class TestOrdering:
         plan.enable_trace()
         session = DeviceSession(0, 0)
         completions = []
-        with issuing(session, first, second):
+        with issuing(session, first.clock):
             for n in range(3):
                 # A one-page TRIM and a FLUSH with nothing dirty are both
                 # firmware-only commands of one whole microsecond.
@@ -185,7 +187,7 @@ class TestCancellation:
         # reboot: power_cycle takes them back from the scheduler.
         clock, ssd = queued_ssd()
         session = DeviceSession(0, 0)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             for lpn in range(6):
                 ssd.write(lpn, ("v", lpn))
         assert ssd.inflight == 6
@@ -246,7 +248,7 @@ def run_mixed(schedule, journalled, sync_trace, reference):
             events.run_until(clock.now_us + offset)
         else:
             session.now_us = clock.now_us + offset
-            with issuing(session, queued):
+            with issuing(session, queued.clock):
                 if op == "queued_read":
                     queued.read(lpn)
                 else:
@@ -280,7 +282,7 @@ class TestSynchronousInLineCompletion:
         clock, ssd = queued_ssd(plan)
         ssd.write(9, "old")
         session = DeviceSession(0, clock.now_us)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             ssd.write(0, "a")
             ssd.write_txn(ssd.begin_txn(), 9, "staged")   # no ack journal
             ssd.write(1, "b")
@@ -298,7 +300,7 @@ class TestSynchronousInLineCompletion:
         ssd = mixed_device(clock, EventScheduler(clock), "passive",
                            NO_FAULTS, 4, 0)
         session = DeviceSession(0, clock.now_us)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             for lpn in range(4):
                 ssd.write(lpn, ("v", lpn))
         assert ssd.inflight == 4
@@ -371,7 +373,7 @@ class TestBatchedDrain:
         plan.enable_trace()
         plan.arm(PowerFailAfter("device.trim.ack", 2))
         session = DeviceSession(0, 0)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             ssd.trim(1)
             first_done = session.now_us
             session.now_us = 0          # same arrival for the second command
@@ -390,7 +392,7 @@ class TestBatchedDrain:
         # device queues and completes cleanly on the post-cycle timeline.
         clock, ssd = queued_ssd()
         session = DeviceSession(0, 0)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             for lpn in range(3):
                 ssd.write(lpn, ("v", lpn))
         ssd.power_cycle()
@@ -410,7 +412,7 @@ class TestBatchedDrain:
         plan.enable_trace()
         plan.commands.arm(CommandTimeout("share", nth=1, after_apply=True))
         session = DeviceSession(0, clock.now_us)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             ssd.share(8, 0)             # mapping-only: completes first
             ssd.write(1, "a")
             ssd.write(2, "b")
@@ -431,7 +433,7 @@ class TestBatchedDrain:
         plan.enable_trace()
         plan.arm(PowerFailAfter("device.write.ack", 2))
         session = DeviceSession(0, 0)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             for lpn in range(3):
                 ssd.write(lpn, ("v", lpn))
         with pytest.raises(PowerFailure):
@@ -452,7 +454,7 @@ class TestValidation:
         for lpn in range(4):
             ssd.write(lpn, ("v", lpn))
         session = DeviceSession(0, clock.now_us)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             ssd.write(5, ("queued", 5))
         assert clock.now_us > 0 and ssd.inflight == 1
         clock.reset()

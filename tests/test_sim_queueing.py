@@ -214,7 +214,9 @@ def test_event_device_qd1_reproduces_closed_loop_oracle():
         oracle.append(queue.submit(clock.now_us - start))
 
     # The same stream through real sessions on an identical device.
-    from repro.ssd.ncq import DeviceSession, issuing
+    from repro.ssd.ncq import DeviceSession
+
+    from conftest import issuing
 
     clock2, ssd2 = _build_device()
     sessions = [DeviceSession(client, 0) for client in range(clients)]
@@ -222,7 +224,7 @@ def test_event_device_qd1_reproduces_closed_loop_oracle():
     for index, op in enumerate(ops):
         session = sessions[index % clients]
         arrival = session.now_us
-        with issuing(session, ssd2):
+        with issuing(session, ssd2.clock):
             _run_op(ssd2, op)
         responses.append(session.now_us - arrival)
         ssd2.poll(session.now_us)
@@ -244,7 +246,9 @@ def test_oracle_equivalence_holds_for_any_client_count():
             _run_op(ssd, op)
             oracle.append(queue.submit(clock.now_us - start))
 
-        from repro.ssd.ncq import DeviceSession, issuing
+        from repro.ssd.ncq import DeviceSession
+
+        from conftest import issuing
 
         clock2, ssd2 = _build_device()
         sessions = [DeviceSession(client, 0) for client in range(clients)]
@@ -252,7 +256,7 @@ def test_oracle_equivalence_holds_for_any_client_count():
         for index, op in enumerate(ops):
             session = sessions[index % clients]
             arrival = session.now_us
-            with issuing(session, ssd2):
+            with issuing(session, ssd2.clock):
                 _run_op(ssd2, op)
             responses.append(session.now_us - arrival)
             ssd2.poll(session.now_us)

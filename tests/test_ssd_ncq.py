@@ -8,7 +8,9 @@ from repro.flash.timing import FAST_TIMING
 from repro.ftl.config import FtlConfig
 from repro.sim.clock import SimClock
 from repro.ssd.device import Ssd, SsdConfig
-from repro.ssd.ncq import DeviceSession, NativeCommandQueue, issuing
+from repro.ssd.ncq import DeviceSession, NativeCommandQueue
+
+from conftest import issuing
 
 
 def build(queue_depth=1, channel_count=1, block_count=32, **ssd_kwargs):
@@ -60,7 +62,7 @@ class TestSessions:
     def test_session_cursor_chains_commands(self):
         clock, ssd = build()
         session = DeviceSession(0, 0)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             ssd.write(1, "a")
             first_end = session.now_us
             ssd.write(2, "b")
@@ -81,17 +83,17 @@ class TestSessions:
     def test_poll_reports_inflight(self):
         clock, ssd = build(queue_depth=4)
         session = DeviceSession(0, 0)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             for lpn in range(4):
                 ssd.write(lpn, ("v", lpn))
         assert ssd.poll(0) >= 0
         ssd.drain()
-        assert ssd.poll() == 0
+        assert ssd.poll(clock.now_us) == 0
 
     def test_drain_can_leave_commands_in_flight(self):
         clock, ssd = build(queue_depth=4)
         session = DeviceSession(0, 0)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             ssd.trim(1)
             session.now_us = 0
             ssd.trim(2)                 # completes with the first
@@ -113,7 +115,7 @@ class TestSessions:
             sessions = [DeviceSession(c, 0) for c in range(2)]
             for index in range(40):
                 session = sessions[index % 2]
-                with issuing(session, ssd):
+                with issuing(session, ssd.clock):
                     ssd.write(index % 48, ("v", index))
                 ssd.poll(session.now_us)
             ssd.drain()
@@ -147,7 +149,7 @@ class TestDeferredAcks:
             timing=FAST_TIMING, ftl=FtlConfig(map_block_count=4),
             queue_depth=8), faults=plan)
         session = DeviceSession(0, 0)
-        with issuing(session, ssd):
+        with issuing(session, ssd.clock):
             for lpn in range(5):
                 ssd.write(lpn, ("v", lpn))
         inflight = ssd.inflight
@@ -169,7 +171,7 @@ class TestDeferredAcks:
         submitted = []
         for client in range(8):
             session = DeviceSession(client, 0)
-            with issuing(session, ssd):
+            with issuing(session, ssd.clock):
                 if client in (2, 5):
                     ssd.trim(40 + client)
                     lpns = (40 + client,)
@@ -193,7 +195,7 @@ class TestChannelOverlap:
             sessions = [DeviceSession(c, 0) for c in range(8)]
             for index in range(160):
                 session = sessions[index % 8]
-                with issuing(session, ssd):
+                with issuing(session, ssd.clock):
                     ssd.write(index % 96, ("v", index))
                 ssd.poll(session.now_us)
             ssd.drain()
@@ -216,7 +218,7 @@ class TestChannelOverlap:
         session = DeviceSession(0, 0)
         session_times = []
         for lpn, value in ops:
-            with issuing(session, ssd_ses):
+            with issuing(session, ssd_ses.clock):
                 ssd_ses.write(lpn, value)
             session_times.append(session.now_us)
         ssd_ses.drain()

@@ -239,7 +239,7 @@ class TestConcurrentClients:
         assert result.reads + result.writes == 600
         assert result.operations == 600
         assert result.elapsed_seconds > 0
-        assert stack.ssd.poll() == 0   # everything drained
+        assert stack.ssd.poll(stack.clock.now_us) == 0   # all drained
 
     def test_ycsb_serial_path_unchanged_by_concurrency_param(self):
         def run(**kwargs):

@@ -103,8 +103,7 @@ def reference_write_multi(ssd, lpn, pages):
 #: Attributes that are configuration, plumbing or shared services, not
 #: device state (the clock is compared through ``now_us``).
 SKIP = frozenset({"config", "geometry", "_geometry", "faults", "_faults",
-                  "telemetry", "_tracer", "timing", "clock", "events",
-                  "_session"})
+                  "telemetry", "_tracer", "timing", "clock", "events"})
 
 
 def dump(value, seen):
